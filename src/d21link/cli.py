@@ -11,8 +11,10 @@ Commands::
 Output is deterministic: polynomials in canonical ascending-exponent form,
 matrices row-major (split blocks use the fixed parity-block basis order).
 The environment variable ``D21LINK_SKEIN_BUDGET`` overrides the crossing
-budget of the skein recursion (default 16).  Exit status is 0 on success
-and, for ``verify``, iff every check passes.
+budget of the skein recursion (default 16), and ``D21LINK_TANGLE_BUDGET``
+the most strands the tangle fold may hold at once (default 12).  Exit
+status is 0 on success and, for ``verify``, iff every check passes; bad
+input or an exceeded budget exits 2.
 """
 
 from __future__ import annotations
@@ -26,29 +28,34 @@ from typing import List, Optional
 from . import dubrovnik
 from .ring import NotLaurentInQ, format_q_laurent, q_string
 from .rmatrix import EVEN_PAIRS, ODD_PAIRS, braiding, split_blocks
-from .tangle import (DiagramError, evaluate_sliced, invariant, parse_braid,
-                     parse_sliced_text)
+from .tangle import (DEFAULT_TANGLE_BUDGET, DiagramError, evaluate_sliced,
+                     invariant, parse_braid, parse_sliced_text)
 from .verify import run_suites
 
 DEVIATIONS_FILE = "braiding_deviations.txt"
 
 
-def _skein_budget() -> int:
-    raw = os.environ.get("D21LINK_SKEIN_BUDGET")
+def _budget(variable: str, default: int) -> int:
+    raw = os.environ.get(variable)
     if raw is None:
-        return dubrovnik.DEFAULT_BUDGET
+        return default
     try:
         return int(raw)
     except ValueError:
-        raise SystemExit(f"D21LINK_SKEIN_BUDGET is not an integer: {raw!r}")
+        raise SystemExit(f"{variable} is not an integer: {raw!r}")
+
+
+def _skein_budget() -> int:
+    return _budget("D21LINK_SKEIN_BUDGET", dubrovnik.DEFAULT_BUDGET)
 
 
 def _cmd_invariant(args: argparse.Namespace) -> int:
+    budget = _budget("D21LINK_TANGLE_BUDGET", DEFAULT_TANGLE_BUDGET)
     if args.braid is not None:
-        result = invariant(parse_braid(args.braid))
+        result = invariant(parse_braid(args.braid), budget)
     else:
         with open(args.sliced, "r", encoding="utf-8") as handle:
-            result = evaluate_sliced(parse_sliced_text(handle.read()))
+            result = evaluate_sliced(parse_sliced_text(handle.read()), budget)
     if args.json:
         payload = {
             "value": result.canonical(),
@@ -56,6 +63,7 @@ def _cmd_invariant(args: argparse.Namespace) -> int:
                 "slices": result.slices,
                 "peak_strands": result.peak_strands,
                 "peak_dimension": result.peak_dimension,
+                "peak_support": result.peak_support,
             },
         }
         print(json.dumps(payload, indent=2))

@@ -1,7 +1,10 @@
 """Exact arithmetic in the quarter-exponent Laurent ring and its fractions.
 
-Everything downstream is computed over Laurent polynomials in t = q^{1/4}
+The braiding is built and verified over Laurent polynomials in t = q^{1/4}
 with rational coefficients, and over reduced fractions of such polynomials.
+Its entries are then read out as integer Laurent polynomials in q by
+:func:`to_integer_laurent`; the tangle fold runs on those alone, so
+:class:`RatFunc` serves only the braiding construction and verification.
 A :class:`QuarterLaurent` stores a finite map ``exponent -> coefficient``
 where the integer exponent ``e`` encodes the monomial t^e = q^{e/4}; a plain
 power q^k therefore sits at exponent 4k.  Working on the quarter-exponent
@@ -415,23 +418,6 @@ RF_ONE = RatFunc.from_poly(ONE)
 RF_Q = RatFunc.from_poly(Q)
 RF_QINV = RatFunc.from_poly(QINV)
 RF_LAMBDA = RatFunc.from_poly(LAMBDA)
-
-
-def poly_arith(lhs: RatFunc, rhs, kind: str) -> RatFunc:
-    """Uniform arithmetic entry point: add | sub | mul | div | neg | pow."""
-    if kind == "add":
-        return lhs + rhs
-    if kind == "sub":
-        return lhs - rhs
-    if kind == "mul":
-        return lhs * rhs
-    if kind == "div":
-        return lhs / rhs
-    if kind == "neg":
-        return -lhs
-    if kind == "pow":
-        return lhs ** rhs
-    raise ValueError(f"unknown arithmetic kind {kind!r}")
 
 
 def q_integer(n: int, i: int) -> RatFunc:

@@ -18,13 +18,14 @@ spectral, skein, naturality) as the adjudicating evidence.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, List, Tuple
 
 from .report import CheckResult, Report
-from .ring import (RF_LAMBDA, RF_Q, QuarterLaurent, RatFunc, q_factorial,
-                   to_integer_laurent)
+from .ring import (RF_LAMBDA, RF_Q, RF_ZERO, QuarterLaurent, RatFunc,
+                   q_factorial, to_integer_laurent)
 from .representation import (CARTAN, DIM, M, M2, WEIGHTS, duality_maps, phi,
                              root_vector)
 from .superlinalg import (SuperMap, compose, embed_at, invert,
@@ -235,8 +236,27 @@ REFERENCE_C1 = [
 ]
 
 
+_FACTOR = r"(\d+|q|l)(?:\*\*(\d+))?"
+_TERM = rf"{_FACTOR}(?:\*{_FACTOR})*(?:/q)?"
+_ENTRY = re.compile(rf"[+-]?{_TERM}(?:[+-]{_TERM})*")
+_SYMBOLS = {"q": RF_Q, "l": RF_LAMBDA}
+
+
 def _parse_reference_entry(text: str) -> RatFunc:
-    return eval(text, {"__builtins__": {}}, {"q": RF_Q, "l": RF_LAMBDA})  # noqa: S307
+    """A signed sum of products of integers, ``q`` and ``l`` with optional
+    ``**k`` powers, each product optionally divided by ``q``."""
+    if not _ENTRY.fullmatch(text):
+        raise ValueError(f"unsupported reference entry {text!r}")
+    total = RF_ZERO
+    for term in re.finditer(rf"([+-]?)({_TERM})", text):
+        sign, body = term.group(1, 2)
+        value = RatFunc.q_power(-1 if body.endswith("/q") else 0,
+                                -1 if sign == "-" else 1)
+        for base, power in re.findall(_FACTOR, body.removesuffix("/q")):
+            factor = _SYMBOLS[base] if base in _SYMBOLS else RatFunc.constant(int(base))
+            value = value * factor ** int(power or 1)
+        total = total + value
+    return total
 
 
 @lru_cache(maxsize=None)

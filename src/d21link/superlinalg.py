@@ -138,14 +138,6 @@ class SuperMap:
     def __matmul__(self, other: "SuperMap") -> "SuperMap":
         return compose(self, other)
 
-    def __pow__(self, n: int) -> "SuperMap":
-        if self.domain != self.codomain:
-            raise ShapeMismatchError("power of a non-endomorphism")
-        acc = SuperMap.identity(self.domain)
-        for _ in range(n):
-            acc = compose(self, acc)
-        return acc
-
     def column(self, col: int) -> Dict[int, RatFunc]:
         return {r: v for (r, c), v in self.entries.items() if c == col}
 
@@ -173,20 +165,6 @@ def compose(f: SuperMap, g: SuperMap) -> SuperMap:
             else:
                 out[key] = total
     return SuperMap(g.domain, f.codomain, out, (f.parity + g.parity) & 1)
-
-
-def apply(f: SuperMap, vector: Mapping[int, RatFunc]) -> Dict[int, RatFunc]:
-    """Image of a column vector (sparse ``{index: coefficient}``)."""
-    out: Dict[int, RatFunc] = {}
-    for col, vval in vector.items():
-        for row, fval in f.column(col).items():
-            acc = out.get(row)
-            total = fval * vval if acc is None else acc + fval * vval
-            if total.is_zero():
-                out.pop(row, None)
-            else:
-                out[row] = total
-    return out
 
 
 def tensor_map(f: SuperMap, g: SuperMap) -> SuperMap:

@@ -13,10 +13,11 @@ strand position:
 Evaluation folds a single state vector in the tensor powers of the
 six-dimensional module, applying the cup/cap coefficients and the braiding
 column tables at the event position; all event maps are parity-even, so no
-Koszul signs arise while skipping over bystander strands.  The result of a
-closed diagram is a scalar, asserted to be an integer Laurent polynomial
-in q.  Framing is blackboard: the value belongs to the drawn diagram, with
-no writhe normalization.
+Koszul signs arise while skipping over bystander strands.  The tables are
+converted once to integer Laurent polynomials ``{q_exponent: int}``, so the
+fold never touches rational-function arithmetic and its value lies in
+Z[q, q^-1] by construction.  Framing is blackboard: the value belongs to
+the drawn diagram, with no writhe normalization.
 """
 
 from __future__ import annotations
@@ -26,15 +27,29 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, List, Tuple
 
-from .ring import RF_ZERO, RatFunc, format_q_laurent, to_integer_laurent
+from .ring import format_q_laurent, to_integer_laurent
 from .representation import DIM, duality_maps
 from .rmatrix import braiding
 
 EVENT_KINDS = ("cup", "cap", "pos", "neg")
 
+# Most strands a fold may hold at once (up to 6 ** strands states); 12
+# admits the closure of any 6-strand braid.
+DEFAULT_TANGLE_BUDGET = 12
+
 
 class DiagramError(ValueError):
     """Malformed braid text or sliced diagram."""
+
+
+class TangleBudgetExceeded(DiagramError):
+    """Diagram holds more strands at once than the fold budget allows."""
+
+
+def _check_budget(strands: int, budget: int) -> None:
+    if strands > budget:
+        raise TangleBudgetExceeded(
+            f"{strands} peak strands exceed the tangle budget {budget}")
 
 
 @dataclass(frozen=True)
@@ -155,7 +170,8 @@ class EvalResult:
     value: Tuple[Tuple[int, int], ...]   # sorted (q-exponent, coefficient)
     slices: int
     peak_strands: int
-    peak_dimension: int
+    peak_dimension: int    # nominal state-space bound 6 ** peak_strands
+    peak_support: int      # most nonzero states held after any event
 
     def value_dict(self) -> Dict[int, int]:
         return dict(self.value)
@@ -165,77 +181,60 @@ class EvalResult:
 
 
 @lru_cache(maxsize=None)
-def _cup_terms() -> Tuple[Tuple[Tuple[int, int], RatFunc], ...]:
-    _, b, _ = duality_maps()
-    out = []
-    for (row, _), value in sorted(b.entries.items()):
-        out.append(((row // DIM, row % DIM), value))
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _cap_terms() -> Dict[Tuple[int, int], RatFunc]:
-    _, _, d = duality_maps()
-    return {(col // DIM, col % DIM): value
-            for (_, col), value in d.entries.items()}
-
-
-@lru_cache(maxsize=None)
-def _crossing_columns(kind: str) -> Dict[Tuple[int, int],
-                                         Tuple[Tuple[Tuple[int, int], RatFunc], ...]]:
+def _event_table(kind: str) -> Tuple[int, Dict[tuple, tuple]]:
+    """``(width, table)``: the window ``key[lo:lo+width]`` maps to its
+    ``(replacement, {q_exponent: coefficient})`` rows; an entry outside
+    Z[q, q^-1] raises :class:`NotLaurentInQ`."""
+    _, cup, cap = duality_maps()
+    if kind == "cup":
+        return 0, {(): tuple((divmod(row, DIM), to_integer_laurent(value))
+                             for (row, _), value in sorted(cup.entries.items()))}
+    if kind == "cap":
+        return 2, {divmod(col, DIM): (((), to_integer_laurent(value)),)
+                   for (_, col), value in cap.entries.items()}
     bundle = braiding()
     matrix = bundle.c if kind == "pos" else bundle.c_inv
-    table: Dict[Tuple[int, int], List[Tuple[Tuple[int, int], RatFunc]]] = {}
+    columns: Dict[tuple, list] = {}
     for (row, col), value in sorted(matrix.entries.items()):
-        table.setdefault((col // DIM, col % DIM), []).append(
-            ((row // DIM, row % DIM), value))
-    return {key: tuple(rows) for key, rows in table.items()}
+        columns.setdefault(divmod(col, DIM), []).append(
+            (divmod(row, DIM), to_integer_laurent(value)))
+    return 2, {window: tuple(rows) for window, rows in columns.items()}
 
 
-def _accumulate(state: Dict[tuple, RatFunc], key: tuple, value: RatFunc) -> None:
-    acc = state.get(key)
-    total = value if acc is None else acc + value
-    if total.is_zero():
-        state.pop(key, None)
-    else:
-        state[key] = total
-
-
-def evaluate_sliced(diagram: SlicedDiagram) -> EvalResult:
-    """Fold the event list over a state vector and return the scalar value."""
-    state: Dict[tuple, RatFunc] = {(): RatFunc.constant(1)}
-    peak = 0
-    strands = 0
+def evaluate_sliced(diagram: SlicedDiagram,
+                    budget: int = DEFAULT_TANGLE_BUDGET) -> EvalResult:
+    """Fold the event list over a state vector and return the scalar value;
+    more than ``budget`` strands at once is refused before any allocation."""
+    peak = diagram.peak_strands()
+    _check_budget(peak, budget)
+    state: Dict[tuple, Dict[int, int]] = {(): {0: 1}}
+    peak_support = 1
     for event in diagram.events:
-        p = event.position
-        new_state: Dict[tuple, RatFunc] = {}
-        if event.kind == "cup":
-            for key, amp in state.items():
-                prefix, suffix = key[:p - 1], key[p - 1:]
-                for pair, coeff in _cup_terms():
-                    _accumulate(new_state, prefix + pair + suffix, amp * coeff)
-            strands += 2
-        elif event.kind == "cap":
-            caps = _cap_terms()
-            for key, amp in state.items():
-                coeff = caps.get((key[p - 1], key[p]))
-                if coeff is not None:
-                    _accumulate(new_state, key[:p - 1] + key[p + 1:], amp * coeff)
-            strands -= 2
-        else:
-            columns = _crossing_columns(event.kind)
-            for key, amp in state.items():
-                for pair, coeff in columns.get((key[p - 1], key[p]), ()):
-                    _accumulate(new_state, key[:p - 1] + pair + key[p + 1:],
-                                amp * coeff)
-        state = new_state
-        peak = max(peak, strands)
-    total = state.get((), RF_ZERO)
-    terms = to_integer_laurent(total)
-    return EvalResult(tuple(sorted(terms.items())), diagram.slices, peak,
-                      DIM ** peak)
+        width, table = _event_table(event.kind)
+        lo = event.position - 1
+        hi = lo + width
+        new_state: Dict[tuple, Dict[int, int]] = {}
+        for key, amp in state.items():
+            for replacement, coeff in table.get(key[lo:hi], ()):
+                target = new_state.setdefault(key[:lo] + replacement + key[hi:], {})
+                for e1, c1 in amp.items():
+                    for e2, c2 in coeff.items():
+                        e = e1 + e2
+                        target[e] = target.get(e, 0) + c1 * c2
+        state = {}
+        for key, amp in new_state.items():
+            if 0 in amp.values():
+                amp = {e: c for e, c in amp.items() if c}
+            if amp:
+                state[key] = amp
+        peak_support = max(peak_support, len(state))
+    value = tuple(sorted(state.get((), {}).items()))
+    return EvalResult(value, diagram.slices, peak, DIM ** peak, peak_support)
 
 
-def invariant(word: BraidWord) -> EvalResult:
-    """Value of the framed-link invariant on the trace closure of a braid."""
-    return evaluate_sliced(braid_closure_slices(word))
+def invariant(word: BraidWord,
+              budget: int = DEFAULT_TANGLE_BUDGET) -> EvalResult:
+    """Value of the framed-link invariant on the trace closure of a braid;
+    its 2n strands are checked against ``budget`` before the closure is built."""
+    _check_budget(2 * word.strands, budget)
+    return evaluate_sliced(braid_closure_slices(word), budget)

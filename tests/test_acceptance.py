@@ -14,9 +14,7 @@ from d21link.rmatrix import (EVEN_PAIRS, ODD_PAIRS, braiding,
                              spectral_check, split_blocks)
 from d21link.superlinalg import SuperMap, compose, embed_at
 from d21link.tangle import invariant, parse_braid
-
-CORPUS = ("1:", "2: 1", "2: -1", "2: 1 1", "2: 1 1 1", "2: -1 -1 -1",
-          "2: 1 1 1 1 1", "3: 1 -2 1 -2", "2: 1 -1")
+from d21link.verify import CORPUS
 
 
 def _conclude(number, name, ok, elapsed, bound):

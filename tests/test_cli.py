@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -24,7 +25,7 @@ def test_invariant_json_schema(capsys):
     payload = json.loads(out)
     assert payload["value"] == "-2*q^-3"
     assert payload["stats"] == {"slices": 7, "peak_strands": 4,
-                                "peak_dimension": 1296}
+                                "peak_dimension": 1296, "peak_support": 88}
 
 
 def test_invariant_from_sliced_file(tmp_path, capsys):
@@ -115,6 +116,31 @@ def test_budget_env_override(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "dubrovnik", "--braid", "2: 1 1 1")
     assert code == 2
     assert "budget" in err
+
+
+def test_tangle_budget_rejects_huge_unlink_at_once(capsys):
+    start = time.monotonic()
+    code, _, err = run_cli(capsys, "invariant", "--braid", "100000000:")
+    assert time.monotonic() - start < 1.0
+    assert code == 2
+    assert "tangle budget 12" in err
+
+
+def test_tangle_budget_env_override(capsys, monkeypatch, tmp_path):
+    monkeypatch.setenv("D21LINK_TANGLE_BUDGET", "2")
+    code, _, err = run_cli(capsys, "invariant", "--braid", "2: 1 1 1")
+    assert code == 2
+    assert "4 peak strands exceed the tangle budget 2" in err
+    code, out, _ = run_cli(capsys, "invariant", "--braid", "1:")
+    assert (code, out) == (0, "2\n")
+    path = tmp_path / "kink.txt"
+    path.write_text("cup 1\ncup 2\npos 1\ncap 2\ncap 1\n", encoding="utf-8")
+    code, _, err = run_cli(capsys, "invariant", "--sliced", str(path))
+    assert code == 2
+    assert "budget" in err
+    monkeypatch.setenv("D21LINK_TANGLE_BUDGET", "many")
+    with pytest.raises(SystemExit, match="D21LINK_TANGLE_BUDGET is not an integer"):
+        main(["invariant", "--braid", "1:"])
 
 
 def test_usage_error_for_unknown_suite(capsys):

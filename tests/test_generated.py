@@ -1,0 +1,70 @@
+"""Differential tests on seeded-random braid words (2-4 strands, at most six
+letters): the fold against the independent skein oracle, and against the
+identities every framed-link value must satisfy."""
+
+import random
+from functools import lru_cache
+
+import pytest
+
+from d21link.dubrovnik import braid_closure_graph, dubrovnik_poly, specialize
+from d21link.tangle import BraidWord, invariant, parse_braid
+
+
+def random_words(seed, count):
+    rng = random.Random(seed)
+    words = []
+    for _ in range(count):
+        strands = rng.randint(2, 4)
+        letters = tuple(rng.choice((1, -1)) * rng.randint(1, strands - 1)
+                        for _ in range(rng.randint(0, 6)))
+        words.append(BraidWord(strands, letters))
+    return words
+
+
+WORDS = random_words(20260, 30)
+
+
+@lru_cache(maxsize=None)
+def value(word):
+    return invariant(word).value_dict()
+
+
+def shifted(poly, coeff, exponent):
+    return {e + exponent: c * coeff for e, c in poly.items()}
+
+
+@pytest.mark.parametrize("word", WORDS, ids=str)
+def test_fold_is_twice_the_specialized_skein_value(word):
+    skein = specialize(dubrovnik_poly(braid_closure_graph(word)))
+    assert value(word) == shifted(skein, 2, 0)
+
+
+def test_conjugation_invariance():
+    rng = random.Random(7)
+    for word in WORDS:
+        if rng.random() < 0.5:      # cyclic rotation, or conjugation by a letter
+            letters = word.letters[1:] + word.letters[:1]
+        else:
+            k = rng.choice((1, -1)) * rng.randint(1, word.strands - 1)
+            letters = (k,) + word.letters + (-k,)
+        assert value(BraidWord(word.strands, letters)) == value(word), word
+
+
+def test_mirror_inverts_q():
+    for word in WORDS:
+        assert value(word.mirror()) == {-e: c for e, c in value(word).items()}
+
+
+def test_markov_stabilization_scales_by_minus_q_to_the_minus_sign():
+    assert value(parse_braid("2: 1 1 1")) == {-3: -2}
+    assert value(parse_braid("3: 1 1 1 2")) == {-4: 2}
+    assert value(parse_braid("3: 1 1 1 -2")) == {-2: 2}
+    rng = random.Random(11)
+    for word in WORDS:
+        if word.strands > 3:        # keeps the stabilized fold at 4 strands
+            continue
+        sign = rng.choice((1, -1))
+        stabilized = BraidWord(word.strands + 1,
+                               word.letters + (sign * word.strands,))
+        assert value(stabilized) == shifted(value(word), -1, -sign), word

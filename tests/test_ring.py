@@ -6,7 +6,7 @@ import pytest
 from d21link.ring import (BRACKET_EXPONENTS, LAMBDA, NotLaurentInQ, ONE, Q,
                           QINV, RF_LAMBDA, RF_ONE, RF_Q, RF_ZERO,
                           QuarterLaurent, RatFunc, format_q_laurent,
-                          poly_arith, poly_gcd, q_factorial, q_integer,
+                          poly_gcd, q_factorial, q_integer,
                           q_string, to_integer_laurent)
 from helpers import random_nonzero_quarter_laurent, random_quarter_laurent, random_ratfunc
 
@@ -93,7 +93,7 @@ def test_subtraction_gives_canonical_zero():
     rng = random.Random(13)
     for _ in range(20):
         value = random_ratfunc(rng)
-        assert poly_arith(value, value, "sub") == RF_ZERO
+        assert value - value == RF_ZERO
         assert (value - value).num.is_zero()
 
 
@@ -133,16 +133,14 @@ def test_gcd_divides_both_arguments():
         assert RatFunc(b, g).is_polynomial()
 
 
-def test_poly_arith_dispatch():
-    assert poly_arith(RF_Q, RF_Q, "add") == RF_Q * 2
-    assert poly_arith(RF_Q, RF_Q, "mul") == RatFunc.q_power(2)
-    assert poly_arith(RF_Q, None, "neg") == -RF_Q
-    assert poly_arith(RF_Q, 3, "pow") == RatFunc.q_power(3)
-    assert poly_arith(RF_ONE, RF_LAMBDA, "div") == RatFunc(ONE, LAMBDA)
+def test_ratfunc_operators():
+    assert RF_Q + RF_Q == RF_Q * 2
+    assert RF_Q * RF_Q == RatFunc.q_power(2)
+    assert -RF_Q == RatFunc.q_power(1, -1)
+    assert RF_Q ** 3 == RatFunc.q_power(3)
+    assert RF_ONE / RF_LAMBDA == RatFunc(ONE, LAMBDA)
     with pytest.raises(ZeroDivisionError):
-        poly_arith(RF_ONE, RF_ZERO, "div")
-    with pytest.raises(ValueError):
-        poly_arith(RF_ONE, RF_ONE, "frobnicate")
+        RF_ONE / RF_ZERO
 
 
 def test_negative_powers():

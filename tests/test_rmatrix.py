@@ -1,11 +1,15 @@
 from fractions import Fraction
 
+import pytest
+
 from d21link.representation import DIM, M, M2
 from d21link.ring import (RF_LAMBDA, RF_ONE, RatFunc, q_string,
                           to_integer_laurent)
-from d21link.rmatrix import (EVEN_PAIRS, ODD_PAIRS, braiding, cartan_factor,
+from d21link.rmatrix import (EVEN_PAIRS, ODD_PAIRS, REFERENCE_C0,
+                             REFERENCE_C1, braiding, cartan_factor,
                              compare_reference, exp_factor, r_matrix,
-                             reference_blocks, spectral_check, split_blocks)
+                             reference_blocks, spectral_check, split_blocks,
+                             _parse_reference_entry)
 from d21link.superlinalg import SuperMap, compose, embed_at, rank_over_fractions
 
 
@@ -118,6 +122,26 @@ def test_reference_blocks_shape_and_anchors():
     assert odd[col_31][col_31] == RF_LAMBDA
     # lambda at row v4 (x) v5, column v2 (x) v1
     assert even[EVEN_PAIRS.index((4, 5))][EVEN_PAIRS.index((2, 1))] == RF_LAMBDA
+
+
+def test_reference_entry_parser_forms():
+    l = RF_LAMBDA
+    qinv = q(-1)
+    expected = {
+        "0": RatFunc.constant(0), "1": RF_ONE, "-1": q(0, -1),
+        "q": q(1), "-q": q(1, -1), "l": l, "1/q": qinv, "-1/q": q(-1, -1),
+        "-l/q": -l * qinv, "q*l": q(1) * l, "-q*l": -(q(1) * l),
+        "q**3*l": q(3) * l, "-q**2*l": -(q(2) * l),
+        "-q*l**2": -(q(1) * l * l), "q**3-1/q": q(3) - qinv,
+    }
+    for text, value in expected.items():
+        assert _parse_reference_entry(text) == value, text
+    used = {entry for block in (REFERENCE_C0, REFERENCE_C1)
+            for row in block for entry in row}
+    assert used == set(expected)
+    for bad in ("__import__('os')", "", "q**", "1/l", "q+", "x", "q--q"):
+        with pytest.raises(ValueError):
+            _parse_reference_entry(bad)
 
 
 def test_computed_braiding_matches_reference_everywhere():

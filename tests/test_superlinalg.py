@@ -5,7 +5,7 @@ import pytest
 from d21link.representation import M, M2, generator_action
 from d21link.ring import RF_ONE, RatFunc
 from d21link.superlinalg import (ShapeMismatchError, SuperMap, SuperSpace,
-                                 apply, compose, embed_at, invert,
+                                 compose, embed_at, invert,
                                  rank_over_fractions, tensor_map, volte)
 from helpers import random_even_map, random_homogeneous_map
 
@@ -108,16 +108,6 @@ def test_volte_naturality():
         if p_f and p_g:
             rhs = rhs.scale(-RF_ONE)
         assert lhs == rhs
-
-
-def test_apply_matches_matrix_action():
-    rng = random.Random(21)
-    f = random_even_map(rng, M)
-    vector = {0: RatFunc.constant(2), 2: RatFunc.constant(-1)}
-    image = apply(f, vector)
-    for row in range(6):
-        expected = f.entry(row, 0) * 2 - f.entry(row, 2)
-        assert image.get(row, RatFunc.constant(0)) == expected
 
 
 def test_rank_known_cases():

@@ -2,9 +2,9 @@ import pytest
 
 from d21link.ring import format_q_laurent
 from d21link.tangle import (BraidWord, DiagramError, SlicedDiagram,
-                            SlicedEvent, braid_closure_slices,
-                            evaluate_sliced, invariant, parse_braid,
-                            parse_sliced_text)
+                            SlicedEvent, TangleBudgetExceeded,
+                            braid_closure_slices, evaluate_sliced, invariant,
+                            parse_braid, parse_sliced_text)
 
 
 def value_of(text):
@@ -130,7 +130,22 @@ def test_eval_result_stats():
     assert result.slices == 7
     assert result.peak_strands == 4
     assert result.peak_dimension == 6 ** 4
+    assert result.peak_support == 88
     assert result.canonical() == "-2*q^-3"
+    assert invariant(parse_braid("3: 1 -2 1 -2")).peak_support == 1550
+    assert invariant(parse_braid("4: 1 2 3 1 2 3")).peak_support == 12586
+
+
+def test_tangle_budget_is_checked_before_any_work():
+    with pytest.raises(TangleBudgetExceeded):
+        invariant(parse_braid("7:"))
+    with pytest.raises(TangleBudgetExceeded):
+        invariant(BraidWord(10 ** 8, ()))
+    kink = braid_closure_slices(parse_braid("2: 1"))
+    with pytest.raises(TangleBudgetExceeded):
+        evaluate_sliced(kink, budget=3)
+    assert evaluate_sliced(kink, budget=4).value_dict() == {-1: -2}
+    assert invariant(parse_braid("2: 1"), budget=4).value_dict() == {-1: -2}
 
 
 def test_parse_sliced_text_roundtrip(tmp_path):
