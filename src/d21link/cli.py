@@ -11,10 +11,10 @@ Commands::
 Output is deterministic: polynomials in canonical ascending-exponent form,
 matrices row-major (split blocks use the fixed parity-block basis order).
 The environment variable ``D21LINK_SKEIN_BUDGET`` overrides the crossing
-budget of the skein recursion (default 16), and ``D21LINK_TANGLE_BUDGET``
-the most strands the tangle fold may hold at once (default 12).  Exit
-status is 0 on success and, for ``verify``, iff every check passes; bad
-input or an exceeded budget exits 2.
+and strand budget of the skein oracle (default 16), and
+``D21LINK_TANGLE_BUDGET`` the most strands the tangle fold may hold at once
+(default 12).  Exit status is 0 on success and, for ``verify``, iff every
+check passes; bad input or an exceeded budget exits 2.
 """
 
 from __future__ import annotations
@@ -73,8 +73,9 @@ def _cmd_invariant(args: argparse.Namespace) -> int:
 
 
 def _cmd_dubrovnik(args: argparse.Namespace) -> int:
-    graph = dubrovnik.braid_closure_graph(parse_braid(args.braid))
-    poly = dubrovnik.dubrovnik_poly(graph, budget=_skein_budget())
+    budget = _skein_budget()
+    graph = dubrovnik.braid_closure_graph(parse_braid(args.braid), budget)
+    poly = dubrovnik.dubrovnik_poly(graph, budget)
     if args.specialize:
         rendered = format_q_laurent(dubrovnik.specialize(poly))
     else:

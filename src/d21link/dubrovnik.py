@@ -3,7 +3,8 @@
 Completely independent of the braiding pipeline: diagrams are combinatorial
 four-valent graphs (crossings with four ports in planar cyclic order, plus
 a perfect matching of ports by edges), values are two-variable Laurent
-polynomials in (a, z), and evaluation is Kauffman's switching recursion:
+polynomials in (a, z) with ``int`` coefficients (no rational arithmetic
+anywhere), and evaluation is Kauffman's switching recursion:
 
 * pick the deterministic traversal (components ordered by smallest crossing
   label, walk starting there); a crossing first met on its over-strand is
@@ -19,17 +20,18 @@ polynomials in (a, z), and evaluation is Kauffman's switching recursion:
 Crossing ports sit at SW=0, SE=1, NE=2, NW=3 of a braid-style box; a
 positive braid letter yields a crossing whose over-strand is the SW-NE
 diagonal.  Results are memoized per evaluation on a traversal signature
-that reconstructs the diagram up to crossing relabeling.
+that reconstructs the diagram up to crossing relabeling.  The budget bounds
+both the crossings and, before any graph is built, the strands.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
+from math import comb
 from typing import Dict, List, Optional, Tuple
 
 from .report import CheckResult, Report
-from .ring import RatFunc, format_q_laurent, to_integer_laurent
+from .ring import NotLaurentInQ, format_laurent, format_q_laurent
 from .tangle import BraidWord, invariant
 
 DEFAULT_BUDGET = 16
@@ -43,25 +45,23 @@ class SkeinBudgetExceeded(RuntimeError):
 
 
 class TwoVarPoly:
-    """Laurent polynomial in (a, z) with rational coefficients."""
+    """Laurent polynomial in (a, z) with integer coefficients."""
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Optional[Dict[Tuple[int, int], Fraction]] = None):
-        clean: Dict[Tuple[int, int], Fraction] = {}
+    def __init__(self, terms: Optional[Dict[Tuple[int, int], int]] = None):
+        clean: Dict[Tuple[int, int], int] = {}
         if terms:
             for key, coeff in terms.items():
-                coeff = coeff if isinstance(coeff, Fraction) else Fraction(coeff)
+                if type(coeff) is not int:
+                    raise TypeError(f"coefficient {coeff!r} is not an int")
                 if coeff:
                     clean[(int(key[0]), int(key[1]))] = coeff
         self.terms = clean
 
     @classmethod
-    def monomial(cls, a_exp: int, z_exp: int, coeff=1) -> "TwoVarPoly":
+    def monomial(cls, a_exp: int, z_exp: int, coeff: int = 1) -> "TwoVarPoly":
         return cls({(a_exp, z_exp): coeff})
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def __eq__(self, other):
         if not isinstance(other, TwoVarPoly):
@@ -74,7 +74,7 @@ class TwoVarPoly:
     def __add__(self, other: "TwoVarPoly") -> "TwoVarPoly":
         merged = dict(self.terms)
         for key, coeff in other.terms.items():
-            acc = merged.get(key, Fraction(0)) + coeff
+            acc = merged.get(key, 0) + coeff
             if acc:
                 merged[key] = acc
             else:
@@ -92,11 +92,11 @@ class TwoVarPoly:
         return self + (-other)
 
     def __mul__(self, other: "TwoVarPoly") -> "TwoVarPoly":
-        out: Dict[Tuple[int, int], Fraction] = {}
+        out: Dict[Tuple[int, int], int] = {}
         for (a1, z1), c1 in self.terms.items():
             for (a2, z2), c2 in other.terms.items():
                 key = (a1 + a2, z1 + z2)
-                acc = out.get(key, Fraction(0)) + c1 * c2
+                acc = out.get(key, 0) + c1 * c2
                 if acc:
                     out[key] = acc
                 else:
@@ -105,30 +105,9 @@ class TwoVarPoly:
         result.terms = out
         return result
 
-    def has_integer_coefficients(self) -> bool:
-        return all(c.denominator == 1 for c in self.terms.values())
-
     def canonical(self) -> str:
         """Term list sorted by (a-exponent, z-exponent), e.g. ``a*z^-1 + 1``."""
-        if not self.terms:
-            return "0"
-        pieces = []
-        for (a_exp, z_exp) in sorted(self.terms):
-            coeff = self.terms[(a_exp, z_exp)]
-            factors = []
-            if a_exp:
-                factors.append("a" if a_exp == 1 else f"a^{a_exp}")
-            if z_exp:
-                factors.append("z" if z_exp == 1 else f"z^{z_exp}")
-            mag = abs(coeff)
-            if not factors or mag != 1:
-                factors.insert(0, str(mag))
-            body = "*".join(factors)
-            if not pieces:
-                pieces.append(f"-{body}" if coeff < 0 else body)
-            else:
-                pieces.append(f" - {body}" if coeff < 0 else f" + {body}")
-        return "".join(pieces)
+        return format_laurent(self.terms, ("a", "z"))
 
     def __repr__(self):
         return self.canonical()
@@ -139,10 +118,6 @@ TV_A = TwoVarPoly.monomial(1, 0)
 TV_A_INV = TwoVarPoly.monomial(-1, 0)
 TV_Z = TwoVarPoly.monomial(0, 1)
 DELTA = TwoVarPoly({(1, -1): 1, (-1, -1): -1, (0, 0): 1})
-
-
-def _a_power(exp: int) -> TwoVarPoly:
-    return TwoVarPoly.monomial(exp, 0)
 
 
 def _power(base: TwoVarPoly, exp: int) -> TwoVarPoly:
@@ -203,13 +178,17 @@ class LinkGraph:
         return out
 
 
-def braid_closure_graph(word: BraidWord) -> LinkGraph:
+def braid_closure_graph(word: BraidWord, budget: int = DEFAULT_BUDGET) -> LinkGraph:
     """The trace closure of a braid word as a four-valent graph.
 
     Produces the same diagram as the sliced closure: crossings in letter
     order, closure arcs joining braid top j back to braid bottom j without
-    further crossings.
+    further crossings.  A word with more strands than ``budget`` is refused
+    before any per-strand table is built.
     """
+    if word.strands > budget:
+        raise SkeinBudgetExceeded(
+            f"{word.strands} strands exceed the budget {budget}")
     graph = LinkGraph()
     ends: Dict[int, Optional[int]] = {s: None for s in range(1, word.strands + 1)}
     first: Dict[int, Optional[int]] = dict(ends)
@@ -307,7 +286,7 @@ def dubrovnik_poly(graph: LinkGraph, budget: int = DEFAULT_BUDGET,
             circles = ncomp + g.free_loops
             if circles == 0:
                 raise ValueError("empty diagram has no skein value")
-            value = _a_power(writhe) * _power(DELTA, circles - 1)
+            value = TwoVarPoly.monomial(writhe, 0) * _power(DELTA, circles - 1)
         else:
             sign_flip = g.over_diag[first_bad] == 1
             switched = recurse(g.switched(first_bad))
@@ -319,27 +298,50 @@ def dubrovnik_poly(graph: LinkGraph, budget: int = DEFAULT_BUDGET,
             memo[signature] = value
         return value
 
-    result = recurse(graph)
-    if not result.has_integer_coefficients():
-        raise ArithmeticError("skein value left the integer lattice")
-    return result
+    return recurse(graph)
+
+
+def _divide_by_z(terms: Dict[int, int]) -> Dict[int, int]:
+    """Exact quotient by z = q - q^{-1}, clearing the top term at each step."""
+    rest = {exp: coeff for exp, coeff in terms.items() if coeff}
+    low, out = min(rest, default=0), {}
+    while rest:
+        top = max(rest)
+        if top - 2 < low:
+            raise NotLaurentInQ("z-denominator does not cancel",
+                                format_q_laurent(rest))
+        out[top - 1] = coeff = rest.pop(top)
+        rest[top - 2] = rest.get(top - 2, 0) + coeff
+        if not rest[top - 2]:
+            del rest[top - 2]
+    return out
 
 
 def specialize(poly: TwoVarPoly) -> Dict[int, int]:
-    """Substitute a = -q^{-1}, z = q - q^{-1}; z-denominators must cancel."""
-    a_value = RatFunc.q_power(-1, -1)
-    z_value = RatFunc.q_power(1) - RatFunc.q_power(-1)
-    total = RatFunc.constant(0)
-    for (a_exp, z_exp), coeff in sorted(poly.terms.items()):
-        total = total + (RatFunc.constant(coeff)
-                         * a_value ** a_exp * z_value ** z_exp)
-    return to_integer_laurent(total)
+    """Substitute a = -q^{-1}, z = q - q^{-1}; z-denominators must cancel.
+
+    The terms are multiplied by z^m, m the largest negative z-exponent,
+    expanded in q and divided exactly by (q - q^{-1})^m; a remainder raises
+    :class:`NotLaurentInQ`.
+    """
+    shift = max([0] + [-z_exp for _, z_exp in poly.terms])
+    total: Dict[int, int] = {}
+    for (a_exp, z_exp), coeff in poly.terms.items():
+        n = z_exp + shift       # coeff * (-q^-1)^a_exp * (q - q^-1)^n
+        for r in range(n + 1):
+            exp = n - 2 * r - a_exp
+            sign = -1 if (a_exp + r) % 2 else 1
+            total[exp] = total.get(exp, 0) + sign * comb(n, r) * coeff
+    for _ in range(shift):
+        total = _divide_by_z(total)
+    return {exp: coeff for exp, coeff in total.items() if coeff}
 
 
 def compare(word: BraidWord, budget: int = DEFAULT_BUDGET) -> Report:
     """Both pipelines on the same closed diagram must agree exactly."""
     tangle_value = invariant(word).value_dict()
-    skein_value = specialize(dubrovnik_poly(braid_closure_graph(word), budget))
+    skein_value = specialize(dubrovnik_poly(braid_closure_graph(word, budget),
+                                            budget))
     doubled = {exp: 2 * coeff for exp, coeff in skein_value.items()}
     ok = tangle_value == doubled
     detail = "" if ok else (f"tangle {format_q_laurent(tangle_value)} vs "

@@ -7,10 +7,10 @@ bracket constants, and the action of the nine generators E_i, F_i, H_i on
 the supermodule M with basis v_1..v_6 (v_1, v_2 even, v_3..v_6 odd).
 
 The Cartan diagonal on the even pair is weight zero: ``H_2 = H_3 = 0`` on
-v_1, v_2.  The alternative diagonal with weight one there (selectable via
-``literal_cartan=True``) is deliberately inconsistent - it breaks the
-[E_2, F_2] relation on v_1 - and exists so the relation report can
-demonstrate exactly which identity fails.
+v_1, v_2.  :func:`check_defining_relations` takes the weight table as its
+one parameter, so a caller can pass an alternative diagonal (weight one
+there breaks the [E_2, F_2] relation on v_1) and see the report pinpoint
+exactly which identity fails.
 
 Root vectors are built from the generators by closed q-bracket forms; the
 lowering family uses the same forms with E replaced by F, which is
@@ -39,16 +39,6 @@ M2 = M.tensor(M)
 WEIGHTS = (
     (1, 0, 0),
     (-1, 0, 0),
-    (1, 1, 1),
-    (0, -1, 1),
-    (0, 1, -1),
-    (-1, -1, -1),
-)
-
-# The inconsistent variant: weight one for H_2, H_3 on the even pair.
-WEIGHTS_LITERAL = (
-    (1, 1, 1),
-    (-1, 1, 1),
     (1, 1, 1),
     (0, -1, 1),
     (0, 1, -1),
@@ -154,12 +144,21 @@ def _single_entry_map(action: Dict[int, Tuple[int, int]], parity: int) -> SuperM
     return SuperMap(M, M, entries, parity)
 
 
-def weight_table(literal_cartan: bool = False):
-    return WEIGHTS_LITERAL if literal_cartan else WEIGHTS
+def _cartan_maps(weights, i: int) -> Tuple[SuperMap, SuperMap, SuperMap]:
+    """(H_i, K_i, K_i^{-1}) on M for a weight table: diagonal with entries
+    weight_i(v) and q^{+-d_i * weight_i(v)}."""
+    d_i = CARTAN.d[i - 1]
+    column = [weights[v][i - 1] for v in range(DIM)]
+    h = SuperMap(M, M, {(v, v): RatFunc.constant(w) for v, w in enumerate(column)})
+    k = SuperMap(M, M, {(v, v): RatFunc.q_power(d_i * w)
+                        for v, w in enumerate(column)})
+    kinv = SuperMap(M, M, {(v, v): RatFunc.q_power(-d_i * w)
+                           for v, w in enumerate(column)})
+    return h, k, kinv
 
 
 @lru_cache(maxsize=None)
-def generator_action(name: str, index: int, literal_cartan: bool = False) -> SuperMap:
+def generator_action(name: str, index: int) -> SuperMap:
     """Matrix of E_i, F_i or H_i on M."""
     if index not in (1, 2, 3):
         raise ValueError("generator index out of range 1..3")
@@ -168,23 +167,16 @@ def generator_action(name: str, index: int, literal_cartan: bool = False) -> Sup
     if name == "F":
         return _single_entry_map(_F_ACTION[index], _GENERATOR_PARITY.get((name, index), 0))
     if name == "H":
-        weights = weight_table(literal_cartan)
-        entries = {(v, v): RatFunc.constant(weights[v][index - 1])
-                   for v in range(DIM) if weights[v][index - 1]}
-        return SuperMap(M, M, entries)
+        return _cartan_maps(WEIGHTS, index)[0]
     raise ValueError(f"unknown generator family {name!r}")
 
 
 @lru_cache(maxsize=None)
-def cartan_exponential(i: int, sign: int = 1, literal_cartan: bool = False) -> SuperMap:
+def cartan_exponential(i: int, sign: int = 1) -> SuperMap:
     """K_i^{sign}: diagonal with entry q^{sign * d_i * weight_i(v)}."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    weights = weight_table(literal_cartan)
-    d_i = CARTAN.d[i - 1]
-    entries = {(v, v): RatFunc.q_power(sign * d_i * weights[v][i - 1])
-               for v in range(DIM)}
-    return SuperMap(M, M, entries)
+    return _cartan_maps(WEIGHTS, i)[1 if sign == 1 else 2]
 
 
 def cartan_exponential_for_root(coeffs: Tuple[int, int, int], sign: int = 1) -> SuperMap:
@@ -267,8 +259,7 @@ def duality_maps() -> Tuple[SuperMap, SuperMap, SuperMap]:
     return alpha, b, d
 
 
-def coproduct_action(name: str, index: int, flipped: bool = False,
-                     literal_cartan: bool = False) -> SuperMap:
+def coproduct_action(name: str, index: int, flipped: bool = False) -> SuperMap:
     """The coproduct of a generator as an operator on M (x) M.
 
     Delta(H) = H(x)1 + 1(x)H, Delta(E) = E(x)1 + K(x)E,
@@ -276,16 +267,16 @@ def coproduct_action(name: str, index: int, flipped: bool = False,
     (graded flip applied to the legs).
     """
     ident = SuperMap.identity(M)
-    g = generator_action(name, index, literal_cartan)
+    g = generator_action(name, index)
     if name == "H":
         return tensor_map(g, ident) + tensor_map(ident, g)
     if name == "E":
-        k = cartan_exponential(index, 1, literal_cartan)
+        k = cartan_exponential(index, 1)
         if flipped:
             return tensor_map(ident, g) + tensor_map(g, k)
         return tensor_map(g, ident) + tensor_map(k, g)
     if name == "F":
-        kinv = cartan_exponential(index, -1, literal_cartan)
+        kinv = cartan_exponential(index, -1)
         if flipped:
             return tensor_map(kinv, g) + tensor_map(g, ident)
         return tensor_map(g, kinv) + tensor_map(ident, g)
@@ -339,14 +330,15 @@ def _commutation_table():
     return table
 
 
-def check_defining_relations(literal_cartan: bool = False) -> Report:
-    """Verify every defining relation as an exact matrix identity on M."""
+def check_defining_relations(weights=WEIGHTS) -> Report:
+    """Verify every defining relation as an exact matrix identity on M, with
+    H_i and K_i^{+-1} built from ``weights`` (root vectors use WEIGHTS)."""
     checks: List[CheckResult] = []
     E = {i: generator_action("E", i) for i in (1, 2, 3)}
     F = {i: generator_action("F", i) for i in (1, 2, 3)}
-    H = {i: generator_action("H", i, literal_cartan) for i in (1, 2, 3)}
-    K = {i: cartan_exponential(i, 1, literal_cartan) for i in (1, 2, 3)}
-    Kinv = {i: cartan_exponential(i, -1, literal_cartan) for i in (1, 2, 3)}
+    H, K, Kinv = {}, {}, {}
+    for i in (1, 2, 3):
+        H[i], K[i], Kinv[i] = _cartan_maps(weights, i)
     zero = SuperMap.zero(M, M)
     q = RatFunc.q_power
 

@@ -3,8 +3,9 @@
 The braiding is built and verified over Laurent polynomials in t = q^{1/4}
 with rational coefficients, and over reduced fractions of such polynomials.
 Its entries are then read out as integer Laurent polynomials in q by
-:func:`to_integer_laurent`; the tangle fold runs on those alone, so
-:class:`RatFunc` serves only the braiding construction and verification.
+:func:`to_integer_laurent`; the tangle fold runs on those alone and the skein
+oracle on ``int`` coefficients, so :class:`RatFunc` serves only the braiding
+construction and its verification.
 A :class:`QuarterLaurent` stores a finite map ``exponent -> coefficient``
 where the integer exponent ``e`` encodes the monomial t^e = q^{e/4}; a plain
 power q^k therefore sits at exponent 4k.  Working on the quarter-exponent
@@ -22,17 +23,18 @@ ascending exponents::
 
     -2*q^-1 + 3 + q^2
 
-Term grammar: an optional integer coefficient with ``*`` (omitted when the
-magnitude is 1 and the exponent is nonzero), the symbol ``q``, and ``^k`` for
-exponents other than 0 and 1.  Interior negative terms use a `` - ``
-separator.  All values are immutable and all operations pure.
+Term grammar (:func:`format_laurent`, also for the skein oracle's a, z): an
+optional integer coefficient (omitted when the magnitude is 1 and some
+exponent is nonzero), then each variable of nonzero exponent with ``^k``
+unless k = 1, all joined by ``*``; interior negative terms use `` - ``.
+All values are immutable and all operations pure.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd as _int_gcd
-from typing import Dict, Mapping
+from typing import Dict, Mapping, Sequence
 
 # Quantum-integer step sizes for the seven root indices at the fixed
 # parameter value: (n)_i = (q^{n*c_i} - 1)/(q^{c_i} - 1) when c_i != 0.
@@ -460,26 +462,30 @@ def to_integer_laurent(value: RatFunc) -> Dict[int, int]:
     return out
 
 
-def format_q_laurent(terms: Mapping[int, int]) -> str:
-    """Canonical ascending-exponent rendering, e.g. ``-2*q^-1 + 3 + q^2``."""
-    if not terms:
-        return "0"
+def format_laurent(terms: Mapping[tuple, int], names: Sequence[str]) -> str:
+    """Canonical ascending rendering of ``{exponent tuple: int}``, one
+    exponent per name, e.g. ``-a^-1*z^-1 + 1 + a*z^-1`` for names a, z."""
     pieces = []
-    for exp in sorted(terms):
-        coeff = terms[exp]
+    for exps in sorted(terms):
+        coeff = terms[exps]
         if coeff == 0:
             continue
+        factors = [name if exp == 1 else f"{name}^{exp}"
+                   for name, exp in zip(names, exps) if exp]
         mag = abs(coeff)
-        if exp == 0:
-            body = str(mag)
-        else:
-            head = "" if mag == 1 else f"{mag}*"
-            body = f"{head}q" if exp == 1 else f"{head}q^{exp}"
+        if not factors or mag != 1:
+            factors.insert(0, str(mag))
+        body = "*".join(factors)
         if not pieces:
             pieces.append(f"-{body}" if coeff < 0 else body)
         else:
             pieces.append(f" - {body}" if coeff < 0 else f" + {body}")
     return "".join(pieces) if pieces else "0"
+
+
+def format_q_laurent(terms: Mapping[int, int]) -> str:
+    """Canonical ascending-exponent rendering, e.g. ``-2*q^-1 + 3 + q^2``."""
+    return format_laurent({(exp,): coeff for exp, coeff in terms.items()}, ("q",))
 
 
 def q_string(value: RatFunc) -> str:

@@ -62,7 +62,7 @@ def test_criterion_2_braiding_regression(tmp_path):
         and odd_got[ODD_PAIRS.index((1, 3))][ODD_PAIRS.index((3, 1))] == RF_ONE
         and odd_got[ODD_PAIRS.index((3, 1))][ODD_PAIRS.index((3, 1))] == RF_LAMBDA
         and even_got[EVEN_PAIRS.index((4, 5))][EVEN_PAIRS.index((2, 1))] == RF_LAMBDA)
-    ok = (total == 656 and matched >= int(0.95 * total)
+    ok = (total == 656 and matched == total
           and anchors_ok and anchors_computed_ok)
     print(f"[acceptance] braiding regression: {matched}/{total} entries match")
     _conclude(2, "braiding regression", ok, elapsed, 60.0)

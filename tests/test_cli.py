@@ -118,6 +118,23 @@ def test_budget_env_override(capsys, monkeypatch):
     assert "budget" in err
 
 
+def test_skein_budget_rejects_huge_unlink_at_once(capsys):
+    start = time.monotonic()
+    code, _, err = run_cli(capsys, "dubrovnik", "--braid", "100000000:")
+    assert time.monotonic() - start < 1.0
+    assert code == 2
+    assert "100000000 strands exceed the budget 16" in err
+
+
+def test_skein_budget_env_admits_a_wider_unlink(capsys, monkeypatch):
+    code, _, err = run_cli(capsys, "dubrovnik", "--braid", "17:", "--specialize")
+    assert code == 2
+    assert "17 strands exceed the budget 16" in err
+    monkeypatch.setenv("D21LINK_SKEIN_BUDGET", "17")
+    code, out, _ = run_cli(capsys, "dubrovnik", "--braid", "17:", "--specialize")
+    assert (code, out) == (0, "65536\n")
+
+
 def test_tangle_budget_rejects_huge_unlink_at_once(capsys):
     start = time.monotonic()
     code, _, err = run_cli(capsys, "invariant", "--braid", "100000000:")

@@ -1,10 +1,14 @@
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from d21link.cli import main
 from d21link.dubrovnik import (DELTA, SkeinBudgetExceeded, TV_A, TV_A_INV,
                                TV_ONE, TwoVarPoly, braid_closure_graph,
                                compare, dubrovnik_poly, specialize)
+from d21link.ring import NotLaurentInQ
 from d21link.tangle import parse_braid
 
 
@@ -16,7 +20,8 @@ def test_two_var_poly_arithmetic():
     assert TV_A * TV_A_INV == TV_ONE
     assert (DELTA - TV_ONE) * TwoVarPoly.monomial(0, 1) == \
         TwoVarPoly({(1, 0): 1, (-1, 0): -1})
-    assert TwoVarPoly({(0, 0): Fraction(1, 2)}).canonical() == "1/2"
+    with pytest.raises(TypeError):
+        TwoVarPoly({(0, 0): Fraction(1, 2)})
     assert DELTA.canonical() == "-a^-1*z^-1 + 1 + a*z^-1"
     assert TwoVarPoly().canonical() == "0"
 
@@ -90,6 +95,33 @@ def test_specialization_values():
     assert specialize(TV_ONE) == {0: 1}
     assert specialize(TV_A) == {-1: -1}
     assert specialize(poly_of("2: 1 1 1")) == {-3: -1}
+    with pytest.raises(NotLaurentInQ):
+        specialize(TwoVarPoly.monomial(0, -1))
+
+
+# Frozen CLI outputs of multi-term values with coefficients beyond +-1 and
+# negative a- and z-exponents, so the shared term grammar and the exact
+# z-division in specialize are both pinned.
+PINNED = {
+    "2: 1 1 1 1": ("-a^-3*z - a^-2*z^2 - a^-1*z^-1 - 2*a^-1*z - a^-1*z^3 + 1"
+                   " + z^2 + a*z^-1 + 3*a*z + a*z^3", "q^-4 + q^4"),
+    "3: 2 -1 -2 -1 2 -1 -1": ("-2*a^-2*z^-1 - a^-2*z + 3*a^-1 + a^-1*z^2"
+                              " + 3*z^-1 + z - 3*a - a*z^2 - a^2*z^-1 + a^3",
+                              "-2*q^3"),
+    "4: -2 -2 -1 -2 -1": ("a^-3*z^-2 + 3*a^-3 + a^-3*z^2 - 2*a^-2*z^-1"
+                          " - 4*a^-2*z - a^-2*z^3 - 2*a^-1*z^-2 - 4*a^-1"
+                          " - a^-1*z^2 + 2*z^-1 + 4*z + z^3 + a*z^-2 + a + a^3",
+                          "-2*q^-3 - 2*q^5"),
+}
+
+
+@pytest.mark.parametrize("word", sorted(PINNED))
+def test_pinned_cli_values(word, capsys):
+    text, specialized = PINNED[word]
+    assert main(["dubrovnik", "--braid", word]) == 0
+    assert capsys.readouterr().out == text + "\n"
+    assert main(["dubrovnik", "--braid", word, "--specialize"]) == 0
+    assert capsys.readouterr().out == specialized + "\n"
 
 
 def test_memoization_soundness():
@@ -103,11 +135,13 @@ def test_memoization_soundness():
 def test_budget_guard():
     with pytest.raises(SkeinBudgetExceeded):
         poly_of("2: 1 1 1 1 1", budget=3)
+    with pytest.raises(SkeinBudgetExceeded, match="5 strands exceed the budget 4"):
+        braid_closure_graph(parse_braid("5:"), budget=4)
 
 
 def test_integer_coefficients():
     for text in ("2: 1 1", "2: 1 1 1 1 1", "3: 1 -2 1 -2"):
-        assert poly_of(text).has_integer_coefficients()
+        assert all(type(c) is int for c in poly_of(text).terms.values())
 
 
 def test_skein_axiom_holds_on_diagram_surgeries():
@@ -136,3 +170,23 @@ def test_graph_validation_catches_broken_matchings():
     graph.partner[0] = 0
     with pytest.raises(ValueError):
         graph.validate()
+
+
+def _imports(module):
+    tree = ast.parse((Path(__file__).parents[1] / "src" / "d21link"
+                      / f"{module}.py").read_text(encoding="utf-8"))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            names.add(node.module or "")
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_pipelines_stay_independent_and_integer_only():
+    for module in ("dubrovnik", "tangle"):
+        names = _imports(module)
+        assert not names & {"fractions", "Fraction", "RatFunc", "QuarterLaurent"}
+    assert not _imports("dubrovnik") & {"rmatrix", "representation"}

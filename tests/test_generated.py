@@ -7,7 +7,8 @@ from functools import lru_cache
 
 import pytest
 
-from d21link.dubrovnik import braid_closure_graph, dubrovnik_poly, specialize
+from d21link.dubrovnik import (DELTA, braid_closure_graph, dubrovnik_poly,
+                               specialize)
 from d21link.tangle import BraidWord, invariant, parse_braid
 
 
@@ -34,10 +35,21 @@ def shifted(poly, coeff, exponent):
     return {e + exponent: c * coeff for e, c in poly.items()}
 
 
+def multiplied(left, right):
+    out = {}
+    for e1, c1 in left.items():
+        for e2, c2 in right.items():
+            out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def skein(word):
+    return dubrovnik_poly(braid_closure_graph(word))
+
+
 @pytest.mark.parametrize("word", WORDS, ids=str)
 def test_fold_is_twice_the_specialized_skein_value(word):
-    skein = specialize(dubrovnik_poly(braid_closure_graph(word)))
-    assert value(word) == shifted(skein, 2, 0)
+    assert value(word) == shifted(specialize(skein(word)), 2, 0)
 
 
 def test_conjugation_invariance():
@@ -68,3 +80,37 @@ def test_markov_stabilization_scales_by_minus_q_to_the_minus_sign():
         stabilized = BraidWord(word.strands + 1,
                                word.letters + (sign * word.strands,))
         assert value(stabilized) == shifted(value(word), -1, -sign), word
+
+
+def test_inserting_a_cancelling_pair_keeps_the_value():
+    rng = random.Random(13)
+    for word in WORDS:
+        k = rng.choice((1, -1)) * rng.randint(1, word.strands - 1)
+        at = rng.randint(0, len(word.letters))
+        letters = word.letters[:at] + (k, -k) + word.letters[at:]
+        assert value(BraidWord(word.strands, letters)) == value(word), word
+
+
+def union(left, right):
+    """The split union: ``right`` drawn beside ``left``, on new strands."""
+    return BraidWord(left.strands + right.strands, left.letters + tuple(
+        letter + left.strands if letter > 0 else letter - left.strands
+        for letter in right.letters))
+
+
+def test_split_unions_multiply():
+    # the skein value gains one loop factor delta, the fold multiplies
+    for left, right in zip(WORDS, WORDS[1:]):
+        assert skein(union(left, right)) == \
+            DELTA * skein(left) * skein(right), (left, right)
+    narrow = [word for word in WORDS if word.strands == 2]
+    for left, right in zip(narrow, narrow[1:]):
+        assert value(union(left, right)) == \
+            multiplied(value(left), value(right)), (left, right)
+
+
+def test_memo_cache_does_not_change_skein_values():
+    for word in WORDS:
+        graph = braid_closure_graph(word)
+        assert dubrovnik_poly(graph, use_cache=True) == \
+            dubrovnik_poly(graph, use_cache=False), word

@@ -103,8 +103,19 @@ def test_defining_relations_all_pass():
     assert len(report.checks) >= 90
 
 
+# The inconsistent Cartan diagonal: weight one for H_2, H_3 on the even pair.
+WEIGHTS_LITERAL = (
+    (1, 1, 1),
+    (-1, 1, 1),
+    (1, 1, 1),
+    (0, -1, 1),
+    (0, 1, -1),
+    (-1, -1, -1),
+)
+
+
 def test_literal_cartan_variant_fails_at_the_documented_spot():
-    report = check_defining_relations(literal_cartan=True)
+    report = check_defining_relations(weights=WEIGHTS_LITERAL)
     failures = {c.check_id for c in report.checks if not c.passed}
     assert "raise-lower-pair:2,2" in failures
     assert "raise-lower-pair:3,3" in failures
@@ -121,8 +132,9 @@ def test_literal_cartan_breaks_e2f2_on_v1():
     f2 = generator_action("F", 2)
     bracket = super_bracket(e2, f2)
     assert not bracket.column(0)
-    k2 = cartan_exponential(2, 1, literal_cartan=True)
-    k2inv = cartan_exponential(2, -1, literal_cartan=True)
+    d2 = CARTAN.d[1]
+    k2, k2inv = (SuperMap(M, M, {(v, v): q(sign * d2 * WEIGHTS_LITERAL[v][1])
+                                 for v in range(DIM)}) for sign in (1, -1))
     denominator = q(1) - q(-1)
     rhs = (k2 - k2inv).scale(denominator.inverse())
     assert rhs.entry(0, 0) == RF_ONE
