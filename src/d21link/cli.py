@@ -12,9 +12,10 @@ Output is deterministic: polynomials in canonical ascending-exponent form,
 matrices row-major (split blocks use the fixed parity-block basis order).
 The environment variable ``D21LINK_SKEIN_BUDGET`` overrides the crossing
 and strand budget of the skein oracle (default 16), and
-``D21LINK_TANGLE_BUDGET`` the most strands the tangle fold may hold at once
-(default 12).  Exit status is 0 on success and, for ``verify``, iff every
-check passes; bad input or an exceeded budget exits 2.
+``D21LINK_TANGLE_BUDGET`` the most strands a tangle evaluation may hold at
+once (default 12), for ``invariant`` and the ``skein`` suite of ``verify``.
+Exit status is 0 on success and, for ``verify``, iff every check passes;
+bad input or an exceeded budget exits 2.
 """
 
 from __future__ import annotations
@@ -49,8 +50,12 @@ def _skein_budget() -> int:
     return _budget("D21LINK_SKEIN_BUDGET", dubrovnik.DEFAULT_BUDGET)
 
 
+def _tangle_budget() -> int:
+    return _budget("D21LINK_TANGLE_BUDGET", DEFAULT_TANGLE_BUDGET)
+
+
 def _cmd_invariant(args: argparse.Namespace) -> int:
-    budget = _budget("D21LINK_TANGLE_BUDGET", DEFAULT_TANGLE_BUDGET)
+    budget = _tangle_budget()
     if args.braid is not None:
         result = invariant(parse_braid(args.braid), budget)
     else:
@@ -131,7 +136,8 @@ def _cmd_braiding(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     progress = (lambda msg: print(f"... {msg}", flush=True)) if args.verbose else None
     reports = run_suites(args.suite, budget=_skein_budget(),
-                         deviations_path=DEVIATIONS_FILE, progress=progress)
+                         deviations_path=DEVIATIONS_FILE, progress=progress,
+                         tangle_budget=_tangle_budget())
     ok = all(report.ok for report in reports)
     if args.json:
         print(json.dumps({"ok": ok,

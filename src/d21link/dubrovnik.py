@@ -32,7 +32,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .report import CheckResult, Report
 from .ring import NotLaurentInQ, format_laurent, format_q_laurent
-from .tangle import BraidWord, invariant
+from .tangle import DEFAULT_TANGLE_BUDGET, BraidWord, invariant
 
 DEFAULT_BUDGET = 16
 
@@ -337,9 +337,10 @@ def specialize(poly: TwoVarPoly) -> Dict[int, int]:
     return {exp: coeff for exp, coeff in total.items() if coeff}
 
 
-def compare(word: BraidWord, budget: int = DEFAULT_BUDGET) -> Report:
+def compare(word: BraidWord, budget: int = DEFAULT_BUDGET,
+            tangle_budget: int = DEFAULT_TANGLE_BUDGET) -> Report:
     """Both pipelines on the same closed diagram must agree exactly."""
-    tangle_value = invariant(word).value_dict()
+    tangle_value = invariant(word, tangle_budget).value_dict()
     skein_value = specialize(dubrovnik_poly(braid_closure_graph(word, budget),
                                             budget))
     doubled = {exp: 2 * coeff for exp, coeff in skein_value.items()}

@@ -138,9 +138,6 @@ class SuperMap:
     def __matmul__(self, other: "SuperMap") -> "SuperMap":
         return compose(self, other)
 
-    def column(self, col: int) -> Dict[int, RatFunc]:
-        return {r: v for (r, c), v in self.entries.items() if c == col}
-
     def __repr__(self):
         return (f"SuperMap({self.codomain.dim}x{self.domain.dim}, "
                 f"{len(self.entries)} entries, parity {self.parity})")

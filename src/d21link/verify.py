@@ -19,7 +19,7 @@ from .representation import (M, M2, check_defining_relations, coproduct_action,
                              duality_maps, simple_orbit_spans)
 from .rmatrix import (braiding, compare_reference, r_matrix, spectral_check)
 from .superlinalg import SuperMap, compose, embed_at
-from .tangle import invariant, parse_braid
+from .tangle import DEFAULT_TANGLE_BUDGET, invariant, parse_braid
 from . import dubrovnik
 
 SUITE_NAMES = ("relations", "rmatrix", "category", "skein")
@@ -162,7 +162,8 @@ def category_suite(progress: Optional[Callable[[str], None]] = None) -> Report:
 
 
 def skein_suite(budget: int = dubrovnik.DEFAULT_BUDGET,
-                progress: Optional[Callable[[str], None]] = None) -> Report:
+                progress: Optional[Callable[[str], None]] = None,
+                tangle_budget: int = DEFAULT_TANGLE_BUDGET) -> Report:
     def note(message: str) -> None:
         if progress:
             progress(message)
@@ -170,17 +171,20 @@ def skein_suite(budget: int = dubrovnik.DEFAULT_BUDGET,
     report = Report("skein")
     for text in CORPUS:
         note(f"comparing pipelines on {text!r}")
-        report.extend(dubrovnik.compare(parse_braid(text), budget))
+        report.extend(dubrovnik.compare(parse_braid(text), budget,
+                                        tangle_budget))
 
     for name, texts in PRESENTATIONS.items():
-        values = {invariant(parse_braid(t)).canonical() for t in texts}
+        values = {invariant(parse_braid(t), tangle_budget).canonical()
+                  for t in texts}
         report.checks.append(CheckResult(
             f"presentation-independent:{name}", len(values) == 1,
             "" if len(values) == 1 else f"values {sorted(values)}"))
 
     for text in ("2: 1 1", "2: 1 1 1", "3: 1 -2 1 -2"):
-        value = invariant(parse_braid(text)).value_dict()
-        mirrored = invariant(parse_braid(text).mirror()).value_dict()
+        value = invariant(parse_braid(text), tangle_budget).value_dict()
+        mirrored = invariant(parse_braid(text).mirror(),
+                             tangle_budget).value_dict()
         flipped = {-exp: coeff for exp, coeff in value.items()}
         report.checks.append(CheckResult(
             f"mirror-symmetry:{text}", mirrored == flipped,
@@ -189,8 +193,8 @@ def skein_suite(budget: int = dubrovnik.DEFAULT_BUDGET,
 
     # Split unions multiply: with loop value delta = 2, the invariant of a
     # crossing-disjoint union is the product of the factors.
-    hopf = invariant(parse_braid("2: 1 1")).value_dict()
-    both = invariant(parse_braid("4: 1 1 3 3")).value_dict()
+    hopf = invariant(parse_braid("2: 1 1"), tangle_budget).value_dict()
+    both = invariant(parse_braid("4: 1 1 3 3"), tangle_budget).value_dict()
     square: Dict[int, int] = {}
     for e1, c1 in hopf.items():
         for e2, c2 in hopf.items():
@@ -211,12 +215,13 @@ def skein_suite(budget: int = dubrovnik.DEFAULT_BUDGET,
 
 def run_suites(name: str, budget: int = dubrovnik.DEFAULT_BUDGET,
                deviations_path: Optional[str] = None,
-               progress: Optional[Callable[[str], None]] = None) -> List[Report]:
+               progress: Optional[Callable[[str], None]] = None,
+               tangle_budget: int = DEFAULT_TANGLE_BUDGET) -> List[Report]:
     if name == "all":
         return [relations_suite(),
                 rmatrix_suite(deviations_path),
                 category_suite(progress),
-                skein_suite(budget, progress)]
+                skein_suite(budget, progress, tangle_budget)]
     if name == "relations":
         return [relations_suite()]
     if name == "rmatrix":
@@ -224,5 +229,5 @@ def run_suites(name: str, budget: int = dubrovnik.DEFAULT_BUDGET,
     if name == "category":
         return [category_suite(progress)]
     if name == "skein":
-        return [skein_suite(budget, progress)]
+        return [skein_suite(budget, progress, tangle_budget)]
     raise ValueError(f"unknown suite {name!r}")

@@ -7,6 +7,11 @@ from d21link.ring import QuarterLaurent, RatFunc
 from d21link.superlinalg import SuperMap, SuperSpace
 
 
+def column(op: SuperMap, col: int) -> dict:
+    """``{row: entry}`` of the nonzero entries of one column of ``op``."""
+    return {r: v for (r, c), v in op.entries.items() if c == col}
+
+
 def random_quarter_laurent(rng: random.Random, max_terms: int = 4,
                            exponent_span: int = 8) -> QuarterLaurent:
     terms = {}

@@ -160,6 +160,14 @@ def test_tangle_budget_env_override(capsys, monkeypatch, tmp_path):
         main(["invariant", "--braid", "1:"])
 
 
+def test_verify_honours_the_tangle_budget(capsys, monkeypatch):
+    monkeypatch.setenv("D21LINK_TANGLE_BUDGET", "3")
+    code, out, err = run_cli(capsys, "verify", "--suite", "skein")
+    assert code == 2
+    assert out == ""
+    assert err == "error: 4 peak strands exceed the tangle budget 3\n"
+
+
 def test_usage_error_for_unknown_suite(capsys):
     with pytest.raises(SystemExit):
         main(["verify", "--suite", "nonsense"])

@@ -1,5 +1,6 @@
 """Differential tests on seeded-random braid words (2-4 strands, at most six
-letters): the fold against the independent skein oracle, and against the
+letters): the braid-closure trace against the sliced fold of the same
+closure and against the independent skein oracle, and both against the
 identities every framed-link value must satisfy."""
 
 import random
@@ -9,7 +10,8 @@ import pytest
 
 from d21link.dubrovnik import (DELTA, braid_closure_graph, dubrovnik_poly,
                                specialize)
-from d21link.tangle import BraidWord, invariant, parse_braid
+from d21link.tangle import (BraidWord, braid_closure_slices, evaluate_sliced,
+                            invariant, parse_braid)
 
 
 def random_words(seed, count):
@@ -45,6 +47,22 @@ def multiplied(left, right):
 
 def skein(word):
     return dubrovnik_poly(braid_closure_graph(word))
+
+
+TRACE_VS_FOLD = WORDS + [parse_braid(text) for text in (
+    "1:", "2:", "3:", "4:", "4: 1 2 3 1 2 3", "4: 1 1 3 3", "4: -1 2 -3 2")]
+
+
+@pytest.mark.parametrize("word", TRACE_VS_FOLD, ids=str)
+def test_trace_matches_the_sliced_fold_of_the_closure(word):
+    # value and every stat: slices, peak strands, nominal dimension and
+    # the support after each event all come out of the 2n-strand fold
+    trace = invariant(word)
+    fold = evaluate_sliced(braid_closure_slices(word))
+    assert (trace.value, trace.slices, trace.peak_strands,
+            trace.peak_dimension, trace.peak_support) == \
+        (fold.value, fold.slices, fold.peak_strands,
+         fold.peak_dimension, fold.peak_support)
 
 
 @pytest.mark.parametrize("word", WORDS, ids=str)

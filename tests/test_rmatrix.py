@@ -11,6 +11,7 @@ from d21link.rmatrix import (EVEN_PAIRS, ODD_PAIRS, REFERENCE_C0,
                              reference_blocks, spectral_check, split_blocks,
                              _parse_reference_entry)
 from d21link.superlinalg import SuperMap, compose, embed_at, rank_over_fractions
+from helpers import column
 
 
 def flat(i, j):
@@ -43,14 +44,14 @@ def test_exp_factors_fix_first_slot_v1():
     for i in range(1, 8):
         op = exp_factor(i)
         for w in range(1, 7):
-            column = op.column(flat(1, w))
-            assert column == {flat(1, w): RF_ONE}
+            entries = column(op, flat(1, w))
+            assert entries == {flat(1, w): RF_ONE}
 
 
 def test_r_matrix_diagonal_examples():
     r = r_matrix()
-    assert r.column(flat(1, 1)) == {flat(1, 1): q(1)}
-    assert r.column(flat(2, 2)) == {flat(2, 2): q(1)}
+    assert column(r, flat(1, 1)) == {flat(1, 1): q(1)}
+    assert column(r, flat(2, 2)) == {flat(2, 2): q(1)}
 
 
 def test_r_matrix_classical_limit_is_identity():
@@ -63,9 +64,9 @@ def test_r_matrix_classical_limit_is_identity():
 
 def test_braiding_entries_match_module_computations():
     c = braiding().c
-    assert c.column(flat(1, 1)) == {flat(1, 1): q(1)}
-    assert c.column(flat(3, 1)) == {flat(1, 3): RF_ONE, flat(3, 1): RF_LAMBDA}
-    assert c.column(flat(3, 3)) == {flat(3, 3): q(-1, -1)}
+    assert column(c, flat(1, 1)) == {flat(1, 1): q(1)}
+    assert column(c, flat(3, 1)) == {flat(1, 3): RF_ONE, flat(3, 1): RF_LAMBDA}
+    assert column(c, flat(3, 3)) == {flat(3, 3): q(-1, -1)}
 
 
 def test_braiding_inverse_and_integrality():

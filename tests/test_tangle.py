@@ -1,10 +1,12 @@
 import pytest
 
+from d21link.dubrovnik import braid_closure_graph, dubrovnik_poly, specialize
 from d21link.ring import format_q_laurent
 from d21link.tangle import (BraidWord, DiagramError, SlicedDiagram,
                             SlicedEvent, TangleBudgetExceeded,
                             braid_closure_slices, evaluate_sliced, invariant,
-                            parse_braid, parse_sliced_text)
+                            parse_braid, parse_sliced_text,
+                            _decode, _event_table, _pack, _pivotal_weights)
 
 
 def value_of(text):
@@ -170,3 +172,47 @@ def test_values_are_integer_laurent():
         terms = value_of(text)
         assert all(isinstance(v, int) for v in terms.values())
         assert format_q_laurent(terms)
+
+
+def test_packed_coefficients_round_trip_at_their_bound():
+    bits, shift, digits = 9, 4, 8
+    top = (1 << (bits - 1)) - 1
+    terms = {-4: top, -3: -top, -1: -1, 0: top, 3: -top}
+    assert _decode(_pack(terms, bits, shift), bits, shift, digits) == terms
+    assert _decode(_pack({-4: -top}, bits, shift), bits, shift, digits) == {-4: -top}
+    assert _decode(0, bits, shift, digits) == {}
+
+
+def test_decode_raises_when_the_digits_do_not_pack_back():
+    bits, shift, digits = 9, 4, 8
+    packed = _pack({-2: 5, 1: -7}, bits, shift)
+    with pytest.raises(OverflowError):
+        _decode(packed + (1 << bits * digits), bits, shift, digits)
+    with pytest.raises(OverflowError):
+        _decode(-packed << bits * digits, bits, shift, digits)
+
+
+def test_pivotal_weights_need_cup_and_cap_to_pair_alike():
+    cup, cap = _event_table("cup"), _event_table("cap")
+    loop = {}
+    for weight in _pivotal_weights(cup, cap):
+        for exp, coeff in weight.items():
+            loop[exp] = loop.get(exp, 0) + coeff
+    assert {e: c for e, c in loop.items() if c} == {0: 2}   # the unknot
+    width, table = cap
+    moved = dict(table)
+    moved[(0, 2)] = moved.pop((0, 1))      # v1 capped with v3, not v2
+    with pytest.raises(ValueError, match="pair"):
+        _pivotal_weights(cup, (width, moved))
+    doubled = dict(table)
+    doubled[(0, 1)] = doubled[(0, 1)] * 2
+    with pytest.raises(ValueError, match="pair"):
+        _pivotal_weights(cup, (width, doubled))
+
+
+@pytest.mark.parametrize("text", ["3: 1 2 1 2 1 2 1 2", "3: 1 2 1 2 1 2",
+                                  "4: 1 -1 -3 -3 3 3", "5:"])
+def test_trace_is_twice_the_specialized_skein_value(text):
+    word = parse_braid(text)
+    skein = specialize(dubrovnik_poly(braid_closure_graph(word)))
+    assert invariant(word).value_dict() == {e: 2 * c for e, c in skein.items()}
