@@ -6,6 +6,11 @@ a perfect matching of ports by edges), values are two-variable Laurent
 polynomials in (a, z) with ``int`` coefficients (no rational arithmetic
 anywhere), and evaluation is Kauffman's switching recursion:
 
+* simplify first, as the value is a regular isotopy invariant: a curl
+  (Reidemeister I) is removed for a factor a^{sign}, sign its self-crossing
+  sign, and a bigon whose strand is over at both of its crossings
+  (Reidemeister II) is removed for nothing; both repeat until neither
+  applies, and an alternating bigon stays;
 * pick the deterministic traversal (components ordered by smallest crossing
   label, walk starting there); a crossing first met on its over-strand is
   *good*;
@@ -19,9 +24,10 @@ anywhere), and evaluation is Kauffman's switching recursion:
 
 Crossing ports sit at SW=0, SE=1, NE=2, NW=3 of a braid-style box; a
 positive braid letter yields a crossing whose over-strand is the SW-NE
-diagonal.  Results are memoized per evaluation on a traversal signature
-that reconstructs the diagram up to crossing relabeling.  The budget bounds
-both the crossings and, before any graph is built, the strands.
+diagonal.  Results are memoized per evaluation on the traversal signature
+of the simplified diagram, which reconstructs it up to crossing relabeling.
+The budget bounds the strands, before any graph is built, and the crossings
+of the input diagram, before any simplification.
 """
 
 from __future__ import annotations
@@ -38,6 +44,15 @@ DEFAULT_BUDGET = 16
 
 # Port coordinates in the crossing box, used for self-crossing signs.
 _PORT_POS = {0: (-1, -1), 1: (1, -1), 2: (1, 1), 3: (-1, 1)}
+# Slot pairs that erase a crossing with both strands running straight on.
+_STRAIGHT = ((0, 2), (1, 3))
+
+
+def _sign(over_slot: int, under_slot: int) -> int:
+    """Sign of a crossing whose strands enter at the given slots."""
+    (ox0, oy0), (ox1, oy1) = _PORT_POS[over_slot], _PORT_POS[over_slot ^ 2]
+    (ux0, uy0), (ux1, uy1) = _PORT_POS[under_slot], _PORT_POS[under_slot ^ 2]
+    return 1 if (ox1 - ox0) * (uy1 - uy0) - (oy1 - oy0) * (ux1 - ux0) > 0 else -1
 
 
 class SkeinBudgetExceeded(RuntimeError):
@@ -164,18 +179,23 @@ class LinkGraph:
         straight up); 'turnback' joins SW-SE and NE-NW (cap under cup)."""
         pairs = ((0, 3), (1, 2)) if mode == "vertical" else ((0, 1), (2, 3))
         out = self.copy()
-        del out.over_diag[cid]
+        out._remove(cid, pairs)
+        return out
+
+    def _remove(self, cid: int, pairs) -> None:
+        """Delete a crossing in place, joining the far ends of each pair of
+        its slots; an arc that closes up becomes a free loop."""
+        del self.over_diag[cid]
         for s1, s2 in pairs:
             p1, p2 = 4 * cid + s1, 4 * cid + s2
-            end1 = out.partner.pop(p1)
+            end1 = self.partner.pop(p1)
             if end1 == p2:
-                out.partner.pop(p2)
-                out.free_loops += 1
+                self.partner.pop(p2)
+                self.free_loops += 1
                 continue
-            end2 = out.partner.pop(p2)
-            out.partner[end1] = end2
-            out.partner[end2] = end1
-        return out
+            end2 = self.partner.pop(p2)
+            self.partner[end1] = end2
+            self.partner[end2] = end1
 
 
 def braid_closure_graph(word: BraidWord, budget: int = DEFAULT_BUDGET) -> LinkGraph:
@@ -257,15 +277,52 @@ def _analyze(graph: LinkGraph):
         under_slot, under_comp = by_diag[graph.over_diag[cid] ^ 1]
         if over_comp != under_comp:
             continue
-        ox = _PORT_POS[over_slot ^ 2][0] - _PORT_POS[over_slot][0]
-        oy = _PORT_POS[over_slot ^ 2][1] - _PORT_POS[over_slot][1]
-        ux = _PORT_POS[under_slot ^ 2][0] - _PORT_POS[under_slot][0]
-        uy = _PORT_POS[under_slot ^ 2][1] - _PORT_POS[under_slot][1]
-        self_writhe += 1 if ox * uy - oy * ux > 0 else -1
+        self_writhe += _sign(over_slot, under_slot)
     types = tuple(graph.over_diag[cid]
                   for cid, _ in sorted(relabel.items(), key=lambda kv: kv[1]))
     signature = (tuple(components), types, graph.free_loops)
     return len(components), first_bad, self_writhe, signature
+
+
+def _simplify(graph: LinkGraph) -> int:
+    """Reidemeister I and II in place until neither applies; returns the
+    a-exponent that the removed curls contribute to the value.
+
+    A curl (adjacent slots of one crossing joined by an edge) factors out
+    a^{sign}; a bigon whose strands are over, resp. under, at both of its
+    crossings cancels.  Either way the crossings go with both strands
+    running straight on.
+    """
+    partner, over_diag = graph.partner, graph.over_diag
+    shift, moved = 0, True
+    while moved:
+        moved = False
+        for cid in list(over_diag):
+            diag = over_diag.get(cid)
+            if diag is None:            # the other half of a bigon already gone
+                continue
+            base = 4 * cid
+            for s in range(4):
+                end = partner[base + s]
+                other, t = end >> 2, end & 3
+                if other == cid:        # curl: the edge at s comes back at s+1
+                    if t != (s + 1) & 3:
+                        continue
+                    over, under = (s + 2) & 3, t
+                    if (over & 1) != diag:
+                        over, under = under, over
+                    shift += _sign(over, under)
+                    graph._remove(cid, _STRAIGHT)
+                # bigon: the edges at s and s-1 both run to ``other``
+                elif (partner[base + ((s - 1) & 3)] == 4 * other + ((t + 1) & 3)
+                      and ((s & 1) == diag) == ((t & 1) == over_diag[other])):
+                    graph._remove(cid, _STRAIGHT)
+                    graph._remove(other, _STRAIGHT)
+                else:
+                    continue
+                moved = True
+                break
+    return shift
 
 
 def dubrovnik_poly(graph: LinkGraph, budget: int = DEFAULT_BUDGET,
@@ -277,6 +334,11 @@ def dubrovnik_poly(graph: LinkGraph, budget: int = DEFAULT_BUDGET,
     memo: Dict[tuple, TwoVarPoly] = {}
 
     def recurse(g: LinkGraph) -> TwoVarPoly:
+        shift = _simplify(g)
+        value = branch(g)
+        return TwoVarPoly.monomial(shift, 0) * value if shift else value
+
+    def branch(g: LinkGraph) -> TwoVarPoly:
         ncomp, first_bad, writhe, signature = _analyze(g)
         if use_cache:
             hit = memo.get(signature)
@@ -298,7 +360,7 @@ def dubrovnik_poly(graph: LinkGraph, budget: int = DEFAULT_BUDGET,
             memo[signature] = value
         return value
 
-    return recurse(graph)
+    return recurse(graph.copy())
 
 
 def _divide_by_z(terms: Dict[int, int]) -> Dict[int, int]:

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+from d21link.dubrovnik import DELTA, TV_Z, TwoVarPoly, _analyze
 from d21link.ring import QuarterLaurent, RatFunc
 from d21link.superlinalg import SuperMap, SuperSpace
 
@@ -59,3 +60,26 @@ def random_homogeneous_map(rng: random.Random, space: SuperSpace,
                 if coeff:
                     entries[(row, col)] = RatFunc.constant(coeff)
     return SuperMap(space, space, entries, parity)
+
+
+def plain_dubrovnik(graph, memo=None) -> TwoVarPoly:
+    """The switching recursion with no Reidemeister simplification, memoized
+    per evaluation on ``_analyze``'s signature: the reference that
+    ``dubrovnik_poly`` must equal."""
+    memo = {} if memo is None else memo
+    ncomp, first_bad, writhe, signature = _analyze(graph)
+    if signature in memo:
+        return memo[signature]
+    if first_bad is None:
+        value = TwoVarPoly.monomial(writhe, 0)
+        for _ in range(ncomp + graph.free_loops - 1):
+            value = value * DELTA
+    else:
+        switched = plain_dubrovnik(graph.switched(first_bad), memo)
+        correction = TV_Z * (
+            plain_dubrovnik(graph.smoothed(first_bad, "vertical"), memo)
+            - plain_dubrovnik(graph.smoothed(first_bad, "turnback"), memo))
+        value = (switched - correction if graph.over_diag[first_bad] == 1
+                 else switched + correction)
+    memo[signature] = value
+    return value

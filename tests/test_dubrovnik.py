@@ -5,11 +5,13 @@ from pathlib import Path
 import pytest
 
 from d21link.cli import main
-from d21link.dubrovnik import (DELTA, SkeinBudgetExceeded, TV_A, TV_A_INV,
-                               TV_ONE, TwoVarPoly, braid_closure_graph,
-                               compare, dubrovnik_poly, specialize)
+from d21link.dubrovnik import (DELTA, LinkGraph, SkeinBudgetExceeded, TV_A,
+                               TV_A_INV, TV_ONE, TwoVarPoly, _simplify,
+                               braid_closure_graph, compare, dubrovnik_poly,
+                               specialize)
 from d21link.ring import NotLaurentInQ
 from d21link.tangle import parse_braid
+from helpers import plain_dubrovnik
 
 
 def poly_of(text, **kwargs):
@@ -137,6 +139,50 @@ def test_budget_guard():
         poly_of("2: 1 1 1 1 1", budget=3)
     with pytest.raises(SkeinBudgetExceeded, match="5 strands exceed the budget 4"):
         braid_closure_graph(parse_braid("5:"), budget=4)
+
+
+def test_budget_counts_the_input_crossings_before_simplifying():
+    # the closure simplifies to one curl, but the check comes first
+    with pytest.raises(SkeinBudgetExceeded,
+                       match="^5 crossings exceed the budget 3$"):
+        poly_of("2: 1 -1 1 -1 1", budget=3)
+
+
+def simplified(graph):
+    graph = graph.copy()
+    return _simplify(graph), graph
+
+
+def test_curls_factor_out_a_to_their_sign():
+    # the closure of one letter is a figure-eight curl: both edges are curls
+    for text, sign, expected in (("2: 1", 1, TV_A), ("2: -1", -1, TV_A_INV)):
+        graph = braid_closure_graph(parse_braid(text))
+        assert dubrovnik_poly(graph) == plain_dubrovnik(graph) == expected
+        shift, rest = simplified(graph)
+        assert (shift, rest.crossing_count(), rest.free_loops) == (sign, 0, 1)
+
+
+def test_figure_eight_curl_beside_a_free_loop():
+    for diag, sign in ((0, -1), (1, 1)):
+        graph = LinkGraph({0: diag}, {0: 1, 1: 0, 2: 3, 3: 2}, free_loops=1)
+        graph.validate()
+        assert dubrovnik_poly(graph) == plain_dubrovnik(graph) == \
+            TwoVarPoly.monomial(sign, 0) * DELTA
+        shift, rest = simplified(graph)
+        assert (shift, rest.crossing_count(), rest.free_loops) == (sign, 0, 2)
+
+
+def test_bigons_cancel_only_when_one_strand_is_over_at_both():
+    # 2: 1 -1 closes to two circles; the bigon of 2: 1 1 alternates
+    unlink = braid_closure_graph(parse_braid("2: 1 -1"))
+    assert dubrovnik_poly(unlink) == plain_dubrovnik(unlink) == DELTA
+    shift, rest = simplified(unlink)
+    assert (shift, rest.crossing_count(), rest.free_loops) == (0, 0, 2)
+    hopf = braid_closure_graph(parse_braid("2: 1 1"))
+    assert dubrovnik_poly(hopf) == plain_dubrovnik(hopf) == poly_of("2: 1 1 1 -1")
+    shift, rest = simplified(hopf)
+    assert (shift, rest.over_diag, rest.partner) == \
+        (0, hopf.over_diag, hopf.partner)
 
 
 def test_integer_coefficients():

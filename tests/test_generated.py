@@ -3,15 +3,17 @@ letters): the braid-closure trace against the sliced fold of the same
 closure and against the independent skein oracle, and both against the
 identities every framed-link value must satisfy."""
 
+import itertools
 import random
 from functools import lru_cache
 
 import pytest
 
-from d21link.dubrovnik import (DELTA, braid_closure_graph, dubrovnik_poly,
-                               specialize)
+from d21link.dubrovnik import (DELTA, TwoVarPoly, braid_closure_graph,
+                               dubrovnik_poly, specialize)
 from d21link.tangle import (BraidWord, braid_closure_slices, evaluate_sliced,
                             invariant, parse_braid)
+from helpers import plain_dubrovnik
 
 
 def random_words(seed, count):
@@ -132,3 +134,42 @@ def test_memo_cache_does_not_change_skein_values():
         graph = braid_closure_graph(word)
         assert dubrovnik_poly(graph, use_cache=True) == \
             dubrovnik_poly(graph, use_cache=False), word
+
+
+def all_words(strands, most_letters):
+    alphabet = [sign * k for k in range(1, strands) for sign in (1, -1)]
+    return [BraidWord(strands, letters) for length in range(most_letters + 1)
+            for letters in itertools.product(alphabet, repeat=length)]
+
+
+SIMPLIFIED_VS_PLAIN = {
+    "seeded": WORDS,
+    "2-strand-up-to-8": all_words(2, 8),
+    "3-strand-up-to-5": all_words(3, 5),
+}
+
+
+@pytest.mark.parametrize("family", sorted(SIMPLIFIED_VS_PLAIN))
+def test_simplified_skein_matches_the_plain_recursion(family):
+    for word in SIMPLIFIED_VS_PLAIN[family]:
+        graph = braid_closure_graph(word)
+        assert dubrovnik_poly(graph) == plain_dubrovnik(graph), word
+
+
+def test_skein_markov_stabilization_scales_by_a_to_the_sign():
+    rng = random.Random(17)
+    for word in WORDS:
+        sign = rng.choice((1, -1))
+        stabilized = BraidWord(word.strands + 1,
+                               word.letters + (sign * word.strands,))
+        assert skein(stabilized) == \
+            TwoVarPoly.monomial(sign, 0) * skein(word), word
+
+
+def test_skein_ignores_a_cancelling_pair():
+    rng = random.Random(19)
+    for word in WORDS:
+        k = rng.choice((1, -1)) * rng.randint(1, word.strands - 1)
+        at = rng.randint(0, len(word.letters))
+        letters = word.letters[:at] + (k, -k) + word.letters[at:]
+        assert skein(BraidWord(word.strands, letters)) == skein(word), word
