@@ -6,26 +6,20 @@ at parameter one, feeds it through an unoriented tangle calculus to produce
 a framed-link invariant with values in Z[q, q^{-1}], and cross-validates
 every value against an independently computed specialization of Kauffman's
 Dubrovnik polynomial (a = -q^{-1}, z = q - q^{-1}).
+
+Importing the package loads no submodule; import the one you need
+(``d21link.tangle``, ``d21link.dubrovnik``, ...), so that the skein oracle
+can be loaded without the braiding side.  ``d21link.braiding`` is kept as a
+shortcut for :func:`d21link.rmatrix.braiding`, looked up on each access.
 """
 
 __version__ = "0.1.0"
 
-from .dubrovnik import braid_closure_graph, dubrovnik_poly, specialize
-from .ring import QuarterLaurent, RatFunc, format_q_laurent, to_integer_laurent
-from .rmatrix import braiding
-from .tangle import BraidWord, evaluate_sliced, invariant, parse_braid
 
-__all__ = [
-    "BraidWord",
-    "QuarterLaurent",
-    "RatFunc",
-    "braid_closure_graph",
-    "braiding",
-    "dubrovnik_poly",
-    "evaluate_sliced",
-    "format_q_laurent",
-    "invariant",
-    "parse_braid",
-    "specialize",
-    "to_integer_laurent",
-]
+def __getattr__(name):
+    # Not bound in the package namespace: a wrapper put on rmatrix.braiding
+    # (the perfbench tracer's probe) is what d21link.braiding then returns.
+    if name == "braiding":
+        from .rmatrix import braiding
+        return braiding
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -196,7 +196,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         return args.func(args)
     except (DiagramError, NotLaurentInQ, dubrovnik.SkeinBudgetExceeded,
-            FileNotFoundError) as exc:
+            OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

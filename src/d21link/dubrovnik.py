@@ -1,10 +1,13 @@
 """Dubrovnik-polynomial skein oracle on four-valent link diagrams.
 
-Completely independent of the braiding pipeline: diagrams are combinatorial
-four-valent graphs (crossings with four ports in planar cyclic order, plus
-a perfect matching of ports by edges), values are two-variable Laurent
-polynomials in (a, z) with ``int`` coefficients (no rational arithmetic
-anywhere), and evaluation is Kauffman's switching recursion:
+Completely independent of the braiding pipeline: this module imports only
+:mod:`d21link.ring` and the standard library, so loading it loads no part of
+the braiding side, and the cross-check of the two pipelines lives in
+:mod:`d21link.verify`.  Diagrams are combinatorial four-valent graphs
+(crossings with four ports in planar cyclic order, plus a perfect matching
+of ports by edges), values are two-variable Laurent polynomials in (a, z)
+with ``int`` coefficients (no rational arithmetic anywhere), and evaluation
+is Kauffman's switching recursion:
 
 * simplify first, as the value is a regular isotopy invariant: a curl
   (Reidemeister I) is removed for a factor a^{sign}, sign its self-crossing
@@ -36,9 +39,7 @@ from dataclasses import dataclass, field
 from math import comb
 from typing import Dict, List, Optional, Tuple
 
-from .report import CheckResult, Report
 from .ring import NotLaurentInQ, format_laurent, format_q_laurent
-from .tangle import DEFAULT_TANGLE_BUDGET, BraidWord, invariant
 
 DEFAULT_BUDGET = 16
 
@@ -198,9 +199,11 @@ class LinkGraph:
             self.partner[end2] = end1
 
 
-def braid_closure_graph(word: BraidWord, budget: int = DEFAULT_BUDGET) -> LinkGraph:
+def braid_closure_graph(word, budget: int = DEFAULT_BUDGET) -> LinkGraph:
     """The trace closure of a braid word as a four-valent graph.
 
+    ``word`` is read through its ``strands`` and ``letters`` only (a
+    ``tangle.BraidWord``, whose class this module does not import).
     Produces the same diagram as the sliced closure: crossings in letter
     order, closure arcs joining braid top j back to braid bottom j without
     further crossings.  A word with more strands than ``budget`` is refused
@@ -397,16 +400,3 @@ def specialize(poly: TwoVarPoly) -> Dict[int, int]:
     for _ in range(shift):
         total = _divide_by_z(total)
     return {exp: coeff for exp, coeff in total.items() if coeff}
-
-
-def compare(word: BraidWord, budget: int = DEFAULT_BUDGET,
-            tangle_budget: int = DEFAULT_TANGLE_BUDGET) -> Report:
-    """Both pipelines on the same closed diagram must agree exactly."""
-    tangle_value = invariant(word, tangle_budget).value_dict()
-    skein_value = specialize(dubrovnik_poly(braid_closure_graph(word, budget),
-                                            budget))
-    doubled = {exp: 2 * coeff for exp, coeff in skein_value.items()}
-    ok = tangle_value == doubled
-    detail = "" if ok else (f"tangle {format_q_laurent(tangle_value)} vs "
-                            f"2*skein {format_q_laurent(doubled)}")
-    return Report("skein", [CheckResult(f"skein-match:{word}", ok, detail)])

@@ -146,14 +146,6 @@ class QuarterLaurent:
         result._hash = None
         return result
 
-    def __pow__(self, n: int) -> "QuarterLaurent":
-        if n < 0:
-            raise ValueError("negative power of a plain polynomial; use RatFunc")
-        acc = ONE
-        for _ in range(n):
-            acc = acc * self
-        return acc
-
     def scaled(self, coeff) -> "QuarterLaurent":
         coeff = _as_fraction(coeff)
         if not coeff:
@@ -162,10 +154,6 @@ class QuarterLaurent:
 
     def shifted(self, exp: int) -> "QuarterLaurent":
         return QuarterLaurent({e + exp: c for e, c in self.terms.items()})
-
-    def conjugate(self) -> "QuarterLaurent":
-        """The bar involution q -> q^{-1} (exponent negation)."""
-        return QuarterLaurent({-e: c for e, c in self.terms.items()})
 
     def degree(self) -> int:
         if not self.terms:
@@ -206,7 +194,6 @@ class QuarterLaurent:
 
 ZERO = QuarterLaurent()
 ONE = QuarterLaurent({0: 1})
-T = QuarterLaurent({1: 1})
 Q = QuarterLaurent({4: 1})
 QINV = QuarterLaurent({-4: 1})
 LAMBDA = Q - QINV
@@ -321,9 +308,6 @@ class RatFunc:
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
-    def is_polynomial(self) -> bool:
-        return self.den == ONE
-
     def __eq__(self, other) -> bool:
         if isinstance(other, int):
             other = RatFunc.constant(other)
@@ -351,9 +335,6 @@ class RatFunc:
     def __sub__(self, other) -> "RatFunc":
         return self + (-_coerce(other))
 
-    def __rsub__(self, other) -> "RatFunc":
-        return _coerce(other) + (-self)
-
     def __mul__(self, other) -> "RatFunc":
         other = _coerce(other)
         if self.den == ONE and other.den == ONE:
@@ -373,9 +354,6 @@ class RatFunc:
             raise ZeroDivisionError("division by zero rational function")
         return RatFunc(self.num * other.den, self.den * other.num)
 
-    def __rtruediv__(self, other) -> "RatFunc":
-        return _coerce(other) / self
-
     def __pow__(self, n: int) -> "RatFunc":
         if not isinstance(n, int):
             raise TypeError("exponent must be an integer")
@@ -389,9 +367,6 @@ class RatFunc:
             base = base * base
             n >>= 1
         return acc
-
-    def conjugate(self) -> "RatFunc":
-        return RatFunc(self.num.conjugate(), self.den.conjugate())
 
     def evaluate_at_one(self) -> Fraction:
         den = self.den.evaluate_at_one()
@@ -418,7 +393,6 @@ def _coerce(value) -> RatFunc:
 RF_ZERO = RatFunc.from_poly(ZERO)
 RF_ONE = RatFunc.from_poly(ONE)
 RF_Q = RatFunc.from_poly(Q)
-RF_QINV = RatFunc.from_poly(QINV)
 RF_LAMBDA = RatFunc.from_poly(LAMBDA)
 
 

@@ -127,10 +127,6 @@ def _verified_twist(c: SuperMap) -> RatFunc:
     return RatFunc.q_power(-1)
 
 
-def twist() -> RatFunc:
-    return braiding().theta
-
-
 def spectral_check() -> Report:
     """Annihilating cubic, eigenvalue ranks, and minimality of the cubic."""
     checks: List[CheckResult] = []

@@ -135,9 +135,6 @@ class SuperMap:
                         {k: v * scalar for k, v in self.entries.items()},
                         self.parity)
 
-    def __matmul__(self, other: "SuperMap") -> "SuperMap":
-        return compose(self, other)
-
     def __repr__(self):
         return (f"SuperMap({self.codomain.dim}x{self.domain.dim}, "
                 f"{len(self.entries)} entries, parity {self.parity})")

@@ -103,12 +103,20 @@ def test_verbose_verify_streams_check_lines(capsys):
     assert "[PASS] relations:raise-lower-pair:1,1" in out
 
 
-def test_parse_errors_exit_2(capsys):
+def test_parse_errors_exit_2(capsys, tmp_path):
     code, _, err = run_cli(capsys, "invariant", "--braid", "2: 7")
     assert code == 2
     assert "error:" in err
     code, _, err = run_cli(capsys, "invariant", "--sliced", "/nonexistent/file")
     assert code == 2
+    # a directory, and a file that is not UTF-8
+    latin1 = tmp_path / "latin1.txt"
+    latin1.write_bytes(b"cup 1\ncap 1 \xe9\n")
+    for path in (tmp_path, latin1):
+        code, out, err = run_cli(capsys, "invariant", "--sliced", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
 
 
 def test_budget_env_override(capsys, monkeypatch):

@@ -1,4 +1,7 @@
 import ast
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -7,10 +10,11 @@ import pytest
 from d21link.cli import main
 from d21link.dubrovnik import (DELTA, LinkGraph, SkeinBudgetExceeded, TV_A,
                                TV_A_INV, TV_ONE, TwoVarPoly, _simplify,
-                               braid_closure_graph, compare, dubrovnik_poly,
+                               braid_closure_graph, dubrovnik_poly,
                                specialize)
 from d21link.ring import NotLaurentInQ
 from d21link.tangle import parse_braid
+from d21link.verify import compare
 from helpers import plain_dubrovnik
 
 
@@ -207,8 +211,8 @@ def test_skein_axiom_holds_on_diagram_surgeries():
 
 def test_compare_pipelines_on_sample_words():
     for text in ("1:", "2: 1 1", "2: 1 1 1", "3: 1 -2 1 -2", "3: 1 2"):
-        report = compare(parse_braid(text))
-        assert report.ok, report.checks
+        result = compare(parse_braid(text))
+        assert result.passed, result
 
 
 def test_graph_validation_catches_broken_matchings():
@@ -235,4 +239,31 @@ def test_pipelines_stay_independent_and_integer_only():
     for module in ("dubrovnik", "tangle"):
         names = _imports(module)
         assert not names & {"fractions", "Fraction", "RatFunc", "QuarterLaurent"}
-    assert not _imports("dubrovnik") & {"rmatrix", "representation"}
+    assert not _imports("dubrovnik") & {"rmatrix", "representation", "tangle",
+                                         "report", "superlinalg"}
+
+
+def _loaded_after(statements):
+    """Package modules in ``sys.modules`` after ``statements`` run in a fresh
+    interpreter that sees only ``src`` on its path."""
+    src = Path(__file__).parents[1] / "src"
+    code = (statements + "\nimport sys\n"
+            "print(sorted(n for n in sys.modules if n.split('.')[0] == 'd21link'))")
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, encoding="utf-8")
+    return set(ast.literal_eval(done.stdout))
+
+
+def test_pipelines_stay_independent_at_import_time():
+    assert _loaded_after("import d21link.dubrovnik") == {
+        "d21link", "d21link.dubrovnik", "d21link.ring"}
+    tangle_side = _loaded_after("import d21link.tangle")
+    assert not tangle_side & {"d21link.dubrovnik", "d21link.verify"}
+    assert _loaded_after("import d21link") == {"d21link"}
+    # the subprocess fails, and the call raises, unless both asserts hold
+    _loaded_after("import d21link\n"
+                  "found = d21link.braiding\n"
+                  "import d21link.rmatrix\n"
+                  "assert found is d21link.rmatrix.braiding\n"
+                  "assert not hasattr(d21link, 'no_such_name')")

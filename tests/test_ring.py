@@ -31,10 +31,10 @@ def test_phi4_inverse_has_closed_form():
     # 1/phi_4 = -q^4 (q - q^{-1}) / (q + q^{-1}).
     num = QuarterLaurent({-16: -1}) * QuarterLaurent({8: 1, -8: -1})
     phi4 = RatFunc(num, LAMBDA * LAMBDA)
-    assert not phi4.is_polynomial()
+    assert phi4.den != ONE
     expected = RatFunc(QuarterLaurent({16: -1}) * LAMBDA, Q + QINV)
     assert phi4.inverse() == expected
-    assert not expected.is_polynomial()
+    assert expected.den != ONE
 
 
 def test_q_factorial_base_cases():
@@ -129,8 +129,8 @@ def test_gcd_divides_both_arguments():
         a = random_nonzero_quarter_laurent(rng)
         b = random_nonzero_quarter_laurent(rng)
         g = poly_gcd(a, b)
-        assert RatFunc(a, g).is_polynomial()
-        assert RatFunc(b, g).is_polynomial()
+        assert RatFunc(a, g).den == ONE
+        assert RatFunc(b, g).den == ONE
 
 
 def test_ratfunc_operators():
@@ -156,14 +156,6 @@ def test_rendering_grammar():
     assert format_q_laurent({1: 1}) == "q"
     assert format_q_laurent({2: -1, 0: 3}) == "3 - q^2"
     assert format_q_laurent({0: 2}) == "2"
-
-
-def test_conjugate_is_an_involution():
-    rng = random.Random(29)
-    for _ in range(10):
-        value = random_ratfunc(rng)
-        assert value.conjugate().conjugate() == value
-    assert RF_Q.conjugate() == RatFunc.from_poly(QINV)
 
 
 def test_evaluate_at_one():
