@@ -71,6 +71,8 @@ def _cmd_invariant(args: argparse.Namespace) -> int:
                 "peak_support": result.peak_support,
             },
         }
+        if result.trace is not None:
+            payload["trace"] = result.trace._asdict()
         print(json.dumps(payload, indent=2))
     else:
         print(result.canonical())

@@ -18,9 +18,14 @@ bystander strands.  A braid word skips the 2n-strand closure: its value is
 the quantum trace sum_v p(v) <v|B|v> over the basis of the n-strand power,
 where the pivotal weight p(v) is the product over strands of cup * cap for
 the pair closing each strand (valid because cup and cap pair the same basis
-vectors, which is checked).  Both report the stats of the sliced fold
-(slices, peak strands, nominal dimension, peak support), which the trace
-reproduces exactly.
+vectors, which is checked).  Swapping v4 and v5 in every strand maps both
+crossing tables onto themselves and fixes p(v) (also checked), so the trace
+evolves one start column per swap orbit, its amplitude times the orbit
+size, in blocks of at most 216 columns that share their leading digits,
+one block at a time.  Both report the stats of the sliced fold (slices,
+peak strands, nominal dimension, peak support), which the trace reproduces
+exactly by summing each letter's support over the blocks, times the orbit
+size; the trace also reports its own figures (:class:`TraceStats`).
 
 The tables are converted once to integer Laurent polynomials, so neither
 path touches rational-function arithmetic and values lie in Z[q, q^-1] by
@@ -37,7 +42,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .ring import format_q_laurent, to_integer_laurent
 from .representation import DIM, duality_maps
@@ -177,6 +182,16 @@ def parse_sliced_text(text: str) -> SlicedDiagram:
     return SlicedDiagram(tuple(events))
 
 
+class TraceStats(NamedTuple):
+    """What the braid trace of :func:`invariant` evolved (a named tuple:
+    cheaper to define at import than a dataclass)."""
+    strands: int
+    columns: int               # 6 ** strands start columns of the trace
+    columns_evaluated: int     # one per swap orbit
+    blocks: int
+    peak_block_support: int    # most nonzero states one block held at once
+
+
 @dataclass(frozen=True)
 class EvalResult:
     value: Tuple[Tuple[int, int], ...]   # sorted (q-exponent, coefficient)
@@ -184,6 +199,7 @@ class EvalResult:
     peak_strands: int
     peak_dimension: int    # nominal state-space bound 6 ** peak_strands
     peak_support: int      # most nonzero states held after any event
+    trace: Optional[TraceStats] = None   # set by the braid trace only
 
     def value_dict(self) -> Dict[int, int]:
         return dict(self.value)
@@ -286,16 +302,17 @@ def _packed_table(kind: str, bits: int) -> Tuple[int, int, int, Dict[tuple, tupl
         for window, rows in table.items()}
 
 
-@lru_cache(maxsize=64)
-def _letter_rows(kind: str, bits: int) -> Tuple[int, int, List[tuple]]:
+@lru_cache(maxsize=256)
+def _letter_rows(kind: str, bits: int, unit: int) -> Tuple[int, int, List[tuple]]:
     """``(shift, span, rows)`` of a crossing for the braid trace: ``rows[w]``
-    lists ``(w' - w, packed coefficient)`` for the two-strand window
-    ``w = 6 * left + right`` going to ``w'``."""
+    lists ``((w' - w) * unit, packed coefficient)`` for the two-strand
+    window ``w = 6 * left + right`` going to ``w'``, whose right digit has
+    place value ``unit`` in a state key."""
     shift, span, _, table = _packed_table(kind, bits)
     rows: List[tuple] = [()] * (DIM * DIM)
     for (a, b), entries in table.items():
         window = a * DIM + b
-        rows[window] = tuple((c * DIM + d - window, coeff)
+        rows[window] = tuple(((c * DIM + d - window) * unit, coeff)
                              for (c, d), coeff in entries)
     return shift, span, rows
 
@@ -353,45 +370,135 @@ def evaluate_sliced(diagram: SlicedDiagram,
                       DIM ** peak, peak_support)
 
 
+# The one basis permutation that commutes with the braiding and keeps the
+# pivotal weights: v4 <-> v5, digits 3 and 4 of the 0-based keys.
+_SWAP = (0, 1, 2, 4, 3, 5)
+
+
+def _check_swap(crossing_tables, weights) -> None:
+    """Raise ``ValueError`` unless ``_SWAP`` maps each crossing table
+    onto itself entry for entry and fixes every pivotal weight, so that
+    p(sv) <sv|B|sv> = p(v) <v|B|v> for s the swap on every strand."""
+    s = _SWAP
+    for _, table in crossing_tables:
+        entries = {window: dict(rows) for window, rows in table.items()}
+        swapped = {(s[a], s[b]): {(s[c], s[d]): coeff for (c, d), coeff in rows}
+                   for (a, b), rows in table.items()}
+        if swapped != entries:
+            raise ValueError("the v4 <-> v5 swap does not map a crossing "
+                             "table onto itself")
+    if any(weights[s[r]] != weights[r] for r in range(DIM)):
+        raise ValueError("the v4 <-> v5 swap does not fix the pivotal weights")
+
+
+@lru_cache(maxsize=None)
+def _trace_weights() -> Tuple[Dict[int, int], ...]:
+    """The pivotal weights, once cup/cap pairing and the swap are checked."""
+    weights = _pivotal_weights(_event_table("cup"), _event_table("cap"))
+    _check_swap((_event_table("pos"), _event_table("neg")), weights)
+    return tuple(weights)
+
+
+def _swapped(column: int, strands: int) -> int:
+    """``column`` with ``_SWAP`` applied to each of its base-6 digits."""
+    image, place = 0, 1
+    for _ in range(strands):
+        column, digit = divmod(column, DIM)
+        image += _SWAP[digit] * place
+        place *= DIM
+    return image
+
+
+@lru_cache(maxsize=8)
+def _column_blocks(strands: int) -> Tuple[Tuple[int, Tuple[int, ...]], ...]:
+    """``(multiplicity, columns)`` blocks of the swap-orbit representatives
+    v <= sv of the start columns: grouped by their leading strands - 3
+    digits (at most 216 columns each), fixed (multiplicity 1) and paired
+    (multiplicity 2) columns apart.  The leading digits decide v <= sv
+    unless the swap fixes them; then the last three digits do."""
+    tail_strands = min(strands, 3)
+    tail = DIM ** tail_strands
+    tail_twins = [_swapped(column, tail_strands) for column in range(tail)]
+    blocks = []
+    for head in range(DIM ** (strands - tail_strands)):
+        head_twin = _swapped(head, strands - tail_strands)
+        base = head * tail
+        if head_twin > head:
+            blocks.append((2, tuple(range(base, base + tail))))
+        elif head_twin == head:
+            blocks.append((1, tuple(base + column for column in range(tail)
+                                    if tail_twins[column] == column)))
+            blocks.append((2, tuple(base + column for column in range(tail)
+                                    if tail_twins[column] > column)))
+    return tuple(blocks)
+
+
+def _digit_products(factors: List[int], digits: int) -> List[int]:
+    """``[prod(factors[d] for d in the base-6 digits of i)]`` for
+    i < 6 ** digits."""
+    products = [1]
+    for _ in range(digits):
+        products = [product * factor for product in products
+                    for factor in factors]
+    return products
+
+
 def invariant(word: BraidWord,
               budget: int = DEFAULT_TANGLE_BUDGET) -> EvalResult:
     """Value of the framed-link invariant on the trace closure of a braid,
     as the quantum trace sum_v p(v) <v|B|v> over the n-strand basis.
 
-    Its stats are those of the fold over :func:`braid_closure_slices`, whose
-    2n strands are checked against ``budget`` before any work."""
+    Only one column of each swap orbit {v, sv} is evolved, its start
+    amplitude times the orbit size, one block of columns at a time (see
+    :func:`_column_blocks`).  Its stats are those of the fold over
+    :func:`braid_closure_slices`, whose 2n strands are checked against
+    ``budget`` before any work: the support after each letter is summed
+    over the blocks, each block counted once per orbit member."""
     n = word.strands
     _check_budget(2 * n, budget)
     size, windows = DIM ** n, DIM * DIM
-    weights = _pivotal_weights(_event_table("cup"), _event_table("cap"))
+    weights = _trace_weights()
     start_l1 = sum(_l1(weight) for weight in weights) ** n
     kinds = ["pos" if letter > 0 else "neg" for letter in word.letters]
     bits = _bits(start_l1, kinds)
     w_shift, w_span = _exponent_range(weights)
     shift, span = n * w_shift, n * w_span
     packed = [_pack(weight, bits, w_shift) for weight in weights]
-    diagonal = {0: 1}
-    for _ in range(n):
-        diagonal = {row * DIM + digit: amp * packed[digit]
-                    for row, amp in diagonal.items() for digit in range(DIM)}
-    # keys are col * size + row: col the basis vector a column started
-    # from, row where the braid has taken it; letters act on row digits
-    state = {v * size + v: amp for v, amp in diagonal.items()}
-    peak_support = len(state)
+    tail_strands = min(n, 3)
+    tail = DIM ** tail_strands
+    head_amps = _digit_products(packed, n - tail_strands)
+    tail_amps = _digit_products(packed, tail_strands)
+    steps = []
     for letter, kind in zip(word.letters, kinds):
-        kind_shift, kind_span, rows = _letter_rows(kind, bits)
+        unit = DIM ** (n - abs(letter) - 1)
+        kind_shift, kind_span, rows = _letter_rows(kind, bits, unit)
         shift += kind_shift
         span += kind_span
-        unit = DIM ** (n - abs(letter) - 1)
-        new_state: Dict[int, int] = {}
-        get = new_state.get
-        for key, amp in state.items():
-            for delta, coeff in rows[key // unit % windows]:
-                target = key + delta * unit
-                new_state[target] = get(target, 0) + amp * coeff
-        state = {key: amp for key, amp in new_state.items() if amp}
-        peak_support = max(peak_support, len(state))
-    total = sum(state.get(v * size + v, 0) for v in range(size))
+        steps.append((unit, rows))
+    blocks = _column_blocks(n)
+    supports = [0] * (len(steps) + 1)
+    peak_block_support = total = 0
+    for multiplicity, columns in blocks:
+        head_amp = multiplicity * head_amps[columns[0] // tail]
+        # keys are col * size + row: col the basis vector a column started
+        # from, row where the braid has taken it; letters act on row digits
+        state = {v * size + v: head_amp * tail_amps[v % tail] for v in columns}
+        block_peak = len(state)
+        supports[0] += multiplicity * block_peak
+        for index, (unit, rows) in enumerate(steps, 1):
+            new_state: Dict[int, int] = {}
+            get = new_state.get
+            for key, amp in state.items():
+                for delta, coeff in rows[key // unit % windows]:
+                    target = key + delta
+                    new_state[target] = get(target, 0) + amp * coeff
+            state = {key: amp for key, amp in new_state.items() if amp}
+            supports[index] += multiplicity * len(state)
+            block_peak = max(block_peak, len(state))
+        peak_block_support = max(peak_block_support, block_peak)
+        total += sum(state.get(v * size + v, 0) for v in columns)
     value = _decode(total, bits, shift, span + 1)
+    trace = TraceStats(n, size, sum(len(columns) for _, columns in blocks),
+                       len(blocks), peak_block_support)
     return EvalResult(tuple(sorted(value.items())), 2 * n + len(kinds), 2 * n,
-                      DIM ** (2 * n), peak_support)
+                      DIM ** (2 * n), max(supports), trace)

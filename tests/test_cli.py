@@ -26,6 +26,10 @@ def test_invariant_json_schema(capsys):
     assert payload["value"] == "-2*q^-3"
     assert payload["stats"] == {"slices": 7, "peak_strands": 4,
                                 "peak_dimension": 1296, "peak_support": 88}
+    # 4 ** 2 fixed columns and (36 - 16) / 2 paired ones, in one block each
+    assert payload["trace"] == {"strands": 2, "columns": 36,
+                                "columns_evaluated": 26, "blocks": 2,
+                                "peak_block_support": 44}
 
 
 def test_invariant_from_sliced_file(tmp_path, capsys):
@@ -34,6 +38,9 @@ def test_invariant_from_sliced_file(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "invariant", "--sliced", str(path))
     assert code == 0
     assert out == "-2*q^-1\n"
+    code, out, _ = run_cli(capsys, "invariant", "--sliced", str(path), "--json")
+    assert code == 0
+    assert list(json.loads(out)) == ["value", "stats"]     # no braid trace
 
 
 def test_dubrovnik_outputs(capsys):

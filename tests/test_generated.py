@@ -52,7 +52,18 @@ def skein(word):
 
 
 TRACE_VS_FOLD = WORDS + [parse_braid(text) for text in (
-    "1:", "2:", "3:", "4:", "4: 1 2 3 1 2 3", "4: 1 1 3 3", "4: -1 2 -3 2")]
+    "1:", "2:", "3:", "4:", "4: 1 2 3 1 2 3", "4: 1 1 3 3", "4: -1 2 -3 2",
+    "5: 1 -2 3 -4")]
+
+
+def test_trace_vs_fold_covers_every_kind_of_column_block():
+    # 4 and 5 strands: blocks of several leading digits, among them heads
+    # holding v4 (all columns paired); every word: fixed and paired columns
+    traces = [invariant(word).trace for word in TRACE_VS_FOLD]
+    assert {trace.strands for trace in traces} >= {1, 2, 3, 4, 5}
+    assert max(trace.blocks for trace in traces) == 42
+    for trace in traces:
+        assert trace.columns < 2 * trace.columns_evaluated < 2 * trace.columns
 
 
 @pytest.mark.parametrize("word", TRACE_VS_FOLD, ids=str)

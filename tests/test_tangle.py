@@ -1,3 +1,9 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from d21link.dubrovnik import braid_closure_graph, dubrovnik_poly, specialize
@@ -6,7 +12,8 @@ from d21link.tangle import (BraidWord, DiagramError, SlicedDiagram,
                             SlicedEvent, TangleBudgetExceeded,
                             braid_closure_slices, evaluate_sliced, invariant,
                             parse_braid, parse_sliced_text,
-                            _decode, _event_table, _pack, _pivotal_weights)
+                            _check_swap, _decode, _event_table, _pack,
+                            _pivotal_weights, _trace_weights)
 
 
 def value_of(text):
@@ -138,6 +145,16 @@ def test_eval_result_stats():
     assert invariant(parse_braid("4: 1 2 3 1 2 3")).peak_support == 12586
 
 
+def test_trace_evaluates_one_column_per_swap_orbit():
+    for n in range(1, 6):
+        trace = invariant(BraidWord(n, ())).trace
+        # 4 ** n columns free of v4 and v5 are fixed by the swap
+        assert (trace.strands, trace.columns, trace.columns_evaluated) == \
+            (n, 6 ** n, (6 ** n + 4 ** n) // 2)
+    assert invariant(parse_braid("5:")).trace.blocks == 42
+    assert evaluate_sliced(braid_closure_slices(parse_braid("2: 1"))).trace is None
+
+
 def test_tangle_budget_is_checked_before_any_work():
     with pytest.raises(TangleBudgetExceeded):
         invariant(parse_braid("7:"))
@@ -208,6 +225,64 @@ def test_pivotal_weights_need_cup_and_cap_to_pair_alike():
     doubled[(0, 1)] = doubled[(0, 1)] * 2
     with pytest.raises(ValueError, match="pair"):
         _pivotal_weights(cup, (width, doubled))
+
+
+def test_swap_check_needs_symmetric_tables_and_weights():
+    tables = (_event_table("pos"), _event_table("neg"))
+    weights = _trace_weights()
+    _check_swap(tables, weights)
+    width, table = tables[0]
+    perturbed = dict(table)
+    (row, coeff), *rest = perturbed[(3, 0)]              # v4 (x) v1
+    perturbed[(3, 0)] = ((row, {e: 2 * c for e, c in coeff.items()}), *rest)
+    with pytest.raises(ValueError, match="swap"):
+        _check_swap(((width, perturbed), tables[1]), weights)
+    unequal = list(weights)
+    unequal[3] = {e: -c for e, c in weights[3].items()}  # p(v4) != p(v5)
+    with pytest.raises(ValueError, match="swap"):
+        _check_swap(tables, unequal)
+
+
+def torus_closed_form(k):
+    """q^k + (-q)^k + 2 (-q^-1)^k: the eigenvalues q, -q, -q^-1 of the
+    braiding with quantum traces 1, 1, 2 (Rosso-Jones, J. Knot Theory
+    Ramif. 2 (1993)); for k < 0 it is the mirror of T(2, -k)."""
+    terms = {}
+    for exp, coeff in ((k, 1), (k, (-1) ** k), (-k, 2 * (-1) ** k)):
+        terms[exp] = terms.get(exp, 0) + coeff
+    return {e: c for e, c in terms.items() if c}
+
+
+def test_torus_links_match_the_closed_form():
+    for k in range(-40, 41):
+        word = BraidWord(2, (1 if k > 0 else -1,) * abs(k))
+        assert invariant(word).value_dict() == torus_closed_form(k), k
+
+
+def test_five_strand_mixed_word_runs_in_small_memory():
+    pytest.importorskip("resource")     # the child reads its own peak RSS
+    src = Path(__file__).parents[1] / "src"
+    code = (
+        "import json, resource\n"
+        "from d21link.tangle import invariant, parse_braid\n"
+        "result = invariant(parse_braid('5: 1 -2 3 -4 1 -2'))\n"
+        "rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "print(json.dumps([result.canonical(), result.peak_support,\n"
+        "                  result.trace.peak_block_support, rss]))")
+    # A process inherits the peak RSS of the one it was spawned from, which
+    # would count this test run's; a bare interpreter in between spawns the
+    # measured child at about 10 MB instead.
+    launcher = ("import subprocess, sys\n"
+                "subprocess.run([sys.executable, '-c', sys.argv[1]], check=True)")
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-c", launcher, code], env=env,
+                          check=True, capture_output=True, encoding="utf-8")
+    value, peak_support, block_support, rss = json.loads(done.stdout)
+    assert (value, peak_support) == ("2", 245431)
+    assert block_support == 11415   # 101,952 with one block per multiplicity
+    # ru_maxrss is in KiB on Linux, in bytes on macOS
+    megabytes = rss / 2 ** 20 if sys.platform == "darwin" else rss / 2 ** 10
+    assert megabytes < 80     # all 7776 columns in one dict took 134 MB
 
 
 @pytest.mark.parametrize("text", ["3: 1 2 1 2 1 2 1 2", "3: 1 2 1 2 1 2",
