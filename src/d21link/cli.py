@@ -13,9 +13,10 @@ matrices row-major (split blocks use the fixed parity-block basis order).
 The environment variable ``D21LINK_SKEIN_BUDGET`` overrides the crossing
 and strand budget of the skein oracle (default 16), and
 ``D21LINK_TANGLE_BUDGET`` the most strands a tangle evaluation may hold at
-once (default 12), for ``invariant`` and the ``skein`` suite of ``verify``.
+once (default 12), for ``invariant`` and the ``skein`` suite of ``verify``;
+each must be an integer of at least 1.
 Exit status is 0 on success and, for ``verify``, iff every check passes;
-bad input or an exceeded budget exits 2.
+bad input (a bad budget variable included) or an exceeded budget exits 2.
 """
 
 from __future__ import annotations
@@ -36,14 +37,21 @@ from .verify import run_suites
 DEVIATIONS_FILE = "braiding_deviations.txt"
 
 
+class BudgetSettingError(ValueError):
+    """A budget environment variable that is not an integer of at least 1."""
+
+
 def _budget(variable: str, default: int) -> int:
     raw = os.environ.get(variable)
     if raw is None:
         return default
     try:
-        return int(raw)
+        value = int(raw)
     except ValueError:
-        raise SystemExit(f"{variable} is not an integer: {raw!r}")
+        raise BudgetSettingError(f"{variable} is not an integer: {raw!r}") from None
+    if value < 1:
+        raise BudgetSettingError(f"{variable} must be at least 1: {raw!r}")
+    return value
 
 
 def _skein_budget() -> int:
@@ -198,7 +206,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         return args.func(args)
     except (DiagramError, NotLaurentInQ, dubrovnik.SkeinBudgetExceeded,
-            OSError, UnicodeDecodeError) as exc:
+            BudgetSettingError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -35,7 +35,6 @@ of the input diagram, before any simplification.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import comb
 from typing import Dict, List, Optional, Tuple
 
@@ -143,7 +142,6 @@ def _power(base: TwoVarPoly, exp: int) -> TwoVarPoly:
     return acc
 
 
-@dataclass
 class LinkGraph:
     """Four-valent plane diagram: crossings plus a perfect matching of ports.
 
@@ -152,9 +150,13 @@ class LinkGraph:
     Circles that touch no crossing are carried in ``free_loops``.
     """
 
-    over_diag: Dict[int, int] = field(default_factory=dict)
-    partner: Dict[int, int] = field(default_factory=dict)
-    free_loops: int = 0
+    __slots__ = ("over_diag", "partner", "free_loops")
+
+    def __init__(self, over_diag: Optional[Dict[int, int]] = None,
+                 partner: Optional[Dict[int, int]] = None, free_loops: int = 0):
+        self.over_diag = {} if over_diag is None else over_diag
+        self.partner = {} if partner is None else partner
+        self.free_loops = free_loops
 
     def crossing_count(self) -> int:
         return len(self.over_diag)

@@ -2,21 +2,21 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List
+from typing import List, NamedTuple, Optional
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     check_id: str
     passed: bool
     detail: str = ""
 
 
-@dataclass
 class Report:
-    suite: str
-    checks: List[CheckResult] = field(default_factory=list)
+    __slots__ = ("suite", "checks")
+
+    def __init__(self, suite: str, checks: Optional[List[CheckResult]] = None):
+        self.suite = suite
+        self.checks = [] if checks is None else checks
 
     @property
     def ok(self) -> bool:

@@ -20,10 +20,9 @@ between the raising and lowering halves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, List, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 from .report import CheckResult, Report
 from .ring import BRACKET_EXPONENTS, RF_ONE, QuarterLaurent, RatFunc
@@ -61,32 +60,35 @@ _F_ACTION = {
 _GENERATOR_PARITY = {("E", 1): 1, ("F", 1): 1}
 
 
-@dataclass(frozen=True)
-class CartanData:
+class _CartanFields(NamedTuple):
     a: Tuple[Tuple[int, ...], ...]
     d: Tuple[int, ...]
     abar: Tuple[Tuple[int, ...], ...]
     b: Tuple[Tuple[Fraction, ...], ...]
 
-    def __post_init__(self):
+
+class CartanData(_CartanFields):
+    __slots__ = ()
+
+    def __new__(cls, a, d, abar, b):
         for i in range(3):
             for j in range(3):
-                if self.abar[i][j] != self.d[i] * self.a[i][j]:
+                if abar[i][j] != d[i] * a[i][j]:
                     raise ValueError("symmetrized Cartan matrix mismatch")
-                if self.abar[i][j] != self.abar[j][i]:
+                if abar[i][j] != abar[j][i]:
                     raise ValueError("symmetrized Cartan matrix not symmetric")
         # b must invert the matrix (-a_ij / d_j) exactly.
         for i in range(3):
             for j in range(3):
                 acc = Fraction(0)
                 for k in range(3):
-                    acc += self.b[i][k] * Fraction(-self.a[k][j], self.d[j])
+                    acc += b[i][k] * Fraction(-a[k][j], d[j])
                 if acc != (1 if i == j else 0):
                     raise ValueError("b is not inverse to (-a_ij/d_j)")
+        return super().__new__(cls, a, d, abar, b)
 
 
-@dataclass(frozen=True)
-class RootData:
+class RootData(NamedTuple):
     roots: Tuple[Tuple[int, int, int], ...]
     parities: Tuple[int, ...]
     c: Tuple[int, ...]

@@ -10,7 +10,12 @@ A :class:`QuarterLaurent` stores a finite map ``exponent -> coefficient``
 where the integer exponent ``e`` encodes the monomial t^e = q^{e/4}; a plain
 power q^k therefore sits at exponent 4k.  Working on the quarter-exponent
 lattice keeps the diagonal Cartan factors, whose q-exponents have
-denominator four, in exact integer bookkeeping.
+denominator four, in exact integer bookkeeping.  A coefficient is an
+``int`` whenever it is integral, and a ``Fraction`` only where a division
+leaves a non-integer (a few hundred of the tens of thousands that building
+and verifying the braiding creates); every division goes through
+``Fraction``, never ``/`` on two ints; equality and hashing are by
+value, since ``Fraction(2) == 2`` hashes as ``2``.
 
 A :class:`RatFunc` is a fraction of two QuarterLaurent values held in
 canonical form: numerator and denominator coprime (polynomial gcd over the
@@ -55,20 +60,44 @@ class NotLaurentInQ(ValueError):
         self.offender = offender
 
 
-def _as_fraction(value) -> Fraction:
-    return value if isinstance(value, Fraction) else Fraction(value)
+def _coefficient(value):
+    """``value`` as an ``int`` when it is integral, else as a ``Fraction``."""
+    if type(value) is int:
+        return value
+    if not isinstance(value, Fraction):
+        value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
+
+
+def _ratio(num, den):
+    """Exact ``num / den`` of two coefficients, never a ``float``."""
+    if type(num) is int and type(den) is int:
+        quo, rem = divmod(num, den)
+        if not rem:
+            return quo
+    return _coefficient(Fraction(num, den))
+
+
+def _settled(terms: Dict[int, object]) -> Dict[int, object]:
+    """``terms`` with each integral ``Fraction`` turned into an ``int``, in
+    place: a sum or product of fractions can be integral."""
+    for exp, coeff in terms.items():
+        if type(coeff) is not int and coeff.denominator == 1:
+            terms[exp] = coeff.numerator
+    return terms
 
 
 class QuarterLaurent:
-    """Laurent polynomial in t = q^{1/4} with rational coefficients."""
+    """Laurent polynomial in t = q^{1/4} with rational (mostly int)
+    coefficients."""
 
     __slots__ = ("terms", "_hash")
 
-    def __init__(self, terms: Mapping[int, Fraction] | None = None):
-        clean: Dict[int, Fraction] = {}
+    def __init__(self, terms: Mapping[int, object] | None = None):
+        clean: Dict[int, object] = {}
         if terms:
             for exp, coeff in terms.items():
-                coeff = _as_fraction(coeff)
+                coeff = _coefficient(coeff)
                 if coeff:
                     clean[int(exp)] = coeff
         self.terms = clean
@@ -112,7 +141,7 @@ class QuarterLaurent:
                 else:
                     del merged[exp]
         result = QuarterLaurent.__new__(QuarterLaurent)
-        result.terms = merged
+        result.terms = _settled(merged)
         result._hash = None
         return result
 
@@ -128,7 +157,7 @@ class QuarterLaurent:
     def __mul__(self, other: "QuarterLaurent") -> "QuarterLaurent":
         if not self.terms or not other.terms:
             return ZERO
-        out: Dict[int, Fraction] = {}
+        out: Dict[int, object] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = e1 + e2
@@ -142,15 +171,9 @@ class QuarterLaurent:
                     else:
                         del out[e]
         result = QuarterLaurent.__new__(QuarterLaurent)
-        result.terms = out
+        result.terms = _settled(out)
         result._hash = None
         return result
-
-    def scaled(self, coeff) -> "QuarterLaurent":
-        coeff = _as_fraction(coeff)
-        if not coeff:
-            return ZERO
-        return QuarterLaurent({e: c * coeff for e, c in self.terms.items()})
 
     def shifted(self, exp: int) -> "QuarterLaurent":
         return QuarterLaurent({e + exp: c for e, c in self.terms.items()})
@@ -165,11 +188,12 @@ class QuarterLaurent:
             raise ValueError("zero polynomial has no valuation")
         return min(self.terms)
 
-    def leading_coefficient(self) -> Fraction:
+    def leading_coefficient(self):
         return self.terms[self.degree()]
 
-    def content(self) -> Fraction:
-        """Positive rational c with self/c primitive (integer, coprime)."""
+    def content(self):
+        """Positive rational c with self/c primitive (integer, coprime); an
+        ``int`` when every coefficient is one."""
         if not self.terms:
             raise ValueError("zero polynomial has no content")
         num = 0
@@ -177,11 +201,11 @@ class QuarterLaurent:
         for coeff in self.terms.values():
             num = _int_gcd(num, abs(coeff.numerator))
             den = den * coeff.denominator // _int_gcd(den, coeff.denominator)
-        return Fraction(num, den)
+        return num if den == 1 else Fraction(num, den)
 
-    def evaluate_at_one(self) -> Fraction:
+    def evaluate_at_one(self):
         """Specialize t = 1 (the classical limit q = 1)."""
-        return sum(self.terms.values(), Fraction(0))
+        return sum(self.terms.values())
 
     def __repr__(self):
         if not self.terms:
@@ -202,19 +226,19 @@ LAMBDA = Q - QINV
 def _poly_divmod(a: QuarterLaurent, b: QuarterLaurent):
     """Long division in Q[t]; both arguments must have valuation >= 0."""
     rem = dict(a.terms)
-    quo: Dict[int, Fraction] = {}
+    quo: Dict[int, object] = {}
     deg_b = b.degree()
     lead_b = b.terms[deg_b]
     while rem:
         deg_r = max(rem)
         if deg_r < deg_b:
             break
-        factor = rem[deg_r] / lead_b
+        factor = _ratio(rem[deg_r], lead_b)
         shift = deg_r - deg_b
         quo[shift] = factor
         for exp, coeff in b.terms.items():
             e = exp + shift
-            acc = rem.get(e, Fraction(0)) - coeff * factor
+            acc = rem.get(e, 0) - coeff * factor
             if acc:
                 rem[e] = acc
             else:
@@ -222,13 +246,22 @@ def _poly_divmod(a: QuarterLaurent, b: QuarterLaurent):
     return QuarterLaurent(quo), QuarterLaurent(rem)
 
 
+def _divided(p: QuarterLaurent, scale) -> QuarterLaurent:
+    """p / scale for a nonzero coefficient ``scale``."""
+    return QuarterLaurent({e: _ratio(c, scale) for e, c in p.terms.items()})
+
+
+def _unit_scale(p: QuarterLaurent):
+    """The content of p, with the sign of its leading coefficient."""
+    scale = p.content()
+    return -scale if p.leading_coefficient() < 0 else scale
+
+
 def _unit_normalize(p: QuarterLaurent) -> QuarterLaurent:
     """Scale/shift p to valuation 0, content 1, positive leading coefficient."""
     p = p.shifted(-p.valuation())
-    scale = p.content()
-    if p.leading_coefficient() < 0:
-        scale = -scale
-    return p.scaled(1 / scale)
+    scale = _unit_scale(p)
+    return p if scale == 1 else _divided(p, scale)
 
 
 def poly_gcd(a: QuarterLaurent, b: QuarterLaurent) -> QuarterLaurent:
@@ -274,12 +307,10 @@ class RatFunc:
             if shift:
                 num = num.shifted(shift)
                 den = den.shifted(shift)
-            scale = den.content()
-            if den.leading_coefficient() < 0:
-                scale = -scale
+            scale = _unit_scale(den)
             if scale != 1:
-                num = num.scaled(1 / scale)
-                den = den.scaled(1 / scale)
+                num = _divided(num, scale)
+                den = _divided(den, scale)
         self.num = num
         self.den = den
         self._hash = None
@@ -368,11 +399,11 @@ class RatFunc:
             n >>= 1
         return acc
 
-    def evaluate_at_one(self) -> Fraction:
+    def evaluate_at_one(self):
         den = self.den.evaluate_at_one()
         if den == 0:
             raise ZeroDivisionError("denominator vanishes at q = 1")
-        return self.num.evaluate_at_one() / den
+        return _ratio(self.num.evaluate_at_one(), den)
 
     def __repr__(self):
         if self.den == ONE:

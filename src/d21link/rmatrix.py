@@ -19,9 +19,8 @@ spectral, skein, naturality) as the adjudicating evidence.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 from .report import CheckResult, Report
 from .ring import (RF_LAMBDA, RF_Q, RF_ZERO, QuarterLaurent, RatFunc,
@@ -34,8 +33,7 @@ from .superlinalg import (SuperMap, compose, embed_at, invert,
 _NILPOTENCY_GUARD = 7
 
 
-@dataclass(frozen=True)
-class BraidingBundle:
+class BraidingBundle(NamedTuple):
     r: SuperMap
     c: SuperMap
     c_inv: SuperMap
@@ -73,18 +71,19 @@ def exp_factor(i: int) -> SuperMap:
 @lru_cache(maxsize=None)
 def cartan_factor() -> SuperMap:
     """Diagonal factor v (x) w -> q^{sum b_ij weight_i(v) weight_j(w)} v (x) w."""
+    b4 = [[4 * b for b in row] for row in CARTAN.b]
+    if any(b.denominator != 1 for row in b4 for b in row):
+        raise ArithmeticError("Cartan exponent left the quarter lattice")
+    # forms[v][j] = sum_i 4 b_ij weight_i(v), an integer
+    forms = [[sum(int(b4[i][j]) * WEIGHTS[v][i] for i in range(3))
+              for j in range(3)] for v in range(DIM)]
     entries: Dict[Tuple[int, int], RatFunc] = {}
     for v in range(DIM):
         for w in range(DIM):
-            exponent = 0
-            for i in range(3):
-                for j in range(3):
-                    exponent += 4 * CARTAN.b[i][j] * WEIGHTS[v][i] * WEIGHTS[w][j]
-            if exponent.denominator != 1:
-                raise ArithmeticError("Cartan exponent left the quarter lattice")
+            exponent = sum(f * x for f, x in zip(forms[v], WEIGHTS[w]))
             index = v * DIM + w
             entries[(index, index)] = RatFunc.from_poly(
-                QuarterLaurent.t_power(int(exponent)))
+                QuarterLaurent.t_power(exponent))
     return SuperMap(M2, M2, entries)
 
 

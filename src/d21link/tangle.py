@@ -40,7 +40,6 @@ normalization.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
@@ -69,18 +68,22 @@ def _check_budget(strands: int, budget: int) -> None:
             f"{strands} peak strands exceed the tangle budget {budget}")
 
 
-@dataclass(frozen=True)
-class BraidWord:
+class _BraidFields(NamedTuple):
     strands: int
     letters: Tuple[int, ...]
 
-    def __post_init__(self):
-        if self.strands < 1:
+
+class BraidWord(_BraidFields):
+    __slots__ = ()
+
+    def __new__(cls, strands: int, letters: Tuple[int, ...]):
+        if strands < 1:
             raise DiagramError("braid needs at least one strand")
-        for letter in self.letters:
-            if letter == 0 or abs(letter) >= self.strands:
+        for letter in letters:
+            if letter == 0 or abs(letter) >= strands:
                 raise DiagramError(
-                    f"braid letter {letter} out of range for {self.strands} strands")
+                    f"braid letter {letter} out of range for {strands} strands")
+        return super().__new__(cls, strands, letters)
 
     def mirror(self) -> "BraidWord":
         return BraidWord(self.strands, tuple(-k for k in self.letters))
@@ -102,22 +105,25 @@ def parse_braid(text: str) -> BraidWord:
     return BraidWord(strands, letters)
 
 
-@dataclass(frozen=True)
-class SlicedEvent:
+class SlicedEvent(NamedTuple):
     kind: str
     position: int
 
 
-@dataclass(frozen=True)
-class SlicedDiagram:
+class _SlicedFields(NamedTuple):
     events: Tuple[SlicedEvent, ...]
 
-    def __post_init__(self):
+
+class SlicedDiagram(_SlicedFields):
+    __slots__ = ()
+
+    def __new__(cls, events: Tuple[SlicedEvent, ...]):
         strands = 0
-        for event in self.events:
+        for event in events:
             strands = _next_strand_count(event, strands)
         if strands != 0:
             raise DiagramError(f"diagram is not closed ({strands} strands left open)")
+        return super().__new__(cls, events)
 
     @property
     def slices(self) -> int:
@@ -183,8 +189,7 @@ def parse_sliced_text(text: str) -> SlicedDiagram:
 
 
 class TraceStats(NamedTuple):
-    """What the braid trace of :func:`invariant` evolved (a named tuple:
-    cheaper to define at import than a dataclass)."""
+    """What the braid trace of :func:`invariant` evolved."""
     strands: int
     columns: int               # 6 ** strands start columns of the trace
     columns_evaluated: int     # one per swap orbit
@@ -192,8 +197,7 @@ class TraceStats(NamedTuple):
     peak_block_support: int    # most nonzero states one block held at once
 
 
-@dataclass(frozen=True)
-class EvalResult:
+class EvalResult(NamedTuple):
     value: Tuple[Tuple[int, int], ...]   # sorted (q-exponent, coefficient)
     slices: int
     peak_strands: int

@@ -14,7 +14,6 @@ this module nor the braiding side) each evaluate the same closed braid.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Callable, Dict, List, Optional
 
 from .report import CheckResult, Report
@@ -95,7 +94,7 @@ def _is_identity_at_one(m: SuperMap) -> bool:
     dim = m.domain.dim
     for row in range(dim):
         for col in range(dim):
-            expected = Fraction(1) if row == col else Fraction(0)
+            expected = 1 if row == col else 0
             if m.entry(row, col).evaluate_at_one() != expected:
                 return False
     return True

@@ -170,9 +170,20 @@ def test_tangle_budget_env_override(capsys, monkeypatch, tmp_path):
     code, _, err = run_cli(capsys, "invariant", "--sliced", str(path))
     assert code == 2
     assert "budget" in err
-    monkeypatch.setenv("D21LINK_TANGLE_BUDGET", "many")
-    with pytest.raises(SystemExit, match="D21LINK_TANGLE_BUDGET is not an integer"):
-        main(["invariant", "--braid", "1:"])
+    for raw, reason in (("many", "is not an integer"), ("0", "must be at least 1"),
+                        ("-3", "must be at least 1")):
+        monkeypatch.setenv("D21LINK_TANGLE_BUDGET", raw)
+        for argv in (("invariant", "--braid", "1:"), ("verify", "--suite", "skein")):
+            assert run_cli(capsys, *argv) == (
+                2, "", f"error: D21LINK_TANGLE_BUDGET {reason}: {raw!r}\n")
+
+
+def test_skein_budget_env_must_be_a_positive_integer(capsys, monkeypatch):
+    for raw, reason in (("abc", "is not an integer"), ("0", "must be at least 1")):
+        monkeypatch.setenv("D21LINK_SKEIN_BUDGET", raw)
+        for argv in (("dubrovnik", "--braid", "1:"), ("verify", "--suite", "skein")):
+            assert run_cli(capsys, *argv) == (
+                2, "", f"error: D21LINK_SKEIN_BUDGET {reason}: {raw!r}\n")
 
 
 def test_verify_honours_the_tangle_budget(capsys, monkeypatch):

@@ -243,16 +243,20 @@ def test_pipelines_stay_independent_and_integer_only():
                                          "report", "superlinalg"}
 
 
-def _loaded_after(statements):
-    """Package modules in ``sys.modules`` after ``statements`` run in a fresh
+def _modules_after(statements):
+    """Every module in ``sys.modules`` after ``statements`` run in a fresh
     interpreter that sees only ``src`` on its path."""
     src = Path(__file__).parents[1] / "src"
-    code = (statements + "\nimport sys\n"
-            "print(sorted(n for n in sys.modules if n.split('.')[0] == 'd21link'))")
+    code = statements + "\nimport sys\nprint(sorted(sys.modules))"
     env = dict(os.environ, PYTHONPATH=str(src))
     done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                           capture_output=True, encoding="utf-8")
     return set(ast.literal_eval(done.stdout))
+
+
+def _loaded_after(statements):
+    """The package's own modules among :func:`_modules_after`."""
+    return {n for n in _modules_after(statements) if n.split(".")[0] == "d21link"}
 
 
 def test_pipelines_stay_independent_at_import_time():
@@ -267,3 +271,10 @@ def test_pipelines_stay_independent_at_import_time():
                   "import d21link.rmatrix\n"
                   "assert found is d21link.rmatrix.braiding\n"
                   "assert not hasattr(d21link, 'no_such_name')")
+    # the CLI loads every layer the benchmark's tracer probes, and none of
+    # the costly introspection modules that ``dataclasses`` would pull in
+    cli_side = _modules_after("import d21link.cli")
+    assert {f"d21link.{layer}" for layer in (
+        "ring", "superlinalg", "representation", "rmatrix", "tangle",
+        "dubrovnik", "verify")} <= cli_side
+    assert not cli_side & {"dataclasses", "inspect"}

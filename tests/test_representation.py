@@ -1,6 +1,8 @@
 from fractions import Fraction
 
-from d21link.representation import (CARTAN, DIM, M, ROOTS, WEIGHTS,
+import pytest
+
+from d21link.representation import (CARTAN, DIM, M, ROOTS, WEIGHTS, CartanData,
                                     cartan_exponential,
                                     cartan_exponential_for_root,
                                     check_defining_relations,
@@ -26,6 +28,16 @@ def test_cartan_tables():
     assert CARTAN.b[0] == (Fraction(1), Fraction(-1, 2), Fraction(-1, 2))
     assert ROOTS.parities == (0, 1, 1, 0, 1, 1, 0)
     assert ROOTS.c == (2, 0, 0, -4, 0, 0, 2)
+
+
+def test_cartan_data_checks_its_tables():
+    assert CartanData(*CARTAN) == CARTAN
+    abar = (CARTAN.abar[0], CARTAN.abar[1], (-1, 0, 3))
+    with pytest.raises(ValueError, match="symmetrized Cartan matrix mismatch"):
+        CartanData(CARTAN.a, CARTAN.d, abar, CARTAN.b)
+    b = (CARTAN.b[0], CARTAN.b[1], (Fraction(-1, 2), Fraction(1, 4), Fraction(1, 4)))
+    with pytest.raises(ValueError, match="b is not inverse"):
+        CartanData(CARTAN.a, CARTAN.d, CARTAN.abar, b)
 
 
 def test_generator_action_tables():

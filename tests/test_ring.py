@@ -6,8 +6,9 @@ import pytest
 from d21link.ring import (BRACKET_EXPONENTS, LAMBDA, NotLaurentInQ, ONE, Q,
                           QINV, RF_LAMBDA, RF_ONE, RF_Q, RF_ZERO,
                           QuarterLaurent, RatFunc, format_q_laurent,
-                          poly_gcd, q_factorial, q_integer,
+                          exact_div, poly_gcd, q_factorial, q_integer,
                           q_string, to_integer_laurent)
+from d21link.rmatrix import braiding
 from helpers import random_nonzero_quarter_laurent, random_quarter_laurent, random_ratfunc
 
 
@@ -161,5 +162,46 @@ def test_rendering_grammar():
 def test_evaluate_at_one():
     assert RF_LAMBDA.evaluate_at_one() == 0
     assert (RF_Q + RF_ONE).evaluate_at_one() == 2
+    half = RatFunc(ONE, Q + ONE).evaluate_at_one()
+    assert (type(half), half) == (Fraction, Fraction(1, 2))
     with pytest.raises(ZeroDivisionError):
         RatFunc(ONE, LAMBDA).evaluate_at_one()
+
+
+def _coefficients(*polys):
+    return [c for poly in polys for c in poly.terms.values()]
+
+
+def test_braiding_coefficients_are_plain_ints():
+    bundle = braiding()
+    for op in (bundle.c, bundle.c_inv):
+        for value in op.entries.values():
+            assert all(type(c) is int for c in _coefficients(value.num, value.den))
+
+
+def test_integral_fractions_become_ints():
+    two = QuarterLaurent({0: Fraction(4, 2)})
+    assert two == QuarterLaurent({0: 2})
+    assert hash(two) == hash(QuarterLaurent({0: 2}))
+    assert type(two.terms[0]) is int
+    assert RatFunc(two) == RatFunc(QuarterLaurent({0: 2}))
+    assert hash(RatFunc(two)) == hash(RatFunc(QuarterLaurent({0: 2})))
+    half = QuarterLaurent({0: Fraction(1, 2), 4: Fraction(3, 2)})
+    for value in (half + half, half * QuarterLaurent({0: 2}), -(half + half)):
+        assert all(type(c) is int for c in _coefficients(value))
+
+
+def test_division_steps_stay_exact_on_integer_input():
+    # (3t + 1)(2t + 1) by (2t + 1)^2: the first quotient step is 3/2
+    a = QuarterLaurent({0: 1, 1: 5, 2: 6})
+    b = QuarterLaurent({0: 1, 1: 4, 2: 4})
+    assert poly_gcd(a, b) == QuarterLaurent({0: 1, 1: 2})
+    assert exact_div(a, QuarterLaurent({0: 1, 1: 2})) == QuarterLaurent({0: 1, 1: 3})
+    third = exact_div(QuarterLaurent({0: 1, 1: 1}), QuarterLaurent({0: 3, 1: 3}))
+    assert third == QuarterLaurent({0: Fraction(1, 3)})
+    ratio = RatFunc(a, b * QuarterLaurent({0: 3}))
+    assert ratio == RatFunc(QuarterLaurent({0: 1, 1: 3}),
+                            QuarterLaurent({0: 3, 1: 6}))
+    values = (poly_gcd(a, b), third, ratio.num, ratio.den)
+    assert all(type(c) in (int, Fraction) for c in _coefficients(*values))
+    assert all(type(c) is int for c in _coefficients(*values) if c.denominator == 1)
