@@ -10,11 +10,18 @@ Commands::
 
 Output is deterministic: polynomials in canonical ascending-exponent form,
 matrices row-major (split blocks use the fixed parity-block basis order).
+``invariant --braid`` first simplifies the word (cyclic free reduction and
+Markov destabilisation of end strands) and traces the braid that remains;
+its ``--json`` stats describe that braid, whose text is the ``"braid"``
+entry of the ``"trace"`` key.
+
 The environment variable ``D21LINK_SKEIN_BUDGET`` overrides the crossing
-and strand budget of the skein oracle (default 16), and
+and strand budget of the skein oracle (default 16),
 ``D21LINK_TANGLE_BUDGET`` the most strands a tangle evaluation may hold at
-once (default 12), for ``invariant`` and the ``skein`` suite of ``verify``;
-each must be an integer of at least 1.
+once (default 12), for ``invariant`` and the ``skein`` suite of ``verify``,
+and ``D21LINK_SUPPORT_BUDGET`` the most states one block of the braid trace
+of ``invariant --braid`` may hold (default 400,000); each must be an
+integer of at least 1.
 Exit status is 0 on success and, for ``verify``, iff every check passes;
 bad input (a bad budget variable included) or an exceeded budget exits 2.
 """
@@ -30,8 +37,9 @@ from typing import List, Optional
 from . import dubrovnik
 from .ring import NotLaurentInQ, format_q_laurent, q_string
 from .rmatrix import EVEN_PAIRS, ODD_PAIRS, braiding, split_blocks
-from .tangle import (DEFAULT_TANGLE_BUDGET, DiagramError, evaluate_sliced,
-                     invariant, parse_braid, parse_sliced_text)
+from .tangle import (DEFAULT_SUPPORT_BUDGET, DEFAULT_TANGLE_BUDGET,
+                     DiagramError, evaluate_sliced, invariant, parse_braid,
+                     parse_sliced_text)
 from .verify import run_suites
 
 DEVIATIONS_FILE = "braiding_deviations.txt"
@@ -62,10 +70,14 @@ def _tangle_budget() -> int:
     return _budget("D21LINK_TANGLE_BUDGET", DEFAULT_TANGLE_BUDGET)
 
 
+def _support_budget() -> int:
+    return _budget("D21LINK_SUPPORT_BUDGET", DEFAULT_SUPPORT_BUDGET)
+
+
 def _cmd_invariant(args: argparse.Namespace) -> int:
     budget = _tangle_budget()
     if args.braid is not None:
-        result = invariant(parse_braid(args.braid), budget)
+        result = invariant(parse_braid(args.braid), budget, _support_budget())
     else:
         with open(args.sliced, "r", encoding="utf-8") as handle:
             result = evaluate_sliced(parse_sliced_text(handle.read()), budget)

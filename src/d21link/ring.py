@@ -296,9 +296,13 @@ class RatFunc:
     def __init__(self, num: QuarterLaurent, den: QuarterLaurent = ONE):
         if den.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
+        # a unit denominator is always the shared ONE, so that ``den is ONE``
+        # tells a polynomial without comparing terms
         if num.is_zero():
             num, den = ZERO, ONE
-        elif den != ONE:
+        elif den == ONE:
+            den = ONE
+        else:
             g = poly_gcd(num, den)
             if g != ONE:
                 num = exact_div(num, g)
@@ -311,13 +315,16 @@ class RatFunc:
             if scale != 1:
                 num = _divided(num, scale)
                 den = _divided(den, scale)
+            if den == ONE:
+                den = ONE
         self.num = num
         self.den = den
         self._hash = None
 
     @classmethod
     def _raw(cls, num: QuarterLaurent, den: QuarterLaurent) -> "RatFunc":
-        """Internal: wrap values already known to be canonical."""
+        """Internal: wrap values already known to be canonical (a unit
+        ``den`` must be the shared ``ONE``)."""
         out = cls.__new__(cls)
         out.num = num
         out.den = den
@@ -353,7 +360,7 @@ class RatFunc:
 
     def __add__(self, other) -> "RatFunc":
         other = _coerce(other)
-        if self.den == ONE and other.den == ONE:
+        if self.den is ONE and other.den is ONE:
             return RatFunc._raw(self.num + other.num, ONE)
         return RatFunc(self.num * other.den + other.num * self.den,
                        self.den * other.den)
@@ -368,7 +375,7 @@ class RatFunc:
 
     def __mul__(self, other) -> "RatFunc":
         other = _coerce(other)
-        if self.den == ONE and other.den == ONE:
+        if self.den is ONE and other.den is ONE:
             return RatFunc._raw(self.num * other.num, ONE)
         return RatFunc(self.num * other.num, self.den * other.den)
 
@@ -406,7 +413,7 @@ class RatFunc:
         return _ratio(self.num.evaluate_at_one(), den)
 
     def __repr__(self):
-        if self.den == ONE:
+        if self.den is ONE:
             return repr(self.num)
         return f"({self.num!r}) / ({self.den!r})"
 
@@ -455,7 +462,7 @@ def to_integer_laurent(value: RatFunc) -> Dict[int, int]:
     Succeeds iff the denominator is one, every t-exponent is divisible by
     four and every coefficient is an integer; returns ``{q_exponent: coeff}``.
     """
-    if value.den != ONE:
+    if value.den is not ONE:
         raise NotLaurentInQ("denominator is not 1", value.den)
     out: Dict[int, int] = {}
     for exp, coeff in value.num.terms.items():

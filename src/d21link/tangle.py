@@ -18,14 +18,26 @@ bystander strands.  A braid word skips the 2n-strand closure: its value is
 the quantum trace sum_v p(v) <v|B|v> over the basis of the n-strand power,
 where the pivotal weight p(v) is the product over strands of cup * cap for
 the pair closing each strand (valid because cup and cap pair the same basis
-vectors, which is checked).  Swapping v4 and v5 in every strand maps both
-crossing tables onto themselves and fixes p(v) (also checked), so the trace
-evolves one start column per swap orbit, its amplitude times the orbit
-size, in blocks of at most 216 columns that share their leading digits,
-one block at a time.  Both report the stats of the sliced fold (slices,
-peak strands, nominal dimension, peak support), which the trace reproduces
-exactly by summing each letter's support over the blocks, times the orbit
-size; the trace also reports its own figures (:class:`TraceStats`).
+vectors, which is checked).
+
+Before the trace the word is simplified, since the value belongs to the
+closure: inverse pairs cancel, cyclically (every crossing keeps p(a) p(b),
+so the trace is cyclic), and an end strand that at most one crossing meets
+is removed for a factor, the loop value 2 or the left partial trace of
+that crossing, -q^-1 or -q (framed Markov destabilisation; strand n is
+first moved to the left by reversing the strand order, a conjugation by
+the half twist).  The factors and the structure they rest on are checked
+where they are derived from the tables.
+
+Swapping v4 and v5 in every strand maps both crossing tables onto
+themselves and fixes p(v) (also checked), so the trace evolves one start
+column per swap orbit, its amplitude times the orbit size, in blocks of at
+most 216 columns that share their leading digits, one block at a time,
+each held to a support budget.  Both paths report the stats of the sliced
+fold (slices, peak strands, nominal dimension, peak support), which the
+trace reproduces exactly by summing each letter's support over the blocks,
+times the orbit size; for a braid word they describe the braid actually
+traced, and the trace also reports its own figures (:class:`TraceStats`).
 
 The tables are converted once to integer Laurent polynomials, so neither
 path touches rational-function arithmetic and values lie in Z[q, q^-1] by
@@ -53,6 +65,12 @@ EVENT_KINDS = ("cup", "cap", "pos", "neg")
 # admits the closure of any 6-strand braid.
 DEFAULT_TANGLE_BUDGET = 12
 
+# Most nonzero states one block of the braid trace may hold at once.  Peak
+# RSS measured 1.6-2.7 KiB per state of the largest block (CPython 3.11,
+# 64-bit Linux; 5- and 6-strand mixed-sign words of 15-16 letters), so a
+# refused block stays near 1 GiB; 5: (1 -2 3 -4)^4 needs 44,665.
+DEFAULT_SUPPORT_BUDGET = 400_000
+
 
 class DiagramError(ValueError):
     """Malformed braid text or sliced diagram."""
@@ -66,6 +84,13 @@ def _check_budget(strands: int, budget: int) -> None:
     if strands > budget:
         raise TangleBudgetExceeded(
             f"{strands} peak strands exceed the tangle budget {budget}")
+
+
+def _check_support(support: int, budget: int) -> None:
+    if support > budget:
+        raise TangleBudgetExceeded(
+            f"{support} states in one trace block exceed the support "
+            f"budget {budget}")
 
 
 class _BraidFields(NamedTuple):
@@ -190,6 +215,7 @@ def parse_sliced_text(text: str) -> SlicedDiagram:
 
 class TraceStats(NamedTuple):
     """What the braid trace of :func:`invariant` evolved."""
+    braid: str                 # the braid traced, after simplification
     strands: int
     columns: int               # 6 ** strands start columns of the trace
     columns_evaluated: int     # one per swap orbit
@@ -338,12 +364,17 @@ def _pivotal_weights(cup_table, cap_table) -> List[Dict[int, int]]:
     weights: List[Dict[int, int]] = [{}] * DIM
     for pair, cup_coeff in cups[()]:
         ((_, cap_coeff),) = caps[pair]
-        weight: Dict[int, int] = {}
-        for e1, c1 in cup_coeff.items():
-            for e2, c2 in cap_coeff.items():
-                weight[e1 + e2] = weight.get(e1 + e2, 0) + c1 * c2
-        weights[pair[1]] = weight
+        weights[pair[1]] = _product(cup_coeff, cap_coeff)
     return weights
+
+
+def _product(left: Dict[int, int], right: Dict[int, int]) -> Dict[int, int]:
+    """Product of two Laurent polynomials ``{q_exponent: coefficient}``."""
+    out: Dict[int, int] = {}
+    for e1, c1 in left.items():
+        for e2, c2 in right.items():
+            out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+    return {exp: coeff for exp, coeff in out.items() if coeff}
 
 
 def evaluate_sliced(diagram: SlicedDiagram,
@@ -403,6 +434,51 @@ def _trace_weights() -> Tuple[Dict[int, int], ...]:
     return tuple(weights)
 
 
+def _left_partial_trace(crossing_table, weights) -> Dict[int, int]:
+    """The scalar lambda with sum_x p(x) <x d|c|x b> = lambda [b = d] for
+    every pair of basis vectors b, d, where c is the crossing table: the
+    factor of closing the crossing's left strand on itself.
+
+    Raises ``ValueError`` unless that partial trace is one scalar, or unless
+    c keeps p(a) p(b) on every entry, so that the weighted trace is cyclic.
+    (With these weights the right partial trace is not a scalar.)"""
+    _, table = crossing_table
+    partial = {(b, d): {} for b in range(DIM) for d in range(DIM)}
+    for (x, b), rows in table.items():
+        for (y, d), coeff in rows:
+            if (_product(weights[x], weights[b])
+                    != _product(weights[y], weights[d])):
+                raise ValueError("a crossing does not keep the pivotal "
+                                 "weights; the trace is not cyclic")
+            if y == x:
+                terms = partial[b, d]
+                for exp, value in _product(weights[x], coeff).items():
+                    terms[exp] = terms.get(exp, 0) + value
+    partial = {pair: {e: c for e, c in terms.items() if c}
+               for pair, terms in partial.items()}
+    scalar = partial[0, 0]
+    if any(terms != (scalar if b == d else {})
+           for (b, d), terms in partial.items()):
+        raise ValueError("the left partial trace of a crossing is not a "
+                         "scalar; its strand cannot be removed")
+    return scalar
+
+
+@lru_cache(maxsize=None)
+def _markov_factors() -> Tuple[Dict[int, int], Dict[str, Dict[int, int]]]:
+    """``(loop, {kind: factor})``: the factor of removing a closure strand
+    that no crossing meets (the loop value sum_v p(v)), or that one
+    crossing of each kind meets (its left partial trace)."""
+    weights = _trace_weights()
+    loop: Dict[int, int] = {}
+    for weight in weights:
+        for exp, coeff in weight.items():
+            loop[exp] = loop.get(exp, 0) + coeff
+    loop = {exp: coeff for exp, coeff in loop.items() if coeff}
+    return loop, {kind: _left_partial_trace(_event_table(kind), weights)
+                  for kind in ("pos", "neg")}
+
+
 def _swapped(column: int, strands: int) -> int:
     """``column`` with ``_SWAP`` applied to each of its base-6 digits."""
     image, place = 0, 1
@@ -447,19 +523,18 @@ def _digit_products(factors: List[int], digits: int) -> List[int]:
     return products
 
 
-def invariant(word: BraidWord,
-              budget: int = DEFAULT_TANGLE_BUDGET) -> EvalResult:
-    """Value of the framed-link invariant on the trace closure of a braid,
-    as the quantum trace sum_v p(v) <v|B|v> over the n-strand basis.
+def _trace(word: BraidWord,
+           support_budget: int = DEFAULT_SUPPORT_BUDGET) -> EvalResult:
+    """The quantum trace sum_v p(v) <v|B|v> of ``word`` as written.
 
     Only one column of each swap orbit {v, sv} is evolved, its start
     amplitude times the orbit size, one block of columns at a time (see
     :func:`_column_blocks`).  Its stats are those of the fold over
-    :func:`braid_closure_slices`, whose 2n strands are checked against
-    ``budget`` before any work: the support after each letter is summed
-    over the blocks, each block counted once per orbit member."""
+    :func:`braid_closure_slices`: the support after each letter is summed
+    over the blocks, each block counted once per orbit member.  A block
+    holding more than ``support_budget`` states, at its start or after any
+    letter, raises :class:`TangleBudgetExceeded`."""
     n = word.strands
-    _check_budget(2 * n, budget)
     size, windows = DIM ** n, DIM * DIM
     weights = _trace_weights()
     start_l1 = sum(_l1(weight) for weight in weights) ** n
@@ -488,6 +563,7 @@ def invariant(word: BraidWord,
         # from, row where the braid has taken it; letters act on row digits
         state = {v * size + v: head_amp * tail_amps[v % tail] for v in columns}
         block_peak = len(state)
+        _check_support(block_peak, support_budget)
         supports[0] += multiplicity * block_peak
         for index, (unit, rows) in enumerate(steps, 1):
             new_state: Dict[int, int] = {}
@@ -497,12 +573,84 @@ def invariant(word: BraidWord,
                     target = key + delta
                     new_state[target] = get(target, 0) + amp * coeff
             state = {key: amp for key, amp in new_state.items() if amp}
-            supports[index] += multiplicity * len(state)
-            block_peak = max(block_peak, len(state))
+            support = len(state)
+            _check_support(support, support_budget)
+            supports[index] += multiplicity * support
+            block_peak = max(block_peak, support)
         peak_block_support = max(peak_block_support, block_peak)
         total += sum(state.get(v * size + v, 0) for v in columns)
     value = _decode(total, bits, shift, span + 1)
-    trace = TraceStats(n, size, sum(len(columns) for _, columns in blocks),
+    trace = TraceStats(str(word), n, size,
+                       sum(len(columns) for _, columns in blocks),
                        len(blocks), peak_block_support)
     return EvalResult(tuple(sorted(value.items())), 2 * n + len(kinds), 2 * n,
                       DIM ** (2 * n), max(supports), trace)
+
+
+def _cyclically_reduced(letters) -> List[int]:
+    """``letters`` with every adjacent inverse pair cancelled, also across
+    the ends of the word (the trace is cyclic): one stack pass, then the
+    ends are trimmed while they cancel."""
+    stack: List[int] = []
+    for letter in letters:
+        if stack and stack[-1] == -letter:
+            stack.pop()
+        else:
+            stack.append(letter)
+    lo, hi = 0, len(stack)
+    while hi - lo > 1 and stack[lo] == -stack[hi - 1]:
+        lo += 1
+        hi -= 1
+    return stack[lo:hi]
+
+
+def _simplify_braid(word: BraidWord) -> Tuple[BraidWord, Dict[int, int]]:
+    """``(braid, factor)`` whose closure is that of ``word`` up to the
+    factor: the trace of ``word`` is ``factor`` times the trace of
+    ``braid``.  Repeats these moves until none applies:
+
+    * cyclic free reduction (:func:`_cyclically_reduced`);
+    * if sigma_1 occurs at most once, remove strand 1: drop that letter and
+      shift the others down by one, for the left partial trace of the
+      crossing, or the loop value 2 if sigma_1 does not occur (Markov
+      destabilisation, framed; :func:`_markov_factors`);
+    * else if sigma_(n-1) occurs at most once, first reverse the strands,
+      k -> n - k: conjugation by the half twist, whose closure is the
+      same."""
+    loop, crossing = _markov_factors()
+    n, letters, factor = word.strands, list(word.letters), {0: 1}
+    while True:
+        letters = _cyclically_reduced(letters)
+        if n == 1:
+            break
+        firsts = [k for k in letters if abs(k) == 1]
+        if len(firsts) > 1:
+            if sum(abs(k) == n - 1 for k in letters) > 1:
+                break
+            letters = [(n if k > 0 else -n) - k for k in letters]
+            firsts = [k for k in letters if abs(k) == 1]
+        if firsts:
+            factor = _product(factor, crossing["pos" if firsts[0] > 0 else "neg"])
+        else:
+            factor = _product(factor, loop)
+        letters = [k - 1 if k > 0 else k + 1 for k in letters if abs(k) != 1]
+        n -= 1
+    return BraidWord(n, tuple(letters)), factor
+
+
+def invariant(word: BraidWord, budget: int = DEFAULT_TANGLE_BUDGET,
+              support_budget: int = DEFAULT_SUPPORT_BUDGET) -> EvalResult:
+    """Value of the framed-link invariant on the trace closure of a braid,
+    as the quantum trace sum_v p(v) <v|B|v> over the n-strand basis.
+
+    The 2n strands of the closure's fold are checked against ``budget``
+    before any work.  The word is then simplified (:func:`_simplify_braid`)
+    and the braid that remains is traced (:func:`_trace`, which checks
+    ``support_budget``); the value is that trace times the simplification's
+    factor, and every stat, the trace's own figures included, describes
+    the braid actually traced."""
+    _check_budget(2 * word.strands, budget)
+    braid, factor = _simplify_braid(word)
+    result = _trace(braid, support_budget)
+    value = _product(dict(result.value), factor)
+    return result._replace(value=tuple(sorted(value.items())))

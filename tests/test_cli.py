@@ -27,9 +27,20 @@ def test_invariant_json_schema(capsys):
     assert payload["stats"] == {"slices": 7, "peak_strands": 4,
                                 "peak_dimension": 1296, "peak_support": 88}
     # 4 ** 2 fixed columns and (36 - 16) / 2 paired ones, in one block each
-    assert payload["trace"] == {"strands": 2, "columns": 36,
-                                "columns_evaluated": 26, "blocks": 2,
-                                "peak_block_support": 44}
+    assert payload["trace"] == {"braid": "2: 1 1 1", "strands": 2,
+                                "columns": 36, "columns_evaluated": 26,
+                                "blocks": 2, "peak_block_support": 44}
+    # the stats describe the braid that was traced, after simplification
+    code, out, _ = run_cli(capsys, "invariant", "--braid", "4: 1 2 1 3 1",
+                           "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["value"] == "-2*q^-5"          # (-q^-1)^2 * (-2*q^-3)
+    assert payload["stats"]["slices"] == 7
+    assert list(payload["trace"]) == ["braid", "strands", "columns",
+                                      "columns_evaluated", "blocks",
+                                      "peak_block_support"]
+    assert payload["trace"]["braid"] == "2: 1 1 1"
 
 
 def test_invariant_from_sliced_file(tmp_path, capsys):
@@ -184,6 +195,19 @@ def test_skein_budget_env_must_be_a_positive_integer(capsys, monkeypatch):
         for argv in (("dubrovnik", "--braid", "1:"), ("verify", "--suite", "skein")):
             assert run_cli(capsys, *argv) == (
                 2, "", f"error: D21LINK_SKEIN_BUDGET {reason}: {raw!r}\n")
+
+
+def test_support_budget_env_override(capsys, monkeypatch):
+    monkeypatch.setenv("D21LINK_SUPPORT_BUDGET", "10")
+    assert run_cli(capsys, "invariant", "--braid", "3: 1 -2 1 -2") == (
+        2, "", "error: 64 states in one trace block exceed the support "
+               "budget 10\n")
+    # simplifies to one strand, whose blocks hold 4 and 1 states
+    assert run_cli(capsys, "invariant", "--braid", "3: 1 -2") == (0, "2\n", "")
+    for raw, reason in (("lots", "is not an integer"), ("0", "must be at least 1")):
+        monkeypatch.setenv("D21LINK_SUPPORT_BUDGET", raw)
+        assert run_cli(capsys, "invariant", "--braid", "1:") == (
+            2, "", f"error: D21LINK_SUPPORT_BUDGET {reason}: {raw!r}\n")
 
 
 def test_verify_honours_the_tangle_budget(capsys, monkeypatch):

@@ -12,7 +12,7 @@ import pytest
 from d21link.dubrovnik import (DELTA, TwoVarPoly, braid_closure_graph,
                                dubrovnik_poly, specialize)
 from d21link.tangle import (BraidWord, braid_closure_slices, evaluate_sliced,
-                            invariant, parse_braid)
+                            invariant, parse_braid, _trace)
 from helpers import plain_dubrovnik
 
 
@@ -56,10 +56,15 @@ TRACE_VS_FOLD = WORDS + [parse_braid(text) for text in (
     "5: 1 -2 3 -4")]
 
 
+def stats(result):
+    return (result.slices, result.peak_strands, result.peak_dimension,
+            result.peak_support)
+
+
 def test_trace_vs_fold_covers_every_kind_of_column_block():
     # 4 and 5 strands: blocks of several leading digits, among them heads
     # holding v4 (all columns paired); every word: fixed and paired columns
-    traces = [invariant(word).trace for word in TRACE_VS_FOLD]
+    traces = [_trace(word).trace for word in TRACE_VS_FOLD]
     assert {trace.strands for trace in traces} >= {1, 2, 3, 4, 5}
     assert max(trace.blocks for trace in traces) == 42
     for trace in traces:
@@ -68,14 +73,16 @@ def test_trace_vs_fold_covers_every_kind_of_column_block():
 
 @pytest.mark.parametrize("word", TRACE_VS_FOLD, ids=str)
 def test_trace_matches_the_sliced_fold_of_the_closure(word):
-    # value and every stat: slices, peak strands, nominal dimension and
-    # the support after each event all come out of the 2n-strand fold
-    trace = invariant(word)
+    # the trace of the word as written: value and every stat (slices, peak
+    # strands, nominal dimension and the support after each event) come
+    # out of the 2n-strand fold
     fold = evaluate_sliced(braid_closure_slices(word))
-    assert (trace.value, trace.slices, trace.peak_strands,
-            trace.peak_dimension, trace.peak_support) == \
-        (fold.value, fold.slices, fold.peak_strands,
-         fold.peak_dimension, fold.peak_support)
+    trace = _trace(word)
+    assert (trace.value, stats(trace)) == (fold.value, stats(fold))
+    # the invariant: the same value, and the stats of the braid it traced
+    result = invariant(word)
+    traced = evaluate_sliced(braid_closure_slices(parse_braid(result.trace.braid)))
+    assert (result.value, stats(result)) == (fold.value, stats(traced))
 
 
 @pytest.mark.parametrize("word", WORDS, ids=str)
@@ -158,6 +165,19 @@ SIMPLIFIED_VS_PLAIN = {
     "2-strand-up-to-8": all_words(2, 8),
     "3-strand-up-to-5": all_words(3, 5),
 }
+
+
+@pytest.mark.parametrize("strands, most_letters", [(2, 8), (3, 4)])
+def test_simplified_braid_matches_the_unsimplified_fold(strands, most_letters):
+    # every word of up to 8 letters on 2 strands and of up to 4 on 3: the
+    # seeded words are compared in test_trace_matches_the_sliced_fold_...
+    for word in all_words(strands, most_letters):
+        result = invariant(word)
+        braid = parse_braid(result.trace.braid)
+        assert braid.strands <= word.strands
+        assert len(braid.letters) <= len(word.letters)
+        assert result.value == \
+            evaluate_sliced(braid_closure_slices(word)).value, word
 
 
 @pytest.mark.parametrize("family", sorted(SIMPLIFIED_VS_PLAIN))

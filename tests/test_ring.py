@@ -5,7 +5,7 @@ import pytest
 
 from d21link.ring import (BRACKET_EXPONENTS, LAMBDA, NotLaurentInQ, ONE, Q,
                           QINV, RF_LAMBDA, RF_ONE, RF_Q, RF_ZERO,
-                          QuarterLaurent, RatFunc, format_q_laurent,
+                          ZERO, QuarterLaurent, RatFunc, format_q_laurent,
                           exact_div, poly_gcd, q_factorial, q_integer,
                           q_string, to_integer_laurent)
 from d21link.rmatrix import braiding
@@ -122,6 +122,27 @@ def test_canonical_denominator_shape():
             assert value.den.valuation() == 0
             assert value.den.content() == 1
             assert value.den.leading_coefficient() > 0
+
+
+def test_unit_denominators_are_the_shared_one():
+    # the polynomial fast paths and to_integer_laurent test ``den is ONE``
+    two = QuarterLaurent({0: 2})
+    values = (RatFunc(Q, QuarterLaurent({0: 1})),    # equal to ONE, not it
+              RatFunc(Q * two, two),                   # 1 after the content
+              RatFunc(Q * Q, Q),                       # 1 after the shift
+              RatFunc(Q + ONE, Q + ONE),               # 1 after the gcd
+              RatFunc(ZERO, Q),
+              RatFunc.from_poly(Q) * RatFunc(QINV, QINV),
+              RF_Q + RatFunc(Q, Q))
+    for value in values:
+        assert value.den is ONE
+    assert to_integer_laurent(values[0]) == {1: 1}
+    assert to_integer_laurent(values[-1]) == {0: 1, 1: 1}
+    rng = random.Random(29)
+    for _ in range(30):
+        a, b = random_ratfunc(rng), random_ratfunc(rng)
+        for value in (a, a + b, a * b, -a):
+            assert (value.den is ONE) == (value.den == ONE)
 
 
 def test_gcd_divides_both_arguments():

@@ -12,8 +12,10 @@ from d21link.tangle import (BraidWord, DiagramError, SlicedDiagram,
                             SlicedEvent, TangleBudgetExceeded,
                             braid_closure_slices, evaluate_sliced, invariant,
                             parse_braid, parse_sliced_text,
-                            _check_swap, _decode, _event_table, _pack,
-                            _pivotal_weights, _trace_weights)
+                            _check_swap, _cyclically_reduced, _decode,
+                            _event_table, _left_partial_trace,
+                            _markov_factors, _pack, _pivotal_weights,
+                            _simplify_braid, _trace, _trace_weights)
 
 
 def value_of(text):
@@ -143,15 +145,19 @@ def test_eval_result_stats():
     assert result.canonical() == "-2*q^-3"
     assert invariant(parse_braid("3: 1 -2 1 -2")).peak_support == 1550
     assert invariant(parse_braid("4: 1 2 3 1 2 3")).peak_support == 12586
+    # a word that simplifies away reports the stats of what was traced
+    unknot = invariant(parse_braid("5: 1 -2 3 -4"))
+    assert (unknot.canonical(), unknot.slices, unknot.peak_strands,
+            unknot.peak_dimension, unknot.trace.braid) == ("2", 2, 2, 36, "1:")
 
 
 def test_trace_evaluates_one_column_per_swap_orbit():
     for n in range(1, 6):
-        trace = invariant(BraidWord(n, ())).trace
+        trace = _trace(BraidWord(n, ())).trace
         # 4 ** n columns free of v4 and v5 are fixed by the swap
         assert (trace.strands, trace.columns, trace.columns_evaluated) == \
             (n, 6 ** n, (6 ** n + 4 ** n) // 2)
-    assert invariant(parse_braid("5:")).trace.blocks == 42
+    assert _trace(parse_braid("5:")).trace.blocks == 42
     assert evaluate_sliced(braid_closure_slices(parse_braid("2: 1"))).trace is None
 
 
@@ -264,8 +270,8 @@ def test_five_strand_mixed_word_runs_in_small_memory():
     src = Path(__file__).parents[1] / "src"
     code = (
         "import json, resource\n"
-        "from d21link.tangle import invariant, parse_braid\n"
-        "result = invariant(parse_braid('5: 1 -2 3 -4 1 -2'))\n"
+        "from d21link.tangle import _trace, parse_braid\n"
+        "result = _trace(parse_braid('5: 1 -2 3 -4 1 -2'))\n"
         "rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
         "print(json.dumps([result.canonical(), result.peak_support,\n"
         "                  result.trace.peak_block_support, rss]))")
@@ -291,3 +297,69 @@ def test_trace_is_twice_the_specialized_skein_value(text):
     word = parse_braid(text)
     skein = specialize(dubrovnik_poly(braid_closure_graph(word)))
     assert invariant(word).value_dict() == {e: 2 * c for e, c in skein.items()}
+
+
+def test_cyclic_free_reduction():
+    assert _cyclically_reduced([1, 2, -2, -1, 3]) == [3]
+    assert _cyclically_reduced([1, 2, -1]) == [2]          # across the ends
+    assert _cyclically_reduced([-1, 2, 3, 1]) == [2, 3]
+    assert _cyclically_reduced([1, 1, 2, 2]) == [1, 1, 2, 2]
+    assert _cyclically_reduced([1, -1, 1]) == [1]
+    assert _cyclically_reduced([2, -2, -1, 1]) == []
+
+
+@pytest.mark.parametrize("text, braid, factor", [
+    ("3: 1 -2", "1:", {0: 1}),                # -q^-1 times -q
+    ("3: 2 1 -2", "1:", {-1: -2}),            # 2 -2 cancel once 1 went
+    ("4: 1 1 3", "2: 1 1", {-1: -2}),         # strand 4 after a flip
+    ("4: 1 2 1 3", "2: 1 1", {-2: 1}),
+    ("4: 1 1 3 3", "4: 1 1 3 3", {0: 1}),
+    ("2: 1 1 1", "2: 1 1 1", {0: 1}),
+    ("3: 1 -2 1 -2", "3: 1 -2 1 -2", {0: 1}),
+    ("5: 1 -2 3 -4 1 -2 3 -4", "5: 1 -2 3 -4 1 -2 3 -4", {0: 1}),
+    ("5: " + " ".join(["1 -2 3 -4"] * 3), "5: " + " ".join(["1 -2 3 -4"] * 3),
+     {0: 1}),
+])
+def test_simplify_braid(text, braid, factor):
+    word = parse_braid(text)
+    simplified, scale = _simplify_braid(word)
+    assert (str(simplified), scale) == (braid, factor)
+    if simplified.strands < 4:      # the unsimplified fold stays small
+        assert invariant(word).value == \
+            evaluate_sliced(braid_closure_slices(word)).value
+
+
+def test_markov_factors_come_from_the_braiding():
+    assert _markov_factors() == ({0: 2}, {"pos": {-1: -1}, "neg": {1: -1}})
+
+
+def test_destabilisation_needs_a_scalar_left_partial_trace():
+    weights = _trace_weights()
+    for kind in ("pos", "neg"):
+        width, table = _event_table(kind)
+        assert _left_partial_trace((width, table), weights) == \
+            _markov_factors()[1][kind]
+        doubled = dict(table)           # <v1 v1|c|v1 v1> alone made twice
+        doubled[(0, 0)] = tuple(
+            (row, {e: 2 * c for e, c in coeff.items()} if row == (0, 0) else coeff)
+            for row, coeff in table[(0, 0)])
+        with pytest.raises(ValueError, match="not a scalar"):
+            _left_partial_trace((width, doubled), weights)
+        moved = dict(table)             # v1 (x) v1 sent to v2 (x) v1
+        moved[(0, 0)] = tuple(((1, 0) if row == (0, 0) else row, coeff)
+                              for row, coeff in table[(0, 0)])
+        with pytest.raises(ValueError, match="cyclic"):
+            _left_partial_trace((width, moved), weights)
+
+
+def test_support_budget_refuses_a_block_early():
+    word = parse_braid("6: 1 -2 3 -4 5 1 -2 3 -4 5")
+    with pytest.raises(TangleBudgetExceeded, match="support budget 5000$"):
+        invariant(word, support_budget=5000)
+    with pytest.raises(TangleBudgetExceeded,
+                       match="^64 states in one trace block exceed"):
+        invariant(parse_braid("3: 1 -2 1 -2"), support_budget=10)
+    # a word that simplifies to one strand needs only its 4 fixed columns
+    assert invariant(parse_braid("3: 1 -2"), support_budget=4).value_dict() == {0: 2}
+    with pytest.raises(TangleBudgetExceeded):
+        invariant(parse_braid("3: 1 -2"), support_budget=3)
