@@ -10,18 +10,22 @@ Commands::
 
 Output is deterministic: polynomials in canonical ascending-exponent form,
 matrices row-major (split blocks use the fixed parity-block basis order).
-``invariant --braid`` first simplifies the word (cyclic free reduction and
-Markov destabilisation of end strands) and traces the braid that remains;
-its ``--json`` stats describe that braid, whose text is the ``"braid"``
-entry of the ``"trace"`` key.
+``invariant --braid`` first simplifies the word (cyclic free reduction,
+Markov destabilisation of end strands and, when those stall on three
+strands or more, a bounded search by far commutation and braid relations)
+and traces the braid that remains.  Its ``--json`` stats describe that
+braid, whose text is the ``"braid"`` entry of the ``"trace"`` key; the
+``"simplify"`` key holds the word as given (``"input"``), the braid
+relations on the way to the traced braid (``"relation_moves"``) and the
+words the searches reached (``"words_searched"``).
 
 The environment variable ``D21LINK_SKEIN_BUDGET`` overrides the crossing
 and strand budget of the skein oracle (default 16),
 ``D21LINK_TANGLE_BUDGET`` the most strands a tangle evaluation may hold at
 once (default 12), for ``invariant`` and the ``skein`` suite of ``verify``,
 and ``D21LINK_SUPPORT_BUDGET`` the most states one block of the braid trace
-of ``invariant --braid`` may hold (default 400,000); each must be an
-integer of at least 1.
+of ``invariant --braid``, or the fold of ``invariant --sliced`` after any
+event, may hold (default 400,000); each must be an integer of at least 1.
 Exit status is 0 on success and, for ``verify``, iff every check passes;
 bad input (a bad budget variable included) or an exceeded budget exits 2.
 """
@@ -80,7 +84,8 @@ def _cmd_invariant(args: argparse.Namespace) -> int:
         result = invariant(parse_braid(args.braid), budget, _support_budget())
     else:
         with open(args.sliced, "r", encoding="utf-8") as handle:
-            result = evaluate_sliced(parse_sliced_text(handle.read()), budget)
+            result = evaluate_sliced(parse_sliced_text(handle.read()), budget,
+                                     _support_budget())
     if args.json:
         payload = {
             "value": result.canonical(),
@@ -93,6 +98,8 @@ def _cmd_invariant(args: argparse.Namespace) -> int:
         }
         if result.trace is not None:
             payload["trace"] = result.trace._asdict()
+        if result.simplify is not None:
+            payload["simplify"] = result.simplify._asdict()
         print(json.dumps(payload, indent=2))
     else:
         print(result.canonical())

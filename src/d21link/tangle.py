@@ -26,18 +26,23 @@ so the trace is cyclic), and an end strand that at most one crossing meets
 is removed for a factor, the loop value 2 or the left partial trace of
 that crossing, -q^-1 or -q (framed Markov destabilisation; strand n is
 first moved to the left by reversing the strand order, a conjugation by
-the half twist).  The factors and the structure they rest on are checked
-where they are derived from the tables.
+the half twist).  When both end strands meet two crossings or more, a
+bounded breadth-first search by far commutation and braid relations looks
+for a conjugate word where one of those moves applies.  The factors, the
+braid relations and the structure they rest on are checked where they are
+derived from the tables, the relations on the first relation move.
 
 Swapping v4 and v5 in every strand maps both crossing tables onto
 themselves and fixes p(v) (also checked), so the trace evolves one start
 column per swap orbit, its amplitude times the orbit size, in blocks of at
 most 216 columns that share their leading digits, one block at a time,
-each held to a support budget.  Both paths report the stats of the sliced
-fold (slices, peak strands, nominal dimension, peak support), which the
-trace reproduces exactly by summing each letter's support over the blocks,
-times the orbit size; for a braid word they describe the braid actually
-traced, and the trace also reports its own figures (:class:`TraceStats`).
+each held to a support budget, as the sliced fold is after each event.
+Both paths report the stats of the sliced fold (slices, peak strands,
+nominal dimension, peak support), which the trace reproduces exactly by
+summing each letter's support over the blocks, times the orbit size; for a
+braid word they describe the braid actually traced, the trace also reports
+its own figures (:class:`TraceStats`), and :func:`invariant` what the
+simplification did (:class:`SimplifyStats`).
 
 The tables are converted once to integer Laurent polynomials, so neither
 path touches rational-function arithmetic and values lie in Z[q, q^-1] by
@@ -52,6 +57,7 @@ normalization.
 from __future__ import annotations
 
 import re
+from collections import deque
 from functools import lru_cache
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
@@ -223,6 +229,13 @@ class TraceStats(NamedTuple):
     peak_block_support: int    # most nonzero states one block held at once
 
 
+class SimplifyStats(NamedTuple):
+    """What :func:`_simplify_braid` did to a word before the trace."""
+    input: str             # the braid as given
+    relation_moves: int    # braid relations on the way to the traced braid
+    words_searched: int    # words all relation searches reached
+
+
 class EvalResult(NamedTuple):
     value: Tuple[Tuple[int, int], ...]   # sorted (q-exponent, coefficient)
     slices: int
@@ -230,6 +243,7 @@ class EvalResult(NamedTuple):
     peak_dimension: int    # nominal state-space bound 6 ** peak_strands
     peak_support: int      # most nonzero states held after any event
     trace: Optional[TraceStats] = None   # set by the braid trace only
+    simplify: Optional[SimplifyStats] = None   # set by invariant only
 
     def value_dict(self) -> Dict[int, int]:
         return dict(self.value)
@@ -332,19 +346,42 @@ def _packed_table(kind: str, bits: int) -> Tuple[int, int, int, Dict[tuple, tupl
         for window, rows in table.items()}
 
 
-@lru_cache(maxsize=256)
-def _letter_rows(kind: str, bits: int, unit: int) -> Tuple[int, int, List[tuple]]:
-    """``(shift, span, rows)`` of a crossing for the braid trace: ``rows[w]``
-    lists ``((w' - w) * unit, packed coefficient)`` for the two-strand
-    window ``w = 6 * left + right`` going to ``w'``, whose right digit has
-    place value ``unit`` in a state key."""
-    shift, span, _, table = _packed_table(kind, bits)
+def _window_rows(table: Dict[tuple, tuple], unit: int) -> List[tuple]:
+    """``rows[w]`` lists ``((w' - w) * unit, coefficient)`` for the
+    two-strand window ``w = 6 * left + right`` of a crossing ``table``
+    going to ``w'``, whose right digit has place value ``unit`` in a state
+    key (see :func:`_apply_letter`)."""
     rows: List[tuple] = [()] * (DIM * DIM)
     for (a, b), entries in table.items():
         window = a * DIM + b
         rows[window] = tuple(((c * DIM + d - window) * unit, coeff)
                              for (c, d), coeff in entries)
-    return shift, span, rows
+    return rows
+
+
+@lru_cache(maxsize=256)
+def _letter_rows(kind: str, bits: int, unit: int) -> Tuple[int, int, List[tuple]]:
+    """``(shift, span, rows)`` of a crossing for the braid trace: the
+    :func:`_window_rows` of its table packed at ``bits``."""
+    shift, span, _, table = _packed_table(kind, bits)
+    return shift, span, _window_rows(table, unit)
+
+
+def _apply_letter(state: Dict[int, int], unit: int,
+                  rows: List[tuple]) -> Dict[int, int]:
+    """A crossing applied to every nonzero state ``{key: amplitude}``.
+    Keys are ``col * 6 ** n + row``: ``col`` the basis vector a column
+    started from, ``row`` where the letters so far have taken it, one
+    base-6 digit per strand; the crossing acts on the two row digits whose
+    right one has place value ``unit``."""
+    new_state: Dict[int, int] = {}
+    get = new_state.get
+    windows = DIM * DIM
+    for key, amp in state.items():
+        for delta, coeff in rows[key // unit % windows]:
+            target = key + delta
+            new_state[target] = get(target, 0) + amp * coeff
+    return {key: amp for key, amp in new_state.items() if amp}
 
 
 def _pivotal_weights(cup_table, cap_table) -> List[Dict[int, int]]:
@@ -378,16 +415,19 @@ def _product(left: Dict[int, int], right: Dict[int, int]) -> Dict[int, int]:
 
 
 def evaluate_sliced(diagram: SlicedDiagram,
-                    budget: int = DEFAULT_TANGLE_BUDGET) -> EvalResult:
+                    budget: int = DEFAULT_TANGLE_BUDGET,
+                    support_budget: int = DEFAULT_SUPPORT_BUDGET) -> EvalResult:
     """Fold the event list over a state vector and return the scalar value;
-    more than ``budget`` strands at once is refused before any allocation."""
+    more than ``budget`` strands at once is refused before any allocation,
+    and more than ``support_budget`` nonzero states after any event raises
+    :class:`TangleBudgetExceeded` right after that event."""
     peak = diagram.peak_strands()
     _check_budget(peak, budget)
     bits = _bits(1, (event.kind for event in diagram.events))
     shift = span = 0
     state: Dict[tuple, int] = {(): 1}
     peak_support = 1
-    for event in diagram.events:
+    for index, event in enumerate(diagram.events, 1):
         kind_shift, kind_span, width, table = _packed_table(event.kind, bits)
         shift += kind_shift
         span += kind_span
@@ -399,6 +439,11 @@ def evaluate_sliced(diagram: SlicedDiagram,
                 target = key[:lo] + replacement + key[hi:]
                 new_state[target] = new_state.get(target, 0) + amp * coeff
         state = {key: amp for key, amp in new_state.items() if amp}
+        if len(state) > support_budget:
+            raise TangleBudgetExceeded(
+                f"{len(state)} states after event {index} ({event.kind} "
+                f"{event.position}) of the sliced fold exceed the support "
+                f"budget {support_budget}")
         peak_support = max(peak_support, len(state))
     value = _decode(state.get((), 0), bits, shift, span + 1)
     return EvalResult(tuple(sorted(value.items())), diagram.slices, peak,
@@ -523,9 +568,11 @@ def _digit_products(factors: List[int], digits: int) -> List[int]:
     return products
 
 
-def _trace(word: BraidWord,
-           support_budget: int = DEFAULT_SUPPORT_BUDGET) -> EvalResult:
-    """The quantum trace sum_v p(v) <v|B|v> of ``word`` as written.
+def trace(word: BraidWord, budget: int = DEFAULT_TANGLE_BUDGET,
+          support_budget: int = DEFAULT_SUPPORT_BUDGET) -> EvalResult:
+    """The quantum trace sum_v p(v) <v|B|v> of ``word`` as written, with
+    no simplification; the 2n strands of its closure are checked against
+    ``budget`` first.
 
     Only one column of each swap orbit {v, sv} is evolved, its start
     amplitude times the orbit size, one block of columns at a time (see
@@ -534,8 +581,9 @@ def _trace(word: BraidWord,
     over the blocks, each block counted once per orbit member.  A block
     holding more than ``support_budget`` states, at its start or after any
     letter, raises :class:`TangleBudgetExceeded`."""
+    _check_budget(2 * word.strands, budget)
     n = word.strands
-    size, windows = DIM ** n, DIM * DIM
+    size = DIM ** n
     weights = _trace_weights()
     start_l1 = sum(_l1(weight) for weight in weights) ** n
     kinds = ["pos" if letter > 0 else "neg" for letter in word.letters]
@@ -566,13 +614,7 @@ def _trace(word: BraidWord,
         _check_support(block_peak, support_budget)
         supports[0] += multiplicity * block_peak
         for index, (unit, rows) in enumerate(steps, 1):
-            new_state: Dict[int, int] = {}
-            get = new_state.get
-            for key, amp in state.items():
-                for delta, coeff in rows[key // unit % windows]:
-                    target = key + delta
-                    new_state[target] = get(target, 0) + amp * coeff
-            state = {key: amp for key, amp in new_state.items() if amp}
+            state = _apply_letter(state, unit, rows)
             support = len(state)
             _check_support(support, support_budget)
             supports[index] += multiplicity * support
@@ -580,11 +622,11 @@ def _trace(word: BraidWord,
         peak_block_support = max(peak_block_support, block_peak)
         total += sum(state.get(v * size + v, 0) for v in columns)
     value = _decode(total, bits, shift, span + 1)
-    trace = TraceStats(str(word), n, size,
+    stats = TraceStats(str(word), n, size,
                        sum(len(columns) for _, columns in blocks),
                        len(blocks), peak_block_support)
     return EvalResult(tuple(sorted(value.items())), 2 * n + len(kinds), 2 * n,
-                      DIM ** (2 * n), max(supports), trace)
+                      DIM ** (2 * n), max(supports), stats)
 
 
 def _cyclically_reduced(letters) -> List[int]:
@@ -604,9 +646,125 @@ def _cyclically_reduced(letters) -> List[int]:
     return stack[lo:hi]
 
 
-def _simplify_braid(word: BraidWord) -> Tuple[BraidWord, Dict[int, int]]:
-    """``(braid, factor)`` whose closure is that of ``word`` up to the
-    factor: the trace of ``word`` is ``factor`` times the trace of
+# The signed braid relations sigma_i^a sigma_j^b sigma_i^c =
+# sigma_j^a' sigma_i^b' sigma_j^c' (|i - j| = 1), keyed by the signs
+# (a, b, c); (+ - +) and (- + -) have no such form.
+_RELATIONS = {(1, 1, 1): (1, 1, 1), (-1, -1, -1): (-1, -1, -1),
+              (1, 1, -1): (-1, 1, 1), (-1, 1, 1): (1, 1, -1),
+              (1, -1, -1): (-1, -1, 1), (-1, -1, 1): (1, -1, -1)}
+
+# Most words one relation search reaches before it gives up.
+_SEARCH_CAP = 256
+
+
+def _check_braid_relations(pos_table, neg_table) -> None:
+    """Raise ``ValueError`` unless, exactly on the integer crossing tables,
+    neg undoes pos on two strands and sigma_1 sigma_2 sigma_1 =
+    sigma_2 sigma_1 sigma_2 on every three-strand basis vector; the six
+    signed relations of :data:`_RELATIONS` follow from these two.
+
+    Both sides are compared Kronecker-packed at one shift, with ``bits``
+    from the largest column L1 sum of either table to the third power, so
+    equal packed matrices are equal matrices."""
+    tables = (pos_table[1], neg_table[1])
+    coeffs = [coeff for table in tables for rows in table.values()
+              for _, coeff in rows]
+    bound = max(sum(_l1(coeff) for _, coeff in rows) for table in tables
+                for rows in table.values()) ** 3
+    bits = bound.bit_length() + 2
+    shift = -min(exp for coeff in coeffs for exp in coeff)
+    pos, neg = ({window: [(replacement, _pack(coeff, bits, shift))
+                          for replacement, coeff in rows]
+                 for window, rows in table.items()} for table in tables)
+
+    def identity(strands):
+        size = DIM ** strands
+        return {v * size + v: 1 for v in range(size)}
+
+    def product(state, *letters):
+        for unit, rows in letters:
+            state = _apply_letter(state, unit, rows)
+        return state
+
+    one = 1 << bits * 2 * shift
+    if product(identity(2), (1, _window_rows(pos, 1)),
+               (1, _window_rows(neg, 1))) != {
+                   key: one for key in identity(2)}:
+        raise ValueError("the inverse crossing does not undo the "
+                         "crossing; braid relations cannot be used")
+    first, second = (DIM, _window_rows(pos, DIM)), (1, _window_rows(pos, 1))
+    if (product(identity(3), first, second, first)
+            != product(identity(3), second, first, second)):
+        raise ValueError("the crossing does not satisfy the braid relation "
+                         "sigma_1 sigma_2 sigma_1 = sigma_2 sigma_1 sigma_2")
+
+
+@lru_cache(maxsize=None)
+def _braid_relations_checked() -> None:
+    """:func:`_check_braid_relations` on the crossing tables, once."""
+    _check_braid_relations(_event_table("pos"), _event_table("neg"))
+
+
+def _relation_search(strands: int, word: Tuple[int, ...]
+                     ) -> Tuple[Optional[Tuple[int, ...]], int, int]:
+    """Breadth-first search, from the cyclically reduced ``word`` on at
+    least three strands, for a conjugate word that the other moves of
+    :func:`_simplify_braid` shorten: one with an adjacent inverse pair
+    (across the ends too), or with sigma_1 or sigma_(strands-1) at most
+    once.  Its moves, at each cyclic position in turn, are far commutation
+    and the signed braid relations of :data:`_RELATIONS`; cyclic rotation
+    is implied, since both act across the ends of the word.
+
+    Returns ``(found, relation moves from word to found, words reached)``,
+    ``found`` None once :data:`_SEARCH_CAP` words or the whole class are
+    reached without one.  The visit order is fixed, so the result is
+    deterministic."""
+    length, last = len(word), strands - 1
+    seen = {word}
+    queue = deque([(word, 0, sum(abs(k) == 1 for k in word),
+                    sum(abs(k) == last for k in word))])
+    while queue:
+        word, moves, firsts, lasts = queue.popleft()
+        for i in range(length):
+            j, k = (i + 1) % length, (i + 2) % length
+            a, b = word[i], word[j]
+            gi, gj = abs(a), abs(b)
+            if abs(gi - gj) > 1:
+                new = list(word)
+                new[i], new[j] = b, a
+                end, counts = j, (moves, firsts, lasts)
+            elif gi != gj and abs(word[k]) == gi:
+                signs = _RELATIONS.get((a // gi, b // gj, word[k] // gi))
+                if signs is None:
+                    continue
+                _braid_relations_checked()
+                new = list(word)
+                new[i], new[j], new[k] = (gj * signs[0], gi * signs[1],
+                                          gj * signs[2])
+                end, counts = k, (moves + 1,
+                                  firsts + (gj == 1) - (gi == 1),
+                                  lasts + (gj == last) - (gi == last))
+            else:
+                continue
+            new = tuple(new)
+            if new in seen:
+                continue
+            seen.add(new)
+            # only the pairs at the edges of the rewritten letters can
+            # newly cancel: the word had no inverse pair
+            if (new[i - 1] == -new[i] or new[end] == -new[(end + 1) % length]
+                    or counts[1] <= 1 or counts[2] <= 1):
+                return new, counts[0], len(seen)
+            if len(seen) >= _SEARCH_CAP:
+                return None, 0, len(seen)
+            queue.append((new,) + counts)
+    return None, 0, len(seen)
+
+
+def _simplify_braid(word: BraidWord
+                    ) -> Tuple[BraidWord, Dict[int, int], SimplifyStats]:
+    """``(braid, factor, stats)`` whose closure is that of ``word`` up to
+    the factor: the trace of ``word`` is ``factor`` times the trace of
     ``braid``.  Repeats these moves until none applies:
 
     * cyclic free reduction (:func:`_cyclically_reduced`);
@@ -616,9 +774,16 @@ def _simplify_braid(word: BraidWord) -> Tuple[BraidWord, Dict[int, int]]:
       destabilisation, framed; :func:`_markov_factors`);
     * else if sigma_(n-1) occurs at most once, first reverse the strands,
       k -> n - k: conjugation by the half twist, whose closure is the
-      same."""
+      same;
+    * else, on three strands or more, go on from the word that a bounded
+      search by braid relations finds (:func:`_relation_search`), if it
+      finds one.
+
+    Every move lowers (strands, letters) or keeps them, and the search
+    returns only words that the next pass shortens, so the loop ends."""
     loop, crossing = _markov_factors()
     n, letters, factor = word.strands, list(word.letters), {0: 1}
+    relation_moves = words_searched = 0
     while True:
         letters = _cyclically_reduced(letters)
         if n == 1:
@@ -626,7 +791,15 @@ def _simplify_braid(word: BraidWord) -> Tuple[BraidWord, Dict[int, int]]:
         firsts = [k for k in letters if abs(k) == 1]
         if len(firsts) > 1:
             if sum(abs(k) == n - 1 for k in letters) > 1:
-                break
+                if n == 2:
+                    break
+                found, moves, reached = _relation_search(n, tuple(letters))
+                words_searched += reached
+                if found is None:
+                    break
+                relation_moves += moves
+                letters = list(found)
+                continue
             letters = [(n if k > 0 else -n) - k for k in letters]
             firsts = [k for k in letters if abs(k) == 1]
         if firsts:
@@ -635,7 +808,8 @@ def _simplify_braid(word: BraidWord) -> Tuple[BraidWord, Dict[int, int]]:
             factor = _product(factor, loop)
         letters = [k - 1 if k > 0 else k + 1 for k in letters if abs(k) != 1]
         n -= 1
-    return BraidWord(n, tuple(letters)), factor
+    return (BraidWord(n, tuple(letters)), factor,
+            SimplifyStats(str(word), relation_moves, words_searched))
 
 
 def invariant(word: BraidWord, budget: int = DEFAULT_TANGLE_BUDGET,
@@ -645,12 +819,12 @@ def invariant(word: BraidWord, budget: int = DEFAULT_TANGLE_BUDGET,
 
     The 2n strands of the closure's fold are checked against ``budget``
     before any work.  The word is then simplified (:func:`_simplify_braid`)
-    and the braid that remains is traced (:func:`_trace`, which checks
+    and the braid that remains is traced (:func:`trace`, which checks
     ``support_budget``); the value is that trace times the simplification's
-    factor, and every stat, the trace's own figures included, describes
-    the braid actually traced."""
+    factor, every stat, the trace's own figures included, describes the
+    braid actually traced, and ``simplify`` what led to it."""
     _check_budget(2 * word.strands, budget)
-    braid, factor = _simplify_braid(word)
-    result = _trace(braid, support_budget)
+    braid, factor, stats = _simplify_braid(word)
+    result = trace(braid, budget, support_budget)
     value = _product(dict(result.value), factor)
-    return result._replace(value=tuple(sorted(value.items())))
+    return result._replace(value=tuple(sorted(value.items())), simplify=stats)

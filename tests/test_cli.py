@@ -4,6 +4,7 @@ import time
 import pytest
 
 from d21link.cli import main
+from d21link.tangle import braid_closure_slices, parse_braid
 
 
 def run_cli(capsys, *argv):
@@ -41,6 +42,18 @@ def test_invariant_json_schema(capsys):
                                       "columns_evaluated", "blocks",
                                       "peak_block_support"]
     assert payload["trace"]["braid"] == "2: 1 1 1"
+    assert payload["simplify"] == {"input": "4: 1 2 1 3 1",
+                                   "relation_moves": 0, "words_searched": 0}
+    # a braid relation first: (sigma_1 sigma_2 sigma_3)^2 traces as T(2, 4)
+    code, out, _ = run_cli(capsys, "invariant", "--braid", "4: 1 2 3 1 2 3",
+                           "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert list(payload) == ["value", "stats", "trace", "simplify"]
+    assert (payload["value"], payload["trace"]["braid"]) == \
+        ("2*q^-6 + 2*q^2", "2: 1 1 1 1")
+    assert payload["simplify"] == {"input": "4: 1 2 3 1 2 3",
+                                   "relation_moves": 2, "words_searched": 7}
 
 
 def test_invariant_from_sliced_file(tmp_path, capsys):
@@ -208,6 +221,22 @@ def test_support_budget_env_override(capsys, monkeypatch):
         monkeypatch.setenv("D21LINK_SUPPORT_BUDGET", raw)
         assert run_cli(capsys, "invariant", "--braid", "1:") == (
             2, "", f"error: D21LINK_SUPPORT_BUDGET {reason}: {raw!r}\n")
+
+
+def test_support_budget_env_stops_a_sliced_fold_early(capsys, monkeypatch,
+                                                     tmp_path):
+    # 623,314 states and 458 MB without a budget
+    path = tmp_path / "closure.txt"
+    diagram = braid_closure_slices(parse_braid("5: 1 -2 3 -4 1 -2 3 -4"))
+    path.write_text("".join(f"{event.kind} {event.position}\n"
+                            for event in diagram.events), encoding="utf-8")
+    monkeypatch.setenv("D21LINK_SUPPORT_BUDGET", "1000")
+    start = time.monotonic()
+    code, out, err = run_cli(capsys, "invariant", "--sliced", str(path))
+    assert time.monotonic() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err == ("error: 1296 states after event 4 (cup 4) of the sliced "
+                   "fold exceed the support budget 1000\n")
 
 
 def test_verify_honours_the_tangle_budget(capsys, monkeypatch):

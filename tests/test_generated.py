@@ -12,7 +12,7 @@ import pytest
 from d21link.dubrovnik import (DELTA, TwoVarPoly, braid_closure_graph,
                                dubrovnik_poly, specialize)
 from d21link.tangle import (BraidWord, braid_closure_slices, evaluate_sliced,
-                            invariant, parse_braid, _trace)
+                            invariant, parse_braid, trace)
 from helpers import plain_dubrovnik
 
 
@@ -64,11 +64,12 @@ def stats(result):
 def test_trace_vs_fold_covers_every_kind_of_column_block():
     # 4 and 5 strands: blocks of several leading digits, among them heads
     # holding v4 (all columns paired); every word: fixed and paired columns
-    traces = [_trace(word).trace for word in TRACE_VS_FOLD]
-    assert {trace.strands for trace in traces} >= {1, 2, 3, 4, 5}
-    assert max(trace.blocks for trace in traces) == 42
-    for trace in traces:
-        assert trace.columns < 2 * trace.columns_evaluated < 2 * trace.columns
+    traces = [trace(word).trace for word in TRACE_VS_FOLD]
+    assert {figures.strands for figures in traces} >= {1, 2, 3, 4, 5}
+    assert max(figures.blocks for figures in traces) == 42
+    for figures in traces:
+        assert (figures.columns < 2 * figures.columns_evaluated
+                < 2 * figures.columns)
 
 
 @pytest.mark.parametrize("word", TRACE_VS_FOLD, ids=str)
@@ -77,8 +78,8 @@ def test_trace_matches_the_sliced_fold_of_the_closure(word):
     # strands, nominal dimension and the support after each event) come
     # out of the 2n-strand fold
     fold = evaluate_sliced(braid_closure_slices(word))
-    trace = _trace(word)
-    assert (trace.value, stats(trace)) == (fold.value, stats(fold))
+    plain = trace(word)
+    assert (plain.value, stats(plain)) == (fold.value, stats(fold))
     # the invariant: the same value, and the stats of the braid it traced
     result = invariant(word)
     traced = evaluate_sliced(braid_closure_slices(parse_braid(result.trace.braid)))
@@ -158,6 +159,35 @@ def all_words(strands, most_letters):
     alphabet = [sign * k for k in range(1, strands) for sign in (1, -1)]
     return [BraidWord(strands, letters) for length in range(most_letters + 1)
             for letters in itertools.product(alphabet, repeat=length)]
+
+
+def relation_words(seed):
+    """3-6 strand words of mostly one sign whose generators walk by one
+    step, so that braid relations often apply.  The 5- and 6-strand words
+    are few and short: their unsimplified trace takes 0.1-1 s each."""
+    rng = random.Random(seed)
+    words = []
+    for strands, count, most in ((3, 60, 10), (4, 16, 10), (5, 4, 8), (6, 2, 6)):
+        for _ in range(count):
+            sign, gen, letters = rng.choice((1, -1)), rng.randint(1, strands - 1), []
+            for _ in range(rng.randint(4, most)):
+                letters.append((sign if rng.random() < 0.8 else -sign) * gen)
+                gen = min(max(gen + rng.choice((-1, 1)), 1), strands - 1)
+            words.append(BraidWord(strands, tuple(letters)))
+    return words
+
+
+RELATION_WORDS = relation_words(2026)
+
+
+@pytest.mark.parametrize("strands", [3, 4, 5, 6])
+def test_relation_search_keeps_the_unsimplified_trace(strands):
+    searched = False
+    for word in (word for word in RELATION_WORDS if word.strands == strands):
+        result = invariant(word)
+        assert result.value == trace(word).value, word
+        searched = searched or result.simplify.relation_moves > 0
+    assert searched         # the family reaches the relation search
 
 
 SIMPLIFIED_VS_PLAIN = {

@@ -9,13 +9,15 @@ import pytest
 from d21link.dubrovnik import braid_closure_graph, dubrovnik_poly, specialize
 from d21link.ring import format_q_laurent
 from d21link.tangle import (BraidWord, DiagramError, SlicedDiagram,
-                            SlicedEvent, TangleBudgetExceeded,
+                            SlicedEvent, SimplifyStats, TangleBudgetExceeded,
                             braid_closure_slices, evaluate_sliced, invariant,
                             parse_braid, parse_sliced_text,
-                            _check_swap, _cyclically_reduced, _decode,
-                            _event_table, _left_partial_trace,
-                            _markov_factors, _pack, _pivotal_weights,
-                            _simplify_braid, _trace, _trace_weights)
+                            _RELATIONS, _SEARCH_CAP, _braid_relations_checked,
+                            _check_braid_relations, _check_swap,
+                            _cyclically_reduced, _decode, _event_table,
+                            _left_partial_trace, _markov_factors, _pack,
+                            _pivotal_weights, _relation_search,
+                            _simplify_braid, _trace_weights, trace)
 
 
 def value_of(text):
@@ -144,7 +146,11 @@ def test_eval_result_stats():
     assert result.peak_support == 88
     assert result.canonical() == "-2*q^-3"
     assert invariant(parse_braid("3: 1 -2 1 -2")).peak_support == 1550
-    assert invariant(parse_braid("4: 1 2 3 1 2 3")).peak_support == 12586
+    # (sigma_1 sigma_2 sigma_3)^2 closes to T(2, 4): traced at 2 strands
+    torus = invariant(parse_braid("4: 1 2 3 1 2 3"))
+    assert (torus.trace.braid, torus.slices, torus.peak_support) == \
+        ("2: 1 1 1 1", 8, 88)
+    assert trace(parse_braid("4: 1 2 3 1 2 3")).peak_support == 12586
     # a word that simplifies away reports the stats of what was traced
     unknot = invariant(parse_braid("5: 1 -2 3 -4"))
     assert (unknot.canonical(), unknot.slices, unknot.peak_strands,
@@ -153,11 +159,11 @@ def test_eval_result_stats():
 
 def test_trace_evaluates_one_column_per_swap_orbit():
     for n in range(1, 6):
-        trace = _trace(BraidWord(n, ())).trace
+        stats = trace(BraidWord(n, ())).trace
         # 4 ** n columns free of v4 and v5 are fixed by the swap
-        assert (trace.strands, trace.columns, trace.columns_evaluated) == \
+        assert (stats.strands, stats.columns, stats.columns_evaluated) == \
             (n, 6 ** n, (6 ** n + 4 ** n) // 2)
-    assert _trace(parse_braid("5:")).trace.blocks == 42
+    assert trace(parse_braid("5:")).trace.blocks == 42
     assert evaluate_sliced(braid_closure_slices(parse_braid("2: 1"))).trace is None
 
 
@@ -270,8 +276,8 @@ def test_five_strand_mixed_word_runs_in_small_memory():
     src = Path(__file__).parents[1] / "src"
     code = (
         "import json, resource\n"
-        "from d21link.tangle import _trace, parse_braid\n"
-        "result = _trace(parse_braid('5: 1 -2 3 -4 1 -2'))\n"
+        "from d21link.tangle import trace, parse_braid\n"
+        "result = trace(parse_braid('5: 1 -2 3 -4 1 -2'))\n"
         "rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
         "print(json.dumps([result.canonical(), result.peak_support,\n"
         "                  result.trace.peak_block_support, rss]))")
@@ -322,8 +328,9 @@ def test_cyclic_free_reduction():
 ])
 def test_simplify_braid(text, braid, factor):
     word = parse_braid(text)
-    simplified, scale = _simplify_braid(word)
+    simplified, scale, stats = _simplify_braid(word)
     assert (str(simplified), scale) == (braid, factor)
+    assert stats.input == text
     if simplified.strands < 4:      # the unsimplified fold stays small
         assert invariant(word).value == \
             evaluate_sliced(braid_closure_slices(word)).value
@@ -363,3 +370,117 @@ def test_support_budget_refuses_a_block_early():
     assert invariant(parse_braid("3: 1 -2"), support_budget=4).value_dict() == {0: 2}
     with pytest.raises(TangleBudgetExceeded):
         invariant(parse_braid("3: 1 -2"), support_budget=3)
+
+
+def test_sliced_fold_support_budget_stops_after_the_event():
+    diagram = braid_closure_slices(parse_braid("3: 1 -2 1 -2"))
+    peak = evaluate_sliced(diagram).peak_support
+    assert evaluate_sliced(diagram, support_budget=peak).peak_support == peak
+    with pytest.raises(TangleBudgetExceeded,
+                       match=f" of the sliced fold exceed the support budget "
+                             f"{peak - 1}$"):
+        evaluate_sliced(diagram, support_budget=peak - 1)
+    # the three cups make 6, 36 and 216 states: the third event is refused
+    with pytest.raises(TangleBudgetExceeded,
+                       match="^216 states after event 3 \\(cup 3\\) "):
+        evaluate_sliced(diagram, support_budget=215)
+
+
+def test_relation_table_has_the_six_signed_forms():
+    signs = [(a, b, c) for a in (1, -1) for b in (1, -1) for c in (1, -1)]
+    assert sorted(_RELATIONS) == sorted(set(signs) - {(1, -1, 1), (-1, 1, -1)})
+    for key, image in _RELATIONS.items():
+        assert _RELATIONS[image] == key      # each rule read backwards
+
+
+@pytest.mark.parametrize("signs", sorted(_RELATIONS))
+def test_each_signed_relation_keeps_the_unsimplified_trace(signs):
+    a, b, c = signs
+    image = _RELATIONS[signs]
+    for i, j in ((1, 2), (2, 1)):
+        left = (a * i, b * j, c * i)
+        right = (image[0] * j, image[1] * i, image[2] * j)
+        # after a context, so that the two closures are not conjugate
+        # braids for any rule that is not a relation
+        for context in ((), (1, 1, -2), (2, -1, -1, -1)):
+            assert trace(BraidWord(3, left + context)).value == \
+                trace(BraidWord(3, right + context)).value, (left, context)
+
+
+def test_braid_relation_guard_needs_inverse_and_yang_baxter_tables():
+    pos, neg = _event_table("pos"), _event_table("neg")
+    _check_braid_relations(pos, neg)
+    width, table = pos
+    doubled = dict(table)                # <v2 v1|c|v1 v2> alone made twice
+    ((row, coeff),) = table[(0, 1)]
+    doubled[(0, 1)] = ((row, {e: 2 * c for e, c in coeff.items()}),)
+    with pytest.raises(ValueError, match="does not undo"):
+        _check_braid_relations((width, doubled), neg)
+
+    def conjugated(crossing):
+        # by the diagonal map -1 on v1 (x) v2 and 1 elsewhere: still
+        # inverse to each other, but not of the form d (x) d
+        sign = {(0, 1): -1}
+        return width, {window: tuple(
+            (row, {e: c * sign.get(window, 1) * sign.get(row, 1)
+                   for e, c in coeff.items()}) for row, coeff in rows)
+            for window, rows in crossing[1].items()}
+    with pytest.raises(ValueError, match="braid relation"):
+        _check_braid_relations(conjugated(pos), conjugated(neg))
+
+
+def test_braid_relation_guard_runs_on_the_first_relation_move_only():
+    _braid_relations_checked.cache_clear()
+    for text in ("2: 1 -1", "3: 1 -2 1 -2", "4: 1 1 3 3"):   # no relation
+        invariant(parse_braid(text))
+    assert _braid_relations_checked.cache_info().currsize == 0
+    invariant(parse_braid("3: 1 2 1 2"))
+    assert _braid_relations_checked.cache_info().currsize == 1
+
+
+@pytest.mark.parametrize("strands, braid, factor, moves, searched", [
+    (4, "2: 1 1 1 1", {-2: 1}, 2, 7),
+    (5, "2: 1 1 1 1 1", {-3: -1}, 4, 18),
+    (6, "2: 1 1 1 1 1 1", {-4: 1}, 6, 45),
+])
+def test_torus_braids_trace_at_two_strands(strands, braid, factor, moves,
+                                           searched):
+    # (sigma_1 ... sigma_(n-1))^2 closes to T(2, n): n - 2 positive
+    # destabilisations, each for -q^-1, leave sigma_1^n
+    text = f"{strands}: " + " ".join(map(str, list(range(1, strands)) * 2))
+    word = parse_braid(text)
+    assert _simplify_braid(word) == (parse_braid(braid), factor,
+                                     SimplifyStats(text, moves, searched))
+    expected = {e - (strands - 2): c * (-1) ** strands
+                for e, c in torus_closed_form(strands).items()}
+    assert invariant(word).value_dict() == expected
+    if strands == 4:                     # 0.1 s as written; 5 strands 1 s
+        assert trace(word).value_dict() == expected
+
+
+def test_relation_search_is_bounded_and_keeps_what_it_cannot_shorten():
+    # alternating signs: every relation triple is (+ - +) or (- + -), so
+    # only far commutation applies and nothing shortens
+    for power, searched in ((3, 198), (4, _SEARCH_CAP)):
+        text = "5: " + " ".join(["1 -2 3 -4"] * power)
+        assert _simplify_braid(parse_braid(text)) == (
+            parse_braid(text), {0: 1}, SimplifyStats(text, 0, searched))
+    assert _relation_search(5, (1, -2, 3, -4) * 4) == (None, 0, _SEARCH_CAP)
+    # sigma_1 sigma_2^-1 sigma_1 sigma_2 -> sigma_1 sigma_1 sigma_2 sigma_1^-1
+    # by (- + +) -> (+ + -) across the ends: sigma_2 then occurs once
+    assert _relation_search(3, (1, -2, 1, 2)) == ((1, 1, 2, -1), 1, 2)
+
+
+@pytest.mark.parametrize("text, found, moves, reached", [
+    ("3: 1 1 2 1 -2", (1, 2, 1, 2, -2), 1, 2),    # after a relation, right
+    ("3: 1 2 -1 -1 -2", (-2, 2, -1, 2, -1), 1, 3),  # after a relation, left
+    ("4: 1 3 -1 3", (3, 1, -1, 3), 0, 2),          # after commuting, right
+    ("4: 1 3 1 -3", (3, 1, 1, -3), 0, 2),          # left, across the ends
+])
+def test_relation_search_stops_at_a_new_inverse_pair(text, found, moves,
+                                                     reached):
+    # sigma_1 and sigma_(n-1) still occur twice or more in each found word
+    word = parse_braid(text)
+    assert _relation_search(word.strands, word.letters) == \
+        (found, moves, reached)
+    assert invariant(word).value == trace(word).value
