@@ -39,11 +39,12 @@ import sys
 from typing import List, Optional
 
 from . import dubrovnik
+from .representation import DIM
 from .ring import NotLaurentInQ, format_q_laurent, q_string
 from .rmatrix import EVEN_PAIRS, ODD_PAIRS, braiding, split_blocks
 from .tangle import (DEFAULT_SUPPORT_BUDGET, DEFAULT_TANGLE_BUDGET,
-                     DiagramError, evaluate_sliced, invariant, parse_braid,
-                     parse_sliced_text)
+                     DiagramError, ascii_integers, evaluate_sliced, invariant,
+                     parse_braid, parse_sliced_text)
 from .verify import run_suites
 
 DEVIATIONS_FILE = "braiding_deviations.txt"
@@ -58,7 +59,7 @@ def _budget(variable: str, default: int) -> int:
     if raw is None:
         return default
     try:
-        value = int(raw)
+        (value,) = ascii_integers(raw)
     except ValueError:
         raise BudgetSettingError(f"{variable} is not an integer: {raw!r}") from None
     if value < 1:
@@ -137,8 +138,9 @@ def _cmd_braiding(args: argparse.Namespace) -> int:
             "c1": _matrix_strings(odd),
         }
     else:
-        pairs = [(i, j) for i in range(1, 7) for j in range(1, 7)]
-        rows = [[bundle.c.entry(r, c) for c in range(36)] for r in range(36)]
+        pairs = [(i, j) for i in range(1, DIM + 1) for j in range(1, DIM + 1)]
+        rows = [[bundle.c.entry(r, c) for c in range(DIM * DIM)]
+                for r in range(DIM * DIM)]
         blocks = {
             "basis": [f"v{i}(x)v{j}" for i, j in pairs],
             "c": _matrix_strings(rows),

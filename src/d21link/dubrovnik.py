@@ -129,8 +129,6 @@ class TwoVarPoly:
 
 
 TV_ONE = TwoVarPoly.monomial(0, 0)
-TV_A = TwoVarPoly.monomial(1, 0)
-TV_A_INV = TwoVarPoly.monomial(-1, 0)
 TV_Z = TwoVarPoly.monomial(0, 1)
 DELTA = TwoVarPoly({(1, -1): 1, (-1, -1): -1, (0, 0): 1})
 

@@ -25,7 +25,8 @@ from functools import lru_cache
 from typing import Dict, List, NamedTuple, Tuple
 
 from .report import CheckResult, Report
-from .ring import BRACKET_EXPONENTS, RF_ONE, QuarterLaurent, RatFunc
+from .ring import (BRACKET_EXPONENTS, LAMBDA, RF_LAMBDA, RF_ONE,
+                   QuarterLaurent, RatFunc)
 from .superlinalg import (SuperMap, SuperSpace, TRIVIAL, compose, invert,
                           tensor_map)
 
@@ -58,6 +59,7 @@ _F_ACTION = {
 }
 
 _GENERATOR_PARITY = {("E", 1): 1, ("F", 1): 1}
+_SIMPLE_ROOTS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
 class _CartanFields(NamedTuple):
@@ -123,19 +125,15 @@ ROOTS = RootData(
 def phi(i: int) -> RatFunc:
     """The pairing normalization constants at the fixed parameter value."""
     q = QuarterLaurent.q_power
-    lam = QuarterLaurent({4: 1, -4: -1})          # q - q^{-1}
     if i in (1, 5, 7):
-        return RatFunc(QuarterLaurent.constant(-1), lam)
-    if i == 2:
-        return RatFunc(q(-1), lam)
+        return RatFunc(QuarterLaurent.constant(-1), LAMBDA)
+    if i in (2, 6):
+        return RatFunc(q(-1), LAMBDA)
     if i == 3:
-        return RatFunc(q(-2, -1), lam)
-    if i == 6:
-        return RatFunc(q(-1), lam)
+        return RatFunc(q(-2, -1), LAMBDA)
     if i == 4:
-        num = (QuarterLaurent.q_power(-4)
-               * (QuarterLaurent({8: 1, -8: -1})))  # q^{-4} (q^2 - q^{-2})
-        return RatFunc(-num, lam * lam)
+        num = q(-4) * (q(2) - q(-2))
+        return RatFunc(-num, LAMBDA * LAMBDA)
     raise ValueError("root index out of range 1..7")
 
 
@@ -146,18 +144,19 @@ def _single_entry_map(action: Dict[int, Tuple[int, int]], parity: int) -> SuperM
     return SuperMap(M, M, entries, parity)
 
 
-def _cartan_maps(weights, i: int) -> Tuple[SuperMap, SuperMap, SuperMap]:
-    """(H_i, K_i, K_i^{-1}) on M for a weight table: diagonal with entries
-    weight_i(v) and q^{+-d_i * weight_i(v)}."""
-    d_i = CARTAN.d[i - 1]
-    column = [weights[v][i - 1] for v in range(DIM)]
-    h = SuperMap(M, M, {(v, v): RatFunc.constant(w) for v, w in enumerate(column)})
-    k = SuperMap(M, M, {(v, v): RatFunc.q_power(d_i * w)
-                        for v, w in enumerate(column)})
-    kinv = SuperMap(M, M, {(v, v): RatFunc.q_power(-d_i * w)
-                           for v, w in enumerate(column)})
-    return h, k, kinv
+def _cartan_h(weights, i: int) -> SuperMap:
+    """H_i on M for a weight table: diagonal with entries weight_i(v)."""
+    return SuperMap(M, M, {(v, v): RatFunc.constant(weights[v][i - 1])
+                           for v in range(DIM)})
 
+
+def _cartan_k(weights, coeffs, sign: int) -> SuperMap:
+    """K_beta^{sign} on M for beta = sum n_j alpha_j and a weight table:
+    diagonal with entries q^{sign * sum_j n_j d_j weight_j(v)}."""
+    return SuperMap(M, M, {
+        (v, v): RatFunc.q_power(sign * sum(
+            n * d * w for n, d, w in zip(coeffs, CARTAN.d, weights[v])))
+        for v in range(DIM)})
 
 @lru_cache(maxsize=None)
 def generator_action(name: str, index: int) -> SuperMap:
@@ -169,7 +168,7 @@ def generator_action(name: str, index: int) -> SuperMap:
     if name == "F":
         return _single_entry_map(_F_ACTION[index], _GENERATOR_PARITY.get((name, index), 0))
     if name == "H":
-        return _cartan_maps(WEIGHTS, index)[0]
+        return _cartan_h(WEIGHTS, index)
     raise ValueError(f"unknown generator family {name!r}")
 
 
@@ -178,17 +177,12 @@ def cartan_exponential(i: int, sign: int = 1) -> SuperMap:
     """K_i^{sign}: diagonal with entry q^{sign * d_i * weight_i(v)}."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    return _cartan_maps(WEIGHTS, i)[1 if sign == 1 else 2]
+    return _cartan_k(WEIGHTS, _SIMPLE_ROOTS[i - 1], sign)
 
 
 def cartan_exponential_for_root(coeffs: Tuple[int, int, int], sign: int = 1) -> SuperMap:
     """K_beta for beta = sum n_i alpha_i, as the product of the K_i^{n_i}."""
-    entries = {}
-    for v in range(DIM):
-        exponent = sum(sign * n * CARTAN.d[j] * WEIGHTS[v][j]
-                       for j, n in enumerate(coeffs))
-        entries[(v, v)] = RatFunc.q_power(exponent)
-    return SuperMap(M, M, entries)
+    return _cartan_k(WEIGHTS, coeffs, sign)
 
 
 def super_bracket(y: SuperMap, z: SuperMap, scale: RatFunc = RF_ONE) -> SuperMap:
@@ -213,19 +207,15 @@ def root_vector(i: int, kind: str = "raise") -> SuperMap:
     if i == 7:
         return gen(2)
     if i == 2:
-        # X_1 X_3 - q^{-1} X_3 X_1
-        return compose(gen(1), gen(3)) - compose(gen(3), gen(1)).scale(qm1)
+        return super_bracket(gen(1), gen(3), qm1)
     if i == 6:
-        # X_2 X_1 - q^{-1} X_1 X_2
-        return compose(gen(2), gen(1)) - compose(gen(1), gen(2)).scale(qm1)
+        return super_bracket(gen(2), gen(1), qm1)
     if i == 3:
-        b2 = root_vector(2, kind)
-        return compose(gen(2), b2) - compose(b2, gen(2)).scale(qm1)
+        return super_bracket(gen(2), root_vector(2, kind), qm1)
     if i == 4:
-        # X_1 and the third root vector are both odd, so the q-bracket
-        # [X_1, B_3]_{q^{-2}} carries the Koszul sign: X_1 B_3 + q^{-2} B_3 X_1.
-        b3 = root_vector(3, kind)
-        return compose(gen(1), b3) + compose(b3, gen(1)).scale(qm2)
+        # X_1 and the third root vector are both odd, so the Koszul sign
+        # makes this X_1 B_3 + q^{-2} B_3 X_1.
+        return super_bracket(gen(1), root_vector(3, kind), qm2)
     raise ValueError("root index out of range 1..7")
 
 
@@ -301,11 +291,10 @@ def _check(checks: List[CheckResult], check_id: str, lhs: SuperMap, rhs: SuperMa
 # Commutation relations among root vectors: (i, j, scale, rhs-terms), each
 # asserting e_i e_j - scale * e_j e_i = sum coeff * monomial (monomials as
 # index tuples).  The scales absorb the Koszul sign, so the bracket here is
-# the plain one.  Values are at the fixed parameter; lam denotes q - q^{-1}.
+# the plain one.  Values are at the fixed parameter.
 def _commutation_table():
     q = RatFunc.q_power
     one = RF_ONE
-    lam = RatFunc(QuarterLaurent({4: 1, -4: -1}))
     table = [
         (7, 5, q(-1), [(one, (6,))]),
         (7, 2, q(-1), [(one, (3,))]),
@@ -327,7 +316,7 @@ def _commutation_table():
         (4, 2, q(-2), []),
         (4, 1, one, [(q(-1) * (q(2) - q(-2)), (2, 3))]),
         (3, 1, q(1), []),
-        (6, 2, -q(-2), [(-q(-2) * lam, (3, 5)), (-q(-1), (4,))]),
+        (6, 2, -q(-2), [(-q(-2) * RF_LAMBDA, (3, 5)), (-q(-1), (4,))]),
     ]
     return table
 
@@ -338,9 +327,9 @@ def check_defining_relations(weights=WEIGHTS) -> Report:
     checks: List[CheckResult] = []
     E = {i: generator_action("E", i) for i in (1, 2, 3)}
     F = {i: generator_action("F", i) for i in (1, 2, 3)}
-    H, K, Kinv = {}, {}, {}
-    for i in (1, 2, 3):
-        H[i], K[i], Kinv[i] = _cartan_maps(weights, i)
+    H = {i: _cartan_h(weights, i) for i in (1, 2, 3)}
+    K = {i: _cartan_k(weights, _SIMPLE_ROOTS[i - 1], 1) for i in (1, 2, 3)}
+    Kinv = {i: _cartan_k(weights, _SIMPLE_ROOTS[i - 1], -1) for i in (1, 2, 3)}
     zero = SuperMap.zero(M, M)
     q = RatFunc.q_power
 
@@ -373,14 +362,11 @@ def check_defining_relations(weights=WEIGHTS) -> Report:
 
     two_cosh = q(1) + q(-1)
     for i in (2, 3):
-        serre_e = (compose(compose(E[i], E[i]), E[1])
-                   - compose(compose(E[i], E[1]), E[i]).scale(two_cosh)
-                   + compose(E[1], compose(E[i], E[i])))
-        _check(checks, f"serre-raise:{i}", serre_e, zero)
-        serre_f = (compose(compose(F[i], F[i]), F[1])
-                   - compose(compose(F[i], F[1]), F[i]).scale(two_cosh)
-                   + compose(F[1], compose(F[i], F[i])))
-        _check(checks, f"serre-lower:{i}", serre_f, zero)
+        for X, kind in ((E, "raise"), (F, "lower")):
+            serre = (compose(compose(X[i], X[i]), X[1])
+                     - compose(compose(X[i], X[1]), X[i]).scale(two_cosh)
+                     + compose(X[1], compose(X[i], X[i])))
+            _check(checks, f"serre-{kind}:{i}", serre, zero)
 
     for kind, tag in (("raise", "e"), ("lower", "f")):
         vectors = {i: root_vector(i, kind) for i in range(1, 8)}
@@ -396,10 +382,9 @@ def check_defining_relations(weights=WEIGHTS) -> Report:
             _check(checks, f"root-commutation:{tag}{i},{tag}{j}", lhs, rhs)
 
     for i in (2, 3, 6):
-        _check(checks, f"root-square:e{i}", compose(root_vector(i, "raise"),
-                                                    root_vector(i, "raise")), zero)
-        _check(checks, f"root-square:f{i}", compose(root_vector(i, "lower"),
-                                                    root_vector(i, "lower")), zero)
+        for kind, tag in (("raise", "e"), ("lower", "f")):
+            _check(checks, f"root-square:{tag}{i}",
+                   compose(root_vector(i, kind), root_vector(i, kind)), zero)
 
     for i in range(1, 8):
         e_i = root_vector(i, "raise")

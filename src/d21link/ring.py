@@ -28,11 +28,13 @@ ascending exponents::
 
     -2*q^-1 + 3 + q^2
 
-Term grammar (:func:`format_laurent`, also for the skein oracle's a, z): an
-optional integer coefficient (omitted when the magnitude is 1 and some
-exponent is nonzero), then each variable of nonzero exponent with ``^k``
-unless k = 1, all joined by ``*``; interior negative terms use `` - ``.
-All values are immutable and all operations pure.
+Term grammar (:func:`format_laurent`, the one polynomial printer: also for
+the skein oracle's a, z and, with the name t, for the ``repr`` of
+QuarterLaurent and RatFunc): an optional coefficient (omitted when the
+magnitude is 1 and some exponent is nonzero), then each variable of nonzero
+exponent with ``^k`` unless k = 1, all joined by ``*``; interior negative
+terms use `` - ``.  All values are immutable and all operations pure; hashes
+are computed on demand, never stored.
 """
 
 from __future__ import annotations
@@ -91,7 +93,7 @@ class QuarterLaurent:
     """Laurent polynomial in t = q^{1/4} with rational (mostly int)
     coefficients."""
 
-    __slots__ = ("terms", "_hash")
+    __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping[int, object] | None = None):
         clean: Dict[int, object] = {}
@@ -101,7 +103,6 @@ class QuarterLaurent:
                 if coeff:
                     clean[int(exp)] = coeff
         self.terms = clean
-        self._hash = None
 
     @classmethod
     def t_power(cls, exp: int, coeff=1) -> "QuarterLaurent":
@@ -124,9 +125,7 @@ class QuarterLaurent:
         return self.terms == other.terms
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(tuple(sorted(self.terms.items())))
-        return self._hash
+        return hash(tuple(sorted(self.terms.items())))
 
     def __add__(self, other: "QuarterLaurent") -> "QuarterLaurent":
         merged = dict(self.terms)
@@ -142,13 +141,11 @@ class QuarterLaurent:
                     del merged[exp]
         result = QuarterLaurent.__new__(QuarterLaurent)
         result.terms = _settled(merged)
-        result._hash = None
         return result
 
     def __neg__(self) -> "QuarterLaurent":
         result = QuarterLaurent.__new__(QuarterLaurent)
         result.terms = {e: -c for e, c in self.terms.items()}
-        result._hash = None
         return result
 
     def __sub__(self, other: "QuarterLaurent") -> "QuarterLaurent":
@@ -172,7 +169,6 @@ class QuarterLaurent:
                         del out[e]
         result = QuarterLaurent.__new__(QuarterLaurent)
         result.terms = _settled(out)
-        result._hash = None
         return result
 
     def shifted(self, exp: int) -> "QuarterLaurent":
@@ -208,12 +204,7 @@ class QuarterLaurent:
         return sum(self.terms.values())
 
     def __repr__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for exp in sorted(self.terms):
-            bits.append(f"{self.terms[exp]}*t^{exp}")
-        return " + ".join(bits)
+        return format_laurent({(e,): c for e, c in self.terms.items()}, ("t",))
 
 
 ZERO = QuarterLaurent()
@@ -291,7 +282,7 @@ def exact_div(a: QuarterLaurent, b: QuarterLaurent) -> QuarterLaurent:
 class RatFunc:
     """Reduced fraction of two QuarterLaurent polynomials (canonical form)."""
 
-    __slots__ = ("num", "den", "_hash")
+    __slots__ = ("num", "den")
 
     def __init__(self, num: QuarterLaurent, den: QuarterLaurent = ONE):
         if den.is_zero():
@@ -319,7 +310,6 @@ class RatFunc:
                 den = ONE
         self.num = num
         self.den = den
-        self._hash = None
 
     @classmethod
     def _raw(cls, num: QuarterLaurent, den: QuarterLaurent) -> "RatFunc":
@@ -328,7 +318,6 @@ class RatFunc:
         out = cls.__new__(cls)
         out.num = num
         out.den = den
-        out._hash = None
         return out
 
     @classmethod
@@ -354,9 +343,7 @@ class RatFunc:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.num, self.den))
-        return self._hash
+        return hash((self.num, self.den))
 
     def __add__(self, other) -> "RatFunc":
         other = _coerce(other)
@@ -493,6 +480,16 @@ def format_laurent(terms: Mapping[tuple, int], names: Sequence[str]) -> str:
         else:
             pieces.append(f" - {body}" if coeff < 0 else f" + {body}")
     return "".join(pieces) if pieces else "0"
+
+
+def laurent_product(left: Mapping[int, int],
+                    right: Mapping[int, int]) -> Dict[int, int]:
+    """Product of two integer Laurent polynomials ``{q_exponent: coeff}``."""
+    out: Dict[int, int] = {}
+    for e1, c1 in left.items():
+        for e2, c2 in right.items():
+            out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+    return {exp: coeff for exp, coeff in out.items() if coeff}
 
 
 def format_q_laurent(terms: Mapping[int, int]) -> str:

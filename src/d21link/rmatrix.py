@@ -103,27 +103,19 @@ def braiding() -> BraidingBundle:
     for value in c.entries.values():
         to_integer_laurent(value)
     c_inv = invert(c)
-    theta = _verified_twist(c)
-    return BraidingBundle(r_matrix(), c, c_inv, theta)
-
-
-def _verified_twist(c: SuperMap) -> RatFunc:
-    """Compute the inverse-square of the twist and pin its sign.
-
-    The duality transport cancels between the two braidings, leaving
-    ((d o c) (x) id) o (id (x) (c o b)) on M; this must equal q^2 id.  Of
-    the two square roots q^{-1} and -q^{-1}, the twist is the one with
-    value 1 in the classical limit q = 1.
-    """
-    _, b, d = duality_maps()
-    c_then_cap = compose(d, c)
-    cup_then_c = compose(c, b)
-    theta_inv_sq = compose(embed_at(c_then_cap, 0, 1, M),
-                           embed_at(cup_then_c, 1, 0, M))
-    expected = SuperMap.identity(M).scale(RF_Q * RF_Q)
-    if theta_inv_sq != expected:
+    # the inverse square of the twist must be q^2 id; of its two square
+    # roots q^{-1} and -q^{-1}, the twist is the one with value 1 at q = 1
+    if twist_inverse_square(c) != SuperMap.identity(M).scale(RF_Q * RF_Q):
         raise ArithmeticError("twist computation disagrees with q^2 * id")
-    return RatFunc.q_power(-1)
+    return BraidingBundle(r_matrix(), c, c_inv, RatFunc.q_power(-1))
+
+
+def twist_inverse_square(c: SuperMap) -> SuperMap:
+    """((d o c) (x) id) o (id (x) (c o b)) on M: the inverse square of the
+    twist, where the duality transport cancels between the two braidings."""
+    _, b, d = duality_maps()
+    return compose(embed_at(compose(d, c), 0, 1, M),
+                   embed_at(compose(c, b), 1, 0, M))
 
 
 def spectral_check() -> Report:

@@ -12,6 +12,10 @@ parity allows; the braiding/tangle pipeline uses even maps exclusively.
 Koszul signs are concentrated in a single audited code path,
 :func:`tensor_map`, which implements (f (x) g)(v (x) w) =
 (-1)^{|g||v|} f(v) (x) g(w) on lexicographically ordered tensor bases.
+
+Exact linear algebra runs one Gaussian elimination, the forward sweep of
+:func:`_forward_sweep`: :func:`rank_over_fractions` counts its pivots and
+:func:`invert` adds back substitution on the identity-augmented rows.
 """
 
 from __future__ import annotations
@@ -206,94 +210,72 @@ def embed_at(f: SuperMap, left: int, right: int, strand: SuperSpace) -> SuperMap
     return out
 
 
-def _echelon_rows(f: SuperMap) -> List[Dict[int, RatFunc]]:
-    rows: Dict[int, Dict[int, RatFunc]] = {}
-    for (row, col), value in f.entries.items():
-        rows.setdefault(row, {})[col] = value
-    return [rows[r] for r in sorted(rows)]
+def _subtract(row: Dict[int, RatFunc], factor: RatFunc,
+              other: Dict[int, RatFunc]) -> None:
+    """row -= factor * other on sparse rows, in place."""
+    for c, v in other.items():
+        acc = row.get(c, RF_ZERO) - factor * v
+        if acc.is_zero():
+            row.pop(c, None)
+        else:
+            row[c] = acc
 
 
-def rank_over_fractions(f: SuperMap) -> int:
-    """Exact rank by Gaussian elimination.
-
-    Pivot rule: columns scanned left to right, pivot is the first remaining
-    row (in row order) with a nonzero entry in the current column.
-    """
-    rows = _echelon_rows(f)
-    rank = 0
-    for col in range(f.domain.dim):
-        pivot_index = None
-        for idx, row in enumerate(rows):
+def _forward_sweep(rows: List[Dict[int, RatFunc]],
+                   columns: int) -> List[Tuple[int, Dict[int, RatFunc]]]:
+    """Gaussian forward elimination of sparse ``rows`` over the first
+    ``columns`` columns, left to right: the first remaining row with an entry
+    in the column is the pivot row, and ``coeff / pivot`` times it clears the
+    entry from the rest.  Returns the (column, pivot row) pairs."""
+    pivots = []
+    for col in range(columns):
+        for index, row in enumerate(rows):
             if col in row:
-                pivot_index = idx
                 break
-        if pivot_index is None:
+        else:
             continue
-        pivot_row = rows.pop(pivot_index)
+        pivot_row = rows.pop(index)
         pivot_value = pivot_row[col]
-        rank += 1
+        pivots.append((col, pivot_row))
         reduced: List[Dict[int, RatFunc]] = []
         for row in rows:
             coeff = row.get(col)
             if coeff is not None:
-                factor = coeff / pivot_value
-                for c, v in pivot_row.items():
-                    acc = row.get(c, RF_ZERO) - factor * v
-                    if acc.is_zero():
-                        row.pop(c, None)
-                    else:
-                        row[c] = acc
+                _subtract(row, coeff / pivot_value, pivot_row)
             if row:
                 reduced.append(row)
         rows = reduced
-    return rank
+    return pivots
+
+
+def rank_over_fractions(f: SuperMap) -> int:
+    """Exact rank: the number of pivots of the forward sweep."""
+    rows: List[Dict[int, RatFunc]] = [{} for _ in range(f.codomain.dim)]
+    for (row, col), value in f.entries.items():
+        rows[row][col] = value
+    return len(_forward_sweep(rows, f.domain.dim))
 
 
 def invert(f: SuperMap) -> SuperMap:
-    """Exact inverse of a square map by Gauss-Jordan elimination."""
+    """Exact inverse of a square map: the forward sweep on [f | id], then
+    back substitution and the scaling of each row by 1/pivot."""
     if f.domain.dim != f.codomain.dim:
         raise ShapeMismatchError("inverse of a non-square map")
     n = f.domain.dim
-    body: List[Dict[int, RatFunc]] = [{} for _ in range(n)]
+    # column n + r of row r holds the identity block
+    rows: List[Dict[int, RatFunc]] = [{n + r: RF_ONE} for r in range(n)]
     for (row, col), value in f.entries.items():
-        body[row][col] = value
-    aug: List[Dict[int, RatFunc]] = [{i: RF_ONE} for i in range(n)]
-    row_order = list(range(n))
-    for col in range(n):
-        pivot_pos = None
-        for pos in range(col, n):
-            if col in body[row_order[pos]]:
-                pivot_pos = pos
-                break
-        if pivot_pos is None:
-            raise ArithmeticError("singular matrix")
-        row_order[col], row_order[pivot_pos] = row_order[pivot_pos], row_order[col]
-        pr = row_order[col]
-        inv_pivot = body[pr][col].inverse()
-        body[pr] = {c: v * inv_pivot for c, v in body[pr].items()}
-        aug[pr] = {c: v * inv_pivot for c, v in aug[pr].items()}
-        for pos in range(n):
-            r = row_order[pos]
-            if r == pr:
-                continue
-            coeff = body[r].get(col)
-            if coeff is None:
-                continue
-            for c, v in body[pr].items():
-                acc = body[r].get(c, RF_ZERO) - coeff * v
-                if acc.is_zero():
-                    body[r].pop(c, None)
-                else:
-                    body[r][c] = acc
-            for c, v in aug[pr].items():
-                acc = aug[r].get(c, RF_ZERO) - coeff * v
-                if acc.is_zero():
-                    aug[r].pop(c, None)
-                else:
-                    aug[r][c] = acc
-    entries: Dict[Entry, RatFunc] = {}
-    for col in range(n):
-        pr = row_order[col]
-        for c, v in aug[pr].items():
-            entries[(col, c)] = v
+        rows[row][col] = value
+    pivots = _forward_sweep(rows, n)
+    if len(pivots) < n:
+        raise ArithmeticError("singular matrix")
+    solved: Dict[int, Dict[int, RatFunc]] = {}
+    for col, row in reversed(pivots):
+        acc = {c - n: v for c, v in row.items() if c >= n}
+        for c, coeff in row.items():
+            if col < c < n:
+                _subtract(acc, coeff, solved[c])
+        inv_pivot = row[col].inverse()
+        solved[col] = {k: v * inv_pivot for k, v in acc.items()}
+    entries = {(r, c): v for r in range(n) for c, v in solved[r].items()}
     return SuperMap(f.codomain, f.domain, entries, f.parity)

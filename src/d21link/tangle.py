@@ -56,12 +56,11 @@ normalization.
 
 from __future__ import annotations
 
-import re
 from collections import deque
 from functools import lru_cache
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from .ring import format_q_laurent, to_integer_laurent
+from .ring import format_q_laurent, laurent_product, to_integer_laurent
 from .representation import DIM, duality_maps
 from .rmatrix import braiding
 
@@ -123,16 +122,25 @@ class BraidWord(_BraidFields):
         return f"{self.strands}: {' '.join(str(k) for k in self.letters)}".rstrip()
 
 
-_BRAID_RE = re.compile(r"^\s*(\d+)\s*:\s*((?:-?\d+\s*)*)$")
+def ascii_integers(text: str) -> List[int]:
+    """The blank-separated integers of ``text``, each an optional ``-`` and
+    ASCII digits; any other token (other digits, ``+``, ``_``) raises
+    ``ValueError``, as does a number past Python's int-string digit limit."""
+    if not text.isascii() or "+" in text or "_" in text:
+        raise ValueError(f"not ASCII integers: {text!r}")
+    return [int(token) for token in text.split()]
 
 
 def parse_braid(text: str) -> BraidWord:
-    """Parse ``<n>: <letters>``, e.g. ``2: 1 1 1`` or ``1:``."""
-    match = _BRAID_RE.match(text)
-    if not match:
-        raise DiagramError(f"malformed braid text {text!r}")
-    strands = int(match.group(1))
-    letters = tuple(int(tok) for tok in match.group(2).split())
+    """Parse ``<n>: <letters>``, e.g. ``2: 1 1 1`` or ``1:``, n unsigned."""
+    head, colon, tail = text.partition(":")
+    try:
+        if not colon or "-" in head:
+            raise ValueError(text)
+        (strands,) = ascii_integers(head)
+        letters = tuple(ascii_integers(tail))
+    except ValueError:
+        raise DiagramError(f"malformed braid text {text!r}") from None
     return BraidWord(strands, letters)
 
 
@@ -212,7 +220,7 @@ def parse_sliced_text(text: str) -> SlicedDiagram:
         if len(parts) != 2 or parts[0] not in EVENT_KINDS:
             raise DiagramError(f"line {lineno}: expected 'kind position', got {raw!r}")
         try:
-            position = int(parts[1])
+            (position,) = ascii_integers(parts[1])
         except ValueError:
             raise DiagramError(f"line {lineno}: bad position {parts[1]!r}") from None
         events.append(SlicedEvent(parts[0], position))
@@ -401,17 +409,8 @@ def _pivotal_weights(cup_table, cap_table) -> List[Dict[int, int]]:
     weights: List[Dict[int, int]] = [{}] * DIM
     for pair, cup_coeff in cups[()]:
         ((_, cap_coeff),) = caps[pair]
-        weights[pair[1]] = _product(cup_coeff, cap_coeff)
+        weights[pair[1]] = laurent_product(cup_coeff, cap_coeff)
     return weights
-
-
-def _product(left: Dict[int, int], right: Dict[int, int]) -> Dict[int, int]:
-    """Product of two Laurent polynomials ``{q_exponent: coefficient}``."""
-    out: Dict[int, int] = {}
-    for e1, c1 in left.items():
-        for e2, c2 in right.items():
-            out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
-    return {exp: coeff for exp, coeff in out.items() if coeff}
 
 
 def evaluate_sliced(diagram: SlicedDiagram,
@@ -491,13 +490,13 @@ def _left_partial_trace(crossing_table, weights) -> Dict[int, int]:
     partial = {(b, d): {} for b in range(DIM) for d in range(DIM)}
     for (x, b), rows in table.items():
         for (y, d), coeff in rows:
-            if (_product(weights[x], weights[b])
-                    != _product(weights[y], weights[d])):
+            if (laurent_product(weights[x], weights[b])
+                    != laurent_product(weights[y], weights[d])):
                 raise ValueError("a crossing does not keep the pivotal "
                                  "weights; the trace is not cyclic")
             if y == x:
                 terms = partial[b, d]
-                for exp, value in _product(weights[x], coeff).items():
+                for exp, value in laurent_product(weights[x], coeff).items():
                     terms[exp] = terms.get(exp, 0) + value
     partial = {pair: {e: c for e, c in terms.items() if c}
                for pair, terms in partial.items()}
@@ -803,9 +802,10 @@ def _simplify_braid(word: BraidWord
             letters = [(n if k > 0 else -n) - k for k in letters]
             firsts = [k for k in letters if abs(k) == 1]
         if firsts:
-            factor = _product(factor, crossing["pos" if firsts[0] > 0 else "neg"])
+            factor = laurent_product(
+                factor, crossing["pos" if firsts[0] > 0 else "neg"])
         else:
-            factor = _product(factor, loop)
+            factor = laurent_product(factor, loop)
         letters = [k - 1 if k > 0 else k + 1 for k in letters if abs(k) != 1]
         n -= 1
     return (BraidWord(n, tuple(letters)), factor,
@@ -826,5 +826,5 @@ def invariant(word: BraidWord, budget: int = DEFAULT_TANGLE_BUDGET,
     _check_budget(2 * word.strands, budget)
     braid, factor, stats = _simplify_braid(word)
     result = trace(braid, budget, support_budget)
-    value = _product(dict(result.value), factor)
+    value = laurent_product(dict(result.value), factor)
     return result._replace(value=tuple(sorted(value.items())), simplify=stats)

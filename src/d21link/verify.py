@@ -15,13 +15,15 @@ this module nor the braiding side) each evaluate the same closed braid.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, List, Optional
 
 from .report import CheckResult, Report
-from .ring import RF_LAMBDA, RatFunc, format_q_laurent, to_integer_laurent
+from .ring import (RF_LAMBDA, RatFunc, format_q_laurent, laurent_product,
+                   to_integer_laurent)
 from .representation import (M, M2, check_defining_relations, coproduct_action,
                              duality_maps, simple_orbit_spans)
-from .rmatrix import (braiding, compare_reference, r_matrix, spectral_check)
+from .rmatrix import (braiding, compare_reference, r_matrix, spectral_check,
+                      twist_inverse_square)
 from .superlinalg import SuperMap, compose, embed_at
 from .tangle import (DEFAULT_TANGLE_BUDGET, BraidWord, invariant, parse_braid,
                      trace)
@@ -60,16 +62,12 @@ def rmatrix_suite(deviations_path: Optional[str] = None) -> Report:
     report.checks.append(CheckResult(
         "twist-is-1/q", bundle.theta == RatFunc.q_power(-1)))
 
-    integer_ok = True
     try:
-        for value in bundle.c.entries.values():
-            to_integer_laurent(value)
-        for value in bundle.c_inv.entries.values():
+        for value in (*bundle.c.entries.values(), *bundle.c_inv.entries.values()):
             to_integer_laurent(value)
     except Exception as exc:  # noqa: BLE001 - recorded in the report
-        integer_ok = False
         report.checks.append(CheckResult("braiding-integer-entries", False, str(exc)))
-    if integer_ok:
+    else:
         report.checks.append(CheckResult("braiding-integer-entries", True))
 
     report.checks.append(CheckResult("r-matrix-classical-limit",
@@ -103,10 +101,7 @@ def _is_identity_at_one(m: SuperMap) -> bool:
 
 
 def category_suite(progress: Optional[Callable[[str], None]] = None) -> Report:
-    def note(message: str) -> None:
-        if progress:
-            progress(message)
-
+    note = progress or (lambda message: None)
     checks: List[CheckResult] = []
     bundle = braiding()
     c, c_inv = bundle.c, bundle.c_inv
@@ -132,13 +127,9 @@ def category_suite(progress: Optional[Callable[[str], None]] = None) -> Report:
         "curl-scalar", curl == ident_m.scale(-RatFunc.q_power(-1))))
 
     note("checking twist square")
-    cap_braid = compose(d, c)
-    braid_cup = compose(c, b)
-    twist_sq_inv = compose(embed_at(cap_braid, 0, 1, M),
-                           embed_at(braid_cup, 1, 0, M))
     checks.append(CheckResult(
         "twist-inverse-square",
-        twist_sq_inv == ident_m.scale(RatFunc.q_power(2))))
+        twist_inverse_square(c) == ident_m.scale(RatFunc.q_power(2))))
 
     note("checking naturality for the nine generators")
     for name in ("E", "F", "H"):
@@ -181,10 +172,7 @@ def compare(word: BraidWord, budget: int = dubrovnik.DEFAULT_BUDGET,
 def skein_suite(budget: int = dubrovnik.DEFAULT_BUDGET,
                 progress: Optional[Callable[[str], None]] = None,
                 tangle_budget: int = DEFAULT_TANGLE_BUDGET) -> Report:
-    def note(message: str) -> None:
-        if progress:
-            progress(message)
-
+    note = progress or (lambda message: None)
     report = Report("skein")
     for text in CORPUS:
         note(f"comparing pipelines on {text!r}")
@@ -213,11 +201,7 @@ def skein_suite(budget: int = dubrovnik.DEFAULT_BUDGET,
     # crossing-disjoint union is the product of the factors.
     hopf = invariant(parse_braid("2: 1 1"), tangle_budget).value_dict()
     both = invariant(parse_braid("4: 1 1 3 3"), tangle_budget).value_dict()
-    square: Dict[int, int] = {}
-    for e1, c1 in hopf.items():
-        for e2, c2 in hopf.items():
-            square[e1 + e2] = square.get(e1 + e2, 0) + c1 * c2
-    square = {exp: coeff for exp, coeff in square.items() if coeff}
+    square = laurent_product(hopf, hopf)
     report.checks.append(CheckResult(
         "split-union-product", both == square,
         "" if both == square else "product rule failed"))
@@ -235,17 +219,14 @@ def run_suites(name: str, budget: int = dubrovnik.DEFAULT_BUDGET,
                deviations_path: Optional[str] = None,
                progress: Optional[Callable[[str], None]] = None,
                tangle_budget: int = DEFAULT_TANGLE_BUDGET) -> List[Report]:
+    suites = {
+        "relations": relations_suite,
+        "rmatrix": lambda: rmatrix_suite(deviations_path),
+        "category": lambda: category_suite(progress),
+        "skein": lambda: skein_suite(budget, progress, tangle_budget),
+    }
     if name == "all":
-        return [relations_suite(),
-                rmatrix_suite(deviations_path),
-                category_suite(progress),
-                skein_suite(budget, progress, tangle_budget)]
-    if name == "relations":
-        return [relations_suite()]
-    if name == "rmatrix":
-        return [rmatrix_suite(deviations_path)]
-    if name == "category":
-        return [category_suite(progress)]
-    if name == "skein":
-        return [skein_suite(budget, progress, tangle_budget)]
-    raise ValueError(f"unknown suite {name!r}")
+        return [run() for run in suites.values()]
+    if name not in suites:
+        raise ValueError(f"unknown suite {name!r}")
+    return [suites[name]()]

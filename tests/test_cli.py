@@ -148,6 +148,18 @@ def test_parse_errors_exit_2(capsys, tmp_path):
         assert code == 2
         assert out == ""
         assert err.startswith("error:")
+    # a digit run before a bad character, a letter that int() rejects,
+    # numbers past the int-string digit limit, digits that are not ASCII,
+    # and a malformed word of 10,000 characters
+    for text in ("2: " + "1" * 24 + "x", "2: 1-1", "2: 1 +1", "2: 1_0 1",
+                 "9" * 5000 + ":", "2: " + "1" * 5000, "3: \u0661 \u0662",
+                 "\u0663: 1 2", "-2: 1", "2: " + "1 " * 4998 + "x"):
+        for command in ("invariant", "dubrovnik"):
+            start = time.monotonic()
+            code, out, err = run_cli(capsys, command, "--braid", text)
+            assert time.monotonic() - start < 1.0
+            assert (code, out) == (2, "")
+            assert err.startswith("error: malformed braid text")
 
 
 def test_budget_env_override(capsys, monkeypatch):
@@ -195,7 +207,8 @@ def test_tangle_budget_env_override(capsys, monkeypatch, tmp_path):
     assert code == 2
     assert "budget" in err
     for raw, reason in (("many", "is not an integer"), ("0", "must be at least 1"),
-                        ("-3", "must be at least 1")):
+                        ("-3", "must be at least 1"), ("1_2", "is not an integer"),
+                        ("\u0661\u0662", "is not an integer")):
         monkeypatch.setenv("D21LINK_TANGLE_BUDGET", raw)
         for argv in (("invariant", "--braid", "1:"), ("verify", "--suite", "skein")):
             assert run_cli(capsys, *argv) == (
@@ -203,7 +216,8 @@ def test_tangle_budget_env_override(capsys, monkeypatch, tmp_path):
 
 
 def test_skein_budget_env_must_be_a_positive_integer(capsys, monkeypatch):
-    for raw, reason in (("abc", "is not an integer"), ("0", "must be at least 1")):
+    for raw, reason in (("abc", "is not an integer"), ("0", "must be at least 1"),
+                        ("1_6", "is not an integer"), ("+16", "is not an integer")):
         monkeypatch.setenv("D21LINK_SKEIN_BUDGET", raw)
         for argv in (("dubrovnik", "--braid", "1:"), ("verify", "--suite", "skein")):
             assert run_cli(capsys, *argv) == (
@@ -217,7 +231,9 @@ def test_support_budget_env_override(capsys, monkeypatch):
                "budget 10\n")
     # simplifies to one strand, whose blocks hold 4 and 1 states
     assert run_cli(capsys, "invariant", "--braid", "3: 1 -2") == (0, "2\n", "")
-    for raw, reason in (("lots", "is not an integer"), ("0", "must be at least 1")):
+    for raw, reason in (("lots", "is not an integer"), ("0", "must be at least 1"),
+                        ("1_000", "is not an integer"),
+                        ("\u0661\u0660", "is not an integer")):
         monkeypatch.setenv("D21LINK_SUPPORT_BUDGET", raw)
         assert run_cli(capsys, "invariant", "--braid", "1:") == (
             2, "", f"error: D21LINK_SUPPORT_BUDGET {reason}: {raw!r}\n")

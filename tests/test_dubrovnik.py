@@ -8,14 +8,16 @@ from pathlib import Path
 import pytest
 
 from d21link.cli import main
-from d21link.dubrovnik import (DELTA, LinkGraph, SkeinBudgetExceeded, TV_A,
-                               TV_A_INV, TV_ONE, TwoVarPoly, _simplify,
-                               braid_closure_graph, dubrovnik_poly,
-                               specialize)
+from d21link.dubrovnik import (DELTA, LinkGraph, SkeinBudgetExceeded, TV_ONE,
+                               TwoVarPoly, _simplify, braid_closure_graph,
+                               dubrovnik_poly, specialize)
 from d21link.ring import NotLaurentInQ
 from d21link.tangle import parse_braid
 from d21link.verify import compare
 from helpers import plain_dubrovnik
+
+TV_A = TwoVarPoly.monomial(1, 0)
+TV_A_INV = TwoVarPoly.monomial(-1, 0)
 
 
 def poly_of(text, **kwargs):

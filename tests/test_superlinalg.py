@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from d21link.representation import M, M2, generator_action
+from d21link.representation import M, M2, duality_maps, generator_action
 from d21link.ring import RF_ONE, RatFunc
 from d21link.superlinalg import (ShapeMismatchError, SuperMap, SuperSpace,
                                  compose, embed_at, invert,
@@ -118,6 +118,10 @@ def test_rank_known_cases():
                             (1, 0): RatFunc.constant(2),
                             (1, 1): RatFunc.constant(2)})
     assert rank_over_fractions(outer) == 1
+    # the non-square cap (36 -> 1) and cup (1 -> 36)
+    _, cup, cap = duality_maps()
+    assert rank_over_fractions(cap) == 1
+    assert rank_over_fractions(cup) == 1
 
 
 def test_rank_is_invariant_under_left_multiplication_by_invertible():
@@ -137,6 +141,18 @@ def test_invert_round_trip_and_singular():
     assert compose(m, invert(m)) == SuperMap.identity(M)
     with pytest.raises(ArithmeticError):
         invert(SuperMap.zero(M, M))
+    # two equal nonzero rows
+    equal_rows = dict(entries)
+    equal_rows[(1, 0)] = RatFunc.constant(1)
+    equal_rows[(1, 1)] = RatFunc.constant(5)
+    with pytest.raises(ArithmeticError):
+        invert(SuperMap(M, M, equal_rows))
+    # the v1 <-> v2 swap: the pivot for column 0 sits in row 1
+    swap = {(i, i): RF_ONE for i in range(2, 6)}
+    swap[(0, 1)] = swap[(1, 0)] = RatFunc.q_power(1)
+    m = SuperMap(M, M, swap)
+    assert compose(invert(m), m) == SuperMap.identity(M)
+    assert invert(m).entry(1, 0) == RatFunc.q_power(-1)
 
 
 def test_map_addition_parity_rules():

@@ -194,6 +194,10 @@ def test_parse_sliced_text_roundtrip(tmp_path):
         parse_sliced_text("cup one")
     with pytest.raises(DiagramError):
         parse_sliced_text("hug 1")
+    # every position is an optional minus sign and ASCII digits
+    for position in ("\u0661", "+1", "1_0", "1" * 5000):
+        with pytest.raises(DiagramError, match=r"line 2: bad position"):
+            parse_sliced_text(f"cup 1\ncap {position}\n")
 
 
 def test_values_are_integer_laurent():
