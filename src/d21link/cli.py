@@ -43,8 +43,8 @@ from .representation import DIM
 from .ring import NotLaurentInQ, format_q_laurent, q_string
 from .rmatrix import EVEN_PAIRS, ODD_PAIRS, braiding, split_blocks
 from .tangle import (DEFAULT_SUPPORT_BUDGET, DEFAULT_TANGLE_BUDGET,
-                     DiagramError, ascii_integers, evaluate_sliced, invariant,
-                     parse_braid, parse_sliced_text)
+                     DiagramError, ascii_integers, evaluate_sliced, excerpt,
+                     invariant, parse_braid, parse_sliced_text)
 from .verify import run_suites
 
 DEVIATIONS_FILE = "braiding_deviations.txt"
@@ -61,9 +61,10 @@ def _budget(variable: str, default: int) -> int:
     try:
         (value,) = ascii_integers(raw)
     except ValueError:
-        raise BudgetSettingError(f"{variable} is not an integer: {raw!r}") from None
+        raise BudgetSettingError(
+            f"{variable} is not an integer: {excerpt(raw)}") from None
     if value < 1:
-        raise BudgetSettingError(f"{variable} must be at least 1: {raw!r}")
+        raise BudgetSettingError(f"{variable} must be at least 1: {excerpt(raw)}")
     return value
 
 

@@ -1,8 +1,9 @@
 """The six-dimensional supermodule and its generator actions.
 
 Constant tables for the rank-three quantized Lie superalgebra at the fixed
-parameter value: Cartan matrix, symmetrizer, the inverse matrix driving the
-diagonal braiding factor, the seven positive roots with their parities and
+parameter value: Cartan matrix, symmetrizer, ``b4`` = 4b for the inverse
+matrix b driving the diagonal braiding factor (integral, as its q-exponents
+are quarter-integers), the seven positive roots with their parities and
 bracket constants, and the action of the nine generators E_i, F_i, H_i on
 the supermodule M with basis v_1..v_6 (v_1, v_2 even, v_3..v_6 odd).
 
@@ -20,7 +21,6 @@ between the raising and lowering halves.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, NamedTuple, Tuple
 
@@ -66,28 +66,26 @@ class _CartanFields(NamedTuple):
     a: Tuple[Tuple[int, ...], ...]
     d: Tuple[int, ...]
     abar: Tuple[Tuple[int, ...], ...]
-    b: Tuple[Tuple[Fraction, ...], ...]
+    b4: Tuple[Tuple[int, ...], ...]
 
 
 class CartanData(_CartanFields):
     __slots__ = ()
 
-    def __new__(cls, a, d, abar, b):
+    def __new__(cls, a, d, abar, b4):
         for i in range(3):
             for j in range(3):
                 if abar[i][j] != d[i] * a[i][j]:
                     raise ValueError("symmetrized Cartan matrix mismatch")
                 if abar[i][j] != abar[j][i]:
                     raise ValueError("symmetrized Cartan matrix not symmetric")
-        # b must invert the matrix (-a_ij / d_j) exactly.
+        # b = b4 / 4 must invert the matrix (-a_ij / d_j) exactly.
         for i in range(3):
             for j in range(3):
-                acc = Fraction(0)
-                for k in range(3):
-                    acc += b[i][k] * Fraction(-a[k][j], d[j])
-                if acc != (1 if i == j else 0):
-                    raise ValueError("b is not inverse to (-a_ij/d_j)")
-        return super().__new__(cls, a, d, abar, b)
+                acc = sum(b4[i][k] * -a[k][j] for k in range(3))
+                if acc != (4 * d[j] if i == j else 0):
+                    raise ValueError("b4 / 4 is not inverse to (-a_ij/d_j)")
+        return super().__new__(cls, a, d, abar, b4)
 
 
 class RootData(NamedTuple):
@@ -100,11 +98,7 @@ CARTAN = CartanData(
     a=((0, 1, 1), (-1, 2, 0), (-1, 0, 2)),
     d=(-1, 1, 1),
     abar=((0, -1, -1), (-1, 2, 0), (-1, 0, 2)),
-    b=(
-        (Fraction(1), Fraction(-1, 2), Fraction(-1, 2)),
-        (Fraction(-1, 2), Fraction(-1, 4), Fraction(1, 4)),
-        (Fraction(-1, 2), Fraction(1, 4), Fraction(-1, 4)),
-    ),
+    b4=((4, -2, -2), (-2, -1, 1), (-2, 1, -1)),
 )
 
 ROOTS = RootData(

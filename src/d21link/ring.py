@@ -1,7 +1,7 @@
 """Exact arithmetic in the quarter-exponent Laurent ring and its fractions.
 
 The braiding is built and verified over Laurent polynomials in t = q^{1/4}
-with rational coefficients, and over reduced fractions of such polynomials.
+with integer coefficients, and over reduced fractions of such polynomials.
 Its entries are then read out as integer Laurent polynomials in q by
 :func:`to_integer_laurent`; the tangle fold runs on those alone and the skein
 oracle on ``int`` coefficients, so :class:`RatFunc` serves only the braiding
@@ -10,18 +10,16 @@ A :class:`QuarterLaurent` stores a finite map ``exponent -> coefficient``
 where the integer exponent ``e`` encodes the monomial t^e = q^{e/4}; a plain
 power q^k therefore sits at exponent 4k.  Working on the quarter-exponent
 lattice keeps the diagonal Cartan factors, whose q-exponents have
-denominator four, in exact integer bookkeeping.  A coefficient is an
-``int`` whenever it is integral, and a ``Fraction`` only where a division
-leaves a non-integer (a few hundred of the tens of thousands that building
-and verifying the braiding creates); every division goes through
-``Fraction``, never ``/`` on two ints; equality and hashing are by
-value, since ``Fraction(2) == 2`` hashes as ``2``.
+denominator four, in exact integer bookkeeping.  Every coefficient is an
+``int`` (anything else raises ``TypeError``), so a rational number such as
+1/2 lives in a :class:`RatFunc` denominator.
 
-A :class:`RatFunc` is a fraction of two QuarterLaurent values held in
-canonical form: numerator and denominator coprime (polynomial gcd over the
-rationals via content/primitive-part splitting), denominator with valuation
-zero, content one and positive leading coefficient, and denominator exactly
-one whenever the value is polynomial.  Equality is therefore structural.
+A :class:`RatFunc` is a fraction of two QuarterLaurent values held in lowest
+terms over Z[t, t^-1]: numerator and denominator divided by their gcd (a
+primitive pseudo-remainder sequence over the integers, times the gcd of the
+contents), denominator with valuation zero and positive leading coefficient,
+and denominator exactly one whenever the value is polynomial.  The units of
+Z[t, t^-1] are the +-t^k, so this form is unique and equality is structural.
 
 Values that are integer Laurent polynomials in q render canonically with
 ascending exponents::
@@ -39,7 +37,6 @@ are computed on demand, never stored.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd as _int_gcd
 from typing import Dict, Mapping, Sequence
 
@@ -62,44 +59,17 @@ class NotLaurentInQ(ValueError):
         self.offender = offender
 
 
-def _coefficient(value):
-    """``value`` as an ``int`` when it is integral, else as a ``Fraction``."""
-    if type(value) is int:
-        return value
-    if not isinstance(value, Fraction):
-        value = Fraction(value)
-    return value.numerator if value.denominator == 1 else value
-
-
-def _ratio(num, den):
-    """Exact ``num / den`` of two coefficients, never a ``float``."""
-    if type(num) is int and type(den) is int:
-        quo, rem = divmod(num, den)
-        if not rem:
-            return quo
-    return _coefficient(Fraction(num, den))
-
-
-def _settled(terms: Dict[int, object]) -> Dict[int, object]:
-    """``terms`` with each integral ``Fraction`` turned into an ``int``, in
-    place: a sum or product of fractions can be integral."""
-    for exp, coeff in terms.items():
-        if type(coeff) is not int and coeff.denominator == 1:
-            terms[exp] = coeff.numerator
-    return terms
-
-
 class QuarterLaurent:
-    """Laurent polynomial in t = q^{1/4} with rational (mostly int)
-    coefficients."""
+    """Laurent polynomial in t = q^{1/4} with ``int`` coefficients."""
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Mapping[int, object] | None = None):
-        clean: Dict[int, object] = {}
+    def __init__(self, terms: Mapping[int, int] | None = None):
+        clean: Dict[int, int] = {}
         if terms:
             for exp, coeff in terms.items():
-                coeff = _coefficient(coeff)
+                if type(coeff) is not int:
+                    raise TypeError(f"coefficient {coeff!r} is not an int")
                 if coeff:
                     clean[int(exp)] = coeff
         self.terms = clean
@@ -140,7 +110,7 @@ class QuarterLaurent:
                 else:
                     del merged[exp]
         result = QuarterLaurent.__new__(QuarterLaurent)
-        result.terms = _settled(merged)
+        result.terms = merged
         return result
 
     def __neg__(self) -> "QuarterLaurent":
@@ -154,7 +124,7 @@ class QuarterLaurent:
     def __mul__(self, other: "QuarterLaurent") -> "QuarterLaurent":
         if not self.terms or not other.terms:
             return ZERO
-        out: Dict[int, object] = {}
+        out: Dict[int, int] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = e1 + e2
@@ -168,7 +138,7 @@ class QuarterLaurent:
                     else:
                         del out[e]
         result = QuarterLaurent.__new__(QuarterLaurent)
-        result.terms = _settled(out)
+        result.terms = out
         return result
 
     def shifted(self, exp: int) -> "QuarterLaurent":
@@ -187,21 +157,9 @@ class QuarterLaurent:
     def leading_coefficient(self):
         return self.terms[self.degree()]
 
-    def content(self):
-        """Positive rational c with self/c primitive (integer, coprime); an
-        ``int`` when every coefficient is one."""
-        if not self.terms:
-            raise ValueError("zero polynomial has no content")
-        num = 0
-        den = 1
-        for coeff in self.terms.values():
-            num = _int_gcd(num, abs(coeff.numerator))
-            den = den * coeff.denominator // _int_gcd(den, coeff.denominator)
-        return num if den == 1 else Fraction(num, den)
-
-    def evaluate_at_one(self):
-        """Specialize t = 1 (the classical limit q = 1)."""
-        return sum(self.terms.values())
+    def content(self) -> int:
+        """The gcd of the coefficients (0 for the zero polynomial)."""
+        return _int_gcd(*self.terms.values())
 
     def __repr__(self):
         return format_laurent({(e,): c for e, c in self.terms.items()}, ("t",))
@@ -214,69 +172,68 @@ QINV = QuarterLaurent({-4: 1})
 LAMBDA = Q - QINV
 
 
-def _poly_divmod(a: QuarterLaurent, b: QuarterLaurent):
-    """Long division in Q[t]; both arguments must have valuation >= 0."""
-    rem = dict(a.terms)
-    quo: Dict[int, object] = {}
-    deg_b = b.degree()
-    lead_b = b.terms[deg_b]
-    while rem:
-        deg_r = max(rem)
-        if deg_r < deg_b:
-            break
-        factor = _ratio(rem[deg_r], lead_b)
-        shift = deg_r - deg_b
-        quo[shift] = factor
-        for exp, coeff in b.terms.items():
-            e = exp + shift
-            acc = rem.get(e, 0) - coeff * factor
-            if acc:
-                rem[e] = acc
-            else:
-                rem.pop(e, None)
-    return QuarterLaurent(quo), QuarterLaurent(rem)
+def _subtract_multiple(rem: Dict[int, int], factor: int, shift: int,
+                       b: QuarterLaurent) -> None:
+    """rem -= factor * t^shift * b, in place."""
+    for exp, coeff in b.terms.items():
+        e = exp + shift
+        acc = rem.get(e, 0) - factor * coeff
+        if acc:
+            rem[e] = acc
+        else:
+            rem.pop(e, None)
 
 
-def _divided(p: QuarterLaurent, scale) -> QuarterLaurent:
-    """p / scale for a nonzero coefficient ``scale``."""
-    return QuarterLaurent({e: _ratio(c, scale) for e, c in p.terms.items()})
-
-
-def _unit_scale(p: QuarterLaurent):
-    """The content of p, with the sign of its leading coefficient."""
-    scale = p.content()
-    return -scale if p.leading_coefficient() < 0 else scale
-
-
-def _unit_normalize(p: QuarterLaurent) -> QuarterLaurent:
-    """Scale/shift p to valuation 0, content 1, positive leading coefficient."""
-    p = p.shifted(-p.valuation())
-    scale = _unit_scale(p)
-    return p if scale == 1 else _divided(p, scale)
+def _primitive(p: QuarterLaurent) -> QuarterLaurent:
+    """p shifted to valuation 0 and divided by its content, with a positive
+    leading coefficient."""
+    shift = -p.valuation()
+    scale = p.content() if p.leading_coefficient() > 0 else -p.content()
+    return QuarterLaurent({e + shift: c // scale for e, c in p.terms.items()})
 
 
 def poly_gcd(a: QuarterLaurent, b: QuarterLaurent) -> QuarterLaurent:
-    """Gcd of two nonzero Laurent polynomials, in unit-normalized form."""
-    a = _unit_normalize(a)
-    b = _unit_normalize(b)
+    """Gcd of two nonzero Laurent polynomials over Z: valuation 0, positive
+    leading coefficient, content the gcd of the two contents.
+
+    A primitive pseudo-remainder sequence on the primitive parts (Knuth,
+    TAOCP vol. 2, 4.6.1): every step stays in integers, and each remainder
+    is cut back to its primitive part before the next.
+    """
+    content = _int_gcd(a.content(), b.content())
+    a, b = _primitive(a), _primitive(b)
     while not b.is_zero():
-        _, r = _poly_divmod(a, b)
-        a = b
-        b = _unit_normalize(r) if not r.is_zero() else r
-    return a
+        rem = dict(a.terms)
+        deg_b, lead_b = b.degree(), b.leading_coefficient()
+        while rem and max(rem) >= deg_b:
+            deg_r = max(rem)
+            factor = rem[deg_r]
+            if lead_b != 1:
+                rem = {e: c * lead_b for e, c in rem.items()}
+            _subtract_multiple(rem, factor, deg_r - deg_b, b)
+        a, b = b, _primitive(QuarterLaurent(rem)) if rem else ZERO
+    return a if content == 1 else a * QuarterLaurent.constant(content)
 
 
 def exact_div(a: QuarterLaurent, b: QuarterLaurent) -> QuarterLaurent:
-    """Quotient a/b when b divides a exactly (Laurent division)."""
+    """Quotient a/b in Z[t, t^-1]; ``ArithmeticError`` unless b divides a."""
     if b.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
     if a.is_zero():
         return ZERO
     va, vb = a.valuation(), b.valuation()
-    quo, rem = _poly_divmod(a.shifted(-va), b.shifted(-vb))
-    if not rem.is_zero():
-        raise ArithmeticError("inexact polynomial division")
-    return quo.shifted(va - vb)
+    rem = {e - va: c for e, c in a.terms.items()}
+    quo: Dict[int, int] = {}
+    b = b.shifted(-vb)
+    deg_b, lead_b = b.degree(), b.leading_coefficient()
+    while rem:
+        deg_r = max(rem)
+        factor, left = divmod(rem[deg_r], lead_b)
+        if deg_r < deg_b or left:
+            raise ArithmeticError("inexact polynomial division")
+        quo[deg_r - deg_b + va - vb] = factor
+        _subtract_multiple(rem, factor, deg_r - deg_b, b)
+    return QuarterLaurent(quo)
 
 
 class RatFunc:
@@ -296,16 +253,12 @@ class RatFunc:
         else:
             g = poly_gcd(num, den)
             if g != ONE:
-                num = exact_div(num, g)
-                den = exact_div(den, g)
-            shift = -den.valuation()
-            if shift:
-                num = num.shifted(shift)
-                den = den.shifted(shift)
-            scale = _unit_scale(den)
-            if scale != 1:
-                num = _divided(num, scale)
-                den = _divided(den, scale)
+                num, den = exact_div(num, g), exact_div(den, g)
+            # the unit +-t^k that takes den to valuation 0, positive lead
+            unit = QuarterLaurent(
+                {-den.valuation(): 1 if den.leading_coefficient() > 0 else -1})
+            if unit != ONE:
+                num, den = num * unit, den * unit
             if den == ONE:
                 den = ONE
         self.num = num
@@ -393,11 +346,10 @@ class RatFunc:
             n >>= 1
         return acc
 
-    def evaluate_at_one(self):
-        den = self.den.evaluate_at_one()
-        if den == 0:
-            raise ZeroDivisionError("denominator vanishes at q = 1")
-        return _ratio(self.num.evaluate_at_one(), den)
+    def is_at_one(self, value: int) -> bool:
+        """Whether the classical limit q = 1 exists and equals ``value``."""
+        den = sum(self.den.terms.values())
+        return den != 0 and sum(self.num.terms.values()) == value * den
 
     def __repr__(self):
         if self.den is ONE:
@@ -408,7 +360,7 @@ class RatFunc:
 def _coerce(value) -> RatFunc:
     if isinstance(value, RatFunc):
         return value
-    if isinstance(value, (int, Fraction)):
+    if isinstance(value, int):
         return RatFunc.constant(value)
     if isinstance(value, QuarterLaurent):
         return RatFunc(value)
@@ -446,8 +398,8 @@ def q_factorial(n: int, i: int) -> RatFunc:
 def to_integer_laurent(value: RatFunc) -> Dict[int, int]:
     """Reinterpret a RatFunc as an integer Laurent polynomial in q.
 
-    Succeeds iff the denominator is one, every t-exponent is divisible by
-    four and every coefficient is an integer; returns ``{q_exponent: coeff}``.
+    Succeeds iff the denominator is one and every t-exponent is divisible
+    by four; returns ``{q_exponent: coeff}``.
     """
     if value.den is not ONE:
         raise NotLaurentInQ("denominator is not 1", value.den)
@@ -455,9 +407,7 @@ def to_integer_laurent(value: RatFunc) -> Dict[int, int]:
     for exp, coeff in value.num.terms.items():
         if exp % 4:
             raise NotLaurentInQ("t-exponent not divisible by 4", exp)
-        if coeff.denominator != 1:
-            raise NotLaurentInQ("coefficient is not an integer", coeff)
-        out[exp // 4] = coeff.numerator
+        out[exp // 4] = coeff
     return out
 
 

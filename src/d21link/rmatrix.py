@@ -71,11 +71,8 @@ def exp_factor(i: int) -> SuperMap:
 @lru_cache(maxsize=None)
 def cartan_factor() -> SuperMap:
     """Diagonal factor v (x) w -> q^{sum b_ij weight_i(v) weight_j(w)} v (x) w."""
-    b4 = [[4 * b for b in row] for row in CARTAN.b]
-    if any(b.denominator != 1 for row in b4 for b in row):
-        raise ArithmeticError("Cartan exponent left the quarter lattice")
     # forms[v][j] = sum_i 4 b_ij weight_i(v), an integer
-    forms = [[sum(int(b4[i][j]) * WEIGHTS[v][i] for i in range(3))
+    forms = [[sum(CARTAN.b4[i][j] * WEIGHTS[v][i] for i in range(3))
               for j in range(3)] for v in range(DIM)]
     entries: Dict[Tuple[int, int], RatFunc] = {}
     for v in range(DIM):

@@ -85,10 +85,23 @@ class TangleBudgetExceeded(DiagramError):
     """Diagram holds more strands at once than the fold budget allows."""
 
 
+def excerpt(value: str | int, limit: int = 32) -> str:
+    """``repr`` of a user's text or number for an error message; past
+    ``limit`` characters it shows the first ``limit``, ``...`` and the
+    length, so that no message echoes a long input whole."""
+    text = str(value)
+    if len(text) <= limit:
+        return repr(value)
+    head = text[:limit] + "..."
+    if isinstance(value, str):
+        head = repr(head)
+    return f"{head} ({len(text)} characters)"
+
+
 def _check_budget(strands: int, budget: int) -> None:
     if strands > budget:
         raise TangleBudgetExceeded(
-            f"{strands} peak strands exceed the tangle budget {budget}")
+            f"{excerpt(strands)} peak strands exceed the tangle budget {budget}")
 
 
 def _check_support(support: int, budget: int) -> None:
@@ -111,8 +124,8 @@ class BraidWord(_BraidFields):
             raise DiagramError("braid needs at least one strand")
         for letter in letters:
             if letter == 0 or abs(letter) >= strands:
-                raise DiagramError(
-                    f"braid letter {letter} out of range for {strands} strands")
+                raise DiagramError(f"braid letter {excerpt(letter)} out of "
+                                   f"range for {excerpt(strands)} strands")
         return super().__new__(cls, strands, letters)
 
     def mirror(self) -> "BraidWord":
@@ -140,7 +153,7 @@ def parse_braid(text: str) -> BraidWord:
         (strands,) = ascii_integers(head)
         letters = tuple(ascii_integers(tail))
     except ValueError:
-        raise DiagramError(f"malformed braid text {text!r}") from None
+        raise DiagramError(f"malformed braid text {excerpt(text)}") from None
     return BraidWord(strands, letters)
 
 
@@ -180,15 +193,15 @@ def _next_strand_count(event: SlicedEvent, strands: int) -> int:
     kind, p = event.kind, event.position
     if kind == "cup":
         if not 1 <= p <= strands + 1:
-            raise DiagramError(f"cup at {p} with {strands} strands")
+            raise DiagramError(f"cup at {excerpt(p)} with {strands} strands")
         return strands + 2
     if kind == "cap":
         if not 1 <= p <= strands - 1:
-            raise DiagramError(f"cap at {p} with {strands} strands")
+            raise DiagramError(f"cap at {excerpt(p)} with {strands} strands")
         return strands - 2
     if kind in ("pos", "neg"):
         if not 1 <= p <= strands - 1:
-            raise DiagramError(f"crossing at {p} with {strands} strands")
+            raise DiagramError(f"crossing at {excerpt(p)} with {strands} strands")
         return strands
     raise DiagramError(f"unknown event kind {kind!r}")
 
@@ -218,11 +231,13 @@ def parse_sliced_text(text: str) -> SlicedDiagram:
             continue
         parts = line.split()
         if len(parts) != 2 or parts[0] not in EVENT_KINDS:
-            raise DiagramError(f"line {lineno}: expected 'kind position', got {raw!r}")
+            raise DiagramError(
+                f"line {lineno}: expected 'kind position', got {excerpt(raw)}")
         try:
             (position,) = ascii_integers(parts[1])
         except ValueError:
-            raise DiagramError(f"line {lineno}: bad position {parts[1]!r}") from None
+            raise DiagramError(
+                f"line {lineno}: bad position {excerpt(parts[1])}") from None
         events.append(SlicedEvent(parts[0], position))
     return SlicedDiagram(tuple(events))
 

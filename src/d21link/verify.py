@@ -95,7 +95,7 @@ def _is_identity_at_one(m: SuperMap) -> bool:
     for row in range(dim):
         for col in range(dim):
             expected = 1 if row == col else 0
-            if m.entry(row, col).evaluate_at_one() != expected:
+            if not m.entry(row, col).is_at_one(expected):
                 return False
     return True
 

@@ -1,7 +1,6 @@
 """Shared randomized-value generators for the test suite (seeded, exact)."""
 
 import random
-from fractions import Fraction
 
 from d21link.dubrovnik import DELTA, TV_Z, TwoVarPoly, _analyze
 from d21link.ring import QuarterLaurent, RatFunc
@@ -18,7 +17,7 @@ def random_quarter_laurent(rng: random.Random, max_terms: int = 4,
     terms = {}
     for _ in range(rng.randint(0, max_terms)):
         exponent = rng.randint(-exponent_span, exponent_span)
-        terms[exponent] = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+        terms[exponent] = rng.randint(-5, 5) * rng.randint(1, 4)
     return QuarterLaurent(terms)
 
 

@@ -135,19 +135,27 @@ def test_verbose_verify_streams_check_lines(capsys):
 
 
 def test_parse_errors_exit_2(capsys, tmp_path):
+    # every error message stays short, however long the input it quotes
     code, _, err = run_cli(capsys, "invariant", "--braid", "2: 7")
     assert code == 2
-    assert "error:" in err
+    assert "error:" in err and len(err.encode()) < 200
     code, _, err = run_cli(capsys, "invariant", "--sliced", "/nonexistent/file")
-    assert code == 2
-    # a directory, and a file that is not UTF-8
+    assert code == 2 and len(err.encode()) < 200
+    # a directory, a file that is not UTF-8, a line of 10,000 characters and
+    # a position of 4,000 digits
     latin1 = tmp_path / "latin1.txt"
     latin1.write_bytes(b"cup 1\ncap 1 \xe9\n")
-    for path in (tmp_path, latin1):
+    long_line = tmp_path / "long_line.txt"
+    long_line.write_text("cup 1 " + "x " * 5000 + "\n", encoding="utf-8")
+    long_position = tmp_path / "long_position.txt"
+    long_position.write_text("cup " + "1" * 4000 + "\n", encoding="utf-8")
+    for path, words in ((tmp_path, "error:"), (latin1, "error:"),
+                        (long_line, "error: line 1: expected 'kind position'"),
+                        (long_position, "error: cup at 11111")):
         code, out, err = run_cli(capsys, "invariant", "--sliced", str(path))
         assert code == 2
         assert out == ""
-        assert err.startswith("error:")
+        assert err.startswith(words) and len(err.encode()) < 200
     # a digit run before a bad character, a letter that int() rejects,
     # numbers past the int-string digit limit, digits that are not ASCII,
     # and a malformed word of 10,000 characters
@@ -160,6 +168,14 @@ def test_parse_errors_exit_2(capsys, tmp_path):
             assert time.monotonic() - start < 1.0
             assert (code, out) == (2, "")
             assert err.startswith("error: malformed braid text")
+            assert len(err.encode()) < 200
+    code, _, err = run_cli(capsys, "invariant", "--braid", "2: " + "1 " * 5000 + "x")
+    assert err == "error: malformed braid text '2: 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1...' " \
+                  "(10004 characters)\n"
+    # numbers within the digit limit but out of range are clipped too
+    for text in ("2: " + "1" * 4000, "9" * 4000 + ":"):
+        code, _, err = run_cli(capsys, "invariant", "--braid", text)
+        assert code == 2 and len(err.encode()) < 200
 
 
 def test_budget_env_override(capsys, monkeypatch):
@@ -222,6 +238,11 @@ def test_skein_budget_env_must_be_a_positive_integer(capsys, monkeypatch):
         for argv in (("dubrovnik", "--braid", "1:"), ("verify", "--suite", "skein")):
             assert run_cli(capsys, *argv) == (
                 2, "", f"error: D21LINK_SKEIN_BUDGET {reason}: {raw!r}\n")
+    # a long value is quoted by its first 32 characters and its length
+    monkeypatch.setenv("D21LINK_SKEIN_BUDGET", "1" * 5000 + "x")
+    assert run_cli(capsys, "dubrovnik", "--braid", "1:") == (
+        2, "", "error: D21LINK_SKEIN_BUDGET is not an integer: "
+               f"'{'1' * 32}...' (5001 characters)\n")
 
 
 def test_support_budget_env_override(capsys, monkeypatch):

@@ -279,4 +279,5 @@ def test_pipelines_stay_independent_at_import_time():
     assert {f"d21link.{layer}" for layer in (
         "ring", "superlinalg", "representation", "rmatrix", "tangle",
         "dubrovnik", "verify")} <= cli_side
-    assert not cli_side & {"dataclasses", "inspect"}
+    # nor ``fractions`` and ``decimal``: the ring has int coefficients only
+    assert not cli_side & {"dataclasses", "inspect", "fractions", "decimal"}

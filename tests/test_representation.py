@@ -1,4 +1,3 @@
-from fractions import Fraction
 
 import pytest
 
@@ -25,7 +24,7 @@ def q(k, coeff=1):
 def test_cartan_tables():
     assert CARTAN.a == ((0, 1, 1), (-1, 2, 0), (-1, 0, 2))
     assert CARTAN.d == (-1, 1, 1)
-    assert CARTAN.b[0] == (Fraction(1), Fraction(-1, 2), Fraction(-1, 2))
+    assert CARTAN.b4 == ((4, -2, -2), (-2, -1, 1), (-2, 1, -1))
     assert ROOTS.parities == (0, 1, 1, 0, 1, 1, 0)
     assert ROOTS.c == (2, 0, 0, -4, 0, 0, 2)
 
@@ -34,10 +33,10 @@ def test_cartan_data_checks_its_tables():
     assert CartanData(*CARTAN) == CARTAN
     abar = (CARTAN.abar[0], CARTAN.abar[1], (-1, 0, 3))
     with pytest.raises(ValueError, match="symmetrized Cartan matrix mismatch"):
-        CartanData(CARTAN.a, CARTAN.d, abar, CARTAN.b)
-    b = (CARTAN.b[0], CARTAN.b[1], (Fraction(-1, 2), Fraction(1, 4), Fraction(1, 4)))
-    with pytest.raises(ValueError, match="b is not inverse"):
-        CartanData(CARTAN.a, CARTAN.d, CARTAN.abar, b)
+        CartanData(CARTAN.a, CARTAN.d, abar, CARTAN.b4)
+    b4 = (CARTAN.b4[0], CARTAN.b4[1], (-2, 1, 1))
+    with pytest.raises(ValueError, match="b4 / 4 is not inverse"):
+        CartanData(CARTAN.a, CARTAN.d, CARTAN.abar, b4)
 
 
 def test_generator_action_tables():

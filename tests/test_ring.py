@@ -74,7 +74,7 @@ def test_to_integer_laurent_rejects_fractions_and_rationals():
     with pytest.raises(NotLaurentInQ):
         to_integer_laurent(RatFunc(ONE, LAMBDA))
     with pytest.raises(NotLaurentInQ):
-        to_integer_laurent(RatFunc.constant(Fraction(1, 2)))
+        to_integer_laurent(RatFunc(ONE, QuarterLaurent.constant(2)))
 
 
 def test_ring_axioms_randomized():
@@ -120,8 +120,8 @@ def test_canonical_denominator_shape():
             continue
         if value.den != ONE:
             assert value.den.valuation() == 0
-            assert value.den.content() == 1
             assert value.den.leading_coefficient() > 0
+        assert poly_gcd(value.num, value.den) == ONE
 
 
 def test_unit_denominators_are_the_shared_one():
@@ -153,6 +153,9 @@ def test_gcd_divides_both_arguments():
         g = poly_gcd(a, b)
         assert RatFunc(a, g).den == ONE
         assert RatFunc(b, g).den == ONE
+    # the integer content is part of the gcd over Z[t, t^-1]
+    assert poly_gcd(QuarterLaurent({0: 2, 1: 2}), QuarterLaurent({0: 4})) \
+        == QuarterLaurent({0: 2})
 
 
 def test_ratfunc_operators():
@@ -180,13 +183,18 @@ def test_rendering_grammar():
     assert format_q_laurent({0: 2}) == "2"
 
 
-def test_evaluate_at_one():
-    assert RF_LAMBDA.evaluate_at_one() == 0
-    assert (RF_Q + RF_ONE).evaluate_at_one() == 2
-    half = RatFunc(ONE, Q + ONE).evaluate_at_one()
-    assert (type(half), half) == (Fraction, Fraction(1, 2))
-    with pytest.raises(ZeroDivisionError):
-        RatFunc(ONE, LAMBDA).evaluate_at_one()
+def test_is_at_one():
+    assert RF_LAMBDA.is_at_one(0)
+    assert (RF_Q + RF_ONE).is_at_one(2)
+    assert not (RF_Q + RF_ONE).is_at_one(1)
+    # 1/(q + 1) is 1/2 at q = 1: equal to no integer
+    half = RatFunc(ONE, Q + ONE)
+    assert not any(half.is_at_one(k) for k in (0, 1))
+    # (q + 1)/2 is 1 at q = 1
+    assert RatFunc(Q + ONE, QuarterLaurent.constant(2)).is_at_one(1)
+    # a pole at q = 1 has no classical limit, whatever the value
+    pole = RatFunc(ONE, LAMBDA)
+    assert not any(pole.is_at_one(k) for k in (-1, 0, 1))
 
 
 def _coefficients(*polys):
@@ -200,16 +208,17 @@ def test_braiding_coefficients_are_plain_ints():
             assert all(type(c) is int for c in _coefficients(value.num, value.den))
 
 
-def test_integral_fractions_become_ints():
-    two = QuarterLaurent({0: Fraction(4, 2)})
-    assert two == QuarterLaurent({0: 2})
-    assert hash(two) == hash(QuarterLaurent({0: 2}))
-    assert type(two.terms[0]) is int
-    assert RatFunc(two) == RatFunc(QuarterLaurent({0: 2}))
-    assert hash(RatFunc(two)) == hash(RatFunc(QuarterLaurent({0: 2})))
-    half = QuarterLaurent({0: Fraction(1, 2), 4: Fraction(3, 2)})
-    for value in (half + half, half * QuarterLaurent({0: 2}), -(half + half)):
-        assert all(type(c) is int for c in _coefficients(value))
+def test_coefficients_are_ints_only():
+    for coeff in (Fraction(4, 2), Fraction(1, 2), 2.0, True, "2"):
+        with pytest.raises(TypeError):
+            QuarterLaurent({0: coeff})
+    # a rational number lives in the denominator, in lowest terms
+    two_thirds = RatFunc(QuarterLaurent.constant(4), QuarterLaurent.constant(6))
+    assert two_thirds == RatFunc(QuarterLaurent.constant(2),
+                                 QuarterLaurent.constant(3))
+    assert two_thirds.den == QuarterLaurent.constant(3)
+    assert hash(two_thirds) == hash(RatFunc(QuarterLaurent.constant(-2),
+                                            QuarterLaurent.constant(-3)))
 
 
 def test_division_steps_stay_exact_on_integer_input():
@@ -218,11 +227,14 @@ def test_division_steps_stay_exact_on_integer_input():
     b = QuarterLaurent({0: 1, 1: 4, 2: 4})
     assert poly_gcd(a, b) == QuarterLaurent({0: 1, 1: 2})
     assert exact_div(a, QuarterLaurent({0: 1, 1: 2})) == QuarterLaurent({0: 1, 1: 3})
-    third = exact_div(QuarterLaurent({0: 1, 1: 1}), QuarterLaurent({0: 3, 1: 3}))
-    assert third == QuarterLaurent({0: Fraction(1, 3)})
+    # 1/3 is not in Z[t, t^-1]: the quotient leaves the ring
+    with pytest.raises(ArithmeticError):
+        exact_div(QuarterLaurent({0: 1, 1: 1}), QuarterLaurent({0: 3, 1: 3}))
+    # t^2 + 2 = (t^2 + 1) + 1: a remainder of lower degree is left
+    with pytest.raises(ArithmeticError):
+        exact_div(QuarterLaurent({0: 2, 2: 1}), QuarterLaurent({0: 1, 2: 1}))
     ratio = RatFunc(a, b * QuarterLaurent({0: 3}))
     assert ratio == RatFunc(QuarterLaurent({0: 1, 1: 3}),
                             QuarterLaurent({0: 3, 1: 6}))
-    values = (poly_gcd(a, b), third, ratio.num, ratio.den)
-    assert all(type(c) in (int, Fraction) for c in _coefficients(*values))
-    assert all(type(c) is int for c in _coefficients(*values) if c.denominator == 1)
+    values = (poly_gcd(a, b), ratio.num, ratio.den)
+    assert all(type(c) is int for c in _coefficients(*values))

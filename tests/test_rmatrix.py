@@ -1,4 +1,3 @@
-from fractions import Fraction
 
 import pytest
 
@@ -58,8 +57,7 @@ def test_r_matrix_classical_limit_is_identity():
     r = r_matrix()
     for row in range(36):
         for col in range(36):
-            expected = Fraction(int(row == col))
-            assert r.entry(row, col).evaluate_at_one() == expected
+            assert r.entry(row, col).is_at_one(int(row == col))
 
 
 def test_braiding_entries_match_module_computations():
@@ -87,7 +85,8 @@ def test_braiding_preserves_parity_blocks():
 def test_twist_value():
     theta = braiding().theta
     assert theta == q(-1)
-    assert theta.evaluate_at_one() == 1
+    assert theta.is_at_one(1)
+    assert not theta.is_at_one(-1)
 
 
 def test_spectral_report():
