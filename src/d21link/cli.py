@@ -12,12 +12,14 @@ Output is deterministic: polynomials in canonical ascending-exponent form,
 matrices row-major (split blocks use the fixed parity-block basis order).
 ``invariant --braid`` first simplifies the word (cyclic free reduction,
 Markov destabilisation of end strands and, when those stall on three
-strands or more, a bounded search by far commutation and braid relations)
-and traces the braid that remains.  Its ``--json`` stats describe that
-braid, whose text is the ``"braid"`` entry of the ``"trace"`` key; the
-``"simplify"`` key holds the word as given (``"input"``), the braid
-relations on the way to the traced braid (``"relation_moves"``) and the
-words the searches reached (``"words_searched"``).
+strands or more, a cut of a connected sum or split union into its pieces,
+then a bounded search by far commutation and braid relations) and traces
+the braid that remains after every cut.  Its ``--json`` stats describe
+that braid, whose text is the ``"braid"`` entry of the ``"trace"`` key;
+the ``"simplify"`` key holds the word as given (``"input"``), the braid
+relations on the way to the traced braid (``"relation_moves"``), the
+words the searches reached (``"words_searched"``) and the pieces closed
+off by the cuts, in order (``"cuts"``).
 
 The environment variable ``D21LINK_SKEIN_BUDGET`` overrides the crossing
 and strand budget of the skein oracle (default 16),
@@ -40,10 +42,10 @@ from typing import List, Optional
 
 from . import dubrovnik
 from .representation import DIM
-from .ring import NotLaurentInQ, format_q_laurent, q_string
+from .ring import NotLaurentInQ, excerpt, format_q_laurent, q_string
 from .rmatrix import EVEN_PAIRS, ODD_PAIRS, braiding, split_blocks
 from .tangle import (DEFAULT_SUPPORT_BUDGET, DEFAULT_TANGLE_BUDGET,
-                     DiagramError, ascii_integers, evaluate_sliced, excerpt,
+                     DiagramError, ascii_integers, evaluate_sliced,
                      invariant, parse_braid, parse_sliced_text)
 from .verify import run_suites
 

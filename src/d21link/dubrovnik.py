@@ -38,7 +38,7 @@ from __future__ import annotations
 from math import comb
 from typing import Dict, List, Optional, Tuple
 
-from .ring import NotLaurentInQ, format_laurent, format_q_laurent
+from .ring import NotLaurentInQ, excerpt, format_laurent, format_q_laurent
 
 DEFAULT_BUDGET = 16
 
@@ -211,7 +211,7 @@ def braid_closure_graph(word, budget: int = DEFAULT_BUDGET) -> LinkGraph:
     """
     if word.strands > budget:
         raise SkeinBudgetExceeded(
-            f"{word.strands} strands exceed the budget {budget}")
+            f"{excerpt(word.strands)} strands exceed the budget {budget}")
     graph = LinkGraph()
     ends: Dict[int, Optional[int]] = {s: None for s in range(1, word.strands + 1)}
     first: Dict[int, Optional[int]] = dict(ends)
@@ -331,9 +331,10 @@ def _simplify(graph: LinkGraph) -> int:
 def dubrovnik_poly(graph: LinkGraph, budget: int = DEFAULT_BUDGET,
                    use_cache: bool = True) -> TwoVarPoly:
     """Kauffman's switching recursion; exact value in Z[a^{+-1}, z^{+-1}]."""
-    if graph.crossing_count() > budget:
+    crossings = graph.crossing_count()
+    if crossings > budget:
         raise SkeinBudgetExceeded(
-            f"{graph.crossing_count()} crossings exceed the budget {budget}")
+            f"{excerpt(crossings)} crossings exceed the budget {budget}")
     memo: Dict[tuple, TwoVarPoly] = {}
 
     def recurse(g: LinkGraph) -> TwoVarPoly:

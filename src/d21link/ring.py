@@ -450,3 +450,16 @@ def format_q_laurent(terms: Mapping[int, int]) -> str:
 def q_string(value: RatFunc) -> str:
     """Canonical q-polynomial string of an integer-Laurent RatFunc."""
     return format_q_laurent(to_integer_laurent(value))
+
+
+def excerpt(value: str | int, limit: int = 32) -> str:
+    """``repr`` of a user's text or number for an error message; past
+    ``limit`` characters it shows the first ``limit``, ``...`` and the
+    length, so that no message echoes a long input whole."""
+    text = str(value)
+    if len(text) <= limit:
+        return repr(value)
+    head = text[:limit] + "..."
+    if isinstance(value, str):
+        head = repr(head)
+    return f"{head} ({len(text)} characters)"

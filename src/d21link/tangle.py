@@ -26,7 +26,14 @@ so the trace is cyclic), and an end strand that at most one crossing meets
 is removed for a factor, the loop value 2 or the left partial trace of
 that crossing, -q^-1 or -q (framed Markov destabilisation; strand n is
 first moved to the left by reversing the strand order, a conjugation by
-the half twist).  When both end strands meet two crossings or more, a
+the half twist).  When both end strands meet two crossings or more, the
+closure is cut at the first strand k where the word is, up to far
+commutation and rotation, a braid A on strands 1..k followed by a braid B
+on strands k..n: a connected sum, or a split union when sigma_k does not
+occur.  A (1,1)-tangle of a simple module acts as a scalar (Reshetikhin
+and Turaev, Commun. Math. Phys. 127, 1990), so A is closed off for its
+left partial trace, computed on A's open columns and used only if it is
+exactly a scalar, and B goes on, simplified and cut again.  Otherwise a
 bounded breadth-first search by far commutation and braid relations looks
 for a conjugate word where one of those moves applies.  The factors, the
 braid relations and the structure they rest on are checked where they are
@@ -40,9 +47,10 @@ each held to a support budget, as the sliced fold is after each event.
 Both paths report the stats of the sliced fold (slices, peak strands,
 nominal dimension, peak support), which the trace reproduces exactly by
 summing each letter's support over the blocks, times the orbit size; for a
-braid word they describe the braid actually traced, the trace also reports
-its own figures (:class:`TraceStats`), and :func:`invariant` what the
-simplification did (:class:`SimplifyStats`).
+braid word they describe the one braid actually traced, the braid left
+after every cut, the trace also reports its own figures
+(:class:`TraceStats`), and :func:`invariant` what the simplification did,
+the pieces cut off included (:class:`SimplifyStats`).
 
 The tables are converted once to integer Laurent polynomials, so neither
 path touches rational-function arithmetic and values lie in Z[q, q^-1] by
@@ -60,7 +68,8 @@ from collections import deque
 from functools import lru_cache
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from .ring import format_q_laurent, laurent_product, to_integer_laurent
+from .ring import (excerpt, format_q_laurent, laurent_product,
+                   to_integer_laurent)
 from .representation import DIM, duality_maps
 from .rmatrix import braiding
 
@@ -83,19 +92,6 @@ class DiagramError(ValueError):
 
 class TangleBudgetExceeded(DiagramError):
     """Diagram holds more strands at once than the fold budget allows."""
-
-
-def excerpt(value: str | int, limit: int = 32) -> str:
-    """``repr`` of a user's text or number for an error message; past
-    ``limit`` characters it shows the first ``limit``, ``...`` and the
-    length, so that no message echoes a long input whole."""
-    text = str(value)
-    if len(text) <= limit:
-        return repr(value)
-    head = text[:limit] + "..."
-    if isinstance(value, str):
-        head = repr(head)
-    return f"{head} ({len(text)} characters)"
 
 
 def _check_budget(strands: int, budget: int) -> None:
@@ -257,6 +253,7 @@ class SimplifyStats(NamedTuple):
     input: str             # the braid as given
     relation_moves: int    # braid relations on the way to the traced braid
     words_searched: int    # words all relation searches reached
+    cuts: Tuple[str, ...]  # the pieces closed off by cuts, in order
 
 
 class EvalResult(NamedTuple):
@@ -582,6 +579,21 @@ def _digit_products(factors: List[int], digits: int) -> List[int]:
     return products
 
 
+def _letter_steps(strands: int, letters, kinds, bits: int
+                  ) -> Tuple[List[tuple], int, int]:
+    """``(steps, shift, span)``: the ``(unit, rows)`` of each letter for
+    :func:`_apply_letter` on ``strands`` strands, packed at ``bits``, and
+    the exponent shift and span that their coefficients add up to."""
+    steps, shift, span = [], 0, 0
+    for letter, kind in zip(letters, kinds):
+        unit = DIM ** (strands - abs(letter) - 1)
+        kind_shift, kind_span, rows = _letter_rows(kind, bits, unit)
+        shift += kind_shift
+        span += kind_span
+        steps.append((unit, rows))
+    return steps, shift, span
+
+
 def trace(word: BraidWord, budget: int = DEFAULT_TANGLE_BUDGET,
           support_budget: int = DEFAULT_SUPPORT_BUDGET) -> EvalResult:
     """The quantum trace sum_v p(v) <v|B|v> of ``word`` as written, with
@@ -603,19 +615,13 @@ def trace(word: BraidWord, budget: int = DEFAULT_TANGLE_BUDGET,
     kinds = ["pos" if letter > 0 else "neg" for letter in word.letters]
     bits = _bits(start_l1, kinds)
     w_shift, w_span = _exponent_range(weights)
-    shift, span = n * w_shift, n * w_span
+    steps, shift, span = _letter_steps(n, word.letters, kinds, bits)
+    shift, span = shift + n * w_shift, span + n * w_span
     packed = [_pack(weight, bits, w_shift) for weight in weights]
     tail_strands = min(n, 3)
     tail = DIM ** tail_strands
     head_amps = _digit_products(packed, n - tail_strands)
     tail_amps = _digit_products(packed, tail_strands)
-    steps = []
-    for letter, kind in zip(word.letters, kinds):
-        unit = DIM ** (n - abs(letter) - 1)
-        kind_shift, kind_span, rows = _letter_rows(kind, bits, unit)
-        shift += kind_shift
-        span += kind_span
-        steps.append((unit, rows))
     blocks = _column_blocks(n)
     supports = [0] * (len(steps) + 1)
     peak_block_support = total = 0
@@ -775,7 +781,80 @@ def _relation_search(strands: int, word: Tuple[int, ...]
     return None, 0, len(seen)
 
 
-def _simplify_braid(word: BraidWord
+def _cut_point(strands: int, letters: List[int]
+               ) -> Optional[Tuple[int, List[int], List[int]]]:
+    """``(k, piece, rest)`` for the smallest k in 2..strands-1 at which the
+    letters on sigma_(k-1) or sigma_k form, cyclically, at most one block
+    of each, or None.  Only those two generators fail to commute across
+    strand k, so far commutation and a rotation to the start of the
+    sigma_(k-1) block turn the word into ``piece`` (its letters below k,
+    on strands 1..k) followed by ``rest`` (the others, on strands
+    k..strands), both in word order."""
+    for k in range(2, strands):
+        # uppers[i]: whether the i-th letter on sigma_(k-1) or sigma_k is
+        # on sigma_k; a sigma_(k-1) block starts after a sigma_k letter
+        at = [i for i, letter in enumerate(letters) if k - 1 <= abs(letter) <= k]
+        uppers = [abs(letters[i]) == k for i in at]
+        starts = [i for i, upper, before in zip(at, uppers, uppers[-1:] + uppers)
+                  if before and not upper]
+        if len(starts) > 1:
+            continue
+        start = starts[0] if starts else 0
+        rotated = letters[start:] + letters[:start]
+        return (k, [letter for letter in rotated if abs(letter) < k],
+                [letter for letter in rotated if abs(letter) >= k])
+    return None
+
+
+@lru_cache(maxsize=1024)
+def _closed_off(strands: int, letters: Tuple[int, ...], support_budget: int
+                ) -> Optional[Dict[int, int]]:
+    """The scalar lambda with sum_x p(x) <x d|A|x b> = lambda [b = d] for
+    every pair of basis vectors b, d of the last strand, where A is the
+    braid ``letters`` on ``strands`` strands and x runs over the basis of
+    the strands before it: A's left partial trace, the factor of closing
+    off all of A's strands but the last.  None unless that 6 x 6 operator
+    is exactly a scalar.
+
+    A acts on the 6 ** strands open columns, in blocks of at most 216
+    that share their leading digits; a block holding more than
+    ``support_budget`` states raises :class:`TangleBudgetExceeded`, which
+    is why the budget is part of the memo key."""
+    size = DIM ** strands
+    weights = _trace_weights()
+    kinds = ["pos" if letter > 0 else "neg" for letter in letters]
+    bits = _bits(DIM * sum(_l1(weight) for weight in weights) ** (strands - 1),
+                 kinds)
+    w_shift, w_span = _exponent_range(weights)
+    steps, shift, span = _letter_steps(strands, letters, kinds, bits)
+    shift, span = shift + (strands - 1) * w_shift, span + (strands - 1) * w_span
+    # the start amplitude of column v is p(x) for its leading digits x;
+    # the last strand stays open
+    head_amps = _digit_products(
+        [_pack(weight, bits, w_shift) for weight in weights], strands - 1)
+    operator = [0] * (DIM * DIM)        # operator[DIM * d + b]: <d|.|b>
+    block = DIM ** min(strands, 3)
+    for first in range(0, size, block):
+        state = {v * size + v: head_amps[v // DIM]
+                 for v in range(first, first + block)}
+        _check_support(len(state), support_budget)
+        for unit, rows in steps:
+            state = _apply_letter(state, unit, rows)
+            _check_support(len(state), support_budget)
+        for key, amp in state.items():
+            column, row = divmod(key, size)
+            if column // DIM == row // DIM:
+                operator[row % DIM * DIM + column % DIM] += amp
+    # equal packed ints are equal polynomials: ``bits`` bounds every sum
+    scalar = operator[0]
+    if any(amp != (scalar if index % (DIM + 1) == 0 else 0)
+           for index, amp in enumerate(operator)):
+        return None
+    return _decode(scalar, bits, shift, span + 1)
+
+
+def _simplify_braid(word: BraidWord,
+                    support_budget: int = DEFAULT_SUPPORT_BUDGET
                     ) -> Tuple[BraidWord, Dict[int, int], SimplifyStats]:
     """``(braid, factor, stats)`` whose closure is that of ``word`` up to
     the factor: the trace of ``word`` is ``factor`` times the trace of
@@ -789,15 +868,26 @@ def _simplify_braid(word: BraidWord
     * else if sigma_(n-1) occurs at most once, first reverse the strands,
       k -> n - k: conjugation by the half twist, whose closure is the
       same;
-    * else, on three strands or more, go on from the word that a bounded
-      search by braid relations finds (:func:`_relation_search`), if it
-      finds one.
+    * else, on three strands or more, cut the closure at the first strand
+      k where the word is, up to far commutation and rotation, a braid A
+      on strands 1..k followed by a braid B on strands k..n
+      (:func:`_cut_point`): close A off for its left partial trace, if
+      that is one scalar (:func:`_closed_off`; a (1,1)-tangle of a simple
+      module acts as a scalar), and go on with B, shifted down to strands
+      1..n-k+1.  The closure of the word is the connected sum of those of
+      A and B, or their split union when sigma_k does not occur; B then
+      leaves its first strand idle, and the next pass removes it for the
+      loop value 2;
+    * else go on from the word that a bounded search by braid relations
+      finds (:func:`_relation_search`), if it finds one.
 
     Every move lowers (strands, letters) or keeps them, and the search
-    returns only words that the next pass shortens, so the loop ends."""
+    returns only words that the next pass shortens, so the loop ends.  A
+    cut is held to ``support_budget`` as a trace block is."""
     loop, crossing = _markov_factors()
     n, letters, factor = word.strands, list(word.letters), {0: 1}
     relation_moves = words_searched = 0
+    cuts: List[str] = []
     while True:
         letters = _cyclically_reduced(letters)
         if n == 1:
@@ -807,6 +897,17 @@ def _simplify_braid(word: BraidWord
             if sum(abs(k) == n - 1 for k in letters) > 1:
                 if n == 2:
                     break
+                cut = _cut_point(n, letters)
+                if cut is not None:
+                    at, piece, rest = cut
+                    scalar = _closed_off(at, tuple(piece), support_budget)
+                    if scalar is not None:
+                        factor = laurent_product(factor, scalar)
+                        cuts.append(str(BraidWord(at, tuple(piece))))
+                        letters = [k - at + 1 if k > 0 else k + at - 1
+                                   for k in rest]
+                        n -= at - 1
+                        continue
                 found, moves, reached = _relation_search(n, tuple(letters))
                 words_searched += reached
                 if found is None:
@@ -824,7 +925,8 @@ def _simplify_braid(word: BraidWord
         letters = [k - 1 if k > 0 else k + 1 for k in letters if abs(k) != 1]
         n -= 1
     return (BraidWord(n, tuple(letters)), factor,
-            SimplifyStats(str(word), relation_moves, words_searched))
+            SimplifyStats(str(word), relation_moves, words_searched,
+                          tuple(cuts)))
 
 
 def invariant(word: BraidWord, budget: int = DEFAULT_TANGLE_BUDGET,
@@ -834,12 +936,13 @@ def invariant(word: BraidWord, budget: int = DEFAULT_TANGLE_BUDGET,
 
     The 2n strands of the closure's fold are checked against ``budget``
     before any work.  The word is then simplified (:func:`_simplify_braid`)
-    and the braid that remains is traced (:func:`trace`, which checks
-    ``support_budget``); the value is that trace times the simplification's
-    factor, every stat, the trace's own figures included, describes the
-    braid actually traced, and ``simplify`` what led to it."""
+    and the braid that remains after every cut is traced (:func:`trace`);
+    both the cuts and the trace check ``support_budget``.  The value is
+    that trace times the simplification's factor, every stat, the trace's
+    own figures included, describes the braid actually traced, and
+    ``simplify`` what led to it, the pieces cut off included."""
     _check_budget(2 * word.strands, budget)
-    braid, factor, stats = _simplify_braid(word)
+    braid, factor, stats = _simplify_braid(word, support_budget)
     result = trace(braid, budget, support_budget)
     value = laurent_product(dict(result.value), factor)
     return result._replace(value=tuple(sorted(value.items())), simplify=stats)

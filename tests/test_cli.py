@@ -43,7 +43,8 @@ def test_invariant_json_schema(capsys):
                                       "peak_block_support"]
     assert payload["trace"]["braid"] == "2: 1 1 1"
     assert payload["simplify"] == {"input": "4: 1 2 1 3 1",
-                                   "relation_moves": 0, "words_searched": 0}
+                                   "relation_moves": 0, "words_searched": 0,
+                                   "cuts": []}
     # a braid relation first: (sigma_1 sigma_2 sigma_3)^2 traces as T(2, 4)
     code, out, _ = run_cli(capsys, "invariant", "--braid", "4: 1 2 3 1 2 3",
                            "--json")
@@ -53,7 +54,20 @@ def test_invariant_json_schema(capsys):
     assert (payload["value"], payload["trace"]["braid"]) == \
         ("2*q^-6 + 2*q^2", "2: 1 1 1 1")
     assert payload["simplify"] == {"input": "4: 1 2 3 1 2 3",
-                                   "relation_moves": 2, "words_searched": 7}
+                                   "relation_moves": 2, "words_searched": 7,
+                                   "cuts": []}
+    # a connected sum of three Hopf links and a trefoil: the pieces closed
+    # off in order, then the braid left after every cut is traced
+    code, out, _ = run_cli(capsys, "invariant", "--braid",
+                           "5: 3 1 3 1 -2 -2 4 4 4", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["simplify"] == {"input": "5: 3 1 3 1 -2 -2 4 4 4",
+                                   "relation_moves": 0, "words_searched": 0,
+                                   "cuts": ["2: 1 1", "2: -1 -1", "2: 1 1"]}
+    assert (payload["value"], payload["trace"]["braid"],
+            payload["stats"]["slices"]) == \
+        ("-2*q^-9 - 6*q^-5 - 6*q^-1 - 2*q^3", "2: 1 1 1", 7)
 
 
 def test_invariant_from_sliced_file(tmp_path, capsys):
@@ -191,6 +205,17 @@ def test_skein_budget_rejects_huge_unlink_at_once(capsys):
     assert time.monotonic() - start < 1.0
     assert code == 2
     assert "100000000 strands exceed the budget 16" in err
+
+
+def test_skein_budget_errors_quote_a_long_number_clipped(capsys, monkeypatch):
+    code, out, err = run_cli(capsys, "dubrovnik", "--braid", "9" * 4000 + ":")
+    assert (code, out) == (2, "")
+    assert err == (f"error: {'9' * 32}... (4000 characters) strands exceed "
+                   f"the budget 16\n")
+    assert len(err.encode()) <= 120
+    monkeypatch.setenv("D21LINK_SKEIN_BUDGET", "2")
+    code, _, err = run_cli(capsys, "dubrovnik", "--braid", "2: 1 1 1")
+    assert (code, err) == (2, "error: 3 crossings exceed the budget 2\n")
 
 
 def test_skein_budget_env_admits_a_wider_unlink(capsys, monkeypatch):

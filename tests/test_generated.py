@@ -1,7 +1,8 @@
 """Differential tests on seeded-random braid words (2-4 strands, at most six
 letters): the braid-closure trace against the sliced fold of the same
 closure and against the independent skein oracle, and both against the
-identities every framed-link value must satisfy."""
+identities every framed-link value must satisfy; plus generated 3-6 strand
+families that reach the relation search and the cut of a closure."""
 
 import itertools
 import random
@@ -142,10 +143,58 @@ def test_split_unions_multiply():
     for left, right in zip(WORDS, WORDS[1:]):
         assert skein(union(left, right)) == \
             DELTA * skein(left) * skein(right), (left, right)
-    narrow = [word for word in WORDS if word.strands == 2]
-    for left, right in zip(narrow, narrow[1:]):
-        assert value(union(left, right)) == \
+        # up to 8 strands: the closure of a union is cut into its pieces
+        assert invariant(union(left, right), budget=16).value_dict() == \
             multiplied(value(left), value(right)), (left, right)
+
+
+def cut_words(seed):
+    """Connected sums (a piece on strands 1..a, the other on a..n) and
+    split unions (1..a and a+1..n, from 4 strands) of 3-6 strands.  In a
+    piece each generator occurs two or three times with one sign, so the
+    word has no inverse pair and neither end strand can be removed: the
+    first move to apply is the cut.  The pieces' letters are merged at
+    random, except that every sigma_(a-1) of the first piece comes before
+    every sigma_a of the second, and the word is rotated, so that only far
+    commutation and a rotation bring it back to the first piece followed
+    by the second."""
+    rng = random.Random(seed)
+
+    def piece(low, high):
+        letters = [sign * k for k in range(low, high + 1)
+                   for sign in [rng.choice((1, -1))] * rng.randint(2, 3)]
+        rng.shuffle(letters)
+        return letters
+
+    words = []
+    for strands, count in ((3, 8), (4, 8), (5, 8), (6, 8)):
+        for index in range(count):
+            split = index % 2 if strands > 3 else 0
+            a = rng.randint(2, strands - 1 - split)
+            first, second = piece(1, a - 1), piece(a + split, strands - 1)
+            letters = []
+            while first or second:
+                held = not second or (abs(second[0]) == a
+                                      and any(abs(k) == a - 1 for k in first))
+                source = first if first and (held or rng.random() < 0.5) else second
+                letters.append(source.pop(0))
+            turn = rng.randrange(len(letters))
+            words.append(BraidWord(strands, tuple(letters[turn:] + letters[:turn])))
+    return words
+
+
+CUT_WORDS = cut_words(1313)
+
+
+@pytest.mark.parametrize("strands", [3, 4, 5, 6])
+def test_connected_sums_and_split_unions_keep_their_value(strands):
+    # against the unsimplified trace up to 4 strands, the skein oracle above
+    for word in (word for word in CUT_WORDS if word.strands == strands):
+        result = invariant(word)
+        assert result.simplify.cuts, word
+        reference = (trace(word).value_dict() if strands <= 4
+                     else shifted(specialize(skein(word)), 2, 0))
+        assert result.value_dict() == reference, word
 
 
 def test_memo_cache_does_not_change_skein_values():

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -8,15 +9,18 @@ import pytest
 
 from d21link.dubrovnik import braid_closure_graph, dubrovnik_poly, specialize
 from d21link.ring import format_q_laurent
-from d21link.tangle import (BraidWord, DiagramError, SlicedDiagram,
-                            SlicedEvent, SimplifyStats, TangleBudgetExceeded,
-                            braid_closure_slices, evaluate_sliced, invariant,
-                            parse_braid, parse_sliced_text,
+from d21link import tangle
+from d21link.tangle import (DEFAULT_SUPPORT_BUDGET, BraidWord, DiagramError,
+                            SlicedDiagram, SlicedEvent, SimplifyStats,
+                            TangleBudgetExceeded, braid_closure_slices,
+                            evaluate_sliced, invariant, parse_braid,
+                            parse_sliced_text,
                             _RELATIONS, _SEARCH_CAP, _braid_relations_checked,
-                            _check_braid_relations, _check_swap,
-                            _cyclically_reduced, _decode, _event_table,
-                            _left_partial_trace, _markov_factors, _pack,
-                            _pivotal_weights, _relation_search,
+                            _check_braid_relations, _check_swap, _closed_off,
+                            _column_l1, _cut_point, _cyclically_reduced,
+                            _decode, _event_table, _left_partial_trace,
+                            _letter_rows, _markov_factors, _pack,
+                            _packed_table, _pivotal_weights, _relation_search,
                             _simplify_braid, _trace_weights, trace)
 
 
@@ -323,19 +327,20 @@ def test_cyclic_free_reduction():
     ("3: 2 1 -2", "1:", {-1: -2}),            # 2 -2 cancel once 1 went
     ("4: 1 1 3", "2: 1 1", {-1: -2}),         # strand 4 after a flip
     ("4: 1 2 1 3", "2: 1 1", {-2: 1}),
-    ("4: 1 1 3 3", "4: 1 1 3 3", {0: 1}),
+    ("4: 1 1 3 3", "2: 1 1", {-2: 2, 2: 2}),  # cut: Hopf / 2, then 2
     ("2: 1 1 1", "2: 1 1 1", {0: 1}),
     ("3: 1 -2 1 -2", "3: 1 -2 1 -2", {0: 1}),
     ("5: 1 -2 3 -4 1 -2 3 -4", "5: 1 -2 3 -4 1 -2 3 -4", {0: 1}),
     ("5: " + " ".join(["1 -2 3 -4"] * 3), "5: " + " ".join(["1 -2 3 -4"] * 3),
      {0: 1}),
+    ("6: 1 -2 1 -2 4 -5 4 -5", "3: 1 -2 1 -2", {0: 2}),   # split union, cut
 ])
 def test_simplify_braid(text, braid, factor):
     word = parse_braid(text)
     simplified, scale, stats = _simplify_braid(word)
     assert (str(simplified), scale) == (braid, factor)
     assert stats.input == text
-    if simplified.strands < 4:      # the unsimplified fold stays small
+    if word.strands < 5:            # the unsimplified fold stays small
         assert invariant(word).value == \
             evaluate_sliced(braid_closure_slices(word)).value
 
@@ -344,23 +349,30 @@ def test_markov_factors_come_from_the_braiding():
     assert _markov_factors() == ({0: 2}, {"pos": {-1: -1}, "neg": {1: -1}})
 
 
+def perturbed(kind, how):
+    """The crossing table of ``kind`` with <v1 v1|c|v1 v1> made twice
+    (``doubled``) or with v1 (x) v1 sent to v2 (x) v1 (``moved``)."""
+    width, table = _event_table(kind)
+    changed = dict(table)
+    if how == "doubled":
+        changed[(0, 0)] = tuple(
+            (row, {e: 2 * c for e, c in coeff.items()} if row == (0, 0) else coeff)
+            for row, coeff in table[(0, 0)])
+    else:
+        changed[(0, 0)] = tuple(((1, 0) if row == (0, 0) else row, coeff)
+                                for row, coeff in table[(0, 0)])
+    return width, changed
+
+
 def test_destabilisation_needs_a_scalar_left_partial_trace():
     weights = _trace_weights()
     for kind in ("pos", "neg"):
-        width, table = _event_table(kind)
-        assert _left_partial_trace((width, table), weights) == \
+        assert _left_partial_trace(_event_table(kind), weights) == \
             _markov_factors()[1][kind]
-        doubled = dict(table)           # <v1 v1|c|v1 v1> alone made twice
-        doubled[(0, 0)] = tuple(
-            (row, {e: 2 * c for e, c in coeff.items()} if row == (0, 0) else coeff)
-            for row, coeff in table[(0, 0)])
         with pytest.raises(ValueError, match="not a scalar"):
-            _left_partial_trace((width, doubled), weights)
-        moved = dict(table)             # v1 (x) v1 sent to v2 (x) v1
-        moved[(0, 0)] = tuple(((1, 0) if row == (0, 0) else row, coeff)
-                              for row, coeff in table[(0, 0)])
+            _left_partial_trace(perturbed(kind, "doubled"), weights)
         with pytest.raises(ValueError, match="cyclic"):
-            _left_partial_trace((width, moved), weights)
+            _left_partial_trace(perturbed(kind, "moved"), weights)
 
 
 def test_support_budget_refuses_a_block_early():
@@ -454,7 +466,7 @@ def test_torus_braids_trace_at_two_strands(strands, braid, factor, moves,
     text = f"{strands}: " + " ".join(map(str, list(range(1, strands)) * 2))
     word = parse_braid(text)
     assert _simplify_braid(word) == (parse_braid(braid), factor,
-                                     SimplifyStats(text, moves, searched))
+                                     SimplifyStats(text, moves, searched, ()))
     expected = {e - (strands - 2): c * (-1) ** strands
                 for e, c in torus_closed_form(strands).items()}
     assert invariant(word).value_dict() == expected
@@ -468,7 +480,7 @@ def test_relation_search_is_bounded_and_keeps_what_it_cannot_shorten():
     for power, searched in ((3, 198), (4, _SEARCH_CAP)):
         text = "5: " + " ".join(["1 -2 3 -4"] * power)
         assert _simplify_braid(parse_braid(text)) == (
-            parse_braid(text), {0: 1}, SimplifyStats(text, 0, searched))
+            parse_braid(text), {0: 1}, SimplifyStats(text, 0, searched, ()))
     assert _relation_search(5, (1, -2, 3, -4) * 4) == (None, 0, _SEARCH_CAP)
     # sigma_1 sigma_2^-1 sigma_1 sigma_2 -> sigma_1 sigma_1 sigma_2 sigma_1^-1
     # by (- + +) -> (+ + -) across the ends: sigma_2 then occurs once
@@ -488,3 +500,65 @@ def test_relation_search_stops_at_a_new_inverse_pair(text, found, moves,
     assert _relation_search(word.strands, word.letters) == \
         (found, moves, reached)
     assert invariant(word).value == trace(word).value
+
+
+@pytest.mark.parametrize("how", ["doubled", "moved"])
+def test_cut_needs_a_scalar_left_partial_trace(monkeypatch, how):
+    _markov_factors()                   # derived from the true tables
+    caches = (_packed_table, _letter_rows, _column_l1, _closed_off)
+    original = tangle._event_table
+    try:
+        for kind, sign in (("pos", 1), ("neg", -1)):
+            table = perturbed(kind, how)
+            monkeypatch.setattr(tangle, "_event_table",
+                                lambda k: table if k == kind else original(k))
+            for cache in caches:
+                cache.cache_clear()
+            piece = (sign, sign, sign)
+            assert _closed_off(2, piece, DEFAULT_SUPPORT_BUDGET) is None
+            # the word is left to the search, which finds nothing, and traced
+            word = BraidWord(3, piece + (2 * sign, 2 * sign))
+            assert _simplify_braid(word) == (
+                word, {0: 1}, SimplifyStats(str(word), 0, 1, ()))
+    finally:
+        monkeypatch.undo()
+        for cache in caches:
+            cache.cache_clear()
+    assert _closed_off(2, (1, 1, 1), DEFAULT_SUPPORT_BUDGET) == {-3: -1}
+
+
+def test_cut_point_finds_the_first_strand_with_one_block_each():
+    assert _cut_point(3, [1, 1, 2, 2]) == (2, [1, 1], [2, 2])
+    # rotated to the start of the sigma_1 block, sigma_3 kept in place
+    assert _cut_point(4, [3, 2, 1, 3, -1, 2, 3]) == (
+        2, [1, -1], [3, 2, 3, 3, 2])
+    assert _cut_point(3, [1, -2, 1, -2]) is None
+    # no sigma_3: the split union is cut at strand 3, after 1 -2 1 -2
+    assert _cut_point(6, [4, 1, -2, -5, 1, -2, 4, -5]) == (
+        3, [1, -2, 1, -2], [4, -5, 4, -5])
+    assert _cut_point(4, [1, 2, 3, 1, 2, 3]) is None
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_closed_off_piece_is_half_its_closure(seed):
+    # a (1,1)-tangle of the simple module acts as a scalar, and closing
+    # its last strand multiplies that scalar by the loop value 2
+    rng = random.Random(seed)
+    for strands, count in ((1, 1), (2, 4), (3, 4), (4, 1)):
+        for _ in range(count):
+            letters = tuple(rng.choice((1, -1)) * rng.randint(1, strands - 1)
+                            for _ in range(rng.randint(0, 5) if strands > 1 else 0))
+            scalar = _closed_off(strands, letters, DEFAULT_SUPPORT_BUDGET)
+            assert {e: 2 * c for e, c in scalar.items()} == \
+                value_of(str(BraidWord(strands, letters))), letters
+
+
+def test_cut_pieces_stay_within_a_support_budget_the_whole_trace_exceeds():
+    word = parse_braid("6: 1 -2 1 -2 4 -5 4 -5")
+    result = invariant(word, support_budget=2000)
+    assert (result.canonical(), result.simplify.cuts) == \
+        ("4", ("3: 1 -2 1 -2",))
+    with pytest.raises(TangleBudgetExceeded):
+        trace(word, support_budget=2000)
+    with pytest.raises(TangleBudgetExceeded):
+        invariant(word, support_budget=1000)
