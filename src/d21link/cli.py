@@ -87,7 +87,7 @@ def _cmd_invariant(args: argparse.Namespace) -> int:
     if args.braid is not None:
         result = invariant(parse_braid(args.braid), budget, _support_budget())
     else:
-        with open(args.sliced, "r", encoding="utf-8") as handle:
+        with open(args.sliced, "r", encoding="utf-8-sig") as handle:
             result = evaluate_sliced(parse_sliced_text(handle.read()), budget,
                                      _support_budget())
     if args.json:

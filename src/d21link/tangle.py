@@ -35,9 +35,13 @@ and Turaev, Commun. Math. Phys. 127, 1990), so A is closed off for its
 left partial trace, computed on A's open columns and used only if it is
 exactly a scalar, and B goes on, simplified and cut again.  Otherwise a
 bounded breadth-first search by far commutation and braid relations looks
-for a conjugate word where one of those moves applies.  The factors, the
-braid relations and the structure they rest on are checked where they are
-derived from the tables, the relations on the first relation move.
+for a conjugate word where one of those moves applies.  Every factor, the
+loop value and a removed crossing included, is such a left partial trace,
+computed by one routine and used only if it is exactly a scalar.  The
+structure the trace rests on (cup and cap pair alike, the swap below,
+every crossing keeps p(a) p(b)) is checked once, where the pivotal weights
+are derived from the tables, and the braid relations are checked exactly
+on the first relation move.
 
 Swapping v4 and v5 in every strand maps both crossing tables onto
 themselves and fixes p(v) (also checked), so the trace evolves one start
@@ -57,7 +61,11 @@ path touches rational-function arithmetic and values lie in Z[q, q^-1] by
 construction.  During an evaluation each coefficient is one Kronecker-packed
 int, sum(c_e << bits * (e + shift)); ``bits`` comes from a proven bound on
 the coefficients (start L1 norm times each event's largest column L1 sum),
-and the final value is decoded and re-packed as a check.  Framing is
+and the final value is decoded and re-packed as a check.  For a braid, one
+routine (:func:`_letter_steps`) packs the letters and decides ``bits``,
+the shift and the span, and one (:func:`_evolve`) applies them under the
+support budget, for the trace, the cuts, the factors and the relation
+check alike.  Framing is
 blackboard: the value belongs to the drawn diagram, with no writhe
 normalization.
 """
@@ -366,25 +374,19 @@ def _packed_table(kind: str, bits: int) -> Tuple[int, int, int, Dict[tuple, tupl
         for window, rows in table.items()}
 
 
-def _window_rows(table: Dict[tuple, tuple], unit: int) -> List[tuple]:
-    """``rows[w]`` lists ``((w' - w) * unit, coefficient)`` for the
-    two-strand window ``w = 6 * left + right`` of a crossing ``table``
-    going to ``w'``, whose right digit has place value ``unit`` in a state
-    key (see :func:`_apply_letter`)."""
+@lru_cache(maxsize=256)
+def _letter_rows(kind: str, bits: int, unit: int) -> Tuple[int, int, List[tuple]]:
+    """``(shift, span, rows)`` of a crossing for :func:`_apply_letter`, its
+    table packed at ``bits``: ``rows[w]`` lists ``((w' - w) * unit,
+    coefficient)`` for the two-strand window ``w = 6 * left + right`` going
+    to ``w'``, whose right digit has place value ``unit`` in a state key."""
+    shift, span, _, table = _packed_table(kind, bits)
     rows: List[tuple] = [()] * (DIM * DIM)
     for (a, b), entries in table.items():
         window = a * DIM + b
         rows[window] = tuple(((c * DIM + d - window) * unit, coeff)
                              for (c, d), coeff in entries)
-    return rows
-
-
-@lru_cache(maxsize=256)
-def _letter_rows(kind: str, bits: int, unit: int) -> Tuple[int, int, List[tuple]]:
-    """``(shift, span, rows)`` of a crossing for the braid trace: the
-    :func:`_window_rows` of its table packed at ``bits``."""
-    shift, span, _, table = _packed_table(kind, bits)
-    return shift, span, _window_rows(table, unit)
+    return shift, span, rows
 
 
 def _apply_letter(state: Dict[int, int], unit: int,
@@ -402,27 +404,6 @@ def _apply_letter(state: Dict[int, int], unit: int,
             target = key + delta
             new_state[target] = get(target, 0) + amp * coeff
     return {key: amp for key, amp in new_state.items() if amp}
-
-
-def _pivotal_weights(cup_table, cap_table) -> List[Dict[int, int]]:
-    """Per basis vector r, cup * cap of the strand pair (l, r) closing it.
-
-    The braid-closure trace is valid only if cup and cap pair the same
-    basis vectors, each with exactly one partner; otherwise this raises
-    ``ValueError``."""
-    (_, cups), (_, caps) = cup_table, cap_table
-    pairs = [pair for pair, _ in cups[()]]
-    if (sorted(l for l, _ in pairs) != list(range(DIM))
-            or sorted(r for _, r in pairs) != list(range(DIM))
-            or sorted(pairs) != sorted(caps)
-            or any(len(caps[pair]) != 1 for pair in pairs)):
-        raise ValueError("cup and cap do not pair the same basis vectors "
-                         "one to one; a braid closure is not a trace")
-    weights: List[Dict[int, int]] = [{}] * DIM
-    for pair, cup_coeff in cups[()]:
-        ((_, cap_coeff),) = caps[pair]
-        weights[pair[1]] = laurent_product(cup_coeff, cap_coeff)
-    return weights
 
 
 def evaluate_sliced(diagram: SlicedDiagram,
@@ -466,73 +447,63 @@ def evaluate_sliced(diagram: SlicedDiagram,
 _SWAP = (0, 1, 2, 4, 3, 5)
 
 
-def _check_swap(crossing_tables, weights) -> None:
-    """Raise ``ValueError`` unless ``_SWAP`` maps each crossing table
-    onto itself entry for entry and fixes every pivotal weight, so that
-    p(sv) <sv|B|sv> = p(v) <v|B|v> for s the swap on every strand."""
-    s = _SWAP
-    for _, table in crossing_tables:
-        entries = {window: dict(rows) for window, rows in table.items()}
-        swapped = {(s[a], s[b]): {(s[c], s[d]): coeff for (c, d), coeff in rows}
-                   for (a, b), rows in table.items()}
-        if swapped != entries:
-            raise ValueError("the v4 <-> v5 swap does not map a crossing "
-                             "table onto itself")
-    if any(weights[s[r]] != weights[r] for r in range(DIM)):
-        raise ValueError("the v4 <-> v5 swap does not fix the pivotal weights")
-
-
 @lru_cache(maxsize=None)
 def _trace_weights() -> Tuple[Dict[int, int], ...]:
-    """The pivotal weights, once cup/cap pairing and the swap are checked."""
-    weights = _pivotal_weights(_event_table("cup"), _event_table("cap"))
-    _check_swap((_event_table("pos"), _event_table("neg")), weights)
+    """Per basis vector r, the pivotal weight p(r): cup * cap of the strand
+    pair (l, r) closing it.  Raises ``ValueError`` unless
+
+    * cup and cap pair the same basis vectors, each with exactly one
+      partner, or a braid closure is not a trace;
+    * ``_SWAP`` fixes every weight and maps each crossing table onto itself
+      entry for entry, so that p(sv) <sv|B|sv> = p(v) <v|B|v> for s the
+      swap on every strand;
+    * every crossing entry <c d|.|a b> keeps p(a) p(b) = p(c) p(d), or the
+      trace is not cyclic and no strand may be closed off."""
+    (_, cups), (_, caps) = _event_table("cup"), _event_table("cap")
+    pairs = [pair for pair, _ in cups[()]]
+    if (sorted(l for l, _ in pairs) != list(range(DIM))
+            or sorted(r for _, r in pairs) != list(range(DIM))
+            or sorted(pairs) != sorted(caps)
+            or any(len(caps[pair]) != 1 for pair in pairs)):
+        raise ValueError("cup and cap do not pair the same basis vectors "
+                         "one to one; a braid closure is not a trace")
+    weights: List[Dict[int, int]] = [{}] * DIM
+    for pair, cup_coeff in cups[()]:
+        ((_, cap_coeff),) = caps[pair]
+        weights[pair[1]] = laurent_product(cup_coeff, cap_coeff)
+    s = _SWAP
+    if any(weights[s[r]] != weights[r] for r in range(DIM)):
+        raise ValueError("the v4 <-> v5 swap does not fix the pivotal weights")
+    for kind in ("pos", "neg"):
+        _, table = _event_table(kind)
+        swapped = {(s[a], s[b]): {(s[c], s[d]): coeff for (c, d), coeff in rows}
+                   for (a, b), rows in table.items()}
+        if swapped != {window: dict(rows) for window, rows in table.items()}:
+            raise ValueError("the v4 <-> v5 swap does not map a crossing "
+                             "table onto itself")
+        if any(laurent_product(weights[a], weights[b])
+               != laurent_product(weights[c], weights[d])
+               for (a, b), rows in table.items() for (c, d), _ in rows):
+            raise ValueError("a crossing does not keep the pivotal "
+                             "weights; the trace is not cyclic")
     return tuple(weights)
 
 
-def _left_partial_trace(crossing_table, weights) -> Dict[int, int]:
-    """The scalar lambda with sum_x p(x) <x d|c|x b> = lambda [b = d] for
-    every pair of basis vectors b, d, where c is the crossing table: the
-    factor of closing the crossing's left strand on itself.
-
-    Raises ``ValueError`` unless that partial trace is one scalar, or unless
-    c keeps p(a) p(b) on every entry, so that the weighted trace is cyclic.
-    (With these weights the right partial trace is not a scalar.)"""
-    _, table = crossing_table
-    partial = {(b, d): {} for b in range(DIM) for d in range(DIM)}
-    for (x, b), rows in table.items():
-        for (y, d), coeff in rows:
-            if (laurent_product(weights[x], weights[b])
-                    != laurent_product(weights[y], weights[d])):
-                raise ValueError("a crossing does not keep the pivotal "
-                                 "weights; the trace is not cyclic")
-            if y == x:
-                terms = partial[b, d]
-                for exp, value in laurent_product(weights[x], coeff).items():
-                    terms[exp] = terms.get(exp, 0) + value
-    partial = {pair: {e: c for e, c in terms.items() if c}
-               for pair, terms in partial.items()}
-    scalar = partial[0, 0]
-    if any(terms != (scalar if b == d else {})
-           for (b, d), terms in partial.items()):
+@lru_cache(maxsize=None)
+def _markov_factors() -> Dict[Tuple[int, ...], Dict[int, int]]:
+    """``{letters: factor}``: the factor of removing a closure strand that
+    no crossing meets (``()``, the loop value sum_v p(v)) or that one
+    crossing meets (``(1,)`` or ``(-1,)``), the left partial trace of that
+    two-strand braid (:func:`_closed_off`).  Its budget is the 6 ** 4 keys
+    of two strands, which no evolution exceeds, so the factors do not
+    depend on the support budget.  Raises ``ValueError`` unless each
+    factor is a scalar."""
+    factors = {letters: _closed_off(2, letters, DIM ** 4)
+               for letters in ((), (1,), (-1,))}
+    if None in factors.values():
         raise ValueError("the left partial trace of a crossing is not a "
                          "scalar; its strand cannot be removed")
-    return scalar
-
-
-@lru_cache(maxsize=None)
-def _markov_factors() -> Tuple[Dict[int, int], Dict[str, Dict[int, int]]]:
-    """``(loop, {kind: factor})``: the factor of removing a closure strand
-    that no crossing meets (the loop value sum_v p(v)), or that one
-    crossing of each kind meets (its left partial trace)."""
-    weights = _trace_weights()
-    loop: Dict[int, int] = {}
-    for weight in weights:
-        for exp, coeff in weight.items():
-            loop[exp] = loop.get(exp, 0) + coeff
-    loop = {exp: coeff for exp, coeff in loop.items() if coeff}
-    return loop, {kind: _left_partial_trace(_event_table(kind), weights)
-                  for kind in ("pos", "neg")}
+    return factors
 
 
 def _swapped(column: int, strands: int) -> int:
@@ -579,19 +550,43 @@ def _digit_products(factors: List[int], digits: int) -> List[int]:
     return products
 
 
-def _letter_steps(strands: int, letters, kinds, bits: int
-                  ) -> Tuple[List[tuple], int, int]:
-    """``(steps, shift, span)``: the ``(unit, rows)`` of each letter for
-    :func:`_apply_letter` on ``strands`` strands, packed at ``bits``, and
-    the exponent shift and span that their coefficients add up to."""
-    steps, shift, span = [], 0, 0
+def _letter_steps(strands: int, letters, weighted: int
+                  ) -> Tuple[List[tuple], List[int], int, int, int]:
+    """``(steps, weights, bits, shift, span)`` for evolving the braid
+    ``letters`` on ``strands`` strands (:func:`_evolve`) from start columns
+    whose amplitude is the product of the pivotal weights of their first
+    ``weighted`` digits: the ``(unit, rows)`` of each letter and the
+    pivotal weights, packed at ``bits``, and the exponent shift and span of
+    a final amplitude.  ``bits`` is proven (see :func:`_bits`) for any sum
+    of final amplitudes over columns that differ only in those digits."""
+    weights = _trace_weights()
+    kinds = ["pos" if letter > 0 else "neg" for letter in letters]
+    bits = _bits(sum(_l1(weight) for weight in weights) ** weighted, kinds)
+    w_shift, w_span = _exponent_range(weights)
+    steps, shift, span = [], weighted * w_shift, weighted * w_span
     for letter, kind in zip(letters, kinds):
         unit = DIM ** (strands - abs(letter) - 1)
         kind_shift, kind_span, rows = _letter_rows(kind, bits, unit)
         shift += kind_shift
         span += kind_span
         steps.append((unit, rows))
-    return steps, shift, span
+    return (steps, [_pack(weight, bits, w_shift) for weight in weights],
+            bits, shift, span)
+
+
+def _evolve(state: Dict[int, int], steps: List[tuple], support_budget: int
+            ) -> Tuple[Dict[int, int], List[int]]:
+    """``(state, supports)``: ``state`` after each of the ``steps`` of
+    :func:`_letter_steps` in turn, and its number of nonzero states at the
+    start and after each step; more than ``support_budget`` of them raises
+    :class:`TangleBudgetExceeded` at once."""
+    supports = [len(state)]
+    _check_support(supports[-1], support_budget)
+    for unit, rows in steps:
+        state = _apply_letter(state, unit, rows)
+        supports.append(len(state))
+        _check_support(supports[-1], support_budget)
+    return state, supports
 
 
 def trace(word: BraidWord, budget: int = DEFAULT_TANGLE_BUDGET,
@@ -610,18 +605,11 @@ def trace(word: BraidWord, budget: int = DEFAULT_TANGLE_BUDGET,
     _check_budget(2 * word.strands, budget)
     n = word.strands
     size = DIM ** n
-    weights = _trace_weights()
-    start_l1 = sum(_l1(weight) for weight in weights) ** n
-    kinds = ["pos" if letter > 0 else "neg" for letter in word.letters]
-    bits = _bits(start_l1, kinds)
-    w_shift, w_span = _exponent_range(weights)
-    steps, shift, span = _letter_steps(n, word.letters, kinds, bits)
-    shift, span = shift + n * w_shift, span + n * w_span
-    packed = [_pack(weight, bits, w_shift) for weight in weights]
+    steps, weights, bits, shift, span = _letter_steps(n, word.letters, n)
     tail_strands = min(n, 3)
     tail = DIM ** tail_strands
-    head_amps = _digit_products(packed, n - tail_strands)
-    tail_amps = _digit_products(packed, tail_strands)
+    head_amps = _digit_products(weights, n - tail_strands)
+    tail_amps = _digit_products(weights, tail_strands)
     blocks = _column_blocks(n)
     supports = [0] * (len(steps) + 1)
     peak_block_support = total = 0
@@ -629,23 +617,18 @@ def trace(word: BraidWord, budget: int = DEFAULT_TANGLE_BUDGET,
         head_amp = multiplicity * head_amps[columns[0] // tail]
         # keys are col * size + row: col the basis vector a column started
         # from, row where the braid has taken it; letters act on row digits
-        state = {v * size + v: head_amp * tail_amps[v % tail] for v in columns}
-        block_peak = len(state)
-        _check_support(block_peak, support_budget)
-        supports[0] += multiplicity * block_peak
-        for index, (unit, rows) in enumerate(steps, 1):
-            state = _apply_letter(state, unit, rows)
-            support = len(state)
-            _check_support(support, support_budget)
-            supports[index] += multiplicity * support
-            block_peak = max(block_peak, support)
-        peak_block_support = max(peak_block_support, block_peak)
+        state, block_supports = _evolve(
+            {v * size + v: head_amp * tail_amps[v % tail] for v in columns},
+            steps, support_budget)
+        supports = [total_support + multiplicity * support for
+                    total_support, support in zip(supports, block_supports)]
+        peak_block_support = max(peak_block_support, *block_supports)
         total += sum(state.get(v * size + v, 0) for v in columns)
     value = _decode(total, bits, shift, span + 1)
     stats = TraceStats(str(word), n, size,
                        sum(len(columns) for _, columns in blocks),
                        len(blocks), peak_block_support)
-    return EvalResult(tuple(sorted(value.items())), 2 * n + len(kinds), 2 * n,
+    return EvalResult(tuple(sorted(value.items())), 2 * n + len(steps), 2 * n,
                       DIM ** (2 * n), max(supports), stats)
 
 
@@ -677,52 +660,34 @@ _RELATIONS = {(1, 1, 1): (1, 1, 1), (-1, -1, -1): (-1, -1, -1),
 _SEARCH_CAP = 256
 
 
-def _check_braid_relations(pos_table, neg_table) -> None:
+@lru_cache(maxsize=None)
+def _braid_relations_checked() -> None:
     """Raise ``ValueError`` unless, exactly on the integer crossing tables,
     neg undoes pos on two strands and sigma_1 sigma_2 sigma_1 =
     sigma_2 sigma_1 sigma_2 on every three-strand basis vector; the six
-    signed relations of :data:`_RELATIONS` follow from these two.
+    signed relations of :data:`_RELATIONS` follow from these two.  Cached,
+    so it runs once, on the first relation move.
 
-    Both sides are compared Kronecker-packed at one shift, with ``bits``
-    from the largest column L1 sum of either table to the third power, so
-    equal packed matrices are equal matrices."""
-    tables = (pos_table[1], neg_table[1])
-    coeffs = [coeff for table in tables for rows in table.values()
-              for _, coeff in rows]
-    bound = max(sum(_l1(coeff) for _, coeff in rows) for table in tables
-                for rows in table.values()) ** 3
-    bits = bound.bit_length() + 2
-    shift = -min(exp for coeff in coeffs for exp in coeff)
-    pos, neg = ({window: [(replacement, _pack(coeff, bits, shift))
-                          for replacement, coeff in rows]
-                 for window, rows in table.items()} for table in tables)
-
-    def identity(strands):
+    Each side is the product of its :func:`_letter_steps` on the identity,
+    packed at the width and shift of its letters, and both sides of the
+    relation have the same letters, so equal packed matrices are equal
+    matrices.  The budget is the whole key space, which no product
+    exceeds."""
+    def product(strands, letters):
         size = DIM ** strands
-        return {v * size + v: 1 for v in range(size)}
+        steps, _, bits, shift, _ = _letter_steps(strands, letters, 0)
+        state, _ = _evolve({v * size + v: 1 for v in range(size)}, steps,
+                           size * size)
+        return state, bits, shift
 
-    def product(state, *letters):
-        for unit, rows in letters:
-            state = _apply_letter(state, unit, rows)
-        return state
-
-    one = 1 << bits * 2 * shift
-    if product(identity(2), (1, _window_rows(pos, 1)),
-               (1, _window_rows(neg, 1))) != {
-                   key: one for key in identity(2)}:
+    state, bits, shift = product(2, (1, -1))
+    if state != {v * (DIM * DIM + 1): 1 << bits * shift
+                 for v in range(DIM * DIM)}:
         raise ValueError("the inverse crossing does not undo the "
                          "crossing; braid relations cannot be used")
-    first, second = (DIM, _window_rows(pos, DIM)), (1, _window_rows(pos, 1))
-    if (product(identity(3), first, second, first)
-            != product(identity(3), second, first, second)):
+    if product(3, (1, 2, 1)) != product(3, (2, 1, 2)):
         raise ValueError("the crossing does not satisfy the braid relation "
                          "sigma_1 sigma_2 sigma_1 = sigma_2 sigma_1 sigma_2")
-
-
-@lru_cache(maxsize=None)
-def _braid_relations_checked() -> None:
-    """:func:`_check_braid_relations` on the crossing tables, once."""
-    _check_braid_relations(_event_table("pos"), _event_table("neg"))
 
 
 def _relation_search(strands: int, word: Tuple[int, ...]
@@ -821,26 +786,17 @@ def _closed_off(strands: int, letters: Tuple[int, ...], support_budget: int
     ``support_budget`` states raises :class:`TangleBudgetExceeded`, which
     is why the budget is part of the memo key."""
     size = DIM ** strands
-    weights = _trace_weights()
-    kinds = ["pos" if letter > 0 else "neg" for letter in letters]
-    bits = _bits(DIM * sum(_l1(weight) for weight in weights) ** (strands - 1),
-                 kinds)
-    w_shift, w_span = _exponent_range(weights)
-    steps, shift, span = _letter_steps(strands, letters, kinds, bits)
-    shift, span = shift + (strands - 1) * w_shift, span + (strands - 1) * w_span
+    steps, weights, bits, shift, span = _letter_steps(strands, letters,
+                                                      strands - 1)
     # the start amplitude of column v is p(x) for its leading digits x;
     # the last strand stays open
-    head_amps = _digit_products(
-        [_pack(weight, bits, w_shift) for weight in weights], strands - 1)
+    head_amps = _digit_products(weights, strands - 1)
     operator = [0] * (DIM * DIM)        # operator[DIM * d + b]: <d|.|b>
     block = DIM ** min(strands, 3)
     for first in range(0, size, block):
-        state = {v * size + v: head_amps[v // DIM]
-                 for v in range(first, first + block)}
-        _check_support(len(state), support_budget)
-        for unit, rows in steps:
-            state = _apply_letter(state, unit, rows)
-            _check_support(len(state), support_budget)
+        state, _ = _evolve({v * size + v: head_amps[v // DIM]
+                            for v in range(first, first + block)},
+                           steps, support_budget)
         for key, amp in state.items():
             column, row = divmod(key, size)
             if column // DIM == row // DIM:
@@ -884,7 +840,6 @@ def _simplify_braid(word: BraidWord,
     Every move lowers (strands, letters) or keeps them, and the search
     returns only words that the next pass shortens, so the loop ends.  A
     cut is held to ``support_budget`` as a trace block is."""
-    loop, crossing = _markov_factors()
     n, letters, factor = word.strands, list(word.letters), {0: 1}
     relation_moves = words_searched = 0
     cuts: List[str] = []
@@ -917,11 +872,7 @@ def _simplify_braid(word: BraidWord,
                 continue
             letters = [(n if k > 0 else -n) - k for k in letters]
             firsts = [k for k in letters if abs(k) == 1]
-        if firsts:
-            factor = laurent_product(
-                factor, crossing["pos" if firsts[0] > 0 else "neg"])
-        else:
-            factor = laurent_product(factor, loop)
+        factor = laurent_product(factor, _markov_factors()[tuple(firsts)])
         letters = [k - 1 if k > 0 else k + 1 for k in letters if abs(k) != 1]
         n -= 1
     return (BraidWord(n, tuple(letters)), factor,

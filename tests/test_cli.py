@@ -79,6 +79,10 @@ def test_invariant_from_sliced_file(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "invariant", "--sliced", str(path), "--json")
     assert code == 0
     assert list(json.loads(out)) == ["value", "stats"]     # no braid trace
+    # a UTF-8 byte-order mark before the first event is skipped
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    assert run_cli(capsys, "invariant", "--sliced", str(path)) == \
+        (0, "-2*q^-1\n", "")
 
 
 def test_dubrovnik_outputs(capsys):
@@ -155,15 +159,18 @@ def test_parse_errors_exit_2(capsys, tmp_path):
     assert "error:" in err and len(err.encode()) < 200
     code, _, err = run_cli(capsys, "invariant", "--sliced", "/nonexistent/file")
     assert code == 2 and len(err.encode()) < 200
-    # a directory, a file that is not UTF-8, a line of 10,000 characters and
-    # a position of 4,000 digits
+    # a directory, files that are not UTF-8 (with and without a byte-order
+    # mark), a line of 10,000 characters and a position of 4,000 digits
     latin1 = tmp_path / "latin1.txt"
     latin1.write_bytes(b"cup 1\ncap 1 \xe9\n")
+    latin1_bom = tmp_path / "latin1_bom.txt"
+    latin1_bom.write_bytes(b"\xef\xbb\xbfcup 1\ncap 1 \xe9\n")
     long_line = tmp_path / "long_line.txt"
     long_line.write_text("cup 1 " + "x " * 5000 + "\n", encoding="utf-8")
     long_position = tmp_path / "long_position.txt"
     long_position.write_text("cup " + "1" * 4000 + "\n", encoding="utf-8")
     for path, words in ((tmp_path, "error:"), (latin1, "error:"),
+                        (latin1_bom, "error: 'utf-8' codec can't decode"),
                         (long_line, "error: line 1: expected 'kind position'"),
                         (long_position, "error: cup at 11111")):
         code, out, err = run_cli(capsys, "invariant", "--sliced", str(path))

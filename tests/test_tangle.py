@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -16,16 +17,37 @@ from d21link.tangle import (DEFAULT_SUPPORT_BUDGET, BraidWord, DiagramError,
                             evaluate_sliced, invariant, parse_braid,
                             parse_sliced_text,
                             _RELATIONS, _SEARCH_CAP, _braid_relations_checked,
-                            _check_braid_relations, _check_swap, _closed_off,
-                            _column_l1, _cut_point, _cyclically_reduced,
-                            _decode, _event_table, _left_partial_trace,
-                            _letter_rows, _markov_factors, _pack,
-                            _packed_table, _pivotal_weights, _relation_search,
-                            _simplify_braid, _trace_weights, trace)
+                            _closed_off, _cut_point, _cyclically_reduced,
+                            _decode, _event_table, _markov_factors, _pack,
+                            _relation_search, _simplify_braid, _trace_weights,
+                            trace)
 
 
 def value_of(text):
     return invariant(parse_braid(text)).value_dict()
+
+
+def clear_tangle_caches():
+    for value in vars(tangle).values():
+        if hasattr(value, "cache_clear"):
+            value.cache_clear()
+
+
+@contextmanager
+def replaced_tables(**tables):
+    """``tangle._event_table`` answering ``tables[kind]`` for the kinds
+    given and the true table otherwise, with every ``lru_cache`` of the
+    module cleared on the way in and out: nothing derived from the true
+    tables is reused inside, nor from the replaced ones after."""
+    true_table = tangle._event_table
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tangle, "_event_table", lambda kind: tables[kind]
+                      if kind in tables else true_table(kind))
+        clear_tangle_caches()
+        try:
+            yield
+        finally:
+            clear_tangle_caches()
 
 
 def test_parse_braid():
@@ -230,37 +252,38 @@ def test_decode_raises_when_the_digits_do_not_pack_back():
 
 
 def test_pivotal_weights_need_cup_and_cap_to_pair_alike():
-    cup, cap = _event_table("cup"), _event_table("cap")
     loop = {}
-    for weight in _pivotal_weights(cup, cap):
+    for weight in _trace_weights():
         for exp, coeff in weight.items():
             loop[exp] = loop.get(exp, 0) + coeff
     assert {e: c for e, c in loop.items() if c} == {0: 2}   # the unknot
-    width, table = cap
+    width, table = _event_table("cap")
     moved = dict(table)
     moved[(0, 2)] = moved.pop((0, 1))      # v1 capped with v3, not v2
-    with pytest.raises(ValueError, match="pair"):
-        _pivotal_weights(cup, (width, moved))
     doubled = dict(table)
     doubled[(0, 1)] = doubled[(0, 1)] * 2
-    with pytest.raises(ValueError, match="pair"):
-        _pivotal_weights(cup, (width, doubled))
+    for cap in (moved, doubled):
+        with replaced_tables(cap=(width, cap)):
+            with pytest.raises(ValueError, match="pair"):
+                _trace_weights()
 
 
 def test_swap_check_needs_symmetric_tables_and_weights():
-    tables = (_event_table("pos"), _event_table("neg"))
-    weights = _trace_weights()
-    _check_swap(tables, weights)
-    width, table = tables[0]
+    width, table = _event_table("pos")
     perturbed = dict(table)
     (row, coeff), *rest = perturbed[(3, 0)]              # v4 (x) v1
     perturbed[(3, 0)] = ((row, {e: 2 * c for e, c in coeff.items()}), *rest)
-    with pytest.raises(ValueError, match="swap"):
-        _check_swap(((width, perturbed), tables[1]), weights)
-    unequal = list(weights)
-    unequal[3] = {e: -c for e, c in weights[3].items()}  # p(v4) != p(v5)
-    with pytest.raises(ValueError, match="swap"):
-        _check_swap(tables, unequal)
+    with replaced_tables(pos=(width, perturbed)):
+        with pytest.raises(ValueError, match="swap"):
+            _trace_weights()
+    width, caps = _event_table("cap")
+    (pair,) = [pair for pair in caps if pair[1] == 3]    # the cap closing v4
+    ((empty, coeff),) = caps[pair]
+    negated = dict(caps)                                 # p(v4) != p(v5)
+    negated[pair] = ((empty, {e: -c for e, c in coeff.items()}),)
+    with replaced_tables(cap=(width, negated)):
+        with pytest.raises(ValueError, match="swap"):
+            _trace_weights()
 
 
 def torus_closed_form(k):
@@ -346,7 +369,7 @@ def test_simplify_braid(text, braid, factor):
 
 
 def test_markov_factors_come_from_the_braiding():
-    assert _markov_factors() == ({0: 2}, {"pos": {-1: -1}, "neg": {1: -1}})
+    assert _markov_factors() == {(): {0: 2}, (1,): {-1: -1}, (-1,): {1: -1}}
 
 
 def perturbed(kind, how):
@@ -365,14 +388,13 @@ def perturbed(kind, how):
 
 
 def test_destabilisation_needs_a_scalar_left_partial_trace():
-    weights = _trace_weights()
     for kind in ("pos", "neg"):
-        assert _left_partial_trace(_event_table(kind), weights) == \
-            _markov_factors()[1][kind]
-        with pytest.raises(ValueError, match="not a scalar"):
-            _left_partial_trace(perturbed(kind, "doubled"), weights)
-        with pytest.raises(ValueError, match="cyclic"):
-            _left_partial_trace(perturbed(kind, "moved"), weights)
+        with replaced_tables(**{kind: perturbed(kind, "doubled")}):
+            with pytest.raises(ValueError, match="not a scalar"):
+                _markov_factors()
+        with replaced_tables(**{kind: perturbed(kind, "moved")}):
+            with pytest.raises(ValueError, match="cyclic"):
+                _markov_factors()
 
 
 def test_support_budget_refuses_a_block_early():
@@ -425,13 +447,15 @@ def test_each_signed_relation_keeps_the_unsimplified_trace(signs):
 
 def test_braid_relation_guard_needs_inverse_and_yang_baxter_tables():
     pos, neg = _event_table("pos"), _event_table("neg")
-    _check_braid_relations(pos, neg)
+    _braid_relations_checked.cache_clear()
+    _braid_relations_checked()
     width, table = pos
     doubled = dict(table)                # <v2 v1|c|v1 v2> alone made twice
     ((row, coeff),) = table[(0, 1)]
     doubled[(0, 1)] = ((row, {e: 2 * c for e, c in coeff.items()}),)
-    with pytest.raises(ValueError, match="does not undo"):
-        _check_braid_relations((width, doubled), neg)
+    with replaced_tables(pos=(width, doubled)):
+        with pytest.raises(ValueError, match="does not undo"):
+            _braid_relations_checked()
 
     def conjugated(crossing):
         # by the diagonal map -1 on v1 (x) v2 and 1 elsewhere: still
@@ -441,8 +465,9 @@ def test_braid_relation_guard_needs_inverse_and_yang_baxter_tables():
             (row, {e: c * sign.get(window, 1) * sign.get(row, 1)
                    for e, c in coeff.items()}) for row, coeff in rows)
             for window, rows in crossing[1].items()}
-    with pytest.raises(ValueError, match="braid relation"):
-        _check_braid_relations(conjugated(pos), conjugated(neg))
+    with replaced_tables(pos=conjugated(pos), neg=conjugated(neg)):
+        with pytest.raises(ValueError, match="braid relation"):
+            _braid_relations_checked()
 
 
 def test_braid_relation_guard_runs_on_the_first_relation_move_only():
@@ -503,27 +528,22 @@ def test_relation_search_stops_at_a_new_inverse_pair(text, found, moves,
 
 
 @pytest.mark.parametrize("how", ["doubled", "moved"])
-def test_cut_needs_a_scalar_left_partial_trace(monkeypatch, how):
-    _markov_factors()                   # derived from the true tables
-    caches = (_packed_table, _letter_rows, _column_l1, _closed_off)
-    original = tangle._event_table
-    try:
-        for kind, sign in (("pos", 1), ("neg", -1)):
-            table = perturbed(kind, how)
-            monkeypatch.setattr(tangle, "_event_table",
-                                lambda k: table if k == kind else original(k))
-            for cache in caches:
-                cache.cache_clear()
-            piece = (sign, sign, sign)
+def test_cut_needs_a_scalar_left_partial_trace(how):
+    for kind, sign in (("pos", 1), ("neg", -1)):
+        piece = (sign, sign, sign)
+        word = BraidWord(3, piece + (2 * sign, 2 * sign))
+        with replaced_tables(**{kind: perturbed(kind, how)}):
+            if how == "moved":
+                # a table that does not keep the weights admits no cut
+                with pytest.raises(ValueError, match="cyclic"):
+                    _closed_off(2, piece, DEFAULT_SUPPORT_BUDGET)
+                with pytest.raises(ValueError, match="cyclic"):
+                    _simplify_braid(word)
+                continue
             assert _closed_off(2, piece, DEFAULT_SUPPORT_BUDGET) is None
             # the word is left to the search, which finds nothing, and traced
-            word = BraidWord(3, piece + (2 * sign, 2 * sign))
             assert _simplify_braid(word) == (
                 word, {0: 1}, SimplifyStats(str(word), 0, 1, ()))
-    finally:
-        monkeypatch.undo()
-        for cache in caches:
-            cache.cache_clear()
     assert _closed_off(2, (1, 1, 1), DEFAULT_SUPPORT_BUDGET) == {-3: -1}
 
 
