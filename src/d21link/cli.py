@@ -168,7 +168,10 @@ def _cmd_braiding(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    progress = (lambda msg: print(f"... {msg}", flush=True)) if args.verbose else None
+    # under --json the progress lines go to stderr, so stdout stays JSON
+    stream = sys.stderr if args.json else sys.stdout
+    progress = ((lambda msg: print(f"... {msg}", file=stream, flush=True))
+                if args.verbose else None)
     reports = run_suites(args.suite, budget=_skein_budget(),
                          deviations_path=DEVIATIONS_FILE, progress=progress,
                          tangle_budget=_tangle_budget())

@@ -1,17 +1,20 @@
 """The six-dimensional supermodule and its generator actions.
 
-Constant tables for the rank-three quantized Lie superalgebra at the fixed
-parameter value: Cartan matrix, symmetrizer, ``b4`` = 4b for the inverse
-matrix b driving the diagonal braiding factor (integral, as its q-exponents
-are quarter-integers), the seven positive roots with their parities and
-bracket constants, and the action of the nine generators E_i, F_i, H_i on
-the supermodule M with basis v_1..v_6 (v_1, v_2 even, v_3..v_6 odd).
+Only the independent tables of the rank-three quantized Lie superalgebra
+at the fixed parameter value are stored: Cartan matrix, symmetrizer,
+``b4`` = 4b for the inverse matrix b driving the diagonal braiding factor
+(integral, as its q-exponents are quarter-integers), the simple-root
+parities, the seven positive roots, and the action of the nine generators
+E_i, F_i, H_i on the supermodule M with basis v_1..v_6 (v_1, v_2 even,
+v_3..v_6 odd), H_i read off ``WEIGHTS``.  The rest is derived from them:
+the parity of each generator, the step (beta, beta) of each root's
+q-factorials (:func:`bracket_step`) and every K_beta
+(:func:`cartan_exponential`, the one builder).
 
 The Cartan diagonal on the even pair is weight zero: ``H_2 = H_3 = 0`` on
-v_1, v_2.  :func:`check_defining_relations` takes the weight table as its
-one parameter, so a caller can pass an alternative diagonal (weight one
-there breaks the [E_2, F_2] relation on v_1) and see the report pinpoint
-exactly which identity fails.
+v_1, v_2.  Weight one there breaks the [E_2, F_2] relation on v_1, and
+:func:`check_defining_relations` reports exactly which identity fails when
+``WEIGHTS`` is replaced by such a table.
 
 Root vectors are built from the generators by closed q-bracket forms; the
 lowering family uses the same forms with E replaced by F, which is
@@ -22,11 +25,10 @@ between the raising and lowering halves.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict, List, NamedTuple, Tuple
+from typing import List, NamedTuple, Tuple
 
 from .report import CheckResult, Report
-from .ring import (BRACKET_EXPONENTS, LAMBDA, RF_LAMBDA, RF_ONE,
-                   QuarterLaurent, RatFunc)
+from .ring import LAMBDA, RF_LAMBDA, RF_ONE, QuarterLaurent, RatFunc
 from .superlinalg import (SuperMap, SuperSpace, TRIVIAL, compose, invert,
                           tensor_map)
 
@@ -58,26 +60,24 @@ _F_ACTION = {
     3: {3: (5, 1), 4: (6, 1)},
 }
 
-_GENERATOR_PARITY = {("E", 1): 1, ("F", 1): 1}
+# Parity of the simple roots, hence of E_i and F_i: alpha_1 alone is odd.
+_SIMPLE_PARITIES = (1, 0, 0)
 _SIMPLE_ROOTS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
 class _CartanFields(NamedTuple):
     a: Tuple[Tuple[int, ...], ...]
     d: Tuple[int, ...]
-    abar: Tuple[Tuple[int, ...], ...]
     b4: Tuple[Tuple[int, ...], ...]
 
 
 class CartanData(_CartanFields):
     __slots__ = ()
 
-    def __new__(cls, a, d, abar, b4):
+    def __new__(cls, a, d, b4):
         for i in range(3):
             for j in range(3):
-                if abar[i][j] != d[i] * a[i][j]:
-                    raise ValueError("symmetrized Cartan matrix mismatch")
-                if abar[i][j] != abar[j][i]:
+                if d[i] * a[i][j] != d[j] * a[j][i]:
                     raise ValueError("symmetrized Cartan matrix not symmetric")
         # b = b4 / 4 must invert the matrix (-a_ij / d_j) exactly.
         for i in range(3):
@@ -85,35 +85,33 @@ class CartanData(_CartanFields):
                 acc = sum(b4[i][k] * -a[k][j] for k in range(3))
                 if acc != (4 * d[j] if i == j else 0):
                     raise ValueError("b4 / 4 is not inverse to (-a_ij/d_j)")
-        return super().__new__(cls, a, d, abar, b4)
-
-
-class RootData(NamedTuple):
-    roots: Tuple[Tuple[int, int, int], ...]
-    parities: Tuple[int, ...]
-    c: Tuple[int, ...]
+        return super().__new__(cls, a, d, b4)
 
 
 CARTAN = CartanData(
     a=((0, 1, 1), (-1, 2, 0), (-1, 0, 2)),
     d=(-1, 1, 1),
-    abar=((0, -1, -1), (-1, 2, 0), (-1, 0, 2)),
     b4=((4, -2, -2), (-2, -1, 1), (-2, 1, -1)),
 )
 
-ROOTS = RootData(
-    roots=(
-        (0, 0, 1),
-        (1, 0, 1),
-        (1, 1, 1),
-        (2, 1, 1),
-        (1, 0, 0),
-        (1, 1, 0),
-        (0, 1, 0),
-    ),
-    parities=(0, 1, 1, 0, 1, 1, 0),
-    c=BRACKET_EXPONENTS,
+# The positive roots beta_1..beta_7 as (n_1, n_2, n_3), beta = sum n_j alpha_j.
+ROOTS = (
+    (0, 0, 1),
+    (1, 0, 1),
+    (1, 1, 1),
+    (2, 1, 1),
+    (1, 0, 0),
+    (1, 1, 0),
+    (0, 1, 0),
 )
+
+
+def bracket_step(root: Tuple[int, int, int]) -> int:
+    """(beta, beta) = sum_jk n_j n_k d_j a_jk: the step c of the q-integers
+    normalising beta's exponential factor, and the twist K_beta E_beta =
+    q^c E_beta K_beta."""
+    return sum(n_j * n_k * CARTAN.d[j] * CARTAN.a[j][k]
+               for j, n_j in enumerate(root) for k, n_k in enumerate(root))
 
 
 def phi(i: int) -> RatFunc:
@@ -131,52 +129,32 @@ def phi(i: int) -> RatFunc:
     raise ValueError("root index out of range 1..7")
 
 
-def _single_entry_map(action: Dict[int, Tuple[int, int]], parity: int) -> SuperMap:
-    entries = {}
-    for src, (dst, coeff) in action.items():
-        entries[(dst - 1, src - 1)] = RatFunc.constant(coeff)
-    return SuperMap(M, M, entries, parity)
-
-
-def _cartan_h(weights, i: int) -> SuperMap:
-    """H_i on M for a weight table: diagonal with entries weight_i(v)."""
-    return SuperMap(M, M, {(v, v): RatFunc.constant(weights[v][i - 1])
-                           for v in range(DIM)})
-
-
-def _cartan_k(weights, coeffs, sign: int) -> SuperMap:
-    """K_beta^{sign} on M for beta = sum n_j alpha_j and a weight table:
-    diagonal with entries q^{sign * sum_j n_j d_j weight_j(v)}."""
-    return SuperMap(M, M, {
-        (v, v): RatFunc.q_power(sign * sum(
-            n * d * w for n, d, w in zip(coeffs, CARTAN.d, weights[v])))
-        for v in range(DIM)})
-
 @lru_cache(maxsize=None)
 def generator_action(name: str, index: int) -> SuperMap:
     """Matrix of E_i, F_i or H_i on M."""
     if index not in (1, 2, 3):
         raise ValueError("generator index out of range 1..3")
-    if name == "E":
-        return _single_entry_map(_E_ACTION[index], _GENERATOR_PARITY.get((name, index), 0))
-    if name == "F":
-        return _single_entry_map(_F_ACTION[index], _GENERATOR_PARITY.get((name, index), 0))
+    if name in ("E", "F"):
+        action = (_E_ACTION if name == "E" else _F_ACTION)[index]
+        return SuperMap(M, M, {(dst - 1, src - 1): RatFunc.constant(coeff)
+                               for src, (dst, coeff) in action.items()},
+                        _SIMPLE_PARITIES[index - 1])
     if name == "H":
-        return _cartan_h(WEIGHTS, index)
+        return SuperMap(M, M, {(v, v): RatFunc.constant(WEIGHTS[v][index - 1])
+                               for v in range(DIM)})
     raise ValueError(f"unknown generator family {name!r}")
 
 
 @lru_cache(maxsize=None)
-def cartan_exponential(i: int, sign: int = 1) -> SuperMap:
-    """K_i^{sign}: diagonal with entry q^{sign * d_i * weight_i(v)}."""
+def cartan_exponential(root: Tuple[int, int, int], sign: int = 1) -> SuperMap:
+    """K_beta^{sign} for beta = sum n_j alpha_j: diagonal with entries
+    q^{sign * sum_j n_j d_j weight_j(v)}; K_i is the case beta = alpha_i."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    return _cartan_k(WEIGHTS, _SIMPLE_ROOTS[i - 1], sign)
-
-
-def cartan_exponential_for_root(coeffs: Tuple[int, int, int], sign: int = 1) -> SuperMap:
-    """K_beta for beta = sum n_i alpha_i, as the product of the K_i^{n_i}."""
-    return _cartan_k(WEIGHTS, coeffs, sign)
+    return SuperMap(M, M, {
+        (v, v): RatFunc.q_power(sign * sum(
+            n * d * w for n, d, w in zip(root, CARTAN.d, WEIGHTS[v])))
+        for v in range(DIM)})
 
 
 def super_bracket(y: SuperMap, z: SuperMap, scale: RatFunc = RF_ONE) -> SuperMap:
@@ -257,12 +235,12 @@ def coproduct_action(name: str, index: int, flipped: bool = False) -> SuperMap:
     if name == "H":
         return tensor_map(g, ident) + tensor_map(ident, g)
     if name == "E":
-        k = cartan_exponential(index, 1)
+        k = cartan_exponential(_SIMPLE_ROOTS[index - 1], 1)
         if flipped:
             return tensor_map(ident, g) + tensor_map(g, k)
         return tensor_map(g, ident) + tensor_map(k, g)
     if name == "F":
-        kinv = cartan_exponential(index, -1)
+        kinv = cartan_exponential(_SIMPLE_ROOTS[index - 1], -1)
         if flipped:
             return tensor_map(kinv, g) + tensor_map(g, ident)
         return tensor_map(g, kinv) + tensor_map(ident, g)
@@ -315,15 +293,14 @@ def _commutation_table():
     return table
 
 
-def check_defining_relations(weights=WEIGHTS) -> Report:
-    """Verify every defining relation as an exact matrix identity on M, with
-    H_i and K_i^{+-1} built from ``weights`` (root vectors use WEIGHTS)."""
+def check_defining_relations() -> Report:
+    """Verify every defining relation as an exact matrix identity on M."""
     checks: List[CheckResult] = []
     E = {i: generator_action("E", i) for i in (1, 2, 3)}
     F = {i: generator_action("F", i) for i in (1, 2, 3)}
-    H = {i: _cartan_h(weights, i) for i in (1, 2, 3)}
-    K = {i: _cartan_k(weights, _SIMPLE_ROOTS[i - 1], 1) for i in (1, 2, 3)}
-    Kinv = {i: _cartan_k(weights, _SIMPLE_ROOTS[i - 1], -1) for i in (1, 2, 3)}
+    H = {i: generator_action("H", i) for i in (1, 2, 3)}
+    K = {i: cartan_exponential(_SIMPLE_ROOTS[i - 1], 1) for i in (1, 2, 3)}
+    Kinv = {i: cartan_exponential(_SIMPLE_ROOTS[i - 1], -1) for i in (1, 2, 3)}
     zero = SuperMap.zero(M, M)
     q = RatFunc.q_power
 
@@ -380,12 +357,12 @@ def check_defining_relations(weights=WEIGHTS) -> Report:
             _check(checks, f"root-square:{tag}{i}",
                    compose(root_vector(i, kind), root_vector(i, kind)), zero)
 
-    for i in range(1, 8):
+    for i, root in enumerate(ROOTS, 1):
         e_i = root_vector(i, "raise")
-        k_beta = cartan_exponential_for_root(ROOTS.roots[i - 1])
+        k_beta = cartan_exponential(root)
         _check(checks, f"cartan-root-twist:{i}",
                compose(k_beta, e_i),
-               compose(e_i, k_beta).scale(q(ROOTS.c[i - 1])))
+               compose(e_i, k_beta).scale(q(bracket_step(root))))
 
     return Report("relations", checks)
 

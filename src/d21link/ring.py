@@ -40,10 +40,6 @@ from __future__ import annotations
 from math import gcd as _int_gcd
 from typing import Dict, Mapping, Sequence
 
-# Quantum-integer step sizes for the seven root indices at the fixed
-# parameter value: (n)_i = (q^{n*c_i} - 1)/(q^{c_i} - 1) when c_i != 0.
-BRACKET_EXPONENTS = (2, 0, 0, -4, 0, 0, 2)
-
 
 class NotLaurentInQ(ValueError):
     """Raised when a value fails to be an integer Laurent polynomial in q.
@@ -373,11 +369,9 @@ RF_Q = RatFunc.from_poly(Q)
 RF_LAMBDA = RatFunc.from_poly(LAMBDA)
 
 
-def q_integer(n: int, i: int) -> RatFunc:
-    """The quantum integer (n)_i = 1 + q^{c_i} + ... + q^{(n-1)c_i}."""
-    if not 1 <= i <= 7:
-        raise ValueError("root index out of range 1..7")
-    c = BRACKET_EXPONENTS[i - 1]
+def q_integer(n: int, c: int) -> RatFunc:
+    """The quantum integer (n)_c = 1 + q^c + ... + q^{(n-1)c} of step c,
+    which is (q^{nc} - 1)/(q^c - 1); a zero step gives 1."""
     if c == 0:
         return RF_ONE
     if n == 0:
@@ -385,13 +379,13 @@ def q_integer(n: int, i: int) -> RatFunc:
     return RatFunc(QuarterLaurent({4 * c * m: 1 for m in range(n)}))
 
 
-def q_factorial(n: int, i: int) -> RatFunc:
-    """(n)_i! = (n)_i (n-1)_i ... (1)_i, with the empty product equal to 1."""
+def q_factorial(n: int, c: int) -> RatFunc:
+    """(n)_c! = (n)_c (n-1)_c ... (1)_c, with the empty product equal to 1."""
     if n < 0:
         raise ValueError("factorial of a negative integer")
     acc = RF_ONE
     for k in range(1, n + 1):
-        acc = acc * q_integer(k, i)
+        acc = acc * q_integer(k, c)
     return acc
 
 

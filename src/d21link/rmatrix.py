@@ -3,8 +3,10 @@
 The braiding is the graded flip composed with the evaluated universal
 R-matrix: a product of seven truncated exponential factors, one per positive
 root (built from the raising/lowering root-vector pair, normalized by the
-pairing constants and quantum factorials), applied after a diagonal Cartan
-factor whose exponents are quarter-integers read off the weight table.
+pairing constants and by quantum factorials whose step is the root's square
+length, derived from the root and the Cartan data), applied after a
+diagonal Cartan factor whose exponents are quarter-integers read off the
+weight table.
 Factors apply right to left: the Cartan factor first, then the exponential
 factors in decreasing root order.
 
@@ -25,8 +27,8 @@ from typing import Dict, List, NamedTuple, Tuple
 from .report import CheckResult, Report
 from .ring import (RF_LAMBDA, RF_Q, RF_ZERO, QuarterLaurent, RatFunc,
                    q_factorial, to_integer_laurent)
-from .representation import (CARTAN, DIM, M, M2, WEIGHTS, duality_maps, phi,
-                             root_vector)
+from .representation import (CARTAN, DIM, M, M2, ROOTS, WEIGHTS, bracket_step,
+                             duality_maps, phi, root_vector)
 from .superlinalg import (SuperMap, compose, embed_at, invert,
                           rank_over_fractions, tensor_map, volte)
 
@@ -34,7 +36,6 @@ _NILPOTENCY_GUARD = 7
 
 
 class BraidingBundle(NamedTuple):
-    r: SuperMap
     c: SuperMap
     c_inv: SuperMap
     theta: RatFunc
@@ -44,9 +45,9 @@ class BraidingBundle(NamedTuple):
 def exp_factor(i: int) -> SuperMap:
     """Truncated exponential factor for root i on M (x) M.
 
-    sum_n (E^n (x) F^n) / ((n)_i! phi_i^n); the series stops as soon as a
-    matrix power vanishes, which nilpotency on M guarantees within a few
-    steps.  Koszul signs for odd root vectors are supplied by tensor_map.
+    sum_n (E^n (x) F^n) / ((n)_c! phi_i^n), with c = (beta_i, beta_i) the
+    root's bracket step; the series stops as soon as a matrix power
+    vanishes, which nilpotency on M guarantees within a few steps.  Koszul signs for odd root vectors are supplied by tensor_map.
     """
     raising = root_vector(i, "raise")
     lowering = root_vector(i, "lower")
@@ -55,12 +56,13 @@ def exp_factor(i: int) -> SuperMap:
     f_power = lowering
     n = 1
     phi_i = phi(i)
+    step = bracket_step(ROOTS[i - 1])
     while not (e_power.is_zero() or f_power.is_zero()):
         if n >= _NILPOTENCY_GUARD:
             raise ArithmeticError(
                 f"exponential factor {i} did not truncate; "
                 "nilpotency assumption broken")
-        coeff = (q_factorial(n, i) * phi_i ** n).inverse()
+        coeff = (q_factorial(n, step) * phi_i ** n).inverse()
         acc = acc + tensor_map(e_power, f_power).scale(coeff)
         e_power = compose(e_power, raising)
         f_power = compose(f_power, lowering)
@@ -104,7 +106,7 @@ def braiding() -> BraidingBundle:
     # roots q^{-1} and -q^{-1}, the twist is the one with value 1 at q = 1
     if twist_inverse_square(c) != SuperMap.identity(M).scale(RF_Q * RF_Q):
         raise ArithmeticError("twist computation disagrees with q^2 * id")
-    return BraidingBundle(r_matrix(), c, c_inv, RatFunc.q_power(-1))
+    return BraidingBundle(c, c_inv, RatFunc.q_power(-1))
 
 
 def twist_inverse_square(c: SuperMap) -> SuperMap:

@@ -152,6 +152,19 @@ def test_verbose_verify_streams_check_lines(capsys):
     assert "[PASS] relations:raise-lower-pair:1,1" in out
 
 
+def test_verbose_json_verify_keeps_progress_off_stdout(capsys):
+    code, out, err = run_cli(capsys, "verify", "--suite", "category",
+                             "--json", "-v")
+    assert code == 0
+    assert json.loads(out)["ok"] is True
+    assert "... checking duality pairing and zig-zags\n" in err
+    assert all(line.startswith("... ") for line in err.splitlines())
+    # text mode streams the same progress lines to stdout
+    code, out, err = run_cli(capsys, "verify", "--suite", "category", "-v")
+    assert code == 0 and err == ""
+    assert out.startswith("... checking duality pairing and zig-zags\n")
+
+
 def test_parse_errors_exit_2(capsys, tmp_path):
     # every error message stays short, however long the input it quotes
     code, _, err = run_cli(capsys, "invariant", "--braid", "2: 7")

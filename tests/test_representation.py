@@ -1,9 +1,10 @@
+from contextlib import contextmanager
 
 import pytest
 
+from d21link import representation
 from d21link.representation import (CARTAN, DIM, M, ROOTS, WEIGHTS, CartanData,
-                                    cartan_exponential,
-                                    cartan_exponential_for_root,
+                                    bracket_step, cartan_exponential,
                                     check_defining_relations,
                                     coproduct_action, duality_maps,
                                     generator_action, phi, root_vector,
@@ -21,22 +22,48 @@ def q(k, coeff=1):
     return RatFunc.q_power(k, coeff)
 
 
+ALPHA = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+
+def clear_representation_caches():
+    for value in vars(representation).values():
+        if hasattr(value, "cache_clear"):
+            value.cache_clear()
+
+
+@contextmanager
+def replaced_weights(weights):
+    """``representation.WEIGHTS`` replaced by ``weights``, with every
+    ``lru_cache`` of the module cleared on the way in and out: nothing
+    derived from the true table is reused inside, nor from the replaced
+    one after."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(representation, "WEIGHTS", weights)
+        clear_representation_caches()
+        try:
+            yield
+        finally:
+            clear_representation_caches()
+
+
 def test_cartan_tables():
     assert CARTAN.a == ((0, 1, 1), (-1, 2, 0), (-1, 0, 2))
     assert CARTAN.d == (-1, 1, 1)
     assert CARTAN.b4 == ((4, -2, -2), (-2, -1, 1), (-2, 1, -1))
-    assert ROOTS.parities == (0, 1, 1, 0, 1, 1, 0)
-    assert ROOTS.c == (2, 0, 0, -4, 0, 0, 2)
+    assert ROOTS == ((0, 0, 1), (1, 0, 1), (1, 1, 1), (2, 1, 1),
+                     (1, 0, 0), (1, 1, 0), (0, 1, 0))
+    # the root square lengths (beta, beta)
+    assert tuple(bracket_step(root) for root in ROOTS) == (2, 0, 0, -4, 0, 0, 2)
 
 
 def test_cartan_data_checks_its_tables():
     assert CartanData(*CARTAN) == CARTAN
-    abar = (CARTAN.abar[0], CARTAN.abar[1], (-1, 0, 3))
-    with pytest.raises(ValueError, match="symmetrized Cartan matrix mismatch"):
-        CartanData(CARTAN.a, CARTAN.d, abar, CARTAN.b4)
+    # with d = (1, 1, 1), d_1 a_12 = 1 but d_2 a_21 = -1
+    with pytest.raises(ValueError, match="not symmetric"):
+        CartanData(CARTAN.a, (1, 1, 1), CARTAN.b4)
     b4 = (CARTAN.b4[0], CARTAN.b4[1], (-2, 1, 1))
     with pytest.raises(ValueError, match="b4 / 4 is not inverse"):
-        CartanData(CARTAN.a, CARTAN.d, CARTAN.abar, b4)
+        CartanData(CARTAN.a, CARTAN.d, b4)
 
 
 def test_generator_action_tables():
@@ -54,7 +81,10 @@ def test_generator_action_tables():
     assert f1.entry(2, 0) == RF_ONE
     assert f1.entry(1, 5) == RF_ONE
     assert len(f1.entries) == 2
-    assert f1.parity == 1
+    # E_1 and F_1 are odd, the other raising and lowering generators even
+    for name in ("E", "F"):
+        parities = [generator_action(name, i).parity for i in (1, 2, 3)]
+        assert parities == [1, 0, 0]
 
 
 def test_weights_match_cartan_action():
@@ -65,13 +95,17 @@ def test_weights_match_cartan_action():
 
 
 def test_cartan_exponential_values():
-    k1 = cartan_exponential(1)
+    k1 = cartan_exponential(ALPHA[0])
     assert k1.entry(0, 0) == q(-1)          # K1 v1 = q^{-1} v1
-    k2 = cartan_exponential(2)
+    k2 = cartan_exponential(ALPHA[1])
     assert k2.entry(5, 5) == q(-1)          # K2 v6 = q^{-1} v6
-    for i in (1, 2, 3):
-        product = compose(cartan_exponential(i, 1), cartan_exponential(i, -1))
+    for root in ROOTS:
+        product = compose(cartan_exponential(root, 1),
+                          cartan_exponential(root, -1))
         assert product == SuperMap.identity(M)
+    # K_beta is the product of the K_i^{n_i}
+    k4 = compose(compose(k1, k1), compose(k2, cartan_exponential(ALPHA[2])))
+    assert cartan_exponential(ROOTS[3]) == k4
 
 
 def test_root_vector_examples():
@@ -82,10 +116,11 @@ def test_root_vector_examples():
     for i in range(1, 8):
         entries = column(root_vector(i), 0)
         assert not entries
-    # parities follow the roots
-    for i in range(1, 8):
-        assert root_vector(i).parity == ROOTS.parities[i - 1]
-        assert root_vector(i, "lower").parity == ROOTS.parities[i - 1]
+    # a root is odd iff it holds the odd simple root alpha_1 an odd number
+    # of times
+    for i, (n1, _, _) in enumerate(ROOTS, 1):
+        assert root_vector(i).parity == n1 % 2
+        assert root_vector(i, "lower").parity == n1 % 2
 
 
 def test_root_vectors_square_to_zero_on_module():
@@ -127,7 +162,8 @@ WEIGHTS_LITERAL = (
 
 
 def test_literal_cartan_variant_fails_at_the_documented_spot():
-    report = check_defining_relations(weights=WEIGHTS_LITERAL)
+    with replaced_weights(WEIGHTS_LITERAL):
+        report = check_defining_relations()
     failures = {c.check_id for c in report.checks if not c.passed}
     assert "raise-lower-pair:2,2" in failures
     assert "raise-lower-pair:3,3" in failures
@@ -140,16 +176,19 @@ def test_literal_cartan_variant_fails_at_the_documented_spot():
 def test_literal_cartan_breaks_e2f2_on_v1():
     # with weight one on v1 the right-hand side acts as the identity there
     # while [E2, F2] annihilates it
-    e2 = generator_action("E", 2)
-    f2 = generator_action("F", 2)
+    with replaced_weights(WEIGHTS_LITERAL):
+        e2 = generator_action("E", 2)
+        f2 = generator_action("F", 2)
+        k2 = cartan_exponential(ALPHA[1], 1)
+        k2inv = cartan_exponential(ALPHA[1], -1)
     bracket = super_bracket(e2, f2)
     assert not column(bracket, 0)
-    d2 = CARTAN.d[1]
-    k2, k2inv = (SuperMap(M, M, {(v, v): q(sign * d2 * WEIGHTS_LITERAL[v][1])
-                                 for v in range(DIM)}) for sign in (1, -1))
+    assert k2.entry(0, 0) == q(CARTAN.d[1])
     denominator = q(1) - q(-1)
     rhs = (k2 - k2inv).scale(denominator.inverse())
     assert rhs.entry(0, 0) == RF_ONE
+    # and the true tables are back on the way out
+    assert cartan_exponential(ALPHA[1]).entry(0, 0) == RF_ONE
 
 
 def test_super_commutator_example():
@@ -203,11 +242,11 @@ def test_cap_is_annihilated_by_the_coproduct_action():
 
 def test_lowering_root_vectors_twist_against_cartan():
     # K_beta F_beta = q^{-c} F_beta K_beta, mirroring the raising identity
-    for i in range(1, 8):
+    for i, root in enumerate(ROOTS, 1):
         f_i = root_vector(i, "lower")
-        k_beta = cartan_exponential_for_root(ROOTS.roots[i - 1])
+        k_beta = cartan_exponential(root)
         assert compose(k_beta, f_i) == compose(f_i, k_beta).scale(
-            q(-ROOTS.c[i - 1]))
+            q(-bracket_step(root)))
 
 
 def test_every_basis_vector_generates_the_module():
