@@ -10,15 +10,45 @@ at a 1-based strand position:
 * ``cap p``  - join strands p and p+1,
 * ``pos p`` / ``neg p`` - braiding / inverse braiding on strands p, p+1.
 
-A ``--sliced`` diagram is evaluated by folding a single state vector in
-the tensor powers of the six-dimensional module, applying the cup/cap
-coefficients and the braiding column tables at the event position; all
-event maps are parity-even, so no Koszul signs arise while skipping over
-bystander strands.  A braid word skips the 2n-strand closure: its value is
-the quantum trace sum_v p(v) <v|B|v> over the basis of the n-strand power,
-where the pivotal weight p(v) is the product over strands of cup * cap for
-the pair closing each strand (valid because cup and cap pair the same basis
-vectors, which is checked).
+All event maps are parity-even, so no Koszul signs arise while skipping
+over bystander strands.  Both evaluations run on the cohomology of the odd generator E_1, a
+finite, quantum form of the Duflo-Serganova reduction (Duflo and
+Serganova, "On associated variety for Lie superalgebras",
+arXiv:math/0507198), which takes osp(4|2) to so(2).  E_1 squares to 0 on
+the module V; its cohomology is H = span(v4, v5), and C = span(v1, v2, v3,
+v6) is acyclic.  The crossings, the cup and the cap are module maps, so
+each event map commutes with the differential Delta(E_1) on the tensor
+powers (E_1 on one strand, K_1 on the strands before it: every table keeps
+the H_1 weight, so K_1 on a bystander strand commutes with it).  V^(x)k is
+H^(x)k, on which the differential is 0, plus subcomplexes with a C factor,
+each acyclic; a coboundary has no component in H^(x)k, so the map an event
+induces on cohomology is its table cut down to windows and replacements in
+H, and a product of events induces the product of the cut-down tables.
+
+* A ``--sliced`` diagram maps the trivial module to itself, where the
+  cohomology is the value itself: it is folded over a state vector in the
+  tensor powers of H, 2^k keys for k strands instead of 6^k.
+* A braid word skips the 2n-strand closure: its value is the quantum trace
+  sum_v p(v) <v|B|v> over the basis of the n-strand power, where the
+  pivotal weight p(v) is the product over strands of cup * cap for the
+  pair closing each strand (valid because cup and cap pair the same basis
+  vectors).  As p(v) = -(-1)^|v| q^(2 m1(v)), m1 the H_1 weight, the trace
+  is (-1)^n times the supertrace of q^(2 H_1) B, an even operator that
+  commutes with the differential; over an acyclic complex such a
+  supertrace is 0 (the odd differential maps V / ker onto its image, which
+  is ker), so only H^(x)n contributes: the 2^n start columns in
+  {v4, v5}^n.
+
+Cut down to H, both crossing tables are signed monomial permutations:
+``pos`` sends v4 v4 and v5 v5 to -q^-1 times themselves and v4 v5 to -q
+v5 v4 and back, ``neg`` is ``pos`` at q -> q^-1, the cup is -q (v4 v5 +
+v5 v4) and the cap -q^-1 on both.  A braid column is one state, ``(row,
+sign, exponent)``, stepped letter by letter, with no coefficient packing.
+Every fact used here is checked once, exactly on the integer tables, where
+the cut-down tables are read (:func:`_cohomology`); a table that broke one
+raises ``ValueError``.  The reduction uses only that the braiding is a
+module map, as the v4 <-> v5 swap below does, not the Kauffman skein
+theory that the oracle in :mod:`d21link.dubrovnik` implements.
 
 Before the trace the word is simplified, since the value belongs to the
 closure: inverse pairs cancel, cyclically (every crossing keeps p(a) p(b),
@@ -38,36 +68,39 @@ bounded breadth-first search by far commutation and braid relations looks
 for a conjugate word where one of those moves applies.  Every factor, the
 loop value and a removed crossing included, is such a left partial trace,
 computed by one routine and used only if it is exactly a scalar.  The
-structure the trace rests on (cup and cap pair alike, the swap below,
-every crossing keeps p(a) p(b)) is checked once, where the pivotal weights
-are derived from the tables, and the braid relations are checked exactly
-on the first relation move.
+structure it rests on (cup and cap pair alike, the swap below, every
+crossing keeps p(a) p(b)) is checked once, where the pivotal weights are
+derived from the tables, and the braid relations are checked exactly on
+the first relation move.
 
-Swapping v4 and v5 in every strand maps both crossing tables onto
-themselves and fixes p(v) (also checked), so the trace evolves one start
+:func:`trace` is the reference that the tests and the presentation checks
+of :mod:`d21link.verify` compare with: the same quantum trace over all 6^n
+columns.  Swapping v4 and v5 in every strand maps both crossing tables
+onto themselves and fixes p(v) (also checked), so it evolves one start
 column per swap orbit, its amplitude times the orbit size, in blocks of at
 most 216 columns that share their leading digits, one block at a time,
-each held to a support budget, as the sliced fold is after each event.
-Both paths report the stats of the sliced fold (slices, peak strands,
-nominal dimension, peak support), which the trace reproduces exactly by
-summing each letter's support over the blocks, times the orbit size; for a
-braid word they describe the one braid actually traced, the braid left
-after every cut, the trace also reports its own figures
-(:class:`TraceStats`), and :func:`invariant` what the simplification did,
-the pieces cut off included (:class:`SimplifyStats`).
+each held to a support budget.  During it each coefficient is one
+Kronecker-packed int, sum(c_e << bits * (e + shift)); ``bits`` comes from
+a proven bound on the coefficients (start L1 norm times each event's
+largest column L1 sum), and the final value is decoded and re-packed as a
+check.  One routine (:func:`_letter_steps`) packs the letters and decides
+``bits``, the shift and the span, and one (:func:`_evolve`) applies them
+under the support budget, for the reference trace, the cuts, the factors
+and the relation check alike.
 
-The tables are converted once to integer Laurent polynomials, so neither
-path touches rational-function arithmetic and values lie in Z[q, q^-1] by
-construction.  During an evaluation each coefficient is one Kronecker-packed
-int, sum(c_e << bits * (e + shift)); ``bits`` comes from a proven bound on
-the coefficients (start L1 norm times each event's largest column L1 sum),
-and the final value is decoded and re-packed as a check.  For a braid, one
-routine (:func:`_letter_steps`) packs the letters and decides ``bits``,
-the shift and the span, and one (:func:`_evolve`) applies them under the
-support budget, for the trace, the cuts, the factors and the relation
-check alike.  Framing is
-blackboard: the value belongs to the drawn diagram, with no writhe
-normalization.
+Both evaluations report the stats of the fold in the cohomology (slices,
+peak strands, the nominal dimension 6^peak_strands, peak support); for a
+braid word they describe the one braid actually traced, the braid left
+after every cut, whose 2^n columns, one state each, are the peak support of
+the fold of its closure.  The trace of :func:`invariant` also reports its
+own figures (:class:`TraceStats`), and what the simplification did, the
+pieces cut off included (:class:`SimplifyStats`); :func:`trace` reports
+those of its 6^n evaluation, whose support after each letter, summed over
+its blocks, is that of the 6^2n-state fold of the closure.  The tables are
+converted once to integer Laurent polynomials, so no path touches
+rational-function arithmetic and values lie in Z[q, q^-1] by construction.
+Framing is blackboard: the value belongs to the drawn diagram, with no
+writhe normalization.
 """
 
 from __future__ import annotations
@@ -78,8 +111,10 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .ring import (excerpt, format_q_laurent, laurent_product,
                    to_integer_laurent)
-from .representation import DIM, duality_maps
+from .representation import (DIM, PARITIES, WEIGHTS, coproduct_action,
+                             duality_maps, generator_action)
 from .rmatrix import braiding
+from .superlinalg import rank_over_fractions
 
 EVENT_KINDS = ("cup", "cap", "pos", "neg")
 
@@ -87,10 +122,14 @@ EVENT_KINDS = ("cup", "cap", "pos", "neg")
 # admits the closure of any 6-strand braid.
 DEFAULT_TANGLE_BUDGET = 12
 
-# Most nonzero states one block of the braid trace may hold at once.  Peak
-# RSS measured 1.6-2.7 KiB per state of the largest block (CPython 3.11,
-# 64-bit Linux; 5- and 6-strand mixed-sign words of 15-16 letters), so a
-# refused block stays near 1 GiB; 5: (1 -2 3 -4)^4 needs 44,665.
+# Most nonzero states an evaluation may hold at once: the 2^n columns of
+# the braid trace in the E_1-cohomology, the fold of a sliced diagram after
+# any event, and one block of a piece cut off, or of the 6^n reference
+# trace.  Within the tangle budget the first two hold at most 2^12 = 4096,
+# so only the last two can reach it: peak RSS measured 1.6-2.7 KiB per
+# state of their largest block (CPython 3.11, 64-bit Linux; 5- and
+# 6-strand mixed-sign words of 15-16 letters), so a refused block stays
+# near 1 GiB; the reference trace of 5: (1 -2 3 -4)^4 needs 44,665.
 DEFAULT_SUPPORT_BUDGET = 400_000
 
 
@@ -247,11 +286,13 @@ def parse_sliced_text(text: str) -> SlicedDiagram:
 
 
 class TraceStats(NamedTuple):
-    """What the braid trace of :func:`invariant` evolved."""
+    """What a braid trace evolved: that of :func:`invariant` the 2 **
+    strands columns in the E_1-cohomology, in one block of one state each;
+    the reference :func:`trace` one column per swap orbit, in blocks."""
     braid: str                 # the braid traced, after simplification
     strands: int
     columns: int               # 6 ** strands start columns of the trace
-    columns_evaluated: int     # one per swap orbit
+    columns_evaluated: int
     blocks: int
     peak_block_support: int    # most nonzero states one block held at once
 
@@ -293,12 +334,19 @@ def _event_table(kind: str) -> Tuple[int, Dict[tuple, tuple]]:
         return 2, {divmod(col, DIM): (((), to_integer_laurent(value)),)
                    for (_, col), value in cap.entries.items()}
     bundle = braiding()
-    matrix = bundle.c if kind == "pos" else bundle.c_inv
+    return 2, _columns(bundle.c if kind == "pos" else bundle.c_inv, 2)
+
+
+def _columns(operator, width: int) -> Dict[tuple, tuple]:
+    """The nonzero columns of an operator on ``width`` (1 or 2) tensor
+    factors of the module, as an :func:`_event_table` table."""
+    def digits(index):
+        return divmod(index, DIM) if width == 2 else (index,)
     columns: Dict[tuple, list] = {}
-    for (row, col), value in sorted(matrix.entries.items()):
-        columns.setdefault(divmod(col, DIM), []).append(
-            (divmod(row, DIM), to_integer_laurent(value)))
-    return 2, {window: tuple(rows) for window, rows in columns.items()}
+    for (row, col), value in sorted(operator.entries.items()):
+        columns.setdefault(digits(col), []).append(
+            (digits(row), to_integer_laurent(value)))
+    return {window: tuple(rows) for window, rows in columns.items()}
 
 
 # -- Kronecker-packed coefficients ---------------------------------------------
@@ -361,30 +409,21 @@ def _exponent_range(polys) -> Tuple[int, int]:
     return -min(exponents), max(exponents) - min(exponents)
 
 
-@lru_cache(maxsize=64)
-def _packed_table(kind: str, bits: int) -> Tuple[int, int, int, Dict[tuple, tuple]]:
-    """``(shift, span, width, table)``: :func:`_event_table` with each
-    coefficient packed at ``bits`` after shifting by ``shift``."""
-    width, table = _event_table(kind)
-    shift, span = _exponent_range(coeff for rows in table.values()
-                                  for _, coeff in rows)
-    return shift, span, width, {
-        window: tuple((replacement, _pack(coeff, bits, shift))
-                      for replacement, coeff in rows)
-        for window, rows in table.items()}
-
-
 @lru_cache(maxsize=256)
 def _letter_rows(kind: str, bits: int, unit: int) -> Tuple[int, int, List[tuple]]:
-    """``(shift, span, rows)`` of a crossing for :func:`_apply_letter`, its
-    table packed at ``bits``: ``rows[w]`` lists ``((w' - w) * unit,
-    coefficient)`` for the two-strand window ``w = 6 * left + right`` going
-    to ``w'``, whose right digit has place value ``unit`` in a state key."""
-    shift, span, _, table = _packed_table(kind, bits)
+    """``(shift, span, rows)`` of a crossing for :func:`_apply_letter`, each
+    coefficient of its table packed at ``bits`` after shifting by
+    ``shift``: ``rows[w]`` lists ``((w' - w) * unit, coefficient)`` for the
+    two-strand window ``w = 6 * left + right`` going to ``w'``, whose right
+    digit has place value ``unit`` in a state key."""
+    _, table = _event_table(kind)
+    shift, span = _exponent_range(coeff for entries in table.values()
+                                  for _, coeff in entries)
     rows: List[tuple] = [()] * (DIM * DIM)
     for (a, b), entries in table.items():
         window = a * DIM + b
-        rows[window] = tuple(((c * DIM + d - window) * unit, coeff)
+        rows[window] = tuple(((c * DIM + d - window) * unit,
+                              _pack(coeff, bits, shift))
                              for (c, d), coeff in entries)
     return shift, span, rows
 
@@ -409,35 +448,38 @@ def _apply_letter(state: Dict[int, int], unit: int,
 def evaluate_sliced(diagram: SlicedDiagram,
                     budget: int = DEFAULT_TANGLE_BUDGET,
                     support_budget: int = DEFAULT_SUPPORT_BUDGET) -> EvalResult:
-    """Fold the event list over a state vector and return the scalar value;
+    """Fold the event list over a state vector in the tensor powers of H,
+    the E_1-cohomology (:func:`_cohomology`), and return the scalar value;
     more than ``budget`` strands at once is refused before any allocation,
     and more than ``support_budget`` nonzero states after any event raises
     :class:`TangleBudgetExceeded` right after that event."""
     peak = diagram.peak_strands()
     _check_budget(peak, budget)
-    bits = _bits(1, (event.kind for event in diagram.events))
-    shift = span = 0
-    state: Dict[tuple, int] = {(): 1}
+    tables = _cohomology()[2]
+    state: Dict[tuple, Dict[int, int]] = {(): {0: 1}}
     peak_support = 1
     for index, event in enumerate(diagram.events, 1):
-        kind_shift, kind_span, width, table = _packed_table(event.kind, bits)
-        shift += kind_shift
-        span += kind_span
+        width, table = tables[event.kind]
         lo = event.position - 1
         hi = lo + width
-        new_state: Dict[tuple, int] = {}
+        sums: Dict[tuple, Dict[int, int]] = {}
         for key, amp in state.items():
-            for replacement, coeff in table.get(key[lo:hi], ()):
-                target = key[:lo] + replacement + key[hi:]
-                new_state[target] = new_state.get(target, 0) + amp * coeff
-        state = {key: amp for key, amp in new_state.items() if amp}
+            for replacement, sign, shift in table.get(key[lo:hi], ()):
+                acc = sums.setdefault(key[:lo] + replacement + key[hi:], {})
+                for exp, coeff in amp.items():
+                    acc[exp + shift] = acc.get(exp + shift, 0) + sign * coeff
+        state = {}
+        for key, acc in sums.items():
+            amp = {exp: coeff for exp, coeff in acc.items() if coeff}
+            if amp:
+                state[key] = amp
         if len(state) > support_budget:
             raise TangleBudgetExceeded(
                 f"{len(state)} states after event {index} ({event.kind} "
                 f"{event.position}) of the sliced fold exceed the support "
                 f"budget {support_budget}")
         peak_support = max(peak_support, len(state))
-    value = _decode(state.get((), 0), bits, shift, span + 1)
+    value = state.get((), {})
     return EvalResult(tuple(sorted(value.items())), diagram.slices, peak,
                       DIM ** peak, peak_support)
 
@@ -487,6 +529,163 @@ def _trace_weights() -> Tuple[Dict[int, int], ...]:
             raise ValueError("a crossing does not keep the pivotal "
                              "weights; the trace is not cyclic")
     return tuple(weights)
+
+
+def _compose(outer: Dict[tuple, tuple], inner: Dict[tuple, tuple]
+             ) -> Dict[tuple, Dict[tuple, Dict[int, int]]]:
+    """``outer`` after ``inner``, two :func:`_event_table` tables, as
+    ``{window: {row: amplitude}}`` with zero rows and columns dropped."""
+    product = {}
+    for window, rows in inner.items():
+        sums: Dict[tuple, Dict[int, int]] = {}
+        for middle, amp in rows:
+            for row, coeff in outer.get(middle, ()):
+                acc = sums.setdefault(row, {})
+                for exp_a, coeff_a in amp.items():
+                    for exp_b, coeff_b in coeff.items():
+                        acc[exp_a + exp_b] = (acc.get(exp_a + exp_b, 0)
+                                              + coeff_a * coeff_b)
+        column = {}
+        for row, acc in sums.items():
+            amp = {exp: value for exp, value in acc.items() if value}
+            if amp:
+                column[row] = amp
+        if column:
+            product[window] = column
+    return product
+
+
+def _signed_power(terms: Dict[int, int]) -> Tuple[int, int]:
+    """``(sign, exponent)`` of a polynomial that is +-q^exponent."""
+    if len(terms) != 1 or abs(next(iter(terms.values()))) != 1:
+        raise ValueError("an event table cut down to the E_1-cohomology "
+                         "has an entry that is not a signed power of q")
+    ((exp, sign),) = terms.items()
+    return sign, exp
+
+
+@lru_cache(maxsize=None)
+def _cohomology() -> Tuple[Tuple[int, ...], Tuple[Tuple[int, int], ...],
+                           Dict[str, Tuple[int, Dict[tuple, tuple]]]]:
+    """``(basis, weights, tables)``: the basis vectors spanning H, the
+    cohomology of the odd generator E_1 on the module; the pivotal weight
+    of each as ``(sign, exponent)``; and each :func:`_event_table` cut down
+    to windows and replacements in H, as ``(width, {window: ((replacement,
+    sign, exponent), ...)})``.  Raises ``ValueError`` unless
+
+    * E_1 is odd and E_1^2 = 0;
+    * the basis vectors that E_1 neither moves nor reaches span H: E_1 has
+      rank half the dimension of the others, C, so C is acyclic;
+    * E_1 and every table keep the H_1 weight, so that K_1 on a bystander
+      strand commutes with them;
+    * Delta(E_1) = E_1 (x) 1 + K_1 (x) E_1 commutes with both crossings,
+      the cap kills it and it kills the cup;
+    * every pivotal weight is p(v) = -(-1)^|v| q^(2 m1(v)), m1 the H_1
+      weight, so the trace is (-1)^n the supertrace of q^(2 H_1) B;
+    * every cut-down entry is a signed power of q, exactly one per window
+      of a crossing."""
+    e1 = generator_action("E", 1)
+    e_table = _columns(e1, 1)
+    delta = _columns(coproduct_action("E", 1), 2)
+    if e1.parity != 1 or _compose(e_table, e_table):
+        raise ValueError("E_1 is not odd with E_1^2 = 0")
+    touched = {v for window, rows in e_table.items()
+               for v in window + tuple(row[0] for row, _ in rows)}
+    basis = tuple(v for v in range(DIM) if v not in touched)
+    if 2 * rank_over_fractions(e1) != DIM - len(basis):
+        raise ValueError("E_1 is not exact on the basis vectors it moves "
+                         "or reaches; its cohomology is not spanned by "
+                         "the others")
+    tables = {kind: _event_table(kind) for kind in EVENT_KINDS}
+    m1 = [weight[0] for weight in WEIGHTS]
+    h1 = {(): 0}         # the H_1 weight of each window of up to two strands
+    for a in range(DIM):
+        h1[a,] = m1[a]
+        for b in range(DIM):
+            h1[a, b] = m1[a] + m1[b]
+    if any(h1[window] != h1[row]
+           for table in [e_table] + [table for _, table in tables.values()]
+           for window, rows in table.items() for row, _ in rows):
+        raise ValueError("a table does not keep the H_1 weight; K_1 on a "
+                         "bystander strand does not commute with it")
+    for kind in ("pos", "neg"):
+        crossing = tables[kind][1]
+        if _compose(delta, crossing) != _compose(crossing, delta):
+            raise ValueError(f"the {kind} crossing does not commute with "
+                             f"Delta(E_1)")
+    if _compose(tables["cap"][1], delta):
+        raise ValueError("the cap does not kill Delta(E_1)")
+    if _compose(delta, tables["cup"][1]):
+        raise ValueError("Delta(E_1) does not kill the cup")
+    weights = _trace_weights()
+    if any(weights[v] != {2 * WEIGHTS[v][0]: (-1) ** (PARITIES[v] + 1)}
+           for v in range(DIM)):
+        raise ValueError("a pivotal weight is not -(-1)^|v| q^(2 m1(v))")
+    in_h = set(basis).issuperset
+    cut = {kind: (width, {
+        window: tuple((row,) + _signed_power(coeff) for row, coeff in rows
+                      if in_h(row))
+        for window, rows in table.items() if in_h(window)})
+        for kind, (width, table) in tables.items()}
+    for kind in ("pos", "neg"):
+        if any(len(cut[kind][1].get((a, b), ())) != 1
+               for a in basis for b in basis):
+            raise ValueError(f"the {kind} crossing does not send each "
+                             f"window in the E_1-cohomology to one window")
+    return basis, tuple(_signed_power(weights[v]) for v in basis), cut
+
+
+@lru_cache(maxsize=256)
+def _cohomology_rows(kind: str, unit: int) -> List[Tuple[int, int, int]]:
+    """``rows[w] = (delta, sign, exponent)``: the crossing ``kind`` cut
+    down to the E_1-cohomology H sends the window ``w = h * i + j`` (i, j
+    indices into the basis of H, h its dimension) to one window, times
+    sign * q^exponent, moving a key by ``delta`` when the window's right
+    digit has place value ``unit``."""
+    basis, _, tables = _cohomology()
+    h = len(basis)
+    index = {v: i for i, v in enumerate(basis)}
+    rows = {}
+    for (a, b), (((c, d), sign, exp),) in tables[kind][1].items():
+        window = index[a] * h + index[b]
+        rows[window] = ((index[c] * h + index[d] - window) * unit, sign, exp)
+    return [rows[window] for window in range(h * h)]
+
+
+def _cohomology_trace(word: BraidWord, support_budget: int) -> EvalResult:
+    """The quantum trace of ``word`` as written, over the h ** n start
+    columns in H^(x)n only (h = dim H): each column is one state,
+    ``(row, sign, exponent)``, stepped letter by letter through
+    :func:`_cohomology_rows`.  More columns than ``support_budget``
+    raises :class:`TangleBudgetExceeded` before any is evolved."""
+    basis, weights, _ = _cohomology()
+    n, h = word.strands, len(basis)
+    _check_support(h ** n, support_budget)
+    windows = h * h
+    steps = []
+    for letter in word.letters:
+        unit = h ** (n - abs(letter) - 1)
+        steps.append((unit, _cohomology_rows("pos" if letter > 0 else "neg",
+                                             unit)))
+    # the start amplitude of a column is the product of its digits' weights
+    starts = [(1, 0)]
+    for _ in range(n):
+        starts = [(sign * w_sign, exp + w_exp) for sign, exp in starts
+                  for w_sign, w_exp in weights]
+    total: Dict[int, int] = {}
+    for column, (sign, exp) in enumerate(starts):
+        row = column
+        for unit, rows in steps:
+            delta, step_sign, step_exp = rows[row // unit % windows]
+            row += delta
+            sign *= step_sign
+            exp += step_exp
+        if row == column:
+            total[exp] = total.get(exp, 0) + sign
+    value = tuple(sorted((exp, coeff) for exp, coeff in total.items() if coeff))
+    stats = TraceStats(str(word), n, DIM ** n, len(starts), 1, len(starts))
+    return EvalResult(value, 2 * n + len(steps), 2 * n, DIM ** (2 * n),
+                      len(starts), stats)
 
 
 @lru_cache(maxsize=None)
@@ -591,15 +790,17 @@ def _evolve(state: Dict[int, int], steps: List[tuple], support_budget: int
 
 def trace(word: BraidWord, budget: int = DEFAULT_TANGLE_BUDGET,
           support_budget: int = DEFAULT_SUPPORT_BUDGET) -> EvalResult:
-    """The quantum trace sum_v p(v) <v|B|v> of ``word`` as written, with
-    no simplification; the 2n strands of its closure are checked against
-    ``budget`` first.
+    """The quantum trace sum_v p(v) <v|B|v> of ``word`` as written, over
+    all 6 ** n columns, with no simplification: the reference for the
+    evaluation in the E_1-cohomology.  The 2n strands of its closure are
+    checked against ``budget`` first.
 
     Only one column of each swap orbit {v, sv} is evolved, its start
     amplitude times the orbit size, one block of columns at a time (see
-    :func:`_column_blocks`).  Its stats are those of the fold over
-    :func:`braid_closure_slices`: the support after each letter is summed
-    over the blocks, each block counted once per orbit member.  A block
+    :func:`_column_blocks`).  Its stats are those of the fold of
+    :func:`braid_closure_slices` over all 6 ** 2n states: the support after
+    each letter is summed over the blocks, each block counted once per
+    orbit member.  A block
     holding more than ``support_budget`` states, at its start or after any
     letter, raises :class:`TangleBudgetExceeded`."""
     _check_budget(2 * word.strands, budget)
@@ -887,13 +1088,14 @@ def invariant(word: BraidWord, budget: int = DEFAULT_TANGLE_BUDGET,
 
     The 2n strands of the closure's fold are checked against ``budget``
     before any work.  The word is then simplified (:func:`_simplify_braid`)
-    and the braid that remains after every cut is traced (:func:`trace`);
-    both the cuts and the trace check ``support_budget``.  The value is
+    and the braid that remains after every cut is traced on its 2 ** n
+    columns in the E_1-cohomology (:func:`_cohomology_trace`); both the
+    cuts and the trace check ``support_budget``.  The value is
     that trace times the simplification's factor, every stat, the trace's
     own figures included, describes the braid actually traced, and
     ``simplify`` what led to it, the pieces cut off included."""
     _check_budget(2 * word.strands, budget)
     braid, factor, stats = _simplify_braid(word, support_budget)
-    result = trace(braid, budget, support_budget)
+    result = _cohomology_trace(braid, support_budget)
     value = laurent_product(dict(result.value), factor)
     return result._replace(value=tuple(sorted(value.items())), simplify=stats)

@@ -82,3 +82,13 @@ def plain_dubrovnik(graph, memo=None) -> TwoVarPoly:
                  else switched + correction)
     memo[signature] = value
     return value
+
+
+def torus_closed_form(k):
+    """q^k + (-q)^k + 2 (-q^-1)^k: the eigenvalues q, -q, -q^-1 of the
+    braiding with quantum traces 1, 1, 2 (Rosso-Jones, J. Knot Theory
+    Ramif. 2 (1993)); for k < 0 it is the mirror of T(2, -k)."""
+    terms = {}
+    for exp, coeff in ((k, 1), (k, (-1) ** k), (-k, 2 * (-1) ** k)):
+        terms[exp] = terms.get(exp, 0) + coeff
+    return {e: c for e, c in terms.items() if c}

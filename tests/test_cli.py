@@ -26,11 +26,11 @@ def test_invariant_json_schema(capsys):
     payload = json.loads(out)
     assert payload["value"] == "-2*q^-3"
     assert payload["stats"] == {"slices": 7, "peak_strands": 4,
-                                "peak_dimension": 1296, "peak_support": 88}
-    # 4 ** 2 fixed columns and (36 - 16) / 2 paired ones, in one block each
+                                "peak_dimension": 1296, "peak_support": 4}
+    # of the 36 columns, the 2 ** 2 in the E_1-cohomology, in one block
     assert payload["trace"] == {"braid": "2: 1 1 1", "strands": 2,
-                                "columns": 36, "columns_evaluated": 26,
-                                "blocks": 2, "peak_block_support": 44}
+                                "columns": 36, "columns_evaluated": 4,
+                                "blocks": 1, "peak_block_support": 4}
     # the stats describe the braid that was traced, after simplification
     code, out, _ = run_cli(capsys, "invariant", "--braid", "4: 1 2 1 3 1",
                            "--json")
@@ -291,11 +291,11 @@ def test_skein_budget_env_must_be_a_positive_integer(capsys, monkeypatch):
 
 
 def test_support_budget_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("D21LINK_SUPPORT_BUDGET", "10")
+    monkeypatch.setenv("D21LINK_SUPPORT_BUDGET", "7")
     assert run_cli(capsys, "invariant", "--braid", "3: 1 -2 1 -2") == (
-        2, "", "error: 64 states in one trace block exceed the support "
-               "budget 10\n")
-    # simplifies to one strand, whose blocks hold 4 and 1 states
+        2, "", "error: 8 states in one trace block exceed the support "
+               "budget 7\n")
+    # simplifies to one strand, whose trace holds 2 states
     assert run_cli(capsys, "invariant", "--braid", "3: 1 -2") == (0, "2\n", "")
     for raw, reason in (("lots", "is not an integer"), ("0", "must be at least 1"),
                         ("1_000", "is not an integer"),
@@ -307,18 +307,18 @@ def test_support_budget_env_override(capsys, monkeypatch):
 
 def test_support_budget_env_stops_a_sliced_fold_early(capsys, monkeypatch,
                                                      tmp_path):
-    # 623,314 states and 458 MB without a budget
+    # 32 states in the E_1-cohomology at most without a budget
     path = tmp_path / "closure.txt"
     diagram = braid_closure_slices(parse_braid("5: 1 -2 3 -4 1 -2 3 -4"))
     path.write_text("".join(f"{event.kind} {event.position}\n"
                             for event in diagram.events), encoding="utf-8")
-    monkeypatch.setenv("D21LINK_SUPPORT_BUDGET", "1000")
+    monkeypatch.setenv("D21LINK_SUPPORT_BUDGET", "8")
     start = time.monotonic()
     code, out, err = run_cli(capsys, "invariant", "--sliced", str(path))
     assert time.monotonic() - start < 1.0
     assert (code, out) == (2, "")
-    assert err == ("error: 1296 states after event 4 (cup 4) of the sliced "
-                   "fold exceed the support budget 1000\n")
+    assert err == ("error: 16 states after event 4 (cup 4) of the sliced "
+                   "fold exceed the support budget 8\n")
 
 
 def test_verify_honours_the_tangle_budget(capsys, monkeypatch):

@@ -1,5 +1,6 @@
 import ast
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -10,11 +11,11 @@ import pytest
 from d21link.cli import main
 from d21link.dubrovnik import (DELTA, LinkGraph, SkeinBudgetExceeded, TV_ONE,
                                TwoVarPoly, _simplify, braid_closure_graph,
-                               dubrovnik_poly, specialize)
+                               dubrovnik_poly, orientation_sum, specialize)
 from d21link.ring import NotLaurentInQ
-from d21link.tangle import parse_braid
+from d21link.tangle import BraidWord, parse_braid
 from d21link.verify import compare
-from helpers import plain_dubrovnik
+from helpers import plain_dubrovnik, torus_closed_form
 
 TV_A = TwoVarPoly.monomial(1, 0)
 TV_A_INV = TwoVarPoly.monomial(-1, 0)
@@ -209,6 +210,50 @@ def test_skein_axiom_holds_on_diagram_surgeries():
             rhs = z * (dubrovnik_poly(positive.smoothed(cid, "vertical"))
                        - dubrovnik_poly(positive.smoothed(cid, "turnback")))
             assert lhs == rhs
+
+
+def generated_diagrams(seed, count):
+    """Closures of seeded words of 1-4 strands and up to 7 letters, and for
+    each one crossing switched and smoothed both ways: diagrams that are
+    not braid closures, some with free circles."""
+    rng = random.Random(seed)
+    graphs = []
+    for _ in range(count):
+        strands = rng.randint(1, 4)
+        letters = tuple(rng.choice((1, -1)) * rng.randint(1, strands - 1)
+                        for _ in range(rng.randint(0, 7) if strands > 1 else 0))
+        graph = braid_closure_graph(BraidWord(strands, letters))
+        graphs.append(graph)
+        if graph.over_diag:
+            cid = rng.choice(sorted(graph.over_diag))
+            graphs += [graph.switched(cid), graph.smoothed(cid, "vertical"),
+                       graph.smoothed(cid, "turnback")]
+    return graphs
+
+
+def test_orientation_sum_is_twice_the_specialized_dubrovnik_value():
+    graphs = generated_diagrams(1601, 60)
+    assert any(graph.free_loops for graph in graphs)
+    for graph in graphs:
+        doubled = {e: 2 * c for e, c in specialize(dubrovnik_poly(graph)).items()}
+        assert orientation_sum(graph) == doubled
+
+
+def test_orientation_sum_of_torus_links_is_the_closed_form():
+    for k in range(-300, 301):
+        graph = braid_closure_graph(BraidWord(2, (1 if k > 0 else -1,) * abs(k)))
+        value = orientation_sum(graph)
+        assert value == torus_closed_form(k), k
+        assert all(type(coeff) is int for coeff in value.values()), k
+
+
+def test_orientation_sum_of_small_diagrams():
+    # the unknot, a split circle, the Hopf link oriented both ways
+    assert orientation_sum(braid_closure_graph(parse_braid("1:"))) == {0: 2}
+    assert orientation_sum(braid_closure_graph(parse_braid("3: 1 1"))) == \
+        {-2: 4, 2: 4}
+    assert orientation_sum(braid_closure_graph(parse_braid("2: 1 -1"))) == \
+        {0: 4}
 
 
 def test_compare_pipelines_on_sample_words():

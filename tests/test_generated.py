@@ -2,7 +2,10 @@
 letters): the braid-closure trace against the sliced fold of the same
 closure and against the independent skein oracle, and both against the
 identities every framed-link value must satisfy; plus generated 3-6 strand
-families that reach the relation search and the cut of a closure."""
+families that reach the relation search and the cut of a closure, the
+trace in the E_1-cohomology against the 6^n trace on 1-6 strands, and
+``invariant`` against the orientation sum on words of up to 8 strands and
+200 letters."""
 
 import itertools
 import random
@@ -11,9 +14,11 @@ from functools import lru_cache
 import pytest
 
 from d21link.dubrovnik import (DELTA, TwoVarPoly, braid_closure_graph,
-                               dubrovnik_poly, specialize)
-from d21link.tangle import (BraidWord, braid_closure_slices, evaluate_sliced,
-                            invariant, parse_braid, trace)
+                               dubrovnik_poly, orientation_sum, specialize)
+from d21link.tangle import (DEFAULT_SUPPORT_BUDGET, BraidWord, SlicedDiagram,
+                            SlicedEvent, _cohomology_trace,
+                            braid_closure_slices, evaluate_sliced, invariant,
+                            parse_braid, trace)
 from helpers import plain_dubrovnik
 
 
@@ -75,16 +80,50 @@ def test_trace_vs_fold_covers_every_kind_of_column_block():
 
 @pytest.mark.parametrize("word", TRACE_VS_FOLD, ids=str)
 def test_trace_matches_the_sliced_fold_of_the_closure(word):
-    # the trace of the word as written: value and every stat (slices, peak
-    # strands, nominal dimension and the support after each event) come
-    # out of the 2n-strand fold
+    # the trace of the word as written, over all 6 ** n columns, against
+    # the fold of its 2n-strand closure in the E_1-cohomology: the same
+    # value, slices, peak strands and nominal dimension
     fold = evaluate_sliced(braid_closure_slices(word))
     plain = trace(word)
-    assert (plain.value, stats(plain)) == (fold.value, stats(fold))
-    # the invariant: the same value, and the stats of the braid it traced
+    assert (plain.value, stats(plain)[:3]) == (fold.value, stats(fold)[:3])
+    # the invariant: the same value, and the stats of the braid it traced,
+    # both evaluated in the E_1-cohomology: 2 ** n states at the peak
     result = invariant(word)
     traced = evaluate_sliced(braid_closure_slices(parse_braid(result.trace.braid)))
-    assert (result.value, stats(result)) == (fold.value, stats(traced))
+    assert (result.value, stats(result)) == (plain.value, stats(traced))
+    assert result.peak_support == 2 ** result.trace.strands
+
+
+def isotoped(diagram, rng, moves):
+    """``diagram`` with ``moves`` planar isotopies inserted at random
+    events: a snake (cup p+1, then cap p: a zig-zag in strand p) or a
+    cancelling crossing pair (pos p, neg p)."""
+    events = list(diagram.events)
+    for _ in range(moves):
+        at = rng.randrange(1, len(events))
+        strands = 0
+        for event in events[:at]:
+            strands += {"cup": 2, "cap": -2}.get(event.kind, 0)
+        if strands < 2:
+            continue
+        p = rng.randint(1, strands - 1)
+        if rng.random() < 0.5:
+            inserted = [SlicedEvent("cup", p + 1), SlicedEvent("cap", p)]
+        else:
+            kind = rng.choice(("pos", "neg"))
+            inserted = [SlicedEvent(kind, p),
+                        SlicedEvent("neg" if kind == "pos" else "pos", p)]
+        events[at:at] = inserted
+    return SlicedDiagram(tuple(events))
+
+
+@pytest.mark.parametrize("word", WORDS, ids=str)
+def test_sliced_fold_is_kept_by_snakes_and_cancelling_pairs(word):
+    # cups and caps off the nesting of a braid closure, against the 6 ** n
+    # trace of the word
+    rng = random.Random(str(word))
+    diagram = isotoped(braid_closure_slices(word), rng, 4)
+    assert evaluate_sliced(diagram).value == trace(word).value
 
 
 @pytest.mark.parametrize("word", WORDS, ids=str)
@@ -247,7 +286,7 @@ SIMPLIFIED_VS_PLAIN = {
 
 
 @pytest.mark.parametrize("strands, most_letters", [(2, 8), (3, 4)])
-def test_simplified_braid_matches_the_unsimplified_fold(strands, most_letters):
+def test_simplified_braid_matches_the_unsimplified_trace(strands, most_letters):
     # every word of up to 8 letters on 2 strands and of up to 4 on 3: the
     # seeded words are compared in test_trace_matches_the_sliced_fold_...
     for word in all_words(strands, most_letters):
@@ -255,8 +294,7 @@ def test_simplified_braid_matches_the_unsimplified_fold(strands, most_letters):
         braid = parse_braid(result.trace.braid)
         assert braid.strands <= word.strands
         assert len(braid.letters) <= len(word.letters)
-        assert result.value == \
-            evaluate_sliced(braid_closure_slices(word)).value, word
+        assert result.value == trace(word).value, word
 
 
 @pytest.mark.parametrize("family", sorted(SIMPLIFIED_VS_PLAIN))
@@ -283,3 +321,55 @@ def test_skein_ignores_a_cancelling_pair():
         at = rng.randint(0, len(word.letters))
         letters = word.letters[:at] + (k, -k) + word.letters[at:]
         assert skein(BraidWord(word.strands, letters)) == skein(word), word
+
+
+def unsimplified_words(seed):
+    """1-6 strand words as written, as long as the 6 ** n trace affords:
+    6-strand words of at most three letters take 0.2 s each."""
+    rng = random.Random(seed)
+    words = []
+    for strands, count, most in ((1, 1, 0), (2, 12, 12), (3, 12, 9),
+                                 (4, 8, 7), (5, 3, 4), (6, 2, 3)):
+        for _ in range(count):
+            words.append(BraidWord(strands, tuple(
+                rng.choice((1, -1)) * rng.randint(1, strands - 1)
+                for _ in range(rng.randint(0, most)))))
+    return words
+
+
+@pytest.mark.parametrize("strands", [1, 2, 3, 4, 5, 6])
+def test_cohomology_trace_matches_the_full_trace(strands):
+    # the 2 ** n columns in the E_1-cohomology against all 6 ** n, on the
+    # words as written, not simplified first
+    for word in unsimplified_words(1602):
+        if word.strands == strands:
+            assert _cohomology_trace(word, DEFAULT_SUPPORT_BUDGET).value == \
+                trace(word).value, word
+
+
+def long_words(seed):
+    """2-8 strand words of 10-200 letters, beyond the 6 ** n trace and the
+    skein recursion: per strand count one of mixed signs and one of mostly
+    one sign whose generators walk by one step (relation moves apply)."""
+    rng = random.Random(seed)
+    words = []
+    for strands in range(2, 9):
+        length = rng.choice((10, 200, rng.randint(11, 199)))
+        words.append(BraidWord(strands, tuple(
+            rng.choice((1, -1)) * rng.randint(1, strands - 1)
+            for _ in range(length))))
+        sign, gen, letters = rng.choice((1, -1)), 1, []
+        for _ in range(200 - length + 10):
+            letters.append((sign if rng.random() < 0.8 else -sign) * gen)
+            gen = min(max(gen + rng.choice((-1, 1)), 1), strands - 1)
+        words.append(BraidWord(strands, tuple(letters)))
+    return words
+
+
+def test_invariant_is_the_orientation_sum_on_long_wide_words():
+    # up to 8 strands: a tangle budget of 16 closure strands
+    words = long_words(1603)
+    assert max(len(word.letters) for word in words) == 200
+    for word in words:
+        assert invariant(word, budget=16).value_dict() == \
+            orientation_sum(braid_closure_graph(word)), word

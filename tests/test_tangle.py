@@ -3,24 +3,28 @@ import os
 import random
 import subprocess
 import sys
+import time
 from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
 
 from d21link.dubrovnik import braid_closure_graph, dubrovnik_poly, specialize
-from d21link.ring import format_q_laurent
+from d21link.ring import format_q_laurent, laurent_product
 from d21link import tangle
 from d21link.tangle import (DEFAULT_SUPPORT_BUDGET, BraidWord, DiagramError,
                             SlicedDiagram, SlicedEvent, SimplifyStats,
-                            TangleBudgetExceeded, braid_closure_slices,
-                            evaluate_sliced, invariant, parse_braid,
+                            TangleBudgetExceeded, TraceStats,
+                            braid_closure_slices, evaluate_sliced, invariant,
+                            parse_braid,
                             parse_sliced_text,
                             _RELATIONS, _SEARCH_CAP, _braid_relations_checked,
-                            _closed_off, _cut_point, _cyclically_reduced,
-                            _decode, _event_table, _markov_factors, _pack,
+                            _closed_off, _cohomology, _cut_point,
+                            _cyclically_reduced, _decode, _event_table,
+                            _markov_factors, _pack,
                             _relation_search, _simplify_braid, _trace_weights,
                             trace)
+from helpers import torus_closed_form
 
 
 def value_of(text):
@@ -169,13 +173,17 @@ def test_eval_result_stats():
     assert result.slices == 7
     assert result.peak_strands == 4
     assert result.peak_dimension == 6 ** 4
-    assert result.peak_support == 88
+    # the 2 ** 2 columns in the E_1-cohomology, one state each
+    assert result.peak_support == 4
+    assert result.trace == TraceStats("2: 1 1 1", 2, 36, 4, 1, 4)
     assert result.canonical() == "-2*q^-3"
-    assert invariant(parse_braid("3: 1 -2 1 -2")).peak_support == 1550
+    assert invariant(parse_braid("3: 1 -2 1 -2")).peak_support == 8
     # (sigma_1 sigma_2 sigma_3)^2 closes to T(2, 4): traced at 2 strands
     torus = invariant(parse_braid("4: 1 2 3 1 2 3"))
     assert (torus.trace.braid, torus.slices, torus.peak_support) == \
-        ("2: 1 1 1 1", 8, 88)
+        ("2: 1 1 1 1", 8, 4)
+    # the reference trace over all 6 ** 4 columns, as written
+    assert trace(parse_braid("2: 1 1 1")).peak_support == 88
     assert trace(parse_braid("4: 1 2 3 1 2 3")).peak_support == 12586
     # a word that simplifies away reports the stats of what was traced
     unknot = invariant(parse_braid("5: 1 -2 3 -4"))
@@ -286,20 +294,93 @@ def test_swap_check_needs_symmetric_tables_and_weights():
             _trace_weights()
 
 
-def torus_closed_form(k):
-    """q^k + (-q)^k + 2 (-q^-1)^k: the eigenvalues q, -q, -q^-1 of the
-    braiding with quantum traces 1, 1, 2 (Rosso-Jones, J. Knot Theory
-    Ramif. 2 (1993)); for k < 0 it is the mirror of T(2, -k)."""
-    terms = {}
-    for exp, coeff in ((k, 1), (k, (-1) ** k), (-k, 2 * (-1) ** k)):
-        terms[exp] = terms.get(exp, 0) + coeff
-    return {e: c for e, c in terms.items() if c}
+def test_cohomology_guard_cuts_the_tables_down_to_v4_and_v5():
+    basis, weights, tables = _cohomology()
+    assert basis == (3, 4)                       # v4 and v5
+    assert weights == ((1, 0), (1, 0))           # p(v4) = p(v5) = 1
+    v44, v45, v54, v55 = (3, 3), (3, 4), (4, 3), (4, 4)
+    # signed monomial permutations: -q^-1 on v4v4, v5v5 and -q across
+    assert tables["pos"] == (2, {v44: ((v44, -1, -1),), v45: ((v54, -1, 1),),
+                                 v54: ((v45, -1, 1),), v55: ((v55, -1, -1),)})
+    # neg is pos at q -> q^-1
+    assert tables["neg"] == (2, {v44: ((v44, -1, 1),), v45: ((v54, -1, -1),),
+                                 v54: ((v45, -1, -1),), v55: ((v55, -1, 1),)})
+    assert tables["cup"] == (0, {(): ((v45, -1, 1), (v54, -1, 1))})
+    assert tables["cap"] == (2, {v45: (((), -1, -1),), v54: (((), -1, -1),)})
+
+
+def scaled(kind, scale, window=None):
+    """The table of ``kind`` with every entry, or those of one window,
+    multiplied by the Laurent polynomial ``scale``."""
+    width, table = _event_table(kind)
+    return width, {key: tuple((row, laurent_product(coeff, scale))
+                              for row, coeff in rows)
+                   if window in (None, key) else rows
+                   for key, rows in table.items()}
+
+
+def test_cohomology_guard_needs_crossings_that_commute_with_delta_e1():
+    for kind in ("pos", "neg"):
+        with replaced_tables(**{kind: perturbed(kind, "doubled")}):
+            with pytest.raises(ValueError, match=f"the {kind} crossing does "
+                                                 f"not commute with Delta"):
+                _cohomology()
+            # both reduced paths stop at the guard
+            with pytest.raises(ValueError, match="not commute"):
+                invariant(parse_braid("2: 1 1"))
+            with pytest.raises(ValueError, match="not commute"):
+                evaluate_sliced(braid_closure_slices(parse_braid("2: 1 1")))
+
+
+def test_cohomology_guard_needs_a_cap_that_kills_delta_e1():
+    # <v1 v2| cap doubled alone: Delta(E_1)(v3 v2) reaches v1 v2 and v3 v6
+    with replaced_tables(cap=scaled("cap", {0: 2}, window=(0, 1))):
+        with pytest.raises(ValueError, match="the cap does not kill"):
+            _cohomology()
+
+
+def test_cohomology_guard_needs_tables_that_keep_the_h1_weight():
+    for kind in ("pos", "neg"):
+        # v1 v1 (H_1 weight 2) sent to v2 v1 (weight 0)
+        with replaced_tables(**{kind: perturbed(kind, "moved")}):
+            with pytest.raises(ValueError, match="H_1 weight"):
+                _cohomology()
+    width, cups = _event_table("cup")
+    moved = {(): tuple(((0, 0) if row == (0, 1) else row, coeff)
+                       for row, coeff in cups[()])}      # v1 v2 -> v1 v1
+    with replaced_tables(cup=(width, moved)):
+        with pytest.raises(ValueError, match="H_1 weight"):
+            _cohomology()
+
+
+def test_cohomology_guard_needs_pivotal_weights_of_the_supertrace_form():
+    # p -> -p and p -> q p: the cap still kills Delta(E_1), cup and cap
+    # still pair alike, and the swap and every crossing keep the weights
+    for scale in ({0: -1}, {1: 1}):
+        with replaced_tables(cap=scaled("cap", scale)):
+            _trace_weights()
+            with pytest.raises(ValueError, match="pivotal weight is not"):
+                _cohomology()
 
 
 def test_torus_links_match_the_closed_form():
     for k in range(-40, 41):
         word = BraidWord(2, (1 if k > 0 else -1,) * abs(k))
         assert invariant(word).value_dict() == torus_closed_form(k), k
+
+
+def test_long_and_wide_words_take_milliseconds():
+    # 14.2 s and 9.1 s through the 6 ** n trace, which the simplification
+    # leaves them to; 2 ** n columns in the E_1-cohomology
+    for word, value in ((BraidWord(2, (1,) * 200), torus_closed_form(200)),
+                        (BraidWord(5, (1, -2, 3, -4) * 3), {0: 2})):
+        assert invariant(word).value_dict() == value
+        best = float("inf")
+        for _ in range(5):
+            start = time.perf_counter()
+            invariant(word)
+            best = min(best, time.perf_counter() - start)
+        assert best < 0.01, (str(word), best)
 
 
 def test_five_strand_mixed_word_runs_in_small_memory():
@@ -363,9 +444,8 @@ def test_simplify_braid(text, braid, factor):
     simplified, scale, stats = _simplify_braid(word)
     assert (str(simplified), scale) == (braid, factor)
     assert stats.input == text
-    if word.strands < 5:            # the unsimplified fold stays small
-        assert invariant(word).value == \
-            evaluate_sliced(braid_closure_slices(word)).value
+    if word.strands < 5:            # the unsimplified trace stays small
+        assert invariant(word).value == trace(word).value
 
 
 def test_markov_factors_come_from_the_braiding():
@@ -400,28 +480,44 @@ def test_destabilisation_needs_a_scalar_left_partial_trace():
 def test_support_budget_refuses_a_block_early():
     word = parse_braid("6: 1 -2 3 -4 5 1 -2 3 -4 5")
     with pytest.raises(TangleBudgetExceeded, match="support budget 5000$"):
-        invariant(word, support_budget=5000)
+        trace(word, support_budget=5000)
     with pytest.raises(TangleBudgetExceeded,
                        match="^64 states in one trace block exceed"):
-        invariant(parse_braid("3: 1 -2 1 -2"), support_budget=10)
-    # a word that simplifies to one strand needs only its 4 fixed columns
-    assert invariant(parse_braid("3: 1 -2"), support_budget=4).value_dict() == {0: 2}
+        trace(parse_braid("3: 1 -2 1 -2"), support_budget=10)
+    # as written, on one strand: its 4 fixed columns, then the paired one
+    assert trace(parse_braid("1:"), support_budget=4).value_dict() == {0: 2}
     with pytest.raises(TangleBudgetExceeded):
-        invariant(parse_braid("3: 1 -2"), support_budget=3)
+        trace(parse_braid("1:"), support_budget=3)
+
+
+def test_invariant_refuses_a_support_budget_below_its_2n_columns():
+    # 2 ** n columns in the E_1-cohomology, one state each
+    word = parse_braid("3: 1 -2 1 -2")
+    assert invariant(word, support_budget=8).value_dict() == {0: 2}
+    with pytest.raises(TangleBudgetExceeded,
+                       match="^8 states in one trace block exceed the "
+                             "support budget 7$"):
+        invariant(word, support_budget=7)
+    # a word that simplifies to one strand needs only its 2 columns
+    assert invariant(parse_braid("3: 1 -2"), support_budget=2).value_dict() == {0: 2}
+    with pytest.raises(TangleBudgetExceeded, match="^2 states"):
+        invariant(parse_braid("3: 1 -2"), support_budget=1)
 
 
 def test_sliced_fold_support_budget_stops_after_the_event():
     diagram = braid_closure_slices(parse_braid("3: 1 -2 1 -2"))
     peak = evaluate_sliced(diagram).peak_support
+    assert peak == 2 ** 3          # after the three cups, in the cohomology
     assert evaluate_sliced(diagram, support_budget=peak).peak_support == peak
     with pytest.raises(TangleBudgetExceeded,
                        match=f" of the sliced fold exceed the support budget "
                              f"{peak - 1}$"):
         evaluate_sliced(diagram, support_budget=peak - 1)
-    # the three cups make 6, 36 and 216 states: the third event is refused
+    # the three cups make 2, 4 and 8 states in the E_1-cohomology: with
+    # room for 3, the second event is refused
     with pytest.raises(TangleBudgetExceeded,
-                       match="^216 states after event 3 \\(cup 3\\) "):
-        evaluate_sliced(diagram, support_budget=215)
+                       match="^4 states after event 2 \\(cup 2\\) "):
+        evaluate_sliced(diagram, support_budget=3)
 
 
 def test_relation_table_has_the_six_signed_forms():
