@@ -10,30 +10,25 @@ Commands::
 
 Output is deterministic: polynomials in canonical ascending-exponent form,
 matrices row-major (split blocks use the fixed parity-block basis order).
-``invariant --braid`` first simplifies the word (cyclic free reduction,
-Markov destabilisation of end strands and, when those stall on three
-strands or more, a cut of a connected sum or split union into its pieces,
-then a bounded search by far commutation and braid relations) and traces
-the braid that remains after every cut on the cohomology of the odd
-generator E_1: its 2^n start columns in {v4, v5}^n instead of all 6^n
-(see :mod:`d21link.tangle`), as ``invariant --sliced`` folds over the same
-cut-down tables.  Its ``--json`` stats describe that braid, whose text is
-the ``"braid"`` entry of the ``"trace"`` key: ``"peak_support"`` and
+``invariant --braid`` cancels inverse pairs, also across the ends of the
+word (cyclic free reduction), and traces the reduced word on the
+cohomology of the odd generator E_1: its 2^n start columns in
+{v4, v5}^n instead of all 6^n (see :mod:`d21link.tangle`), as
+``invariant --sliced`` folds over the same cut-down tables.  Its
+``--json`` stats describe the reduced word, whose text is the ``"braid"``
+entry of the ``"trace"`` key: ``"peak_support"`` and
 ``"columns_evaluated"`` are its 2^n columns, one state each, in one block
 (``"blocks"``, ``"peak_block_support"``), of the 6^n ``"columns"`` of the
-trace.  The ``"simplify"`` key holds the word as given (``"input"``), the
-braid relations on the way to the traced braid (``"relation_moves"``), the
-words the searches reached (``"words_searched"``) and the pieces closed
-off by the cuts, in order (``"cuts"``).
+trace.
 
 The environment variable ``D21LINK_SKEIN_BUDGET`` overrides the crossing
 and strand budget of the skein oracle (default 16),
 ``D21LINK_TANGLE_BUDGET`` the most strands a tangle evaluation may hold at
 once (default 12), for ``invariant`` and the ``skein`` suite of ``verify``,
 and ``D21LINK_SUPPORT_BUDGET`` the most states the braid trace of
-``invariant --braid`` (its 2^n columns, or one block of a piece cut off),
-or the fold of ``invariant --sliced`` after any event, may hold (default
-400,000); each must be an integer of at least 1.
+``invariant --braid`` (its 2^n columns), or the fold of
+``invariant --sliced`` after any event, may hold (default 400,000); each
+must be an integer of at least 1.
 Exit status is 0 on success and, for ``verify``, iff every check passes;
 bad input (a bad budget variable included) or an exceeded budget exits 2.
 """
@@ -108,8 +103,6 @@ def _cmd_invariant(args: argparse.Namespace) -> int:
         }
         if result.trace is not None:
             payload["trace"] = result.trace._asdict()
-        if result.simplify is not None:
-            payload["simplify"] = result.simplify._asdict()
         print(json.dumps(payload, indent=2))
     else:
         print(result.canonical())

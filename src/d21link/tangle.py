@@ -50,28 +50,11 @@ raises ``ValueError``.  The reduction uses only that the braiding is a
 module map, as the v4 <-> v5 swap below does, not the Kauffman skein
 theory that the oracle in :mod:`d21link.dubrovnik` implements.
 
-Before the trace the word is simplified, since the value belongs to the
-closure: inverse pairs cancel, cyclically (every crossing keeps p(a) p(b),
-so the trace is cyclic), and an end strand that at most one crossing meets
-is removed for a factor, the loop value 2 or the left partial trace of
-that crossing, -q^-1 or -q (framed Markov destabilisation; strand n is
-first moved to the left by reversing the strand order, a conjugation by
-the half twist).  When both end strands meet two crossings or more, the
-closure is cut at the first strand k where the word is, up to far
-commutation and rotation, a braid A on strands 1..k followed by a braid B
-on strands k..n: a connected sum, or a split union when sigma_k does not
-occur.  A (1,1)-tangle of a simple module acts as a scalar (Reshetikhin
-and Turaev, Commun. Math. Phys. 127, 1990), so A is closed off for its
-left partial trace, computed on A's open columns and used only if it is
-exactly a scalar, and B goes on, simplified and cut again.  Otherwise a
-bounded breadth-first search by far commutation and braid relations looks
-for a conjugate word where one of those moves applies.  Every factor, the
-loop value and a removed crossing included, is such a left partial trace,
-computed by one routine and used only if it is exactly a scalar.  The
-structure it rests on (cup and cap pair alike, the swap below, every
-crossing keeps p(a) p(b)) is checked once, where the pivotal weights are
-derived from the tables, and the braid relations are checked exactly on
-the first relation move.
+Before the trace, inverse pairs cancel, also across the ends of the word
+(cyclic free reduction): every crossing keeps p(a) p(b), so the trace is
+cyclic.  Nothing else is simplified: the trace costs O(letters x 2^n) on
+monomial tables, less than looking for a strand to remove or a point to
+cut the closure at would cost.
 
 :func:`trace` is the reference that the tests and the presentation checks
 of :mod:`d21link.verify` compare with: the same quantum trace over all 6^n
@@ -85,27 +68,24 @@ a proven bound on the coefficients (start L1 norm times each event's
 largest column L1 sum), and the final value is decoded and re-packed as a
 check.  One routine (:func:`_letter_steps`) packs the letters and decides
 ``bits``, the shift and the span, and one (:func:`_evolve`) applies them
-under the support budget, for the reference trace, the cuts, the factors
-and the relation check alike.
+under the support budget.
 
 Both evaluations report the stats of the fold in the cohomology (slices,
 peak strands, the nominal dimension 6^peak_strands, peak support); for a
-braid word they describe the one braid actually traced, the braid left
-after every cut, whose 2^n columns, one state each, are the peak support of
-the fold of its closure.  The trace of :func:`invariant` also reports its
-own figures (:class:`TraceStats`), and what the simplification did, the
-pieces cut off included (:class:`SimplifyStats`); :func:`trace` reports
-those of its 6^n evaluation, whose support after each letter, summed over
-its blocks, is that of the 6^2n-state fold of the closure.  The tables are
-converted once to integer Laurent polynomials, so no path touches
-rational-function arithmetic and values lie in Z[q, q^-1] by construction.
+braid word they describe the cyclically reduced word that was traced,
+whose 2^n columns, one state each, are the peak support of the fold of its
+closure.  The trace of :func:`invariant` also reports its own figures
+(:class:`TraceStats`); :func:`trace` reports those of its 6^n evaluation,
+whose support after each letter, summed over its blocks, is that of the
+6^2n-state fold of the closure.  The tables are converted once to integer
+Laurent polynomials, so no path touches rational-function arithmetic and
+values lie in Z[q, q^-1] by construction.
 Framing is blackboard: the value belongs to the drawn diagram, with no
 writhe normalization.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from functools import lru_cache
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
@@ -124,12 +104,12 @@ DEFAULT_TANGLE_BUDGET = 12
 
 # Most nonzero states an evaluation may hold at once: the 2^n columns of
 # the braid trace in the E_1-cohomology, the fold of a sliced diagram after
-# any event, and one block of a piece cut off, or of the 6^n reference
-# trace.  Within the tangle budget the first two hold at most 2^12 = 4096,
-# so only the last two can reach it: peak RSS measured 1.6-2.7 KiB per
-# state of their largest block (CPython 3.11, 64-bit Linux; 5- and
-# 6-strand mixed-sign words of 15-16 letters), so a refused block stays
-# near 1 GiB; the reference trace of 5: (1 -2 3 -4)^4 needs 44,665.
+# any event, and one block of the 6^n reference trace.  Within the tangle
+# budget the first two hold at most 2^12 = 4096, so only the reference
+# trace can reach it: peak RSS measured 1.6-2.7 KiB per state of its
+# largest block (CPython 3.11, 64-bit Linux; 5- and 6-strand mixed-sign
+# words of 15-16 letters), so a refused block stays near 1 GiB; the
+# reference trace of 5: (1 -2 3 -4)^4 needs 44,665.
 DEFAULT_SUPPORT_BUDGET = 400_000
 
 
@@ -289,7 +269,7 @@ class TraceStats(NamedTuple):
     """What a braid trace evolved: that of :func:`invariant` the 2 **
     strands columns in the E_1-cohomology, in one block of one state each;
     the reference :func:`trace` one column per swap orbit, in blocks."""
-    braid: str                 # the braid traced, after simplification
+    braid: str                 # the braid traced: invariant's is reduced
     strands: int
     columns: int               # 6 ** strands start columns of the trace
     columns_evaluated: int
@@ -297,22 +277,17 @@ class TraceStats(NamedTuple):
     peak_block_support: int    # most nonzero states one block held at once
 
 
-class SimplifyStats(NamedTuple):
-    """What :func:`_simplify_braid` did to a word before the trace."""
-    input: str             # the braid as given
-    relation_moves: int    # braid relations on the way to the traced braid
-    words_searched: int    # words all relation searches reached
-    cuts: Tuple[str, ...]  # the pieces closed off by cuts, in order
-
-
 class EvalResult(NamedTuple):
+    """A value and the stats of the evaluation that gave it.  For a braid
+    word the stats are those of the fold of the 2n-strand sliced closure of
+    the braid traced (for :func:`invariant`, the cyclically reduced word),
+    and ``trace`` holds the trace's own figures."""
     value: Tuple[Tuple[int, int], ...]   # sorted (q-exponent, coefficient)
     slices: int
     peak_strands: int
     peak_dimension: int    # nominal state-space bound 6 ** peak_strands
     peak_support: int      # most nonzero states held after any event
-    trace: Optional[TraceStats] = None   # set by the braid trace only
-    simplify: Optional[SimplifyStats] = None   # set by invariant only
+    trace: Optional[TraceStats] = None   # set by the braid traces only
 
     def value_dict(self) -> Dict[int, int]:
         return dict(self.value)
@@ -500,7 +475,8 @@ def _trace_weights() -> Tuple[Dict[int, int], ...]:
       entry for entry, so that p(sv) <sv|B|sv> = p(v) <v|B|v> for s the
       swap on every strand;
     * every crossing entry <c d|.|a b> keeps p(a) p(b) = p(c) p(d), or the
-      trace is not cyclic and no strand may be closed off."""
+      trace is not cyclic and inverse pairs across the ends of a word may
+      not cancel."""
     (_, cups), (_, caps) = _event_table("cup"), _event_table("cap")
     pairs = [pair for pair, _ in cups[()]]
     if (sorted(l for l, _ in pairs) != list(range(DIM))
@@ -688,23 +664,6 @@ def _cohomology_trace(word: BraidWord, support_budget: int) -> EvalResult:
                       len(starts), stats)
 
 
-@lru_cache(maxsize=None)
-def _markov_factors() -> Dict[Tuple[int, ...], Dict[int, int]]:
-    """``{letters: factor}``: the factor of removing a closure strand that
-    no crossing meets (``()``, the loop value sum_v p(v)) or that one
-    crossing meets (``(1,)`` or ``(-1,)``), the left partial trace of that
-    two-strand braid (:func:`_closed_off`).  Its budget is the 6 ** 4 keys
-    of two strands, which no evolution exceeds, so the factors do not
-    depend on the support budget.  Raises ``ValueError`` unless each
-    factor is a scalar."""
-    factors = {letters: _closed_off(2, letters, DIM ** 4)
-               for letters in ((), (1,), (-1,))}
-    if None in factors.values():
-        raise ValueError("the left partial trace of a crossing is not a "
-                         "scalar; its strand cannot be removed")
-    return factors
-
-
 def _swapped(column: int, strands: int) -> int:
     """``column`` with ``_SWAP`` applied to each of its base-6 digits."""
     image, place = 0, 1
@@ -749,20 +708,20 @@ def _digit_products(factors: List[int], digits: int) -> List[int]:
     return products
 
 
-def _letter_steps(strands: int, letters, weighted: int
+def _letter_steps(strands: int, letters
                   ) -> Tuple[List[tuple], List[int], int, int, int]:
     """``(steps, weights, bits, shift, span)`` for evolving the braid
     ``letters`` on ``strands`` strands (:func:`_evolve`) from start columns
-    whose amplitude is the product of the pivotal weights of their first
-    ``weighted`` digits: the ``(unit, rows)`` of each letter and the
-    pivotal weights, packed at ``bits``, and the exponent shift and span of
-    a final amplitude.  ``bits`` is proven (see :func:`_bits`) for any sum
-    of final amplitudes over columns that differ only in those digits."""
+    whose amplitude is the product of the pivotal weights of their digits:
+    the ``(unit, rows)`` of each letter and the pivotal weights, packed at
+    ``bits``, and the exponent shift and span of a final amplitude.
+    ``bits`` is proven (see :func:`_bits`) for any sum of final amplitudes
+    over start columns."""
     weights = _trace_weights()
     kinds = ["pos" if letter > 0 else "neg" for letter in letters]
-    bits = _bits(sum(_l1(weight) for weight in weights) ** weighted, kinds)
+    bits = _bits(sum(_l1(weight) for weight in weights) ** strands, kinds)
     w_shift, w_span = _exponent_range(weights)
-    steps, shift, span = [], weighted * w_shift, weighted * w_span
+    steps, shift, span = [], strands * w_shift, strands * w_span
     for letter, kind in zip(letters, kinds):
         unit = DIM ** (strands - abs(letter) - 1)
         kind_shift, kind_span, rows = _letter_rows(kind, bits, unit)
@@ -806,7 +765,7 @@ def trace(word: BraidWord, budget: int = DEFAULT_TANGLE_BUDGET,
     _check_budget(2 * word.strands, budget)
     n = word.strands
     size = DIM ** n
-    steps, weights, bits, shift, span = _letter_steps(n, word.letters, n)
+    steps, weights, bits, shift, span = _letter_steps(n, word.letters)
     tail_strands = min(n, 3)
     tail = DIM ** tail_strands
     head_amps = _digit_products(weights, n - tail_strands)
@@ -850,252 +809,17 @@ def _cyclically_reduced(letters) -> List[int]:
     return stack[lo:hi]
 
 
-# The signed braid relations sigma_i^a sigma_j^b sigma_i^c =
-# sigma_j^a' sigma_i^b' sigma_j^c' (|i - j| = 1), keyed by the signs
-# (a, b, c); (+ - +) and (- + -) have no such form.
-_RELATIONS = {(1, 1, 1): (1, 1, 1), (-1, -1, -1): (-1, -1, -1),
-              (1, 1, -1): (-1, 1, 1), (-1, 1, 1): (1, 1, -1),
-              (1, -1, -1): (-1, -1, 1), (-1, -1, 1): (1, -1, -1)}
-
-# Most words one relation search reaches before it gives up.
-_SEARCH_CAP = 256
-
-
-@lru_cache(maxsize=None)
-def _braid_relations_checked() -> None:
-    """Raise ``ValueError`` unless, exactly on the integer crossing tables,
-    neg undoes pos on two strands and sigma_1 sigma_2 sigma_1 =
-    sigma_2 sigma_1 sigma_2 on every three-strand basis vector; the six
-    signed relations of :data:`_RELATIONS` follow from these two.  Cached,
-    so it runs once, on the first relation move.
-
-    Each side is the product of its :func:`_letter_steps` on the identity,
-    packed at the width and shift of its letters, and both sides of the
-    relation have the same letters, so equal packed matrices are equal
-    matrices.  The budget is the whole key space, which no product
-    exceeds."""
-    def product(strands, letters):
-        size = DIM ** strands
-        steps, _, bits, shift, _ = _letter_steps(strands, letters, 0)
-        state, _ = _evolve({v * size + v: 1 for v in range(size)}, steps,
-                           size * size)
-        return state, bits, shift
-
-    state, bits, shift = product(2, (1, -1))
-    if state != {v * (DIM * DIM + 1): 1 << bits * shift
-                 for v in range(DIM * DIM)}:
-        raise ValueError("the inverse crossing does not undo the "
-                         "crossing; braid relations cannot be used")
-    if product(3, (1, 2, 1)) != product(3, (2, 1, 2)):
-        raise ValueError("the crossing does not satisfy the braid relation "
-                         "sigma_1 sigma_2 sigma_1 = sigma_2 sigma_1 sigma_2")
-
-
-def _relation_search(strands: int, word: Tuple[int, ...]
-                     ) -> Tuple[Optional[Tuple[int, ...]], int, int]:
-    """Breadth-first search, from the cyclically reduced ``word`` on at
-    least three strands, for a conjugate word that the other moves of
-    :func:`_simplify_braid` shorten: one with an adjacent inverse pair
-    (across the ends too), or with sigma_1 or sigma_(strands-1) at most
-    once.  Its moves, at each cyclic position in turn, are far commutation
-    and the signed braid relations of :data:`_RELATIONS`; cyclic rotation
-    is implied, since both act across the ends of the word.
-
-    Returns ``(found, relation moves from word to found, words reached)``,
-    ``found`` None once :data:`_SEARCH_CAP` words or the whole class are
-    reached without one.  The visit order is fixed, so the result is
-    deterministic."""
-    length, last = len(word), strands - 1
-    seen = {word}
-    queue = deque([(word, 0, sum(abs(k) == 1 for k in word),
-                    sum(abs(k) == last for k in word))])
-    while queue:
-        word, moves, firsts, lasts = queue.popleft()
-        for i in range(length):
-            j, k = (i + 1) % length, (i + 2) % length
-            a, b = word[i], word[j]
-            gi, gj = abs(a), abs(b)
-            if abs(gi - gj) > 1:
-                new = list(word)
-                new[i], new[j] = b, a
-                end, counts = j, (moves, firsts, lasts)
-            elif gi != gj and abs(word[k]) == gi:
-                signs = _RELATIONS.get((a // gi, b // gj, word[k] // gi))
-                if signs is None:
-                    continue
-                _braid_relations_checked()
-                new = list(word)
-                new[i], new[j], new[k] = (gj * signs[0], gi * signs[1],
-                                          gj * signs[2])
-                end, counts = k, (moves + 1,
-                                  firsts + (gj == 1) - (gi == 1),
-                                  lasts + (gj == last) - (gi == last))
-            else:
-                continue
-            new = tuple(new)
-            if new in seen:
-                continue
-            seen.add(new)
-            # only the pairs at the edges of the rewritten letters can
-            # newly cancel: the word had no inverse pair
-            if (new[i - 1] == -new[i] or new[end] == -new[(end + 1) % length]
-                    or counts[1] <= 1 or counts[2] <= 1):
-                return new, counts[0], len(seen)
-            if len(seen) >= _SEARCH_CAP:
-                return None, 0, len(seen)
-            queue.append((new,) + counts)
-    return None, 0, len(seen)
-
-
-def _cut_point(strands: int, letters: List[int]
-               ) -> Optional[Tuple[int, List[int], List[int]]]:
-    """``(k, piece, rest)`` for the smallest k in 2..strands-1 at which the
-    letters on sigma_(k-1) or sigma_k form, cyclically, at most one block
-    of each, or None.  Only those two generators fail to commute across
-    strand k, so far commutation and a rotation to the start of the
-    sigma_(k-1) block turn the word into ``piece`` (its letters below k,
-    on strands 1..k) followed by ``rest`` (the others, on strands
-    k..strands), both in word order."""
-    for k in range(2, strands):
-        # uppers[i]: whether the i-th letter on sigma_(k-1) or sigma_k is
-        # on sigma_k; a sigma_(k-1) block starts after a sigma_k letter
-        at = [i for i, letter in enumerate(letters) if k - 1 <= abs(letter) <= k]
-        uppers = [abs(letters[i]) == k for i in at]
-        starts = [i for i, upper, before in zip(at, uppers, uppers[-1:] + uppers)
-                  if before and not upper]
-        if len(starts) > 1:
-            continue
-        start = starts[0] if starts else 0
-        rotated = letters[start:] + letters[:start]
-        return (k, [letter for letter in rotated if abs(letter) < k],
-                [letter for letter in rotated if abs(letter) >= k])
-    return None
-
-
-@lru_cache(maxsize=1024)
-def _closed_off(strands: int, letters: Tuple[int, ...], support_budget: int
-                ) -> Optional[Dict[int, int]]:
-    """The scalar lambda with sum_x p(x) <x d|A|x b> = lambda [b = d] for
-    every pair of basis vectors b, d of the last strand, where A is the
-    braid ``letters`` on ``strands`` strands and x runs over the basis of
-    the strands before it: A's left partial trace, the factor of closing
-    off all of A's strands but the last.  None unless that 6 x 6 operator
-    is exactly a scalar.
-
-    A acts on the 6 ** strands open columns, in blocks of at most 216
-    that share their leading digits; a block holding more than
-    ``support_budget`` states raises :class:`TangleBudgetExceeded`, which
-    is why the budget is part of the memo key."""
-    size = DIM ** strands
-    steps, weights, bits, shift, span = _letter_steps(strands, letters,
-                                                      strands - 1)
-    # the start amplitude of column v is p(x) for its leading digits x;
-    # the last strand stays open
-    head_amps = _digit_products(weights, strands - 1)
-    operator = [0] * (DIM * DIM)        # operator[DIM * d + b]: <d|.|b>
-    block = DIM ** min(strands, 3)
-    for first in range(0, size, block):
-        state, _ = _evolve({v * size + v: head_amps[v // DIM]
-                            for v in range(first, first + block)},
-                           steps, support_budget)
-        for key, amp in state.items():
-            column, row = divmod(key, size)
-            if column // DIM == row // DIM:
-                operator[row % DIM * DIM + column % DIM] += amp
-    # equal packed ints are equal polynomials: ``bits`` bounds every sum
-    scalar = operator[0]
-    if any(amp != (scalar if index % (DIM + 1) == 0 else 0)
-           for index, amp in enumerate(operator)):
-        return None
-    return _decode(scalar, bits, shift, span + 1)
-
-
-def _simplify_braid(word: BraidWord,
-                    support_budget: int = DEFAULT_SUPPORT_BUDGET
-                    ) -> Tuple[BraidWord, Dict[int, int], SimplifyStats]:
-    """``(braid, factor, stats)`` whose closure is that of ``word`` up to
-    the factor: the trace of ``word`` is ``factor`` times the trace of
-    ``braid``.  Repeats these moves until none applies:
-
-    * cyclic free reduction (:func:`_cyclically_reduced`);
-    * if sigma_1 occurs at most once, remove strand 1: drop that letter and
-      shift the others down by one, for the left partial trace of the
-      crossing, or the loop value 2 if sigma_1 does not occur (Markov
-      destabilisation, framed; :func:`_markov_factors`);
-    * else if sigma_(n-1) occurs at most once, first reverse the strands,
-      k -> n - k: conjugation by the half twist, whose closure is the
-      same;
-    * else, on three strands or more, cut the closure at the first strand
-      k where the word is, up to far commutation and rotation, a braid A
-      on strands 1..k followed by a braid B on strands k..n
-      (:func:`_cut_point`): close A off for its left partial trace, if
-      that is one scalar (:func:`_closed_off`; a (1,1)-tangle of a simple
-      module acts as a scalar), and go on with B, shifted down to strands
-      1..n-k+1.  The closure of the word is the connected sum of those of
-      A and B, or their split union when sigma_k does not occur; B then
-      leaves its first strand idle, and the next pass removes it for the
-      loop value 2;
-    * else go on from the word that a bounded search by braid relations
-      finds (:func:`_relation_search`), if it finds one.
-
-    Every move lowers (strands, letters) or keeps them, and the search
-    returns only words that the next pass shortens, so the loop ends.  A
-    cut is held to ``support_budget`` as a trace block is."""
-    n, letters, factor = word.strands, list(word.letters), {0: 1}
-    relation_moves = words_searched = 0
-    cuts: List[str] = []
-    while True:
-        letters = _cyclically_reduced(letters)
-        if n == 1:
-            break
-        firsts = [k for k in letters if abs(k) == 1]
-        if len(firsts) > 1:
-            if sum(abs(k) == n - 1 for k in letters) > 1:
-                if n == 2:
-                    break
-                cut = _cut_point(n, letters)
-                if cut is not None:
-                    at, piece, rest = cut
-                    scalar = _closed_off(at, tuple(piece), support_budget)
-                    if scalar is not None:
-                        factor = laurent_product(factor, scalar)
-                        cuts.append(str(BraidWord(at, tuple(piece))))
-                        letters = [k - at + 1 if k > 0 else k + at - 1
-                                   for k in rest]
-                        n -= at - 1
-                        continue
-                found, moves, reached = _relation_search(n, tuple(letters))
-                words_searched += reached
-                if found is None:
-                    break
-                relation_moves += moves
-                letters = list(found)
-                continue
-            letters = [(n if k > 0 else -n) - k for k in letters]
-            firsts = [k for k in letters if abs(k) == 1]
-        factor = laurent_product(factor, _markov_factors()[tuple(firsts)])
-        letters = [k - 1 if k > 0 else k + 1 for k in letters if abs(k) != 1]
-        n -= 1
-    return (BraidWord(n, tuple(letters)), factor,
-            SimplifyStats(str(word), relation_moves, words_searched,
-                          tuple(cuts)))
-
-
 def invariant(word: BraidWord, budget: int = DEFAULT_TANGLE_BUDGET,
               support_budget: int = DEFAULT_SUPPORT_BUDGET) -> EvalResult:
     """Value of the framed-link invariant on the trace closure of a braid,
     as the quantum trace sum_v p(v) <v|B|v> over the n-strand basis.
 
     The 2n strands of the closure's fold are checked against ``budget``
-    before any work.  The word is then simplified (:func:`_simplify_braid`)
-    and the braid that remains after every cut is traced on its 2 ** n
-    columns in the E_1-cohomology (:func:`_cohomology_trace`); both the
-    cuts and the trace check ``support_budget``.  The value is
-    that trace times the simplification's factor, every stat, the trace's
-    own figures included, describes the braid actually traced, and
-    ``simplify`` what led to it, the pieces cut off included."""
+    before any work.  The word is then cyclically reduced
+    (:func:`_cyclically_reduced`) and traced on its 2 ** n columns in the
+    E_1-cohomology (:func:`_cohomology_trace`), which more than
+    ``support_budget`` columns refuse; every stat, the trace's own figures
+    included, describes the reduced word."""
     _check_budget(2 * word.strands, budget)
-    braid, factor, stats = _simplify_braid(word, support_budget)
-    result = _cohomology_trace(braid, support_budget)
-    value = laurent_product(dict(result.value), factor)
-    return result._replace(value=tuple(sorted(value.items())), simplify=stats)
+    reduced = BraidWord(word.strands, tuple(_cyclically_reduced(word.letters)))
+    return _cohomology_trace(reduced, support_budget)

@@ -4,17 +4,20 @@ Suites: ``relations`` (generator and root-vector identities on the module),
 ``rmatrix`` (spectral data, twist, integrality, classical limit, frozen
 braiding regression), ``category`` (Yang-Baxter, duality zig-zags, skein
 and curl identities, twist square, naturality), ``skein`` (cross-validation
-of the two invariant pipelines over the diagram corpus, presentation
-independence of the unsimplified trace, mirror symmetry, split unions).
-``all`` runs everything.
+of the two invariant pipelines over the diagram corpus, the invariant
+against the orientation sum on the corpus and on two words of 200 letters,
+presentation independence of the unreduced trace, mirror symmetry, split
+unions).  ``all`` runs everything.
 
-:func:`compare` is the one place where the two pipelines meet: the tangle
-side and the skein oracle (:mod:`d21link.dubrovnik`, which imports neither
-this module nor the braiding side) each evaluate the same closed braid.
+:func:`compare` and :func:`compare_orientation_sum` are the only places
+where the two pipelines meet: the tangle side and the skein oracle
+(:mod:`d21link.dubrovnik`, which imports neither this module nor the
+braiding side) each evaluate the same closed braid.
 """
 
 from __future__ import annotations
 
+import random
 from typing import Callable, List, Optional
 
 from .report import CheckResult, Report
@@ -169,6 +172,32 @@ def compare(word: BraidWord, budget: int = dubrovnik.DEFAULT_BUDGET,
     return CheckResult(f"skein-match:{word}", ok, detail)
 
 
+def compare_orientation_sum(label: str, word: BraidWord,
+                            budget: int = dubrovnik.DEFAULT_BUDGET,
+                            tangle_budget: int = DEFAULT_TANGLE_BUDGET
+                            ) -> CheckResult:
+    """The invariant must equal the sum over the orientations of the
+    closure of (-q^-1)^writhe, the skein value's closed form at this
+    specialization, which costs O(crossings) where the skein recursion is
+    exponential."""
+    tangle_value = invariant(word, tangle_budget).value_dict()
+    oracle = dubrovnik.orientation_sum(
+        dubrovnik.braid_closure_graph(word, budget))
+    ok = tangle_value == oracle
+    detail = "" if ok else (f"tangle {format_q_laurent(tangle_value)} vs "
+                            f"orientation sum {format_q_laurent(oracle)}")
+    return CheckResult(f"orientation-sum:{label}", ok, detail)
+
+
+def _long_words():
+    """``{label: word}``: T(2, 200) and a seeded 6-strand word of 200
+    letters, beyond the skein recursion."""
+    rng = random.Random(1717)
+    seeded = tuple(rng.choice((1, -1)) * rng.randint(1, 5) for _ in range(200))
+    return {"2: 1^200": BraidWord(2, (1,) * 200),
+            "6: 200 letters of seed 1717": BraidWord(6, seeded)}
+
+
 def skein_suite(budget: int = dubrovnik.DEFAULT_BUDGET,
                 progress: Optional[Callable[[str], None]] = None,
                 tangle_budget: int = DEFAULT_TANGLE_BUDGET) -> Report:
@@ -177,9 +206,15 @@ def skein_suite(budget: int = dubrovnik.DEFAULT_BUDGET,
     for text in CORPUS:
         note(f"comparing pipelines on {text!r}")
         report.checks.append(compare(parse_braid(text), budget, tangle_budget))
+    note("comparing the invariant with the orientation sum")
+    words = {text: parse_braid(text) for text in CORPUS}
+    words.update(_long_words())
+    for label, word in words.items():
+        report.checks.append(
+            compare_orientation_sum(label, word, budget, tangle_budget))
 
-    # traced as written: simplified first, each group would collapse to
-    # one braid and test the simplifier instead of the braiding
+    # traced as written: reduced first, a group would collapse to fewer
+    # braids and test the reduction instead of the braiding
     for name, texts in PRESENTATIONS.items():
         values = {trace(parse_braid(t), tangle_budget).canonical()
                   for t in texts}

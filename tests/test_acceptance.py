@@ -133,7 +133,7 @@ def test_criterion_7_presentation_independence():
     trefoil = ("2: 1 1 1", "2: 1 -1 1 1 1", "2: 1 1 1 1 -1", "2: -1 1 1 1 1")
     ok = True
     for group in (hopf, trefoil):
-        # traced as written, and simplified first
+        # traced as written, and cyclically reduced first
         values = {evaluate(parse_braid(t)).canonical() for t in group
                   for evaluate in (trace, invariant)}
         ok = ok and len(values) == 1

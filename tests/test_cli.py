@@ -31,43 +31,18 @@ def test_invariant_json_schema(capsys):
     assert payload["trace"] == {"braid": "2: 1 1 1", "strands": 2,
                                 "columns": 36, "columns_evaluated": 4,
                                 "blocks": 1, "peak_block_support": 4}
-    # the stats describe the braid that was traced, after simplification
-    code, out, _ = run_cli(capsys, "invariant", "--braid", "4: 1 2 1 3 1",
+    # the stats describe the cyclically reduced word that was traced
+    code, out, _ = run_cli(capsys, "invariant", "--braid", "3: -2 1 1 1 -1 2",
                            "--json")
     assert code == 0
     payload = json.loads(out)
-    assert payload["value"] == "-2*q^-5"          # (-q^-1)^2 * (-2*q^-3)
-    assert payload["stats"]["slices"] == 7
-    assert list(payload["trace"]) == ["braid", "strands", "columns",
-                                      "columns_evaluated", "blocks",
-                                      "peak_block_support"]
-    assert payload["trace"]["braid"] == "2: 1 1 1"
-    assert payload["simplify"] == {"input": "4: 1 2 1 3 1",
-                                   "relation_moves": 0, "words_searched": 0,
-                                   "cuts": []}
-    # a braid relation first: (sigma_1 sigma_2 sigma_3)^2 traces as T(2, 4)
-    code, out, _ = run_cli(capsys, "invariant", "--braid", "4: 1 2 3 1 2 3",
-                           "--json")
-    assert code == 0
-    payload = json.loads(out)
-    assert list(payload) == ["value", "stats", "trace", "simplify"]
-    assert (payload["value"], payload["trace"]["braid"]) == \
-        ("2*q^-6 + 2*q^2", "2: 1 1 1 1")
-    assert payload["simplify"] == {"input": "4: 1 2 3 1 2 3",
-                                   "relation_moves": 2, "words_searched": 7,
-                                   "cuts": []}
-    # a connected sum of three Hopf links and a trefoil: the pieces closed
-    # off in order, then the braid left after every cut is traced
-    code, out, _ = run_cli(capsys, "invariant", "--braid",
-                           "5: 3 1 3 1 -2 -2 4 4 4", "--json")
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["simplify"] == {"input": "5: 3 1 3 1 -2 -2 4 4 4",
-                                   "relation_moves": 0, "words_searched": 0,
-                                   "cuts": ["2: 1 1", "2: -1 -1", "2: 1 1"]}
-    assert (payload["value"], payload["trace"]["braid"],
-            payload["stats"]["slices"]) == \
-        ("-2*q^-9 - 6*q^-5 - 6*q^-1 - 2*q^3", "2: 1 1 1", 7)
+    assert list(payload) == ["value", "stats", "trace"]
+    assert payload["value"] == "4*q^-2 + 4*q^2"   # a Hopf link and a circle
+    assert payload["stats"] == {"slices": 8, "peak_strands": 6,
+                                "peak_dimension": 46656, "peak_support": 8}
+    assert payload["trace"] == {"braid": "3: 1 1", "strands": 3,
+                                "columns": 216, "columns_evaluated": 8,
+                                "blocks": 1, "peak_block_support": 8}
 
 
 def test_invariant_from_sliced_file(tmp_path, capsys):
@@ -295,8 +270,12 @@ def test_support_budget_env_override(capsys, monkeypatch):
     assert run_cli(capsys, "invariant", "--braid", "3: 1 -2 1 -2") == (
         2, "", "error: 8 states in one trace block exceed the support "
                "budget 7\n")
-    # simplifies to one strand, whose trace holds 2 states
-    assert run_cli(capsys, "invariant", "--braid", "3: 1 -2") == (0, "2\n", "")
+    # the unknot 3: 1 -2 is traced on its three strands, as written
+    assert run_cli(capsys, "invariant", "--braid", "3: 1 -2") == (
+        2, "", "error: 8 states in one trace block exceed the support "
+               "budget 7\n")
+    monkeypatch.setenv("D21LINK_SUPPORT_BUDGET", "2")
+    assert run_cli(capsys, "invariant", "--braid", "1:") == (0, "2\n", "")
     for raw, reason in (("lots", "is not an integer"), ("0", "must be at least 1"),
                         ("1_000", "is not an integer"),
                         ("\u0661\u0660", "is not an integer")):

@@ -12,18 +12,12 @@ import pytest
 from d21link.dubrovnik import braid_closure_graph, dubrovnik_poly, specialize
 from d21link.ring import format_q_laurent, laurent_product
 from d21link import tangle
-from d21link.tangle import (DEFAULT_SUPPORT_BUDGET, BraidWord, DiagramError,
-                            SlicedDiagram, SlicedEvent, SimplifyStats,
-                            TangleBudgetExceeded, TraceStats,
+from d21link.tangle import (BraidWord, DiagramError, SlicedDiagram,
+                            SlicedEvent, TangleBudgetExceeded, TraceStats,
                             braid_closure_slices, evaluate_sliced, invariant,
-                            parse_braid,
-                            parse_sliced_text,
-                            _RELATIONS, _SEARCH_CAP, _braid_relations_checked,
-                            _closed_off, _cohomology, _cut_point,
-                            _cyclically_reduced, _decode, _event_table,
-                            _markov_factors, _pack,
-                            _relation_search, _simplify_braid, _trace_weights,
-                            trace)
+                            parse_braid, parse_sliced_text, _cohomology,
+                            _cyclically_reduced, _decode, _event_table, _pack,
+                            _trace_weights, trace)
 from helpers import torus_closed_form
 
 
@@ -178,17 +172,19 @@ def test_eval_result_stats():
     assert result.trace == TraceStats("2: 1 1 1", 2, 36, 4, 1, 4)
     assert result.canonical() == "-2*q^-3"
     assert invariant(parse_braid("3: 1 -2 1 -2")).peak_support == 8
-    # (sigma_1 sigma_2 sigma_3)^2 closes to T(2, 4): traced at 2 strands
+    # (sigma_1 sigma_2 sigma_3)^2 closes to T(2, 4), traced as written
     torus = invariant(parse_braid("4: 1 2 3 1 2 3"))
     assert (torus.trace.braid, torus.slices, torus.peak_support) == \
-        ("2: 1 1 1 1", 8, 4)
+        ("4: 1 2 3 1 2 3", 14, 16)
     # the reference trace over all 6 ** 4 columns, as written
     assert trace(parse_braid("2: 1 1 1")).peak_support == 88
     assert trace(parse_braid("4: 1 2 3 1 2 3")).peak_support == 12586
-    # a word that simplifies away reports the stats of what was traced
-    unknot = invariant(parse_braid("5: 1 -2 3 -4"))
-    assert (unknot.canonical(), unknot.slices, unknot.peak_strands,
-            unknot.peak_dimension, unknot.trace.braid) == ("2", 2, 2, 36, "1:")
+    # a word with inverse pairs, also across its ends, reports the stats of
+    # its cyclic reduction, on as many strands as the word
+    reduced = invariant(parse_braid("4: -1 1 2 3 -3 1 -2"))
+    assert (reduced.canonical(), reduced.slices, reduced.peak_strands,
+            reduced.peak_dimension, reduced.trace) == (
+        "-8*q^-1", 9, 8, 6 ** 8, TraceStats("4: 1", 4, 6 ** 4, 16, 1, 16))
 
 
 def test_trace_evaluates_one_column_per_swap_orbit():
@@ -370,8 +366,8 @@ def test_torus_links_match_the_closed_form():
 
 
 def test_long_and_wide_words_take_milliseconds():
-    # 14.2 s and 9.1 s through the 6 ** n trace, which the simplification
-    # leaves them to; 2 ** n columns in the E_1-cohomology
+    # 14.2 s and 9.1 s through the 6 ** n trace; 2 ** n columns in the
+    # E_1-cohomology
     for word, value in ((BraidWord(2, (1,) * 200), torus_closed_form(200)),
                         (BraidWord(5, (1, -2, 3, -4) * 3), {0: 2})):
         assert invariant(word).value_dict() == value
@@ -438,18 +434,21 @@ def test_cyclic_free_reduction():
     ("5: " + " ".join(["1 -2 3 -4"] * 3), "5: " + " ".join(["1 -2 3 -4"] * 3),
      {0: 1}),
     ("6: 1 -2 1 -2 4 -5 4 -5", "3: 1 -2 1 -2", {0: 2}),   # split union, cut
+    # (sigma_1 ... sigma_(n-1))^2 closes to T(2, n): braid relations, then
+    # n - 2 positive destabilisations, each for -q^-1
+    ("4: 1 2 3 1 2 3", "2: 1 1 1 1", {-2: 1}),
+    ("5: 1 2 3 4 1 2 3 4", "2: 1 1 1 1 1", {-3: -1}),
+    ("6: 1 2 3 4 5 1 2 3 4 5", "2: 1 1 1 1 1 1", {-4: 1}),
 ])
 def test_simplify_braid(text, braid, factor):
+    # Markov destabilisation, conjugation by the half twist, braid relations
+    # and the cut of a connected sum or split union take the word to
+    # ``braid`` for ``factor``; the invariant, which traces the word as
+    # reduced, must scale the same way
     word = parse_braid(text)
-    simplified, scale, stats = _simplify_braid(word)
-    assert (str(simplified), scale) == (braid, factor)
-    assert stats.input == text
-    if word.strands < 5:            # the unsimplified trace stays small
+    assert value_of(text) == laurent_product(factor, value_of(braid))
+    if word.strands < 5:            # the 6 ** n reference trace stays small
         assert invariant(word).value == trace(word).value
-
-
-def test_markov_factors_come_from_the_braiding():
-    assert _markov_factors() == {(): {0: 2}, (1,): {-1: -1}, (-1,): {1: -1}}
 
 
 def perturbed(kind, how):
@@ -465,16 +464,6 @@ def perturbed(kind, how):
         changed[(0, 0)] = tuple(((1, 0) if row == (0, 0) else row, coeff)
                                 for row, coeff in table[(0, 0)])
     return width, changed
-
-
-def test_destabilisation_needs_a_scalar_left_partial_trace():
-    for kind in ("pos", "neg"):
-        with replaced_tables(**{kind: perturbed(kind, "doubled")}):
-            with pytest.raises(ValueError, match="not a scalar"):
-                _markov_factors()
-        with replaced_tables(**{kind: perturbed(kind, "moved")}):
-            with pytest.raises(ValueError, match="cyclic"):
-                _markov_factors()
 
 
 def test_support_budget_refuses_a_block_early():
@@ -498,10 +487,16 @@ def test_invariant_refuses_a_support_budget_below_its_2n_columns():
                        match="^8 states in one trace block exceed the "
                              "support budget 7$"):
         invariant(word, support_budget=7)
-    # a word that simplifies to one strand needs only its 2 columns
-    assert invariant(parse_braid("3: 1 -2"), support_budget=2).value_dict() == {0: 2}
+    # the unknot 3: 1 -2 is traced on its three strands, as written
+    assert invariant(parse_braid("3: 1 -2"), support_budget=8).value_dict() == {0: 2}
+    with pytest.raises(TangleBudgetExceeded, match="^8 states"):
+        invariant(parse_braid("3: 1 -2"), support_budget=7)
+    # cyclic reduction keeps the strands: 3: 1 -1 still has 8 columns
+    with pytest.raises(TangleBudgetExceeded, match="^8 states"):
+        invariant(parse_braid("3: 1 -1"), support_budget=7)
+    assert invariant(parse_braid("1:"), support_budget=2).value_dict() == {0: 2}
     with pytest.raises(TangleBudgetExceeded, match="^2 states"):
-        invariant(parse_braid("3: 1 -2"), support_budget=1)
+        invariant(parse_braid("1:"), support_budget=1)
 
 
 def test_sliced_fold_support_budget_stops_after_the_event():
@@ -520,17 +515,26 @@ def test_sliced_fold_support_budget_stops_after_the_event():
         evaluate_sliced(diagram, support_budget=3)
 
 
+# The signed braid relations sigma_i^a sigma_j^b sigma_i^c =
+# sigma_j^a' sigma_i^b' sigma_j^c' (|i - j| = 1), keyed by the signs
+# (a, b, c); (+ - +) and (- + -) have no such form.
+SIGNED_RELATIONS = {(1, 1, 1): (1, 1, 1), (-1, -1, -1): (-1, -1, -1),
+                    (1, 1, -1): (-1, 1, 1), (-1, 1, 1): (1, 1, -1),
+                    (1, -1, -1): (-1, -1, 1), (-1, -1, 1): (1, -1, -1)}
+
+
 def test_relation_table_has_the_six_signed_forms():
     signs = [(a, b, c) for a in (1, -1) for b in (1, -1) for c in (1, -1)]
-    assert sorted(_RELATIONS) == sorted(set(signs) - {(1, -1, 1), (-1, 1, -1)})
-    for key, image in _RELATIONS.items():
-        assert _RELATIONS[image] == key      # each rule read backwards
+    assert sorted(SIGNED_RELATIONS) == \
+        sorted(set(signs) - {(1, -1, 1), (-1, 1, -1)})
+    for key, image in SIGNED_RELATIONS.items():
+        assert SIGNED_RELATIONS[image] == key      # each rule read backwards
 
 
-@pytest.mark.parametrize("signs", sorted(_RELATIONS))
+@pytest.mark.parametrize("signs", sorted(SIGNED_RELATIONS))
 def test_each_signed_relation_keeps_the_unsimplified_trace(signs):
     a, b, c = signs
-    image = _RELATIONS[signs]
+    image = SIGNED_RELATIONS[signs]
     for i, j in ((1, 2), (2, 1)):
         left = (a * i, b * j, c * i)
         right = (image[0] * j, image[1] * i, image[2] * j)
@@ -541,140 +545,22 @@ def test_each_signed_relation_keeps_the_unsimplified_trace(signs):
                 trace(BraidWord(3, right + context)).value, (left, context)
 
 
-def test_braid_relation_guard_needs_inverse_and_yang_baxter_tables():
-    pos, neg = _event_table("pos"), _event_table("neg")
-    _braid_relations_checked.cache_clear()
-    _braid_relations_checked()
-    width, table = pos
-    doubled = dict(table)                # <v2 v1|c|v1 v2> alone made twice
-    ((row, coeff),) = table[(0, 1)]
-    doubled[(0, 1)] = ((row, {e: 2 * c for e, c in coeff.items()}),)
-    with replaced_tables(pos=(width, doubled)):
-        with pytest.raises(ValueError, match="does not undo"):
-            _braid_relations_checked()
-
-    def conjugated(crossing):
-        # by the diagonal map -1 on v1 (x) v2 and 1 elsewhere: still
-        # inverse to each other, but not of the form d (x) d
-        sign = {(0, 1): -1}
-        return width, {window: tuple(
-            (row, {e: c * sign.get(window, 1) * sign.get(row, 1)
-                   for e, c in coeff.items()}) for row, coeff in rows)
-            for window, rows in crossing[1].items()}
-    with replaced_tables(pos=conjugated(pos), neg=conjugated(neg)):
-        with pytest.raises(ValueError, match="braid relation"):
-            _braid_relations_checked()
-
-
-def test_braid_relation_guard_runs_on_the_first_relation_move_only():
-    _braid_relations_checked.cache_clear()
-    for text in ("2: 1 -1", "3: 1 -2 1 -2", "4: 1 1 3 3"):   # no relation
-        invariant(parse_braid(text))
-    assert _braid_relations_checked.cache_info().currsize == 0
-    invariant(parse_braid("3: 1 2 1 2"))
-    assert _braid_relations_checked.cache_info().currsize == 1
-
-
-@pytest.mark.parametrize("strands, braid, factor, moves, searched", [
-    (4, "2: 1 1 1 1", {-2: 1}, 2, 7),
-    (5, "2: 1 1 1 1 1", {-3: -1}, 4, 18),
-    (6, "2: 1 1 1 1 1 1", {-4: 1}, 6, 45),
-])
-def test_torus_braids_trace_at_two_strands(strands, braid, factor, moves,
-                                           searched):
-    # (sigma_1 ... sigma_(n-1))^2 closes to T(2, n): n - 2 positive
-    # destabilisations, each for -q^-1, leave sigma_1^n
-    text = f"{strands}: " + " ".join(map(str, list(range(1, strands)) * 2))
-    word = parse_braid(text)
-    assert _simplify_braid(word) == (parse_braid(braid), factor,
-                                     SimplifyStats(text, moves, searched, ()))
-    expected = {e - (strands - 2): c * (-1) ** strands
-                for e, c in torus_closed_form(strands).items()}
-    assert invariant(word).value_dict() == expected
-    if strands == 4:                     # 0.1 s as written; 5 strands 1 s
-        assert trace(word).value_dict() == expected
-
-
-def test_relation_search_is_bounded_and_keeps_what_it_cannot_shorten():
-    # alternating signs: every relation triple is (+ - +) or (- + -), so
-    # only far commutation applies and nothing shortens
-    for power, searched in ((3, 198), (4, _SEARCH_CAP)):
-        text = "5: " + " ".join(["1 -2 3 -4"] * power)
-        assert _simplify_braid(parse_braid(text)) == (
-            parse_braid(text), {0: 1}, SimplifyStats(text, 0, searched, ()))
-    assert _relation_search(5, (1, -2, 3, -4) * 4) == (None, 0, _SEARCH_CAP)
-    # sigma_1 sigma_2^-1 sigma_1 sigma_2 -> sigma_1 sigma_1 sigma_2 sigma_1^-1
-    # by (- + +) -> (+ + -) across the ends: sigma_2 then occurs once
-    assert _relation_search(3, (1, -2, 1, 2)) == ((1, 1, 2, -1), 1, 2)
-
-
-@pytest.mark.parametrize("text, found, moves, reached", [
-    ("3: 1 1 2 1 -2", (1, 2, 1, 2, -2), 1, 2),    # after a relation, right
-    ("3: 1 2 -1 -1 -2", (-2, 2, -1, 2, -1), 1, 3),  # after a relation, left
-    ("4: 1 3 -1 3", (3, 1, -1, 3), 0, 2),          # after commuting, right
-    ("4: 1 3 1 -3", (3, 1, 1, -3), 0, 2),          # left, across the ends
-])
-def test_relation_search_stops_at_a_new_inverse_pair(text, found, moves,
-                                                     reached):
-    # sigma_1 and sigma_(n-1) still occur twice or more in each found word
-    word = parse_braid(text)
-    assert _relation_search(word.strands, word.letters) == \
-        (found, moves, reached)
-    assert invariant(word).value == trace(word).value
-
-
-@pytest.mark.parametrize("how", ["doubled", "moved"])
-def test_cut_needs_a_scalar_left_partial_trace(how):
-    for kind, sign in (("pos", 1), ("neg", -1)):
-        piece = (sign, sign, sign)
-        word = BraidWord(3, piece + (2 * sign, 2 * sign))
-        with replaced_tables(**{kind: perturbed(kind, how)}):
-            if how == "moved":
-                # a table that does not keep the weights admits no cut
-                with pytest.raises(ValueError, match="cyclic"):
-                    _closed_off(2, piece, DEFAULT_SUPPORT_BUDGET)
-                with pytest.raises(ValueError, match="cyclic"):
-                    _simplify_braid(word)
-                continue
-            assert _closed_off(2, piece, DEFAULT_SUPPORT_BUDGET) is None
-            # the word is left to the search, which finds nothing, and traced
-            assert _simplify_braid(word) == (
-                word, {0: 1}, SimplifyStats(str(word), 0, 1, ()))
-    assert _closed_off(2, (1, 1, 1), DEFAULT_SUPPORT_BUDGET) == {-3: -1}
-
-
-def test_cut_point_finds_the_first_strand_with_one_block_each():
-    assert _cut_point(3, [1, 1, 2, 2]) == (2, [1, 1], [2, 2])
-    # rotated to the start of the sigma_1 block, sigma_3 kept in place
-    assert _cut_point(4, [3, 2, 1, 3, -1, 2, 3]) == (
-        2, [1, -1], [3, 2, 3, 3, 2])
-    assert _cut_point(3, [1, -2, 1, -2]) is None
-    # no sigma_3: the split union is cut at strand 3, after 1 -2 1 -2
-    assert _cut_point(6, [4, 1, -2, -5, 1, -2, 4, -5]) == (
-        3, [1, -2, 1, -2], [4, -5, 4, -5])
-    assert _cut_point(4, [1, 2, 3, 1, 2, 3]) is None
-
-
 @pytest.mark.parametrize("seed", range(3))
 def test_closed_off_piece_is_half_its_closure(seed):
-    # a (1,1)-tangle of the simple module acts as a scalar, and closing
-    # its last strand multiplies that scalar by the loop value 2
+    # a (1,1)-tangle of the simple module acts as a scalar, half the value
+    # of its closure: a braid A on strands 1..a followed by B on a..n
+    # closes to a connected sum, whose value is half the product of theirs
     rng = random.Random(seed)
-    for strands, count in ((1, 1), (2, 4), (3, 4), (4, 1)):
-        for _ in range(count):
-            letters = tuple(rng.choice((1, -1)) * rng.randint(1, strands - 1)
-                            for _ in range(rng.randint(0, 5) if strands > 1 else 0))
-            scalar = _closed_off(strands, letters, DEFAULT_SUPPORT_BUDGET)
-            assert {e: 2 * c for e, c in scalar.items()} == \
-                value_of(str(BraidWord(strands, letters))), letters
 
-
-def test_cut_pieces_stay_within_a_support_budget_the_whole_trace_exceeds():
-    word = parse_braid("6: 1 -2 1 -2 4 -5 4 -5")
-    result = invariant(word, support_budget=2000)
-    assert (result.canonical(), result.simplify.cuts) == \
-        ("4", ("3: 1 -2 1 -2",))
-    with pytest.raises(TangleBudgetExceeded):
-        trace(word, support_budget=2000)
-    with pytest.raises(TangleBudgetExceeded):
-        invariant(word, support_budget=1000)
+    def piece(strands):
+        return tuple(rng.choice((1, -1)) * rng.randint(1, strands - 1)
+                     for _ in range(rng.randint(0, 5) if strands > 1 else 0))
+    for _ in range(5):
+        a, b = rng.randint(1, 4), rng.randint(1, 3)
+        first, second = piece(a), piece(b)
+        joined = BraidWord(a + b - 1, first + tuple(
+            k + a - 1 if k > 0 else k - a + 1 for k in second))
+        product = laurent_product(invariant(BraidWord(a, first)).value_dict(),
+                                  invariant(BraidWord(b, second)).value_dict())
+        assert {e: 2 * c for e, c in invariant(joined).value_dict().items()} \
+            == product, joined

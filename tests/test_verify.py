@@ -3,7 +3,7 @@ from d21link.tangle import trace
 
 
 def test_skein_suite_traces_each_presentation_as_written(monkeypatch):
-    # simplified first, every presentation of a group would be one braid
+    # reduced first, the hopf and trefoil groups would each be one braid
     traced = []
 
     def recording(word, *budgets):
