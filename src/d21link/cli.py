@@ -19,7 +19,9 @@ cohomology of the odd generator E_1: its 2^n start columns in
 entry of the ``"trace"`` key: ``"peak_support"`` and
 ``"columns_evaluated"`` are its 2^n columns, one state each, in one block
 (``"blocks"``, ``"peak_block_support"``), of the 6^n ``"columns"`` of the
-trace.
+trace.  ``dubrovnik --json`` adds a ``"stats"`` key with the counts of the
+skein recursion: ``"nodes"``, ``"memo_hits"``, ``"curls_removed"`` and
+``"bigons_removed"``.
 
 The environment variable ``D21LINK_SKEIN_BUDGET`` overrides the crossing
 and strand budget of the skein oracle (default 16),
@@ -112,14 +114,16 @@ def _cmd_invariant(args: argparse.Namespace) -> int:
 def _cmd_dubrovnik(args: argparse.Namespace) -> int:
     budget = _skein_budget()
     graph = dubrovnik.braid_closure_graph(parse_braid(args.braid), budget)
-    poly = dubrovnik.dubrovnik_poly(graph, budget)
+    stats = {} if args.json else None
+    poly = dubrovnik.dubrovnik_poly(graph, budget, stats=stats)
     if args.specialize:
         rendered = format_q_laurent(dubrovnik.specialize(poly))
     else:
         rendered = poly.canonical()
     if args.json:
         print(json.dumps({"value": rendered,
-                          "specialized": bool(args.specialize)}, indent=2))
+                          "specialized": bool(args.specialize),
+                          "stats": stats}, indent=2))
     else:
         print(rendered)
     return 0

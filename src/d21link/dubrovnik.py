@@ -27,10 +27,15 @@ is Kauffman's switching recursion:
 
 Crossing ports sit at SW=0, SE=1, NE=2, NW=3 of a braid-style box; a
 positive braid letter yields a crossing whose over-strand is the SW-NE
-diagonal.  Results are memoized per evaluation on the traversal signature
-of the simplified diagram, which reconstructs it up to crossing relabeling.
-The budget bounds the strands, before any graph is built, and the crossings
-of the input diagram, before any simplification.
+diagonal.  Values are memoized on the traversal signature of the simplified
+diagram, which reconstructs it up to crossing relabeling.  The memo is
+process-wide: a diagram's value depends on the diagram alone, never on the
+word, the budget or the evaluation it came from, so an entry stored by one
+evaluation is sound for every later one, and the torus-link subdiagrams
+that a batch of closures keeps meeting are evaluated once.  It is bounded:
+an evaluation that starts with more than :data:`MEMO_CAP` entries clears
+it first.  The budget bounds the strands, before any graph is built, and
+the crossings of the input diagram, before any simplification or lookup.
 """
 
 from __future__ import annotations
@@ -42,6 +47,10 @@ from typing import Dict, List, Optional, Tuple
 from .ring import NotLaurentInQ, excerpt, format_laurent, format_q_laurent
 
 DEFAULT_BUDGET = 16
+# Most memo entries one evaluation starts from; more, and it clears the memo.
+MEMO_CAP = 4096
+# Branch values by the signature of their simplified diagram, across calls.
+_memo: Dict[tuple, TwoVarPoly] = {}
 
 # Port coordinates in the crossing box, used for self-crossing signs.
 _PORT_POS = {0: (-1, -1), 1: (1, -1), 2: (1, 1), 3: (-1, 1)}
@@ -288,14 +297,15 @@ def _analyze(graph: LinkGraph):
     return len(components), first_bad, self_writhe, signature
 
 
-def _simplify(graph: LinkGraph) -> int:
+def _simplify(graph: LinkGraph, stats: Optional[Dict[str, int]] = None) -> int:
     """Reidemeister I and II in place until neither applies; returns the
     a-exponent that the removed curls contribute to the value.
 
     A curl (adjacent slots of one crossing joined by an edge) factors out
     a^{sign}; a bigon whose strands are over, resp. under, at both of its
     crossings cancels.  Either way the crossings go with both strands
-    running straight on.
+    running straight on.  ``stats``, when given, counts the curls and the
+    bigons removed.
     """
     partner, over_diag = graph.partner, graph.over_diag
     shift, moved = 0, True
@@ -317,11 +327,15 @@ def _simplify(graph: LinkGraph) -> int:
                         over, under = under, over
                     shift += _sign(over, under)
                     graph._remove(cid, _STRAIGHT)
+                    if stats is not None:
+                        stats["curls_removed"] += 1
                 # bigon: the edges at s and s-1 both run to ``other``
                 elif (partner[base + ((s - 1) & 3)] == 4 * other + ((t + 1) & 3)
                       and ((s & 1) == diag) == ((t & 1) == over_diag[other])):
                     graph._remove(cid, _STRAIGHT)
                     graph._remove(other, _STRAIGHT)
+                    if stats is not None:
+                        stats["bigons_removed"] += 1
                 else:
                     continue
                 moved = True
@@ -330,24 +344,45 @@ def _simplify(graph: LinkGraph) -> int:
 
 
 def dubrovnik_poly(graph: LinkGraph, budget: int = DEFAULT_BUDGET,
-                   use_cache: bool = True) -> TwoVarPoly:
-    """Kauffman's switching recursion; exact value in Z[a^{+-1}, z^{+-1}]."""
+                   use_cache: bool = True,
+                   stats: Optional[Dict[str, int]] = None) -> TwoVarPoly:
+    """Kauffman's switching recursion; exact value in Z[a^{+-1}, z^{+-1}].
+
+    With ``use_cache`` the recursion reads and writes the process-wide memo,
+    which it first clears if it holds more than :data:`MEMO_CAP` entries,
+    so between calls it keeps at most that many; within one call it grows
+    with the diagram.  Sharing is sound because a signature rebuilds its
+    diagram up to relabeling and the value is the diagram's alone, and safe
+    across threads because values are never mutated: a clear from another
+    thread only costs a recomputation.  Without ``use_cache`` the recursion
+    neither reads nor writes the memo.  ``stats``, when given, is filled
+    with the recursion ``nodes`` (diagrams visited), the ``memo_hits`` and
+    the curls and bigons removed.
+    """
     crossings = graph.crossing_count()
     if crossings > budget:
         raise SkeinBudgetExceeded(
             f"{excerpt(crossings)} crossings exceed the budget {budget}")
-    memo: Dict[tuple, TwoVarPoly] = {}
+    memo = _memo if use_cache else None
+    if memo is not None and len(memo) > MEMO_CAP:
+        memo.clear()
+    if stats is not None:
+        stats.update(nodes=0, memo_hits=0, curls_removed=0, bigons_removed=0)
 
     def recurse(g: LinkGraph) -> TwoVarPoly:
-        shift = _simplify(g)
+        if stats is not None:
+            stats["nodes"] += 1
+        shift = _simplify(g, stats)
         value = branch(g)
         return TwoVarPoly.monomial(shift, 0) * value if shift else value
 
     def branch(g: LinkGraph) -> TwoVarPoly:
         ncomp, first_bad, writhe, signature = _analyze(g)
-        if use_cache:
+        if memo is not None:
             hit = memo.get(signature)
             if hit is not None:
+                if stats is not None:
+                    stats["memo_hits"] += 1
                 return hit
         if first_bad is None:
             circles = ncomp + g.free_loops
@@ -361,7 +396,7 @@ def dubrovnik_poly(graph: LinkGraph, budget: int = DEFAULT_BUDGET,
             turnback = recurse(g.smoothed(first_bad, "turnback"))
             correction = TV_Z * (vertical - turnback)
             value = switched - correction if sign_flip else switched + correction
-        if use_cache:
+        if memo is not None:
             memo[signature] = value
         return value
 

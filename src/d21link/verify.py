@@ -241,7 +241,7 @@ def skein_suite(budget: int = dubrovnik.DEFAULT_BUDGET,
         "split-union-product", both == square,
         "" if both == square else "product rule failed"))
 
-    note("re-running a comparison with the memo cache disabled")
+    note("comparing the warm shared skein memo with a cold, memo-free run")
     word = parse_braid("2: 1 1 1")
     graph = dubrovnik.braid_closure_graph(word, budget)
     cached = dubrovnik.dubrovnik_poly(graph, budget, use_cache=True)

@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+from d21link import dubrovnik
 from d21link.cli import main
 from d21link.tangle import braid_closure_slices, parse_braid
 
@@ -67,6 +68,31 @@ def test_dubrovnik_outputs(capsys):
     code, out, _ = run_cli(capsys, "dubrovnik", "--braid", "2: 1 1")
     assert code == 0
     assert out == "-a^-1*z^-1 - a^-1*z + 1 + a*z^-1 + a*z\n"
+
+
+def test_dubrovnik_json_adds_the_recursion_stats(capsys, monkeypatch):
+    # an empty memo, as in a fresh process
+    monkeypatch.setattr(dubrovnik, "_memo", {})
+    for word, stats in (("2: 1 1 1", {"nodes": 7, "memo_hits": 3,
+                                      "curls_removed": 5, "bigons_removed": 2}),
+                        ("3: 1 -2 1 -2", {"nodes": 10, "memo_hits": 5,
+                                          "curls_removed": 8,
+                                          "bigons_removed": 3})):
+        dubrovnik._memo.clear()
+        code, text, _ = run_cli(capsys, "dubrovnik", "--braid", word)
+        assert code == 0
+        dubrovnik._memo.clear()
+        code, out, _ = run_cli(capsys, "dubrovnik", "--braid", word, "--json")
+        assert code == 0
+        payload = json.loads(out)
+        assert list(payload) == ["value", "specialized", "stats"]
+        assert payload["value"] + "\n" == text
+        assert payload["stats"] == stats
+    # a second evaluation of the same diagram is one memo hit
+    code, out, _ = run_cli(capsys, "dubrovnik", "--braid", "3: 1 -2 1 -2",
+                           "--json")
+    assert json.loads(out)["stats"] == {"nodes": 1, "memo_hits": 1,
+                                        "curls_removed": 0, "bigons_removed": 0}
 
 
 def test_braiding_csv_shapes(capsys):

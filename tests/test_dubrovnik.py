@@ -8,14 +8,17 @@ from pathlib import Path
 
 import pytest
 
+from d21link import dubrovnik
 from d21link.cli import main
 from d21link.dubrovnik import (DELTA, LinkGraph, SkeinBudgetExceeded, TV_ONE,
-                               TwoVarPoly, _simplify, braid_closure_graph,
-                               dubrovnik_poly, orientation_sum, specialize)
+                               TwoVarPoly, _analyze, _simplify,
+                               braid_closure_graph, dubrovnik_poly,
+                               orientation_sum, specialize)
 from d21link.ring import NotLaurentInQ
 from d21link.tangle import BraidWord, parse_braid
 from d21link.verify import compare
 from helpers import plain_dubrovnik, torus_closed_form
+from test_generated import WORDS
 
 TV_A = TwoVarPoly.monomial(1, 0)
 TV_A_INV = TwoVarPoly.monomial(-1, 0)
@@ -139,6 +142,60 @@ def test_memoization_soundness():
         graph = braid_closure_graph(parse_braid(text))
         assert dubrovnik_poly(graph, use_cache=True) == \
             dubrovnik_poly(graph, use_cache=False)
+
+
+@pytest.fixture
+def cold_memo():
+    """The process-wide skein memo, empty at the start and at the end."""
+    dubrovnik._memo.clear()
+    yield dubrovnik._memo
+    dubrovnik._memo.clear()
+
+
+def test_shared_memo_gives_the_same_values_in_any_order(cold_memo):
+    graphs = [braid_closure_graph(word) for word in WORDS]
+    expected = [plain_dubrovnik(graph) for graph in graphs]
+    assert [dubrovnik_poly(graph) for graph in graphs] == expected
+    assert cold_memo
+    cold_memo.clear()
+    backward = [dubrovnik_poly(graph) for graph in reversed(graphs)]
+    assert backward[::-1] == expected
+    size = len(cold_memo)
+    assert [dubrovnik_poly(graph, use_cache=False) for graph in graphs] == \
+        expected
+    assert len(cold_memo) == size
+
+
+def test_shared_memo_is_read_with_the_cache_and_ignored_without(cold_memo):
+    # the trefoil closure has nothing to simplify, so its own signature is
+    # the first lookup
+    graph = braid_closure_graph(parse_braid("2: 1 1 1"))
+    wrong = TwoVarPoly.monomial(7, 7)
+    cold_memo[_analyze(graph)[3]] = wrong
+    assert dubrovnik_poly(graph) == wrong
+    assert dubrovnik_poly(graph, use_cache=False) == plain_dubrovnik(graph)
+    assert cold_memo == {_analyze(graph)[3]: wrong}
+
+
+def test_shared_memo_keeps_at_most_the_cap_between_calls(cold_memo,
+                                                         monkeypatch):
+    cap = 8
+    monkeypatch.setattr(dubrovnik, "MEMO_CAP", cap)
+    rng = random.Random(1801)
+    words = set()
+    while len(words) < 30:
+        words.add(BraidWord(2, tuple(rng.choice((1, -1))
+                                     for _ in range(rng.randint(4, 9)))))
+    cleared = 0
+    for word in sorted(words, key=str):
+        before, stats = len(cold_memo), {}
+        dubrovnik_poly(braid_closure_graph(word), stats=stats)
+        # each visited diagram stores at most one entry, so the memo holds
+        # at most the cap plus this call's own entries
+        assert len(cold_memo) <= (stats["nodes"] if before > cap
+                                  else before + stats["nodes"])
+        cleared += before > cap
+    assert cleared
 
 
 def test_budget_guard():

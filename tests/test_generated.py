@@ -294,7 +294,8 @@ def test_invariant_traces_the_cyclically_reduced_word():
 
 
 @pytest.mark.parametrize("strands, most_letters", [(2, 8), (3, 4)])
-def test_simplified_braid_matches_the_unsimplified_trace(strands, most_letters):
+def test_reduced_trace_of_every_short_word_matches_the_full_trace(
+        strands, most_letters):
     # every word of up to 8 letters on 2 strands and of up to 4 on 3: the
     # seeded words are compared in test_trace_matches_the_sliced_fold_...
     for word in all_words(strands, most_letters):

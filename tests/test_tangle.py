@@ -677,7 +677,7 @@ def test_each_signed_relation_keeps_the_unsimplified_trace(signs):
 
 
 @pytest.mark.parametrize("seed", range(3))
-def test_closed_off_piece_is_half_its_closure(seed):
+def test_connected_sum_is_half_the_product_of_its_pieces(seed):
     # a (1,1)-tangle of the simple module acts as a scalar, half the value
     # of its closure: a braid A on strands 1..a followed by B on a..n
     # closes to a connected sum, whose value is half the product of theirs
