@@ -33,12 +33,28 @@ and ``D21LINK_SUPPORT_BUDGET`` the most states the braid trace of
 must be an integer of at least 1.
 Exit status is 0 on success and, for ``verify``, iff every check passes;
 bad input (a bad budget variable included) or an exceeded budget exits 2.
+
+Each command is a one-shot process: the installed ``d21link`` script and
+``python -m d21link.cli`` run :func:`run`, which switches the cyclic
+garbage collector off (``python -m`` does so before the layers import)
+and, once :func:`main` returns, freezes the heap with ``gc.freeze()`` so
+that the collection at interpreter exit skips it; the exit status is
+:func:`main`'s.  This is safe because the package makes no reference
+cycles on its hot paths: every object a command builds is freed by
+reference counting or lives until the process exits, which it does right
+after the command.  :func:`main` itself leaves the collector alone, so
+library callers, the tests and anything else that calls it in process
+keep their own GC settings.
 """
 
 from __future__ import annotations
 
+import gc
+
+if __name__ == "__main__":
+    gc.disable()    # before the layers import; see run()
+
 import argparse
-import json
 import os
 import sys
 from typing import List, Optional
@@ -85,6 +101,11 @@ def _support_budget() -> int:
     return _budget("D21LINK_SUPPORT_BUDGET", DEFAULT_SUPPORT_BUDGET)
 
 
+def _print_json(payload) -> None:
+    import json     # loaded by the commands that write JSON only
+    print(json.dumps(payload, indent=2))
+
+
 def _cmd_invariant(args: argparse.Namespace) -> int:
     budget = _tangle_budget()
     if args.braid is not None:
@@ -105,7 +126,7 @@ def _cmd_invariant(args: argparse.Namespace) -> int:
         }
         if result.trace is not None:
             payload["trace"] = result.trace._asdict()
-        print(json.dumps(payload, indent=2))
+        _print_json(payload)
     else:
         print(result.canonical())
     return 0
@@ -121,9 +142,9 @@ def _cmd_dubrovnik(args: argparse.Namespace) -> int:
     else:
         rendered = poly.canonical()
     if args.json:
-        print(json.dumps({"value": rendered,
-                          "specialized": bool(args.specialize),
-                          "stats": stats}, indent=2))
+        _print_json({"value": rendered,
+                     "specialized": bool(args.specialize),
+                     "stats": stats})
     else:
         print(rendered)
     return 0
@@ -152,7 +173,7 @@ def _cmd_braiding(args: argparse.Namespace) -> int:
             "c": _matrix_strings(rows),
         }
     if args.format == "json":
-        print(json.dumps(blocks, indent=2))
+        _print_json(blocks)
     elif args.format == "csv":
         for key in blocks:
             if key.endswith("basis"):
@@ -180,8 +201,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                          tangle_budget=_tangle_budget())
     ok = all(report.ok for report in reports)
     if args.json:
-        print(json.dumps({"ok": ok,
-                          "suites": [r.as_dict() for r in reports]}, indent=2))
+        _print_json({"ok": ok, "suites": [r.as_dict() for r in reports]})
     else:
         for report in reports:
             for line in report.lines(verbose=args.verbose):
@@ -241,5 +261,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
 
 
+def run() -> int:
+    """The process entry of ``d21link`` and ``python -m d21link.cli``:
+    :func:`main` with the cyclic collector off, its heap frozen after it."""
+    gc.disable()
+    status = main()
+    gc.freeze()     # the collection at interpreter exit skips this heap
+    return status
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

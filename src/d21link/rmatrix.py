@@ -231,6 +231,8 @@ _SYMBOLS = {"q": RF_Q, "l": RF_LAMBDA}
 def _parse_reference_entry(text: str) -> RatFunc:
     """A signed sum of products of integers, ``q`` and ``l`` with optional
     ``**k`` powers, each product optionally divided by ``q``."""
+    if text == "0":     # most cells of the frozen tables
+        return RF_ZERO
     if not _ENTRY.fullmatch(text):
         raise ValueError(f"unsupported reference entry {text!r}")
     total = RF_ZERO

@@ -1,11 +1,18 @@
+import gc
 import json
+import os
+import re
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from d21link import dubrovnik
 from d21link.cli import main
 from d21link.tangle import braid_closure_slices, parse_braid
+from test_transcript import BUDGET_VARIABLES
 
 
 def run_cli(capsys, *argv):
@@ -338,3 +345,111 @@ def test_usage_error_for_unknown_suite(capsys):
     with pytest.raises(SystemExit):
         main(["verify", "--suite", "nonsense"])
     assert "invalid choice" in capsys.readouterr().err
+
+
+# -- the process entry --------------------------------------------------------
+
+ROOT = Path(__file__).parents[1]
+
+
+def console_script():
+    """The ``d21link`` target of ``[project.scripts]``, as (module, function)."""
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    return re.search(r'^d21link = "([\w.]+):(\w+)"$', text, re.M).groups()
+
+
+def entry_commands():
+    """``python -m d21link.cli`` and a stand-in for the installed script,
+    which imports the target and exits with what it returns."""
+    module, function = console_script()
+    return {"python -m": [sys.executable, "-m", "d21link.cli"],
+            "console script": [sys.executable, "-c",
+                               f"import sys; from {module} import {function}; "
+                               f"sys.exit({function}())"]}
+
+
+def run_process(command, argv, cwd, env_extra=None):
+    env = {k: v for k, v in os.environ.items() if k not in BUDGET_VARIABLES}
+    env.update(env_extra or {}, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([*command, *argv], cwd=cwd, env=env,
+                          capture_output=True, encoding="utf-8", timeout=120)
+    return done.returncode, done.stdout, done.stderr
+
+
+# argv, budget variables set, exit status
+ENTRY_CASES = {
+    "invariant-json": (("invariant", "--braid", "3: 1 -2 1 -2", "--json"), {}, 0),
+    "invariant-sliced": (("invariant", "--sliced", "closure.txt"), {}, 0),
+    "dubrovnik-json": (("dubrovnik", "--braid", "3: 1 -2 1 -2", "--json"), {}, 0),
+    "braiding-json-split": (("braiding", "--format", "json", "--split"), {}, 0),
+    "verify-relations": (("verify", "--suite", "relations"), {}, 0),
+    "malformed-braid": (("invariant", "--braid", "2: x"), {}, 2),
+    "bad-budget": (("dubrovnik", "--braid", "2: 1 1"),
+                   {"D21LINK_SKEIN_BUDGET": "abc"}, 2),
+}
+
+
+@pytest.mark.parametrize("case", list(ENTRY_CASES))
+def test_process_entries_match_main_in_process(case, capsys, monkeypatch,
+                                               tmp_path):
+    argv, env_extra, status = ENTRY_CASES[case]
+    diagram = braid_closure_slices(parse_braid("3: 1 -2 1 -2 1"))
+    (tmp_path / "closure.txt").write_text(
+        "".join(f"{event.kind} {event.position}\n" for event in diagram.events),
+        encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    for variable in BUDGET_VARIABLES:
+        monkeypatch.delenv(variable, raising=False)
+    for variable, value in env_extra.items():
+        monkeypatch.setenv(variable, value)
+    monkeypatch.setattr(dubrovnik, "_memo", {})     # as in a fresh process
+    expected = run_cli(capsys, *argv)
+    assert expected[0] == status
+    for name, command in entry_commands().items():
+        assert run_process(command, argv, tmp_path, env_extra) == expected, name
+
+
+def test_main_leaves_the_collector_alone(capsys):
+    enabled, frozen = gc.isenabled(), gc.get_freeze_count()
+    try:
+        for state in (False, True):
+            (gc.enable if state else gc.disable)()
+            assert run_cli(capsys, "invariant", "--braid", "2: 1 1 1") == (
+                0, "-2*q^-3\n", "")
+            assert gc.isenabled() is state
+            assert gc.get_freeze_count() == frozen
+    finally:
+        (gc.enable if enabled else gc.disable)()
+
+
+def test_process_entries_run_without_a_collection(tmp_path):
+    # collections while code of cli.py runs (its imports included), counted
+    # from before ``python -m`` loads it or from just before the installed
+    # script's function runs; then the collector state the entry leaves
+    cli = str(ROOT / "src" / "d21link" / "cli.py")
+    count = ("import gc, sys\n"
+             "runs = []\n"
+             "def seen(phase, info):\n"
+             "    frame = sys._getframe().f_back\n"
+             "    while frame is not None and phase == 'start':\n"
+             f"        if frame.f_code.co_filename == {cli!r}:\n"
+             "            return runs.append(info)\n"
+             "        frame = frame.f_back\n"
+             "gc.callbacks.append(seen)\n")
+    report = ("print(status, len(runs), gc.isenabled(),"
+              " gc.get_freeze_count() > 0, file=sys.stderr)\n")
+    module, function = console_script()
+    scripts = {
+        "python -m": "import runpy\n" + count + (
+            "sys.argv = ['d21link', *sys.argv[1:]]\n"
+            "try:\n"
+            "    runpy.run_module('d21link.cli', run_name='__main__')\n"
+            "except SystemExit as exit:\n"
+            "    status = exit.code\n") + report,
+        "console script": (f"from {module} import {function}\n" + count +
+                           f"status = {function}()\n" + report)}
+    for name, script in scripts.items():
+        code, out, err = run_process([sys.executable, "-c", script],
+                                     ["verify", "--suite", "all"], tmp_path)
+        assert (code, out.splitlines()[-1], err) == (
+            0, "overall: PASS", "0 0 False True\n"), name

@@ -383,3 +383,5 @@ def test_pipelines_stay_independent_at_import_time():
         "dubrovnik", "verify")} <= cli_side
     # nor ``fractions`` and ``decimal``: the ring has int coefficients only
     assert not cli_side & {"dataclasses", "inspect", "fractions", "decimal"}
+    # ``json`` loads only when a command writes JSON
+    assert "json" not in cli_side

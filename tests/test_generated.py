@@ -266,7 +266,7 @@ RELATION_WORDS = relation_words(2026)
 
 
 @pytest.mark.parametrize("strands", [3, 4, 5, 6])
-def test_relation_search_keeps_the_unsimplified_trace(strands):
+def test_reduced_trace_equals_the_6n_trace_on_relation_words(strands):
     for word in (word for word in RELATION_WORDS if word.strands == strands):
         assert invariant(word).value == trace(word).value, word
 
