@@ -11,6 +11,7 @@ Importing the package loads no submodule; import the one you need
 (``d21link.tangle``, ``d21link.dubrovnik``, ...), so that the skein oracle
 can be loaded without the braiding side.  ``d21link.braiding`` is kept as a
 shortcut for :func:`d21link.rmatrix.braiding`, looked up on each access.
+:func:`run` is the installed ``d21link`` script.
 """
 
 __version__ = "0.1.0"
@@ -23,3 +24,13 @@ def __getattr__(name):
         from .rmatrix import braiding
         return braiding
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def run() -> int:
+    """The installed ``d21link`` script: :func:`d21link.cli.run`, with the
+    cyclic collector switched off before ``d21link.cli`` imports the
+    layers, as ``python -m d21link.cli`` does."""
+    import gc
+    gc.disable()
+    from . import cli
+    return cli.run()

@@ -21,7 +21,9 @@ entry of the ``"trace"`` key: ``"peak_support"`` and
 (``"blocks"``, ``"peak_block_support"``), of the 6^n ``"columns"`` of the
 trace.  ``dubrovnik --json`` adds a ``"stats"`` key with the counts of the
 skein recursion: ``"nodes"``, ``"memo_hits"``, ``"curls_removed"`` and
-``"bigons_removed"``.
+``"bigons_removed"``.  ``verify -v`` streams a progress line per check
+group and one with each suite's wall seconds, to stdout, or to stderr
+under ``--json``.
 
 The environment variable ``D21LINK_SKEIN_BUDGET`` overrides the crossing
 and strand budget of the skein oracle (default 16),
@@ -34,17 +36,17 @@ must be an integer of at least 1.
 Exit status is 0 on success and, for ``verify``, iff every check passes;
 bad input (a bad budget variable included) or an exceeded budget exits 2.
 
-Each command is a one-shot process: the installed ``d21link`` script and
-``python -m d21link.cli`` run :func:`run`, which switches the cyclic
-garbage collector off (``python -m`` does so before the layers import)
-and, once :func:`main` returns, freezes the heap with ``gc.freeze()`` so
-that the collection at interpreter exit skips it; the exit status is
-:func:`main`'s.  This is safe because the package makes no reference
-cycles on its hot paths: every object a command builds is freed by
-reference counting or lives until the process exits, which it does right
-after the command.  :func:`main` itself leaves the collector alone, so
-library callers, the tests and anything else that calls it in process
-keep their own GC settings.
+Each command is a one-shot process: ``python -m d21link.cli`` and the
+installed ``d21link`` script (through :func:`d21link.run`) run
+:func:`run`, which switches the cyclic garbage collector off (both entries
+do so before the layers import) and, once :func:`main` returns, freezes
+the heap with ``gc.freeze()`` so that the collection at interpreter exit
+skips it; the exit status is :func:`main`'s.  This is safe because the
+package makes no reference cycles on its hot paths: every object a command
+builds is freed by reference counting or lives until the process exits,
+which it does right after the command.  :func:`main` itself leaves the
+collector alone, so library callers, the tests and anything else that
+calls it in process keep their own GC settings.
 """
 
 from __future__ import annotations

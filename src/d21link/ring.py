@@ -5,7 +5,14 @@ with integer coefficients, and over reduced fractions of such polynomials.
 Its entries are then read out as integer Laurent polynomials in q by
 :func:`to_integer_laurent`; the tangle fold runs on those alone and the skein
 oracle on ``int`` coefficients, so :class:`RatFunc` serves only the braiding
-construction and its verification.
+construction and its verification.  There it is the entry type of the
+graded maps, but real denominators occur only in the pairing constants
+phi_i, the coefficients 1/((n)_c! phi_i^n) of the exponential factors and
+the maps built from them, and the relation
+[E_i, F_i] = (K_i - K_i^-1)/(q^d_i - q^-d_i) that the relation suite checks;
+the exact linear algebra of :mod:`d21link.superlinalg` eliminates on integer
+Laurent polynomials and forms fractions only in an inverse's final
+divisions by its pivots.
 A :class:`QuarterLaurent` stores a finite map ``exponent -> coefficient``
 where the integer exponent ``e`` encodes the monomial t^e = q^{e/4}; a plain
 power q^k therefore sits at exponent 4k.  Working on the quarter-exponent

@@ -7,7 +7,8 @@ and curl identities, twist square, naturality), ``skein`` (cross-validation
 of the two invariant pipelines over the diagram corpus, the invariant
 against the orientation sum on the corpus and on two words of 200 letters,
 presentation independence of the unreduced trace, mirror symmetry, split
-unions).  ``all`` runs everything.
+unions).  ``all`` runs everything.  With a ``progress`` callback,
+:func:`run_suites` also reports each suite's wall seconds through it.
 
 :func:`compare` and :func:`compare_orientation_sum` are the only places
 where the two pipelines meet: the tangle side and the skein oracle
@@ -18,6 +19,7 @@ braiding side) each evaluate the same closed braid.
 from __future__ import annotations
 
 import random
+import time
 from typing import Callable, List, Optional
 
 from .report import CheckResult, Report
@@ -261,7 +263,16 @@ def run_suites(name: str, budget: int = dubrovnik.DEFAULT_BUDGET,
         "skein": lambda: skein_suite(budget, progress, tangle_budget),
     }
     if name == "all":
-        return [run() for run in suites.values()]
-    if name not in suites:
+        names = list(suites)
+    elif name in suites:
+        names = [name]
+    else:
         raise ValueError(f"unknown suite {name!r}")
-    return [suites[name]()]
+    reports = []
+    for suite in names:
+        start = time.perf_counter()
+        reports.append(suites[suite]())
+        if progress is not None:
+            progress(f"suite {suite} ran in "
+                     f"{time.perf_counter() - start:.4f} s")
+    return reports

@@ -3,7 +3,7 @@
 import random
 
 from d21link.dubrovnik import DELTA, TV_Z, TwoVarPoly, _analyze
-from d21link.ring import QuarterLaurent, RatFunc
+from d21link.ring import RF_ZERO, QuarterLaurent, RatFunc
 from d21link.superlinalg import SuperMap, SuperSpace
 
 
@@ -59,6 +59,62 @@ def random_homogeneous_map(rng: random.Random, space: SuperSpace,
                 if coeff:
                     entries[(row, col)] = RatFunc.constant(coeff)
     return SuperMap(space, space, entries, parity)
+
+
+def fraction_rank(op: SuperMap) -> int:
+    """Rank by Gaussian elimination over the fraction field, every entry a
+    reduced RatFunc and every step a division by the pivot: the reference
+    for the division-free sweep of ``superlinalg``."""
+    rows = [{} for _ in range(op.codomain.dim)]
+    for (row, col), value in op.entries.items():
+        rows[row][col] = value
+    rank = 0
+    for col in range(op.domain.dim):
+        index = next((i for i, row in enumerate(rows) if col in row), None)
+        if index is None:
+            continue
+        pivot_row = rows.pop(index)
+        rank += 1
+        for row in rows:
+            coeff = row.get(col)
+            if coeff is None:
+                continue
+            factor = coeff / pivot_row[col]
+            for c, v in pivot_row.items():
+                acc = row.get(c, RF_ZERO) - factor * v
+                if acc.is_zero():
+                    row.pop(c, None)
+                else:
+                    row[c] = acc
+    return rank
+
+
+# denominators of the kinds the braiding meets: integers, q - q^-1, and
+# quantum integers, in t = q^(1/4)
+DENOMINATORS = tuple(QuarterLaurent(terms) for terms in (
+    {0: 2}, {0: 3}, {4: 1, -4: -1}, {0: 1, 8: 1}, {-8: 1, 0: 1, 8: 1}))
+
+
+def random_sparse_map(rng: random.Random, domain: SuperSpace,
+                      codomain: SuperSpace, density: float = 0.5,
+                      fractions: float = 0.3) -> SuperMap:
+    """An even map with random Laurent entries in the parity blocks, a
+    share ``fractions`` of them over one of the ``DENOMINATORS``; rows and
+    columns may be empty."""
+    entries = {}
+    for row in range(codomain.dim):
+        for col in range(domain.dim):
+            if codomain.parity(row) != domain.parity(col):
+                continue
+            if rng.random() < density:
+                num = random_quarter_laurent(rng, 3, 4)
+                if num.is_zero():
+                    continue
+                if rng.random() < fractions:
+                    entries[(row, col)] = RatFunc(num, rng.choice(DENOMINATORS))
+                else:
+                    entries[(row, col)] = RatFunc(num)
+    return SuperMap(domain, codomain, entries)
 
 
 def plain_dubrovnik(graph, memo=None) -> TwoVarPoly:

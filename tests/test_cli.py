@@ -173,6 +173,22 @@ def test_verbose_json_verify_keeps_progress_off_stdout(capsys):
     assert out.startswith("... checking duality pairing and zig-zags\n")
 
 
+def test_verbose_verify_reports_each_suite_wall_time(capsys):
+    suites = ["relations", "rmatrix", "category", "skein"]
+    pattern = re.compile(r"\.\.\. suite (\w+) ran in (\d+\.\d{4}) s")
+    code, out, err = run_cli(capsys, "verify", "--suite", "all", "-v")
+    assert code == 0 and err == ""
+    timed = [pattern.fullmatch(line) for line in out.splitlines()]
+    assert [m.group(1) for m in timed if m] == suites
+    assert all(float(m.group(2)) >= 0 for m in timed if m)
+    # under --json on stderr, one line for the one suite run
+    code, out, err = run_cli(capsys, "verify", "--suite", "relations",
+                             "--json", "-v")
+    assert code == 0 and json.loads(out)["ok"] is True
+    (line,) = err.splitlines()
+    assert pattern.fullmatch(line).group(1) == "relations"
+
+
 def test_parse_errors_exit_2(capsys, tmp_path):
     # every error message stays short, however long the input it quotes
     code, _, err = run_cli(capsys, "invariant", "--braid", "2: 7")
@@ -420,6 +436,23 @@ def test_main_leaves_the_collector_alone(capsys):
             assert gc.get_freeze_count() == frozen
     finally:
         (gc.enable if enabled else gc.disable)()
+
+
+def test_console_script_target_imports_no_layer(tmp_path):
+    # its module loads no layer, so the collector is off before any does:
+    # no collection from the import of the target to the command's end
+    module, function = console_script()
+    script = ("import gc, sys\n"
+              f"from {module} import {function}\n"
+              "layers = [m for m in sys.modules if m.startswith('d21link.')]\n"
+              "runs = []\n"
+              "gc.callbacks.append(lambda phase, info: phase == 'start'"
+              " and runs.append(info))\n"
+              f"status = {function}()\n"
+              "print(status, layers, len(runs), file=sys.stderr)\n")
+    assert run_process([sys.executable, "-c", script],
+                       ["invariant", "--braid", "2: 1 1 1"], tmp_path) == (
+        0, "-2*q^-3\n", "0 [] 0\n")
 
 
 def test_process_entries_run_without_a_collection(tmp_path):

@@ -1,13 +1,15 @@
 import random
+from functools import lru_cache
 
 import pytest
 
 from d21link.representation import M, M2, duality_maps, generator_action
-from d21link.ring import RF_ONE, RatFunc
-from d21link.superlinalg import (ShapeMismatchError, SuperMap, SuperSpace,
-                                 compose, embed_at, invert,
+from d21link.ring import ONE, RF_ONE, QuarterLaurent, RatFunc
+from d21link.superlinalg import (TRIVIAL, ShapeMismatchError, SuperMap,
+                                 SuperSpace, compose, embed_at, invert,
                                  rank_over_fractions, tensor_map, volte)
-from helpers import random_even_map, random_homogeneous_map
+from helpers import (fraction_rank, random_even_map, random_homogeneous_map,
+                     random_nonzero_quarter_laurent, random_sparse_map)
 
 
 def flat(i, j, dim=6):
@@ -164,3 +166,118 @@ def test_map_addition_parity_rules():
     with pytest.raises(ValueError):
         _ = odd + even
     assert (odd + SuperMap.zero(M, M)).entries == odd.entries
+
+
+def random_space(rng, dim):
+    return SuperSpace(tuple(rng.randint(0, 1) for _ in range(dim)))
+
+
+def without_a_row_and_column(rng, op):
+    row = rng.randrange(op.codomain.dim)
+    col = rng.randrange(op.domain.dim)
+    return SuperMap(op.domain, op.codomain,
+                    {k: v for k, v in op.entries.items()
+                     if k[0] != row and k[1] != col})
+
+
+def generated_maps(seed, count):
+    """Seeded sparse even maps of four kinds, in turn: square, non-square,
+    the shapes of the cup (1 -> 36) and the cap (36 -> 1), and products
+    through a smaller space, which are rank-deficient; Laurent and fraction
+    entries, and every other map with one row and one column emptied."""
+    rng = random.Random(seed)
+    maps = []
+    for index in range(count):
+        kind = index % 4
+        if kind == 0:
+            space = random_space(rng, rng.randint(1, 6))
+            op = random_sparse_map(rng, space, space)
+        elif kind == 1:
+            op = random_sparse_map(rng, random_space(rng, rng.randint(1, 8)),
+                                   random_space(rng, rng.randint(1, 8)))
+        elif kind == 2:
+            shape = (TRIVIAL, M2) if rng.random() < 0.5 else (M2, TRIVIAL)
+            op = random_sparse_map(rng, *shape, density=0.15)
+        else:
+            outer = random_space(rng, rng.randint(3, 6))
+            inner = random_space(rng, rng.randint(1, outer.dim - 1))
+            other = random_space(rng, rng.randint(3, 6))
+            op = compose(random_sparse_map(rng, inner, outer, density=0.7),
+                         random_sparse_map(rng, other, inner, density=0.7))
+        if index % 2:
+            op = without_a_row_and_column(rng, op)
+        maps.append(op)
+    return maps
+
+
+MAPS = generated_maps(20200, 200)
+
+
+@lru_cache(maxsize=None)
+def reference_rank(index):
+    return fraction_rank(MAPS[index])
+
+
+def test_rank_matches_the_fraction_field_sweep():
+    deficient = fractions = 0
+    for index, op in enumerate(MAPS):
+        rank = rank_over_fractions(op)
+        assert rank == reference_rank(index), op
+        deficient += rank < min(op.domain.dim, op.codomain.dim)
+        fractions += any(v.den != ONE for v in op.entries.values())
+    # the sample is not degenerate
+    assert deficient >= 40 and len(MAPS) - deficient >= 40 and fractions >= 40
+
+
+def laurent_unimodular(rng, space):
+    """Units +-t^k on the diagonal times elementary maps id + a*e_ij with
+    Laurent a: invertible over Z[t, 1/t], so the inverse is Laurent."""
+    n = space.dim
+    op = SuperMap(space, space, {
+        (i, i): RatFunc(QuarterLaurent({rng.randint(-6, 6): rng.choice((1, -1))}))
+        for i in range(n)})
+    for _ in range(2 * n):
+        i, j = rng.randrange(n), rng.randrange(n)
+        if i == j or space.parity(i) != space.parity(j):
+            continue
+        entries = {(k, k): RF_ONE for k in range(n)}
+        entries[(i, j)] = RatFunc(random_nonzero_quarter_laurent(rng))
+        op = compose(SuperMap(space, space, entries), op)
+    return op
+
+
+def assert_inverse(op, inverse):
+    ident = SuperMap.identity(op.domain)
+    assert compose(inverse, op) == ident
+    assert compose(op, inverse) == ident
+
+
+def test_invert_round_trips_on_generated_maps():
+    rng = random.Random(20201)
+    for _ in range(40):
+        op = laurent_unimodular(rng, random_space(rng, rng.randint(1, 7)))
+        inverse = invert(op)
+        assert all(v.den == ONE for v in inverse.entries.values())
+        assert_inverse(op, inverse)
+    # inverses with denominators: diag(1..6), and dense maps with fraction
+    # entries (full rank by the reference sweep)
+    diag = SuperMap(M, M, {(i, i): RatFunc.constant(i + 1) for i in range(6)})
+    assert invert(diag).entry(5, 5) == RatFunc(ONE, QuarterLaurent({0: 6}))
+    assert_inverse(diag, invert(diag))
+    checked = 0
+    while checked < 20:
+        space = random_space(rng, rng.randint(1, 4))
+        op = random_sparse_map(rng, space, space, density=0.8)
+        if fraction_rank(op) == space.dim:
+            assert_inverse(op, invert(op))
+            checked += 1
+
+
+def test_invert_raises_on_generated_singular_maps():
+    singular = [op for index, op in enumerate(MAPS)
+                if op.domain.dim == op.codomain.dim
+                and reference_rank(index) < op.domain.dim]
+    assert len(singular) >= 20
+    for op in singular:
+        with pytest.raises(ArithmeticError):
+            invert(op)

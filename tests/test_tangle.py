@@ -663,7 +663,7 @@ def test_relation_table_has_the_six_signed_forms():
 
 
 @pytest.mark.parametrize("signs", sorted(SIGNED_RELATIONS))
-def test_each_signed_relation_keeps_the_unsimplified_trace(signs):
+def test_each_signed_braid_relation_keeps_the_6n_trace(signs):
     a, b, c = signs
     image = SIGNED_RELATIONS[signs]
     for i, j in ((1, 2), (2, 1)):
