@@ -28,7 +28,7 @@ from functools import lru_cache
 from typing import List, NamedTuple, Tuple
 
 from .report import CheckResult, Report
-from .ring import LAMBDA, RF_LAMBDA, RF_ONE, QuarterLaurent, RatFunc
+from .ring import LAMBDA, ONE, RF_LAMBDA, RF_ONE, QuarterLaurent, RatFunc
 from .superlinalg import (SuperMap, SuperSpace, TRIVIAL, compose, invert,
                           tensor_map)
 
@@ -136,12 +136,13 @@ def generator_action(name: str, index: int) -> SuperMap:
         raise ValueError("generator index out of range 1..3")
     if name in ("E", "F"):
         action = (_E_ACTION if name == "E" else _F_ACTION)[index]
-        return SuperMap(M, M, {(dst - 1, src - 1): RatFunc.constant(coeff)
-                               for src, (dst, coeff) in action.items()},
+        return SuperMap(M, M, {(dst - 1, src - 1): QuarterLaurent.constant(c)
+                               for src, (dst, c) in action.items()},
                         _SIMPLE_PARITIES[index - 1])
     if name == "H":
-        return SuperMap(M, M, {(v, v): RatFunc.constant(WEIGHTS[v][index - 1])
-                               for v in range(DIM)})
+        return SuperMap(M, M, {
+            (v, v): QuarterLaurent.constant(WEIGHTS[v][index - 1])
+            for v in range(DIM)})
     raise ValueError(f"unknown generator family {name!r}")
 
 
@@ -152,7 +153,7 @@ def cartan_exponential(root: Tuple[int, int, int], sign: int = 1) -> SuperMap:
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     return SuperMap(M, M, {
-        (v, v): RatFunc.q_power(sign * sum(
+        (v, v): QuarterLaurent.q_power(sign * sum(
             n * d * w for n, d, w in zip(root, CARTAN.d, WEIGHTS[v])))
         for v in range(DIM)})
 
@@ -199,10 +200,10 @@ def duality_maps() -> Tuple[SuperMap, SuperMap, SuperMap]:
     dual basis; d(v_i (x) v_j) evaluates alpha(v_i) at v_j; b(1) is
     sum_i v_i (x) alpha^{-1}(v^i).
     """
-    q = RatFunc.q_power
+    q = QuarterLaurent.q_power
     alpha_entries = {
         (1, 0): -q(-3), (0, 1): q(-1), (5, 2): q(-2),
-        (4, 3): -q(-1), (3, 4): -q(-1), (2, 5): RF_ONE,
+        (4, 3): -q(-1), (3, 4): -q(-1), (2, 5): ONE,
     }
     alpha = SuperMap(M, M, alpha_entries)
     alpha_inv = invert(alpha)

@@ -1,18 +1,16 @@
 """Exact arithmetic in the quarter-exponent Laurent ring and its fractions.
 
 The braiding is built and verified over Laurent polynomials in t = q^{1/4}
-with integer coefficients, and over reduced fractions of such polynomials.
-Its entries are then read out as integer Laurent polynomials in q by
+with integer coefficients: every entry of every graded map of
+:mod:`d21link.superlinalg` is a :class:`QuarterLaurent`, and the braiding's
+entries are read out as integer Laurent polynomials in q by
 :func:`to_integer_laurent`; the tangle fold runs on those alone and the skein
-oracle on ``int`` coefficients, so :class:`RatFunc` serves only the braiding
-construction and its verification.  There it is the entry type of the
-graded maps, but real denominators occur only in the pairing constants
-phi_i, the coefficients 1/((n)_c! phi_i^n) of the exponential factors and
-the maps built from them, and the relation
-[E_i, F_i] = (K_i - K_i^-1)/(q^d_i - q^-d_i) that the relation suite checks;
-the exact linear algebra of :mod:`d21link.superlinalg` eliminates on integer
-Laurent polynomials and forms fractions only in an inverse's final
-divisions by its pivots.
+oracle on ``int`` coefficients.  Fractions occur only in scalars: the
+pairing constants phi_i, the coefficients 1/((n)_c! phi_i^n) of the
+exponential factors and the 1/(q^d_i - q^-d_i) of the relation
+[E_i, F_i] = (K_i - K_i^-1)/(q^d_i - q^-d_i) that the relation suite
+checks.  Those are :class:`RatFunc` values, and a map scaled by one is
+divided by its denominator exactly.
 A :class:`QuarterLaurent` stores a finite map ``exponent -> coefficient``
 where the integer exponent ``e`` encodes the monomial t^e = q^{e/4}; a plain
 power q^k therefore sits at exponent 4k.  Working on the quarter-exponent
@@ -277,10 +275,6 @@ class RatFunc:
         return out
 
     @classmethod
-    def from_poly(cls, p: QuarterLaurent) -> "RatFunc":
-        return cls._raw(p, ONE)
-
-    @classmethod
     def q_power(cls, exp: int, coeff=1) -> "RatFunc":
         return cls(QuarterLaurent.q_power(exp, coeff))
 
@@ -292,8 +286,6 @@ class RatFunc:
         return self.num.is_zero()
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            other = RatFunc.constant(other)
         if not isinstance(other, RatFunc):
             return NotImplemented
         return self.num == other.num and self.den == other.den
@@ -301,39 +293,27 @@ class RatFunc:
     def __hash__(self):
         return hash((self.num, self.den))
 
-    def __add__(self, other) -> "RatFunc":
-        other = _coerce(other)
+    def __add__(self, other: "RatFunc") -> "RatFunc":
         if self.den is ONE and other.den is ONE:
             return RatFunc._raw(self.num + other.num, ONE)
         return RatFunc(self.num * other.den + other.num * self.den,
                        self.den * other.den)
 
-    __radd__ = __add__
-
     def __neg__(self) -> "RatFunc":
         return RatFunc._raw(-self.num, self.den)
 
-    def __sub__(self, other) -> "RatFunc":
-        return self + (-_coerce(other))
+    def __sub__(self, other: "RatFunc") -> "RatFunc":
+        return self + (-other)
 
-    def __mul__(self, other) -> "RatFunc":
-        other = _coerce(other)
+    def __mul__(self, other: "RatFunc") -> "RatFunc":
         if self.den is ONE and other.den is ONE:
             return RatFunc._raw(self.num * other.num, ONE)
         return RatFunc(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
 
     def inverse(self) -> "RatFunc":
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
         return RatFunc(self.den, self.num)
-
-    def __truediv__(self, other) -> "RatFunc":
-        other = _coerce(other)
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero rational function")
-        return RatFunc(self.num * other.den, self.den * other.num)
 
     def __pow__(self, n: int) -> "RatFunc":
         if not isinstance(n, int):
@@ -349,31 +329,16 @@ class RatFunc:
             n >>= 1
         return acc
 
-    def is_at_one(self, value: int) -> bool:
-        """Whether the classical limit q = 1 exists and equals ``value``."""
-        den = sum(self.den.terms.values())
-        return den != 0 and sum(self.num.terms.values()) == value * den
-
     def __repr__(self):
         if self.den is ONE:
             return repr(self.num)
         return f"({self.num!r}) / ({self.den!r})"
 
 
-def _coerce(value) -> RatFunc:
-    if isinstance(value, RatFunc):
-        return value
-    if isinstance(value, int):
-        return RatFunc.constant(value)
-    if isinstance(value, QuarterLaurent):
-        return RatFunc(value)
-    raise TypeError(f"cannot coerce {type(value).__name__} to RatFunc")
-
-
-RF_ZERO = RatFunc.from_poly(ZERO)
-RF_ONE = RatFunc.from_poly(ONE)
-RF_Q = RatFunc.from_poly(Q)
-RF_LAMBDA = RatFunc.from_poly(LAMBDA)
+RF_ZERO = RatFunc(ZERO)
+RF_ONE = RatFunc(ONE)
+RF_Q = RatFunc(Q)
+RF_LAMBDA = RatFunc(LAMBDA)
 
 
 def q_integer(n: int, c: int) -> RatFunc:
@@ -396,16 +361,14 @@ def q_factorial(n: int, c: int) -> RatFunc:
     return acc
 
 
-def to_integer_laurent(value: RatFunc) -> Dict[int, int]:
-    """Reinterpret a RatFunc as an integer Laurent polynomial in q.
+def to_integer_laurent(value: QuarterLaurent) -> Dict[int, int]:
+    """Reinterpret a QuarterLaurent as an integer Laurent polynomial in q.
 
-    Succeeds iff the denominator is one and every t-exponent is divisible
-    by four; returns ``{q_exponent: coeff}``.
+    Succeeds iff every t-exponent is divisible by four; returns
+    ``{q_exponent: coeff}``.
     """
-    if value.den is not ONE:
-        raise NotLaurentInQ("denominator is not 1", value.den)
     out: Dict[int, int] = {}
-    for exp, coeff in value.num.terms.items():
+    for exp, coeff in value.terms.items():
         if exp % 4:
             raise NotLaurentInQ("t-exponent not divisible by 4", exp)
         out[exp // 4] = coeff
@@ -448,8 +411,8 @@ def format_q_laurent(terms: Mapping[int, int]) -> str:
     return format_laurent({(exp,): coeff for exp, coeff in terms.items()}, ("q",))
 
 
-def q_string(value: RatFunc) -> str:
-    """Canonical q-polynomial string of an integer-Laurent RatFunc."""
+def q_string(value: QuarterLaurent) -> str:
+    """Canonical q-polynomial string of a QuarterLaurent in whole q-powers."""
     return format_q_laurent(to_integer_laurent(value))
 
 

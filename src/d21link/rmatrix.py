@@ -25,7 +25,7 @@ from functools import lru_cache
 from typing import Dict, List, NamedTuple, Tuple
 
 from .report import CheckResult, Report
-from .ring import (RF_LAMBDA, RF_Q, RF_ZERO, QuarterLaurent, RatFunc,
+from .ring import (LAMBDA, Q, RF_Q, ZERO, QuarterLaurent, RatFunc,
                    q_factorial, to_integer_laurent)
 from .representation import (CARTAN, DIM, M, M2, ROOTS, WEIGHTS, bracket_step,
                              duality_maps, phi, root_vector)
@@ -38,7 +38,7 @@ _NILPOTENCY_GUARD = 7
 class BraidingBundle(NamedTuple):
     c: SuperMap
     c_inv: SuperMap
-    theta: RatFunc
+    theta: QuarterLaurent
 
 
 @lru_cache(maxsize=None)
@@ -76,13 +76,12 @@ def cartan_factor() -> SuperMap:
     # forms[v][j] = sum_i 4 b_ij weight_i(v), an integer
     forms = [[sum(CARTAN.b4[i][j] * WEIGHTS[v][i] for i in range(3))
               for j in range(3)] for v in range(DIM)]
-    entries: Dict[Tuple[int, int], RatFunc] = {}
+    entries: Dict[Tuple[int, int], QuarterLaurent] = {}
     for v in range(DIM):
         for w in range(DIM):
             exponent = sum(f * x for f, x in zip(forms[v], WEIGHTS[w]))
             index = v * DIM + w
-            entries[(index, index)] = RatFunc.from_poly(
-                QuarterLaurent.t_power(exponent))
+            entries[(index, index)] = QuarterLaurent.t_power(exponent)
     return SuperMap(M2, M2, entries)
 
 
@@ -106,7 +105,7 @@ def braiding() -> BraidingBundle:
     # roots q^{-1} and -q^{-1}, the twist is the one with value 1 at q = 1
     if twist_inverse_square(c) != SuperMap.identity(M).scale(RF_Q * RF_Q):
         raise ArithmeticError("twist computation disagrees with q^2 * id")
-    return BraidingBundle(c, c_inv, RatFunc.q_power(-1))
+    return BraidingBundle(c, c_inv, QuarterLaurent.q_power(-1))
 
 
 def twist_inverse_square(c: SuperMap) -> SuperMap:
@@ -169,7 +168,8 @@ def _flat(pair: Tuple[int, int]) -> int:
     return (pair[0] - 1) * DIM + (pair[1] - 1)
 
 
-def split_blocks(m: SuperMap) -> Tuple[List[List[RatFunc]], List[List[RatFunc]]]:
+def split_blocks(m: SuperMap) -> Tuple[List[List[QuarterLaurent]],
+                                       List[List[QuarterLaurent]]]:
     """The even and odd parity blocks of an even map on M (x) M."""
     even = [[m.entry(_flat(r), _flat(c)) for c in EVEN_PAIRS] for r in EVEN_PAIRS]
     odd = [[m.entry(_flat(r), _flat(c)) for c in ODD_PAIRS] for r in ODD_PAIRS]
@@ -225,30 +225,33 @@ REFERENCE_C1 = [
 _FACTOR = r"(\d+|q|l)(?:\*\*(\d+))?"
 _TERM = rf"{_FACTOR}(?:\*{_FACTOR})*(?:/q)?"
 _ENTRY = re.compile(rf"[+-]?{_TERM}(?:[+-]{_TERM})*")
-_SYMBOLS = {"q": RF_Q, "l": RF_LAMBDA}
+_SYMBOLS = {"q": Q, "l": LAMBDA}
 
 
-def _parse_reference_entry(text: str) -> RatFunc:
+def _parse_reference_entry(text: str) -> QuarterLaurent:
     """A signed sum of products of integers, ``q`` and ``l`` with optional
     ``**k`` powers, each product optionally divided by ``q``."""
     if text == "0":     # most cells of the frozen tables
-        return RF_ZERO
+        return ZERO
     if not _ENTRY.fullmatch(text):
         raise ValueError(f"unsupported reference entry {text!r}")
-    total = RF_ZERO
+    total = ZERO
     for term in re.finditer(rf"([+-]?)({_TERM})", text):
         sign, body = term.group(1, 2)
-        value = RatFunc.q_power(-1 if body.endswith("/q") else 0,
-                                -1 if sign == "-" else 1)
+        value = QuarterLaurent.q_power(-1 if body.endswith("/q") else 0,
+                                       -1 if sign == "-" else 1)
         for base, power in re.findall(_FACTOR, body.removesuffix("/q")):
-            factor = _SYMBOLS[base] if base in _SYMBOLS else RatFunc.constant(int(base))
-            value = value * factor ** int(power or 1)
+            factor = (_SYMBOLS[base] if base in _SYMBOLS
+                      else QuarterLaurent.constant(int(base)))
+            for _ in range(int(power or 1)):
+                value = value * factor
         total = total + value
     return total
 
 
 @lru_cache(maxsize=None)
-def reference_blocks() -> Tuple[Tuple[Tuple[RatFunc, ...], ...], Tuple[Tuple[RatFunc, ...], ...]]:
+def reference_blocks() -> Tuple[Tuple[Tuple[QuarterLaurent, ...], ...],
+                               Tuple[Tuple[QuarterLaurent, ...], ...]]:
     even = tuple(tuple(_parse_reference_entry(e) for e in row) for row in REFERENCE_C0)
     odd = tuple(tuple(_parse_reference_entry(e) for e in row) for row in REFERENCE_C1)
     return even, odd

@@ -7,35 +7,38 @@ the order is significant because it fixes all matrix conventions.  A
 the coefficient of codomain basis vector ``r`` in the image of domain basis
 vector ``c``.  Every map carries its parity (0 even, 1 odd) and
 ``SuperMap(...)`` checks that nonzero entries sit only in the parity blocks
-the declared parity allows; the maps that :func:`compose`,
-:func:`tensor_map`, :func:`invert`, ``+`` and ``scale`` build from checked
-maps are correct by construction and skip the check.  The braiding/tangle
-pipeline uses even maps exclusively.
+the declared parity allows; identities and the maps that :func:`compose`,
+:func:`tensor_map`, :func:`embed_at`, :func:`invert`, ``+`` and ``scale``
+build from checked maps are correct by construction and skip the check.
+The braiding/tangle pipeline uses even maps exclusively.
 
-Koszul signs are concentrated in a single audited code path,
-:func:`tensor_map`, which implements (f (x) g)(v (x) w) =
-(-1)^{|g||v|} f(v) (x) g(w) on lexicographically ordered tensor bases.
+Koszul signs are concentrated in :func:`tensor_map`, which implements
+(f (x) g)(v (x) w) = (-1)^{|g||v|} f(v) (x) g(w) on lexicographically
+ordered tensor bases; :func:`embed_at` applies the same rule with identity
+factors.
 
-Entries are :class:`RatFunc` values, but the arithmetic runs on their
-integer Laurent polynomials wherever it can.  :func:`compose` sums the
-products of polynomial entries on their coefficient dicts, and those with
-denominators per denominator, and reduces each output entry once;
-:func:`tensor_map` takes an entry met by a unit +-1, as in the identity
-factors of :func:`embed_at`, as it is instead of multiplying.
+Every entry is a :class:`QuarterLaurent`, an integer Laurent polynomial
+in t = q^{1/4}, and ``SuperMap(...)`` raises ``TypeError`` on any other
+type.  Fractions occur only in scalars: ``scale`` by a :class:`RatFunc`
+multiplies each entry by its numerator and divides it exactly by its
+denominator, and raises :class:`NotLaurentInQ` where that division is
+inexact.  :func:`compose` sums the entry products on their coefficient
+dicts and builds each output entry once; :func:`tensor_map` takes an entry
+met by a unit +-1, as in the identity factors of the coproduct, as it is
+instead of multiplying.
 
 Exact linear algebra runs one division-free elimination over Z[t, 1/t],
 a fraction-free Gaussian elimination (Bareiss, "Sylvester's identity and
 multistep integer-preserving Gaussian elimination", Math. Comp. 22 (1968),
 divides each new row exactly by the previous pivot; this sweep divides it
-by the integer content of its coefficients instead).  A row holding
-fractions is first scaled by its denominators.  :func:`_eliminate` then
+by the integer content of its coefficients instead).  :func:`_eliminate`
 clears each pivot column from the other rows by
-``row <- p*row - a*pivot_row``.  Scaling a row by a nonzero polynomial and
-these combinations keep the rank, which :func:`rank_over_fractions` counts
-as pivots, and they keep the inverse when they act on whole rows of
-[f | id]: :func:`invert` also clears each pivot column from the pivot rows
-above it, and its final divisions by the pivots are the only divisions,
-and the only fractions, of the computation.
+``row <- p*row - a*pivot_row``.  These combinations keep the rank, which
+:func:`rank_over_fractions` counts as pivots, and they keep the inverse
+when they act on whole rows of [f | id]: :func:`invert` also clears each
+pivot column from the pivot rows above it, and divides each row by its
+pivot exactly, the only divisions of the computation; it raises
+``ArithmeticError`` when the inverse is not Laurent.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from __future__ import annotations
 from math import gcd
 from typing import Dict, List, Mapping, Tuple
 
-from .ring import ONE, RF_ONE, RF_ZERO, QuarterLaurent, RatFunc, exact_div
+from .ring import ONE, ZERO, NotLaurentInQ, QuarterLaurent, RatFunc, exact_div
 
 Entry = Tuple[int, int]
 Terms = Dict[int, int]      # a Laurent polynomial's {exponent: coefficient}
@@ -69,7 +72,10 @@ class SuperSpace:
         return self.parities[index]
 
     def tensor(self, other: "SuperSpace") -> "SuperSpace":
-        return SuperSpace(tuple(p ^ r for p in self.parities for r in other.parities))
+        out = SuperSpace.__new__(SuperSpace)     # the parities are 0/1 already
+        out.parities = tuple(p ^ r for p in self.parities
+                             for r in other.parities)
+        return out
 
     def tensor_power(self, count: int) -> "SuperSpace":
         acc = TRIVIAL
@@ -96,11 +102,14 @@ class SuperMap:
     __slots__ = ("domain", "codomain", "entries", "parity")
 
     def __init__(self, domain: SuperSpace, codomain: SuperSpace,
-                 entries: Mapping[Entry, RatFunc], parity: int = 0):
+                 entries: Mapping[Entry, QuarterLaurent], parity: int = 0):
         parity &= 1
-        clean: Dict[Entry, RatFunc] = {}
+        clean: Dict[Entry, QuarterLaurent] = {}
         for (row, col), value in entries.items():
-            if value.is_zero():
+            if type(value) is not QuarterLaurent:
+                raise TypeError(f"entry ({row},{col}) is a "
+                                f"{type(value).__name__}, not a QuarterLaurent")
+            if not value.terms:
                 continue
             if (codomain.parity(row) ^ domain.parity(col)) != parity:
                 raise ValueError(
@@ -114,7 +123,8 @@ class SuperMap:
 
     @classmethod
     def _derived(cls, domain: SuperSpace, codomain: SuperSpace,
-                 entries: Dict[Entry, RatFunc], parity: int) -> "SuperMap":
+                 entries: Dict[Entry, QuarterLaurent],
+                 parity: int) -> "SuperMap":
         """Internal: wrap the entries of a map built from checked maps,
         already nonzero and in the blocks of ``parity``, without a check."""
         out = cls.__new__(cls)
@@ -126,14 +136,15 @@ class SuperMap:
 
     @classmethod
     def identity(cls, space: SuperSpace) -> "SuperMap":
-        return cls(space, space, {(i, i): RF_ONE for i in range(space.dim)})
+        return cls._derived(space, space,
+                            {(i, i): ONE for i in range(space.dim)}, 0)
 
     @classmethod
     def zero(cls, domain: SuperSpace, codomain: SuperSpace, parity: int = 0) -> "SuperMap":
         return cls(domain, codomain, {}, parity)
 
-    def entry(self, row: int, col: int) -> RatFunc:
-        return self.entries.get((row, col), RF_ZERO)
+    def entry(self, row: int, col: int) -> QuarterLaurent:
+        return self.entries.get((row, col), ZERO)
 
     def is_zero(self) -> bool:
         return not self.entries
@@ -153,7 +164,7 @@ class SuperMap:
         for key, value in other.entries.items():
             acc = merged.get(key)
             total = value if acc is None else acc + value
-            if total.is_zero():
+            if not total.terms:
                 merged.pop(key, None)
             else:
                 merged[key] = total
@@ -169,10 +180,19 @@ class SuperMap:
         return self + (-other)
 
     def scale(self, scalar: RatFunc) -> "SuperMap":
+        """Each entry times the scalar's numerator, divided exactly by its
+        denominator; ``NotLaurentInQ`` when a division is inexact."""
         if scalar.is_zero():
             return SuperMap.zero(self.domain, self.codomain, self.parity)
-        return SuperMap._derived(self.domain, self.codomain,
-                                 {k: v * scalar for k, v in self.entries.items()},
+        num, den = scalar.num, scalar.den
+        entries = {k: v * num for k, v in self.entries.items()}
+        if den is not ONE:
+            try:
+                entries = {k: exact_div(v, den) for k, v in entries.items()}
+            except ArithmeticError:
+                raise NotLaurentInQ("map entry not divisible by the scalar's "
+                                    "denominator", den) from None
+        return SuperMap._derived(self.domain, self.codomain, entries,
                                  self.parity)
 
     def __repr__(self):
@@ -200,53 +220,35 @@ def _poly(terms: Terms) -> QuarterLaurent:
 
 
 def compose(f: SuperMap, g: SuperMap) -> SuperMap:
-    """Matrix product f o g (g acts first).
-
-    Each output entry is a sum of entry products: those of two polynomials
-    are summed on their coefficient dicts, the others per denominator, and
-    the sum is reduced once."""
+    """Matrix product f o g (g acts first): each output entry's products
+    are summed on their coefficient dicts."""
     if g.codomain != f.domain:
         raise ShapeMismatchError("compose: codomain of g != domain of f")
-    by_col: Dict[int, List[Tuple[int, RatFunc]]] = {}
+    by_col: Dict[int, List[Tuple[int, Terms]]] = {}
     for (row, col), value in f.entries.items():
-        by_col.setdefault(col, []).append((row, value))
-    polys: Dict[Entry, Terms] = {}
-    fractions: Dict[Entry, Dict[QuarterLaurent, Terms]] = {}
+        by_col.setdefault(col, []).append((row, value.terms))
+    sums: Dict[Entry, Terms] = {}
     for (mid, col), gval in g.entries.items():
-        gden = gval.den
-        gterms = gval.num.terms
-        for row, fval in by_col.get(mid, ()):
+        gterms = gval.terms
+        for row, fterms in by_col.get(mid, ()):
             key = (row, col)
-            if gden is ONE and fval.den is ONE:
-                acc = polys.get(key)
-                if acc is None:
-                    acc = polys[key] = {}
-            else:
-                acc = fractions.setdefault(key, {}).setdefault(
-                    fval.den * gden, {})
-            _add_product(acc, fval.num.terms, gterms)
-    out: Dict[Entry, RatFunc] = {}
-    for key, terms in polys.items():
-        if key not in fractions:
-            num = _poly(terms)
-            if num.terms:
-                out[key] = RatFunc.from_poly(num)
-    for key, parts in fractions.items():
-        num, den = _poly(polys.get(key, {})), ONE
-        for part_den, part_num in parts.items():
-            part = _poly(part_num)
-            if part.terms:
-                num, den = num * part_den + part * den, den * part_den
-        if num.terms:
-            out[key] = RatFunc(num, den)
+            acc = sums.get(key)
+            if acc is None:
+                acc = sums[key] = {}
+            _add_product(acc, fterms, gterms)
+    out: Dict[Entry, QuarterLaurent] = {}
+    for key, terms in sums.items():
+        value = _poly(terms)
+        if value.terms:
+            out[key] = value
     return SuperMap._derived(g.domain, f.codomain, out,
                              (f.parity + g.parity) & 1)
 
 
-def _unit(value: RatFunc) -> int:
+def _unit(value: QuarterLaurent) -> int:
     """+-1 when ``value`` is the constant +-1, else 0."""
-    terms = value.num.terms
-    if value.den is ONE and len(terms) == 1:
+    terms = value.terms
+    if len(terms) == 1:
         coeff = terms.get(0)
         if coeff == 1 or coeff == -1:
             return coeff
@@ -268,7 +270,7 @@ def tensor_map(f: SuperMap, g: SuperMap) -> SuperMap:
     gdim_cod = g.codomain.dim
     g_items = [(rg, cg, gval, _unit(gval))
                for (rg, cg), gval in g.entries.items()]
-    out: Dict[Entry, RatFunc] = {}
+    out: Dict[Entry, QuarterLaurent] = {}
     for (rf, cf), fval in f.entries.items():
         sign = -1 if (g.parity and f.domain.parity(cf)) else 1
         f_unit = _unit(fval)
@@ -289,53 +291,47 @@ def tensor_map(f: SuperMap, g: SuperMap) -> SuperMap:
 
 def volte(m: SuperSpace, n: SuperSpace) -> SuperMap:
     """The graded flip tau: m (x) n -> n (x) m, v (x) w -> (-1)^{|v||w|} w (x) v."""
-    entries: Dict[Entry, RatFunc] = {}
+    entries: Dict[Entry, QuarterLaurent] = {}
     for i in range(m.dim):
         for j in range(n.dim):
             col = i * n.dim + j
             row = j * m.dim + i
             negative = m.parity(i) and n.parity(j)
-            entries[(row, col)] = -RF_ONE if negative else RF_ONE
+            entries[(row, col)] = -ONE if negative else ONE
     return SuperMap(m.tensor(n), n.tensor(m), entries)
 
 
 def embed_at(f: SuperMap, left: int, right: int, strand: SuperSpace) -> SuperMap:
-    """id^{(x) left} (x) f (x) id^{(x) right} on powers of ``strand``."""
-    out = f
-    if left:
-        out = tensor_map(SuperMap.identity(strand.tensor_power(left)), out)
-    if right:
-        out = tensor_map(out, SuperMap.identity(strand.tensor_power(right)))
-    return out
+    """id^{(x) left} (x) f (x) id^{(x) right} on powers of ``strand``, built
+    without the identity maps: by the Koszul rule of :func:`tensor_map`,
+    each basis vector v of the left power signs f by (-1)^{|f||v|}, and
+    the right power signs nothing."""
+    outer, inner = strand.tensor_power(left), strand.tensor_power(right)
+    width, rows, cols = inner.dim, f.codomain.dim, f.domain.dim
+    out: Dict[Entry, QuarterLaurent] = {}
+    for a, odd in enumerate(outer.parities):
+        for (r, c), value in f.entries.items():
+            if odd and f.parity:
+                value = -value
+            row, col = (a * rows + r) * width, (a * cols + c) * width
+            for b in range(width):
+                out[(row + b, col + b)] = value
+    return SuperMap._derived(outer.tensor(f.domain).tensor(inner),
+                             outer.tensor(f.codomain).tensor(inner), out,
+                             f.parity)
 
 
 def _integer_rows(f: SuperMap, augment: bool) -> List[Row]:
-    """The rows of f, or of [f | id] when ``augment``, over Z[t, 1/t]: a
-    row holding fractions is scaled by the product of its distinct
-    denominators, its identity entry included."""
+    """The nonzero rows of f, or the rows of [f | id] when ``augment``, as
+    the coefficient dicts of their entries."""
     n = f.domain.dim
-    rows: List[Dict[int, RatFunc]] = [{} for _ in range(f.codomain.dim)]
+    rows: List[Row] = [{} for _ in range(f.codomain.dim)]
     for (row, col), value in f.entries.items():
-        rows[row][col] = value
-    out: List[Row] = []
-    for r, row in enumerate(rows):
-        dens: List[QuarterLaurent] = []
-        for value in row.values():
-            if value.den is not ONE and value.den not in dens:
-                dens.append(value.den)
-        scale = ONE
-        for den in dens:
-            scale = scale * den
-        if dens:
-            poly = {c: (v.num * exact_div(scale, v.den)).terms
-                    for c, v in row.items()}
-        else:
-            poly = {c: v.num.terms for c, v in row.items()}
-        if augment:
-            poly[n + r] = scale.terms
-        if poly:
-            out.append(poly)
-    return out
+        rows[row][col] = value.terms
+    if augment:
+        for r, row in enumerate(rows):
+            row[n + r] = ONE.terms
+    return [row for row in rows if row]
 
 
 def _combine(p: Terms, row: Row, a: Terms, pivot_row: Row, col: int) -> Row:
@@ -396,18 +392,11 @@ def rank_over_fractions(f: SuperMap) -> int:
     return len(_eliminate(_integer_rows(f, False), f.domain.dim))
 
 
-def _quotient(num: QuarterLaurent, den: QuarterLaurent) -> RatFunc:
-    """num / den in lowest terms, without a gcd when den divides num."""
-    try:
-        return RatFunc.from_poly(exact_div(num, den))
-    except ArithmeticError:
-        return RatFunc(num, den)
-
-
 def invert(f: SuperMap) -> SuperMap:
     """Exact inverse of a square map: the forward sweep on [f | id], each
     pivot column cleared from the pivot rows above it, last column first,
-    and the division of each row by its pivot."""
+    and the exact division of each row by its pivot; ``ArithmeticError``
+    when f is singular or its inverse is not Laurent."""
     if f.domain.dim != f.codomain.dim:
         raise ShapeMismatchError("inverse of a non-square map")
     n = f.domain.dim
@@ -421,10 +410,10 @@ def invert(f: SuperMap) -> SuperMap:
             a = rows[j].get(k)
             if a is not None:
                 rows[j] = _combine(rows[k][k], rows[j], a, rows[k], k)
-    entries: Dict[Entry, RatFunc] = {}
+    entries: Dict[Entry, QuarterLaurent] = {}
     for k, row in enumerate(rows):
         pivot = QuarterLaurent(row[k])
         for c, terms in row.items():
             if c >= n:
-                entries[(k, c - n)] = _quotient(QuarterLaurent(terms), pivot)
+                entries[(k, c - n)] = exact_div(QuarterLaurent(terms), pivot)
     return SuperMap._derived(f.codomain, f.domain, entries, f.parity)

@@ -43,7 +43,7 @@ def random_even_map(rng: random.Random, space: SuperSpace,
             if rng.random() < density:
                 coeff = rng.randint(-3, 3)
                 if coeff:
-                    entries[(row, col)] = RatFunc.constant(coeff)
+                    entries[(row, col)] = QuarterLaurent.constant(coeff)
     return SuperMap(space, space, entries)
 
 
@@ -57,7 +57,7 @@ def random_homogeneous_map(rng: random.Random, space: SuperSpace,
             if rng.random() < density:
                 coeff = rng.randint(-3, 3)
                 if coeff:
-                    entries[(row, col)] = RatFunc.constant(coeff)
+                    entries[(row, col)] = QuarterLaurent.constant(coeff)
     return SuperMap(space, space, entries, parity)
 
 
@@ -67,7 +67,7 @@ def fraction_rank(op: SuperMap) -> int:
     for the division-free sweep of ``superlinalg``."""
     rows = [{} for _ in range(op.codomain.dim)]
     for (row, col), value in op.entries.items():
-        rows[row][col] = value
+        rows[row][col] = RatFunc(value)
     rank = 0
     for col in range(op.domain.dim):
         index = next((i for i, row in enumerate(rows) if col in row), None)
@@ -79,7 +79,7 @@ def fraction_rank(op: SuperMap) -> int:
             coeff = row.get(col)
             if coeff is None:
                 continue
-            factor = coeff / pivot_row[col]
+            factor = coeff * pivot_row[col].inverse()
             for c, v in pivot_row.items():
                 acc = row.get(c, RF_ZERO) - factor * v
                 if acc.is_zero():
@@ -89,31 +89,23 @@ def fraction_rank(op: SuperMap) -> int:
     return rank
 
 
-# denominators of the kinds the braiding meets: integers, q - q^-1, and
-# quantum integers, in t = q^(1/4)
+# non-units of the kinds the braiding's scalars have as denominators:
+# integers, q - q^-1, and quantum integers, in t = q^(1/4)
 DENOMINATORS = tuple(QuarterLaurent(terms) for terms in (
     {0: 2}, {0: 3}, {4: 1, -4: -1}, {0: 1, 8: 1}, {-8: 1, 0: 1, 8: 1}))
 
 
 def random_sparse_map(rng: random.Random, domain: SuperSpace,
-                      codomain: SuperSpace, density: float = 0.5,
-                      fractions: float = 0.3) -> SuperMap:
-    """An even map with random Laurent entries in the parity blocks, a
-    share ``fractions`` of them over one of the ``DENOMINATORS``; rows and
-    columns may be empty."""
+                      codomain: SuperSpace, density: float = 0.5) -> SuperMap:
+    """An even map with random Laurent entries in the parity blocks; rows
+    and columns may be empty."""
     entries = {}
     for row in range(codomain.dim):
         for col in range(domain.dim):
             if codomain.parity(row) != domain.parity(col):
                 continue
             if rng.random() < density:
-                num = random_quarter_laurent(rng, 3, 4)
-                if num.is_zero():
-                    continue
-                if rng.random() < fractions:
-                    entries[(row, col)] = RatFunc(num, rng.choice(DENOMINATORS))
-                else:
-                    entries[(row, col)] = RatFunc(num)
+                entries[(row, col)] = random_quarter_laurent(rng, 3, 4)
     return SuperMap(domain, codomain, entries)
 
 

@@ -8,7 +8,7 @@ from d21link.cli import main
 from d21link.dubrovnik import braid_closure_graph, dubrovnik_poly, specialize
 from d21link.representation import M, M2, check_defining_relations, \
     coproduct_action, duality_maps
-from d21link.ring import RF_LAMBDA, RF_ONE, RatFunc
+from d21link.ring import LAMBDA, ONE, RF_LAMBDA, QuarterLaurent, RatFunc
 from d21link.rmatrix import (EVEN_PAIRS, ODD_PAIRS, braiding,
                              compare_reference, r_matrix, reference_blocks,
                              spectral_check, split_blocks)
@@ -48,20 +48,20 @@ def test_criterion_2_braiding_regression(tmp_path):
         print(f"[acceptance] {len(mismatches)} deviations logged to {path}")
     even_ref, odd_ref = reference_blocks()
     anchors_ok = (
-        even_ref[0][0] == RatFunc.q_power(1)
+        even_ref[0][0] == QuarterLaurent.q_power(1)
         and even_ref[EVEN_PAIRS.index((3, 3))][EVEN_PAIRS.index((3, 3))]
-        == RatFunc.q_power(-1, -1)
-        and odd_ref[ODD_PAIRS.index((1, 3))][ODD_PAIRS.index((3, 1))] == RF_ONE
-        and odd_ref[ODD_PAIRS.index((3, 1))][ODD_PAIRS.index((3, 1))] == RF_LAMBDA
-        and even_ref[EVEN_PAIRS.index((4, 5))][EVEN_PAIRS.index((2, 1))] == RF_LAMBDA)
+        == QuarterLaurent.q_power(-1, -1)
+        and odd_ref[ODD_PAIRS.index((1, 3))][ODD_PAIRS.index((3, 1))] == ONE
+        and odd_ref[ODD_PAIRS.index((3, 1))][ODD_PAIRS.index((3, 1))] == LAMBDA
+        and even_ref[EVEN_PAIRS.index((4, 5))][EVEN_PAIRS.index((2, 1))] == LAMBDA)
     even_got, odd_got = split_blocks(braiding().c)
     anchors_computed_ok = (
-        even_got[0][0] == RatFunc.q_power(1)
+        even_got[0][0] == QuarterLaurent.q_power(1)
         and even_got[EVEN_PAIRS.index((3, 3))][EVEN_PAIRS.index((3, 3))]
-        == RatFunc.q_power(-1, -1)
-        and odd_got[ODD_PAIRS.index((1, 3))][ODD_PAIRS.index((3, 1))] == RF_ONE
-        and odd_got[ODD_PAIRS.index((3, 1))][ODD_PAIRS.index((3, 1))] == RF_LAMBDA
-        and even_got[EVEN_PAIRS.index((4, 5))][EVEN_PAIRS.index((2, 1))] == RF_LAMBDA)
+        == QuarterLaurent.q_power(-1, -1)
+        and odd_got[ODD_PAIRS.index((1, 3))][ODD_PAIRS.index((3, 1))] == ONE
+        and odd_got[ODD_PAIRS.index((3, 1))][ODD_PAIRS.index((3, 1))] == LAMBDA
+        and even_got[EVEN_PAIRS.index((4, 5))][EVEN_PAIRS.index((2, 1))] == LAMBDA)
     ok = (total == 656 and matched == total
           and anchors_ok and anchors_computed_ok)
     print(f"[acceptance] braiding regression: {matched}/{total} entries match")
@@ -94,7 +94,7 @@ def test_criterion_5_category_identities():
     ident_m = SuperMap.identity(M)
     ident_m2 = SuperMap.identity(M2)
     ok = (c - c_inv) == (ident_m2 - compose(b, d)).scale(RF_LAMBDA)
-    ok = ok and compose(d, b).entry(0, 0) == RatFunc.constant(2)
+    ok = ok and compose(d, b).entry(0, 0) == QuarterLaurent.constant(2)
     curl = compose(compose(embed_at(d, 1, 0, M), embed_at(c, 0, 1, M)),
                    embed_at(b, 1, 0, M))
     ok = ok and curl == ident_m.scale(-RatFunc.q_power(-1))
@@ -103,7 +103,7 @@ def test_criterion_5_category_identities():
     twist_sq_inv = compose(embed_at(compose(d, c), 0, 1, M),
                            embed_at(compose(c, b), 1, 0, M))
     ok = ok and twist_sq_inv == ident_m.scale(RatFunc.q_power(2))
-    ok = ok and bundle.theta == RatFunc.q_power(-1)
+    ok = ok and bundle.theta == QuarterLaurent.q_power(-1)
     for name in ("E", "F", "H"):
         for i in (1, 2, 3):
             delta = coproduct_action(name, i)

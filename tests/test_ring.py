@@ -13,8 +13,8 @@ from helpers import random_nonzero_quarter_laurent, random_quarter_laurent, rand
 
 
 def test_difference_of_squares():
-    lhs = (RF_Q - RatFunc.from_poly(QINV)) * (RF_Q + RatFunc.from_poly(QINV))
-    assert lhs == RatFunc.from_poly(QuarterLaurent({8: 1, -8: -1}))
+    lhs = (Q - QINV) * (Q + QINV)
+    assert lhs == QuarterLaurent({8: 1, -8: -1})
     assert q_string(lhs) == "-q^-2 + q^2"
 
 
@@ -24,7 +24,7 @@ def test_self_division_is_one():
         value = random_ratfunc(rng)
         if value.is_zero():
             continue
-        assert value / value == RF_ONE
+        assert value * value.inverse() == RF_ONE
 
 
 def test_phi4_inverse_has_closed_form():
@@ -41,7 +41,7 @@ def test_phi4_inverse_has_closed_form():
 def test_q_factorial_base_cases():
     for c in (2, 0, -4):
         assert q_factorial(0, c) == RF_ONE
-    assert q_factorial(2, 2) == RatFunc.from_poly(QuarterLaurent({0: 1, 8: 1}))
+    assert q_factorial(2, 2) == RatFunc(QuarterLaurent({0: 1, 8: 1}))
     assert q_factorial(2, 0) == RF_ONE
     assert q_factorial(3, -4) == (RF_ONE + RatFunc.q_power(-4)) * (
         RF_ONE + RatFunc.q_power(-4) + RatFunc.q_power(-8))
@@ -57,25 +57,18 @@ def test_q_integer_matches_quotient_formula():
             else:
                 numerator = RatFunc.q_power(c * n) - RF_ONE
                 denominator = RatFunc.q_power(c) - RF_ONE
-                assert direct == numerator / denominator
+                assert direct == numerator * denominator.inverse()
 
 
 def test_to_integer_laurent_accepts_plain_polynomials():
-    value = RatFunc.from_poly(QuarterLaurent({0: 2, 8: 1}))
+    value = QuarterLaurent({0: 2, 8: 1})
     assert to_integer_laurent(value) == {0: 2, 2: 1}
 
 
 def test_to_integer_laurent_rejects_quarter_powers():
     with pytest.raises(NotLaurentInQ) as excinfo:
-        to_integer_laurent(RatFunc.from_poly(QuarterLaurent({1: 1})))
+        to_integer_laurent(QuarterLaurent({1: 1}))
     assert excinfo.value.offender == 1
-
-
-def test_to_integer_laurent_rejects_fractions_and_rationals():
-    with pytest.raises(NotLaurentInQ):
-        to_integer_laurent(RatFunc(ONE, LAMBDA))
-    with pytest.raises(NotLaurentInQ):
-        to_integer_laurent(RatFunc(ONE, QuarterLaurent.constant(2)))
 
 
 def test_ring_axioms_randomized():
@@ -126,19 +119,19 @@ def test_canonical_denominator_shape():
 
 
 def test_unit_denominators_are_the_shared_one():
-    # the polynomial fast paths and to_integer_laurent test ``den is ONE``
+    # the polynomial fast paths and ``SuperMap.scale`` test ``den is ONE``
     two = QuarterLaurent({0: 2})
     values = (RatFunc(Q, QuarterLaurent({0: 1})),    # equal to ONE, not it
               RatFunc(Q * two, two),                   # 1 after the content
               RatFunc(Q * Q, Q),                       # 1 after the shift
               RatFunc(Q + ONE, Q + ONE),               # 1 after the gcd
               RatFunc(ZERO, Q),
-              RatFunc.from_poly(Q) * RatFunc(QINV, QINV),
+              RatFunc(Q) * RatFunc(QINV, QINV),
               RF_Q + RatFunc(Q, Q))
     for value in values:
         assert value.den is ONE
-    assert to_integer_laurent(values[0]) == {1: 1}
-    assert to_integer_laurent(values[-1]) == {0: 1, 1: 1}
+    assert to_integer_laurent(values[0].num) == {1: 1}
+    assert to_integer_laurent(values[-1].num) == {0: 1, 1: 1}
     rng = random.Random(29)
     for _ in range(30):
         a, b = random_ratfunc(rng), random_ratfunc(rng)
@@ -160,13 +153,13 @@ def test_gcd_divides_both_arguments():
 
 
 def test_ratfunc_operators():
-    assert RF_Q + RF_Q == RF_Q * 2
+    assert RF_Q + RF_Q == RF_Q * RatFunc.constant(2)
     assert RF_Q * RF_Q == RatFunc.q_power(2)
     assert -RF_Q == RatFunc.q_power(1, -1)
     assert RF_Q ** 3 == RatFunc.q_power(3)
-    assert RF_ONE / RF_LAMBDA == RatFunc(ONE, LAMBDA)
+    assert RF_LAMBDA.inverse() == RatFunc(ONE, LAMBDA)
     with pytest.raises(ZeroDivisionError):
-        RF_ONE / RF_ZERO
+        RF_ZERO.inverse()
 
 
 def test_negative_powers():
@@ -184,20 +177,6 @@ def test_rendering_grammar():
     assert format_q_laurent({0: 2}) == "2"
 
 
-def test_is_at_one():
-    assert RF_LAMBDA.is_at_one(0)
-    assert (RF_Q + RF_ONE).is_at_one(2)
-    assert not (RF_Q + RF_ONE).is_at_one(1)
-    # 1/(q + 1) is 1/2 at q = 1: equal to no integer
-    half = RatFunc(ONE, Q + ONE)
-    assert not any(half.is_at_one(k) for k in (0, 1))
-    # (q + 1)/2 is 1 at q = 1
-    assert RatFunc(Q + ONE, QuarterLaurent.constant(2)).is_at_one(1)
-    # a pole at q = 1 has no classical limit, whatever the value
-    pole = RatFunc(ONE, LAMBDA)
-    assert not any(pole.is_at_one(k) for k in (-1, 0, 1))
-
-
 def _coefficients(*polys):
     return [c for poly in polys for c in poly.terms.values()]
 
@@ -206,7 +185,7 @@ def test_braiding_coefficients_are_plain_ints():
     bundle = braiding()
     for op in (bundle.c, bundle.c_inv):
         for value in op.entries.values():
-            assert all(type(c) is int for c in _coefficients(value.num, value.den))
+            assert all(type(c) is int for c in _coefficients(value))
 
 
 def test_coefficients_are_ints_only():

@@ -435,11 +435,11 @@ def test_cyclic_free_reduction():
      {0: 1}),
     ("6: 1 -2 1 -2 4 -5 4 -5", "3: 1 -2 1 -2", {0: 2}),   # split union, cut
 ])
-def test_simplify_braid(text, braid, factor):
-    # Markov destabilisation, conjugation by the half twist, braid relations
-    # and the cut of a connected sum or split union take the word to
-    # ``braid`` for ``factor``; the invariant, which traces the word as
-    # reduced, must scale the same way
+def test_invariant_scales_by_the_markov_and_cut_factors(text, braid, factor):
+    # a Markov destabilisation, conjugation by the half twist, braid
+    # relations and the cut of a connected sum or split union relate the
+    # word's value to ``braid``'s by ``factor``; the invariant, which traces
+    # the word as reduced, must meet each identity
     word = parse_braid(text)
     assert value_of(text) == laurent_product(factor, value_of(braid))
     if word.strands < 5:            # the 6 ** n reference trace stays small

@@ -2,7 +2,8 @@
 
 ``cli_transcript.json`` holds the exit code, stdout and stderr of
 ``invariant --braid --json`` on :data:`d21link.verify.CORPUS` plus 40
-seeded words of 1-5 strands, and of ``verify --suite all --json``.  A
+seeded words of 1-5 strands, of ``braiding`` as text, csv and split json,
+and of ``verify --suite all`` as json and as text.  A
 change that must keep the output byte-identical keeps this test passing;
 one that changes the output on purpose re-records the file with
 ``PYTHONPATH=src python tests/test_transcript.py`` and says why.
@@ -35,7 +36,11 @@ def transcript_commands():
             rng.choice((1, -1)) * rng.randint(1, strands - 1)
             for _ in range(length)))))
     return ([["invariant", "--braid", word, "--json"] for word in words]
-            + [["verify", "--suite", "all", "--json"]])
+            + [["verify", "--suite", "all", "--json"],
+               ["braiding"],
+               ["braiding", "--format", "csv"],
+               ["braiding", "--format", "json", "--split"],
+               ["verify", "--suite", "all"]])
 
 
 def run(argv):
