@@ -33,6 +33,9 @@ COPIED = ("src", "tests", "pyproject.toml")
 
 SUPERLINALG = "src/d21link/superlinalg.py"
 T_SUPERLINALG = "tests/test_superlinalg.py::"
+TANGLE = "src/d21link/tangle.py"
+T_TANGLE = "tests/test_tangle.py::"
+T_CLI = "tests/test_cli.py::"
 
 
 class Mutant(NamedTuple):
@@ -93,6 +96,25 @@ MUTANTS = (
            "if (codomain.parity(row) ^ domain.parity(col)) != parity:",
            "if False:",
            (T_SUPERLINALG + "test_parity_block_invariant_enforced",)),
+    Mutant("braid-column-check-off-by-one", TANGLE,
+           "h ** min(n, support_budget.bit_length()) > support_budget",
+           "h ** min(n, support_budget.bit_length() - 1) > support_budget",
+           (T_TANGLE + "test_support_budget_is_checked_before_any_work",
+            T_TANGLE + "test_invariant_refuses_a_support_budget_below_its_2n_"
+                       "columns",
+            T_CLI + "test_support_budget_rejects_huge_unlink_at_once")),
+    Mutant("sliced-support-check-loosened", TANGLE,
+           "if len(state) > support_budget:",
+           "if len(state) > support_budget + 1:",
+           (T_TANGLE + "test_sliced_fold_support_budget_stops_after_the_event",)),
+    Mutant("cyclic-reduction-keeps-the-ends", TANGLE,
+           "while hi - lo > 1 and stack[lo] == -stack[hi - 1]:",
+           "while False:",
+           (T_TANGLE + "test_cyclic_free_reduction",
+            T_TANGLE + "test_eval_result_stats",
+            T_CLI + "test_invariant_json_schema",
+            "tests/test_transcript.py::test_cli_output_matches_the_recorded_"
+            "transcript")),
 )
 
 

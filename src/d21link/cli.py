@@ -26,15 +26,14 @@ group and one with each suite's wall seconds, to stdout, or to stderr
 under ``--json``.
 
 The environment variable ``D21LINK_SKEIN_BUDGET`` overrides the crossing
-and strand budget of the skein oracle (default 16),
-``D21LINK_TANGLE_BUDGET`` the most strands a tangle evaluation may hold at
-once (default 12), for ``invariant`` and the ``skein`` suite of ``verify``,
-and ``D21LINK_SUPPORT_BUDGET`` the most states the braid trace of
-``invariant --braid`` (its 2^n columns), or the fold of
-``invariant --sliced`` after any event, may hold (default 400,000); each
-must be an integer of at least 1.
+and strand budget of the skein oracle (default 16), and
+``D21LINK_SUPPORT_BUDGET`` the most states that ``invariant`` and the
+``skein`` suite of ``verify`` may hold (default 4096 = 2^12): the 2^n
+columns of a braid trace, or the fold of ``--sliced`` after any event;
+each must be an integer of at least 1.
 Exit status is 0 on success and, for ``verify``, iff every check passes;
-bad input (a bad budget variable included) or an exceeded budget exits 2.
+bad input (a bad budget variable included), an exceeded budget or a
+module table that fails a check of :mod:`d21link.tangle` exits 2.
 
 Each command is a one-shot process: ``python -m d21link.cli`` and the
 installed ``d21link`` script (through :func:`d21link.run`) run
@@ -65,9 +64,9 @@ from . import dubrovnik
 from .representation import DIM
 from .ring import NotLaurentInQ, excerpt, format_q_laurent, q_string
 from .rmatrix import EVEN_PAIRS, ODD_PAIRS, braiding, split_blocks
-from .tangle import (DEFAULT_SUPPORT_BUDGET, DEFAULT_TANGLE_BUDGET,
-                     DiagramError, ascii_integers, evaluate_sliced,
-                     invariant, parse_braid, parse_sliced_text)
+from .tangle import (DEFAULT_SUPPORT_BUDGET, DiagramError, TableError,
+                     ascii_integers, evaluate_sliced, invariant, parse_braid,
+                     parse_sliced_text)
 from .verify import run_suites
 
 DEVIATIONS_FILE = "braiding_deviations.txt"
@@ -95,10 +94,6 @@ def _skein_budget() -> int:
     return _budget("D21LINK_SKEIN_BUDGET", dubrovnik.DEFAULT_BUDGET)
 
 
-def _tangle_budget() -> int:
-    return _budget("D21LINK_TANGLE_BUDGET", DEFAULT_TANGLE_BUDGET)
-
-
 def _support_budget() -> int:
     return _budget("D21LINK_SUPPORT_BUDGET", DEFAULT_SUPPORT_BUDGET)
 
@@ -109,13 +104,12 @@ def _print_json(payload) -> None:
 
 
 def _cmd_invariant(args: argparse.Namespace) -> int:
-    budget = _tangle_budget()
+    budget = _support_budget()
     if args.braid is not None:
-        result = invariant(parse_braid(args.braid), budget, _support_budget())
+        result = invariant(parse_braid(args.braid), budget)
     else:
         with open(args.sliced, "r", encoding="utf-8-sig") as handle:
-            result = evaluate_sliced(parse_sliced_text(handle.read()), budget,
-                                     _support_budget())
+            result = evaluate_sliced(parse_sliced_text(handle.read()), budget)
     if args.json:
         payload = {
             "value": result.canonical(),
@@ -200,7 +194,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                 if args.verbose else None)
     reports = run_suites(args.suite, budget=_skein_budget(),
                          deviations_path=DEVIATIONS_FILE, progress=progress,
-                         tangle_budget=_tangle_budget())
+                         support_budget=_support_budget())
     ok = all(report.ok for report in reports)
     if args.json:
         _print_json({"ok": ok, "suites": [r.as_dict() for r in reports]})
@@ -257,8 +251,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DiagramError, NotLaurentInQ, dubrovnik.SkeinBudgetExceeded,
-            BudgetSettingError, OSError, UnicodeDecodeError) as exc:
+    except (DiagramError, NotLaurentInQ, TableError,
+            dubrovnik.SkeinBudgetExceeded, BudgetSettingError, OSError,
+            UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

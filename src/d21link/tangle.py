@@ -46,7 +46,7 @@ v5 v4) and the cap -q^-1 on both.  A braid column is one state, ``(row,
 sign, exponent)``, stepped letter by letter, with no coefficient packing.
 Every fact used here is checked once, exactly on the integer tables, where
 the cut-down tables are read (:func:`_cohomology`); a table that broke one
-raises ``ValueError``.  The reduction uses only that the braiding is a
+raises ``TableError``.  The reduction uses only that the braiding is a
 module map, as the v4 <-> v5 swap below does, not the Kauffman skein
 theory that the oracle in :mod:`d21link.dubrovnik` implements.
 
@@ -58,15 +58,15 @@ cut the closure at would cost.
 
 :func:`trace` is the reference that the tests and the presentation checks
 of :mod:`d21link.verify` compare with: the same quantum trace over all 6^n
-columns.  Swapping v4 and v5 in every strand maps both crossing tables
-onto themselves and fixes p(v) (also checked), so it evolves one start
-column per swap orbit, its amplitude times the orbit size, in blocks of at
-most 216 columns that share their leading digits, one block at a time,
-each held to a support budget.  During it each coefficient is one
-Kronecker-packed int, sum(c_e << bits * (e + shift)); ``bits`` comes from
-a proven bound on the coefficients (start L1 norm times each event's
-largest column L1 sum), and the final value is decoded and re-packed as a
-check.  One routine (:func:`_letter_steps`) packs the letters and decides
+columns, on at most six strands.  Swapping v4 and v5 in every strand maps
+both crossing tables onto themselves and fixes p(v) (also checked), so it
+evolves one start column per swap orbit, its amplitude times the orbit
+size, in blocks of at most 216 columns that share their leading digits,
+one block at a time, each held to a support budget.  During it each
+coefficient is one Kronecker-packed int, sum(c_e << bits * (e + shift));
+``bits`` comes from a proven bound on the coefficients (start L1 norm
+times each event's largest column L1 sum), and the final value is decoded
+and re-packed as a check.  One routine (:func:`_letter_steps`) packs the letters and decides
 ``bits``, the shift and the span, and one (:func:`_evolve`) applies them
 under the support budget.
 
@@ -98,19 +98,19 @@ from .superlinalg import rank_over_fractions
 
 EVENT_KINDS = ("cup", "cap", "pos", "neg")
 
-# Most strands a fold may hold at once (up to 6 ** strands states); 12
-# admits the closure of any 6-strand braid.
-DEFAULT_TANGLE_BUDGET = 12
+# Most nonzero states a tangle evaluation may hold: the 2^n columns of the
+# braid trace in the E_1-cohomology, or the fold of a sliced diagram after
+# any event (an event at most doubles it).  2^12 admits any braid, and any
+# sliced diagram, of up to 12 strands.
+DEFAULT_SUPPORT_BUDGET = 4096
 
-# Most nonzero states an evaluation may hold at once: the 2^n columns of
-# the braid trace in the E_1-cohomology, the fold of a sliced diagram after
-# any event, and one block of the 6^n reference trace.  Within the tangle
-# budget the first two hold at most 2^12 = 4096, so only the reference
-# trace can reach it: peak RSS measured 1.6-2.7 KiB per state of its
-# largest block (CPython 3.11, 64-bit Linux; 5- and 6-strand mixed-sign
-# words of 15-16 letters), so a refused block stays near 1 GiB; the
-# reference trace of 5: (1 -2 3 -4)^4 needs 44,665.
-DEFAULT_SUPPORT_BUDGET = 400_000
+# The 6^n reference trace: the most strands it takes, and by default the
+# most nonzero states one block may hold.  Peak RSS measured 1.6-2.7 KiB per
+# state of its largest block (CPython 3.11, 64-bit Linux; 5- and 6-strand
+# mixed-sign words of 15-16 letters), so a refused block stays near 1 GiB;
+# the reference trace of 5: (1 -2 3 -4)^4 needs 44,665.
+TRACE_MAX_STRANDS = 6
+TRACE_SUPPORT_BUDGET = 400_000
 
 
 class DiagramError(ValueError):
@@ -118,20 +118,22 @@ class DiagramError(ValueError):
 
 
 class TangleBudgetExceeded(DiagramError):
-    """Diagram holds more strands at once than the fold budget allows."""
+    """An evaluation would hold more than its budget allows."""
 
 
-def _check_budget(strands: int, budget: int) -> None:
-    if strands > budget:
-        raise TangleBudgetExceeded(
-            f"{excerpt(strands)} peak strands exceed the tangle budget {budget}")
+class TableError(ValueError):
+    """A module table fails a fact that the tangle evaluations rest on."""
 
 
 def _check_support(support: int, budget: int) -> None:
     if support > budget:
-        raise TangleBudgetExceeded(
-            f"{support} states in one trace block exceed the support "
-            f"budget {budget}")
+        raise _over_budget(support, budget)
+
+
+def _over_budget(count, budget: int) -> TangleBudgetExceeded:
+    return TangleBudgetExceeded(
+        f"{count} states in one trace block exceed the support budget "
+        f"{budget}")
 
 
 class _BraidFields(NamedTuple):
@@ -421,15 +423,13 @@ def _apply_letter(state: Dict[int, int], unit: int,
 
 
 def evaluate_sliced(diagram: SlicedDiagram,
-                    budget: int = DEFAULT_TANGLE_BUDGET,
                     support_budget: int = DEFAULT_SUPPORT_BUDGET) -> EvalResult:
     """Fold the event list over a state vector in the tensor powers of H,
     the E_1-cohomology (:func:`_cohomology`), and return the scalar value;
-    more than ``budget`` strands at once is refused before any allocation,
-    and more than ``support_budget`` nonzero states after any event raises
-    :class:`TangleBudgetExceeded` right after that event."""
+    more than ``support_budget`` nonzero states after any event raises
+    :class:`TangleBudgetExceeded` right after that event (an event at most
+    doubles them)."""
     peak = diagram.peak_strands()
-    _check_budget(peak, budget)
     tables = _cohomology()[2]
     state: Dict[tuple, Dict[int, int]] = {(): {0: 1}}
     peak_support = 1
@@ -467,7 +467,7 @@ _SWAP = (0, 1, 2, 4, 3, 5)
 @lru_cache(maxsize=None)
 def _trace_weights() -> Tuple[Dict[int, int], ...]:
     """Per basis vector r, the pivotal weight p(r): cup * cap of the strand
-    pair (l, r) closing it.  Raises ``ValueError`` unless
+    pair (l, r) closing it.  Raises ``TableError`` unless
 
     * cup and cap pair the same basis vectors, each with exactly one
       partner, or a braid closure is not a trace;
@@ -483,7 +483,7 @@ def _trace_weights() -> Tuple[Dict[int, int], ...]:
             or sorted(r for _, r in pairs) != list(range(DIM))
             or sorted(pairs) != sorted(caps)
             or any(len(caps[pair]) != 1 for pair in pairs)):
-        raise ValueError("cup and cap do not pair the same basis vectors "
+        raise TableError("cup and cap do not pair the same basis vectors "
                          "one to one; a braid closure is not a trace")
     weights: List[Dict[int, int]] = [{}] * DIM
     for pair, cup_coeff in cups[()]:
@@ -491,18 +491,18 @@ def _trace_weights() -> Tuple[Dict[int, int], ...]:
         weights[pair[1]] = laurent_product(cup_coeff, cap_coeff)
     s = _SWAP
     if any(weights[s[r]] != weights[r] for r in range(DIM)):
-        raise ValueError("the v4 <-> v5 swap does not fix the pivotal weights")
+        raise TableError("the v4 <-> v5 swap does not fix the pivotal weights")
     for kind in ("pos", "neg"):
         _, table = _event_table(kind)
         swapped = {(s[a], s[b]): {(s[c], s[d]): coeff for (c, d), coeff in rows}
                    for (a, b), rows in table.items()}
         if swapped != {window: dict(rows) for window, rows in table.items()}:
-            raise ValueError("the v4 <-> v5 swap does not map a crossing "
+            raise TableError("the v4 <-> v5 swap does not map a crossing "
                              "table onto itself")
         if any(laurent_product(weights[a], weights[b])
                != laurent_product(weights[c], weights[d])
                for (a, b), rows in table.items() for (c, d), _ in rows):
-            raise ValueError("a crossing does not keep the pivotal "
+            raise TableError("a crossing does not keep the pivotal "
                              "weights; the trace is not cyclic")
     return tuple(weights)
 
@@ -534,7 +534,7 @@ def _compose(outer: Dict[tuple, tuple], inner: Dict[tuple, tuple]
 def _signed_power(terms: Dict[int, int]) -> Tuple[int, int]:
     """``(sign, exponent)`` of a polynomial that is +-q^exponent."""
     if len(terms) != 1 or abs(next(iter(terms.values()))) != 1:
-        raise ValueError("an event table cut down to the E_1-cohomology "
+        raise TableError("an event table cut down to the E_1-cohomology "
                          "has an entry that is not a signed power of q")
     ((exp, sign),) = terms.items()
     return sign, exp
@@ -547,7 +547,7 @@ def _cohomology() -> Tuple[Tuple[int, ...], Tuple[Tuple[int, int], ...],
     cohomology of the odd generator E_1 on the module; the pivotal weight
     of each as ``(sign, exponent)``; and each :func:`_event_table` cut down
     to windows and replacements in H, as ``(width, {window: ((replacement,
-    sign, exponent), ...)})``.  Raises ``ValueError`` unless
+    sign, exponent), ...)})``.  Raises ``TableError`` unless
 
     * E_1 is odd and E_1^2 = 0;
     * the basis vectors that E_1 neither moves nor reaches span H: E_1 has
@@ -564,12 +564,12 @@ def _cohomology() -> Tuple[Tuple[int, ...], Tuple[Tuple[int, int], ...],
     e_table = _columns(e1, 1)
     delta = _columns(coproduct_action("E", 1), 2)
     if e1.parity != 1 or _compose(e_table, e_table):
-        raise ValueError("E_1 is not odd with E_1^2 = 0")
+        raise TableError("E_1 is not odd with E_1^2 = 0")
     touched = {v for window, rows in e_table.items()
                for v in window + tuple(row[0] for row, _ in rows)}
     basis = tuple(v for v in range(DIM) if v not in touched)
     if 2 * rank_over_fractions(e1) != DIM - len(basis):
-        raise ValueError("E_1 is not exact on the basis vectors it moves "
+        raise TableError("E_1 is not exact on the basis vectors it moves "
                          "or reaches; its cohomology is not spanned by "
                          "the others")
     tables = {kind: _event_table(kind) for kind in EVENT_KINDS}
@@ -582,21 +582,21 @@ def _cohomology() -> Tuple[Tuple[int, ...], Tuple[Tuple[int, int], ...],
     if any(h1[window] != h1[row]
            for table in [e_table] + [table for _, table in tables.values()]
            for window, rows in table.items() for row, _ in rows):
-        raise ValueError("a table does not keep the H_1 weight; K_1 on a "
+        raise TableError("a table does not keep the H_1 weight; K_1 on a "
                          "bystander strand does not commute with it")
     for kind in ("pos", "neg"):
         crossing = tables[kind][1]
         if _compose(delta, crossing) != _compose(crossing, delta):
-            raise ValueError(f"the {kind} crossing does not commute with "
+            raise TableError(f"the {kind} crossing does not commute with "
                              f"Delta(E_1)")
     if _compose(tables["cap"][1], delta):
-        raise ValueError("the cap does not kill Delta(E_1)")
+        raise TableError("the cap does not kill Delta(E_1)")
     if _compose(delta, tables["cup"][1]):
-        raise ValueError("Delta(E_1) does not kill the cup")
+        raise TableError("Delta(E_1) does not kill the cup")
     weights = _trace_weights()
     if any(weights[v] != {2 * WEIGHTS[v][0]: (-1) ** (PARITIES[v] + 1)}
            for v in range(DIM)):
-        raise ValueError("a pivotal weight is not -(-1)^|v| q^(2 m1(v))")
+        raise TableError("a pivotal weight is not -(-1)^|v| q^(2 m1(v))")
     in_h = set(basis).issuperset
     cut = {kind: (width, {
         window: tuple((row,) + _signed_power(coeff) for row, coeff in rows
@@ -606,7 +606,7 @@ def _cohomology() -> Tuple[Tuple[int, ...], Tuple[Tuple[int, int], ...],
     for kind in ("pos", "neg"):
         if any(len(cut[kind][1].get((a, b), ())) != 1
                for a in basis for b in basis):
-            raise ValueError(f"the {kind} crossing does not send each "
+            raise TableError(f"the {kind} crossing does not send each "
                              f"window in the E_1-cohomology to one window")
     return basis, tuple(_signed_power(weights[v]) for v in basis), cut
 
@@ -636,7 +636,11 @@ def _cohomology_trace(word: BraidWord, support_budget: int) -> EvalResult:
     raises :class:`TangleBudgetExceeded` before any is evolved."""
     basis, weights, _ = _cohomology()
     n, h = word.strands, len(basis)
-    _check_support(h ** n, support_budget)
+    # h ** n is compared without being built: past the budget's bit length
+    # a power of h >= 2 exceeds the budget and a power of h <= 1 does not
+    if h ** min(n, support_budget.bit_length()) > support_budget:
+        raise _over_budget(h ** n if n <= 64 else f"{h}^{excerpt(n)}",
+                           support_budget)
     windows = h * h
     steps = []
     for letter in word.letters:
@@ -747,23 +751,25 @@ def _evolve(state: Dict[int, int], steps: List[tuple], support_budget: int
     return state, supports
 
 
-def trace(word: BraidWord, budget: int = DEFAULT_TANGLE_BUDGET,
-          support_budget: int = DEFAULT_SUPPORT_BUDGET) -> EvalResult:
+def trace(word: BraidWord,
+          support_budget: int = TRACE_SUPPORT_BUDGET) -> EvalResult:
     """The quantum trace sum_v p(v) <v|B|v> of ``word`` as written, over
     all 6 ** n columns, with no simplification: the reference for the
-    evaluation in the E_1-cohomology.  The 2n strands of its closure are
-    checked against ``budget`` first.
+    evaluation in the E_1-cohomology.  A word of more than
+    ``TRACE_MAX_STRANDS`` strands is refused first.
 
     Only one column of each swap orbit {v, sv} is evolved, its start
     amplitude times the orbit size, one block of columns at a time (see
     :func:`_column_blocks`).  Its stats are those of the fold of
     :func:`braid_closure_slices` over all 6 ** 2n states: the support after
     each letter is summed over the blocks, each block counted once per
-    orbit member.  A block
-    holding more than ``support_budget`` states, at its start or after any
-    letter, raises :class:`TangleBudgetExceeded`."""
-    _check_budget(2 * word.strands, budget)
+    orbit member.  A block holding more than ``support_budget`` states, at
+    its start or after any letter, raises :class:`TangleBudgetExceeded`."""
     n = word.strands
+    if n > TRACE_MAX_STRANDS:
+        raise TangleBudgetExceeded(
+            f"{excerpt(n)} strands exceed the reference trace's cap "
+            f"{TRACE_MAX_STRANDS}")
     size = DIM ** n
     steps, weights, bits, shift, span = _letter_steps(n, word.letters)
     tail_strands = min(n, 3)
@@ -809,17 +815,15 @@ def _cyclically_reduced(letters) -> List[int]:
     return stack[lo:hi]
 
 
-def invariant(word: BraidWord, budget: int = DEFAULT_TANGLE_BUDGET,
+def invariant(word: BraidWord,
               support_budget: int = DEFAULT_SUPPORT_BUDGET) -> EvalResult:
     """Value of the framed-link invariant on the trace closure of a braid,
     as the quantum trace sum_v p(v) <v|B|v> over the n-strand basis.
 
-    The 2n strands of the closure's fold are checked against ``budget``
-    before any work.  The word is then cyclically reduced
-    (:func:`_cyclically_reduced`) and traced on its 2 ** n columns in the
-    E_1-cohomology (:func:`_cohomology_trace`), which more than
-    ``support_budget`` columns refuse; every stat, the trace's own figures
+    The word is cyclically reduced (:func:`_cyclically_reduced`) and traced
+    on its 2 ** n columns in the E_1-cohomology
+    (:func:`_cohomology_trace`), which more than ``support_budget`` columns
+    refuse before any is evolved; every stat, the trace's own figures
     included, describes the reduced word."""
-    _check_budget(2 * word.strands, budget)
     reduced = BraidWord(word.strands, tuple(_cyclically_reduced(word.letters)))
     return _cohomology_trace(reduced, support_budget)

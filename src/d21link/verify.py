@@ -30,8 +30,8 @@ from .representation import (M, M2, check_defining_relations, coproduct_action,
 from .rmatrix import (braiding, compare_reference, r_matrix, spectral_check,
                       twist_inverse_square)
 from .superlinalg import SuperMap, compose, embed_at
-from .tangle import (DEFAULT_TANGLE_BUDGET, BraidWord, invariant, parse_braid,
-                     trace)
+from .tangle import (DEFAULT_SUPPORT_BUDGET, BraidWord, invariant,
+                     parse_braid, trace)
 from . import dubrovnik
 
 CORPUS = ("1:", "2: 1", "2: -1", "2: 1 1", "2: 1 1 1", "2: -1 -1 -1",
@@ -159,10 +159,10 @@ def category_suite(progress: Optional[Callable[[str], None]] = None) -> Report:
 
 
 def compare(word: BraidWord, budget: int = dubrovnik.DEFAULT_BUDGET,
-            tangle_budget: int = DEFAULT_TANGLE_BUDGET) -> CheckResult:
+            support_budget: int = DEFAULT_SUPPORT_BUDGET) -> CheckResult:
     """Both pipelines on the same closed diagram must agree exactly: the
     invariant is twice the specialized Dubrovnik polynomial."""
-    tangle_value = invariant(word, tangle_budget).value_dict()
+    tangle_value = invariant(word, support_budget).value_dict()
     graph = dubrovnik.braid_closure_graph(word, budget)
     skein_value = dubrovnik.specialize(dubrovnik.dubrovnik_poly(graph, budget))
     doubled = {exp: 2 * coeff for exp, coeff in skein_value.items()}
@@ -174,13 +174,13 @@ def compare(word: BraidWord, budget: int = dubrovnik.DEFAULT_BUDGET,
 
 def compare_orientation_sum(label: str, word: BraidWord,
                             budget: int = dubrovnik.DEFAULT_BUDGET,
-                            tangle_budget: int = DEFAULT_TANGLE_BUDGET
+                            support_budget: int = DEFAULT_SUPPORT_BUDGET
                             ) -> CheckResult:
     """The invariant must equal the sum over the orientations of the
     closure of (-q^-1)^writhe, the skein value's closed form at this
     specialization, which costs O(crossings) where the skein recursion is
     exponential."""
-    tangle_value = invariant(word, tangle_budget).value_dict()
+    tangle_value = invariant(word, support_budget).value_dict()
     oracle = dubrovnik.orientation_sum(
         dubrovnik.braid_closure_graph(word, budget))
     ok = tangle_value == oracle
@@ -200,32 +200,32 @@ def _long_words():
 
 def skein_suite(budget: int = dubrovnik.DEFAULT_BUDGET,
                 progress: Optional[Callable[[str], None]] = None,
-                tangle_budget: int = DEFAULT_TANGLE_BUDGET) -> Report:
+                support_budget: int = DEFAULT_SUPPORT_BUDGET) -> Report:
     note = progress or (lambda message: None)
     report = Report("skein")
     for text in CORPUS:
         note(f"comparing pipelines on {text!r}")
-        report.checks.append(compare(parse_braid(text), budget, tangle_budget))
+        report.checks.append(
+            compare(parse_braid(text), budget, support_budget))
     note("comparing the invariant with the orientation sum")
     words = {text: parse_braid(text) for text in CORPUS}
     words.update(_long_words())
     for label, word in words.items():
         report.checks.append(
-            compare_orientation_sum(label, word, budget, tangle_budget))
+            compare_orientation_sum(label, word, budget, support_budget))
 
     # traced as written: reduced first, a group would collapse to fewer
     # braids and test the reduction instead of the braiding
     for name, texts in PRESENTATIONS.items():
-        values = {trace(parse_braid(t), tangle_budget).canonical()
-                  for t in texts}
+        values = {trace(parse_braid(t)).canonical() for t in texts}
         report.checks.append(CheckResult(
             f"presentation-independent:{name}", len(values) == 1,
             "" if len(values) == 1 else f"values {sorted(values)}"))
 
     for text in ("2: 1 1", "2: 1 1 1", "3: 1 -2 1 -2"):
-        value = invariant(parse_braid(text), tangle_budget).value_dict()
+        value = invariant(parse_braid(text), support_budget).value_dict()
         mirrored = invariant(parse_braid(text).mirror(),
-                             tangle_budget).value_dict()
+                             support_budget).value_dict()
         flipped = {-exp: coeff for exp, coeff in value.items()}
         report.checks.append(CheckResult(
             f"mirror-symmetry:{text}", mirrored == flipped,
@@ -234,8 +234,8 @@ def skein_suite(budget: int = dubrovnik.DEFAULT_BUDGET,
 
     # Split unions multiply: with loop value delta = 2, the invariant of a
     # crossing-disjoint union is the product of the factors.
-    hopf = invariant(parse_braid("2: 1 1"), tangle_budget).value_dict()
-    both = invariant(parse_braid("4: 1 1 3 3"), tangle_budget).value_dict()
+    hopf = invariant(parse_braid("2: 1 1"), support_budget).value_dict()
+    both = invariant(parse_braid("4: 1 1 3 3"), support_budget).value_dict()
     square = laurent_product(hopf, hopf)
     report.checks.append(CheckResult(
         "split-union-product", both == square,
@@ -253,12 +253,12 @@ def skein_suite(budget: int = dubrovnik.DEFAULT_BUDGET,
 def run_suites(name: str, budget: int = dubrovnik.DEFAULT_BUDGET,
                deviations_path: Optional[str] = None,
                progress: Optional[Callable[[str], None]] = None,
-               tangle_budget: int = DEFAULT_TANGLE_BUDGET) -> List[Report]:
+               support_budget: int = DEFAULT_SUPPORT_BUDGET) -> List[Report]:
     suites = {
         "relations": relations_suite,
         "rmatrix": lambda: rmatrix_suite(deviations_path),
         "category": lambda: category_suite(progress),
-        "skein": lambda: skein_suite(budget, progress, tangle_budget),
+        "skein": lambda: skein_suite(budget, progress, support_budget),
     }
     if name == "all":
         names = list(suites)

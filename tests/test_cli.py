@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from d21link import dubrovnik
+from d21link import dubrovnik, representation, rmatrix, tangle
 from d21link.cli import main
 from d21link.tangle import braid_closure_slices, parse_braid
 from test_transcript import BUDGET_VARIABLES
@@ -271,19 +271,24 @@ def test_skein_budget_env_admits_a_wider_unlink(capsys, monkeypatch):
     assert (code, out) == (0, "65536\n")
 
 
-def test_tangle_budget_rejects_huge_unlink_at_once(capsys):
-    start = time.monotonic()
-    code, _, err = run_cli(capsys, "invariant", "--braid", "100000000:")
-    assert time.monotonic() - start < 1.0
-    assert code == 2
-    assert "tangle budget 12" in err
+def test_support_budget_rejects_huge_unlink_at_once(capsys):
+    # 2 ** n columns are compared with the budget without being built
+    for text, states in (("13:", "8192"), ("100000000:", "2^100000000")):
+        start = time.monotonic()
+        code, out, err = run_cli(capsys, "invariant", "--braid", text)
+        assert time.monotonic() - start < 1.0
+        assert (code, out) == (2, "")
+        assert err == (f"error: {states} states in one trace block exceed "
+                       f"the support budget 4096\n")
+    assert run_cli(capsys, "invariant", "--braid", "12:") == (0, "4096\n", "")
 
 
-def test_tangle_budget_env_override(capsys, monkeypatch, tmp_path):
-    monkeypatch.setenv("D21LINK_TANGLE_BUDGET", "2")
+def test_support_budget_env_bounds_braids_and_sliced_diagrams(
+        capsys, monkeypatch, tmp_path):
+    monkeypatch.setenv("D21LINK_SUPPORT_BUDGET", "2")
     code, _, err = run_cli(capsys, "invariant", "--braid", "2: 1 1 1")
     assert code == 2
-    assert "4 peak strands exceed the tangle budget 2" in err
+    assert "4 states in one trace block exceed the support budget 2" in err
     code, out, _ = run_cli(capsys, "invariant", "--braid", "1:")
     assert (code, out) == (0, "2\n")
     path = tmp_path / "kink.txt"
@@ -291,13 +296,15 @@ def test_tangle_budget_env_override(capsys, monkeypatch, tmp_path):
     code, _, err = run_cli(capsys, "invariant", "--sliced", str(path))
     assert code == 2
     assert "budget" in err
+    monkeypatch.setenv("D21LINK_SUPPORT_BUDGET", "8192")
+    assert run_cli(capsys, "invariant", "--braid", "13:") == (0, "8192\n", "")
     for raw, reason in (("many", "is not an integer"), ("0", "must be at least 1"),
                         ("-3", "must be at least 1"), ("1_2", "is not an integer"),
                         ("\u0661\u0662", "is not an integer")):
-        monkeypatch.setenv("D21LINK_TANGLE_BUDGET", raw)
+        monkeypatch.setenv("D21LINK_SUPPORT_BUDGET", raw)
         for argv in (("invariant", "--braid", "1:"), ("verify", "--suite", "skein")):
             assert run_cli(capsys, *argv) == (
-                2, "", f"error: D21LINK_TANGLE_BUDGET {reason}: {raw!r}\n")
+                2, "", f"error: D21LINK_SUPPORT_BUDGET {reason}: {raw!r}\n")
 
 
 def test_skein_budget_env_must_be_a_positive_integer(capsys, monkeypatch):
@@ -349,12 +356,38 @@ def test_support_budget_env_stops_a_sliced_fold_early(capsys, monkeypatch,
                    "fold exceed the support budget 8\n")
 
 
-def test_verify_honours_the_tangle_budget(capsys, monkeypatch):
-    monkeypatch.setenv("D21LINK_TANGLE_BUDGET", "3")
+def test_verify_honours_the_support_budget(capsys, monkeypatch):
+    # the corpus starts 1:, 2: 1; two strands hold 4 columns
+    monkeypatch.setenv("D21LINK_SUPPORT_BUDGET", "3")
     code, out, err = run_cli(capsys, "verify", "--suite", "skein")
     assert code == 2
     assert out == ""
-    assert err == "error: 4 peak strands exceed the tangle budget 3\n"
+    assert err == ("error: 4 states in one trace block exceed the support "
+                   "budget 3\n")
+
+
+def clear_table_caches():
+    for module in (representation, rmatrix, tangle):
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+
+
+def test_a_table_failing_a_tangle_check_exits_2(capsys, monkeypatch):
+    # weight (1, 0, 0) on v2 as on v1: the crossings built from these
+    # weights no longer commute with the differential Delta(E_1)
+    weights = ((1, 0, 0),) * 2 + representation.WEIGHTS[2:]
+    clear_table_caches()
+    try:
+        with monkeypatch.context() as patch:
+            patch.setattr(representation, "WEIGHTS", weights)
+            assert run_cli(capsys, "invariant", "--braid", "2: 1 1 1") == (
+                2, "", "error: the pos crossing does not commute with "
+                       "Delta(E_1)\n")
+    finally:
+        clear_table_caches()
+    assert run_cli(capsys, "invariant", "--braid", "2: 1 1 1") == (
+        0, "-2*q^-3\n", "")
 
 
 def test_usage_error_for_unknown_suite(capsys):

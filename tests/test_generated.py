@@ -183,7 +183,7 @@ def test_split_unions_multiply():
         assert skein(union(left, right)) == \
             DELTA * skein(left) * skein(right), (left, right)
         # up to 8 strands: 2 ** 8 columns at most
-        assert invariant(union(left, right), budget=16).value_dict() == \
+        assert invariant(union(left, right)).value_dict() == \
             multiplied(value(left), value(right)), (left, right)
 
 
@@ -359,7 +359,8 @@ def test_cohomology_trace_matches_the_full_trace(strands):
 def long_words(seed):
     """2-8 strand words of 10-200 letters, beyond the 6 ** n trace and the
     skein recursion: per strand count one of mixed signs and one of mostly
-    one sign whose generators walk by one step (relation moves apply)."""
+    one sign whose generators walk by one step (relation moves apply); then
+    9-, 10- and 12-strand words of 200 letters of mixed signs."""
     rng = random.Random(seed)
     words = []
     for strands in range(2, 9):
@@ -372,13 +373,18 @@ def long_words(seed):
             letters.append((sign if rng.random() < 0.8 else -sign) * gen)
             gen = min(max(gen + rng.choice((-1, 1)), 1), strands - 1)
         words.append(BraidWord(strands, tuple(letters)))
+    for strands in (9, 10, 12):
+        words.append(BraidWord(strands, tuple(
+            rng.choice((1, -1)) * rng.randint(1, strands - 1)
+            for _ in range(200))))
     return words
 
 
 def test_invariant_is_the_orientation_sum_on_long_wide_words():
-    # up to 8 strands: a tangle budget of 16 closure strands
+    # up to 12 strands: 2 ** 12 columns, the default support budget
     words = long_words(1603)
     assert max(len(word.letters) for word in words) == 200
+    assert max(word.strands for word in words) == 12
     for word in words:
-        assert invariant(word, budget=16).value_dict() == \
+        assert invariant(word).value_dict() == \
             orientation_sum(braid_closure_graph(word)), word

@@ -197,16 +197,15 @@ def test_trace_evaluates_one_column_per_swap_orbit():
     assert evaluate_sliced(braid_closure_slices(parse_braid("2: 1"))).trace is None
 
 
-def test_tangle_budget_is_checked_before_any_work():
-    with pytest.raises(TangleBudgetExceeded):
-        invariant(parse_braid("7:"))
-    with pytest.raises(TangleBudgetExceeded):
-        invariant(BraidWord(10 ** 8, ()))
-    kink = braid_closure_slices(parse_braid("2: 1"))
-    with pytest.raises(TangleBudgetExceeded):
-        evaluate_sliced(kink, budget=3)
-    assert evaluate_sliced(kink, budget=4).value_dict() == {-1: -2}
-    assert invariant(parse_braid("2: 1"), budget=4).value_dict() == {-1: -2}
+def test_support_budget_is_checked_before_any_work():
+    # 2 ** n columns against the default budget of 2 ** 12, compared
+    # without building 2 ** n
+    for word in (parse_braid("13:"), BraidWord(10 ** 8, ())):
+        start = time.monotonic()
+        with pytest.raises(TangleBudgetExceeded):
+            invariant(word)
+        assert time.monotonic() - start < 1.0
+    assert invariant(parse_braid("12:")).value_dict() == {0: 2 ** 12}
 
 
 def test_parse_sliced_text_roundtrip(tmp_path):
@@ -557,7 +556,7 @@ def test_cut_needs_a_scalar_left_partial_trace(how):
     assert left_partial_trace((1, 1, 1)) == {-3: -1}
 
 
-def test_cut_pieces_stay_within_a_support_budget_the_whole_trace_exceeds():
+def test_split_union_holds_its_2n_columns_where_the_6n_trace_is_refused():
     # a split union of two figure-eight closures: each piece is traced on
     # its 2 ** 3 columns, the whole on 2 ** 6, and the 6 ** 6 reference
     # trace holds more than 2000 states in one block
@@ -608,6 +607,10 @@ def test_support_budget_refuses_a_block_early():
     assert trace(parse_braid("1:"), support_budget=4).value_dict() == {0: 2}
     with pytest.raises(TangleBudgetExceeded):
         trace(parse_braid("1:"), support_budget=3)
+    # a fixed cap of six strands, whatever the support budget
+    with pytest.raises(TangleBudgetExceeded,
+                       match="^7 strands exceed the reference trace's cap 6$"):
+        trace(parse_braid("7:"), support_budget=10 ** 9)
 
 
 def test_invariant_refuses_a_support_budget_below_its_2n_columns():

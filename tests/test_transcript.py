@@ -22,8 +22,7 @@ from d21link.tangle import BraidWord
 from d21link.verify import CORPUS
 
 TRANSCRIPT = Path(__file__).with_name("cli_transcript.json")
-BUDGET_VARIABLES = ("D21LINK_SKEIN_BUDGET", "D21LINK_TANGLE_BUDGET",
-                    "D21LINK_SUPPORT_BUDGET")
+BUDGET_VARIABLES = ("D21LINK_SKEIN_BUDGET", "D21LINK_SUPPORT_BUDGET")
 
 
 def transcript_commands():
