@@ -36,6 +36,12 @@ T_SUPERLINALG = "tests/test_superlinalg.py::"
 TANGLE = "src/d21link/tangle.py"
 T_TANGLE = "tests/test_tangle.py::"
 T_CLI = "tests/test_cli.py::"
+DUBROVNIK = "src/d21link/dubrovnik.py"
+T_DUBROVNIK = "tests/test_dubrovnik.py::"
+T_FRONT_END = (T_DUBROVNIK + "test_front_end_is_the_reference_on_every_diagram_"
+               "the_recursion_visits")
+T_TRANSCRIPT = ("tests/test_transcript.py::test_cli_output_matches_the_recorded_"
+                "transcript")
 
 
 class Mutant(NamedTuple):
@@ -113,8 +119,45 @@ MUTANTS = (
            (T_TANGLE + "test_cyclic_free_reduction",
             T_TANGLE + "test_eval_result_stats",
             T_CLI + "test_invariant_json_schema",
-            "tests/test_transcript.py::test_cli_output_matches_the_recorded_"
-            "transcript")),
+            T_TRANSCRIPT)),
+    Mutant("simplify-keeps-touched-crossings-irreducible", DUBROVNIK,
+           "            touched.add(end1 >> 2)\n"
+           "            touched.add(end2 >> 2)\n",
+           "",
+           (T_FRONT_END,
+            T_CLI + "test_dubrovnik_json_adds_the_recursion_stats")),
+    Mutant("rewrite-leaves-the-neighbours-irreducible", DUBROVNIK,
+           "near = {first_bad, *(g.partner[4 * first_bad + s] >> 2\n"
+           "                                 for s in range(4))}",
+           "near = {first_bad}",
+           (T_FRONT_END,
+            T_CLI + "test_dubrovnik_json_adds_the_recursion_stats")),
+    Mutant("walk-writhe-swaps-the-sign-operands", DUBROVNIK,
+           "self_writhe += _SIGNS[over_slot, under_slot]",
+           "self_writhe += _SIGNS[under_slot, over_slot]",
+           (T_FRONT_END,
+            T_DUBROVNIK + "test_orientation_sum_is_twice_the_specialized_"
+                          "dubrovnik_value",
+            T_DUBROVNIK + "test_orientation_sum_of_torus_links_is_the_closed_"
+                          "form",
+            T_TRANSCRIPT)),
+    Mutant("walk-takes-the-first-bad-crossing-at-its-second-pass", DUBROVNIK,
+           "                    if not over and first_bad is None:\n"
+           "                        first_bad = cid\n"
+           "                else:\n"
+           "                    first_slot, first_comp, over = pending.pop(cid)\n",
+           "                else:\n"
+           "                    first_slot, first_comp, over = pending.pop(cid)\n"
+           "                    if not over and first_bad is None:\n"
+           "                        first_bad = cid\n",
+           (T_FRONT_END,)),
+    Mutant("expansion-drops-the-sign-of-a", DUBROVNIK,
+           "-comb(n, r) if (a_exp + r) % 2",
+           "-comb(n, r) if r % 2",
+           (T_DUBROVNIK + "test_specialization_values",
+            T_DUBROVNIK + "test_specialize_is_the_reference",
+            T_DUBROVNIK + "test_compare_pipelines_on_sample_words",
+            T_TRANSCRIPT)),
 )
 
 

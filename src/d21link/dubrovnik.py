@@ -13,10 +13,12 @@ is Kauffman's switching recursion:
   (Reidemeister I) is removed for a factor a^{sign}, sign its self-crossing
   sign, and a bigon whose strand is over at both of its crossings
   (Reidemeister II) is removed for nothing; both repeat until neither
-  applies, and an alternating bigon stays;
+  applies, and an alternating bigon stays.  A pass re-checks only the
+  crossings next to a removal or to the rewrite that made the diagram;
 * pick the deterministic traversal (components ordered by smallest crossing
-  label, walk starting there); a crossing first met on its over-strand is
-  *good*;
+  label, walk starting there) in one walk that labels the crossings, finds
+  the first bad one and sums the self-crossing signs; a crossing first met
+  on its over-strand is *good*;
 * if every crossing is good the diagram is descending, hence an unlink:
   value a^{w} delta^{k-1} with w the sum of self-crossing signs and k the
   number of circles, delta = (a - a^{-1})/z + 1;
@@ -27,8 +29,10 @@ is Kauffman's switching recursion:
 
 Crossing ports sit at SW=0, SE=1, NE=2, NW=3 of a braid-style box; a
 positive braid letter yields a crossing whose over-strand is the SW-NE
-diagonal.  Values are memoized on the traversal signature of the simplified
-diagram, which reconstructs it up to crossing relabeling.  The memo is
+diagonal.  Specialization reads cached expansions of (-q^{-1})^a
+(q - q^{-1})^n and divides by z in one pass per power.  Values are memoized
+on the traversal signature of the simplified diagram, which reconstructs it
+up to crossing relabeling.  The memo is
 process-wide: a diagram's value depends on the diagram alone, never on the
 word, the budget or the evaluation it came from, so an entry stored by one
 evaluation is sound for every later one, and the torus-link subdiagrams
@@ -40,6 +44,7 @@ the crossings of the input diagram, before any simplification or lookup.
 
 from __future__ import annotations
 
+from functools import lru_cache, reduce
 from itertools import product
 from math import comb
 from typing import Dict, List, Optional, Tuple
@@ -52,17 +57,12 @@ MEMO_CAP = 4096
 # Branch values by the signature of their simplified diagram, across calls.
 _memo: Dict[tuple, TwoVarPoly] = {}
 
-# Port coordinates in the crossing box, used for self-crossing signs.
-_PORT_POS = {0: (-1, -1), 1: (1, -1), 2: (1, 1), 3: (-1, 1)}
+# Sign of a crossing by the slots (over, under) at which its strands enter:
+# +1 when the under-strand enters one slot counterclockwise of the over.
+_SIGNS = {(over, under): 1 if under == (over + 1) & 3 else -1
+          for over in range(4) for under in ((over + 1) & 3, (over - 1) & 3)}
 # Slot pairs that erase a crossing with both strands running straight on.
 _STRAIGHT = ((0, 2), (1, 3))
-
-
-def _sign(over_slot: int, under_slot: int) -> int:
-    """Sign of a crossing whose strands enter at the given slots."""
-    (ox0, oy0), (ox1, oy1) = _PORT_POS[over_slot], _PORT_POS[over_slot ^ 2]
-    (ux0, uy0), (ux1, uy1) = _PORT_POS[under_slot], _PORT_POS[under_slot ^ 2]
-    return 1 if (ox1 - ox0) * (uy1 - uy0) - (oy1 - oy0) * (ux1 - ux0) > 0 else -1
 
 
 class SkeinBudgetExceeded(RuntimeError):
@@ -139,15 +139,20 @@ class TwoVarPoly:
 
 
 TV_ONE = TwoVarPoly.monomial(0, 0)
-TV_Z = TwoVarPoly.monomial(0, 1)
 DELTA = TwoVarPoly({(1, -1): 1, (-1, -1): -1, (0, 0): 1})
 
 
-def _power(base: TwoVarPoly, exp: int) -> TwoVarPoly:
-    acc = TV_ONE
-    for _ in range(exp):
-        acc = acc * base
-    return acc
+def _shifted(poly: TwoVarPoly, a_exp: int, z_exp: int = 0) -> TwoVarPoly:
+    """``poly * a^a_exp z^z_exp``, by shifting exponents."""
+    out = TwoVarPoly.__new__(TwoVarPoly)
+    out.terms = {(a + a_exp, z + z_exp): c for (a, z), c in poly.terms.items()}
+    return out
+
+
+@lru_cache(maxsize=64)
+def _delta_power(exp: int) -> TwoVarPoly:
+    """delta^exp; the descending leaves need only a few small powers."""
+    return reduce(TwoVarPoly.__mul__, [DELTA] * exp, TV_ONE)
 
 
 class LinkGraph:
@@ -173,11 +178,13 @@ class LinkGraph:
         return LinkGraph(dict(self.over_diag), dict(self.partner), self.free_loops)
 
     def validate(self) -> None:
-        ports = {4 * cid + slot for cid in self.over_diag for slot in range(4)}
-        if set(self.partner) != ports:
+        over_diag, partner = self.over_diag, self.partner
+        # as many ports as the crossings have, each on one of them
+        if len(partner) != 4 * len(over_diag) or not over_diag.keys() >= {
+                port >> 2 for port in partner}:
             raise ValueError("edge matching does not cover the crossing ports")
-        for port, other in self.partner.items():
-            if other == port or self.partner.get(other) != port:
+        for port, other in partner.items():
+            if other == port or partner.get(other) != port:
                 raise ValueError("edge matching is not a fixed-point-free involution")
 
     def switched(self, cid: int) -> "LinkGraph":
@@ -190,23 +197,27 @@ class LinkGraph:
         straight up); 'turnback' joins SW-SE and NE-NW (cap under cup)."""
         pairs = ((0, 3), (1, 2)) if mode == "vertical" else ((0, 1), (2, 3))
         out = self.copy()
-        out._remove(cid, pairs)
+        out._remove(cid, pairs, set())
         return out
 
-    def _remove(self, cid: int, pairs) -> None:
+    def _remove(self, cid: int, pairs, touched: set) -> None:
         """Delete a crossing in place, joining the far ends of each pair of
-        its slots; an arc that closes up becomes a free loop."""
+        its slots; an arc that closes up becomes a free loop.  The crossings
+        whose ports it rejoins are added to ``touched``."""
         del self.over_diag[cid]
+        partner = self.partner
         for s1, s2 in pairs:
             p1, p2 = 4 * cid + s1, 4 * cid + s2
-            end1 = self.partner.pop(p1)
+            end1 = partner.pop(p1)
             if end1 == p2:
-                self.partner.pop(p2)
+                partner.pop(p2)
                 self.free_loops += 1
                 continue
-            end2 = self.partner.pop(p2)
-            self.partner[end1] = end2
-            self.partner[end2] = end1
+            end2 = partner.pop(p2)
+            partner[end1] = end2
+            partner[end2] = end1
+            touched.add(end1 >> 2)
+            touched.add(end2 >> 2)
 
 
 def braid_closure_graph(word, budget: int = DEFAULT_BUDGET) -> LinkGraph:
@@ -223,81 +234,81 @@ def braid_closure_graph(word, budget: int = DEFAULT_BUDGET) -> LinkGraph:
         raise SkeinBudgetExceeded(
             f"{excerpt(word.strands)} strands exceed the budget {budget}")
     graph = LinkGraph()
-    ends: Dict[int, Optional[int]] = {s: None for s in range(1, word.strands + 1)}
-    first: Dict[int, Optional[int]] = dict(ends)
-
-    def feed(strand: int, port: int) -> None:
-        if ends[strand] is None:
-            first[strand] = port
-        else:
-            graph.partner[ends[strand]] = port
-            graph.partner[port] = ends[strand]
-
+    over_diag, partner = graph.over_diag, graph.partner
+    # per strand: its first port and its open end so far
+    first: List[Optional[int]] = [None] * (word.strands + 1)
+    ends = first[:]
     for cid, letter in enumerate(word.letters):
-        k = abs(letter)
-        graph.over_diag[cid] = 0 if letter > 0 else 1
-        feed(k, 4 * cid + 0)
-        feed(k + 1, 4 * cid + 1)
-        ends[k] = 4 * cid + 3
-        ends[k + 1] = 4 * cid + 2
+        k, base = abs(letter), 4 * cid
+        over_diag[cid] = 0 if letter > 0 else 1
+        end = ends[k]
+        if end is None:
+            first[k] = base
+        else:
+            partner[end], partner[base] = base, end
+        end = ends[k + 1]
+        if end is None:
+            first[k + 1] = base + 1
+        else:
+            partner[end], partner[base + 1] = base + 1, end
+        ends[k], ends[k + 1] = base + 3, base + 2
     for strand in range(1, word.strands + 1):
-        if ends[strand] is None:
+        end = ends[strand]
+        if end is None:
             graph.free_loops += 1
         else:
-            graph.partner[ends[strand]] = first[strand]
-            graph.partner[first[strand]] = ends[strand]
+            partner[end], partner[first[strand]] = first[strand], end
     graph.validate()
     return graph
 
 
 def _analyze(graph: LinkGraph):
     """Deterministic traversal: components, first bad crossing, self-writhe,
-    and a memo signature that determines the diagram up to relabeling."""
-    covered: set = set()
-    first_bad: Optional[int] = None
-    seen_first: Dict[int, bool] = {}
-    relabel: Dict[int, int] = {}
-    passes: Dict[int, Dict[int, Tuple[int, int]]] = {}
+    and a memo signature that determines the diagram up to relabeling.
+
+    One walk; each component starts at the smallest port not yet passed.  A
+    crossing gets its label and type at its first pass, its sign at its
+    second if both are on one component."""
+    partner, over_diag = graph.partner, graph.over_diag
+    first_bad, self_writhe = None, 0
+    labels: Dict[int, int] = {}
+    # crossing -> (slot, component, over) of its first pass, until its second
+    pending: Dict[int, Tuple[int, int, bool]] = {}
+    types: List[int] = []
     components: List[Tuple[Tuple[int, int], ...]] = []
-    for start in sorted(graph.partner):
-        if start in covered:
-            continue
-        comp_index = len(components)
-        steps: List[Tuple[int, int]] = []
-        current = start
-        while True:
-            cid, slot = divmod(current, 4)
-            exit_port = current ^ 2
-            covered.add(current)
-            covered.add(exit_port)
-            if cid not in relabel:
-                relabel[cid] = len(relabel)
-            over = (slot & 1) == graph.over_diag[cid]
-            if cid not in seen_first:
-                seen_first[cid] = over
-                if not over and first_bad is None:
-                    first_bad = cid
-            passes.setdefault(cid, {})[slot & 1] = (slot, comp_index)
-            steps.append((relabel[cid], slot))
-            nxt = graph.partner[exit_port]
-            if nxt == start:
-                break
-            current = nxt
-        components.append(tuple(steps))
-    self_writhe = 0
-    for cid, by_diag in passes.items():
-        over_slot, over_comp = by_diag[graph.over_diag[cid]]
-        under_slot, under_comp = by_diag[graph.over_diag[cid] ^ 1]
-        if over_comp != under_comp:
-            continue
-        self_writhe += _sign(over_slot, under_slot)
-    types = tuple(graph.over_diag[cid]
-                  for cid, _ in sorted(relabel.items(), key=lambda kv: kv[1]))
-    signature = (tuple(components), types, graph.free_loops)
+    for low in sorted(over_diag):
+        while low not in labels or low in pending:
+            # the smallest port of ``low`` on the diagonal not yet passed
+            start = 4 * low + ((pending[low][0] & 1) ^ 1 if low in pending else 0)
+            comp, steps, current = len(components), [], start
+            while True:
+                cid, slot = current >> 2, current & 3
+                label = labels.get(cid)
+                if label is None:
+                    label = labels[cid] = len(types)
+                    diag = over_diag[cid]
+                    types.append(diag)
+                    over = (slot & 1) == diag
+                    pending[cid] = (slot, comp, over)
+                    if not over and first_bad is None:
+                        first_bad = cid
+                else:
+                    first_slot, first_comp, over = pending.pop(cid)
+                    if first_comp == comp:
+                        over_slot, under_slot = ((first_slot, slot) if over
+                                                 else (slot, first_slot))
+                        self_writhe += _SIGNS[over_slot, under_slot]
+                steps.append((label, slot))
+                current = partner[current ^ 2]
+                if current == start:
+                    break
+            components.append(tuple(steps))
+    signature = (tuple(components), tuple(types), graph.free_loops)
     return len(components), first_bad, self_writhe, signature
 
 
-def _simplify(graph: LinkGraph, stats: Optional[Dict[str, int]] = None) -> int:
+def _simplify(graph: LinkGraph, stats: Optional[Dict[str, int]] = None,
+              suspects: Optional[set] = None) -> int:
     """Reidemeister I and II in place until neither applies; returns the
     a-exponent that the removed curls contribute to the value.
 
@@ -306,12 +317,19 @@ def _simplify(graph: LinkGraph, stats: Optional[Dict[str, int]] = None) -> int:
     crossings cancels.  Either way the crossings go with both strands
     running straight on.  ``stats``, when given, counts the curls and the
     bigons removed.
+
+    A crossing whose slots admit no move stays irreducible until a removal
+    rejoins one of its ports, so a pass checks only the ``suspects`` (by
+    default all crossings): the same moves in the same order as checking all.
     """
     partner, over_diag = graph.partner, graph.over_diag
     shift, moved = 0, True
+    suspects = set(over_diag) if suspects is None else suspects
     while moved:
         moved = False
         for cid in list(over_diag):
+            if cid not in suspects:
+                continue
             diag = over_diag.get(cid)
             if diag is None:            # the other half of a bigon already gone
                 continue
@@ -325,21 +343,23 @@ def _simplify(graph: LinkGraph, stats: Optional[Dict[str, int]] = None) -> int:
                     over, under = (s + 2) & 3, t
                     if (over & 1) != diag:
                         over, under = under, over
-                    shift += _sign(over, under)
-                    graph._remove(cid, _STRAIGHT)
+                    shift += _SIGNS[over, under]
+                    graph._remove(cid, _STRAIGHT, suspects)
                     if stats is not None:
                         stats["curls_removed"] += 1
                 # bigon: the edges at s and s-1 both run to ``other``
                 elif (partner[base + ((s - 1) & 3)] == 4 * other + ((t + 1) & 3)
                       and ((s & 1) == diag) == ((t & 1) == over_diag[other])):
-                    graph._remove(cid, _STRAIGHT)
-                    graph._remove(other, _STRAIGHT)
+                    graph._remove(cid, _STRAIGHT, suspects)
+                    graph._remove(other, _STRAIGHT, suspects)
                     if stats is not None:
                         stats["bigons_removed"] += 1
                 else:
                     continue
                 moved = True
                 break
+            else:
+                suspects.discard(cid)
     return shift
 
 
@@ -369,12 +389,12 @@ def dubrovnik_poly(graph: LinkGraph, budget: int = DEFAULT_BUDGET,
     if stats is not None:
         stats.update(nodes=0, memo_hits=0, curls_removed=0, bigons_removed=0)
 
-    def recurse(g: LinkGraph) -> TwoVarPoly:
+    def recurse(g: LinkGraph, suspects: Optional[set] = None) -> TwoVarPoly:
         if stats is not None:
             stats["nodes"] += 1
-        shift = _simplify(g, stats)
+        shift = _simplify(g, stats, suspects)
         value = branch(g)
-        return TwoVarPoly.monomial(shift, 0) * value if shift else value
+        return _shifted(value, shift) if shift else value
 
     def branch(g: LinkGraph) -> TwoVarPoly:
         ncomp, first_bad, writhe, signature = _analyze(g)
@@ -388,13 +408,16 @@ def dubrovnik_poly(graph: LinkGraph, budget: int = DEFAULT_BUDGET,
             circles = ncomp + g.free_loops
             if circles == 0:
                 raise ValueError("empty diagram has no skein value")
-            value = TwoVarPoly.monomial(writhe, 0) * _power(DELTA, circles - 1)
+            value = _shifted(_delta_power(circles - 1), writhe)
         else:
             sign_flip = g.over_diag[first_bad] == 1
-            switched = recurse(g.switched(first_bad))
-            vertical = recurse(g.smoothed(first_bad, "vertical"))
-            turnback = recurse(g.smoothed(first_bad, "turnback"))
-            correction = TV_Z * (vertical - turnback)
+            # g is irreducible: a rewrite makes moves only next to first_bad
+            near = {first_bad, *(g.partner[4 * first_bad + s] >> 2
+                                 for s in range(4))}
+            switched = recurse(g.switched(first_bad), set(near))
+            vertical = recurse(g.smoothed(first_bad, "vertical"), set(near))
+            turnback = recurse(g.smoothed(first_bad, "turnback"), near)
+            correction = _shifted(vertical - turnback, 0, 1)
             value = switched - correction if sign_flip else switched + correction
         if memo is not None:
             memo[signature] = value
@@ -450,7 +473,7 @@ def orientation_sum(graph: LinkGraph) -> Dict[int, int]:
         (over_slot, i), (under_slot, j) = sorted(
             pair, key=lambda entry: (entry[0] & 1) != types[cid])
         if i != j:
-            crossings[min(i, j)][max(i, j)] += _sign(over_slot, under_slot)
+            crossings[min(i, j)][max(i, j)] += _SIGNS[over_slot, under_slot]
     linked = [(i, j, count) for i, row in enumerate(crossings)
               for j, count in enumerate(row) if count]
     total: Dict[int, int] = {}
@@ -463,36 +486,41 @@ def orientation_sum(graph: LinkGraph) -> Dict[int, int]:
 
 
 def _divide_by_z(terms: Dict[int, int]) -> Dict[int, int]:
-    """Exact quotient by z = q - q^{-1}, clearing the top term at each step."""
-    rest = {exp: coeff for exp, coeff in terms.items() if coeff}
-    low, out = min(rest, default=0), {}
-    while rest:
-        top = max(rest)
-        if top - 2 < low:
-            raise NotLaurentInQ("z-denominator does not cancel",
-                                format_q_laurent(rest))
-        out[top - 1] = coeff = rest.pop(top)
-        rest[top - 2] = rest.get(top - 2, 0) + coeff
-        if not rest[top - 2]:
-            del rest[top - 2]
+    """Exact quotient by z = q - q^{-1} in one pass from the top down: c q^e
+    left gives c q^{e-1}, and nothing may be left below q^{lowest + 2}."""
+    exps = [exp for exp, coeff in terms.items() if coeff]
+    low, out = min(exps, default=0), {}
+    rest = [terms.get(exp, 0) for exp in range(low, max(exps, default=0) + 2)]
+    for i in range(len(rest) - 1, 1, -1):
+        coeff = rest[i]
+        if coeff:
+            out[low + i - 1] = coeff
+            rest[i - 2] += coeff
+    if rest[0] or rest[1]:
+        raise NotLaurentInQ("z-denominator does not cancel", format_q_laurent(
+            {low + i: coeff for i, coeff in enumerate(rest[:2]) if coeff}))
     return out
+
+
+@lru_cache(maxsize=1024)
+def _expansion(a_exp: int, n: int) -> Tuple[Tuple[int, int], ...]:
+    """(-q^{-1})^a_exp (q - q^{-1})^n as ``(q_exponent, coefficient)`` pairs."""
+    return tuple((n - 2 * r - a_exp, -comb(n, r) if (a_exp + r) % 2
+                  else comb(n, r)) for r in range(n + 1))
 
 
 def specialize(poly: TwoVarPoly) -> Dict[int, int]:
     """Substitute a = -q^{-1}, z = q - q^{-1}; z-denominators must cancel.
 
     The terms are multiplied by z^m, m the largest negative z-exponent,
-    expanded in q and divided exactly by (q - q^{-1})^m; a remainder raises
-    :class:`NotLaurentInQ`.
+    expanded in q (from cached expansions) and divided exactly by
+    (q - q^{-1})^m; a remainder raises :class:`NotLaurentInQ`.
     """
     shift = max([0] + [-z_exp for _, z_exp in poly.terms])
     total: Dict[int, int] = {}
     for (a_exp, z_exp), coeff in poly.terms.items():
-        n = z_exp + shift       # coeff * (-q^-1)^a_exp * (q - q^-1)^n
-        for r in range(n + 1):
-            exp = n - 2 * r - a_exp
-            sign = -1 if (a_exp + r) % 2 else 1
-            total[exp] = total.get(exp, 0) + sign * comb(n, r) * coeff
+        for exp, term in _expansion(a_exp, z_exp + shift):
+            total[exp] = total.get(exp, 0) + term * coeff
     for _ in range(shift):
         total = _divide_by_z(total)
     return {exp: coeff for exp, coeff in total.items() if coeff}

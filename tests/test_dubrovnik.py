@@ -17,7 +17,10 @@ from d21link.dubrovnik import (DELTA, LinkGraph, SkeinBudgetExceeded, TV_ONE,
 from d21link.ring import NotLaurentInQ
 from d21link.tangle import BraidWord, parse_braid
 from d21link.verify import compare
-from helpers import plain_dubrovnik, torus_closed_form
+from helpers import (plain_dubrovnik, reference_analyze,
+                     reference_closure_graph, reference_simplify,
+                     reference_specialize, reference_validate,
+                     torus_closed_form)
 from test_generated import WORDS
 
 TV_A = TwoVarPoly.monomial(1, 0)
@@ -324,6 +327,134 @@ def test_graph_validation_catches_broken_matchings():
     graph.partner[0] = 0
     with pytest.raises(ValueError):
         graph.validate()
+
+
+def seeded_words(seed, count):
+    """Words of 1-5 strands and 0-14 letters."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        strands = rng.randint(1, 5)
+        yield BraidWord(strands, tuple(
+            rng.choice((1, -1)) * rng.randint(1, strands - 1)
+            for _ in range(rng.randint(0, 14) if strands > 1 else 0)))
+
+
+def graph_items(graph):
+    """A graph's dicts in insertion order, which orders the passes of
+    ``_simplify``, and its free loops."""
+    return (list(graph.over_diag.items()), list(graph.partner.items()),
+            graph.free_loops)
+
+
+def test_front_end_is_the_reference_on_every_diagram_the_recursion_visits(
+        cold_memo):
+    # the reference recursion, with the first-written front end, checks the
+    # present one against it at every node, then the recursion's own counts
+    visited = 0
+    for word in seeded_words(2301, 800):
+        graph = braid_closure_graph(word)
+        assert graph_items(graph) == graph_items(reference_closure_graph(word))
+        stats = dict(nodes=0, memo_hits=0, curls_removed=0, bigons_removed=0)
+        memo = set()
+
+        def recurse(g):
+            stats["nodes"] += 1
+            new = g.copy()
+            moves = dict(curls_removed=0, bigons_removed=0)
+            new_moves = dict(moves)
+            assert _simplify(new, new_moves) == reference_simplify(g, moves)
+            assert (new_moves, graph_items(new)) == (moves, graph_items(g))
+            for key, count in moves.items():
+                stats[key] += count
+            result = reference_analyze(g)
+            assert _analyze(new) == result
+            _, first_bad, _, signature = result
+            if signature in memo:
+                stats["memo_hits"] += 1
+                return
+            if first_bad is not None:
+                for child in (g.switched(first_bad),
+                              g.smoothed(first_bad, "vertical"),
+                              g.smoothed(first_bad, "turnback")):
+                    recurse(child)
+            memo.add(signature)
+
+        recurse(graph.copy())
+        visited += stats["nodes"]
+        cold_memo.clear()
+        counted = {}
+        dubrovnik_poly(graph, stats=counted)
+        assert counted == stats, word
+    assert visited > 5000
+
+
+def validation_error(check, graph):
+    try:
+        check(graph)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def test_validation_is_the_reference_on_broken_matchings():
+    rng = random.Random(2303)
+    errors = set()
+    for graph in generated_diagrams(2303, 60):
+        for _ in range(4):
+            broken = graph.copy()
+            ports = sorted(broken.partner)
+            kind = rng.randrange(5)
+            if kind == 0 and ports:       # a port loses its edge
+                del broken.partner[rng.choice(ports)]
+            elif kind == 1:               # a port of no crossing
+                broken.partner[4 * (len(ports) + 9)] = rng.choice(ports or [0])
+            elif kind == 2 and ports:     # a fixed point
+                port = rng.choice(ports)
+                broken.partner[port] = port
+            elif kind == 3 and len(ports) > 2:  # a one-way edge
+                broken.partner[ports[0]] = rng.choice(ports[1:])
+            elif kind == 4:               # a crossing with no ports
+                broken.over_diag[len(ports) + 9] = 0
+            expected = validation_error(reference_validate, broken)
+            assert validation_error(LinkGraph.validate, broken) == expected
+            errors.add(expected)
+    assert len(errors) == 3
+
+
+def random_two_var(rng):
+    terms = {}
+    for _ in range(rng.randint(0, 6)):
+        key = (rng.randint(-6, 6), rng.randint(-3, 5))
+        terms[key] = terms.get(key, 0) + rng.randint(-4, 4)
+    return TwoVarPoly(terms)
+
+
+def test_specialize_is_the_reference():
+    # products with powers of delta cancel the z-denominators they add;
+    # terms with a negative z-exponent of their own mostly do not
+    rng = random.Random(2304)
+    outcomes = set()
+    for index in range(3000):
+        poly = random_two_var(rng)
+        if index % 2:
+            for _ in range(rng.randint(1, 3)):
+                poly = poly * DELTA
+        try:
+            expected = list(reference_specialize(poly).items())
+        except NotLaurentInQ as exc:
+            with pytest.raises(NotLaurentInQ) as raised:
+                specialize(poly)
+            assert str(raised.value) == str(exc)
+            outcomes.add("raises")
+        else:
+            assert list(specialize(poly).items()) == expected
+            outcomes.add("value" if expected else "zero")
+    assert outcomes == {"raises", "value", "zero"}
+    # z = a - a^-1 after the substitution, so a^k (1 - (a - a^-1)/z)
+    # specializes to 0 through terms that cancel only in the sum
+    for k in range(-8, 9):
+        poly = TwoVarPoly({(k, 0): 1, (k + 1, -1): -1, (k - 1, -1): 1})
+        assert specialize(poly) == reference_specialize(poly) == {}
 
 
 def _imports(module):
