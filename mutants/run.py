@@ -36,6 +36,8 @@ T_SUPERLINALG = "tests/test_superlinalg.py::"
 TANGLE = "src/d21link/tangle.py"
 T_TANGLE = "tests/test_tangle.py::"
 T_CLI = "tests/test_cli.py::"
+CLI = "src/d21link/cli.py"
+RING = "src/d21link/ring.py"
 DUBROVNIK = "src/d21link/dubrovnik.py"
 T_DUBROVNIK = "tests/test_dubrovnik.py::"
 T_FRONT_END = (T_DUBROVNIK + "test_front_end_is_the_reference_on_every_diagram_"
@@ -158,6 +160,22 @@ MUTANTS = (
             T_DUBROVNIK + "test_specialize_is_the_reference",
             T_DUBROVNIK + "test_compare_pipelines_on_sample_words",
             T_TRANSCRIPT)),
+    Mutant("run-skips-the-final-flush", CLI,
+           "        sys.stdout.flush()      # a write failure is reported here,"
+           " not at exit\n",
+           "",
+           (T_CLI + "test_a_failed_final_flush_exits_2[dev-full]",
+            T_CLI + "test_a_failed_final_flush_exits_2[closed-pipe]")),
+    Mutant("run-exits-with-0", CLI,
+           "    os._exit(status)",
+           "    os._exit(0)",
+           (T_CLI + "test_process_entries_match_main_in_process[malformed-"
+                    "braid]",
+            T_CLI + "test_process_entries_match_main_in_process[bad-budget]")),
+    Mutant("q-string-zero-is-empty", RING,
+           'return "0"\n    return format_q_laurent',
+           'return ""\n    return format_q_laurent',
+           (T_TRANSCRIPT,)),
 )
 
 

@@ -26,11 +26,13 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def run() -> int:
+def run():
     """The installed ``d21link`` script: :func:`d21link.cli.run`, with the
     cyclic collector switched off before ``d21link.cli`` imports the
-    layers, as ``python -m d21link.cli`` does."""
+    layers, as ``python -m d21link.cli`` does.  It does not return: the
+    process ends with ``os._exit`` and the command's exit status, once
+    stdout and stderr are flushed."""
     import gc
     gc.disable()
     from . import cli
-    return cli.run()
+    cli.run()

@@ -38,14 +38,20 @@ module table that fails a check of :mod:`d21link.tangle` exits 2.
 Each command is a one-shot process: ``python -m d21link.cli`` and the
 installed ``d21link`` script (through :func:`d21link.run`) run
 :func:`run`, which switches the cyclic garbage collector off (both entries
-do so before the layers import) and, once :func:`main` returns, freezes
-the heap with ``gc.freeze()`` so that the collection at interpreter exit
-skips it; the exit status is :func:`main`'s.  This is safe because the
-package makes no reference cycles on its hot paths: every object a command
-builds is freed by reference counting or lives until the process exits,
-which it does right after the command.  :func:`main` itself leaves the
-collector alone, so library callers, the tests and anything else that
-calls it in process keep their own GC settings.
+do so before the layers import) and, once :func:`main` returns, ends the
+process with ``os._exit`` and :func:`main`'s exit status, so that neither
+the collection at interpreter exit nor the teardown of the modules runs.
+:func:`main` flushes stdout inside its error handling, so a write that
+fails there (stdout on a full device, or a pipe whose reader has gone)
+gives one ``error:`` line and exit 2; :func:`run` flushes stderr before it
+exits.  Ending the process so is safe because only stdout and stderr are
+open by then (``braiding_deviations.txt`` and a ``--sliced`` file are
+closed by their ``with`` blocks), and because the package makes no
+reference cycles on its hot paths: every object a command builds is freed
+by reference counting or lives until the process exits, which it does
+right after the command.  :func:`main` itself leaves the collector alone,
+so library callers, the tests and anything else that calls it in process
+keep their own GC settings.
 """
 
 from __future__ import annotations
@@ -58,7 +64,7 @@ if __name__ == "__main__":
 import argparse
 import os
 import sys
-from typing import List, Optional
+from typing import List, NoReturn, Optional
 
 from . import dubrovnik
 from .representation import DIM
@@ -250,7 +256,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()      # a write failure is reported here, not at exit
+        return status
     except (DiagramError, NotLaurentInQ, TableError,
             dubrovnik.SkeinBudgetExceeded, BudgetSettingError, OSError,
             UnicodeDecodeError) as exc:
@@ -258,14 +266,15 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
 
 
-def run() -> int:
+def run() -> NoReturn:
     """The process entry of ``d21link`` and ``python -m d21link.cli``:
-    :func:`main` with the cyclic collector off, its heap frozen after it."""
+    :func:`main` with the cyclic collector off, then ``os._exit`` with its
+    status, which skips the exit collection and the module teardown."""
     gc.disable()
     status = main()
-    gc.freeze()     # the collection at interpreter exit skips this heap
-    return status
+    sys.stderr.flush()
+    os._exit(status)
 
 
 if __name__ == "__main__":
-    sys.exit(run())
+    run()

@@ -413,6 +413,8 @@ def format_q_laurent(terms: Mapping[int, int]) -> str:
 
 def q_string(value: QuarterLaurent) -> str:
     """Canonical q-polynomial string of a QuarterLaurent in whole q-powers."""
+    if not value.terms:     # most cells of the braiding
+        return "0"
     return format_q_laurent(to_integer_laurent(value))
 
 

@@ -224,7 +224,7 @@ REFERENCE_C1 = [
 
 _FACTOR = r"(\d+|q|l)(?:\*\*(\d+))?"
 _TERM = rf"{_FACTOR}(?:\*{_FACTOR})*(?:/q)?"
-_ENTRY = re.compile(rf"[+-]?{_TERM}(?:[+-]{_TERM})*")
+_ENTRY = rf"[+-]?{_TERM}(?:[+-]{_TERM})*"    # compiled by re on first use
 _SYMBOLS = {"q": Q, "l": LAMBDA}
 
 
@@ -233,7 +233,7 @@ def _parse_reference_entry(text: str) -> QuarterLaurent:
     ``**k`` powers, each product optionally divided by ``q``."""
     if text == "0":     # most cells of the frozen tables
         return ZERO
-    if not _ENTRY.fullmatch(text):
+    if not re.fullmatch(_ENTRY, text):
         raise ValueError(f"unsupported reference entry {text!r}")
     total = ZERO
     for term in re.finditer(rf"([+-]?)({_TERM})", text):

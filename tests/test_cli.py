@@ -1,3 +1,4 @@
+import errno
 import gc
 import json
 import os
@@ -417,11 +418,12 @@ def entry_commands():
                                f"sys.exit({function}())"]}
 
 
-def run_process(command, argv, cwd, env_extra=None):
+def run_process(command, argv, cwd, env_extra=None, stdout=subprocess.PIPE):
     env = {k: v for k, v in os.environ.items() if k not in BUDGET_VARIABLES}
     env.update(env_extra or {}, PYTHONPATH=str(ROOT / "src"))
-    done = subprocess.run([*command, *argv], cwd=cwd, env=env,
-                          capture_output=True, encoding="utf-8", timeout=120)
+    done = subprocess.run([*command, *argv], cwd=cwd, env=env, stdout=stdout,
+                          stderr=subprocess.PIPE, encoding="utf-8",
+                          timeout=120)
     return done.returncode, done.stdout, done.stderr
 
 
@@ -471,51 +473,72 @@ def test_main_leaves_the_collector_alone(capsys):
         (gc.enable if enabled else gc.disable)()
 
 
+# an atexit probe that stays silent: the process ends without teardown
+NO_TEARDOWN = ("import atexit\n"
+               "atexit.register(print, 'teardown', file=sys.stderr)\n")
+
+
 def test_console_script_target_imports_no_layer(tmp_path):
     # its module loads no layer, so the collector is off before any does:
     # no collection from the import of the target to the command's end
     module, function = console_script()
     script = ("import gc, sys\n"
               f"from {module} import {function}\n"
-              "layers = [m for m in sys.modules if m.startswith('d21link.')]\n"
-              "runs = []\n"
+              "print([m for m in sys.modules if m.startswith('d21link.')],"
+              " file=sys.stderr)\n"
               "gc.callbacks.append(lambda phase, info: phase == 'start'"
-              " and runs.append(info))\n"
-              f"status = {function}()\n"
-              "print(status, layers, len(runs), file=sys.stderr)\n")
+              " and print('collection', info, file=sys.stderr))\n"
+              + NO_TEARDOWN + f"{function}()\n")
     assert run_process([sys.executable, "-c", script],
                        ["invariant", "--braid", "2: 1 1 1"], tmp_path) == (
-        0, "-2*q^-3\n", "0 [] 0\n")
+        0, "-2*q^-3\n", "[]\n")
 
 
 def test_process_entries_run_without_a_collection(tmp_path):
-    # collections while code of cli.py runs (its imports included), counted
-    # from before ``python -m`` loads it or from just before the installed
-    # script's function runs; then the collector state the entry leaves
+    # a collection while code of cli.py runs (its imports included), from
+    # before ``python -m`` loads it or from just before the installed
+    # script's function runs, prints a line; so does any teardown
     cli = str(ROOT / "src" / "d21link" / "cli.py")
-    count = ("import gc, sys\n"
-             "runs = []\n"
-             "def seen(phase, info):\n"
-             "    frame = sys._getframe().f_back\n"
-             "    while frame is not None and phase == 'start':\n"
-             f"        if frame.f_code.co_filename == {cli!r}:\n"
-             "            return runs.append(info)\n"
-             "        frame = frame.f_back\n"
-             "gc.callbacks.append(seen)\n")
-    report = ("print(status, len(runs), gc.isenabled(),"
-              " gc.get_freeze_count() > 0, file=sys.stderr)\n")
+    probes = ("import gc, sys\n"
+              "def seen(phase, info):\n"
+              "    frame = sys._getframe().f_back\n"
+              "    while frame is not None and phase == 'start':\n"
+              f"        if frame.f_code.co_filename == {cli!r}:\n"
+              "            return print('collection', info, file=sys.stderr)\n"
+              "        frame = frame.f_back\n"
+              "gc.callbacks.append(seen)\n" + NO_TEARDOWN)
     module, function = console_script()
     scripts = {
-        "python -m": "import runpy\n" + count + (
+        "python -m": "import runpy\n" + probes + (
             "sys.argv = ['d21link', *sys.argv[1:]]\n"
-            "try:\n"
-            "    runpy.run_module('d21link.cli', run_name='__main__')\n"
-            "except SystemExit as exit:\n"
-            "    status = exit.code\n") + report,
-        "console script": (f"from {module} import {function}\n" + count +
-                           f"status = {function}()\n" + report)}
+            "runpy.run_module('d21link.cli', run_name='__main__')\n"),
+        "console script": (f"from {module} import {function}\n" + probes +
+                           f"{function}()\n")}
     for name, script in scripts.items():
         code, out, err = run_process([sys.executable, "-c", script],
                                      ["verify", "--suite", "all"], tmp_path)
         assert (code, out.splitlines()[-1], err) == (
-            0, "overall: PASS", "0 0 False True\n"), name
+            0, "overall: PASS", ""), name
+
+
+@pytest.mark.parametrize("target", ["dev-full", "closed-pipe"])
+def test_a_failed_final_flush_exits_2(target, tmp_path, monkeypatch):
+    # buffered stdout, so the command's output is first written at the
+    # final flush, and fails there: on a full device, or on a pipe whose
+    # read end is closed before the child starts
+    monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+    if target == "dev-full":
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full on this system")
+        fd, reason = os.open("/dev/full", os.O_WRONLY), errno.ENOSPC
+    else:
+        read_end, fd = os.pipe()
+        os.close(read_end)
+        reason = errno.EPIPE
+    error = f"error: [Errno {reason}] {os.strerror(reason)}\n"
+    try:
+        for name, command in entry_commands().items():
+            assert run_process(command, ["invariant", "--braid", "2: 1"],
+                               tmp_path, stdout=fd) == (2, None, error), name
+    finally:
+        os.close(fd)
