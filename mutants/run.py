@@ -115,6 +115,43 @@ MUTANTS = (
            "if len(state) > support_budget:",
            "if len(state) > support_budget + 1:",
            (T_TANGLE + "test_sliced_fold_support_budget_stops_after_the_event",)),
+    Mutant("trace-skips-the-check-at-a-block-start", TANGLE,
+           "if support > support_budget:",
+           "if index and support > support_budget:",
+           (T_TANGLE + "test_support_budget_refuses_a_block_early",)),
+    Mutant("bits-without-headroom", TANGLE,
+           "return bound.bit_length() + 2",
+           "return bound.bit_length()",
+           (T_TANGLE + "test_packed_coefficients_decode_at_the_proven_bound",)),
+    Mutant("cohomology-skips-the-square-of-e1", TANGLE,
+           "if e1.parity != 1 or _compose(e_table, e_table):",
+           "if e1.parity != 1:",
+           (T_TANGLE + "test_cohomology_guard_needs_an_odd_e1_that_squares_"
+                       "to_0",)),
+    Mutant("cohomology-skips-the-h1-weight", TANGLE,
+           "if any(sum(WEIGHTS[v][0] for v in window)",
+           "if False and any(sum(WEIGHTS[v][0] for v in window)",
+           (T_TANGLE + "test_cohomology_guard_needs_tables_that_keep_the_h1_"
+                       "weight",)),
+    Mutant("cohomology-skips-the-delta-e1-commutation", TANGLE,
+           "if _compose(delta, crossing) != _compose(crossing, delta):",
+           "if False:",
+           (T_TANGLE + "test_cohomology_guard_needs_crossings_that_commute_"
+                       "with_delta_e1",)),
+    Mutant("cohomology-skips-the-cap-killing-delta-e1", TANGLE,
+           'if _compose(tables["cap"][1], delta):',
+           "if False:",
+           (T_TANGLE + "test_cohomology_guard_needs_a_cap_that_kills_delta_"
+                       "e1",)),
+    Mutant("cohomology-skips-the-pivotal-weight-form", TANGLE,
+           "if any(weights[v] != {2 * WEIGHTS[v][0]:",
+           "if False and any(weights[v] != {2 * WEIGHTS[v][0]:",
+           (T_TANGLE + "test_cohomology_guard_needs_pivotal_weights_of_the_"
+                       "supertrace_form",)),
+    Mutant("trace-weights-skip-the-swap-of-the-tables", TANGLE,
+           "if swapped != {window: dict(rows) for window, rows in table.items()}:",
+           "if False:",
+           (T_TANGLE + "test_swap_check_needs_symmetric_tables_and_weights",)),
     Mutant("cyclic-reduction-keeps-the-ends", TANGLE,
            "while hi - lo > 1 and stack[lo] == -stack[hi - 1]:",
            "while False:",
@@ -163,9 +200,15 @@ MUTANTS = (
     Mutant("run-skips-the-final-flush", CLI,
            "        sys.stdout.flush()      # a write failure is reported here,"
            " not at exit\n",
-           "",
+           "        pass\n",
            (T_CLI + "test_a_failed_final_flush_exits_2[dev-full]",
             T_CLI + "test_a_failed_final_flush_exits_2[closed-pipe]")),
+    Mutant("run-lets-system-exit-through", CLI,
+           "    except SystemExit as stop:",
+           "    except ():",
+           (T_CLI + "test_a_failed_final_flush_exits_2[dev-full]",
+            T_CLI + "test_a_failed_final_flush_exits_2[closed-pipe]",
+            T_CLI + "test_a_usage_error_exits_2_when_stderr_fails")),
     Mutant("run-exits-with-0", CLI,
            "    os._exit(status)",
            "    os._exit(0)",

@@ -38,20 +38,20 @@ module table that fails a check of :mod:`d21link.tangle` exits 2.
 Each command is a one-shot process: ``python -m d21link.cli`` and the
 installed ``d21link`` script (through :func:`d21link.run`) run
 :func:`run`, which switches the cyclic garbage collector off (both entries
-do so before the layers import) and, once :func:`main` returns, ends the
-process with ``os._exit`` and :func:`main`'s exit status, so that neither
-the collection at interpreter exit nor the teardown of the modules runs.
-:func:`main` flushes stdout inside its error handling, so a write that
-fails there (stdout on a full device, or a pipe whose reader has gone)
-gives one ``error:`` line and exit 2; :func:`run` flushes stderr before it
-exits.  Ending the process so is safe because only stdout and stderr are
-open by then (``braiding_deviations.txt`` and a ``--sliced`` file are
-closed by their ``with`` blocks), and because the package makes no
-reference cycles on its hot paths: every object a command builds is freed
-by reference counting or lives until the process exits, which it does
-right after the command.  :func:`main` itself leaves the collector alone,
-so library callers, the tests and anything else that calls it in process
-keep their own GC settings.
+do so before the layers import) and, once :func:`main` returns or argparse
+ends ``--help`` or a usage error with ``SystemExit``, ends the process
+with ``os._exit`` and that exit status, so that neither the collection at
+interpreter exit nor the teardown of the modules runs.  Stdout is flushed
+first, inside the error handling, so a write that fails there (stdout on a
+full device, or a pipe whose reader has gone) gives one ``error:`` line
+and exit 2; then stderr is flushed.  Ending the process so is safe
+because only stdout and stderr are open by then (``braiding_deviations.txt``
+and a ``--sliced`` file are closed by their ``with`` blocks), and because
+the package makes no reference cycles on its hot paths: every object a
+command builds is freed by reference counting or lives until the process
+exits, which it does right after the command.  :func:`main` itself leaves
+the collector alone, so library callers, the tests and anything else that
+calls it in process keep their own GC settings.
 """
 
 from __future__ import annotations
@@ -62,6 +62,7 @@ if __name__ == "__main__":
     gc.disable()    # before the layers import; see run()
 
 import argparse
+import contextlib
 import os
 import sys
 from typing import List, NoReturn, Optional
@@ -252,27 +253,40 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _flushed(status: int) -> int:
+    """``status`` once stdout is flushed, or 2 and one ``error:`` line."""
+    try:
+        sys.stdout.flush()      # a write failure is reported here, not at exit
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    return status
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         status = args.func(args)
-        sys.stdout.flush()      # a write failure is reported here, not at exit
-        return status
     except (DiagramError, NotLaurentInQ, TableError,
             dubrovnik.SkeinBudgetExceeded, BudgetSettingError, OSError,
             UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return _flushed(status)
 
 
 def run() -> NoReturn:
     """The process entry of ``d21link`` and ``python -m d21link.cli``:
-    :func:`main` with the cyclic collector off, then ``os._exit`` with its
-    status, which skips the exit collection and the module teardown."""
+    :func:`main`, or argparse's ``SystemExit``, with the collector off,
+    then ``os._exit`` with its status once stdout and stderr are flushed."""
     gc.disable()
-    status = main()
-    sys.stderr.flush()
+    try:
+        status = main()
+    except SystemExit as stop:      # --help, or a usage error
+        status = _flushed(stop.code)
+    with contextlib.suppress(OSError):      # no stream left to report it on
+        sys.stderr.flush()
     os._exit(status)
 
 

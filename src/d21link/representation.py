@@ -207,20 +207,10 @@ def duality_maps() -> Tuple[SuperMap, SuperMap, SuperMap]:
     }
     alpha = SuperMap(M, M, alpha_entries)
     alpha_inv = invert(alpha)
-    d_entries = {}
-    for i in range(DIM):
-        for j in range(DIM):
-            value = alpha.entry(j, i)
-            if not value.is_zero():
-                d_entries[(0, i * DIM + j)] = value
-    d = SuperMap(M2, TRIVIAL, d_entries)
-    b_entries = {}
-    for i in range(DIM):
-        for j in range(DIM):
-            value = alpha_inv.entry(j, i)
-            if not value.is_zero():
-                b_entries[(i * DIM + j, 0)] = value
-    b = SuperMap(TRIVIAL, M2, b_entries)
+    d = SuperMap(M2, TRIVIAL, {(0, i * DIM + j): value
+                               for (j, i), value in alpha.entries.items()})
+    b = SuperMap(TRIVIAL, M2, {(i * DIM + j, 0): value
+                               for (j, i), value in alpha_inv.entries.items()})
     return alpha, b, d
 
 

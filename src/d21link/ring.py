@@ -10,7 +10,8 @@ pairing constants phi_i, the coefficients 1/((n)_c! phi_i^n) of the
 exponential factors and the 1/(q^d_i - q^-d_i) of the relation
 [E_i, F_i] = (K_i - K_i^-1)/(q^d_i - q^-d_i) that the relation suite
 checks.  Those are :class:`RatFunc` values, and a map scaled by one is
-divided by its denominator exactly.
+divided by its denominator exactly.  :func:`add_product` is the one
+product loop on coefficient dicts, for graded maps and tangle tables alike.
 A :class:`QuarterLaurent` stores a finite map ``exponent -> coefficient``
 where the integer exponent ``e`` encodes the monomial t^e = q^{e/4}; a plain
 power q^k therefore sits at exponent 4k.  Working on the quarter-exponent
@@ -396,13 +397,20 @@ def format_laurent(terms: Mapping[tuple, int], names: Sequence[str]) -> str:
     return "".join(pieces) if pieces else "0"
 
 
+def add_product(acc: Dict[int, int], left: Mapping[int, int],
+                right: Mapping[int, int]) -> None:
+    """acc += left * right on ``{exponent: coeff}`` dicts, zeros kept."""
+    for e1, c1 in left.items():
+        for e2, c2 in right.items():
+            e = e1 + e2
+            acc[e] = acc.get(e, 0) + c1 * c2
+
+
 def laurent_product(left: Mapping[int, int],
                     right: Mapping[int, int]) -> Dict[int, int]:
     """Product of two integer Laurent polynomials ``{q_exponent: coeff}``."""
     out: Dict[int, int] = {}
-    for e1, c1 in left.items():
-        for e2, c2 in right.items():
-            out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+    add_product(out, left, right)
     return {exp: coeff for exp, coeff in out.items() if coeff}
 
 

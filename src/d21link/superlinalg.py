@@ -23,9 +23,9 @@ type.  Fractions occur only in scalars: ``scale`` by a :class:`RatFunc`
 multiplies each entry by its numerator and divides it exactly by its
 denominator, and raises :class:`NotLaurentInQ` where that division is
 inexact.  :func:`compose` sums the entry products on their coefficient
-dicts and builds each output entry once; :func:`tensor_map` takes an entry
-met by a unit +-1, as in the identity factors of the coproduct, as it is
-instead of multiplying.
+dicts with :func:`d21link.ring.add_product` and builds each output entry
+once; :func:`tensor_map` takes an entry met by a unit +-1, as in the
+identity factors of the coproduct, as it is instead of multiplying.
 
 Exact linear algebra runs one division-free elimination over Z[t, 1/t],
 a fraction-free Gaussian elimination (Bareiss, "Sylvester's identity and
@@ -46,7 +46,8 @@ from __future__ import annotations
 from math import gcd
 from typing import Dict, List, Mapping, Tuple
 
-from .ring import ONE, ZERO, NotLaurentInQ, QuarterLaurent, RatFunc, exact_div
+from .ring import (ONE, ZERO, NotLaurentInQ, QuarterLaurent, RatFunc,
+                   add_product, exact_div)
 
 Entry = Tuple[int, int]
 Terms = Dict[int, int]      # a Laurent polynomial's {exponent: coefficient}
@@ -200,15 +201,6 @@ class SuperMap:
                 f"{len(self.entries)} entries, parity {self.parity})")
 
 
-def _add_product(acc: Terms, left: Terms, right: Terms) -> None:
-    """acc += left * right on coefficient dicts, in place; a coefficient
-    may be left at 0."""
-    for e1, c1 in left.items():
-        for e2, c2 in right.items():
-            e = e1 + e2
-            acc[e] = acc.get(e, 0) + c1 * c2
-
-
 def _poly(terms: Terms) -> QuarterLaurent:
     """The polynomial of the int coefficients ``terms``, zeros dropped; it
     takes over the dict."""
@@ -235,7 +227,7 @@ def compose(f: SuperMap, g: SuperMap) -> SuperMap:
             acc = sums.get(key)
             if acc is None:
                 acc = sums[key] = {}
-            _add_product(acc, fterms, gterms)
+            add_product(acc, fterms, gterms)
     out: Dict[Entry, QuarterLaurent] = {}
     for key, terms in sums.items():
         value = _poly(terms)
@@ -342,10 +334,10 @@ def _combine(p: Terms, row: Row, a: Terms, pivot_row: Row, col: int) -> Row:
     sums: Row = {}
     for c, terms in row.items():
         if c != col:
-            _add_product(sums.setdefault(c, {}), p, terms)
+            add_product(sums.setdefault(c, {}), p, terms)
     for c, terms in pivot_row.items():
         if c != col:
-            _add_product(sums.setdefault(c, {}), minus_a, terms)
+            add_product(sums.setdefault(c, {}), minus_a, terms)
     out: Row = {}
     for c, terms in sums.items():
         terms = {e: v for e, v in terms.items() if v}

@@ -66,9 +66,7 @@ one block at a time, each held to a support budget.  During it each
 coefficient is one Kronecker-packed int, sum(c_e << bits * (e + shift));
 ``bits`` comes from a proven bound on the coefficients (start L1 norm
 times each event's largest column L1 sum), and the final value is decoded
-and re-packed as a check.  One routine (:func:`_letter_steps`) packs the letters and decides
-``bits``, the shift and the span, and one (:func:`_evolve`) applies them
-under the support budget.
+and re-packed as a check.
 
 Both evaluations report the stats of the fold in the cohomology (slices,
 peak strands, the nominal dimension 6^peak_strands, peak support); for a
@@ -89,7 +87,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from .ring import (excerpt, format_q_laurent, laurent_product,
+from .ring import (add_product, excerpt, format_q_laurent, laurent_product,
                    to_integer_laurent)
 from .representation import (DIM, PARITIES, WEIGHTS, coproduct_action,
                              duality_maps, generator_action)
@@ -123,11 +121,6 @@ class TangleBudgetExceeded(DiagramError):
 
 class TableError(ValueError):
     """A module table fails a fact that the tangle evaluations rest on."""
-
-
-def _check_support(support: int, budget: int) -> None:
-    if support > budget:
-        raise _over_budget(support, budget)
 
 
 def _over_budget(count, budget: int) -> TangleBudgetExceeded:
@@ -303,26 +296,23 @@ def _event_table(kind: str) -> Tuple[int, Dict[tuple, tuple]]:
     """``(width, table)``: the window ``key[lo:lo+width]`` maps to its
     ``(replacement, {q_exponent: coefficient})`` rows; an entry outside
     Z[q, q^-1] raises :class:`NotLaurentInQ`."""
-    _, cup, cap = duality_maps()
     if kind == "cup":
-        return 0, {(): tuple((divmod(row, DIM), to_integer_laurent(value))
-                             for (row, _), value in sorted(cup.entries.items()))}
+        return 0, _columns(duality_maps()[1], 2, 0)
     if kind == "cap":
-        return 2, {divmod(col, DIM): (((), to_integer_laurent(value)),)
-                   for (_, col), value in cap.entries.items()}
+        return 2, _columns(duality_maps()[2], 0, 2)
     bundle = braiding()
-    return 2, _columns(bundle.c if kind == "pos" else bundle.c_inv, 2)
+    return 2, _columns(bundle.c if kind == "pos" else bundle.c_inv, 2, 2)
 
 
-def _columns(operator, width: int) -> Dict[tuple, tuple]:
-    """The nonzero columns of an operator on ``width`` (1 or 2) tensor
-    factors of the module, as an :func:`_event_table` table."""
-    def digits(index):
-        return divmod(index, DIM) if width == 2 else (index,)
+def _columns(operator, row_width: int, col_width: int) -> Dict[tuple, tuple]:
+    """The nonzero columns of an operator from ``col_width`` to ``row_width``
+    (0, 1 or 2) factors of the module, as an :func:`_event_table` table."""
+    def digits(index, width):
+        return divmod(index, DIM) if width == 2 else (index,) * width
     columns: Dict[tuple, list] = {}
     for (row, col), value in sorted(operator.entries.items()):
-        columns.setdefault(digits(col), []).append(
-            (digits(row), to_integer_laurent(value)))
+        columns.setdefault(digits(col, col_width), []).append(
+            (digits(row, row_width), to_integer_laurent(value)))
     return {window: tuple(rows) for window, rows in columns.items()}
 
 
@@ -516,16 +506,10 @@ def _compose(outer: Dict[tuple, tuple], inner: Dict[tuple, tuple]
         sums: Dict[tuple, Dict[int, int]] = {}
         for middle, amp in rows:
             for row, coeff in outer.get(middle, ()):
-                acc = sums.setdefault(row, {})
-                for exp_a, coeff_a in amp.items():
-                    for exp_b, coeff_b in coeff.items():
-                        acc[exp_a + exp_b] = (acc.get(exp_a + exp_b, 0)
-                                              + coeff_a * coeff_b)
-        column = {}
-        for row, acc in sums.items():
-            amp = {exp: value for exp, value in acc.items() if value}
-            if amp:
-                column[row] = amp
+                add_product(sums.setdefault(row, {}), amp, coeff)
+        column = {row: {exp: value for exp, value in acc.items() if value}
+                  for row, acc in sums.items()}
+        column = {row: amp for row, amp in column.items() if amp}
         if column:
             product[window] = column
     return product
@@ -561,8 +545,8 @@ def _cohomology() -> Tuple[Tuple[int, ...], Tuple[Tuple[int, int], ...],
     * every cut-down entry is a signed power of q, exactly one per window
       of a crossing."""
     e1 = generator_action("E", 1)
-    e_table = _columns(e1, 1)
-    delta = _columns(coproduct_action("E", 1), 2)
+    e_table = _columns(e1, 1, 1)
+    delta = _columns(coproduct_action("E", 1), 2, 2)
     if e1.parity != 1 or _compose(e_table, e_table):
         raise TableError("E_1 is not odd with E_1^2 = 0")
     touched = {v for window, rows in e_table.items()
@@ -573,13 +557,8 @@ def _cohomology() -> Tuple[Tuple[int, ...], Tuple[Tuple[int, int], ...],
                          "or reaches; its cohomology is not spanned by "
                          "the others")
     tables = {kind: _event_table(kind) for kind in EVENT_KINDS}
-    m1 = [weight[0] for weight in WEIGHTS]
-    h1 = {(): 0}         # the H_1 weight of each window of up to two strands
-    for a in range(DIM):
-        h1[a,] = m1[a]
-        for b in range(DIM):
-            h1[a, b] = m1[a] + m1[b]
-    if any(h1[window] != h1[row]
+    if any(sum(WEIGHTS[v][0] for v in window)
+           != sum(WEIGHTS[v][0] for v in row)
            for table in [e_table] + [table for _, table in tables.values()]
            for window, rows in table.items() for row, _ in rows):
         raise TableError("a table does not keep the H_1 weight; K_1 on a "
@@ -712,45 +691,6 @@ def _digit_products(factors: List[int], digits: int) -> List[int]:
     return products
 
 
-def _letter_steps(strands: int, letters
-                  ) -> Tuple[List[tuple], List[int], int, int, int]:
-    """``(steps, weights, bits, shift, span)`` for evolving the braid
-    ``letters`` on ``strands`` strands (:func:`_evolve`) from start columns
-    whose amplitude is the product of the pivotal weights of their digits:
-    the ``(unit, rows)`` of each letter and the pivotal weights, packed at
-    ``bits``, and the exponent shift and span of a final amplitude.
-    ``bits`` is proven (see :func:`_bits`) for any sum of final amplitudes
-    over start columns."""
-    weights = _trace_weights()
-    kinds = ["pos" if letter > 0 else "neg" for letter in letters]
-    bits = _bits(sum(_l1(weight) for weight in weights) ** strands, kinds)
-    w_shift, w_span = _exponent_range(weights)
-    steps, shift, span = [], strands * w_shift, strands * w_span
-    for letter, kind in zip(letters, kinds):
-        unit = DIM ** (strands - abs(letter) - 1)
-        kind_shift, kind_span, rows = _letter_rows(kind, bits, unit)
-        shift += kind_shift
-        span += kind_span
-        steps.append((unit, rows))
-    return (steps, [_pack(weight, bits, w_shift) for weight in weights],
-            bits, shift, span)
-
-
-def _evolve(state: Dict[int, int], steps: List[tuple], support_budget: int
-            ) -> Tuple[Dict[int, int], List[int]]:
-    """``(state, supports)``: ``state`` after each of the ``steps`` of
-    :func:`_letter_steps` in turn, and its number of nonzero states at the
-    start and after each step; more than ``support_budget`` of them raises
-    :class:`TangleBudgetExceeded` at once."""
-    supports = [len(state)]
-    _check_support(supports[-1], support_budget)
-    for unit, rows in steps:
-        state = _apply_letter(state, unit, rows)
-        supports.append(len(state))
-        _check_support(supports[-1], support_budget)
-    return state, supports
-
-
 def trace(word: BraidWord,
           support_budget: int = TRACE_SUPPORT_BUDGET) -> EvalResult:
     """The quantum trace sum_v p(v) <v|B|v> of ``word`` as written, over
@@ -771,11 +711,23 @@ def trace(word: BraidWord,
             f"{excerpt(n)} strands exceed the reference trace's cap "
             f"{TRACE_MAX_STRANDS}")
     size = DIM ** n
-    steps, weights, bits, shift, span = _letter_steps(n, word.letters)
+    # a start column's amplitude is the product of the pivotal weights of
+    # its digits; ``bits`` is proven (see _bits) for any sum of final ones
+    weights = _trace_weights()
+    kinds = ["pos" if letter > 0 else "neg" for letter in word.letters]
+    bits = _bits(sum(_l1(weight) for weight in weights) ** n, kinds)
+    w_shift, w_span = _exponent_range(weights)
+    steps, shift, span = [], n * w_shift, n * w_span
+    for letter, kind in zip(word.letters, kinds):
+        unit = DIM ** (n - abs(letter) - 1)
+        kind_shift, kind_span, rows = _letter_rows(kind, bits, unit)
+        shift, span = shift + kind_shift, span + kind_span
+        steps.append((unit, rows))
+    packed = [_pack(weight, bits, w_shift) for weight in weights]
     tail_strands = min(n, 3)
     tail = DIM ** tail_strands
-    head_amps = _digit_products(weights, n - tail_strands)
-    tail_amps = _digit_products(weights, tail_strands)
+    head_amps = _digit_products(packed, n - tail_strands)
+    tail_amps = _digit_products(packed, tail_strands)
     blocks = _column_blocks(n)
     supports = [0] * (len(steps) + 1)
     peak_block_support = total = 0
@@ -783,12 +735,15 @@ def trace(word: BraidWord,
         head_amp = multiplicity * head_amps[columns[0] // tail]
         # keys are col * size + row: col the basis vector a column started
         # from, row where the braid has taken it; letters act on row digits
-        state, block_supports = _evolve(
-            {v * size + v: head_amp * tail_amps[v % tail] for v in columns},
-            steps, support_budget)
-        supports = [total_support + multiplicity * support for
-                    total_support, support in zip(supports, block_supports)]
-        peak_block_support = max(peak_block_support, *block_supports)
+        state = {v * size + v: head_amp * tail_amps[v % tail] for v in columns}
+        for index in range(len(steps) + 1):    # the start, then each letter
+            if index:
+                state = _apply_letter(state, *steps[index - 1])
+            support = len(state)
+            if support > support_budget:
+                raise _over_budget(support, support_budget)
+            supports[index] += multiplicity * support
+            peak_block_support = max(peak_block_support, support)
         total += sum(state.get(v * size + v, 0) for v in columns)
     value = _decode(total, bits, shift, span + 1)
     stats = TraceStats(str(word), n, size,

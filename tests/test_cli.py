@@ -418,12 +418,12 @@ def entry_commands():
                                f"sys.exit({function}())"]}
 
 
-def run_process(command, argv, cwd, env_extra=None, stdout=subprocess.PIPE):
+def run_process(command, argv, cwd, env_extra=None, stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE):
     env = {k: v for k, v in os.environ.items() if k not in BUDGET_VARIABLES}
     env.update(env_extra or {}, PYTHONPATH=str(ROOT / "src"))
     done = subprocess.run([*command, *argv], cwd=cwd, env=env, stdout=stdout,
-                          stderr=subprocess.PIPE, encoding="utf-8",
-                          timeout=120)
+                          stderr=stderr, encoding="utf-8", timeout=120)
     return done.returncode, done.stdout, done.stderr
 
 
@@ -538,7 +538,24 @@ def test_a_failed_final_flush_exits_2(target, tmp_path, monkeypatch):
     error = f"error: [Errno {reason}] {os.strerror(reason)}\n"
     try:
         for name, command in entry_commands().items():
-            assert run_process(command, ["invariant", "--braid", "2: 1"],
-                               tmp_path, stdout=fd) == (2, None, error), name
+            # --help ends by argparse's SystemExit, and takes the same path
+            for argv in (["invariant", "--braid", "2: 1"], ["--help"]):
+                assert run_process(command, argv, tmp_path, stdout=fd) == (
+                    2, None, error), (name, argv)
+    finally:
+        os.close(fd)
+
+
+def test_a_usage_error_exits_2_when_stderr_fails(tmp_path, monkeypatch):
+    # argparse's usage message fails to reach a full device, and is left in
+    # the buffer of stderr; the process still ends with the usage status
+    monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+    if not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full on this system")
+    fd = os.open("/dev/full", os.O_WRONLY)
+    try:
+        for name, command in entry_commands().items():
+            assert run_process(command, ["verify", "--suite", "nope"],
+                               tmp_path, stderr=fd) == (2, "", None), name
     finally:
         os.close(fd)

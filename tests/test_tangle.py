@@ -10,8 +10,10 @@ from pathlib import Path
 import pytest
 
 from d21link.dubrovnik import braid_closure_graph, dubrovnik_poly, specialize
-from d21link.ring import format_q_laurent, laurent_product
+from d21link.ring import ONE, format_q_laurent, laurent_product
 from d21link import tangle
+from d21link.representation import M, generator_action
+from d21link.superlinalg import SuperMap
 from d21link.tangle import (BraidWord, DiagramError, SlicedDiagram,
                             SlicedEvent, TangleBudgetExceeded, TraceStats,
                             braid_closure_slices, evaluate_sliced, invariant,
@@ -245,6 +247,20 @@ def test_packed_coefficients_round_trip_at_their_bound():
     assert _decode(0, bits, shift, digits) == {}
 
 
+def test_packed_coefficients_decode_at_the_proven_bound():
+    # the bound of ``_bits``: the start L1 norm times, per event, the
+    # largest column L1 sum; a coefficient of that size decodes exactly
+    weights_l1 = sum(sum(map(abs, w.values())) for w in _trace_weights())
+    for strands, kinds in ((1, ()), (2, ("pos",)), (3, ("pos", "neg", "neg")),
+                           (6, ("neg",) * 7 + ("pos",) * 9)):
+        bound = weights_l1 ** strands
+        for kind in kinds:
+            bound *= tangle._column_l1(kind)
+        bits = tangle._bits(weights_l1 ** strands, kinds)
+        terms = {-2: bound, 0: -bound, 1: 1, 3: bound}
+        assert _decode(_pack(terms, bits, 2), bits, 2, 6) == terms, kinds
+
+
 def test_decode_raises_when_the_digits_do_not_pack_back():
     bits, shift, digits = 9, 4, 8
     packed = _pack({-2: 5, 1: -7}, bits, shift)
@@ -302,6 +318,24 @@ def test_cohomology_guard_cuts_the_tables_down_to_v4_and_v5():
                                  v54: ((v45, -1, -1),), v55: ((v55, -1, 1),)})
     assert tables["cup"] == (0, {(): ((v45, -1, 1), (v54, -1, 1))})
     assert tables["cap"] == (2, {v45: (((), -1, -1),), v54: (((), -1, -1),)})
+
+
+def test_cohomology_guard_needs_an_odd_e1_that_squares_to_0():
+    e1 = generator_action("E", 1)
+    # E_1 sends v3 to v1; also sending v1 to v4 keeps it odd, but then
+    # E_1^2 sends v3 to v4
+    squares = SuperMap(M, M, {**e1.entries, (3, 0): ONE}, 1)
+    for broken in (squares, SuperMap(M, M, {}, 0)):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(tangle, "generator_action",
+                          lambda name, index: broken)
+            clear_tangle_caches()
+            try:
+                with pytest.raises(ValueError, match=r"^E_1 is not odd with "
+                                                     r"E_1\^2 = 0$"):
+                    _cohomology()
+            finally:
+                clear_tangle_caches()
 
 
 def scaled(kind, scale, window=None):
