@@ -38,6 +38,12 @@ T_TANGLE = "tests/test_tangle.py::"
 T_CLI = "tests/test_cli.py::"
 CLI = "src/d21link/cli.py"
 RING = "src/d21link/ring.py"
+T_RING = "tests/test_ring.py::"
+REPRESENTATION = "src/d21link/representation.py"
+T_REPRESENTATION = "tests/test_representation.py::"
+RMATRIX = "src/d21link/rmatrix.py"
+T_RMATRIX = "tests/test_rmatrix.py::"
+T_ACCEPTANCE = "tests/test_acceptance.py::"
 DUBROVNIK = "src/d21link/dubrovnik.py"
 T_DUBROVNIK = "tests/test_dubrovnik.py::"
 T_FRONT_END = (T_DUBROVNIK + "test_front_end_is_the_reference_on_every_diagram_"
@@ -215,6 +221,29 @@ MUTANTS = (
            (T_CLI + "test_process_entries_match_main_in_process[malformed-"
                     "braid]",
             T_CLI + "test_process_entries_match_main_in_process[bad-budget]")),
+    Mutant("super-bracket-drops-the-koszul-sign", REPRESENTATION,
+           "        scale = -scale\n",
+           "        pass\n",
+           (T_REPRESENTATION + "test_super_commutator_example",
+            T_REPRESENTATION + "test_defining_relations_all_pass",
+            T_ACCEPTANCE + "test_criterion_2_braiding_regression")),
+    Mutant("exp-factor-scales-without-the-denominator", RMATRIX,
+           ".scale(coeff.num, coeff.den)",
+           ".scale(coeff.num)",
+           (T_RMATRIX + "test_twist_value",
+            T_RMATRIX + "test_computed_braiding_matches_reference_everywhere",
+            T_ACCEPTANCE + "test_criterion_2_braiding_regression")),
+    Mutant("raise-lower-pair-scales-without-the-denominator", REPRESENTATION,
+           "(K[i] - Kinv[i]).scale(ONE, q(d_i) - q(-d_i))",
+           "(K[i] - Kinv[i]).scale(ONE)",
+           (T_REPRESENTATION + "test_defining_relations_all_pass",
+            T_ACCEPTANCE + "test_criterion_1_relation_suite")),
+    Mutant("q-factorial-stops-one-factor-short", RING,
+           "for k in range(1, n + 1):",
+           "for k in range(1, n):",
+           # every root vector squares to zero on M, so the braiding
+           # only ever takes (1)_c! = 1 and cannot tell
+           (T_RING + "test_q_factorial_base_cases",)),
     Mutant("q-string-zero-is-empty", RING,
            'return "0"\n    return format_q_laurent',
            'return ""\n    return format_q_laurent',

@@ -44,14 +44,16 @@ with ``os._exit`` and that exit status, so that neither the collection at
 interpreter exit nor the teardown of the modules runs.  Stdout is flushed
 first, inside the error handling, so a write that fails there (stdout on a
 full device, or a pipe whose reader has gone) gives one ``error:`` line
-and exit 2; then stderr is flushed.  Ending the process so is safe
-because only stdout and stderr are open by then (``braiding_deviations.txt``
-and a ``--sliced`` file are closed by their ``with`` blocks), and because
-the package makes no reference cycles on its hot paths: every object a
-command builds is freed by reference counting or lives until the process
-exits, which it does right after the command.  :func:`main` itself leaves
-the collector alone, so library callers, the tests and anything else that
-calls it in process keep their own GC settings.
+and exit 2; then stderr is flushed.  An ``error:`` line that stderr
+itself fails to take is dropped, and the status stays 2.  Ending the
+process so is safe because only stdout and stderr are open by then
+(``braiding_deviations.txt`` and a ``--sliced`` file are closed by their
+``with`` blocks), and because the package makes no reference cycles on its
+hot paths: every object a command builds is freed by reference counting or
+lives until the process exits, which it does right after the command.
+:func:`main` itself leaves the collector alone, so library callers, the
+tests and anything else that calls it in process keep their own GC
+settings.
 """
 
 from __future__ import annotations
@@ -253,13 +255,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _failed(exc: Exception) -> int:
+    """2, once one ``error:`` line is printed to stderr, if stderr takes it."""
+    with contextlib.suppress(OSError):      # no stream left to report it on
+        print(f"error: {exc}", file=sys.stderr)
+    return 2
+
+
 def _flushed(status: int) -> int:
     """``status`` once stdout is flushed, or 2 and one ``error:`` line."""
     try:
         sys.stdout.flush()      # a write failure is reported here, not at exit
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _failed(exc)
     return status
 
 
@@ -271,8 +279,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (DiagramError, NotLaurentInQ, TableError,
             dubrovnik.SkeinBudgetExceeded, BudgetSettingError, OSError,
             UnicodeDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _failed(exc)
     return _flushed(status)
 
 

@@ -28,7 +28,7 @@ from functools import lru_cache
 from typing import List, NamedTuple, Tuple
 
 from .report import CheckResult, Report
-from .ring import LAMBDA, ONE, RF_LAMBDA, RF_ONE, QuarterLaurent, RatFunc
+from .ring import LAMBDA, ONE, QuarterLaurent, RatFunc
 from .superlinalg import (SuperMap, SuperSpace, TRIVIAL, compose, invert,
                           tensor_map)
 
@@ -158,10 +158,12 @@ def cartan_exponential(root: Tuple[int, int, int], sign: int = 1) -> SuperMap:
         for v in range(DIM)})
 
 
-def super_bracket(y: SuperMap, z: SuperMap, scale: RatFunc = RF_ONE) -> SuperMap:
+def super_bracket(y: SuperMap, z: SuperMap,
+                  scale: QuarterLaurent = ONE) -> SuperMap:
     """[y, z]_scale = y z - (-1)^{|y||z|} scale * z y."""
-    sign = -RF_ONE if (y.parity and z.parity) else RF_ONE
-    return compose(y, z) - compose(z, y).scale(sign * scale)
+    if y.parity and z.parity:
+        scale = -scale
+    return compose(y, z) - compose(z, y).scale(scale)
 
 
 @lru_cache(maxsize=None)
@@ -171,8 +173,8 @@ def root_vector(i: int, kind: str = "raise") -> SuperMap:
         raise ValueError("kind must be 'raise' or 'lower'")
     name = "E" if kind == "raise" else "F"
     gen = lambda j: generator_action(name, j)  # noqa: E731
-    qm1 = RatFunc.q_power(-1)
-    qm2 = RatFunc.q_power(-2)
+    qm1 = QuarterLaurent.q_power(-1)
+    qm2 = QuarterLaurent.q_power(-2)
     if i == 1:
         return gen(3)
     if i == 5:
@@ -256,8 +258,8 @@ def _check(checks: List[CheckResult], check_id: str, lhs: SuperMap, rhs: SuperMa
 # index tuples).  The scales absorb the Koszul sign, so the bracket here is
 # the plain one.  Values are at the fixed parameter.
 def _commutation_table():
-    q = RatFunc.q_power
-    one = RF_ONE
+    q = QuarterLaurent.q_power
+    one = ONE
     table = [
         (7, 5, q(-1), [(one, (6,))]),
         (7, 2, q(-1), [(one, (3,))]),
@@ -279,7 +281,7 @@ def _commutation_table():
         (4, 2, q(-2), []),
         (4, 1, one, [(q(-1) * (q(2) - q(-2)), (2, 3))]),
         (3, 1, q(1), []),
-        (6, 2, -q(-2), [(-q(-2) * RF_LAMBDA, (3, 5)), (-q(-1), (4,))]),
+        (6, 2, -q(-2), [(-q(-2) * LAMBDA, (3, 5)), (-q(-1), (4,))]),
     ]
     return table
 
@@ -293,7 +295,7 @@ def check_defining_relations() -> Report:
     K = {i: cartan_exponential(_SIMPLE_ROOTS[i - 1], 1) for i in (1, 2, 3)}
     Kinv = {i: cartan_exponential(_SIMPLE_ROOTS[i - 1], -1) for i in (1, 2, 3)}
     zero = SuperMap.zero(M, M)
-    q = RatFunc.q_power
+    q = QuarterLaurent.q_power
 
     for i in (1, 2, 3):
         for j in (1, 2, 3):
@@ -301,7 +303,7 @@ def check_defining_relations() -> Report:
                    compose(H[i], H[j]), compose(H[j], H[i]))
     for i in (1, 2, 3):
         for j in (1, 2, 3):
-            a_ij = RatFunc.constant(CARTAN.a[i - 1][j - 1])
+            a_ij = QuarterLaurent.constant(CARTAN.a[i - 1][j - 1])
             _check(checks, f"cartan-raises:{i},{j}",
                    compose(H[i], E[j]) - compose(E[j], H[i]), E[j].scale(a_ij))
             _check(checks, f"cartan-lowers:{i},{j}",
@@ -311,8 +313,7 @@ def check_defining_relations() -> Report:
             lhs = super_bracket(E[i], F[j])
             if i == j:
                 d_i = CARTAN.d[i - 1]
-                denom = q(d_i) - q(-d_i)
-                rhs = (K[i] - Kinv[i]).scale(denom.inverse())
+                rhs = (K[i] - Kinv[i]).scale(ONE, q(d_i) - q(-d_i))
             else:
                 rhs = zero
             _check(checks, f"raise-lower-pair:{i},{j}", lhs, rhs)

@@ -5,13 +5,14 @@ with integer coefficients: every entry of every graded map of
 :mod:`d21link.superlinalg` is a :class:`QuarterLaurent`, and the braiding's
 entries are read out as integer Laurent polynomials in q by
 :func:`to_integer_laurent`; the tangle fold runs on those alone and the skein
-oracle on ``int`` coefficients.  Fractions occur only in scalars: the
-pairing constants phi_i, the coefficients 1/((n)_c! phi_i^n) of the
-exponential factors and the 1/(q^d_i - q^-d_i) of the relation
-[E_i, F_i] = (K_i - K_i^-1)/(q^d_i - q^-d_i) that the relation suite
-checks.  Those are :class:`RatFunc` values, and a map scaled by one is
-divided by its denominator exactly.  :func:`add_product` is the one
-product loop on coefficient dicts, for graded maps and tangle tables alike.
+oracle on ``int`` coefficients.  The scalars maps are scaled by are
+QuarterLaurent values too, quantum integers and factorials included, save
+the only fractions: the pairing constants phi_i and the coefficients
+1/((n)_c! phi_i^n) of the exponential factors.  Those are :class:`RatFunc`
+values, and a map scaled by one takes its numerator and its denominator,
+which divides each entry exactly.  :func:`add_product` is the one product
+loop on coefficient dicts, for graded maps and tangle tables alike, and
+:func:`nonzero_terms` drops the zeros such sums leave.
 A :class:`QuarterLaurent` stores a finite map ``exponent -> coefficient``
 where the integer exponent ``e`` encodes the monomial t^e = q^{e/4}; a plain
 power q^k therefore sits at exponent 4k.  Working on the quarter-exponent
@@ -275,14 +276,6 @@ class RatFunc:
         out.den = den
         return out
 
-    @classmethod
-    def q_power(cls, exp: int, coeff=1) -> "RatFunc":
-        return cls(QuarterLaurent.q_power(exp, coeff))
-
-    @classmethod
-    def constant(cls, coeff) -> "RatFunc":
-        return cls(QuarterLaurent.constant(coeff))
-
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
@@ -336,27 +329,22 @@ class RatFunc:
         return f"({self.num!r}) / ({self.den!r})"
 
 
-RF_ZERO = RatFunc(ZERO)
 RF_ONE = RatFunc(ONE)
-RF_Q = RatFunc(Q)
-RF_LAMBDA = RatFunc(LAMBDA)
 
 
-def q_integer(n: int, c: int) -> RatFunc:
+def q_integer(n: int, c: int) -> QuarterLaurent:
     """The quantum integer (n)_c = 1 + q^c + ... + q^{(n-1)c} of step c,
     which is (q^{nc} - 1)/(q^c - 1); a zero step gives 1."""
     if c == 0:
-        return RF_ONE
-    if n == 0:
-        return RF_ZERO
-    return RatFunc(QuarterLaurent({4 * c * m: 1 for m in range(n)}))
+        return ONE
+    return QuarterLaurent({4 * c * m: 1 for m in range(n)})
 
 
-def q_factorial(n: int, c: int) -> RatFunc:
+def q_factorial(n: int, c: int) -> QuarterLaurent:
     """(n)_c! = (n)_c (n-1)_c ... (1)_c, with the empty product equal to 1."""
     if n < 0:
         raise ValueError("factorial of a negative integer")
-    acc = RF_ONE
+    acc = ONE
     for k in range(1, n + 1):
         acc = acc * q_integer(k, c)
     return acc
@@ -404,6 +392,19 @@ def add_product(acc: Dict[int, int], left: Mapping[int, int],
         for e2, c2 in right.items():
             e = e1 + e2
             acc[e] = acc.get(e, 0) + c1 * c2
+
+
+def nonzero_terms(sums: Dict) -> Dict:
+    """``{key: {exponent: coeff}}`` without its zero coefficients, then
+    without the polynomials left empty; a dict without zeros is kept as it
+    is, not copied."""
+    out = {}
+    for key, terms in sums.items():
+        if 0 in terms.values():
+            terms = {exp: coeff for exp, coeff in terms.items() if coeff}
+        if terms:
+            out[key] = terms
+    return out
 
 
 def laurent_product(left: Mapping[int, int],

@@ -25,7 +25,7 @@ from functools import lru_cache
 from typing import Dict, List, NamedTuple, Tuple
 
 from .report import CheckResult, Report
-from .ring import (LAMBDA, Q, RF_Q, ZERO, QuarterLaurent, RatFunc,
+from .ring import (LAMBDA, Q, QINV, ZERO, QuarterLaurent, RatFunc,
                    q_factorial, to_integer_laurent)
 from .representation import (CARTAN, DIM, M, M2, ROOTS, WEIGHTS, bracket_step,
                              duality_maps, phi, root_vector)
@@ -62,8 +62,8 @@ def exp_factor(i: int) -> SuperMap:
             raise ArithmeticError(
                 f"exponential factor {i} did not truncate; "
                 "nilpotency assumption broken")
-        coeff = (q_factorial(n, step) * phi_i ** n).inverse()
-        acc = acc + tensor_map(e_power, f_power).scale(coeff)
+        coeff = (RatFunc(q_factorial(n, step)) * phi_i ** n).inverse()
+        acc = acc + tensor_map(e_power, f_power).scale(coeff.num, coeff.den)
         e_power = compose(e_power, raising)
         f_power = compose(f_power, lowering)
         n += 1
@@ -103,7 +103,7 @@ def braiding() -> BraidingBundle:
     c_inv = invert(c)
     # the inverse square of the twist must be q^2 id; of its two square
     # roots q^{-1} and -q^{-1}, the twist is the one with value 1 at q = 1
-    if twist_inverse_square(c) != SuperMap.identity(M).scale(RF_Q * RF_Q):
+    if twist_inverse_square(c) != SuperMap.identity(M).scale(Q * Q):
         raise ArithmeticError("twist computation disagrees with q^2 * id")
     return BraidingBundle(c, c_inv, QuarterLaurent.q_power(-1))
 
@@ -121,12 +121,10 @@ def spectral_check() -> Report:
     checks: List[CheckResult] = []
     c = braiding().c
     ident = SuperMap.identity(M2)
-    q = RF_Q
-    qinv = RatFunc.q_power(-1)
     factors = {
-        "q": c - ident.scale(q),
-        "-q": c + ident.scale(q),
-        "-1/q": c + ident.scale(qinv),
+        "q": c - ident.scale(Q),
+        "-q": c + ident.scale(Q),
+        "-1/q": c + ident.scale(QINV),
     }
     product = compose(compose(factors["q"], factors["-q"]), factors["-1/q"])
     checks.append(CheckResult("annihilating-cubic", product.is_zero(),

@@ -19,13 +19,16 @@ factors.
 
 Every entry is a :class:`QuarterLaurent`, an integer Laurent polynomial
 in t = q^{1/4}, and ``SuperMap(...)`` raises ``TypeError`` on any other
-type.  Fractions occur only in scalars: ``scale`` by a :class:`RatFunc`
-multiplies each entry by its numerator and divides it exactly by its
-denominator, and raises :class:`NotLaurentInQ` where that division is
-inexact.  :func:`compose` sums the entry products on their coefficient
-dicts with :func:`d21link.ring.add_product` and builds each output entry
-once; :func:`tensor_map` takes an entry met by a unit +-1, as in the
-identity factors of the coproduct, as it is instead of multiplying.
+type.  ``scale(num, den)`` takes two QuarterLaurent scalars: it
+multiplies each entry by ``num`` and divides it exactly by ``den`` (1 by
+default), and raises :class:`NotLaurentInQ` where that division is
+inexact.  So a fraction, such as an exponential factor's coefficient
+1/((n)_c! phi_i^n), scales a map by its numerator and denominator, and no
+entry is ever a fraction.  :func:`compose` sums the entry products on
+their coefficient dicts with :func:`d21link.ring.add_product` and builds
+each output entry once; :func:`tensor_map` takes an entry met by a unit
++-1, as in the identity factors of the coproduct, as it is instead of
+multiplying.
 
 Exact linear algebra runs one division-free elimination over Z[t, 1/t],
 a fraction-free Gaussian elimination (Bareiss, "Sylvester's identity and
@@ -46,8 +49,8 @@ from __future__ import annotations
 from math import gcd
 from typing import Dict, List, Mapping, Tuple
 
-from .ring import (ONE, ZERO, NotLaurentInQ, QuarterLaurent, RatFunc,
-                   add_product, exact_div)
+from .ring import (ONE, ZERO, NotLaurentInQ, QuarterLaurent, add_product,
+                   exact_div, nonzero_terms)
 
 Entry = Tuple[int, int]
 Terms = Dict[int, int]      # a Laurent polynomial's {exponent: coefficient}
@@ -180,18 +183,18 @@ class SuperMap:
     def __sub__(self, other: "SuperMap") -> "SuperMap":
         return self + (-other)
 
-    def scale(self, scalar: RatFunc) -> "SuperMap":
-        """Each entry times the scalar's numerator, divided exactly by its
-        denominator; ``NotLaurentInQ`` when a division is inexact."""
-        if scalar.is_zero():
+    def scale(self, num: QuarterLaurent,
+              den: QuarterLaurent = ONE) -> "SuperMap":
+        """Each entry times ``num``, divided exactly by ``den``;
+        ``NotLaurentInQ`` when a division is inexact."""
+        if num.is_zero():
             return SuperMap.zero(self.domain, self.codomain, self.parity)
-        num, den = scalar.num, scalar.den
         entries = {k: v * num for k, v in self.entries.items()}
         if den is not ONE:
             try:
                 entries = {k: exact_div(v, den) for k, v in entries.items()}
             except ArithmeticError:
-                raise NotLaurentInQ("map entry not divisible by the scalar's "
+                raise NotLaurentInQ("map entry not divisible by the "
                                     "denominator", den) from None
         return SuperMap._derived(self.domain, self.codomain, entries,
                                  self.parity)
@@ -199,16 +202,6 @@ class SuperMap:
     def __repr__(self):
         return (f"SuperMap({self.codomain.dim}x{self.domain.dim}, "
                 f"{len(self.entries)} entries, parity {self.parity})")
-
-
-def _poly(terms: Terms) -> QuarterLaurent:
-    """The polynomial of the int coefficients ``terms``, zeros dropped; it
-    takes over the dict."""
-    if 0 in terms.values():
-        terms = {e: c for e, c in terms.items() if c}
-    out = QuarterLaurent.__new__(QuarterLaurent)
-    out.terms = terms
-    return out
 
 
 def compose(f: SuperMap, g: SuperMap) -> SuperMap:
@@ -229,10 +222,9 @@ def compose(f: SuperMap, g: SuperMap) -> SuperMap:
                 acc = sums[key] = {}
             add_product(acc, fterms, gterms)
     out: Dict[Entry, QuarterLaurent] = {}
-    for key, terms in sums.items():
-        value = _poly(terms)
-        if value.terms:
-            out[key] = value
+    for key, terms in nonzero_terms(sums).items():
+        value = out[key] = QuarterLaurent.__new__(QuarterLaurent)
+        value.terms = terms     # int coefficients, none zero
     return SuperMap._derived(g.domain, f.codomain, out,
                              (f.parity + g.parity) & 1)
 
@@ -338,11 +330,7 @@ def _combine(p: Terms, row: Row, a: Terms, pivot_row: Row, col: int) -> Row:
     for c, terms in pivot_row.items():
         if c != col:
             add_product(sums.setdefault(c, {}), minus_a, terms)
-    out: Row = {}
-    for c, terms in sums.items():
-        terms = {e: v for e, v in terms.items() if v}
-        if terms:
-            out[c] = terms
+    out = nonzero_terms(sums)
     content = gcd(*(v for terms in out.values() for v in terms.values()))
     if content > 1:
         out = {c: {e: v // content for e, v in terms.items()}

@@ -88,7 +88,7 @@ from functools import lru_cache
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .ring import (add_product, excerpt, format_q_laurent, laurent_product,
-                   to_integer_laurent)
+                   nonzero_terms, to_integer_laurent)
 from .representation import (DIM, PARITIES, WEIGHTS, coproduct_action,
                              duality_maps, generator_action)
 from .rmatrix import braiding
@@ -433,11 +433,7 @@ def evaluate_sliced(diagram: SlicedDiagram,
                 acc = sums.setdefault(key[:lo] + replacement + key[hi:], {})
                 for exp, coeff in amp.items():
                     acc[exp + shift] = acc.get(exp + shift, 0) + sign * coeff
-        state = {}
-        for key, acc in sums.items():
-            amp = {exp: coeff for exp, coeff in acc.items() if coeff}
-            if amp:
-                state[key] = amp
+        state = nonzero_terms(sums)
         if len(state) > support_budget:
             raise TangleBudgetExceeded(
                 f"{len(state)} states after event {index} ({event.kind} "
@@ -507,9 +503,7 @@ def _compose(outer: Dict[tuple, tuple], inner: Dict[tuple, tuple]
         for middle, amp in rows:
             for row, coeff in outer.get(middle, ()):
                 add_product(sums.setdefault(row, {}), amp, coeff)
-        column = {row: {exp: value for exp, value in acc.items() if value}
-                  for row, acc in sums.items()}
-        column = {row: amp for row, amp in column.items() if amp}
+        column = nonzero_terms(sums)
         if column:
             product[window] = column
     return product

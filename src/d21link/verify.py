@@ -23,7 +23,7 @@ import time
 from typing import Callable, List, Optional
 
 from .report import CheckResult, Report
-from .ring import (RF_LAMBDA, QuarterLaurent, RatFunc, format_q_laurent,
+from .ring import (LAMBDA, QINV, QuarterLaurent, format_q_laurent,
                    laurent_product, to_integer_laurent)
 from .representation import (M, M2, check_defining_relations, coproduct_action,
                              duality_maps, simple_orbit_spans)
@@ -123,16 +123,16 @@ def category_suite(progress: Optional[Callable[[str], None]] = None) -> Report:
     note("checking skein and curl identities")
     checks.append(CheckResult(
         "skein-identity",
-        (c - c_inv) == (ident_m2 - compose(b, d)).scale(RF_LAMBDA)))
+        (c - c_inv) == (ident_m2 - compose(b, d)).scale(LAMBDA)))
     curl = compose(compose(embed_at(d, 1, 0, M), embed_at(c, 0, 1, M)),
                    embed_at(b, 1, 0, M))
     checks.append(CheckResult(
-        "curl-scalar", curl == ident_m.scale(-RatFunc.q_power(-1))))
+        "curl-scalar", curl == ident_m.scale(-QINV)))
 
     note("checking twist square")
     checks.append(CheckResult(
         "twist-inverse-square",
-        twist_inverse_square(c) == ident_m.scale(RatFunc.q_power(2))))
+        twist_inverse_square(c) == ident_m.scale(QuarterLaurent.q_power(2))))
 
     note("checking naturality for the nine generators")
     for name in ("E", "F", "H"):

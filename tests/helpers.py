@@ -4,7 +4,7 @@ import random
 from math import comb
 
 from d21link.dubrovnik import DELTA, LinkGraph, TwoVarPoly
-from d21link.ring import RF_ZERO, NotLaurentInQ, QuarterLaurent, RatFunc
+from d21link.ring import ZERO, NotLaurentInQ, QuarterLaurent, RatFunc
 from d21link.ring import format_q_laurent
 from d21link.superlinalg import SuperMap, SuperSpace
 
@@ -70,7 +70,7 @@ def fraction_rank(op: SuperMap) -> int:
     rows = [{} for _ in range(op.codomain.dim)]
     for (row, col), value in op.entries.items():
         rows[row][col] = RatFunc(value)
-    rank = 0
+    rank, zero = 0, RatFunc(ZERO)
     for col in range(op.domain.dim):
         index = next((i for i, row in enumerate(rows) if col in row), None)
         if index is None:
@@ -83,7 +83,7 @@ def fraction_rank(op: SuperMap) -> int:
                 continue
             factor = coeff * pivot_row[col].inverse()
             for c, v in pivot_row.items():
-                acc = row.get(c, RF_ZERO) - factor * v
+                acc = row.get(c, zero) - factor * v
                 if acc.is_zero():
                     row.pop(c, None)
                 else:

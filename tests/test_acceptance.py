@@ -8,7 +8,7 @@ from d21link.cli import main
 from d21link.dubrovnik import braid_closure_graph, dubrovnik_poly, specialize
 from d21link.representation import M, M2, check_defining_relations, \
     coproduct_action, duality_maps
-from d21link.ring import LAMBDA, ONE, RF_LAMBDA, QuarterLaurent, RatFunc
+from d21link.ring import LAMBDA, ONE, QINV, QuarterLaurent
 from d21link.rmatrix import (EVEN_PAIRS, ODD_PAIRS, braiding,
                              compare_reference, r_matrix, reference_blocks,
                              spectral_check, split_blocks)
@@ -93,16 +93,16 @@ def test_criterion_5_category_identities():
     _, b, d = duality_maps()
     ident_m = SuperMap.identity(M)
     ident_m2 = SuperMap.identity(M2)
-    ok = (c - c_inv) == (ident_m2 - compose(b, d)).scale(RF_LAMBDA)
+    ok = (c - c_inv) == (ident_m2 - compose(b, d)).scale(LAMBDA)
     ok = ok and compose(d, b).entry(0, 0) == QuarterLaurent.constant(2)
     curl = compose(compose(embed_at(d, 1, 0, M), embed_at(c, 0, 1, M)),
                    embed_at(b, 1, 0, M))
-    ok = ok and curl == ident_m.scale(-RatFunc.q_power(-1))
+    ok = ok and curl == ident_m.scale(-QINV)
     ok = ok and compose(embed_at(d, 1, 0, M), embed_at(b, 0, 1, M)) == ident_m
     ok = ok and compose(embed_at(d, 0, 1, M), embed_at(b, 1, 0, M)) == ident_m
     twist_sq_inv = compose(embed_at(compose(d, c), 0, 1, M),
                            embed_at(compose(c, b), 1, 0, M))
-    ok = ok and twist_sq_inv == ident_m.scale(RatFunc.q_power(2))
+    ok = ok and twist_sq_inv == ident_m.scale(QuarterLaurent.q_power(2))
     ok = ok and bundle.theta == QuarterLaurent.q_power(-1)
     for name in ("E", "F", "H"):
         for i in (1, 2, 3):

@@ -546,6 +546,28 @@ def test_a_failed_final_flush_exits_2(target, tmp_path, monkeypatch):
         os.close(fd)
 
 
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_a_failed_command_exits_2_when_stderr_fails(unbuffered, tmp_path,
+                                                    monkeypatch):
+    # the error line of a bad braid, or of a failed final flush of stdout,
+    # cannot reach a full device; the process still ends with exit 2
+    monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+    if unbuffered:
+        monkeypatch.setenv("PYTHONUNBUFFERED", "1")
+    if not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full on this system")
+    fd = os.open("/dev/full", os.O_WRONLY)
+    try:
+        for name, command in entry_commands().items():
+            assert run_process(command, ["invariant", "--braid", "2: x"],
+                               tmp_path, stderr=fd) == (2, "", None), name
+            assert run_process(command, ["invariant", "--braid", "2: 1"],
+                               tmp_path, stdout=fd, stderr=fd) == (
+                2, None, None), name
+    finally:
+        os.close(fd)
+
+
 def test_a_usage_error_exits_2_when_stderr_fails(tmp_path, monkeypatch):
     # argparse's usage message fails to reach a full device, and is left in
     # the buffer of stderr; the process still ends with the usage status

@@ -1,15 +1,18 @@
+import importlib
 import random
 from fractions import Fraction
 
 import pytest
 
-from d21link.ring import (LAMBDA, NotLaurentInQ, ONE, Q,
-                          QINV, RF_LAMBDA, RF_ONE, RF_Q, RF_ZERO,
-                          ZERO, QuarterLaurent, RatFunc, format_q_laurent,
+from d21link.ring import (LAMBDA, NotLaurentInQ, ONE, Q, QINV, RF_ONE, ZERO,
+                          QuarterLaurent, RatFunc, format_q_laurent,
                           exact_div, poly_gcd, q_factorial, q_integer,
                           q_string, to_integer_laurent)
 from d21link.rmatrix import braiding
 from helpers import random_nonzero_quarter_laurent, random_quarter_laurent, random_ratfunc
+
+q = QuarterLaurent.q_power
+rf_zero, rf_q, rf_lambda = RatFunc(ZERO), RatFunc(Q), RatFunc(LAMBDA)
 
 
 def test_difference_of_squares():
@@ -40,11 +43,12 @@ def test_phi4_inverse_has_closed_form():
 
 def test_q_factorial_base_cases():
     for c in (2, 0, -4):
-        assert q_factorial(0, c) == RF_ONE
-    assert q_factorial(2, 2) == RatFunc(QuarterLaurent({0: 1, 8: 1}))
-    assert q_factorial(2, 0) == RF_ONE
-    assert q_factorial(3, -4) == (RF_ONE + RatFunc.q_power(-4)) * (
-        RF_ONE + RatFunc.q_power(-4) + RatFunc.q_power(-8))
+        assert q_factorial(0, c) == ONE
+    assert q_factorial(2, 2) == QuarterLaurent({0: 1, 8: 1})
+    assert q_factorial(2, 0) == ONE
+    assert q_factorial(3, -4) == (ONE + q(-4)) * (ONE + q(-4) + q(-8))
+    with pytest.raises(ValueError):
+        q_factorial(-1, 2)
 
 
 def test_q_integer_matches_quotient_formula():
@@ -52,12 +56,13 @@ def test_q_integer_matches_quotient_formula():
     for c in range(-4, 5):
         for n in range(0, 5):
             direct = q_integer(n, c)
+            assert type(direct) is QuarterLaurent
             if c == 0:
-                assert direct == RF_ONE
+                assert direct == ONE
             else:
-                numerator = RatFunc.q_power(c * n) - RF_ONE
-                denominator = RatFunc.q_power(c) - RF_ONE
-                assert direct == numerator * denominator.inverse()
+                numerator = RatFunc(q(c * n)) - RF_ONE
+                denominator = RatFunc(q(c)) - RF_ONE
+                assert RatFunc(direct) == numerator * denominator.inverse()
 
 
 def test_to_integer_laurent_accepts_plain_polynomials():
@@ -88,7 +93,7 @@ def test_subtraction_gives_canonical_zero():
     rng = random.Random(13)
     for _ in range(20):
         value = random_ratfunc(rng)
-        assert value - value == RF_ZERO
+        assert value - value == rf_zero
         assert (value - value).num.is_zero()
 
 
@@ -127,7 +132,7 @@ def test_unit_denominators_are_the_shared_one():
               RatFunc(Q + ONE, Q + ONE),               # 1 after the gcd
               RatFunc(ZERO, Q),
               RatFunc(Q) * RatFunc(QINV, QINV),
-              RF_Q + RatFunc(Q, Q))
+              rf_q + RatFunc(Q, Q))
     for value in values:
         assert value.den is ONE
     assert to_integer_laurent(values[0].num) == {1: 1}
@@ -153,20 +158,20 @@ def test_gcd_divides_both_arguments():
 
 
 def test_ratfunc_operators():
-    assert RF_Q + RF_Q == RF_Q * RatFunc.constant(2)
-    assert RF_Q * RF_Q == RatFunc.q_power(2)
-    assert -RF_Q == RatFunc.q_power(1, -1)
-    assert RF_Q ** 3 == RatFunc.q_power(3)
-    assert RF_LAMBDA.inverse() == RatFunc(ONE, LAMBDA)
+    assert rf_q + rf_q == rf_q * RatFunc(QuarterLaurent.constant(2))
+    assert rf_q * rf_q == RatFunc(q(2))
+    assert -rf_q == RatFunc(q(1, -1))
+    assert rf_q ** 3 == RatFunc(q(3))
+    assert rf_lambda.inverse() == RatFunc(ONE, LAMBDA)
     with pytest.raises(ZeroDivisionError):
-        RF_ZERO.inverse()
+        rf_zero.inverse()
 
 
 def test_negative_powers():
-    assert RF_Q ** -2 == RatFunc.q_power(-2)
-    assert RF_LAMBDA ** -1 == RatFunc(ONE, LAMBDA)
+    assert rf_q ** -2 == RatFunc(q(-2))
+    assert rf_lambda ** -1 == RatFunc(ONE, LAMBDA)
     with pytest.raises(ZeroDivisionError):
-        RF_ZERO ** -1
+        rf_zero ** -1
 
 
 def test_rendering_grammar():
@@ -218,3 +223,12 @@ def test_division_steps_stay_exact_on_integer_input():
                             QuarterLaurent({0: 3, 1: 6}))
     values = (poly_gcd(a, b), ratio.num, ratio.den)
     assert all(type(c) is int for c in _coefficients(*values))
+
+
+def test_fractions_stay_in_the_braiding_build():
+    # maps are scaled by Laurent scalars; only ``representation.phi`` and
+    # ``rmatrix.exp_factor`` build a RatFunc
+    for name in ("superlinalg", "verify", "tangle", "cli"):
+        namespace = vars(importlib.import_module(f"d21link.{name}"))
+        assert "RatFunc" not in namespace, name
+        assert not [n for n in namespace if n.startswith("RF_")], name

@@ -2,7 +2,7 @@
 import pytest
 
 from d21link.representation import DIM, M, M2
-from d21link.ring import (LAMBDA, ONE, QuarterLaurent, RatFunc, q_string,
+from d21link.ring import (LAMBDA, ONE, Q, QINV, QuarterLaurent, q_string,
                           to_integer_laurent)
 from d21link.rmatrix import (EVEN_PAIRS, ODD_PAIRS, REFERENCE_C0,
                              REFERENCE_C1, braiding, cartan_factor,
@@ -93,18 +93,16 @@ def test_spectral_report():
     assert report.ok, [c.check_id for c in report.checks if not c.passed]
     c = braiding().c
     ident = SuperMap.identity(M2)
-    rq = RatFunc.q_power
-    assert rank_over_fractions(c - ident.scale(rq(1))) == 19
-    assert rank_over_fractions(c + ident.scale(rq(1))) == 35
-    assert rank_over_fractions(c + ident.scale(rq(-1))) == 18
+    assert rank_over_fractions(c - ident.scale(Q)) == 19
+    assert rank_over_fractions(c + ident.scale(Q)) == 35
+    assert rank_over_fractions(c + ident.scale(QINV)) == 18
 
 
 def test_annihilating_cubic_vanishes():
     c = braiding().c
     ident = SuperMap.identity(M2)
-    rq = RatFunc.q_power
-    product = compose(compose(c - ident.scale(rq(1)), c + ident.scale(rq(1))),
-                      c + ident.scale(rq(-1)))
+    product = compose(compose(c - ident.scale(Q), c + ident.scale(Q)),
+                      c + ident.scale(QINV))
     assert product.is_zero()
 
 

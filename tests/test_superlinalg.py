@@ -5,8 +5,8 @@ import pytest
 
 from d21link.representation import (M, M2, ROOTS, bracket_step, duality_maps,
                                     generator_action, phi, root_vector)
-from d21link.ring import (LAMBDA, ONE, RF_ONE, NotLaurentInQ, QuarterLaurent,
-                          RatFunc, q_factorial)
+from d21link.ring import (LAMBDA, ONE, RF_ONE, ZERO, NotLaurentInQ,
+                          QuarterLaurent, RatFunc, q_factorial)
 from d21link.superlinalg import (TRIVIAL, ShapeMismatchError, SuperMap,
                                  SuperSpace, compose, embed_at, invert,
                                  rank_over_fractions, tensor_map, volte)
@@ -97,7 +97,7 @@ def test_graded_interchange_law():
         lhs = compose(tensor_map(f2, g2), tensor_map(f1, g1))
         rhs = tensor_map(compose(f2, f1), compose(g2, g1))
         if p_g2 and p_f1:
-            rhs = rhs.scale(-RF_ONE)
+            rhs = rhs.scale(-ONE)
         assert lhs == rhs
 
 
@@ -111,7 +111,7 @@ def test_volte_naturality():
         lhs = compose(tau, tensor_map(f, g))
         rhs = compose(tensor_map(g, f), tau)
         if p_f and p_g:
-            rhs = rhs.scale(-RF_ONE)
+            rhs = rhs.scale(-ONE)
         assert lhs == rhs
 
 
@@ -303,26 +303,31 @@ def test_entries_are_quarter_laurent_only():
 
 
 def test_scale_divides_exactly_or_raises():
-    # each exponential factor's coefficients 1/((n)_c! phi_i^n) divide the
-    # tensor powers they scale exactly, and scaling back recovers them
+    # each exponential factor's coefficient 1/((n)_c! phi_i^n), taken as its
+    # numerator and denominator, divides the tensor power it scales
+    # exactly, and scaling back recovers it
     for i, root in enumerate(ROOTS, 1):
         raising, lowering = root_vector(i, "raise"), root_vector(i, "lower")
         e_power, f_power, n = raising, lowering, 1
         while not (e_power.is_zero() or f_power.is_zero()):
-            factor = q_factorial(n, bracket_step(root)) * phi(i) ** n
+            factor = RatFunc(q_factorial(n, bracket_step(root))) * phi(i) ** n
             term = tensor_map(e_power, f_power)
-            scaled = term.scale(factor.inverse())
+            scaled = term.scale(factor.den, factor.num)
             assert all(type(v) is QuarterLaurent
                        for v in scaled.entries.values())
-            assert scaled.scale(factor) == term
+            assert scaled.scale(factor.num, factor.den) == term
             e_power = compose(e_power, raising)
             f_power = compose(f_power, lowering)
             n += 1
+    e2 = generator_action("E", 2)
+    # a fraction need not be in lowest terms, and a zero numerator gives
+    # the zero map of the same parity
+    assert e2.scale(LAMBDA * LAMBDA, LAMBDA) == e2.scale(LAMBDA)
+    assert e2.scale(ZERO) == SuperMap.zero(M, M, e2.parity)
     with pytest.raises(NotLaurentInQ):
-        SuperMap.identity(M).scale(RatFunc(ONE, LAMBDA))
+        SuperMap.identity(M).scale(ONE, LAMBDA)
     with pytest.raises(NotLaurentInQ):
-        generator_action("E", 2).scale(
-            RatFunc(ONE, QuarterLaurent.constant(2)))
+        e2.scale(ONE, QuarterLaurent.constant(2))
 
 
 def test_embed_at_is_the_tensor_with_identities():
