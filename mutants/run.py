@@ -7,10 +7,13 @@ snippet's replacement and the pytest ids that must fail once the snippet
 is replaced.  The runner copies ``src``, ``tests`` and ``pyproject.toml``
 into a temporary directory, checks there that the listed tests pass
 unmutated, then applies each mutant to a fresh copy and runs only its
-tests; the checkout itself is never written.  It exits 1 when a snippet
-does not occur exactly once (a refactor must update the list), when a
-listed test fails unmutated, or when a mutant survives: some listed test
-still passes.  When a mutant survives, add a test that kills it; never
+tests; the checkout itself is never written.  Each pytest run starts in a
+session of its own and is killed with its whole process group after
+``TIMEOUT_S``: a mutant that outlasts it is killed too (reported as a
+timeout), an unmutated run that does is a problem.  It exits 1 when a
+snippet does not occur exactly once (a refactor must update the list),
+when a listed test fails unmutated, or when a mutant survives: some listed
+test still passes.  When a mutant survives, add a test that kills it; never
 shorten its list.  Only the standard library is used, besides pytest.
 
 See DeMillo, Lipton and Sayward, "Hints on test data selection: help for
@@ -21,6 +24,7 @@ from __future__ import annotations
 
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -30,6 +34,10 @@ from typing import List, NamedTuple, Optional, Sequence, Set, Tuple
 
 ROOT = Path(__file__).resolve().parent.parent
 COPIED = ("src", "tests", "pyproject.toml")
+# Seconds a pytest run may take.  Every listed test together takes about
+# 4 s unmutated (2 cores, CPython 3.11.7); a mutant that loops forever
+# is stopped here instead of at a CI job limit.
+TIMEOUT_S = 300
 
 SUPERLINALG = "src/d21link/superlinalg.py"
 T_SUPERLINALG = "tests/test_superlinalg.py::"
@@ -228,8 +236,8 @@ MUTANTS = (
             T_REPRESENTATION + "test_defining_relations_all_pass",
             T_ACCEPTANCE + "test_criterion_2_braiding_regression")),
     Mutant("exp-factor-scales-without-the-denominator", RMATRIX,
-           ".scale(coeff.num, coeff.den)",
-           ".scale(coeff.num)",
+           ".scale(phi_i.den, phi_i.num)",
+           ".scale(phi_i.den)",
            (T_RMATRIX + "test_twist_value",
             T_RMATRIX + "test_computed_braiding_matches_reference_everywhere",
             T_ACCEPTANCE + "test_criterion_2_braiding_regression")),
@@ -238,12 +246,30 @@ MUTANTS = (
            "(K[i] - Kinv[i]).scale(ONE)",
            (T_REPRESENTATION + "test_defining_relations_all_pass",
             T_ACCEPTANCE + "test_criterion_1_relation_suite")),
-    Mutant("q-factorial-stops-one-factor-short", RING,
-           "for k in range(1, n + 1):",
-           "for k in range(1, n):",
-           # every root vector squares to zero on M, so the braiding
-           # only ever takes (1)_c! = 1 and cannot tell
-           (T_RING + "test_q_factorial_base_cases",)),
+    Mutant("exp-factor-skips-the-square-check", RMATRIX,
+           "    if not (compose(raising, raising).is_zero()\n"
+           "            and compose(lowering, lowering).is_zero()):\n",
+           "    if False:\n",
+           (T_RMATRIX + "test_exp_factor_needs_root_vectors_that_square_to_0"
+                        "[raise]",
+            T_RMATRIX + "test_exp_factor_needs_root_vectors_that_square_to_0"
+                        "[lower]")),
+    Mutant("twist-guard-raises-arithmetic-error", RMATRIX,
+           'raise TableError("twist computation disagrees',
+           'raise ArithmeticError("twist computation disagrees',
+           (T_CLI + "test_a_braiding_failing_the_twist_check_exits_2",)),
+    Mutant("skein-crossing-budget-refuses-the-bound", DUBROVNIK,
+           "if crossings > budget:",
+           "if crossings >= budget:",
+           (T_DUBROVNIK + "test_crossing_budget_admits_as_many_crossings_as_"
+                          "it_names",)),
+    Mutant("exact-div-ignores-the-remainder", RING,
+           "if deg_r < deg_b or left:",
+           "if deg_r < deg_b:",
+           # a leading coefficient that does not divide leaves a zero
+           # quotient step, and the division never ends: killed by timeout
+           (T_RING + "test_division_steps_stay_exact_on_integer_input",
+            T_SUPERLINALG + "test_scale_divides_exactly_or_raises")),
     Mutant("q-string-zero-is-empty", RING,
            'return "0"\n    return format_q_laurent',
            'return ""\n    return format_q_laurent',
@@ -267,18 +293,31 @@ def _copy(workdir: Path) -> None:
             shutil.copy2(source, workdir / name)
 
 
+class TimedOut(Exception):
+    """pytest ran past ``TIMEOUT_S``; its process group was killed."""
+
+
 def _failing(workdir: Path, tests: Sequence[str]) -> Optional[Set[str]]:
     """The listed tests that fail or error in ``workdir``; None when pytest
-    could not run them (an unknown id, say)."""
+    could not run them (an unknown id, say).  Raises ``TimedOut`` once
+    pytest and everything it started are killed after ``TIMEOUT_S``."""
     report = workdir / "junit.xml"
     env = dict(os.environ, PYTHONPATH=str(workdir / "src"),
                PYTHONDONTWRITEBYTECODE="1")
-    result = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-         f"--junitxml={report}", *tests],
-        cwd=workdir, env=env, capture_output=True, text=True)
-    if result.returncode not in (0, 1) or not report.exists():
-        sys.stdout.write(result.stdout[-2000:] + result.stderr[-2000:])
+    with subprocess.Popen(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+             f"--junitxml={report}", *tests],
+            cwd=workdir, env=env, stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, text=True,
+            start_new_session=True) as pytest:
+        try:
+            stdout, stderr = pytest.communicate(timeout=TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            os.killpg(pytest.pid, signal.SIGKILL)
+            pytest.communicate()
+            raise TimedOut from None
+    if pytest.returncode not in (0, 1) or not report.exists():
+        sys.stdout.write(stdout[-2000:] + stderr[-2000:])
         return None
     ran, failed = set(), set()
     for case in ET.parse(report).iter("testcase"):
@@ -293,8 +332,9 @@ def _failing(workdir: Path, tests: Sequence[str]) -> Optional[Set[str]]:
     return {t for t in tests if _junit_key(t) in failed}
 
 
-def run_mutant(mutant: Mutant) -> List[str]:
-    """The problems of one mutant; empty when every listed test fails."""
+def run_mutant(mutant: Mutant) -> Tuple[str, List[str]]:
+    """The verdict on one mutant, ``KILLED``, ``TIMEOUT`` (killed too) or
+    ``PROBLEM``, and its problems, none unless the verdict is ``PROBLEM``."""
     with tempfile.TemporaryDirectory(prefix="d21link-mutant-") as tmp:
         workdir = Path(tmp)
         _copy(workdir)
@@ -302,13 +342,18 @@ def run_mutant(mutant: Mutant) -> List[str]:
         text = target.read_text(encoding="utf-8")
         count = text.count(mutant.snippet)
         if count != 1:
-            return [f"snippet occurs {count} times in {mutant.path}"]
+            return "PROBLEM", [f"snippet occurs {count} times in {mutant.path}"]
         target.write_text(text.replace(mutant.snippet, mutant.replacement),
                           encoding="utf-8")
-        failing = _failing(workdir, mutant.tests)
+        try:
+            failing = _failing(workdir, mutant.tests)
+        except TimedOut:
+            return "TIMEOUT", []
     if failing is None:
-        return ["pytest could not run the listed tests"]
-    return [f"survives {test}" for test in mutant.tests if test not in failing]
+        return "PROBLEM", ["pytest could not run the listed tests"]
+    problems = [f"survives {test}" for test in mutant.tests
+                if test not in failing]
+    return ("PROBLEM" if problems else "KILLED"), problems
 
 
 def check_unmutated(mutants: Sequence[Mutant]) -> List[str]:
@@ -316,7 +361,10 @@ def check_unmutated(mutants: Sequence[Mutant]) -> List[str]:
     tests = sorted({test for mutant in mutants for test in mutant.tests})
     with tempfile.TemporaryDirectory(prefix="d21link-mutant-") as tmp:
         _copy(Path(tmp))
-        failing = _failing(Path(tmp), tests)
+        try:
+            failing = _failing(Path(tmp), tests)
+        except TimedOut:
+            return [f"the listed tests ran past {TIMEOUT_S} s"]
     if failing is None:
         return ["pytest could not run the listed tests"]
     return [f"fails unmutated: {test}" for test in sorted(failing)]
@@ -327,8 +375,8 @@ def main() -> int:
     for problem in problems:
         print(f"unmutated: {problem}")
     for mutant in MUTANTS:
-        found = run_mutant(mutant)
-        print(f"{'KILLED  ' if not found else 'PROBLEM '} {mutant.name}")
+        verdict, found = run_mutant(mutant)
+        print(f"{verdict:<8} {mutant.name}")
         for problem in found:
             print(f"    {problem}")
         problems += found

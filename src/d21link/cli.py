@@ -72,9 +72,9 @@ from typing import List, NoReturn, Optional
 from . import dubrovnik
 from .representation import DIM
 from .ring import NotLaurentInQ, excerpt, format_q_laurent, q_string
-from .rmatrix import EVEN_PAIRS, ODD_PAIRS, braiding, split_blocks
-from .tangle import (DEFAULT_SUPPORT_BUDGET, DiagramError, TableError,
-                     ascii_integers, evaluate_sliced, invariant, parse_braid,
+from .rmatrix import EVEN_PAIRS, ODD_PAIRS, TableError, braiding, split_blocks
+from .tangle import (DEFAULT_SUPPORT_BUDGET, DiagramError, ascii_integers,
+                     evaluate_sliced, invariant, parse_braid,
                      parse_sliced_text)
 from .verify import run_suites
 

@@ -7,9 +7,9 @@ at the fixed parameter value are stored: Cartan matrix, symmetrizer,
 parities, the seven positive roots, and the action of the nine generators
 E_i, F_i, H_i on the supermodule M with basis v_1..v_6 (v_1, v_2 even,
 v_3..v_6 odd), H_i read off ``WEIGHTS``.  The rest is derived from them:
-the parity of each generator, the step (beta, beta) of each root's
-q-factorials (:func:`bracket_step`) and every K_beta
-(:func:`cartan_exponential`, the one builder).
+the parity of each generator, each root's square length (beta, beta)
+(:func:`bracket_step`) and every K_beta (:func:`cartan_exponential`, the
+one builder).
 
 The Cartan diagonal on the even pair is weight zero: ``H_2 = H_3 = 0`` on
 v_1, v_2.  Weight one there breaks the [E_2, F_2] relation on v_1, and
@@ -107,9 +107,8 @@ ROOTS = (
 
 
 def bracket_step(root: Tuple[int, int, int]) -> int:
-    """(beta, beta) = sum_jk n_j n_k d_j a_jk: the step c of the q-integers
-    normalising beta's exponential factor, and the twist K_beta E_beta =
-    q^c E_beta K_beta."""
+    """(beta, beta) = sum_jk n_j n_k d_j a_jk: the c of the twist K_beta
+    E_beta = q^c E_beta K_beta."""
     return sum(n_j * n_k * CARTAN.d[j] * CARTAN.a[j][k]
                for j, n_j in enumerate(root) for k, n_k in enumerate(root))
 

@@ -6,13 +6,13 @@ with integer coefficients: every entry of every graded map of
 entries are read out as integer Laurent polynomials in q by
 :func:`to_integer_laurent`; the tangle fold runs on those alone and the skein
 oracle on ``int`` coefficients.  The scalars maps are scaled by are
-QuarterLaurent values too, quantum integers and factorials included, save
-the only fractions: the pairing constants phi_i and the coefficients
-1/((n)_c! phi_i^n) of the exponential factors.  Those are :class:`RatFunc`
-values, and a map scaled by one takes its numerator and its denominator,
-which divides each entry exactly.  :func:`add_product` is the one product
-loop on coefficient dicts, for graded maps and tangle tables alike, and
-:func:`nonzero_terms` drops the zeros such sums leave.
+QuarterLaurent values too, save the only fractions: the pairing constants
+phi_i, whose inverse scales the one nonzero term of each exponential
+factor.  Those are :class:`RatFunc` values, and a map scaled by one takes
+its numerator and its denominator, which divides each entry exactly.
+:func:`add_product` is the one product loop on coefficient dicts, for
+graded maps and tangle tables alike, and :func:`nonzero_terms` drops the
+zeros such sums leave.
 A :class:`QuarterLaurent` stores a finite map ``exponent -> coefficient``
 where the integer exponent ``e`` encodes the monomial t^e = q^{e/4}; a plain
 power q^k therefore sits at exponent 4k.  Working on the quarter-exponent
@@ -309,45 +309,10 @@ class RatFunc:
             raise ZeroDivisionError("inverse of zero")
         return RatFunc(self.den, self.num)
 
-    def __pow__(self, n: int) -> "RatFunc":
-        if not isinstance(n, int):
-            raise TypeError("exponent must be an integer")
-        if n < 0:
-            return self.inverse() ** (-n)
-        acc = RF_ONE
-        base = self
-        while n:
-            if n & 1:
-                acc = acc * base
-            base = base * base
-            n >>= 1
-        return acc
-
     def __repr__(self):
         if self.den is ONE:
             return repr(self.num)
         return f"({self.num!r}) / ({self.den!r})"
-
-
-RF_ONE = RatFunc(ONE)
-
-
-def q_integer(n: int, c: int) -> QuarterLaurent:
-    """The quantum integer (n)_c = 1 + q^c + ... + q^{(n-1)c} of step c,
-    which is (q^{nc} - 1)/(q^c - 1); a zero step gives 1."""
-    if c == 0:
-        return ONE
-    return QuarterLaurent({4 * c * m: 1 for m in range(n)})
-
-
-def q_factorial(n: int, c: int) -> QuarterLaurent:
-    """(n)_c! = (n)_c (n-1)_c ... (1)_c, with the empty product equal to 1."""
-    if n < 0:
-        raise ValueError("factorial of a negative integer")
-    acc = ONE
-    for k in range(1, n + 1):
-        acc = acc * q_integer(k, c)
-    return acc
 
 
 def to_integer_laurent(value: QuarterLaurent) -> Dict[int, int]:

@@ -1,17 +1,16 @@
 """Braiding on the tensor square of the supermodule.
 
 The braiding is the graded flip composed with the evaluated universal
-R-matrix: a product of seven truncated exponential factors, one per positive
-root (built from the raising/lowering root-vector pair, normalized by the
-pairing constants and by quantum factorials whose step is the root's square
-length, derived from the root and the Cartan data), applied after a
-diagonal Cartan factor whose exponents are quarter-integers read off the
-weight table.
+R-matrix: seven exponential factors id + (E_beta (x) F_beta) / phi_beta,
+one per positive root (root vectors square to zero on the module, checked
+where each factor is built), applied after a diagonal Cartan factor whose
+exponents are quarter-integers read off the weight table.
 Factors apply right to left: the Cartan factor first, then the exponential
 factors in decreasing root order.
 
 Every entry of the braiding is an integer Laurent polynomial in q (checked
-on construction).  The printed 20x20/16x16 parity blocks in
+on construction), and a twist that fails its check raises ``TableError``.
+The printed 20x20/16x16 parity blocks in
 ``REFERENCE_C0``/``REFERENCE_C1`` are a frozen regression target: the
 computed braiding is compared entry by entry and any divergence is reported
 for logging in a deviations file, with the invariant suites (Yang-Baxter,
@@ -25,14 +24,15 @@ from functools import lru_cache
 from typing import Dict, List, NamedTuple, Tuple
 
 from .report import CheckResult, Report
-from .ring import (LAMBDA, Q, QINV, ZERO, QuarterLaurent, RatFunc,
-                   q_factorial, to_integer_laurent)
-from .representation import (CARTAN, DIM, M, M2, ROOTS, WEIGHTS, bracket_step,
-                             duality_maps, phi, root_vector)
+from .ring import LAMBDA, Q, QINV, ZERO, QuarterLaurent, to_integer_laurent
+from .representation import (CARTAN, DIM, M, M2, WEIGHTS, duality_maps, phi,
+                             root_vector)
 from .superlinalg import (SuperMap, compose, embed_at, invert,
                           rank_over_fractions, tensor_map, volte)
 
-_NILPOTENCY_GUARD = 7
+
+class TableError(ValueError):
+    """A module table fails a fact that the braiding or a tangle rests on."""
 
 
 class BraidingBundle(NamedTuple):
@@ -43,31 +43,19 @@ class BraidingBundle(NamedTuple):
 
 @lru_cache(maxsize=None)
 def exp_factor(i: int) -> SuperMap:
-    """Truncated exponential factor for root i on M (x) M.
-
-    sum_n (E^n (x) F^n) / ((n)_c! phi_i^n), with c = (beta_i, beta_i) the
-    root's bracket step; the series stops as soon as a matrix power
-    vanishes, which nilpotency on M guarantees within a few steps.  Koszul signs for odd root vectors are supplied by tensor_map.
-    """
+    """id + (E_i (x) F_i) / phi_i: the exponential factor of root i on
+    M (x) M, whose series stops after one term as E_i and F_i square to
+    zero on M (``TableError`` otherwise).  Koszul signs for odd root
+    vectors are supplied by tensor_map."""
     raising = root_vector(i, "raise")
     lowering = root_vector(i, "lower")
-    acc = SuperMap.identity(M2)
-    e_power = raising
-    f_power = lowering
-    n = 1
+    if not (compose(raising, raising).is_zero()
+            and compose(lowering, lowering).is_zero()):
+        raise TableError(f"root vector {i} does not square to 0 on M, so "
+                         "its exponential factor is not id + E (x) F / phi")
     phi_i = phi(i)
-    step = bracket_step(ROOTS[i - 1])
-    while not (e_power.is_zero() or f_power.is_zero()):
-        if n >= _NILPOTENCY_GUARD:
-            raise ArithmeticError(
-                f"exponential factor {i} did not truncate; "
-                "nilpotency assumption broken")
-        coeff = (RatFunc(q_factorial(n, step)) * phi_i ** n).inverse()
-        acc = acc + tensor_map(e_power, f_power).scale(coeff.num, coeff.den)
-        e_power = compose(e_power, raising)
-        f_power = compose(f_power, lowering)
-        n += 1
-    return acc
+    return (SuperMap.identity(M2)
+            + tensor_map(raising, lowering).scale(phi_i.den, phi_i.num))
 
 
 @lru_cache(maxsize=None)
@@ -104,7 +92,7 @@ def braiding() -> BraidingBundle:
     # the inverse square of the twist must be q^2 id; of its two square
     # roots q^{-1} and -q^{-1}, the twist is the one with value 1 at q = 1
     if twist_inverse_square(c) != SuperMap.identity(M).scale(Q * Q):
-        raise ArithmeticError("twist computation disagrees with q^2 * id")
+        raise TableError("twist computation disagrees with q^2 * id")
     return BraidingBundle(c, c_inv, QuarterLaurent.q_power(-1))
 
 

@@ -22,9 +22,9 @@ in t = q^{1/4}, and ``SuperMap(...)`` raises ``TypeError`` on any other
 type.  ``scale(num, den)`` takes two QuarterLaurent scalars: it
 multiplies each entry by ``num`` and divides it exactly by ``den`` (1 by
 default), and raises :class:`NotLaurentInQ` where that division is
-inexact.  So a fraction, such as an exponential factor's coefficient
-1/((n)_c! phi_i^n), scales a map by its numerator and denominator, and no
-entry is ever a fraction.  :func:`compose` sums the entry products on
+inexact.  So a fraction, such as the inverse 1/phi_i of a pairing
+constant, scales a map by its numerator and denominator, and no entry is
+ever a fraction.  :func:`compose` sums the entry products on
 their coefficient dicts with :func:`d21link.ring.add_product` and builds
 each output entry once; :func:`tensor_map` takes an entry met by a unit
 +-1, as in the identity factors of the coproduct, as it is instead of

@@ -91,7 +91,7 @@ from .ring import (add_product, excerpt, format_q_laurent, laurent_product,
                    nonzero_terms, to_integer_laurent)
 from .representation import (DIM, PARITIES, WEIGHTS, coproduct_action,
                              duality_maps, generator_action)
-from .rmatrix import braiding
+from .rmatrix import TableError, braiding
 from .superlinalg import rank_over_fractions
 
 EVENT_KINDS = ("cup", "cap", "pos", "neg")
@@ -117,10 +117,6 @@ class DiagramError(ValueError):
 
 class TangleBudgetExceeded(DiagramError):
     """An evaluation would hold more than its budget allows."""
-
-
-class TableError(ValueError):
-    """A module table fails a fact that the tangle evaluations rest on."""
 
 
 def _over_budget(count, budget: int) -> TangleBudgetExceeded:

@@ -12,6 +12,7 @@ import pytest
 
 from d21link import dubrovnik, representation, rmatrix, tangle
 from d21link.cli import main
+from d21link.ring import LAMBDA, Q, RatFunc
 from d21link.tangle import braid_closure_slices, parse_braid
 from test_transcript import BUDGET_VARIABLES
 
@@ -385,6 +386,27 @@ def test_a_table_failing_a_tangle_check_exits_2(capsys, monkeypatch):
             assert run_cli(capsys, "invariant", "--braid", "2: 1 1 1") == (
                 2, "", "error: the pos crossing does not commute with "
                        "Delta(E_1)\n")
+    finally:
+        clear_table_caches()
+    assert run_cli(capsys, "invariant", "--braid", "2: 1 1 1") == (
+        0, "-2*q^-3\n", "")
+
+
+def test_a_braiding_failing_the_twist_check_exits_2(capsys, monkeypatch):
+    # phi_2 = q / (q - q^-1) in place of q^-1 / (q - q^-1): the braiding is
+    # still integral, but the inverse square of its twist is not q^2 id
+    true_phi = rmatrix.phi
+    clear_table_caches()
+    try:
+        with monkeypatch.context() as patch:
+            patch.setattr(rmatrix, "phi", lambda i: RatFunc(Q, LAMBDA)
+                          if i == 2 else true_phi(i))
+            for argv in (("invariant", "--braid", "2: 1 1 1"),
+                         ("braiding", "--format", "csv"),
+                         ("verify", "--suite", "all", "--json")):
+                assert run_cli(capsys, *argv) == (
+                    2, "", "error: twist computation disagrees with q^2 "
+                           "* id\n"), argv
     finally:
         clear_table_caches()
     assert run_cli(capsys, "invariant", "--braid", "2: 1 1 1") == (

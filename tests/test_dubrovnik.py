@@ -208,6 +208,13 @@ def test_budget_guard():
         braid_closure_graph(parse_braid("5:"), budget=4)
 
 
+def test_crossing_budget_admits_as_many_crossings_as_it_names():
+    assert poly_of("2: 1 1 1", budget=3) == poly_of("2: 1 1 1")
+    with pytest.raises(SkeinBudgetExceeded,
+                       match="^3 crossings exceed the budget 2$"):
+        poly_of("2: 1 1 1", budget=2)
+
+
 def test_budget_counts_the_input_crossings_before_simplifying():
     # the closure simplifies to one curl, but the check comes first
     with pytest.raises(SkeinBudgetExceeded,

@@ -1,11 +1,12 @@
 
 import pytest
 
-from d21link.representation import DIM, M, M2
+from d21link import rmatrix
+from d21link.representation import DIM, M, M2, generator_action, root_vector
 from d21link.ring import (LAMBDA, ONE, Q, QINV, QuarterLaurent, q_string,
                           to_integer_laurent)
 from d21link.rmatrix import (EVEN_PAIRS, ODD_PAIRS, REFERENCE_C0,
-                             REFERENCE_C1, braiding, cartan_factor,
+                             REFERENCE_C1, TableError, braiding, cartan_factor,
                              compare_reference, exp_factor, r_matrix,
                              reference_blocks, spectral_check, split_blocks,
                              _parse_reference_entry)
@@ -37,6 +38,23 @@ def test_exp_factor_five():
     assert op.entry(flat(3, 1), flat(3, 1)) == ONE
     assert op.entry(flat(1, 3), flat(3, 1)) == LAMBDA
     assert op.parity == 0
+
+
+@pytest.mark.parametrize("kind", ["raise", "lower"])
+def test_exp_factor_needs_root_vectors_that_square_to_0(kind, monkeypatch):
+    # H_1 is diagonal with entries +-1, so its square is not 0 and the
+    # exponential of H_1 (x) F_7 / phi_7 (or E_7 (x) H_1 / phi_7) has
+    # terms past the linear one
+    h1 = generator_action("H", 1)
+    monkeypatch.setattr(rmatrix, "root_vector", lambda i, k: h1 if k == kind
+                        else root_vector(i, k))
+    exp_factor.cache_clear()
+    try:
+        with pytest.raises(TableError,
+                           match="^root vector 7 does not square to 0 on M"):
+            exp_factor(7)
+    finally:
+        exp_factor.cache_clear()
 
 
 def test_exp_factors_fix_first_slot_v1():
