@@ -32,8 +32,9 @@ and strand budget of the skein oracle (default 16), and
 columns of a braid trace, or the fold of ``--sliced`` after any event;
 each must be an integer of at least 1.
 Exit status is 0 on success and, for ``verify``, iff every check passes;
-bad input (a bad budget variable included), an exceeded budget or a
-module table that fails a check of :mod:`d21link.tangle` exits 2.
+bad input (a bad budget variable or a ``--sliced`` file past 2^20
+characters), an exceeded budget or a module table that fails a check
+exits 2.
 
 Each command is a one-shot process: ``python -m d21link.cli`` and the
 installed ``d21link`` script (through :func:`d21link.run`) run
@@ -79,6 +80,7 @@ from .tangle import (DEFAULT_SUPPORT_BUDGET, DiagramError, ascii_integers,
 from .verify import run_suites
 
 DEVIATIONS_FILE = "braiding_deviations.txt"
+SLICED_MAX_CHARS = 2 ** 20      # most characters a --sliced file may hold
 
 
 class BudgetSettingError(ValueError):
@@ -118,7 +120,11 @@ def _cmd_invariant(args: argparse.Namespace) -> int:
         result = invariant(parse_braid(args.braid), budget)
     else:
         with open(args.sliced, "r", encoding="utf-8-sig") as handle:
-            result = evaluate_sliced(parse_sliced_text(handle.read()), budget)
+            text = handle.read(SLICED_MAX_CHARS + 1)    # not all of /dev/zero
+        if len(text) > SLICED_MAX_CHARS:
+            raise DiagramError(f"sliced file {excerpt(args.sliced)} is longer "
+                               f"than {SLICED_MAX_CHARS} characters")
+        result = evaluate_sliced(parse_sliced_text(text), budget)
     if args.json:
         payload = {
             "value": result.canonical(),

@@ -58,26 +58,23 @@ cut the closure at would cost.
 
 :func:`trace` is the reference that the tests and the presentation checks
 of :mod:`d21link.verify` compare with: the same quantum trace over all 6^n
-columns, on at most six strands.  Swapping v4 and v5 in every strand maps
-both crossing tables onto themselves and fixes p(v) (also checked), so it
-evolves one start column per swap orbit, its amplitude times the orbit
-size, in blocks of at most 216 columns that share their leading digits,
-one block at a time, each held to a support budget.  During it each
-coefficient is one Kronecker-packed int, sum(c_e << bits * (e + shift));
-``bits`` comes from a proven bound on the coefficients (start L1 norm
-times each event's largest column L1 sum), and the final value is decoded
-and re-packed as a check.
+columns.  Swapping v4 and v5 in every strand maps both crossing tables
+onto themselves and fixes p(v) (also checked), so it evolves one start
+column per swap orbit, its amplitude times the orbit size, in blocks of at
+most 216 columns that share their leading digits.  Each coefficient is one
+Kronecker-packed int, sum(c_e << bits * (e + shift)); ``bits`` comes from
+a proven bound on the coefficients (start L1 norm times each event's
+largest column L1 sum), and the final value is decoded and re-packed as a
+check.
 
 Both evaluations report the stats of the fold in the cohomology (slices,
 peak strands, the nominal dimension 6^peak_strands, peak support); for a
 braid word they describe the cyclically reduced word that was traced,
 whose 2^n columns, one state each, are the peak support of the fold of its
-closure.  The trace of :func:`invariant` also reports its own figures
-(:class:`TraceStats`); :func:`trace` reports those of its 6^n evaluation,
-whose support after each letter, summed over its blocks, is that of the
-6^2n-state fold of the closure.  The tables are converted once to integer
-Laurent polynomials, so no path touches rational-function arithmetic and
-values lie in Z[q, q^-1] by construction.
+closure, and :func:`invariant` adds its trace's own figures
+(:class:`TraceStats`).  The tables are converted once to integer Laurent
+polynomials, so no path touches rational-function arithmetic and values
+lie in Z[q, q^-1] by construction.
 Framing is blackboard: the value belongs to the drawn diagram, with no
 writhe normalization.
 """
@@ -102,14 +99,6 @@ EVENT_KINDS = ("cup", "cap", "pos", "neg")
 # sliced diagram, of up to 12 strands.
 DEFAULT_SUPPORT_BUDGET = 4096
 
-# The 6^n reference trace: the most strands it takes, and by default the
-# most nonzero states one block may hold.  Peak RSS measured 1.6-2.7 KiB per
-# state of its largest block (CPython 3.11, 64-bit Linux; 5- and 6-strand
-# mixed-sign words of 15-16 letters), so a refused block stays near 1 GiB;
-# the reference trace of 5: (1 -2 3 -4)^4 needs 44,665.
-TRACE_MAX_STRANDS = 6
-TRACE_SUPPORT_BUDGET = 400_000
-
 
 class DiagramError(ValueError):
     """Malformed braid text or sliced diagram."""
@@ -117,12 +106,6 @@ class DiagramError(ValueError):
 
 class TangleBudgetExceeded(DiagramError):
     """An evaluation would hold more than its budget allows."""
-
-
-def _over_budget(count, budget: int) -> TangleBudgetExceeded:
-    return TangleBudgetExceeded(
-        f"{count} states in one trace block exceed the support budget "
-        f"{budget}")
 
 
 class _BraidFields(NamedTuple):
@@ -257,10 +240,9 @@ def parse_sliced_text(text: str) -> SlicedDiagram:
 
 
 class TraceStats(NamedTuple):
-    """What a braid trace evolved: that of :func:`invariant` the 2 **
-    strands columns in the E_1-cohomology, in one block of one state each;
-    the reference :func:`trace` one column per swap orbit, in blocks."""
-    braid: str                 # the braid traced: invariant's is reduced
+    """What the braid trace of :func:`invariant` evolved: the 2 ** strands
+    columns in the E_1-cohomology, in one block of one state each."""
+    braid: str                 # the braid traced, cyclically reduced
     strands: int
     columns: int               # 6 ** strands start columns of the trace
     columns_evaluated: int
@@ -270,15 +252,15 @@ class TraceStats(NamedTuple):
 
 class EvalResult(NamedTuple):
     """A value and the stats of the evaluation that gave it.  For a braid
-    word the stats are those of the fold of the 2n-strand sliced closure of
-    the braid traced (for :func:`invariant`, the cyclically reduced word),
-    and ``trace`` holds the trace's own figures."""
+    word (:func:`invariant`) the stats are those of the fold of the
+    2n-strand sliced closure of the cyclically reduced word, and ``trace``
+    holds the trace's own figures."""
     value: Tuple[Tuple[int, int], ...]   # sorted (q-exponent, coefficient)
     slices: int
     peak_strands: int
     peak_dimension: int    # nominal state-space bound 6 ** peak_strands
     peak_support: int      # most nonzero states held after any event
-    trace: Optional[TraceStats] = None   # set by the braid traces only
+    trace: Optional[TraceStats] = None   # set by invariant only
 
     def value_dict(self) -> Dict[int, int]:
         return dict(self.value)
@@ -608,8 +590,10 @@ def _cohomology_trace(word: BraidWord, support_budget: int) -> EvalResult:
     # h ** n is compared without being built: past the budget's bit length
     # a power of h >= 2 exceeds the budget and a power of h <= 1 does not
     if h ** min(n, support_budget.bit_length()) > support_budget:
-        raise _over_budget(h ** n if n <= 64 else f"{h}^{excerpt(n)}",
-                           support_budget)
+        count = h ** n if n <= 64 else f"{h}^{excerpt(n)}"
+        raise TangleBudgetExceeded(f"{count} states in one trace block "
+                                   f"exceed the support budget "
+                                   f"{support_budget}")
     windows = h * h
     steps = []
     for letter in word.letters:
@@ -681,25 +665,13 @@ def _digit_products(factors: List[int], digits: int) -> List[int]:
     return products
 
 
-def trace(word: BraidWord,
-          support_budget: int = TRACE_SUPPORT_BUDGET) -> EvalResult:
-    """The quantum trace sum_v p(v) <v|B|v> of ``word`` as written, over
-    all 6 ** n columns, with no simplification: the reference for the
-    evaluation in the E_1-cohomology.  A word of more than
-    ``TRACE_MAX_STRANDS`` strands is refused first.
-
-    Only one column of each swap orbit {v, sv} is evolved, its start
-    amplitude times the orbit size, one block of columns at a time (see
-    :func:`_column_blocks`).  Its stats are those of the fold of
-    :func:`braid_closure_slices` over all 6 ** 2n states: the support after
-    each letter is summed over the blocks, each block counted once per
-    orbit member.  A block holding more than ``support_budget`` states, at
-    its start or after any letter, raises :class:`TangleBudgetExceeded`."""
+def trace(word: BraidWord) -> Dict[int, int]:
+    """``{q_exponent: coefficient}`` of the quantum trace sum_v p(v)
+    <v|B|v> of ``word`` as written, over all 6 ** n columns: the reference
+    for the evaluation in the E_1-cohomology.  One column of each swap
+    orbit {v, sv} is evolved, its start amplitude times the orbit size, one
+    block at a time (see :func:`_column_blocks`)."""
     n = word.strands
-    if n > TRACE_MAX_STRANDS:
-        raise TangleBudgetExceeded(
-            f"{excerpt(n)} strands exceed the reference trace's cap "
-            f"{TRACE_MAX_STRANDS}")
     size = DIM ** n
     # a start column's amplitude is the product of the pivotal weights of
     # its digits; ``bits`` is proven (see _bits) for any sum of final ones
@@ -718,29 +690,16 @@ def trace(word: BraidWord,
     tail = DIM ** tail_strands
     head_amps = _digit_products(packed, n - tail_strands)
     tail_amps = _digit_products(packed, tail_strands)
-    blocks = _column_blocks(n)
-    supports = [0] * (len(steps) + 1)
-    peak_block_support = total = 0
-    for multiplicity, columns in blocks:
+    total = 0
+    for multiplicity, columns in _column_blocks(n):
         head_amp = multiplicity * head_amps[columns[0] // tail]
         # keys are col * size + row: col the basis vector a column started
         # from, row where the braid has taken it; letters act on row digits
         state = {v * size + v: head_amp * tail_amps[v % tail] for v in columns}
-        for index in range(len(steps) + 1):    # the start, then each letter
-            if index:
-                state = _apply_letter(state, *steps[index - 1])
-            support = len(state)
-            if support > support_budget:
-                raise _over_budget(support, support_budget)
-            supports[index] += multiplicity * support
-            peak_block_support = max(peak_block_support, support)
+        for step in steps:
+            state = _apply_letter(state, *step)
         total += sum(state.get(v * size + v, 0) for v in columns)
-    value = _decode(total, bits, shift, span + 1)
-    stats = TraceStats(str(word), n, size,
-                       sum(len(columns) for _, columns in blocks),
-                       len(blocks), peak_block_support)
-    return EvalResult(tuple(sorted(value.items())), 2 * n + len(steps), 2 * n,
-                      DIM ** (2 * n), max(supports), stats)
+    return _decode(total, bits, shift, span + 1)
 
 
 def _cyclically_reduced(letters) -> List[int]:

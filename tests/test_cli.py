@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from d21link import dubrovnik, representation, rmatrix, tangle
-from d21link.cli import main
+from d21link.cli import SLICED_MAX_CHARS, main
 from d21link.ring import LAMBDA, Q, RatFunc
 from d21link.tangle import braid_closure_slices, parse_braid
 from test_transcript import BUDGET_VARIABLES
@@ -236,6 +236,43 @@ def test_parse_errors_exit_2(capsys, tmp_path):
     for text in ("2: " + "1" * 4000, "9" * 4000 + ":"):
         code, _, err = run_cli(capsys, "invariant", "--braid", text)
         assert code == 2 and len(err.encode()) < 200
+
+
+def test_a_sliced_file_one_character_past_the_limit_is_refused(capsys,
+                                                               tmp_path):
+    # a kink padded by a comment to the most characters a file may hold,
+    # then to one more
+    kink = "cup 1\npos 1\ncap 1\n# "
+    path = tmp_path / "padded.txt"
+    path.write_text(kink.ljust(SLICED_MAX_CHARS, "x"), encoding="utf-8")
+    assert run_cli(capsys, "invariant", "--sliced", str(path)) == \
+        (0, "-2*q\n", "")
+    path.write_text(kink.ljust(SLICED_MAX_CHARS + 1, "x"), encoding="utf-8")
+    code, out, err = run_cli(capsys, "invariant", "--sliced", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: sliced file ")
+    assert err.endswith(f" is longer than {SLICED_MAX_CHARS} characters\n")
+    assert err.count("\n") == 1 and len(err.encode()) < 200
+
+
+def test_an_endless_sliced_file_exits_2(tmp_path):
+    # /dev/zero never ends: the read stops one character past the limit.
+    # The child's address space is capped, so that a read to the end fails
+    # fast instead of taking the machine's memory.
+    resource = pytest.importorskip("resource")
+    if not os.path.exists("/dev/zero"):
+        pytest.skip("no /dev/zero")
+    cap = 2 ** 29
+    env = {k: v for k, v in os.environ.items() if k not in BUDGET_VARIABLES}
+    env["PYTHONPATH"] = str(ROOT / "src")
+    done = subprocess.run(
+        [sys.executable, "-m", "d21link.cli", "invariant", "--sliced",
+         "/dev/zero"], cwd=tmp_path, env=env, capture_output=True,
+        encoding="utf-8", timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+    assert (done.returncode, done.stdout, done.stderr) == (
+        2, "", f"error: sliced file '/dev/zero' is longer than "
+               f"{SLICED_MAX_CHARS} characters\n")
 
 
 def test_budget_env_override(capsys, monkeypatch):

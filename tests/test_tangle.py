@@ -18,8 +18,8 @@ from d21link.tangle import (BraidWord, DiagramError, SlicedDiagram,
                             SlicedEvent, TangleBudgetExceeded, TraceStats,
                             braid_closure_slices, evaluate_sliced, invariant,
                             parse_braid, parse_sliced_text, _cohomology,
-                            _cyclically_reduced, _decode, _event_table, _pack,
-                            _trace_weights, trace)
+                            _column_blocks, _cyclically_reduced, _decode,
+                            _event_table, _pack, _trace_weights, trace)
 from helpers import torus_closed_form
 
 
@@ -178,25 +178,38 @@ def test_eval_result_stats():
     torus = invariant(parse_braid("4: 1 2 3 1 2 3"))
     assert (torus.trace.braid, torus.slices, torus.peak_support) == \
         ("4: 1 2 3 1 2 3", 14, 16)
-    # the reference trace over all 6 ** 4 columns, as written
-    assert trace(parse_braid("2: 1 1 1")).peak_support == 88
-    assert trace(parse_braid("4: 1 2 3 1 2 3")).peak_support == 12586
     # a word with inverse pairs, also across its ends, reports the stats of
     # its cyclic reduction, on as many strands as the word
     reduced = invariant(parse_braid("4: -1 1 2 3 -3 1 -2"))
     assert (reduced.canonical(), reduced.slices, reduced.peak_strands,
             reduced.peak_dimension, reduced.trace) == (
         "-8*q^-1", 9, 8, 6 ** 8, TraceStats("4: 1", 4, 6 ** 4, 16, 1, 16))
-
-
-def test_trace_evaluates_one_column_per_swap_orbit():
-    for n in range(1, 6):
-        stats = trace(BraidWord(n, ())).trace
-        # 4 ** n columns free of v4 and v5 are fixed by the swap
-        assert (stats.strands, stats.columns, stats.columns_evaluated) == \
-            (n, 6 ** n, (6 ** n + 4 ** n) // 2)
-    assert trace(parse_braid("5:")).trace.blocks == 42
     assert evaluate_sliced(braid_closure_slices(parse_braid("2: 1"))).trace is None
+
+
+def swap_orbit(column, strands):
+    """``column`` and its image under v4 <-> v5 on every strand."""
+    digits = [column // 6 ** k % 6 for k in range(strands)]
+    return {column, sum({3: 4, 4: 3}.get(d, d) * 6 ** k
+                        for k, d in enumerate(digits))}
+
+
+def test_column_blocks_hold_one_column_per_swap_orbit():
+    for n in range(1, 7):
+        blocks = _column_blocks(n)
+        covered = []
+        for multiplicity, columns in blocks:
+            assert 1 <= len(columns) <= 216
+            for column in columns:
+                orbit = swap_orbit(column, n)
+                assert multiplicity == len(orbit), (n, column)
+                covered.extend(orbit)
+        # each start column once, as a representative or as its swap; the
+        # 4 ** n columns free of v4 and v5 are fixed by the swap
+        assert sorted(covered) == list(range(6 ** n))
+        assert sum(len(columns) for _, columns in blocks) == \
+            (6 ** n + 4 ** n) // 2
+    assert len(_column_blocks(5)) == 42
 
 
 def test_support_budget_is_checked_before_any_work():
@@ -417,11 +430,11 @@ def test_five_strand_mixed_word_runs_in_small_memory():
     src = Path(__file__).parents[1] / "src"
     code = (
         "import json, resource\n"
+        "from d21link.ring import format_q_laurent\n"
         "from d21link.tangle import trace, parse_braid\n"
-        "result = trace(parse_braid('5: 1 -2 3 -4 1 -2'))\n"
+        "value = trace(parse_braid('5: 1 -2 3 -4 1 -2'))\n"
         "rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
-        "print(json.dumps([result.canonical(), result.peak_support,\n"
-        "                  result.trace.peak_block_support, rss]))")
+        "print(json.dumps([format_q_laurent(value), rss]))")
     # A process inherits the peak RSS of the one it was spawned from, which
     # would count this test run's; a bare interpreter in between spawns the
     # measured child at about 10 MB instead.
@@ -430,9 +443,8 @@ def test_five_strand_mixed_word_runs_in_small_memory():
     env = dict(os.environ, PYTHONPATH=str(src))
     done = subprocess.run([sys.executable, "-c", launcher, code], env=env,
                           check=True, capture_output=True, encoding="utf-8")
-    value, peak_support, block_support, rss = json.loads(done.stdout)
-    assert (value, peak_support) == ("2", 245431)
-    assert block_support == 11415   # 101,952 with one block per multiplicity
+    value, rss = json.loads(done.stdout)
+    assert value == "2"
     # ru_maxrss is in KiB on Linux, in bytes on macOS
     megabytes = rss / 2 ** 20 if sys.platform == "darwin" else rss / 2 ** 10
     assert megabytes < 80     # all 7776 columns in one dict took 134 MB
@@ -476,7 +488,7 @@ def test_invariant_scales_by_the_markov_and_cut_factors(text, braid, factor):
     word = parse_braid(text)
     assert value_of(text) == laurent_product(factor, value_of(braid))
     if word.strands < 5:            # the 6 ** n reference trace stays small
-        assert invariant(word).value == trace(word).value
+        assert invariant(word).value_dict() == trace(word)
 
 
 def perturbed(kind, how):
@@ -590,10 +602,9 @@ def test_cut_needs_a_scalar_left_partial_trace(how):
     assert left_partial_trace((1, 1, 1)) == {-3: -1}
 
 
-def test_split_union_holds_its_2n_columns_where_the_6n_trace_is_refused():
+def test_split_union_holds_its_2n_columns():
     # a split union of two figure-eight closures: each piece is traced on
-    # its 2 ** 3 columns, the whole on 2 ** 6, and the 6 ** 6 reference
-    # trace holds more than 2000 states in one block
+    # its 2 ** 3 columns, the whole on 2 ** 6
     word = parse_braid("6: 1 -2 1 -2 4 -5 4 -5")
     piece = invariant(parse_braid("3: 1 -2 1 -2"), support_budget=8)
     with pytest.raises(TangleBudgetExceeded):
@@ -604,8 +615,6 @@ def test_split_union_holds_its_2n_columns_where_the_6n_trace_is_refused():
                                                   piece.value_dict())
     with pytest.raises(TangleBudgetExceeded):
         invariant(word, support_budget=63)
-    with pytest.raises(TangleBudgetExceeded):
-        trace(word, support_budget=2000)
 
 
 # The ids keep the relation-move and search counts that these cases carried
@@ -627,24 +636,7 @@ def test_torus_braids_trace_at_two_strands(strands, braid, factor):
     assert invariant(word).value_dict() == expected
     assert expected == laurent_product(factor, value_of(braid))
     if strands == 4:                     # 0.1 s as written; 5 strands 1 s
-        assert trace(word).value_dict() == expected
-
-
-def test_support_budget_refuses_a_block_early():
-    word = parse_braid("6: 1 -2 3 -4 5 1 -2 3 -4 5")
-    with pytest.raises(TangleBudgetExceeded, match="support budget 5000$"):
-        trace(word, support_budget=5000)
-    with pytest.raises(TangleBudgetExceeded,
-                       match="^64 states in one trace block exceed"):
-        trace(parse_braid("3: 1 -2 1 -2"), support_budget=10)
-    # as written, on one strand: its 4 fixed columns, then the paired one
-    assert trace(parse_braid("1:"), support_budget=4).value_dict() == {0: 2}
-    with pytest.raises(TangleBudgetExceeded):
-        trace(parse_braid("1:"), support_budget=3)
-    # a fixed cap of six strands, whatever the support budget
-    with pytest.raises(TangleBudgetExceeded,
-                       match="^7 strands exceed the reference trace's cap 6$"):
-        trace(parse_braid("7:"), support_budget=10 ** 9)
+        assert trace(word) == expected
 
 
 def test_invariant_refuses_a_support_budget_below_its_2n_columns():
@@ -709,8 +701,8 @@ def test_each_signed_braid_relation_keeps_the_6n_trace(signs):
         # after a context, so that the two closures are not conjugate
         # braids for any rule that is not a relation
         for context in ((), (1, 1, -2), (2, -1, -1, -1)):
-            assert trace(BraidWord(3, left + context)).value == \
-                trace(BraidWord(3, right + context)).value, (left, context)
+            assert trace(BraidWord(3, left + context)) == \
+                trace(BraidWord(3, right + context)), (left, context)
 
 
 @pytest.mark.parametrize("seed", range(3))
