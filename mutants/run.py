@@ -143,7 +143,7 @@ MUTANTS = (
            "tail_twins[column] > column",
            "tail_twins[column] >= column",
            # the fixed columns counted twice add nothing to any value tried
-           (T_TANGLE + "test_column_blocks_hold_one_column_per_swap_orbit",)),
+           (T_TANGLE + "test_trace_evaluates_one_column_per_swap_orbit",)),
     Mutant("bits-without-headroom", TANGLE,
            "return bound.bit_length() + 2",
            "return bound.bit_length()",

@@ -16,7 +16,7 @@ import pytest
 from d21link.dubrovnik import (DELTA, TwoVarPoly, braid_closure_graph,
                                dubrovnik_poly, orientation_sum, specialize)
 from d21link.tangle import (DEFAULT_SUPPORT_BUDGET, BraidWord, SlicedDiagram,
-                            SlicedEvent, _cohomology_trace,
+                            SlicedEvent, _cohomology_trace, _column_blocks,
                             _cyclically_reduced, braid_closure_slices, evaluate_sliced, invariant,
                             parse_braid, trace)
 from helpers import plain_dubrovnik
@@ -65,6 +65,21 @@ TRACE_VS_FOLD = WORDS + [parse_braid(text) for text in (
 def stats(result):
     return (result.slices, result.peak_strands, result.peak_dimension,
             result.peak_support)
+
+
+def test_trace_vs_fold_covers_every_kind_of_column_block():
+    # 4 and 5 strands: blocks of several leading digits, among them heads
+    # holding v4 (all 216 columns paired); every word: fixed and paired
+    # columns
+    blocks = [_column_blocks(word.strands) for word in TRACE_VS_FOLD]
+    assert {word.strands for word in TRACE_VS_FOLD} >= {1, 2, 3, 4, 5}
+    assert max(len(word_blocks) for word_blocks in blocks) == 42
+    assert any(multiplicity == 2 and len(columns) == 216
+               for word_blocks in blocks for multiplicity, columns in word_blocks)
+    for word, word_blocks in zip(TRACE_VS_FOLD, blocks):
+        columns = 6 ** word.strands
+        evaluated = sum(len(block) for _, block in word_blocks)
+        assert columns < 2 * evaluated < 2 * columns, word
 
 
 @pytest.mark.parametrize("word", TRACE_VS_FOLD, ids=str)

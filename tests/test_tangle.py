@@ -194,7 +194,7 @@ def swap_orbit(column, strands):
                         for k, d in enumerate(digits))}
 
 
-def test_column_blocks_hold_one_column_per_swap_orbit():
+def test_trace_evaluates_one_column_per_swap_orbit():
     for n in range(1, 7):
         blocks = _column_blocks(n)
         covered = []
