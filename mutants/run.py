@@ -4,10 +4,11 @@ Usage: ``python mutants/run.py``.
 
 A mutant names a file of the repository, an exact snippet of it, the
 snippet's replacement and the pytest ids that must fail once the snippet
-is replaced.  The runner copies ``src``, ``tests`` and ``pyproject.toml``
-into a temporary directory, checks there that the listed tests pass
-unmutated, then applies each mutant to a fresh copy and runs only its
-tests; the checkout itself is never written.  Each pytest run starts in a
+is replaced.  The runner copies ``src``, ``tests``, ``perfbench`` (which
+the benchmark-contract tests read) and ``pyproject.toml`` into a temporary
+directory, checks there that the listed tests pass unmutated, then applies
+each mutant to a fresh copy and runs only its tests; the checkout itself
+is never written.  Each pytest run starts in a
 session of its own and is killed with its whole process group after
 ``TIMEOUT_S``: a mutant that outlasts it is killed too (reported as a
 timeout), an unmutated run that does is a problem.  It exits 1 when a
@@ -33,7 +34,7 @@ from pathlib import Path
 from typing import List, NamedTuple, Optional, Sequence, Set, Tuple
 
 ROOT = Path(__file__).resolve().parent.parent
-COPIED = ("src", "tests", "pyproject.toml")
+COPIED = ("src", "tests", "perfbench", "pyproject.toml")
 # Seconds a pytest run may take.  Every listed test together takes about
 # 5 s unmutated (2 cores, CPython 3.11.7); a mutant that loops forever,
 # such as exact-div-ignores-the-remainder, is stopped here instead of at
@@ -58,6 +59,8 @@ DUBROVNIK = "src/d21link/dubrovnik.py"
 T_DUBROVNIK = "tests/test_dubrovnik.py::"
 T_FRONT_END = (T_DUBROVNIK + "test_front_end_is_the_reference_on_every_diagram_"
                "the_recursion_visits")
+VERIFY = "src/d21link/verify.py"
+T_CONTRACT = "tests/test_perfbench_contract.py::"
 T_TRANSCRIPT = ("tests/test_transcript.py::test_cli_output_matches_the_recorded_"
                 "transcript")
 
@@ -117,9 +120,37 @@ MUTANTS = (
             "tests/test_representation.py::test_root_vector_examples",
             "tests/test_representation.py::test_defining_relations_all_pass")),
     Mutant("supermap-skips-the-parity-check", SUPERLINALG,
-           "if (codomain.parity(row) ^ domain.parity(col)) != parity:",
+           "if (codomain[row] ^ domain[col]) != parity:",
            "if False:",
            (T_SUPERLINALG + "test_parity_block_invariant_enforced",)),
+    Mutant("supermap-skips-the-bounds-check", SUPERLINALG,
+           "if not (0 <= row < len(codomain) and 0 <= col < len(domain)):",
+           "if False:",
+           (T_SUPERLINALG + "test_entries_outside_the_spaces_are_refused",)),
+    Mutant("tensor-ors-the-parities", SUPERLINALG,
+           "return tuple(p ^ r for p in a for r in b)",
+           "return tuple(p | r for p in a for r in b)",
+           (T_SUPERLINALG + "test_tensor_parities_add_mod_2",
+            T_SUPERLINALG + "test_rank_known_cases",
+            T_SUPERLINALG + "test_embed_at_is_the_tensor_with_identities",
+            T_REPRESENTATION + "test_zig_zag_identities",
+            T_ACCEPTANCE + "test_criterion_2_braiding_regression")),
+    Mutant("tensor-power-one-factor-short", SUPERLINALG,
+           "for _ in range(count):",
+           "for _ in range(count - 1):",
+           (T_SUPERLINALG + "test_tensor_parities_add_mod_2",
+            T_SUPERLINALG + "test_embed_at_trivial_and_positions",
+            T_SUPERLINALG + "test_embed_at_is_the_tensor_with_identities",
+            T_REPRESENTATION + "test_embedded_cap_on_middle_strands",
+            T_ACCEPTANCE + "test_criterion_5_category_identities")),
+    Mutant("embed-at-swaps-left-and-right", SUPERLINALG,
+           "        tensor_map(SuperMap.identity(tensor_power(strand, left)), f),\n"
+           "        SuperMap.identity(tensor_power(strand, right)))",
+           "        tensor_map(SuperMap.identity(tensor_power(strand, right)), f),\n"
+           "        SuperMap.identity(tensor_power(strand, left)))",
+           # the zig-zag and category checks pair (1, 0) with (0, 1)
+           (T_SUPERLINALG + "test_embed_at_trivial_and_positions",
+            T_SUPERLINALG + "test_embed_at_is_the_tensor_with_identities")),
     Mutant("braid-column-check-off-by-one", TANGLE,
            "h ** min(n, support_budget.bit_length()) > support_budget",
            "h ** min(n, support_budget.bit_length() - 1) > support_budget",
@@ -142,7 +173,8 @@ MUTANTS = (
     Mutant("column-blocks-pairs-a-fixed-tail", TANGLE,
            "tail_twins[column] > column",
            "tail_twins[column] >= column",
-           # the fixed columns counted twice add nothing to any value tried
+           # the fixed columns span C^(x)n, whose contribution to every
+           # trace is provably 0: only the direct test can kill it
            (T_TANGLE + "test_trace_evaluates_one_column_per_swap_orbit",)),
     Mutant("bits-without-headroom", TANGLE,
            "return bound.bit_length() + 2",
@@ -281,6 +313,22 @@ MUTANTS = (
            # quotient step, and the division never ends: killed by timeout
            (T_RING + "test_division_steps_stay_exact_on_integer_input",
             T_SUPERLINALG + "test_scale_divides_exactly_or_raises")),
+    Mutant("laurent-mul-squares-the-left-factor", RING,
+           "laurent_product(self.terms, other.terms)",
+           "laurent_product(self.terms, self.terms)",
+           (T_RING + "test_difference_of_squares",
+            T_RING + "test_ring_axioms_randomized",
+            T_SUPERLINALG + "test_graded_interchange_law",
+            T_ACCEPTANCE + "test_criterion_1_relation_suite")),
+    Mutant("tracer-probe-target-renamed", RING,
+           "def poly_gcd(",
+           "def gcd_of(",
+           (T_CONTRACT + "test_every_tracer_probe_resolves",)),
+    Mutant("worker-call-target-renamed", VERIFY,
+           "def run_suites(",
+           "def run_all_suites(",
+           (T_CONTRACT + "test_every_name_the_benchmark_calls_resolves"
+                         "[worker.py-verify.run_suites]",)),
     Mutant("q-string-zero-is-empty", RING,
            'return "0"\n    return format_q_laurent',
            'return ""\n    return format_q_laurent',

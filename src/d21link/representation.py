@@ -29,13 +29,13 @@ from typing import List, NamedTuple, Tuple
 
 from .report import CheckResult, Report
 from .ring import LAMBDA, ONE, QuarterLaurent, RatFunc
-from .superlinalg import (SuperMap, SuperSpace, TRIVIAL, compose, invert,
+from .superlinalg import (TRIVIAL, SuperMap, compose, invert, tensor,
                           tensor_map)
 
 DIM = 6
 PARITIES = (0, 0, 1, 1, 1, 1)
-M = SuperSpace(PARITIES)
-M2 = M.tensor(M)
+M = PARITIES
+M2 = tensor(M, M)
 
 # Integer weight triples (H_1, H_2, H_3 eigenvalues) per basis vector.
 WEIGHTS = (

@@ -10,9 +10,10 @@ QuarterLaurent values too, save the only fractions: the pairing constants
 phi_i, whose inverse scales the one nonzero term of each exponential
 factor.  Those are :class:`RatFunc` values, and a map scaled by one takes
 its numerator and its denominator, which divides each entry exactly.
-:func:`add_product` is the one product loop on coefficient dicts, for
-graded maps and tangle tables alike, and :func:`nonzero_terms` drops the
-zeros such sums leave.
+:func:`add_product` is the one product loop on coefficient dicts: graded
+maps and tangle tables call it, and QuarterLaurent multiplication does
+through :func:`laurent_product`.  :func:`nonzero_terms` drops the zeros
+such sums leave.
 A :class:`QuarterLaurent` stores a finite map ``exponent -> coefficient``
 where the integer exponent ``e`` encodes the monomial t^e = q^{e/4}; a plain
 power q^k therefore sits at exponent 4k.  Working on the quarter-exponent
@@ -125,23 +126,8 @@ class QuarterLaurent:
         return self + (-other)
 
     def __mul__(self, other: "QuarterLaurent") -> "QuarterLaurent":
-        if not self.terms or not other.terms:
-            return ZERO
-        out: Dict[int, int] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = e1 + e2
-                acc = out.get(e)
-                if acc is None:
-                    out[e] = c1 * c2
-                else:
-                    acc = acc + c1 * c2
-                    if acc:
-                        out[e] = acc
-                    else:
-                        del out[e]
         result = QuarterLaurent.__new__(QuarterLaurent)
-        result.terms = out
+        result.terms = laurent_product(self.terms, other.terms)
         return result
 
     def shifted(self, exp: int) -> "QuarterLaurent":

@@ -122,7 +122,7 @@ def spectral_check() -> Report:
     multiplicity_total = 0
     for name, expected in expected_ranks.items():
         rank = rank_over_fractions(factors[name])
-        multiplicity_total += M2.dim - rank
+        multiplicity_total += len(M2) - rank
         checks.append(CheckResult(f"rank(c-({name})id)={expected}",
                                   rank == expected,
                                   "" if rank == expected else f"got {rank}"))

@@ -1,21 +1,25 @@
 """Parity-graded free modules and graded linear maps.
 
-A :class:`SuperSpace` is an ordered list of parities, one per basis vector;
-the order is significant because it fixes all matrix conventions.  A
-:class:`SuperMap` is a homogeneous linear map stored sparsely as
+A graded space is a plain tuple of parities, one per basis vector (0
+even, 1 odd); its length is the dimension, and the order fixes all
+matrix conventions.  :func:`tensor` lists the parities of the
+lexicographic basis of a tensor product, :func:`tensor_power` of a
+power, and ``TRIVIAL`` is the ground ring.  A :class:`SuperMap` is a
+homogeneous linear map stored sparsely as
 ``{(row, col): coefficient}`` with the column convention: ``entry[r][c]`` is
 the coefficient of codomain basis vector ``r`` in the image of domain basis
 vector ``c``.  Every map carries its parity (0 even, 1 odd) and
-``SuperMap(...)`` checks that nonzero entries sit only in the parity blocks
-the declared parity allows; identities and the maps that :func:`compose`,
-:func:`tensor_map`, :func:`embed_at`, :func:`invert`, ``+`` and ``scale``
-build from checked maps are correct by construction and skip the check.
+``SuperMap(...)`` checks that every entry lies inside its spaces and that
+nonzero entries sit only in the parity blocks the declared parity allows;
+identities and the maps that :func:`compose`, :func:`tensor_map`,
+:func:`embed_at`, :func:`invert`, ``+`` and ``scale`` build from checked
+maps are correct by construction and skip the check.
 The braiding/tangle pipeline uses even maps exclusively.
 
 Koszul signs are concentrated in :func:`tensor_map`, which implements
 (f (x) g)(v (x) w) = (-1)^{|g||v|} f(v) (x) g(w) on lexicographically
-ordered tensor bases; :func:`embed_at` applies the same rule with identity
-factors.
+ordered tensor bases; :func:`embed_at` is f tensored with identities on
+both sides.
 
 Every entry is a :class:`QuarterLaurent`, an integer Laurent polynomial
 in t = q^{1/4}, and ``SuperMap(...)`` raises ``TypeError`` on any other
@@ -27,8 +31,8 @@ constant, scales a map by its numerator and denominator, and no entry is
 ever a fraction.  :func:`compose` sums the entry products on
 their coefficient dicts with :func:`d21link.ring.add_product` and builds
 each output entry once; :func:`tensor_map` takes an entry met by a unit
-+-1, as in the identity factors of the coproduct, as it is instead of
-multiplying.
++-1, as in the identity factors of the coproduct and of :func:`embed_at`,
+as it is instead of multiplying.
 
 Exact linear algebra runs one division-free elimination over Z[t, 1/t],
 a fraction-free Gaussian elimination (Bareiss, "Sylvester's identity and
@@ -55,57 +59,32 @@ from .ring import (ONE, ZERO, NotLaurentInQ, QuarterLaurent, add_product,
 Entry = Tuple[int, int]
 Terms = Dict[int, int]      # a Laurent polynomial's {exponent: coefficient}
 Row = Dict[int, Terms]      # {column: nonzero polynomial} of one matrix row
+Space = Tuple[int, ...]     # the parity, 0 or 1, of each basis vector
 
 
 class ShapeMismatchError(ValueError):
     """Operands have incompatible domains/codomains."""
 
 
-class SuperSpace:
-    __slots__ = ("parities",)
-
-    def __init__(self, parities):
-        parities = tuple(int(p) & 1 for p in parities)
-        self.parities = parities
-
-    @property
-    def dim(self) -> int:
-        return len(self.parities)
-
-    def parity(self, index: int) -> int:
-        return self.parities[index]
-
-    def tensor(self, other: "SuperSpace") -> "SuperSpace":
-        out = SuperSpace.__new__(SuperSpace)     # the parities are 0/1 already
-        out.parities = tuple(p ^ r for p in self.parities
-                             for r in other.parities)
-        return out
-
-    def tensor_power(self, count: int) -> "SuperSpace":
-        acc = TRIVIAL
-        for _ in range(count):
-            acc = acc.tensor(self)
-        return acc
-
-    def __eq__(self, other):
-        if not isinstance(other, SuperSpace):
-            return NotImplemented
-        return self.parities == other.parities
-
-    def __hash__(self):
-        return hash(self.parities)
-
-    def __repr__(self):
-        return f"SuperSpace{self.parities}"
+TRIVIAL = (0,)      # the ground ring: one even basis vector
 
 
-TRIVIAL = SuperSpace((0,))
+def tensor(a: Space, b: Space) -> Space:
+    """The parities of the lexicographic basis of a (x) b."""
+    return tuple(p ^ r for p in a for r in b)
+
+
+def tensor_power(space: Space, count: int) -> Space:
+    acc = TRIVIAL
+    for _ in range(count):
+        acc = tensor(acc, space)
+    return acc
 
 
 class SuperMap:
     __slots__ = ("domain", "codomain", "entries", "parity")
 
-    def __init__(self, domain: SuperSpace, codomain: SuperSpace,
+    def __init__(self, domain: Space, codomain: Space,
                  entries: Mapping[Entry, QuarterLaurent], parity: int = 0):
         parity &= 1
         clean: Dict[Entry, QuarterLaurent] = {}
@@ -113,9 +92,12 @@ class SuperMap:
             if type(value) is not QuarterLaurent:
                 raise TypeError(f"entry ({row},{col}) is a "
                                 f"{type(value).__name__}, not a QuarterLaurent")
+            if not (0 <= row < len(codomain) and 0 <= col < len(domain)):
+                raise ValueError(f"entry ({row},{col}) lies outside a "
+                                 f"{len(codomain)}x{len(domain)} map")
             if not value.terms:
                 continue
-            if (codomain.parity(row) ^ domain.parity(col)) != parity:
+            if (codomain[row] ^ domain[col]) != parity:
                 raise ValueError(
                     f"entry ({row},{col}) violates the parity-block invariant "
                     f"for a parity-{parity} map")
@@ -126,7 +108,7 @@ class SuperMap:
         self.parity = parity
 
     @classmethod
-    def _derived(cls, domain: SuperSpace, codomain: SuperSpace,
+    def _derived(cls, domain: Space, codomain: Space,
                  entries: Dict[Entry, QuarterLaurent],
                  parity: int) -> "SuperMap":
         """Internal: wrap the entries of a map built from checked maps,
@@ -139,12 +121,12 @@ class SuperMap:
         return out
 
     @classmethod
-    def identity(cls, space: SuperSpace) -> "SuperMap":
+    def identity(cls, space: Space) -> "SuperMap":
         return cls._derived(space, space,
-                            {(i, i): ONE for i in range(space.dim)}, 0)
+                            {(i, i): ONE for i in range(len(space))}, 0)
 
     @classmethod
-    def zero(cls, domain: SuperSpace, codomain: SuperSpace, parity: int = 0) -> "SuperMap":
+    def zero(cls, domain: Space, codomain: Space, parity: int = 0) -> "SuperMap":
         return cls(domain, codomain, {}, parity)
 
     def entry(self, row: int, col: int) -> QuarterLaurent:
@@ -200,7 +182,7 @@ class SuperMap:
                                  self.parity)
 
     def __repr__(self):
-        return (f"SuperMap({self.codomain.dim}x{self.domain.dim}, "
+        return (f"SuperMap({len(self.codomain)}x{len(self.domain)}, "
                 f"{len(self.entries)} entries, parity {self.parity})")
 
 
@@ -248,15 +230,15 @@ def tensor_map(f: SuperMap, g: SuperMap) -> SuperMap:
     first-slot inputs.  An entry met by a +-1 of the other factor is taken
     as it is, or negated, without a multiplication.
     """
-    dom = f.domain.tensor(g.domain)
-    cod = f.codomain.tensor(g.codomain)
-    gdim_dom = g.domain.dim
-    gdim_cod = g.codomain.dim
+    dom = tensor(f.domain, g.domain)
+    cod = tensor(f.codomain, g.codomain)
+    gdim_dom = len(g.domain)
+    gdim_cod = len(g.codomain)
     g_items = [(rg, cg, gval, _unit(gval))
                for (rg, cg), gval in g.entries.items()]
     out: Dict[Entry, QuarterLaurent] = {}
     for (rf, cf), fval in f.entries.items():
-        sign = -1 if (g.parity and f.domain.parity(cf)) else 1
+        sign = -1 if (g.parity and f.domain[cf]) else 1
         f_unit = _unit(fval)
         row0 = rf * gdim_cod
         col0 = cf * gdim_dom
@@ -273,43 +255,28 @@ def tensor_map(f: SuperMap, g: SuperMap) -> SuperMap:
     return SuperMap._derived(dom, cod, out, (f.parity + g.parity) & 1)
 
 
-def volte(m: SuperSpace, n: SuperSpace) -> SuperMap:
+def volte(m: Space, n: Space) -> SuperMap:
     """The graded flip tau: m (x) n -> n (x) m, v (x) w -> (-1)^{|v||w|} w (x) v."""
     entries: Dict[Entry, QuarterLaurent] = {}
-    for i in range(m.dim):
-        for j in range(n.dim):
-            col = i * n.dim + j
-            row = j * m.dim + i
-            negative = m.parity(i) and n.parity(j)
-            entries[(row, col)] = -ONE if negative else ONE
-    return SuperMap(m.tensor(n), n.tensor(m), entries)
+    for i, p in enumerate(m):
+        for j, r in enumerate(n):
+            row, col = j * len(m) + i, i * len(n) + j
+            entries[(row, col)] = -ONE if p and r else ONE
+    return SuperMap(tensor(m, n), tensor(n, m), entries)
 
 
-def embed_at(f: SuperMap, left: int, right: int, strand: SuperSpace) -> SuperMap:
-    """id^{(x) left} (x) f (x) id^{(x) right} on powers of ``strand``, built
-    without the identity maps: by the Koszul rule of :func:`tensor_map`,
-    each basis vector v of the left power signs f by (-1)^{|f||v|}, and
-    the right power signs nothing."""
-    outer, inner = strand.tensor_power(left), strand.tensor_power(right)
-    width, rows, cols = inner.dim, f.codomain.dim, f.domain.dim
-    out: Dict[Entry, QuarterLaurent] = {}
-    for a, odd in enumerate(outer.parities):
-        for (r, c), value in f.entries.items():
-            if odd and f.parity:
-                value = -value
-            row, col = (a * rows + r) * width, (a * cols + c) * width
-            for b in range(width):
-                out[(row + b, col + b)] = value
-    return SuperMap._derived(outer.tensor(f.domain).tensor(inner),
-                             outer.tensor(f.codomain).tensor(inner), out,
-                             f.parity)
+def embed_at(f: SuperMap, left: int, right: int, strand: Space) -> SuperMap:
+    """id^{(x) left} (x) f (x) id^{(x) right} on powers of ``strand``."""
+    return tensor_map(
+        tensor_map(SuperMap.identity(tensor_power(strand, left)), f),
+        SuperMap.identity(tensor_power(strand, right)))
 
 
 def _integer_rows(f: SuperMap, augment: bool) -> List[Row]:
     """The nonzero rows of f, or the rows of [f | id] when ``augment``, as
     the coefficient dicts of their entries."""
-    n = f.domain.dim
-    rows: List[Row] = [{} for _ in range(f.codomain.dim)]
+    n = len(f.domain)
+    rows: List[Row] = [{} for _ in range(len(f.codomain))]
     for (row, col), value in f.entries.items():
         rows[row][col] = value.terms
     if augment:
@@ -369,7 +336,7 @@ def _eliminate(rows: List[Row], columns: int) -> List[Tuple[int, Row]]:
 
 def rank_over_fractions(f: SuperMap) -> int:
     """Exact rank: the number of pivots of the forward sweep."""
-    return len(_eliminate(_integer_rows(f, False), f.domain.dim))
+    return len(_eliminate(_integer_rows(f, False), len(f.domain)))
 
 
 def invert(f: SuperMap) -> SuperMap:
@@ -377,9 +344,9 @@ def invert(f: SuperMap) -> SuperMap:
     pivot column cleared from the pivot rows above it, last column first,
     and the exact division of each row by its pivot; ``ArithmeticError``
     when f is singular or its inverse is not Laurent."""
-    if f.domain.dim != f.codomain.dim:
+    n = len(f.domain)
+    if n != len(f.codomain):
         raise ShapeMismatchError("inverse of a non-square map")
-    n = f.domain.dim
     # column n + r of row r holds the identity block
     pivots = _eliminate(_integer_rows(f, True), n)
     if len(pivots) < n:

@@ -97,7 +97,7 @@ def rmatrix_suite(deviations_path: Optional[str] = None) -> Report:
 
 def _is_identity_at_one(m: SuperMap) -> bool:
     """Whether every entry's coefficients sum to that of the identity."""
-    dim = m.domain.dim
+    dim = len(m.domain)
     return all(sum(m.entry(row, col).terms.values()) == (row == col)
                for row in range(dim) for col in range(dim))
 

@@ -1,12 +1,13 @@
 """Shared randomized-value generators for the test suite (seeded, exact)."""
 
 import random
+from itertools import product
 from math import comb
 
 from d21link.dubrovnik import DELTA, LinkGraph, TwoVarPoly
 from d21link.ring import ZERO, NotLaurentInQ, QuarterLaurent, RatFunc
 from d21link.ring import format_q_laurent
-from d21link.superlinalg import SuperMap, SuperSpace
+from d21link.superlinalg import Space, SuperMap
 
 
 def column(op: SuperMap, col: int) -> dict:
@@ -35,12 +36,12 @@ def random_ratfunc(rng: random.Random) -> RatFunc:
                    random_nonzero_quarter_laurent(rng))
 
 
-def random_even_map(rng: random.Random, space: SuperSpace,
+def random_even_map(rng: random.Random, space: Space,
                     density: float = 0.4) -> SuperMap:
     entries = {}
-    for row in range(space.dim):
-        for col in range(space.dim):
-            if space.parity(row) != space.parity(col):
+    for row in range(len(space)):
+        for col in range(len(space)):
+            if space[row] != space[col]:
                 continue
             if rng.random() < density:
                 coeff = rng.randint(-3, 3)
@@ -49,12 +50,12 @@ def random_even_map(rng: random.Random, space: SuperSpace,
     return SuperMap(space, space, entries)
 
 
-def random_homogeneous_map(rng: random.Random, space: SuperSpace,
+def random_homogeneous_map(rng: random.Random, space: Space,
                            parity: int, density: float = 0.4) -> SuperMap:
     entries = {}
-    for row in range(space.dim):
-        for col in range(space.dim):
-            if (space.parity(row) ^ space.parity(col)) != parity:
+    for row in range(len(space)):
+        for col in range(len(space)):
+            if (space[row] ^ space[col]) != parity:
                 continue
             if rng.random() < density:
                 coeff = rng.randint(-3, 3)
@@ -67,11 +68,11 @@ def fraction_rank(op: SuperMap) -> int:
     """Rank by Gaussian elimination over the fraction field, every entry a
     reduced RatFunc and every step a division by the pivot: the reference
     for the division-free sweep of ``superlinalg``."""
-    rows = [{} for _ in range(op.codomain.dim)]
+    rows = [{} for _ in range(len(op.codomain))]
     for (row, col), value in op.entries.items():
         rows[row][col] = RatFunc(value)
     rank, zero = 0, RatFunc(ZERO)
-    for col in range(op.domain.dim):
+    for col in range(len(op.domain)):
         index = next((i for i, row in enumerate(rows) if col in row), None)
         if index is None:
             continue
@@ -97,18 +98,42 @@ DENOMINATORS = tuple(QuarterLaurent(terms) for terms in (
     {0: 2}, {0: 3}, {4: 1, -4: -1}, {0: 1, 8: 1}, {-8: 1, 0: 1, 8: 1}))
 
 
-def random_sparse_map(rng: random.Random, domain: SuperSpace,
-                      codomain: SuperSpace, density: float = 0.5) -> SuperMap:
+def random_sparse_map(rng: random.Random, domain: Space,
+                      codomain: Space, density: float = 0.5) -> SuperMap:
     """An even map with random Laurent entries in the parity blocks; rows
     and columns may be empty."""
     entries = {}
-    for row in range(codomain.dim):
-        for col in range(domain.dim):
-            if codomain.parity(row) != domain.parity(col):
+    for row in range(len(codomain)):
+        for col in range(len(domain)):
+            if codomain[row] != domain[col]:
                 continue
             if rng.random() < density:
                 entries[(row, col)] = random_quarter_laurent(rng, 3, 4)
     return SuperMap(domain, codomain, entries)
+
+
+def reference_embed_at(f: SuperMap, left: int, right: int,
+                       strand: Space) -> SuperMap:
+    """id^{(x) left} (x) f (x) id^{(x) right} written out without identity
+    maps: by the Koszul rule each basis vector v of the left power signs f
+    by (-1)^{|f||v|}, and the right power signs nothing.  The parity of a
+    tensor basis vector is the sum of its factors' parities.  The reference
+    that ``superlinalg.embed_at`` must equal."""
+    outer, inner = ([sum(factors) & 1 for factors in product(strand, repeat=k)]
+                    for k in (left, right))
+    width, rows, cols = len(inner), len(f.codomain), len(f.domain)
+    out = {}
+    for a, odd in enumerate(outer):
+        for (r, c), value in f.entries.items():
+            if odd and f.parity:
+                value = -value
+            row, col = (a * rows + r) * width, (a * cols + c) * width
+            for b in range(width):
+                out[(row + b, col + b)] = value
+    domain, codomain = (tuple(a ^ p ^ b for a in outer for p in space
+                              for b in inner)
+                        for space in (f.domain, f.codomain))
+    return SuperMap(domain, codomain, out, f.parity)
 
 
 def plain_dubrovnik(graph, memo=None) -> TwoVarPoly:

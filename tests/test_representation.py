@@ -230,8 +230,8 @@ def test_embedded_cap_on_middle_strands():
     # v1 v1 v2 v1 -> d(v1, v2) * v1 v1 = -q^{-3} v1 (x) v1
     _, _, d = duality_maps()
     capped = embed_at(d, 1, 1, M)
-    assert capped.domain.dim == DIM ** 4
-    assert capped.codomain.dim == DIM ** 2
+    assert len(capped.domain) == DIM ** 4
+    assert len(capped.codomain) == DIM ** 2
     col = ((0 * DIM + 0) * DIM + 1) * DIM + 0      # v1 v1 v2 v1
     assert column(capped, col) == {0: q(-3, -1)}
 

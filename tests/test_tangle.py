@@ -195,6 +195,10 @@ def swap_orbit(column, strands):
 
 
 def test_trace_evaluates_one_column_per_swap_orbit():
+    # the only test that can catch a fixed column counted twice, by design:
+    # the fixed columns span C^(x)n, an acyclic Delta(E_1)-subcomplex with
+    # an acyclic complement, so their summed contribution to any trace is
+    # the supertrace of an even chain map on it, which is 0
     for n in range(1, 7):
         blocks = _column_blocks(n)
         covered = []
