@@ -4,18 +4,24 @@ Usage: ``python mutants/run.py``.
 
 A mutant names a file of the repository, an exact snippet of it, the
 snippet's replacement and the pytest ids that must fail once the snippet
-is replaced.  The runner copies ``src``, ``tests``, ``perfbench`` (which
-the benchmark-contract tests read) and ``pyproject.toml`` into a temporary
-directory, checks there that the listed tests pass unmutated, then applies
-each mutant to a fresh copy and runs only its tests; the checkout itself
-is never written.  Each pytest run starts in a
-session of its own and is killed with its whole process group after
-``TIMEOUT_S``: a mutant that outlasts it is killed too (reported as a
-timeout), an unmutated run that does is a problem.  It exits 1 when a
-snippet does not occur exactly once (a refactor must update the list),
-when a listed test fails unmutated, or when a mutant survives: some listed
-test still passes.  When a mutant survives, add a test that kills it; never
-shorten its list.  Only the standard library is used, besides pytest.
+is replaced.  It may also name command lines of ``python -m d21link.cli``,
+each with the exit status it must end with once mutated: the product's
+own self-check (``verify``) must catch the mutant, not only a pytest, and
+an exit status that comes with a traceback does not count.  The runner
+copies ``src``, ``tests``, ``perfbench`` (which the benchmark-contract
+tests read) and ``pyproject.toml`` into a temporary directory, checks
+there that the listed tests pass and the named commands exit 0 unmutated,
+then applies each mutant to a fresh copy and runs only its tests and
+commands; the checkout itself is never written.  Each pytest run and
+command starts in a session of its own and is killed with its whole
+process group after ``TIMEOUT_S``: a mutant that outlasts it is killed too
+(reported as a timeout), an unmutated run that does is a problem.  It
+exits 1 when a snippet does not occur exactly once (a refactor must update
+the list), when a listed test fails or a named command exits non-zero
+unmutated, or when a mutant survives: some listed test still passes, or
+some command ends with another status.  When a mutant survives, add a test
+that kills it; never shorten its list.  Only the standard library is used,
+besides pytest.
 
 See DeMillo, Lipton and Sayward, "Hints on test data selection: help for
 the practicing programmer", IEEE Computer 11(4), 1978.
@@ -35,10 +41,9 @@ from typing import List, NamedTuple, Optional, Sequence, Set, Tuple
 
 ROOT = Path(__file__).resolve().parent.parent
 COPIED = ("src", "tests", "perfbench", "pyproject.toml")
-# Seconds a pytest run may take.  Every listed test together takes about
-# 5 s unmutated (2 cores, CPython 3.11.7); a mutant that loops forever,
-# such as exact-div-ignores-the-remainder, is stopped here instead of at
-# a CI job limit, and its wait is most of the run's time.
+# Seconds a pytest run or a command may take.  Every listed test together
+# takes about 5 s unmutated (2 cores, CPython 3.11.7); a mutant that loops
+# forever is stopped here instead of at a CI job limit.
 TIMEOUT_S = 60
 
 SUPERLINALG = "src/d21link/superlinalg.py"
@@ -65,12 +70,16 @@ T_TRANSCRIPT = ("tests/test_transcript.py::test_cli_output_matches_the_recorded_
                 "transcript")
 
 
+Command = Tuple[Tuple[str, ...], int]    # CLI arguments, mutated exit status
+
+
 class Mutant(NamedTuple):
     name: str
     path: str
     snippet: str
     replacement: str
     tests: Tuple[str, ...]
+    commands: Tuple[Command, ...] = ()
 
 
 MUTANTS = (
@@ -209,6 +218,11 @@ MUTANTS = (
            "if swapped != {window: dict(rows) for window, rows in table.items()}:",
            "if False:",
            (T_TANGLE + "test_swap_check_needs_symmetric_tables_and_weights",)),
+    Mutant("pair-weights-read-at-the-swapped-window", TANGLE,
+           "pair_weights[window] != pair_weights[row]",
+           "pair_weights[window] != pair_weights[window[::-1]]",
+           (T_TANGLE + "test_cyclicity_check_needs_crossings_that_keep_the_"
+                       "pair_weights",)),
     Mutant("cyclic-reduction-keeps-the-ends", TANGLE,
            "while hi - lo > 1 and stack[lo] == -stack[hi - 1]:",
            "while False:",
@@ -297,6 +311,39 @@ MUTANTS = (
                         "[raise]",
             T_RMATRIX + "test_exp_factor_needs_root_vectors_that_square_to_0"
                         "[lower]")),
+    Mutant("r-matrix-applies-n-on-the-right", RMATRIX,
+           "acc = acc + compose(nilpotent, acc)",
+           "acc = acc + compose(acc, nilpotent)",
+           (T_RMATRIX + "test_r_matrix_is_the_product_of_its_factors",
+            T_RMATRIX + "test_computed_braiding_matches_reference_everywhere",
+            T_ACCEPTANCE + "test_criterion_2_braiding_regression")),
+    Mutant("inverse-factor-adds-n", RMATRIX,
+           "c_inv = c_inv - compose(nilpotent, c_inv)",
+           "c_inv = c_inv + compose(nilpotent, c_inv)",
+           (T_RMATRIX + "test_braiding_inverse_and_integrality",
+            T_ACCEPTANCE + "test_criterion_5_category_identities"),
+           # the rmatrix suite reports the failed check; under all, the
+           # tangle's guard refuses the neg crossing table first (exit 2)
+           ((("verify", "--suite", "rmatrix"), 1),
+            (("verify", "--suite", "all"), 2))),
+    Mutant("inverse-factors-in-forward-order", RMATRIX,
+           "for nilpotent in _nilpotent_parts():",
+           "for nilpotent in reversed(_nilpotent_parts()):",
+           (T_RMATRIX + "test_braiding_inverse_and_integrality",
+            T_ACCEPTANCE + "test_criterion_5_category_identities"),
+           ((("verify", "--suite", "rmatrix"), 1),)),
+    Mutant("inverse-cartan-at-the-forward-sign", RMATRIX,
+           "compose(cartan_factor(-1), c_inv)",
+           "compose(cartan_factor(), c_inv)",
+           (T_RMATRIX + "test_braiding_inverse_and_integrality",
+            T_ACCEPTANCE + "test_criterion_5_category_identities"),
+           ((("verify", "--suite", "rmatrix"), 1),)),
+    Mutant("inverse-without-the-flip", RMATRIX,
+           "    c_inv = tau\n",
+           "    c_inv = SuperMap.identity(M2)\n",
+           (T_RMATRIX + "test_braiding_inverse_and_integrality",
+            T_ACCEPTANCE + "test_criterion_5_category_identities"),
+           ((("verify", "--suite", "rmatrix"), 1),)),
     Mutant("twist-guard-raises-arithmetic-error", RMATRIX,
            'raise TableError("twist computation disagrees',
            'raise ArithmeticError("twist computation disagrees',
@@ -310,7 +357,13 @@ MUTANTS = (
            "if deg_r < deg_b or left:",
            "if deg_r < deg_b:",
            # a leading coefficient that does not divide leaves a zero
-           # quotient step, and the division never ends: killed by timeout
+           # quotient step, which lowers no degree: the step bound raises
+           # RuntimeError where an inexact division raises ArithmeticError
+           (T_RING + "test_division_steps_stay_exact_on_integer_input",
+            T_SUPERLINALG + "test_scale_divides_exactly_or_raises")),
+    Mutant("exact-div-bound-one-step-short", RING,
+           "steps = max(rem) - deg_b + 1",
+           "steps = max(rem) - deg_b",
            (T_RING + "test_division_steps_stay_exact_on_integer_input",
             T_SUPERLINALG + "test_scale_divides_exactly_or_raises")),
     Mutant("laurent-mul-squares-the-left-factor", RING,
@@ -353,29 +406,36 @@ def _copy(workdir: Path) -> None:
 
 
 class TimedOut(Exception):
-    """pytest ran past ``TIMEOUT_S``; its process group was killed."""
+    """A run went past ``TIMEOUT_S``; its process group was killed."""
+
+
+def _run(args: Sequence[str], workdir: Path) -> Tuple[int, str, str]:
+    """``python args`` in ``workdir``, its ``src`` on the path: the exit
+    status, stdout and stderr.  Raises ``TimedOut`` once the process and
+    everything it started are killed after ``TIMEOUT_S``."""
+    env = dict(os.environ, PYTHONPATH=str(workdir / "src"),
+               PYTHONDONTWRITEBYTECODE="1")
+    with subprocess.Popen(
+            [sys.executable, *args], cwd=workdir, env=env,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            start_new_session=True) as process:
+        try:
+            stdout, stderr = process.communicate(timeout=TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            os.killpg(process.pid, signal.SIGKILL)
+            process.communicate()
+            raise TimedOut from None
+    return process.returncode, stdout, stderr
 
 
 def _failing(workdir: Path, tests: Sequence[str]) -> Optional[Set[str]]:
     """The listed tests that fail or error in ``workdir``; None when pytest
-    could not run them (an unknown id, say).  Raises ``TimedOut`` once
-    pytest and everything it started are killed after ``TIMEOUT_S``."""
+    could not run them (an unknown id, say)."""
     report = workdir / "junit.xml"
-    env = dict(os.environ, PYTHONPATH=str(workdir / "src"),
-               PYTHONDONTWRITEBYTECODE="1")
-    with subprocess.Popen(
-            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-             f"--junitxml={report}", *tests],
-            cwd=workdir, env=env, stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE, text=True,
-            start_new_session=True) as pytest:
-        try:
-            stdout, stderr = pytest.communicate(timeout=TIMEOUT_S)
-        except subprocess.TimeoutExpired:
-            os.killpg(pytest.pid, signal.SIGKILL)
-            pytest.communicate()
-            raise TimedOut from None
-    if pytest.returncode not in (0, 1) or not report.exists():
+    code, stdout, stderr = _run(
+        ("-m", "pytest", "-q", "-p", "no:cacheprovider",
+         f"--junitxml={report}", *tests), workdir)
+    if code not in (0, 1) or not report.exists():
         sys.stdout.write(stdout[-2000:] + stderr[-2000:])
         return None
     ran, failed = set(), set()
@@ -389,6 +449,19 @@ def _failing(workdir: Path, tests: Sequence[str]) -> Optional[Set[str]]:
         print(f"  not collected: {sorted(missing)}")
         return None
     return {t for t in tests if _junit_key(t) in failed}
+
+
+def _wrong_exits(workdir: Path, commands: Sequence[Command]) -> List[str]:
+    """The commands that end with another status than theirs, or with a
+    traceback."""
+    problems = []
+    for argv, expected in commands:
+        code, _, stderr = _run(("-m", "d21link.cli", *argv), workdir)
+        traceback = " with a traceback" if "Traceback" in stderr else ""
+        if code != expected or traceback:
+            problems.append(f"d21link {' '.join(argv)} exits {code}"
+                            f"{traceback}, not {expected}")
+    return problems
 
 
 def run_mutant(mutant: Mutant) -> Tuple[str, List[str]]:
@@ -406,27 +479,32 @@ def run_mutant(mutant: Mutant) -> Tuple[str, List[str]]:
                           encoding="utf-8")
         try:
             failing = _failing(workdir, mutant.tests)
+            problems = _wrong_exits(workdir, mutant.commands)
         except TimedOut:
             return "TIMEOUT", []
     if failing is None:
         return "PROBLEM", ["pytest could not run the listed tests"]
     problems = [f"survives {test}" for test in mutant.tests
-                if test not in failing]
+                if test not in failing] + problems
     return ("PROBLEM" if problems else "KILLED"), problems
 
 
 def check_unmutated(mutants: Sequence[Mutant]) -> List[str]:
-    """Every listed test must pass before any mutant is applied."""
+    """Every listed test must pass, and every named command exit 0,
+    before any mutant is applied."""
     tests = sorted({test for mutant in mutants for test in mutant.tests})
+    commands = sorted({(argv, 0) for mutant in mutants
+                       for argv, _ in mutant.commands})
     with tempfile.TemporaryDirectory(prefix="d21link-mutant-") as tmp:
         _copy(Path(tmp))
         try:
             failing = _failing(Path(tmp), tests)
+            problems = _wrong_exits(Path(tmp), commands)
         except TimedOut:
-            return [f"the listed tests ran past {TIMEOUT_S} s"]
+            return [f"a run went past {TIMEOUT_S} s"]
     if failing is None:
         return ["pytest could not run the listed tests"]
-    return [f"fails unmutated: {test}" for test in sorted(failing)]
+    return [f"fails unmutated: {test}" for test in sorted(failing)] + problems
 
 
 def main() -> int:

@@ -21,9 +21,9 @@ entry of the ``"trace"`` key: ``"peak_support"`` and
 (``"blocks"``, ``"peak_block_support"``), of the 6^n ``"columns"`` of the
 trace.  ``dubrovnik --json`` adds a ``"stats"`` key with the counts of the
 skein recursion: ``"nodes"``, ``"memo_hits"``, ``"curls_removed"`` and
-``"bigons_removed"``.  ``verify -v`` streams a progress line per check
-group and one with each suite's wall seconds, to stdout, or to stderr
-under ``--json``.
+``"bigons_removed"``.  ``verify -v`` streams a progress line with the
+wall seconds of the braiding build, then one per check group and one with
+each suite's wall seconds, to stdout, or to stderr under ``--json``.
 
 The environment variable ``D21LINK_SKEIN_BUDGET`` overrides the crossing
 and strand budget of the skein oracle (default 16), and

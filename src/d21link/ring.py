@@ -205,7 +205,12 @@ def poly_gcd(a: QuarterLaurent, b: QuarterLaurent) -> QuarterLaurent:
 
 
 def exact_div(a: QuarterLaurent, b: QuarterLaurent) -> QuarterLaurent:
-    """Quotient a/b in Z[t, t^-1]; ``ArithmeticError`` unless b divides a."""
+    """Quotient a/b in Z[t, t^-1]; ``ArithmeticError`` unless b divides a.
+
+    Each exact step lowers the remainder's degree, so the quotient has at
+    most deg(a) - deg(b) + 1 terms (degrees taken at valuation 0); a step
+    past that bound is a broken loop, not an inexact division, and raises
+    ``RuntimeError``."""
     if b.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
     if a.is_zero():
@@ -215,11 +220,16 @@ def exact_div(a: QuarterLaurent, b: QuarterLaurent) -> QuarterLaurent:
     quo: Dict[int, int] = {}
     b = b.shifted(-vb)
     deg_b, lead_b = b.degree(), b.leading_coefficient()
+    steps = max(rem) - deg_b + 1
     while rem:
         deg_r = max(rem)
         factor, left = divmod(rem[deg_r], lead_b)
         if deg_r < deg_b or left:
             raise ArithmeticError("inexact polynomial division")
+        if steps == 0:
+            raise RuntimeError("exact_div took more than deg(a) - deg(b) + 1 "
+                               "quotient steps")
+        steps -= 1
         quo[deg_r - deg_b + va - vb] = factor
         _subtract_multiple(rem, factor, deg_r - deg_b, b)
     return QuarterLaurent(quo)

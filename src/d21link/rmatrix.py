@@ -1,12 +1,20 @@
 """Braiding on the tensor square of the supermodule.
 
-The braiding is the graded flip composed with the evaluated universal
-R-matrix: seven exponential factors id + (E_beta (x) F_beta) / phi_beta,
-one per positive root (root vectors square to zero on the module, checked
-where each factor is built), applied after a diagonal Cartan factor whose
-exponents are quarter-integers read off the weight table.
-Factors apply right to left: the Cartan factor first, then the exponential
-factors in decreasing root order.
+The braiding is the graded flip tau composed with the evaluated universal
+R-matrix: seven exponential factors id + N_beta, N_beta = (E_beta (x)
+F_beta) / phi_beta, one per positive root, applied after a diagonal Cartan
+factor K whose exponents are quarter-integers read off the weight table.
+Factors apply right to left: K first, then the exponential factors in
+decreasing root order.  Root vectors square to zero on the module (checked
+where each N_beta is built), so N_beta squares to zero on M (x) M, and
+both R and the inverse braiding are built factor by factor:
+
+* R: acc = K, then acc <- acc + N_beta o acc for beta = 7, ..., 1;
+* c^-1 = K^-1 o (id - N_7) o ... o (id - N_1) o tau: tau is its own
+  inverse, K^-1 is the Cartan factor at negated exponents, and id - N_beta
+  inverts id + N_beta.  This holds on M (x) M only: on larger tensor
+  products a root vector need not square to zero, and the inverse of an
+  exponential factor has terms past N_beta.
 
 Every entry of the braiding is an integer Laurent polynomial in q (checked
 on construction), and a twist that fails its check raises ``TableError``.
@@ -27,8 +35,8 @@ from .report import CheckResult, Report
 from .ring import LAMBDA, Q, QINV, ZERO, QuarterLaurent, to_integer_laurent
 from .representation import (CARTAN, DIM, M, M2, WEIGHTS, duality_maps, phi,
                              root_vector)
-from .superlinalg import (SuperMap, compose, embed_at, invert,
-                          rank_over_fractions, tensor_map, volte)
+from .superlinalg import (SuperMap, compose, embed_at, rank_over_fractions,
+                          tensor_map, volte)
 
 
 class TableError(ValueError):
@@ -41,12 +49,10 @@ class BraidingBundle(NamedTuple):
     theta: QuarterLaurent
 
 
-@lru_cache(maxsize=None)
-def exp_factor(i: int) -> SuperMap:
-    """id + (E_i (x) F_i) / phi_i: the exponential factor of root i on
-    M (x) M, whose series stops after one term as E_i and F_i square to
-    zero on M (``TableError`` otherwise).  Koszul signs for odd root
-    vectors are supplied by tensor_map."""
+def _nilpotent_part(i: int) -> SuperMap:
+    """N_i = (E_i (x) F_i) / phi_i on M (x) M, with Koszul signs for odd
+    root vectors from tensor_map; ``TableError`` unless E_i and F_i square
+    to zero on M, which makes N_i square to zero too."""
     raising = root_vector(i, "raise")
     lowering = root_vector(i, "lower")
     if not (compose(raising, raising).is_zero()
@@ -54,13 +60,26 @@ def exp_factor(i: int) -> SuperMap:
         raise TableError(f"root vector {i} does not square to 0 on M, so "
                          "its exponential factor is not id + E (x) F / phi")
     phi_i = phi(i)
-    return (SuperMap.identity(M2)
-            + tensor_map(raising, lowering).scale(phi_i.den, phi_i.num))
+    return tensor_map(raising, lowering).scale(phi_i.den, phi_i.num)
 
 
 @lru_cache(maxsize=None)
-def cartan_factor() -> SuperMap:
-    """Diagonal factor v (x) w -> q^{sum b_ij weight_i(v) weight_j(w)} v (x) w."""
+def exp_factor(i: int) -> SuperMap:
+    """id + N_i: the exponential factor of root i on M (x) M, whose series
+    stops after one term as N_i squares to zero."""
+    return SuperMap.identity(M2) + _nilpotent_part(i)
+
+
+@lru_cache(maxsize=None)
+def _nilpotent_parts() -> Tuple[SuperMap, ...]:
+    """(N_1, ..., N_7), each built and checked once for R and c^-1."""
+    return tuple(_nilpotent_part(i) for i in range(1, 8))
+
+
+@lru_cache(maxsize=None)
+def cartan_factor(sign: int = 1) -> SuperMap:
+    """Diagonal factor v (x) w -> q^{sign sum b_ij weight_i(v) weight_j(w)}
+    v (x) w; sign -1 gives its inverse."""
     # forms[v][j] = sum_i 4 b_ij weight_i(v), an integer
     forms = [[sum(CARTAN.b4[i][j] * WEIGHTS[v][i] for i in range(3))
               for j in range(3)] for v in range(DIM)]
@@ -69,26 +88,32 @@ def cartan_factor() -> SuperMap:
         for w in range(DIM):
             exponent = sum(f * x for f, x in zip(forms[v], WEIGHTS[w]))
             index = v * DIM + w
-            entries[(index, index)] = QuarterLaurent.t_power(exponent)
+            entries[(index, index)] = QuarterLaurent.t_power(sign * exponent)
     return SuperMap(M2, M2, entries)
 
 
 @lru_cache(maxsize=None)
 def r_matrix() -> SuperMap:
-    """The evaluated R-matrix: exp_1 o ... o exp_7 o cartan_factor."""
+    """The evaluated R-matrix exp_1 o ... o exp_7 o cartan_factor, applied
+    factor by factor as acc + N_i o acc."""
     acc = cartan_factor()
-    for i in range(7, 0, -1):
-        acc = compose(exp_factor(i), acc)
+    for nilpotent in reversed(_nilpotent_parts()):
+        acc = acc + compose(nilpotent, acc)
     return acc
 
 
 @lru_cache(maxsize=None)
 def braiding() -> BraidingBundle:
-    """Braiding c = tau o R, its exact inverse, and the verified twist."""
-    c = compose(volte(M, M), r_matrix())
+    """Braiding c = tau o R, its exact inverse
+    K^-1 o (id - N_7) o ... o (id - N_1) o tau, and the verified twist."""
+    tau = volte(M, M)
+    c = compose(tau, r_matrix())
     for value in c.entries.values():
         to_integer_laurent(value)
-    c_inv = invert(c)
+    c_inv = tau
+    for nilpotent in _nilpotent_parts():
+        c_inv = c_inv - compose(nilpotent, c_inv)
+    c_inv = compose(cartan_factor(-1), c_inv)
     # the inverse square of the twist must be q^2 id; of its two square
     # roots q^{-1} and -q^{-1}, the twist is the one with value 1 at q = 1
     if twist_inverse_square(c) != SuperMap.identity(M).scale(Q * Q):

@@ -456,6 +456,8 @@ def _trace_weights() -> Tuple[Dict[int, int], ...]:
     s = _SWAP
     if any(weights[s[r]] != weights[r] for r in range(DIM)):
         raise TableError("the v4 <-> v5 swap does not fix the pivotal weights")
+    pair_weights = {(a, b): laurent_product(weights[a], weights[b])
+                    for a in range(DIM) for b in range(DIM)}
     for kind in ("pos", "neg"):
         _, table = _event_table(kind)
         swapped = {(s[a], s[b]): {(s[c], s[d]): coeff for (c, d), coeff in rows}
@@ -463,9 +465,8 @@ def _trace_weights() -> Tuple[Dict[int, int], ...]:
         if swapped != {window: dict(rows) for window, rows in table.items()}:
             raise TableError("the v4 <-> v5 swap does not map a crossing "
                              "table onto itself")
-        if any(laurent_product(weights[a], weights[b])
-               != laurent_product(weights[c], weights[d])
-               for (a, b), rows in table.items() for (c, d), _ in rows):
+        if any(pair_weights[window] != pair_weights[row]
+               for window, rows in table.items() for row, _ in rows):
             raise TableError("a crossing does not keep the pivotal "
                              "weights; the trace is not cyclic")
     return tuple(weights)

@@ -8,7 +8,10 @@ of the two invariant pipelines over the diagram corpus, the invariant
 against the orientation sum on the corpus and on two words of 200 letters,
 presentation independence of the unreduced trace, mirror symmetry, split
 unions).  ``all`` runs everything.  With a ``progress`` callback,
-:func:`run_suites` also reports each suite's wall seconds through it.
+:func:`run_suites` also reports through it the wall seconds of
+:func:`d21link.rmatrix.braiding` before the suites (the cold build when
+nothing has called it yet in the process, a cache hit after) and then
+each suite's.
 
 :func:`compare` and :func:`compare_orientation_sum` are the only places
 where the two pipelines meet: the tangle side and the skein oracle
@@ -266,6 +269,10 @@ def run_suites(name: str, budget: int = dubrovnik.DEFAULT_BUDGET,
         names = [name]
     else:
         raise ValueError(f"unknown suite {name!r}")
+    if progress is not None:
+        start = time.perf_counter()
+        braiding()
+        progress(f"braiding ready in {time.perf_counter() - start:.4f} s")
     reports = []
     for suite in names:
         start = time.perf_counter()

@@ -162,6 +162,9 @@ def test_verbose_verify_streams_check_lines(capsys):
     assert "[PASS] relations:raise-lower-pair:1,1" in out
 
 
+BRAIDING_TIME = re.compile(r"\.\.\. braiding ready in \d+\.\d{4} s")
+
+
 def test_verbose_json_verify_keeps_progress_off_stdout(capsys):
     code, out, err = run_cli(capsys, "verify", "--suite", "category",
                              "--json", "-v")
@@ -169,10 +172,13 @@ def test_verbose_json_verify_keeps_progress_off_stdout(capsys):
     assert json.loads(out)["ok"] is True
     assert "... checking duality pairing and zig-zags\n" in err
     assert all(line.startswith("... ") for line in err.splitlines())
-    # text mode streams the same progress lines to stdout
+    # text mode streams the same progress lines to stdout, after the
+    # braiding's time
     code, out, err = run_cli(capsys, "verify", "--suite", "category", "-v")
     assert code == 0 and err == ""
-    assert out.startswith("... checking duality pairing and zig-zags\n")
+    first, second = out.splitlines()[:2]
+    assert BRAIDING_TIME.fullmatch(first)
+    assert second == "... checking duality pairing and zig-zags"
 
 
 def test_verbose_verify_reports_each_suite_wall_time(capsys):
@@ -180,14 +186,17 @@ def test_verbose_verify_reports_each_suite_wall_time(capsys):
     pattern = re.compile(r"\.\.\. suite (\w+) ran in (\d+\.\d{4}) s")
     code, out, err = run_cli(capsys, "verify", "--suite", "all", "-v")
     assert code == 0 and err == ""
-    timed = [pattern.fullmatch(line) for line in out.splitlines()]
+    lines = out.splitlines()
+    assert BRAIDING_TIME.fullmatch(lines[0])    # the braiding's, first
+    timed = [pattern.fullmatch(line) for line in lines]
     assert [m.group(1) for m in timed if m] == suites
     assert all(float(m.group(2)) >= 0 for m in timed if m)
-    # under --json on stderr, one line for the one suite run
+    # under --json on stderr, the braiding's line and one for the one suite
     code, out, err = run_cli(capsys, "verify", "--suite", "relations",
                              "--json", "-v")
     assert code == 0 and json.loads(out)["ok"] is True
-    (line,) = err.splitlines()
+    braiding_line, line = err.splitlines()
+    assert BRAIDING_TIME.fullmatch(braiding_line)
     assert pattern.fullmatch(line).group(1) == "relations"
 
 

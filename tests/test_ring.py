@@ -194,7 +194,7 @@ def test_division_steps_stay_exact_on_integer_input():
 
 def test_fractions_stay_in_the_braiding_build():
     # maps are scaled by Laurent scalars; only ``representation.phi``
-    # builds a RatFunc, which ``rmatrix.exp_factor`` takes apart into its
+    # builds a RatFunc, which ``rmatrix._nilpotent_part`` takes apart into its
     # numerator and denominator without naming the type
     for name in ("superlinalg", "rmatrix", "verify", "tangle", "cli"):
         namespace = vars(importlib.import_module(f"d21link.{name}"))

@@ -10,7 +10,8 @@ from d21link.rmatrix import (EVEN_PAIRS, ODD_PAIRS, REFERENCE_C0,
                              compare_reference, exp_factor, r_matrix,
                              reference_blocks, spectral_check, split_blocks,
                              _parse_reference_entry)
-from d21link.superlinalg import SuperMap, compose, embed_at, rank_over_fractions
+from d21link.superlinalg import (SuperMap, compose, embed_at, invert,
+                                 rank_over_fractions)
 from helpers import column
 
 
@@ -89,8 +90,18 @@ def test_braiding_inverse_and_integrality():
     bundle = braiding()
     assert compose(bundle.c, bundle.c_inv) == SuperMap.identity(M2)
     assert compose(bundle.c_inv, bundle.c) == SuperMap.identity(M2)
+    # the inverse built factor by factor is the elimination's, entry for entry
+    assert bundle.c_inv.entries == invert(bundle.c).entries
     for value in list(bundle.c.entries.values()) + list(bundle.c_inv.entries.values()):
         to_integer_laurent(value)
+
+
+def test_r_matrix_is_the_product_of_its_factors():
+    # the plain 36 x 36 products, factor by factor, as the formula reads
+    product = cartan_factor()
+    for i in range(7, 0, -1):
+        product = compose(exp_factor(i), product)
+    assert r_matrix() == product
 
 
 def test_braiding_preserves_parity_blocks():

@@ -322,6 +322,15 @@ def test_swap_check_needs_symmetric_tables_and_weights():
             _trace_weights()
 
 
+def test_cyclicity_check_needs_crossings_that_keep_the_pair_weights():
+    # v1 (x) v1 sent to v2 (x) v1: the swap still maps the table onto
+    # itself, but p(v1) p(v1) = q^4 and p(v2) p(v1) = 1
+    for kind in ("pos", "neg"):
+        with replaced_tables(**{kind: perturbed(kind, "moved")}):
+            with pytest.raises(ValueError, match="the trace is not cyclic"):
+                _trace_weights()
+
+
 def test_cohomology_guard_cuts_the_tables_down_to_v4_and_v5():
     basis, weights, tables = _cohomology()
     assert basis == (3, 4)                       # v4 and v5
