@@ -286,6 +286,38 @@ MUTANTS = (
            (T_CLI + "test_process_entries_match_main_in_process[malformed-"
                     "braid]",
             T_CLI + "test_process_entries_match_main_in_process[bad-budget]")),
+    Mutant("parser-drops-the-one-of-exclusion", CLI,
+           "if chosen not in (None, option):",
+           "if False:",
+           (T_CLI + "test_parser_matches_the_reference_on_generated_argv",
+            T_CLI + "test_a_usage_error_is_the_usage_line_and_one_error_line"
+                    "[not-allowed-with]",
+            T_CLI + "test_a_usage_error_is_the_usage_line_and_one_error_line"
+                    "[not-allowed-with-reversed]")),
+    Mutant("parser-skips-the-choice-check", CLI,
+           "if option.choices and value not in option.choices:",
+           "if False:",
+           (T_CLI + "test_usage_error_for_unknown_suite",
+            T_CLI + "test_parser_matches_the_reference_on_generated_argv",
+            T_CLI + "test_a_usage_error_is_the_usage_line_and_one_error_line"
+                    "[suite-choice]",
+            T_CLI + "test_a_usage_error_is_the_usage_line_and_one_error_line"
+                    "[format-choice]")),
+    Mutant("parser-suite-default-changed", CLI,
+           'default="all"),',
+           'default="skein"),',
+           (T_CLI + "test_parser_matches_the_reference_on_generated_argv",)),
+    Mutant("parser-splits-at-the-last-equals-sign", CLI,
+           'token.partition("=")',
+           'token.rpartition("=")',
+           (T_CLI + "test_parser_matches_the_reference_on_generated_argv",
+            T_CLI + "test_a_usage_error_is_the_usage_line_and_one_error_line"
+                    "[format-choice]")),
+    Mutant("verify-prints-once-every-suite-ran", CLI,
+           "    for report in found:",
+           "    for report in list(found):",
+           (T_CLI + "test_a_table_failing_the_skein_guard_keeps_the_earlier_"
+                    "reports",)),
     Mutant("super-bracket-drops-the-koszul-sign", REPRESENTATION,
            "        scale = -scale\n",
            "        pass\n",

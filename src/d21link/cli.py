@@ -24,6 +24,9 @@ skein recursion: ``"nodes"``, ``"memo_hits"``, ``"curls_removed"`` and
 ``"bigons_removed"``.  ``verify -v`` streams a progress line with the
 wall seconds of the braiding build, then one per check group and one with
 each suite's wall seconds, to stdout, or to stderr under ``--json``.
+In text mode ``verify`` prints each suite's lines as soon as the suite
+has run, so a table that a later suite refuses (exit 2) leaves them on
+stdout.
 
 The environment variable ``D21LINK_SKEIN_BUDGET`` overrides the crossing
 and strand budget of the skein oracle (default 16), and
@@ -36,16 +39,24 @@ bad input (a bad budget variable or a ``--sliced`` file past 2^20
 characters), an exceeded budget or a module table that fails a check
 exits 2.
 
+Arguments are read by :func:`parse_args` in one pass over
+:data:`COMMANDS`, the table of the commands and their options, from which
+the help and usage text are generated too.  It takes full option names
+only, as ``--opt value`` or ``--opt=value`` in any order.  ``-h`` or
+``--help`` prints help to stdout and ends with ``SystemExit(0)``; a usage
+error prints the usage line and one ``d21link[ <command>]: error:`` line to
+stderr and ends with ``SystemExit(2)``.
+
 Each command is a one-shot process: ``python -m d21link.cli`` and the
 installed ``d21link`` script (through :func:`d21link.run`) run
 :func:`run`, which switches the cyclic garbage collector off (both entries
-do so before the layers import) and, once :func:`main` returns or argparse
-ends ``--help`` or a usage error with ``SystemExit``, ends the process
-with ``os._exit`` and that exit status, so that neither the collection at
-interpreter exit nor the teardown of the modules runs.  Stdout is flushed
-first, inside the error handling, so a write that fails there (stdout on a
-full device, or a pipe whose reader has gone) gives one ``error:`` line
-and exit 2; then stderr is flushed.  An ``error:`` line that stderr
+do so before the layers import) and, once :func:`main` returns or ends
+with such a ``SystemExit``, ends the process with ``os._exit`` and that
+exit status, so that neither the collection at interpreter exit nor the
+teardown of the modules runs.  Stdout is flushed first, inside the error
+handling, so a write that fails there (stdout on a full device, or a pipe
+whose reader has gone) gives one ``error:`` line and exit 2; then stderr
+is flushed.  An ``error:`` line that stderr
 itself fails to take is dropped, and the status stays 2.  Ending the
 process so is safe because only stdout and stderr are open by then
 (``braiding_deviations.txt`` and a ``--sliced`` file are closed by their
@@ -64,11 +75,13 @@ import gc
 if __name__ == "__main__":
     gc.disable()    # before the layers import; see run()
 
-import argparse
 import contextlib
 import os
+import re
 import sys
-from typing import List, NoReturn, Optional
+from types import SimpleNamespace
+from typing import (Callable, Dict, List, NoReturn, Optional, Sequence,
+                    Tuple)
 
 from . import dubrovnik
 from .representation import DIM
@@ -77,7 +90,7 @@ from .rmatrix import EVEN_PAIRS, ODD_PAIRS, TableError, braiding, split_blocks
 from .tangle import (DEFAULT_SUPPORT_BUDGET, DiagramError, ascii_integers,
                      evaluate_sliced, invariant, parse_braid,
                      parse_sliced_text)
-from .verify import run_suites
+from .verify import suite_reports
 
 DEVIATIONS_FILE = "braiding_deviations.txt"
 SLICED_MAX_CHARS = 2 ** 20      # most characters a --sliced file may hold
@@ -114,7 +127,7 @@ def _print_json(payload) -> None:
     print(json.dumps(payload, indent=2))
 
 
-def _cmd_invariant(args: argparse.Namespace) -> int:
+def _cmd_invariant(args: SimpleNamespace) -> int:
     budget = _support_budget()
     if args.braid is not None:
         result = invariant(parse_braid(args.braid), budget)
@@ -143,7 +156,7 @@ def _cmd_invariant(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_dubrovnik(args: argparse.Namespace) -> int:
+def _cmd_dubrovnik(args: SimpleNamespace) -> int:
     budget = _skein_budget()
     graph = dubrovnik.braid_closure_graph(parse_braid(args.braid), budget)
     stats = {} if args.json else None
@@ -165,7 +178,7 @@ def _matrix_strings(rows) -> List[List[str]]:
     return [[q_string(value) for value in row] for row in rows]
 
 
-def _cmd_braiding(args: argparse.Namespace) -> int:
+def _cmd_braiding(args: SimpleNamespace) -> int:
     bundle = braiding()
     if args.split:
         even, odd = split_blocks(bundle.c)
@@ -202,63 +215,231 @@ def _cmd_braiding(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: SimpleNamespace) -> int:
     # under --json the progress lines go to stderr, so stdout stays JSON
     stream = sys.stderr if args.json else sys.stdout
     progress = ((lambda msg: print(f"... {msg}", file=stream, flush=True))
                 if args.verbose else None)
-    reports = run_suites(args.suite, budget=_skein_budget(),
-                         deviations_path=DEVIATIONS_FILE, progress=progress,
-                         support_budget=_support_budget())
+    found = suite_reports(args.suite, budget=_skein_budget(),
+                          deviations_path=DEVIATIONS_FILE, progress=progress,
+                          support_budget=_support_budget())
+    reports = []
+    # in text mode each suite's lines print as soon as it has run, so that
+    # a later suite that raises leaves them on stdout
+    for report in found:
+        reports.append(report)
+        if not args.json:
+            for line in report.lines(verbose=args.verbose):
+                print(line)
     ok = all(report.ok for report in reports)
     if args.json:
         _print_json({"ok": ok, "suites": [r.as_dict() for r in reports]})
     else:
-        for report in reports:
-            for line in report.lines(verbose=args.verbose):
-                print(line)
         print("overall:", "PASS" if ok else "FAIL")
     return 0 if ok else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="d21link",
-        description="Exact framed-link invariants from a six-dimensional "
-                    "quantum supermodule, with a Dubrovnik skein oracle.")
-    sub = parser.add_subparsers(dest="command", required=True)
+class Option:
+    """One option of a command: its names, its help line, ``value`` (it
+    takes one; a flag otherwise, False unless given), the choices and the
+    default of its value, ``required``, and ``one_of``: exactly one of a
+    command's ``one_of`` options must be given.  A plain class, as a
+    ``NamedTuple`` would cost every process about 0.1 ms to build."""
+    __slots__ = ("names", "help", "value", "choices", "default", "required",
+                 "one_of")
 
-    p_inv = sub.add_parser("invariant", help="evaluate the link invariant")
-    group = p_inv.add_mutually_exclusive_group(required=True)
-    group.add_argument("--braid", help="braid word, e.g. '2: 1 1 1'")
-    group.add_argument("--sliced", help="file of sliced-diagram events")
-    p_inv.add_argument("--json", action="store_true", help="machine output")
-    p_inv.set_defaults(func=_cmd_invariant)
+    def __init__(self, names: Tuple[str, ...], help: str, value: bool = False,
+                 choices: Tuple[str, ...] = (), default: Optional[str] = None,
+                 required: bool = False, one_of: bool = False):
+        self.names, self.help, self.value = names, help, value
+        self.choices, self.default = choices, default
+        self.required, self.one_of = required, one_of
 
-    p_dub = sub.add_parser("dubrovnik", help="run the skein oracle")
-    p_dub.add_argument("--braid", required=True, help="braid word")
-    p_dub.add_argument("--specialize", action="store_true",
-                       help="substitute a=-1/q, z=q-1/q")
-    p_dub.add_argument("--json", action="store_true", help="machine output")
-    p_dub.set_defaults(func=_cmd_dubrovnik)
 
-    p_br = sub.add_parser("braiding", help="dump the braiding matrix")
-    p_br.add_argument("--format", choices=("text", "json", "csv"),
-                      default="text")
-    p_br.add_argument("--split", action="store_true",
-                      help="emit the parity blocks c0/c1 instead of the "
-                           "full 36x36 matrix")
-    p_br.set_defaults(func=_cmd_braiding)
+class Command:
+    __slots__ = ("help", "func", "options")
 
-    p_ver = sub.add_parser("verify", help="run verification suites")
-    p_ver.add_argument("--suite", default="all",
-                       choices=("relations", "rmatrix", "category", "skein",
-                                "all"))
-    p_ver.add_argument("--json", action="store_true", help="machine output")
-    p_ver.add_argument("-v", "--verbose", action="store_true",
-                       help="stream per-check progress")
-    p_ver.set_defaults(func=_cmd_verify)
-    return parser
+    def __init__(self, help: str, func: Callable[[SimpleNamespace], int],
+                 options: Tuple[Option, ...]):
+        self.help, self.func, self.options = help, func, options
+
+
+HELP = Option(("-h", "--help"), "show this help message and exit")
+DESCRIPTION = ("Exact framed-link invariants from a six-dimensional quantum "
+               "supermodule,\nwith a Dubrovnik skein oracle.")
+COMMANDS = {
+    "invariant": Command("evaluate the link invariant", _cmd_invariant, (
+        Option(("--braid",), "braid word, e.g. '2: 1 1 1'", value=True,
+               one_of=True),
+        Option(("--sliced",), "file of sliced-diagram events", value=True,
+               one_of=True),
+        Option(("--json",), "machine output"))),
+    "dubrovnik": Command("run the skein oracle", _cmd_dubrovnik, (
+        Option(("--braid",), "braid word", value=True, required=True),
+        Option(("--specialize",), "substitute a=-1/q, z=q-1/q"),
+        Option(("--json",), "machine output"))),
+    "braiding": Command("dump the braiding matrix", _cmd_braiding, (
+        Option(("--format",), "output format", value=True,
+               choices=("text", "json", "csv"), default="text"),
+        Option(("--split",), "emit the parity blocks c0/c1 instead of the "
+                             "full 36x36 matrix"))),
+    "verify": Command("run verification suites", _cmd_verify, (
+        Option(("--suite",), "suite to run", value=True,
+               choices=("relations", "rmatrix", "category", "skein", "all"),
+               default="all"),
+        Option(("--json",), "machine output"),
+        Option(("-v", "--verbose"), "stream per-check progress"))),
+}
+NEGATIVE_NUMBER = r"^-\d+$|^-\d*\.\d+$"    # compiled on first use only
+
+
+def _dest(option: Option) -> str:
+    return option.names[-1].lstrip("-")
+
+
+def _label(option: Option) -> str:
+    return "/".join(option.names)
+
+
+def _shown(option: Option) -> str:
+    """The option as usage shows it: its first name and its value."""
+    if not option.value:
+        return option.names[0]
+    if option.choices:
+        return f"{option.names[0]} {{{','.join(option.choices)}}}"
+    return f"{option.names[0]} {_dest(option).upper()}"
+
+
+def _invalid(value: str, choices) -> str:
+    return (f"invalid choice: {value!r} (choose from "
+            f"{', '.join(map(repr, choices))})")
+
+
+def _usage(command: Optional[str]) -> str:
+    if command is None:
+        return f"usage: d21link [-h] {{{','.join(COMMANDS)}}} ..."
+    options = COMMANDS[command].options
+    group = [_shown(o) for o in options if o.one_of]    # listed first
+    parts = ["[-h]"] + ([f"({' | '.join(group)})"] if group else [])
+    parts += [_shown(o) if o.required else f"[{_shown(o)}]"
+              for o in options if not o.one_of]
+    return f"usage: d21link {command} {' '.join(parts)}"
+
+
+def _help(command: Optional[str]) -> str:
+    if command is None:
+        rows = [(name, spec.help) for name, spec in COMMANDS.items()]
+        text, options = f"{DESCRIPTION}\n\ncommands:\n{_rows(rows)}\n", ()
+    else:
+        text, options = f"{COMMANDS[command].help}\n", COMMANDS[command].options
+    rows = [(", ".join(o.names) + (f" {_dest(o).upper()}" if o.value else ""),
+             o.help + (f": {', '.join(o.choices)}" if o.choices else "")
+             + (f" (default: {o.default})" if o.default else ""))
+            for o in (HELP, *options)]
+    return f"{_usage(command)}\n\n{text}\noptions:\n{_rows(rows)}\n"
+
+
+def _rows(rows) -> str:
+    width = max(len(name) for name, _ in rows)
+    return "\n".join(f"  {name.ljust(width)}  {text}" for name, text in rows)
+
+
+def _stop(status: int, text: str, stream) -> NoReturn:
+    """Write ``text``, dropped if the write fails, and end with
+    ``SystemExit(status)``."""
+    with contextlib.suppress(OSError):
+        stream.write(text)
+    raise SystemExit(status)
+
+
+def _usage_error(command: Optional[str], message: str,
+                 about: Optional[str] = None) -> NoReturn:
+    """The usage of ``command`` (None for the top level) and ``message``,
+    about the argument named ``about`` if one is given, then exit 2."""
+    prog = "d21link" if command is None else f"d21link {command}"
+    if about is not None:
+        message = f"argument {about}: {message}"
+    _stop(2, f"{_usage(command)}\n{prog}: error: {message}\n", sys.stderr)
+
+
+def _option_at(token: str, names: Dict[str, Option]):
+    """``(option, its "=" value or None)`` for a token that names one of
+    ``names``, ``(None, None)`` for any other option, or None for a value.
+    A token is an option if it starts with ``-`` and is not ``-`` alone, a
+    negative number or text with a space; a prefix of an option's name
+    names none."""
+    if token in names:
+        return names[token], None
+    name, equals, value = token.partition("=")
+    if equals and name in names:
+        return names[name], value
+    if (token[:1] != "-" or token == "-" or " " in token
+            or re.match(NEGATIVE_NUMBER, token)):
+        return None
+    return None, None
+
+
+def parse_args(argv: Sequence[str]) -> SimpleNamespace:
+    """The command and its options in ``argv``, as fields of a namespace
+    (``func`` the command's handler), in one pass over :data:`COMMANDS`.
+    ``-h``/``--help`` prints help to stdout and a usage error prints the
+    usage line and one ``error:`` line to stderr, each ending with
+    ``SystemExit`` (0 and 2).  The error messages are worded as in the
+    standard library's parser."""
+    args = SimpleNamespace(command=None)
+    names = dict.fromkeys(HELP.names, HELP)
+    seen, chosen, extras, index = set(), None, [], 0
+    while index < len(argv):
+        token, index = argv[index], index + 1
+        found = _option_at(token, names)
+        if found is None and args.command is None:
+            if token not in COMMANDS:
+                _usage_error(None, _invalid(token, COMMANDS), "command")
+            args.command, args.func = token, COMMANDS[token].func
+            for option in COMMANDS[token].options:
+                names.update(dict.fromkeys(option.names, option))
+                setattr(args, _dest(option),
+                        option.default if option.value else False)
+            continue
+        if found is None or found[0] is None:
+            extras.append(token)
+            continue
+        option, value = found
+        label = _label(option)
+        if not option.value:
+            if value is not None:
+                _usage_error(args.command,
+                             f"ignored explicit argument {value!r}", label)
+            if option is HELP:
+                _stop(0, _help(args.command), sys.stdout)
+            value = True
+        elif value is None:
+            if index == len(argv) or _option_at(argv[index], names) is not None:
+                _usage_error(args.command, "expected one argument", label)
+            value, index = argv[index], index + 1
+        if option.choices and value not in option.choices:
+            _usage_error(args.command, _invalid(value, option.choices), label)
+        if option.one_of:
+            if chosen not in (None, option):
+                _usage_error(args.command, f"not allowed with argument "
+                                           f"{_label(chosen)}", label)
+            chosen = option
+        setattr(args, _dest(option), value)
+        seen.add(option)
+    if args.command is None:
+        _usage_error(None, "the following arguments are required: command")
+    options = COMMANDS[args.command].options
+    missing = [_label(o) for o in options if o.required and o not in seen]
+    if missing:
+        _usage_error(args.command, "the following arguments are required: "
+                                   + ", ".join(missing))
+    if chosen is None and any(o.one_of for o in options):
+        _usage_error(args.command, "one of the arguments "
+                     + " ".join(_label(o) for o in options if o.one_of)
+                     + " is required")
+    if extras:
+        _usage_error(None, "unrecognized arguments: " + " ".join(extras))
+    return args
 
 
 def _failed(exc: Exception) -> int:
@@ -278,21 +459,21 @@ def _flushed(status: int) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
         status = args.func(args)
     except (DiagramError, NotLaurentInQ, TableError,
             dubrovnik.SkeinBudgetExceeded, BudgetSettingError, OSError,
             UnicodeDecodeError) as exc:
-        return _failed(exc)
+        status = _failed(exc)
     return _flushed(status)
 
 
 def run() -> NoReturn:
     """The process entry of ``d21link`` and ``python -m d21link.cli``:
-    :func:`main`, or argparse's ``SystemExit``, with the collector off,
-    then ``os._exit`` with its status once stdout and stderr are flushed."""
+    :func:`main`, or the ``SystemExit`` of :func:`parse_args`, with the
+    collector off, then ``os._exit`` with its status once stdout and stderr
+    are flushed."""
     gc.disable()
     try:
         status = main()

@@ -7,11 +7,12 @@ and curl identities, twist square, naturality), ``skein`` (cross-validation
 of the two invariant pipelines over the diagram corpus, the invariant
 against the orientation sum on the corpus and on two words of 200 letters,
 presentation independence of the unreduced trace, mirror symmetry, split
-unions).  ``all`` runs everything.  With a ``progress`` callback,
-:func:`run_suites` also reports through it the wall seconds of
-:func:`d21link.rmatrix.braiding` before the suites (the cold build when
-nothing has called it yet in the process, a cache hit after) and then
-each suite's.
+unions).  ``all`` runs everything.  :func:`suite_reports` yields each
+suite's report as soon as the suite has run, and :func:`run_suites` lists
+them.  With a ``progress`` callback, both also report through it the wall
+seconds of :func:`d21link.rmatrix.braiding` before the suites (the cold
+build when nothing has called it yet in the process, a cache hit after)
+and then each suite's.
 
 :func:`compare` and :func:`compare_orientation_sum` are the only places
 where the two pipelines meet: the tangle side and the skein oracle
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 import random
 import time
-from typing import Callable, List, Optional
+from typing import Callable, Iterator, List, Optional
 
 from .report import CheckResult, Report
 from .ring import (LAMBDA, QINV, QuarterLaurent, format_q_laurent,
@@ -257,6 +258,17 @@ def run_suites(name: str, budget: int = dubrovnik.DEFAULT_BUDGET,
                deviations_path: Optional[str] = None,
                progress: Optional[Callable[[str], None]] = None,
                support_budget: int = DEFAULT_SUPPORT_BUDGET) -> List[Report]:
+    return list(suite_reports(name, budget, deviations_path, progress,
+                              support_budget))
+
+
+def suite_reports(name: str, budget: int = dubrovnik.DEFAULT_BUDGET,
+                  deviations_path: Optional[str] = None,
+                  progress: Optional[Callable[[str], None]] = None,
+                  support_budget: int = DEFAULT_SUPPORT_BUDGET
+                  ) -> Iterator[Report]:
+    """The report of each suite of ``name``, yielded as soon as the suite
+    has run: a suite that raises leaves the earlier reports delivered."""
     suites = {
         "relations": relations_suite,
         "rmatrix": lambda: rmatrix_suite(deviations_path),
@@ -273,11 +285,10 @@ def run_suites(name: str, budget: int = dubrovnik.DEFAULT_BUDGET,
         start = time.perf_counter()
         braiding()
         progress(f"braiding ready in {time.perf_counter() - start:.4f} s")
-    reports = []
     for suite in names:
         start = time.perf_counter()
-        reports.append(suites[suite]())
+        report = suites[suite]()
         if progress is not None:
             progress(f"suite {suite} ran in "
                      f"{time.perf_counter() - start:.4f} s")
-    return reports
+        yield report

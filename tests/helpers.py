@@ -1,9 +1,11 @@
 """Shared randomized-value generators for the test suite (seeded, exact)."""
 
+import argparse
 import random
 from itertools import product
 from math import comb
 
+from d21link import cli
 from d21link.dubrovnik import DELTA, LinkGraph, TwoVarPoly
 from d21link.ring import ZERO, NotLaurentInQ, QuarterLaurent, RatFunc
 from d21link.ring import format_q_laurent
@@ -345,3 +347,47 @@ def torus_closed_form(k):
     for exp, coeff in ((k, 1), (k, (-1) ** k), (-k, 2 * (-1) ** k)):
         terms[exp] = terms.get(exp, 0) + coeff
     return {e: c for e, c in terms.items() if c}
+
+
+def reference_parser() -> argparse.ArgumentParser:
+    """The command line as an ``argparse`` parser: the reference that
+    :func:`d21link.cli.parse_args` is compared against, field for field and
+    error message for error message (its help layout and its prefix
+    abbreviations aside)."""
+    parser = argparse.ArgumentParser(
+        prog="d21link",
+        description="Exact framed-link invariants from a six-dimensional "
+                    "quantum supermodule, with a Dubrovnik skein oracle.")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p_inv = sub.add_parser("invariant", help="evaluate the link invariant")
+    group = p_inv.add_mutually_exclusive_group(required=True)
+    group.add_argument("--braid", help="braid word, e.g. '2: 1 1 1'")
+    group.add_argument("--sliced", help="file of sliced-diagram events")
+    p_inv.add_argument("--json", action="store_true", help="machine output")
+    p_inv.set_defaults(func=cli._cmd_invariant)
+
+    p_dub = sub.add_parser("dubrovnik", help="run the skein oracle")
+    p_dub.add_argument("--braid", required=True, help="braid word")
+    p_dub.add_argument("--specialize", action="store_true",
+                       help="substitute a=-1/q, z=q-1/q")
+    p_dub.add_argument("--json", action="store_true", help="machine output")
+    p_dub.set_defaults(func=cli._cmd_dubrovnik)
+
+    p_br = sub.add_parser("braiding", help="dump the braiding matrix")
+    p_br.add_argument("--format", choices=("text", "json", "csv"),
+                      default="text")
+    p_br.add_argument("--split", action="store_true",
+                      help="emit the parity blocks c0/c1 instead of the "
+                           "full 36x36 matrix")
+    p_br.set_defaults(func=cli._cmd_braiding)
+
+    p_ver = sub.add_parser("verify", help="run verification suites")
+    p_ver.add_argument("--suite", default="all",
+                       choices=("relations", "rmatrix", "category", "skein",
+                                "all"))
+    p_ver.add_argument("--json", action="store_true", help="machine output")
+    p_ver.add_argument("-v", "--verbose", action="store_true",
+                       help="stream per-check progress")
+    p_ver.set_defaults(func=cli._cmd_verify)
+    return parser

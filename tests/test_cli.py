@@ -2,6 +2,7 @@ import errno
 import gc
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -11,10 +12,12 @@ from pathlib import Path
 import pytest
 
 from d21link import dubrovnik, representation, rmatrix, tangle
-from d21link.cli import SLICED_MAX_CHARS, main
+from d21link.cli import SLICED_MAX_CHARS, main, parse_args
 from d21link.ring import LAMBDA, Q, RatFunc
 from d21link.tangle import braid_closure_slices, parse_braid
-from test_transcript import BUDGET_VARIABLES
+from helpers import reference_parser
+from test_tangle import perturbed, replaced_tables
+from test_transcript import BUDGET_VARIABLES, transcript_commands
 
 
 def run_cli(capsys, *argv):
@@ -465,6 +468,180 @@ def test_usage_error_for_unknown_suite(capsys):
     assert "invalid choice" in capsys.readouterr().err
 
 
+def test_a_table_failing_the_skein_guard_keeps_the_earlier_reports(capsys):
+    # <v1 v1|c^-1|v1 v1> doubled: the relations, rmatrix and category suites
+    # read no table of the tangle layer and run to their end, and the skein
+    # suite's guard refuses the neg crossing
+    earlier = ""
+    for suite in ("relations", "rmatrix", "category"):
+        code, out, _ = run_cli(capsys, "verify", "--suite", suite)
+        assert code == 0
+        earlier += out.removesuffix("overall: PASS\n")
+    with replaced_tables(neg=perturbed("neg", "doubled")):
+        assert run_cli(capsys, "verify", "--suite", "all") == (
+            2, earlier, "error: the neg crossing does not commute with "
+                        "Delta(E_1)\n")
+    assert [line.split(":")[0] for line in earlier.splitlines()] == [
+        "suite relations", "suite rmatrix", "suite category"]
+
+
+# -- argument parsing ---------------------------------------------------------
+
+def parsed(parse, argv, capsys):
+    """The fields ``parse`` makes of ``argv``, or the status it exits with,
+    and what it printed to stdout and stderr."""
+    try:
+        fields = vars(parse(list(argv)))
+    except SystemExit as stop:
+        fields = stop.code
+    captured = capsys.readouterr()
+    return fields, captured.out, captured.err
+
+
+BRAIDS = ("2: 1 1 1", "1:", "-2: 1", "-1", "-0.5", "", "x y", "-x", "--json",
+          "a=b")
+OPTION_VALUES = {
+    "invariant": {"--braid": BRAIDS, "--sliced": ("diagram.txt", "d=1.txt")},
+    "dubrovnik": {"--braid": BRAIDS},
+    "braiding": {"--format": ("text", "json", "csv", "xml")},
+    "verify": {"--suite": ("relations", "rmatrix", "category", "skein", "all",
+                           "every")},
+}
+FLAGS = {"invariant": ("--json",), "dubrovnik": ("--specialize", "--json"),
+         "braiding": ("--split",), "verify": ("--json", "-v", "--verbose")}
+
+
+def generated_argv(rng):
+    """A command line of one command: each option or not, as ``--opt value``
+    or ``--opt=value``, in any order, now and then one too many or with a
+    stray word, an unknown option or a missing value."""
+    command = rng.choice(list(OPTION_VALUES))
+    pieces = []
+    for option, values in OPTION_VALUES[command].items():
+        for _ in range(rng.choice((0, 1, 1, 1, 2))):
+            value = rng.choice(values)
+            pieces.append([f"{option}={value}"] if rng.random() < 0.4
+                          else [option, value])
+    pieces += [[flag] for flag in FLAGS[command] if rng.random() < 0.5]
+    if rng.random() < 0.2:
+        pieces.append([rng.choice(("extra", "--bogus", "-q", "-", "--json=1"))])
+    rng.shuffle(pieces)
+    if rng.random() < 0.1:
+        pieces.append([rng.choice(list(OPTION_VALUES[command]))])
+    return [command] + [word for piece in pieces for word in piece]
+
+
+def test_parser_matches_the_reference_on_generated_argv(capsys, monkeypatch):
+    # a wide terminal, so that the reference does not wrap its usage lines
+    monkeypatch.setenv("COLUMNS", "200")
+    rng = random.Random(20261020)
+    cases = transcript_commands() + [
+        [], ["braiding"], ["verify"], ["knot"], ["--json", "braiding"],
+        ["invariant", "--sliced=a=b.txt"], ["invariant", "--braid=2: 1=1"],
+        ["dubrovnik", "--braid", "2: 1", "--json", "--specialize"],
+        ["verify", "-v", "--json", "--suite=skein"],
+        ["braiding", "--split", "--format=csv"]]
+    cases += [generated_argv(rng) for _ in range(400)]
+    kinds = set()
+    for argv in cases:
+        expected = parsed(reference_parser().parse_args, argv, capsys)
+        assert parsed(parse_args, argv, capsys) == expected, argv
+        kinds.add(expected[0] if expected[0] == 2 else expected[0]["command"])
+    assert kinds == {2, "invariant", "dubrovnik", "braiding", "verify"}
+
+
+USAGE = {
+    None: "usage: d21link [-h] {invariant,dubrovnik,braiding,verify} ...",
+    "invariant": "usage: d21link invariant [-h] (--braid BRAID | --sliced "
+                 "SLICED) [--json]",
+    "dubrovnik": "usage: d21link dubrovnik [-h] --braid BRAID [--specialize] "
+                 "[--json]",
+    "braiding": "usage: d21link braiding [-h] [--format {text,json,csv}] "
+                "[--split]",
+    "verify": "usage: d21link verify [-h] [--suite {relations,rmatrix,"
+              "category,skein,all}] [--json] [-v]",
+}
+# name: argv, the command whose usage is printed, the error message
+USAGE_ERRORS = {
+    "no-command": ([], None, "the following arguments are required: command"),
+    "unknown-command": (["knot"], None,
+                        "argument command: invalid choice: 'knot' (choose "
+                        "from 'invariant', 'dubrovnik', 'braiding', 'verify')"),
+    "suite-choice": (["verify", "--suite", "nope"], "verify",
+                     "argument --suite: invalid choice: 'nope' (choose from "
+                     "'relations', 'rmatrix', 'category', 'skein', 'all')"),
+    "format-choice": (["braiding", "--format=csv=x"], "braiding",
+                      "argument --format: invalid choice: 'csv=x' (choose "
+                      "from 'text', 'json', 'csv')"),
+    "required": (["dubrovnik", "--json"], "dubrovnik",
+                 "the following arguments are required: --braid"),
+    "one-of-required": (["invariant", "--json"], "invariant",
+                        "one of the arguments --braid --sliced is required"),
+    "not-allowed-with": (["invariant", "--braid", "2: 1", "--sliced", "x"],
+                         "invariant",
+                         "argument --sliced: not allowed with argument "
+                         "--braid"),
+    "not-allowed-with-reversed": (["invariant", "--sliced=x", "--braid=1:"],
+                                  "invariant",
+                                  "argument --braid: not allowed with "
+                                  "argument --sliced"),
+    "expected-one-argument": (["invariant", "--braid"], "invariant",
+                              "argument --braid: expected one argument"),
+    "value-is-an-option": (["dubrovnik", "--braid", "--specialize"],
+                           "dubrovnik",
+                           "argument --braid: expected one argument"),
+    "unrecognized": (["braiding", "--split", "x", "--bogus"], None,
+                     "unrecognized arguments: x --bogus"),
+    "ignored-explicit-argument": (["verify", "--json=yes"], "verify",
+                                  "argument --json: ignored explicit "
+                                  "argument 'yes'"),
+    "ignored-empty-argument": (["verify", "--verbose="], "verify",
+                               "argument -v/--verbose: ignored explicit "
+                               "argument ''"),
+}
+
+
+@pytest.mark.parametrize("kind", list(USAGE_ERRORS))
+def test_a_usage_error_is_the_usage_line_and_one_error_line(kind, capsys):
+    argv, command, message = USAGE_ERRORS[kind]
+    prog = "d21link" if command is None else f"d21link {command}"
+    assert parsed(parse_args, argv, capsys) == (
+        2, "", f"{USAGE[command]}\n{prog}: error: {message}\n")
+
+
+@pytest.mark.parametrize("command", [None, "invariant", "dubrovnik",
+                                     "braiding", "verify"])
+def test_help_prints_the_usage_line_and_every_option(command, capsys):
+    words = [] if command is None else [command]
+    options = {"invariant": ("--braid", "--sliced", "--json"),
+               "dubrovnik": ("--braid", "--specialize", "--json"),
+               "braiding": ("--format", "--split"),
+               "verify": ("--suite", "--json", "-v", "--verbose")}
+    for flag in ("-h", "--help"):
+        code, out, err = parsed(parse_args, words + [flag], capsys)
+        assert (code, err) == (0, "")
+        assert out.startswith(USAGE[command] + "\n\n")
+        shown = options.get(command, ("invariant", "dubrovnik", "braiding",
+                                      "verify"))
+        assert all(re.search(rf"^  .*{word}\b", out, re.M) for word in shown)
+    # help is printed as soon as it is read, before later words are checked
+    code, out, _ = parsed(parse_args, words + ["-h", "--bogus"], capsys)
+    assert code == 0 and out.startswith(USAGE[command])
+
+
+def test_prefix_abbreviations_are_refused(capsys):
+    for argv, unrecognized in (
+            (["dubrovnik", "--braid", "1:", "--spec"], "--spec"),
+            (["braiding", "--form", "csv"], "--form csv"),
+            (["verify", "--suite", "all", "--verb"], "--verb")):
+        # the reference takes them as --specialize, --format, --verbose
+        reference = vars(reference_parser().parse_args(argv))
+        assert reference["command"] == argv[0]
+        assert parsed(parse_args, argv, capsys) == (
+            2, "", f"{USAGE[None]}\nd21link: error: unrecognized arguments: "
+                   f"{unrecognized}\n")
+
+
 # -- the process entry --------------------------------------------------------
 
 ROOT = Path(__file__).parents[1]
@@ -606,7 +783,7 @@ def test_a_failed_final_flush_exits_2(target, tmp_path, monkeypatch):
     error = f"error: [Errno {reason}] {os.strerror(reason)}\n"
     try:
         for name, command in entry_commands().items():
-            # --help ends by argparse's SystemExit, and takes the same path
+            # --help ends by SystemExit, and takes the same path
             for argv in (["invariant", "--braid", "2: 1"], ["--help"]):
                 assert run_process(command, argv, tmp_path, stdout=fd) == (
                     2, None, error), (name, argv)
@@ -637,7 +814,7 @@ def test_a_failed_command_exits_2_when_stderr_fails(unbuffered, tmp_path,
 
 
 def test_a_usage_error_exits_2_when_stderr_fails(tmp_path, monkeypatch):
-    # argparse's usage message fails to reach a full device, and is left in
+    # the usage message fails to reach a full device, and is left in
     # the buffer of stderr; the process still ends with the usage status
     monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
     if not os.path.exists("/dev/full"):

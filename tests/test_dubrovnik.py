@@ -519,7 +519,9 @@ def test_pipelines_stay_independent_at_import_time():
     assert {f"d21link.{layer}" for layer in (
         "ring", "superlinalg", "representation", "rmatrix", "tangle",
         "dubrovnik", "verify")} <= cli_side
-    # nor ``fractions`` and ``decimal``: the ring has int coefficients only
-    assert not cli_side & {"dataclasses", "inspect", "fractions", "decimal"}
+    # nor ``fractions`` and ``decimal``: the ring has int coefficients only;
+    # nor ``argparse`` and its ``gettext``: the CLI reads its own table
+    assert not cli_side & {"dataclasses", "inspect", "fractions", "decimal",
+                           "argparse", "gettext"}
     # ``json`` loads only when a command writes JSON
     assert "json" not in cli_side
