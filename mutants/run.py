@@ -318,6 +318,36 @@ MUTANTS = (
            "    for report in list(found):",
            (T_CLI + "test_a_table_failing_the_skein_guard_keeps_the_earlier_"
                     "reports",)),
+    Mutant("verify-json-drops-the-finished-suites", CLI,
+           "        if args.json:\n            _print_json({\"ok\": False,",
+           "        if False:\n            _print_json({\"ok\": False,",
+           (T_CLI + "test_a_table_failing_the_skein_guard_keeps_the_earlier_"
+                    "reports_as_json",
+            T_CLI + "test_a_braiding_failing_the_twist_check_exits_2")),
+    Mutant("reference-entry-changed", RMATRIX,
+           "REFERENCE_C0 = [\n    [\"q\", ",
+           "REFERENCE_C0 = [\n    [\"-q\", ",
+           (T_RMATRIX + "test_computed_braiding_matches_reference_everywhere",
+            T_RMATRIX + "test_reference_blocks_shape_and_anchors",
+            T_ACCEPTANCE + "test_criterion_2_braiding_regression",
+            T_TRANSCRIPT),
+           ((("verify", "--suite", "rmatrix"), 1),
+            (("verify", "--suite", "all"), 1))),
+    Mutant("regression-drops-the-odd-block", RMATRIX,
+           "(REFERENCE_C0, REFERENCE_C1),",
+           "(REFERENCE_C0,),",
+           (T_RMATRIX + "test_computed_braiding_matches_reference_everywhere",
+            T_RMATRIX + "test_a_perturbed_reference_entry_fails_verify_in_its_"
+                        "detail",
+            T_RMATRIX + "test_the_regression_detail_shows_six_mismatches_and_"
+                        "counts_the_rest",
+            T_ACCEPTANCE + "test_criterion_2_braiding_regression",
+            T_TRANSCRIPT)),
+    Mutant("regression-detail-shows-every-mismatch", VERIFY,
+           "for m in mismatches[:6]])",
+           "for m in mismatches])",
+           (T_RMATRIX + "test_the_regression_detail_shows_six_mismatches_and_"
+                        "counts_the_rest",)),
     Mutant("super-bracket-drops-the-koszul-sign", REPRESENTATION,
            "        scale = -scale\n",
            "        pass\n",

@@ -26,7 +26,8 @@ wall seconds of the braiding build, then one per check group and one with
 each suite's wall seconds, to stdout, or to stderr under ``--json``.
 In text mode ``verify`` prints each suite's lines as soon as the suite
 has run, so a table that a later suite refuses (exit 2) leaves them on
-stdout.
+stdout, and under ``--json`` prints them as ``{"ok": false, "suites":
+[...]}`` before the ``error:`` line.  ``verify`` writes no file.
 
 The environment variable ``D21LINK_SKEIN_BUDGET`` overrides the crossing
 and strand budget of the skein oracle (default 16), and
@@ -58,11 +59,11 @@ handling, so a write that fails there (stdout on a full device, or a pipe
 whose reader has gone) gives one ``error:`` line and exit 2; then stderr
 is flushed.  An ``error:`` line that stderr
 itself fails to take is dropped, and the status stays 2.  Ending the
-process so is safe because only stdout and stderr are open by then
-(``braiding_deviations.txt`` and a ``--sliced`` file are closed by their
-``with`` blocks), and because the package makes no reference cycles on its
-hot paths: every object a command builds is freed by reference counting or
-lives until the process exits, which it does right after the command.
+process so is safe because only stdout and stderr are open by then (a
+``--sliced`` file is closed by its ``with`` block), and because the
+package makes no reference cycles on its hot paths: every object a
+command builds is freed by reference counting or lives until the process
+exits, which it does right after the command.
 :func:`main` itself leaves the collector alone, so library callers, the
 tests and anything else that calls it in process keep their own GC
 settings.
@@ -86,18 +87,24 @@ from typing import (Callable, Dict, List, NoReturn, Optional, Sequence,
 from . import dubrovnik
 from .representation import DIM
 from .ring import NotLaurentInQ, excerpt, format_q_laurent, q_string
-from .rmatrix import EVEN_PAIRS, ODD_PAIRS, TableError, braiding, split_blocks
+from .rmatrix import (EVEN_PAIRS, ODD_PAIRS, TableError, braiding, pair_label,
+                      split_blocks)
 from .tangle import (DEFAULT_SUPPORT_BUDGET, DiagramError, ascii_integers,
                      evaluate_sliced, invariant, parse_braid,
                      parse_sliced_text)
 from .verify import suite_reports
 
-DEVIATIONS_FILE = "braiding_deviations.txt"
 SLICED_MAX_CHARS = 2 ** 20      # most characters a --sliced file may hold
 
 
 class BudgetSettingError(ValueError):
     """A budget environment variable that is not an integer of at least 1."""
+
+
+# the errors that end a command with one ``error:`` line and exit 2
+HANDLED_ERRORS = (DiagramError, NotLaurentInQ, TableError,
+                  dubrovnik.SkeinBudgetExceeded, BudgetSettingError, OSError,
+                  UnicodeDecodeError)
 
 
 def _budget(variable: str, default: int) -> int:
@@ -174,27 +181,22 @@ def _cmd_dubrovnik(args: SimpleNamespace) -> int:
     return 0
 
 
-def _matrix_strings(rows) -> List[List[str]]:
-    return [[q_string(value) for value in row] for row in rows]
-
-
 def _cmd_braiding(args: SimpleNamespace) -> int:
     bundle = braiding()
     if args.split:
         even, odd = split_blocks(bundle.c)
         blocks = {
-            "c0_basis": [f"v{i}(x)v{j}" for i, j in EVEN_PAIRS],
-            "c0": _matrix_strings(even),
-            "c1_basis": [f"v{i}(x)v{j}" for i, j in ODD_PAIRS],
-            "c1": _matrix_strings(odd),
+            "c0_basis": [pair_label(pair) for pair in EVEN_PAIRS],
+            "c0": even,
+            "c1_basis": [pair_label(pair) for pair in ODD_PAIRS],
+            "c1": odd,
         }
     else:
         pairs = [(i, j) for i in range(1, DIM + 1) for j in range(1, DIM + 1)]
-        rows = [[bundle.c.entry(r, c) for c in range(DIM * DIM)]
-                for r in range(DIM * DIM)]
         blocks = {
-            "basis": [f"v{i}(x)v{j}" for i, j in pairs],
-            "c": _matrix_strings(rows),
+            "basis": [pair_label(pair) for pair in pairs],
+            "c": [[q_string(bundle.c.entry(r, c)) for c in range(DIM * DIM)]
+                  for r in range(DIM * DIM)],
         }
     if args.format == "json":
         _print_json(blocks)
@@ -221,16 +223,22 @@ def _cmd_verify(args: SimpleNamespace) -> int:
     progress = ((lambda msg: print(f"... {msg}", file=stream, flush=True))
                 if args.verbose else None)
     found = suite_reports(args.suite, budget=_skein_budget(),
-                          deviations_path=DEVIATIONS_FILE, progress=progress,
-                          support_budget=_support_budget())
+                          progress=progress, support_budget=_support_budget())
     reports = []
-    # in text mode each suite's lines print as soon as it has run, so that
-    # a later suite that raises leaves them on stdout
-    for report in found:
-        reports.append(report)
-        if not args.json:
-            for line in report.lines(verbose=args.verbose):
-                print(line)
+    # in text mode each suite's lines print as soon as it has run, and
+    # under --json a handled error prints the finished suites, so that a
+    # later suite that raises leaves them on stdout
+    try:
+        for report in found:
+            reports.append(report)
+            if not args.json:
+                for line in report.lines(verbose=args.verbose):
+                    print(line)
+    except HANDLED_ERRORS:
+        if args.json:
+            _print_json({"ok": False,
+                         "suites": [r.as_dict() for r in reports]})
+        raise
     ok = all(report.ok for report in reports)
     if args.json:
         _print_json({"ok": ok, "suites": [r.as_dict() for r in reports]})
@@ -462,9 +470,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
         status = args.func(args)
-    except (DiagramError, NotLaurentInQ, TableError,
-            dubrovnik.SkeinBudgetExceeded, BudgetSettingError, OSError,
-            UnicodeDecodeError) as exc:
+    except HANDLED_ERRORS as exc:
         status = _failed(exc)
     return _flushed(status)
 

@@ -18,21 +18,20 @@ both R and the inverse braiding are built factor by factor:
 
 Every entry of the braiding is an integer Laurent polynomial in q (checked
 on construction), and a twist that fails its check raises ``TableError``.
-The printed 20x20/16x16 parity blocks in
-``REFERENCE_C0``/``REFERENCE_C1`` are a frozen regression target: the
-computed braiding is compared entry by entry and any divergence is reported
-for logging in a deviations file, with the invariant suites (Yang-Baxter,
-spectral, skein, naturality) as the adjudicating evidence.
+The 20x20/16x16 parity blocks in ``REFERENCE_C0``/``REFERENCE_C1``, stored
+as the q-strings that ``braiding --split`` prints, are a frozen regression
+target: :func:`compare_reference` returns the entries where the printed
+blocks differ from them, with the invariant suites (Yang-Baxter, spectral,
+skein, naturality) as the adjudicating evidence.
 """
 
 from __future__ import annotations
 
-import re
 from functools import lru_cache
 from typing import Dict, List, NamedTuple, Tuple
 
 from .report import CheckResult, Report
-from .ring import LAMBDA, Q, QINV, ZERO, QuarterLaurent, to_integer_laurent
+from .ring import Q, QINV, QuarterLaurent, q_string, to_integer_laurent
 from .representation import (CARTAN, DIM, M, M2, WEIGHTS, duality_maps, phi,
                              root_vector)
 from .superlinalg import (SuperMap, compose, embed_at, rank_over_fractions,
@@ -179,38 +178,42 @@ def _flat(pair: Tuple[int, int]) -> int:
     return (pair[0] - 1) * DIM + (pair[1] - 1)
 
 
-def split_blocks(m: SuperMap) -> Tuple[List[List[QuarterLaurent]],
-                                       List[List[QuarterLaurent]]]:
-    """The even and odd parity blocks of an even map on M (x) M."""
-    even = [[m.entry(_flat(r), _flat(c)) for c in EVEN_PAIRS] for r in EVEN_PAIRS]
-    odd = [[m.entry(_flat(r), _flat(c)) for c in ODD_PAIRS] for r in ODD_PAIRS]
-    return even, odd
+def pair_label(pair: Tuple[int, int]) -> str:
+    """``v{i}(x)v{j}``, the label of a basis pair in the CLI output."""
+    return f"v{pair[0]}(x)v{pair[1]}"
 
 
-# Frozen regression reference for the braiding blocks; l stands for
-# q - q^{-1}.  Row r, column c is the coefficient of basis pair r in the
-# image of basis pair c.
+def split_blocks(m: SuperMap) -> Tuple[List[List[str]], List[List[str]]]:
+    """The even and odd parity blocks of an even map on M (x) M, each entry
+    as its canonical q-string: what ``braiding --split`` prints."""
+    return tuple([[q_string(m.entry(_flat(r), _flat(c))) for c in pairs]
+                  for r in pairs] for pairs in (EVEN_PAIRS, ODD_PAIRS))
+
+
+# Frozen regression reference for the braiding blocks, in the canonical
+# q-strings that ``braiding --split`` prints.  Row r, column c is the
+# coefficient of basis pair r in the image of basis pair c.
 REFERENCE_C0 = [
     ["q", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0"],
-    ["0", "0", "1/q", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0"],
-    ["0", "1/q", "q**3-1/q", "0", "0", "0", "0", "q*l", "0", "0", "-q**2*l", "0", "0", "-q**2*l", "0", "0", "q**3*l", "0", "0", "0"],
+    ["0", "0", "q^-1", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0"],
+    ["0", "q^-1", "-q^-1 + q^3", "0", "0", "0", "0", "-1 + q^2", "0", "0", "q - q^3", "0", "0", "q - q^3", "0", "0", "-q^2 + q^4", "0", "0", "0"],
     ["0", "0", "0", "q", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0"],
-    ["0", "0", "0", "0", "-1/q", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0"],
+    ["0", "0", "0", "0", "-q^-1", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0"],
     ["0", "0", "0", "0", "0", "0", "0", "0", "-1", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0"],
     ["0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "-1", "0", "0", "0", "0", "0", "0", "0"],
-    ["0", "0", "-l/q", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "-q", "0", "0", "0"],
-    ["0", "0", "0", "0", "0", "-1", "0", "0", "l", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0"],
-    ["0", "0", "0", "0", "0", "0", "0", "0", "0", "-1/q", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0"],
-    ["0", "0", "l", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "-q", "0", "0", "q*l", "0", "0", "0"],
+    ["0", "0", "q^-2 - 1", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "-q", "0", "0", "0"],
+    ["0", "0", "0", "0", "0", "-1", "0", "0", "-q^-1 + q", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0"],
+    ["0", "0", "0", "0", "0", "0", "0", "0", "0", "-q^-1", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0"],
+    ["0", "0", "-q^-1 + q", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "-q", "0", "0", "-1 + q^2", "0", "0", "0"],
     ["0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "-1", "0", "0"],
-    ["0", "0", "0", "0", "0", "0", "-1", "0", "0", "0", "0", "0", "l", "0", "0", "0", "0", "0", "0", "0"],
-    ["0", "0", "l", "0", "0", "0", "0", "0", "0", "0", "-q", "0", "0", "0", "0", "0", "q*l", "0", "0", "0"],
-    ["0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "-1/q", "0", "0", "0", "0", "0"],
+    ["0", "0", "0", "0", "0", "0", "-1", "0", "0", "0", "0", "0", "-q^-1 + q", "0", "0", "0", "0", "0", "0", "0"],
+    ["0", "0", "-q^-1 + q", "0", "0", "0", "0", "0", "0", "0", "-q", "0", "0", "0", "0", "0", "-1 + q^2", "0", "0", "0"],
+    ["0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "-q^-1", "0", "0", "0", "0", "0"],
     ["0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "-1", "0"],
-    ["0", "0", "-q*l", "0", "0", "0", "0", "-q", "0", "0", "q*l", "0", "0", "q*l", "0", "0", "-q*l**2", "0", "0", "0"],
-    ["0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "-1", "0", "0", "0", "0", "0", "l", "0", "0"],
-    ["0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "-1", "0", "0", "l", "0"],
-    ["0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "-1/q"],
+    ["0", "0", "1 - q^2", "0", "0", "0", "0", "-q", "0", "0", "-1 + q^2", "0", "0", "-1 + q^2", "0", "0", "-q^-1 + 2*q - q^3", "0", "0", "0"],
+    ["0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "-1", "0", "0", "0", "0", "0", "-q^-1 + q", "0", "0"],
+    ["0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "-1", "0", "0", "-q^-1 + q", "0"],
+    ["0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "-q^-1"],
 ]
 
 REFERENCE_C1 = [
@@ -218,78 +221,37 @@ REFERENCE_C1 = [
     ["0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "1", "0", "0", "0", "0", "0"],
     ["0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "1", "0", "0", "0"],
     ["0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "1", "0"],
-    ["0", "0", "0", "0", "l", "0", "0", "0", "0", "1", "0", "0", "0", "0", "0", "0"],
-    ["0", "0", "0", "0", "0", "l", "0", "0", "0", "0", "0", "1", "0", "0", "0", "0"],
-    ["0", "0", "0", "0", "0", "0", "l", "0", "0", "0", "0", "0", "0", "1", "0", "0"],
-    ["0", "0", "0", "0", "0", "0", "0", "l", "0", "0", "0", "0", "0", "0", "0", "1"],
-    ["1", "0", "0", "0", "0", "0", "0", "0", "l", "0", "0", "0", "0", "0", "0", "0"],
+    ["0", "0", "0", "0", "-q^-1 + q", "0", "0", "0", "0", "1", "0", "0", "0", "0", "0", "0"],
+    ["0", "0", "0", "0", "0", "-q^-1 + q", "0", "0", "0", "0", "0", "1", "0", "0", "0", "0"],
+    ["0", "0", "0", "0", "0", "0", "-q^-1 + q", "0", "0", "0", "0", "0", "0", "1", "0", "0"],
+    ["0", "0", "0", "0", "0", "0", "0", "-q^-1 + q", "0", "0", "0", "0", "0", "0", "0", "1"],
+    ["1", "0", "0", "0", "0", "0", "0", "0", "-q^-1 + q", "0", "0", "0", "0", "0", "0", "0"],
     ["0", "0", "0", "0", "1", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0"],
-    ["0", "1", "0", "0", "0", "0", "0", "0", "0", "0", "l", "0", "0", "0", "0", "0"],
+    ["0", "1", "0", "0", "0", "0", "0", "0", "0", "0", "-q^-1 + q", "0", "0", "0", "0", "0"],
     ["0", "0", "0", "0", "0", "1", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0"],
-    ["0", "0", "1", "0", "0", "0", "0", "0", "0", "0", "0", "0", "l", "0", "0", "0"],
+    ["0", "0", "1", "0", "0", "0", "0", "0", "0", "0", "0", "0", "-q^-1 + q", "0", "0", "0"],
     ["0", "0", "0", "0", "0", "0", "1", "0", "0", "0", "0", "0", "0", "0", "0", "0"],
-    ["0", "0", "0", "1", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "l", "0"],
+    ["0", "0", "0", "1", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "-q^-1 + q", "0"],
     ["0", "0", "0", "0", "0", "0", "0", "1", "0", "0", "0", "0", "0", "0", "0", "0"],
 ]
 
 
-_FACTOR = r"(\d+|q|l)(?:\*\*(\d+))?"
-_TERM = rf"{_FACTOR}(?:\*{_FACTOR})*(?:/q)?"
-_ENTRY = rf"[+-]?{_TERM}(?:[+-]{_TERM})*"    # compiled by re on first use
-_SYMBOLS = {"q": Q, "l": LAMBDA}
-
-
-def _parse_reference_entry(text: str) -> QuarterLaurent:
-    """A signed sum of products of integers, ``q`` and ``l`` with optional
-    ``**k`` powers, each product optionally divided by ``q``."""
-    if text == "0":     # most cells of the frozen tables
-        return ZERO
-    if not re.fullmatch(_ENTRY, text):
-        raise ValueError(f"unsupported reference entry {text!r}")
-    total = ZERO
-    for term in re.finditer(rf"([+-]?)({_TERM})", text):
-        sign, body = term.group(1, 2)
-        value = QuarterLaurent.q_power(-1 if body.endswith("/q") else 0,
-                                       -1 if sign == "-" else 1)
-        for base, power in re.findall(_FACTOR, body.removesuffix("/q")):
-            factor = (_SYMBOLS[base] if base in _SYMBOLS
-                      else QuarterLaurent.constant(int(base)))
-            for _ in range(int(power or 1)):
-                value = value * factor
-        total = total + value
-    return total
-
-
-@lru_cache(maxsize=None)
-def reference_blocks() -> Tuple[Tuple[Tuple[QuarterLaurent, ...], ...],
-                               Tuple[Tuple[QuarterLaurent, ...], ...]]:
-    even = tuple(tuple(_parse_reference_entry(e) for e in row) for row in REFERENCE_C0)
-    odd = tuple(tuple(_parse_reference_entry(e) for e in row) for row in REFERENCE_C1)
-    return even, odd
-
-
 def compare_reference() -> Tuple[int, List[dict]]:
-    """Entrywise comparison of the computed braiding with the reference.
-
-    Returns the total number of reference entries and the list of
-    mismatches, each with block name, row/column pair labels and both
-    values rendered canonically.
-    """
-    even_ref, odd_ref = reference_blocks()
-    even_got, odd_got = split_blocks(braiding().c)
+    """The number of reference entries compared, and the entries where the
+    parity blocks of the braiding, as ``braiding --split`` prints them,
+    differ from the reference: block, row and column labels, and the
+    expected and computed q-strings."""
     mismatches: List[dict] = []
     total = 0
-    for block, ref, got, pairs in (("c0", even_ref, even_got, EVEN_PAIRS),
-                                   ("c1", odd_ref, odd_got, ODD_PAIRS)):
-        for r in range(len(ref)):
-            for c in range(len(ref)):
+    for block, ref, got, pairs in zip(("c0", "c1"),
+                                      (REFERENCE_C0, REFERENCE_C1),
+                                      split_blocks(braiding().c),
+                                      (EVEN_PAIRS, ODD_PAIRS)):
+        for row, ref_row, got_row in zip(pairs, ref, got):
+            for col, expected, computed in zip(pairs, ref_row, got_row):
                 total += 1
-                if ref[r][c] != got[r][c]:
-                    mismatches.append({
-                        "block": block,
-                        "row": pairs[r],
-                        "col": pairs[c],
-                        "expected": repr(ref[r][c]),
-                        "computed": repr(got[r][c]),
-                    })
+                if expected != computed:
+                    mismatches.append(dict(
+                        block=block, row=pair_label(row), col=pair_label(col),
+                        expected=expected, computed=computed))
     return total, mismatches

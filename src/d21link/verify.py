@@ -7,12 +7,14 @@ and curl identities, twist square, naturality), ``skein`` (cross-validation
 of the two invariant pipelines over the diagram corpus, the invariant
 against the orientation sum on the corpus and on two words of 200 letters,
 presentation independence of the unreduced trace, mirror symmetry, split
-unions).  ``all`` runs everything.  :func:`suite_reports` yields each
-suite's report as soon as the suite has run, and :func:`run_suites` lists
-them.  With a ``progress`` callback, both also report through it the wall
-seconds of :func:`d21link.rmatrix.braiding` before the suites (the cold
-build when nothing has called it yet in the process, a cache hit after)
-and then each suite's.
+unions).  ``all`` runs everything.  A check carries what it found in its
+detail: the braiding regression names its first six mismatching entries
+there, as q-strings, and no suite writes a file.  :func:`suite_reports`
+yields each suite's report as soon as the suite has run, and
+:func:`run_suites` lists them.  With a ``progress`` callback, both also
+report through it the wall seconds of :func:`d21link.rmatrix.braiding`
+before the suites (the cold build when nothing has called it yet in the
+process, a cache hit after) and then each suite's.
 
 :func:`compare` and :func:`compare_orientation_sum` are the only places
 where the two pipelines meet: the tangle side and the skein oracle
@@ -60,7 +62,7 @@ def relations_suite() -> Report:
     return report
 
 
-def rmatrix_suite(deviations_path: Optional[str] = None) -> Report:
+def rmatrix_suite() -> Report:
     report = Report("rmatrix")
     report.extend(spectral_check())
 
@@ -83,19 +85,14 @@ def rmatrix_suite(deviations_path: Optional[str] = None) -> Report:
                                      _is_identity_at_one(r_matrix())))
 
     total, mismatches = compare_reference()
-    matched = total - len(mismatches)
-    ok = matched == total
-    detail = f"{matched}/{total} entries match"
-    report.checks.append(CheckResult("braiding-regression", ok, detail))
-    if mismatches and deviations_path:
-        with open(deviations_path, "w", encoding="utf-8") as handle:
-            handle.write("block\trow\tcol\texpected\tcomputed\n")
-            for m in mismatches:
-                handle.write(f"{m['block']}\t{m['row']}\t{m['col']}\t"
-                             f"{m['expected']}\t{m['computed']}\n")
-        report.checks.append(CheckResult(
-            "braiding-deviations-logged", True,
-            f"{len(mismatches)} mismatches written to {deviations_path}"))
+    detail = "; ".join([f"{total - len(mismatches)}/{total} entries match"]
+                       + [f"{m['block']} row {m['row']} col {m['col']}: "
+                          f"expected {m['expected']}, computed {m['computed']}"
+                          for m in mismatches[:6]])
+    if len(mismatches) > 6:
+        detail += f" (+{len(mismatches) - 6} more)"
+    report.checks.append(CheckResult("braiding-regression", not mismatches,
+                                     detail))
     return report
 
 
@@ -255,15 +252,12 @@ def skein_suite(budget: int = dubrovnik.DEFAULT_BUDGET,
 
 
 def run_suites(name: str, budget: int = dubrovnik.DEFAULT_BUDGET,
-               deviations_path: Optional[str] = None,
                progress: Optional[Callable[[str], None]] = None,
                support_budget: int = DEFAULT_SUPPORT_BUDGET) -> List[Report]:
-    return list(suite_reports(name, budget, deviations_path, progress,
-                              support_budget))
+    return list(suite_reports(name, budget, progress, support_budget))
 
 
 def suite_reports(name: str, budget: int = dubrovnik.DEFAULT_BUDGET,
-                  deviations_path: Optional[str] = None,
                   progress: Optional[Callable[[str], None]] = None,
                   support_budget: int = DEFAULT_SUPPORT_BUDGET
                   ) -> Iterator[Report]:
@@ -271,7 +265,7 @@ def suite_reports(name: str, budget: int = dubrovnik.DEFAULT_BUDGET,
     has run: a suite that raises leaves the earlier reports delivered."""
     suites = {
         "relations": relations_suite,
-        "rmatrix": lambda: rmatrix_suite(deviations_path),
+        "rmatrix": rmatrix_suite,
         "category": lambda: category_suite(progress),
         "skein": lambda: skein_suite(budget, progress, support_budget),
     }

@@ -8,9 +8,10 @@ from d21link.cli import main
 from d21link.dubrovnik import braid_closure_graph, dubrovnik_poly, specialize
 from d21link.representation import M, M2, check_defining_relations, \
     coproduct_action, duality_maps
-from d21link.ring import LAMBDA, ONE, QINV, QuarterLaurent, format_q_laurent
-from d21link.rmatrix import (EVEN_PAIRS, ODD_PAIRS, braiding,
-                             compare_reference, r_matrix, reference_blocks,
+from d21link.ring import (LAMBDA, QINV, QuarterLaurent, format_q_laurent,
+                          q_string)
+from d21link.rmatrix import (EVEN_PAIRS, ODD_PAIRS, REFERENCE_C0, REFERENCE_C1,
+                             braiding, compare_reference, r_matrix,
                              spectral_check, split_blocks)
 from d21link.superlinalg import SuperMap, compose, embed_at
 from d21link.tangle import invariant, parse_braid, trace
@@ -33,37 +34,26 @@ def test_criterion_1_relation_suite():
     _conclude(1, "relation suite", report.ok and not failures, elapsed, 5.0)
 
 
-def test_criterion_2_braiding_regression(tmp_path):
+def test_criterion_2_braiding_regression():
     start = time.monotonic()
     total, mismatches = compare_reference()
     elapsed = time.monotonic() - start
     matched = total - len(mismatches)
-    if mismatches:
-        path = tmp_path / "braiding_deviations.txt"
-        path.write_text(
-            "\n".join(f"{m['block']} {m['row']} {m['col']} "
-                      f"expected={m['expected']} computed={m['computed']}"
-                      for m in mismatches),
-            encoding="utf-8")
-        print(f"[acceptance] {len(mismatches)} deviations logged to {path}")
-    even_ref, odd_ref = reference_blocks()
-    anchors_ok = (
-        even_ref[0][0] == QuarterLaurent.q_power(1)
-        and even_ref[EVEN_PAIRS.index((3, 3))][EVEN_PAIRS.index((3, 3))]
-        == QuarterLaurent.q_power(-1, -1)
-        and odd_ref[ODD_PAIRS.index((1, 3))][ODD_PAIRS.index((3, 1))] == ONE
-        and odd_ref[ODD_PAIRS.index((3, 1))][ODD_PAIRS.index((3, 1))] == LAMBDA
-        and even_ref[EVEN_PAIRS.index((4, 5))][EVEN_PAIRS.index((2, 1))] == LAMBDA)
-    even_got, odd_got = split_blocks(braiding().c)
-    anchors_computed_ok = (
-        even_got[0][0] == QuarterLaurent.q_power(1)
-        and even_got[EVEN_PAIRS.index((3, 3))][EVEN_PAIRS.index((3, 3))]
-        == QuarterLaurent.q_power(-1, -1)
-        and odd_got[ODD_PAIRS.index((1, 3))][ODD_PAIRS.index((3, 1))] == ONE
-        and odd_got[ODD_PAIRS.index((3, 1))][ODD_PAIRS.index((3, 1))] == LAMBDA
-        and even_got[EVEN_PAIRS.index((4, 5))][EVEN_PAIRS.index((2, 1))] == LAMBDA)
-    ok = (total == 656 and matched == total
-          and anchors_ok and anchors_computed_ok)
+    for m in mismatches:
+        print(f"[acceptance] {m['block']} {m['row']} {m['col']} "
+              f"expected={m['expected']} computed={m['computed']}")
+    lam = q_string(LAMBDA)
+    anchors = []
+    for even, odd in ((REFERENCE_C0, REFERENCE_C1), split_blocks(braiding().c)):
+        anchors.append((
+            even[0][0],
+            even[EVEN_PAIRS.index((3, 3))][EVEN_PAIRS.index((3, 3))],
+            odd[ODD_PAIRS.index((1, 3))][ODD_PAIRS.index((3, 1))],
+            odd[ODD_PAIRS.index((3, 1))][ODD_PAIRS.index((3, 1))],
+            even[EVEN_PAIRS.index((4, 5))][EVEN_PAIRS.index((2, 1))]))
+    expected_anchors = ("q", "-q^-1", "1", "-q^-1 + q", "-q^-1 + q")
+    ok = (total == 656 and matched == total and lam == "-q^-1 + q"
+          and anchors == [expected_anchors, expected_anchors])
     print(f"[acceptance] braiding regression: {matched}/{total} entries match")
     _conclude(2, "braiding regression", ok, elapsed, 60.0)
 

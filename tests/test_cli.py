@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from d21link import dubrovnik, representation, rmatrix, tangle
+from d21link import dubrovnik, representation, rmatrix, tangle, verify
 from d21link.cli import SLICED_MAX_CHARS, main, parse_args
 from d21link.ring import LAMBDA, Q, RatFunc
 from d21link.tangle import braid_closure_slices, parse_braid
@@ -450,12 +450,17 @@ def test_a_braiding_failing_the_twist_check_exits_2(capsys, monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(rmatrix, "phi", lambda i: RatFunc(Q, LAMBDA)
                           if i == 2 else true_phi(i))
+            error = "error: twist computation disagrees with q^2 * id\n"
             for argv in (("invariant", "--braid", "2: 1 1 1"),
-                         ("braiding", "--format", "csv"),
-                         ("verify", "--suite", "all", "--json")):
-                assert run_cli(capsys, *argv) == (
-                    2, "", "error: twist computation disagrees with q^2 "
-                           "* id\n"), argv
+                         ("braiding", "--format", "csv")):
+                assert run_cli(capsys, *argv) == (2, "", error), argv
+            # the relations suite builds no braiding and finishes first;
+            # its report stays on stdout as JSON
+            code, out, err = run_cli(capsys, "verify", "--suite", "all",
+                                     "--json")
+            assert (code, err) == (2, error)
+            assert json.loads(out) == {
+                "ok": False, "suites": [verify.relations_suite().as_dict()]}
     finally:
         clear_table_caches()
     assert run_cli(capsys, "invariant", "--braid", "2: 1 1 1") == (
@@ -483,6 +488,21 @@ def test_a_table_failing_the_skein_guard_keeps_the_earlier_reports(capsys):
                         "Delta(E_1)\n")
     assert [line.split(":")[0] for line in earlier.splitlines()] == [
         "suite relations", "suite rmatrix", "suite category"]
+
+
+def test_a_table_failing_the_skein_guard_keeps_the_earlier_reports_as_json(
+        capsys):
+    code, out, _ = run_cli(capsys, "verify", "--suite", "all", "--json")
+    assert code == 0
+    earlier = json.loads(out)["suites"][:3]
+    with replaced_tables(neg=perturbed("neg", "doubled")):
+        code, out, err = run_cli(capsys, "verify", "--suite", "all", "--json")
+    assert code == 2
+    assert json.loads(out) == {"ok": False, "suites": earlier}
+    assert [suite["suite"] for suite in earlier] == [
+        "relations", "rmatrix", "category"]
+    assert err == ("error: the neg crossing does not commute with "
+                   "Delta(E_1)\n")
 
 
 # -- argument parsing ---------------------------------------------------------

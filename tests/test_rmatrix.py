@@ -1,15 +1,15 @@
 
 import pytest
 
-from d21link import rmatrix
+from d21link import rmatrix, verify
+from d21link.cli import main
 from d21link.representation import DIM, M, M2, generator_action, root_vector
 from d21link.ring import (LAMBDA, ONE, Q, QINV, QuarterLaurent, q_string,
                           to_integer_laurent)
 from d21link.rmatrix import (EVEN_PAIRS, ODD_PAIRS, REFERENCE_C0,
                              REFERENCE_C1, TableError, braiding, cartan_factor,
                              compare_reference, exp_factor, r_matrix,
-                             reference_blocks, spectral_check, split_blocks,
-                             _parse_reference_entry)
+                             spectral_check, split_blocks)
 from d21link.superlinalg import (SuperMap, compose, embed_at, invert,
                                  rank_over_fractions)
 from helpers import column
@@ -136,40 +136,21 @@ def test_annihilating_cubic_vanishes():
 
 
 def test_reference_blocks_shape_and_anchors():
-    even, odd = reference_blocks()
+    even, odd = REFERENCE_C0, REFERENCE_C1
     assert len(even) == 20 and all(len(row) == 20 for row in even)
     assert len(odd) == 16 and all(len(row) == 16 for row in odd)
-    assert even[0][0] == q(1)
+    assert even[0][0] == "q"
     # v3 (x) v3 diagonal inside the second group of the even basis
     idx_33 = EVEN_PAIRS.index((3, 3))
-    assert even[idx_33][idx_33] == q(-1, -1)
+    assert even[idx_33][idx_33] == "-q^-1"
     # column of v3 (x) v1 in the odd block: entries 1 and lambda
     col_31 = ODD_PAIRS.index((3, 1))
     row_13 = ODD_PAIRS.index((1, 3))
-    assert odd[row_13][col_31] == ONE
-    assert odd[col_31][col_31] == LAMBDA
+    assert odd[row_13][col_31] == "1"
+    assert odd[col_31][col_31] == q_string(LAMBDA) == "-q^-1 + q"
     # lambda at row v4 (x) v5, column v2 (x) v1
-    assert even[EVEN_PAIRS.index((4, 5))][EVEN_PAIRS.index((2, 1))] == LAMBDA
-
-
-def test_reference_entry_parser_forms():
-    l = LAMBDA
-    qinv = q(-1)
-    expected = {
-        "0": QuarterLaurent.constant(0), "1": ONE, "-1": q(0, -1),
-        "q": q(1), "-q": q(1, -1), "l": l, "1/q": qinv, "-1/q": q(-1, -1),
-        "-l/q": -l * qinv, "q*l": q(1) * l, "-q*l": -(q(1) * l),
-        "q**3*l": q(3) * l, "-q**2*l": -(q(2) * l),
-        "-q*l**2": -(q(1) * l * l), "q**3-1/q": q(3) - qinv,
-    }
-    for text, value in expected.items():
-        assert _parse_reference_entry(text) == value, text
-    used = {entry for block in (REFERENCE_C0, REFERENCE_C1)
-            for row in block for entry in row}
-    assert used == set(expected)
-    for bad in ("__import__('os')", "", "q**", "1/l", "q+", "x", "q--q"):
-        with pytest.raises(ValueError):
-            _parse_reference_entry(bad)
+    assert even[EVEN_PAIRS.index((4, 5))][EVEN_PAIRS.index((2, 1))] == \
+        "-q^-1 + q"
 
 
 def test_computed_braiding_matches_reference_everywhere():
@@ -178,11 +159,44 @@ def test_computed_braiding_matches_reference_everywhere():
     assert mismatches == []
 
 
+def perturbed_reference(monkeypatch, cells):
+    """REFERENCE_C0 replaced by a copy with ``{(row, col): text}`` set."""
+    table = [list(row) for row in REFERENCE_C0]
+    for (row, col), text in cells.items():
+        table[row][col] = text
+    monkeypatch.setattr(rmatrix, "REFERENCE_C0", table)
+
+
+def test_a_perturbed_reference_entry_fails_verify_in_its_detail(
+        monkeypatch, tmp_path, capsys):
+    monkeypatch.chdir(tmp_path)
+    perturbed_reference(monkeypatch, {(0, 0): "-q"})
+    assert compare_reference() == (656, [{
+        "block": "c0", "row": "v1(x)v1", "col": "v1(x)v1",
+        "expected": "-q", "computed": "q"}])
+    assert main(["verify", "--suite", "rmatrix"]) == 1
+    assert ("[FAIL] rmatrix:braiding-regression  655/656 entries match; "
+            "c0 row v1(x)v1 col v1(x)v1: expected -q, computed q\n"
+            in capsys.readouterr().out)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_the_regression_detail_shows_six_mismatches_and_counts_the_rest(
+        monkeypatch):
+    perturbed_reference(monkeypatch, {(0, col): "7" for col in range(1, 9)})
+    (check,) = [c for c in verify.rmatrix_suite().checks
+                if c.check_id == "braiding-regression"]
+    assert not check.passed
+    shown = "; ".join(f"c0 row v1(x)v1 col {rmatrix.pair_label(pair)}: "
+                      "expected 7, computed 0" for pair in EVEN_PAIRS[1:7])
+    assert check.detail == f"648/656 entries match; {shown} (+2 more)"
+
+
 def test_split_blocks_exhaust_the_braiding():
     c = braiding().c
     even, odd = split_blocks(c)
-    nonzero = sum(1 for row in even for v in row if not v.is_zero())
-    nonzero += sum(1 for row in odd for v in row if not v.is_zero())
+    nonzero = sum(1 for row in even for v in row if v != "0")
+    nonzero += sum(1 for row in odd for v in row if v != "0")
     assert nonzero == len(c.entries)
 
 
