@@ -65,6 +65,8 @@ T_DUBROVNIK = "tests/test_dubrovnik.py::"
 T_FRONT_END = (T_DUBROVNIK + "test_front_end_is_the_reference_on_every_diagram_"
                "the_recursion_visits")
 VERIFY = "src/d21link/verify.py"
+T_VERIFY = "tests/test_verify.py::"
+HELPERS = "tests/helpers.py"
 T_CONTRACT = "tests/test_perfbench_contract.py::"
 T_TRANSCRIPT = ("tests/test_transcript.py::test_cli_output_matches_the_recorded_"
                 "transcript")
@@ -171,21 +173,7 @@ MUTANTS = (
            "if len(state) > support_budget:",
            "if len(state) > support_budget + 1:",
            (T_TANGLE + "test_sliced_fold_support_budget_stops_after_the_event",)),
-    Mutant("trace-drops-the-orbit-multiplicity", TANGLE,
-           "multiplicity * head_amps[columns[0] // tail]",
-           "head_amps[columns[0] // tail]",
-           (T_GENERATED + "test_cohomology_trace_matches_the_full_trace[1]",
-            T_GENERATED + "test_cohomology_trace_matches_the_full_trace[3]",
-            T_GENERATED + "test_reduced_trace_equals_the_6n_trace_on_"
-                          "relation_words[3]",
-            T_ACCEPTANCE + "test_criterion_7_presentation_independence")),
-    Mutant("column-blocks-pairs-a-fixed-tail", TANGLE,
-           "tail_twins[column] > column",
-           "tail_twins[column] >= column",
-           # the fixed columns span C^(x)n, whose contribution to every
-           # trace is provably 0: only the direct test can kill it
-           (T_TANGLE + "test_trace_evaluates_one_column_per_swap_orbit",)),
-    Mutant("bits-without-headroom", TANGLE,
+    Mutant("bits-without-headroom", HELPERS,
            "return bound.bit_length() + 2",
            "return bound.bit_length()",
            (T_TANGLE + "test_packed_coefficients_decode_at_the_proven_bound",)),
@@ -214,10 +202,6 @@ MUTANTS = (
            "if False and any(weights[v] != {2 * WEIGHTS[v][0]:",
            (T_TANGLE + "test_cohomology_guard_needs_pivotal_weights_of_the_"
                        "supertrace_form",)),
-    Mutant("trace-weights-skip-the-swap-of-the-tables", TANGLE,
-           "if swapped != {window: dict(rows) for window, rows in table.items()}:",
-           "if False:",
-           (T_TANGLE + "test_swap_check_needs_symmetric_tables_and_weights",)),
     Mutant("pair-weights-read-at-the-swapped-window", TANGLE,
            "pair_weights[window] != pair_weights[row]",
            "pair_weights[window] != pair_weights[window[::-1]]",
@@ -343,6 +327,11 @@ MUTANTS = (
                         "counts_the_rest",
             T_ACCEPTANCE + "test_criterion_2_braiding_regression",
             T_TRANSCRIPT)),
+    Mutant("presentation-check-reduces-first", VERIFY,
+           "cohomology_trace(parse_braid(t), support_budget).canonical()",
+           "invariant(parse_braid(t), support_budget).canonical()",
+           (T_VERIFY + "test_skein_suite_traces_each_presentation_as_"
+                       "written",)),
     Mutant("regression-detail-shows-every-mismatch", VERIFY,
            "for m in mismatches[:6]])",
            "for m in mismatches])",

@@ -17,10 +17,11 @@ cohomology of the odd generator E_1: its 2^n start columns in
 ``invariant --sliced`` folds over the same cut-down tables.  Its
 ``--json`` stats describe the reduced word, whose text is the ``"braid"``
 entry of the ``"trace"`` key: ``"peak_support"`` and
-``"columns_evaluated"`` are its 2^n columns, one state each, in one block
-(``"blocks"``, ``"peak_block_support"``), of the 6^n ``"columns"`` of the
-trace.  ``dubrovnik --json`` adds a ``"stats"`` key with the counts of the
-skein recursion: ``"nodes"``, ``"memo_hits"``, ``"curls_removed"`` and
+``"columns_evaluated"`` are its 2^n columns, one state each, of the 6^n
+``"columns"`` of the trace.  ``verify`` traces the words of its
+presentation checks the same way, each as written.  ``dubrovnik --json``
+adds a ``"stats"`` key with the counts of the skein recursion:
+``"nodes"``, ``"memo_hits"``, ``"curls_removed"`` and
 ``"bigons_removed"``.  ``verify -v`` streams a progress line with the
 wall seconds of the braiding build, then one per check group and one with
 each suite's wall seconds, to stdout, or to stderr under ``--json``.

@@ -43,29 +43,20 @@ Cut down to H, both crossing tables are signed monomial permutations:
 ``pos`` sends v4 v4 and v5 v5 to -q^-1 times themselves and v4 v5 to -q
 v5 v4 and back, ``neg`` is ``pos`` at q -> q^-1, the cup is -q (v4 v5 +
 v5 v4) and the cap -q^-1 on both.  A braid column is one state, ``(row,
-sign, exponent)``, stepped letter by letter, with no coefficient packing.
-Every fact used here is checked once, exactly on the integer tables, where
-the cut-down tables are read (:func:`_cohomology`); a table that broke one
-raises ``TableError``.  The reduction uses only that the braiding is a
-module map, as the v4 <-> v5 swap below does, not the Kauffman skein
-theory that the oracle in :mod:`d21link.dubrovnik` implements.
+sign, exponent)``, stepped letter by letter.  Every fact used here is
+checked once, exactly on the integer tables, where the cut-down tables are
+read (:func:`_cohomology`); a table that broke one raises ``TableError``.
+The reduction uses only that the braiding is a module map, not the
+Kauffman skein theory that the oracle in :mod:`d21link.dubrovnik`
+implements.
 
 Before the trace, inverse pairs cancel, also across the ends of the word
 (cyclic free reduction): every crossing keeps p(a) p(b), so the trace is
 cyclic.  Nothing else is simplified: the trace costs O(letters x 2^n) on
 monomial tables, less than looking for a strand to remove or a point to
-cut the closure at would cost.
-
-:func:`trace` is the reference that the tests and the presentation checks
-of :mod:`d21link.verify` compare with: the same quantum trace over all 6^n
-columns.  Swapping v4 and v5 in every strand maps both crossing tables
-onto themselves and fixes p(v) (also checked), so it evolves one start
-column per swap orbit, its amplitude times the orbit size, in blocks of at
-most 216 columns that share their leading digits.  Each coefficient is one
-Kronecker-packed int, sum(c_e << bits * (e + shift)); ``bits`` comes from
-a proven bound on the coefficients (start L1 norm times each event's
-largest column L1 sum), and the final value is decoded and re-packed as a
-check.
+cut the closure at would cost.  :func:`cohomology_trace` traces a word as
+written, unreduced: the presentation checks of :mod:`d21link.verify` call
+it, so that equivalent words are traced apart.
 
 Both evaluations report the stats of the fold in the cohomology (slices,
 peak strands, the nominal dimension 6^peak_strands, peak support); for a
@@ -241,13 +232,11 @@ def parse_sliced_text(text: str) -> SlicedDiagram:
 
 class TraceStats(NamedTuple):
     """What the braid trace of :func:`invariant` evolved: the 2 ** strands
-    columns in the E_1-cohomology, in one block of one state each."""
+    columns in the E_1-cohomology, one state each."""
     braid: str                 # the braid traced, cyclically reduced
     strands: int
     columns: int               # 6 ** strands start columns of the trace
     columns_evaluated: int
-    blocks: int
-    peak_block_support: int    # most nonzero states one block held at once
 
 
 class EvalResult(NamedTuple):
@@ -294,102 +283,6 @@ def _columns(operator, row_width: int, col_width: int) -> Dict[tuple, tuple]:
     return {window: tuple(rows) for window, rows in columns.items()}
 
 
-# -- Kronecker-packed coefficients ---------------------------------------------
-#
-# A Laurent polynomial sum(c_e q^e) is held as the single int
-# sum(c_e << bits * (e + shift)), i.e. its value at q = 2**bits after
-# multiplying by q**shift, so one big-int multiply does a whole polynomial
-# product.  Evaluating at 2**bits is a ring map, so sums and products of
-# packed ints are exact; they decode uniquely while every coefficient lies
-# within +-(2**(bits - 1) - 1).  ``_bits`` proves that bound for a whole
-# evaluation: no state entry, and no sum of them, has an L1 norm above the
-# L1 norm of the start state times, for each event, the largest column L1
-# sum of its table.
-
-
-def _pack(terms: Dict[int, int], bits: int, shift: int) -> int:
-    return sum(coeff << bits * (exp + shift) for exp, coeff in terms.items())
-
-
-def _decode(packed: int, bits: int, shift: int, digits: int) -> Dict[int, int]:
-    """``{q_exponent: coefficient}`` of ``packed`` read as ``digits`` signed
-    base-2**bits digits; raises :class:`OverflowError` if they do not pack
-    back to ``packed`` (a coefficient or an exponent outside its bound)."""
-    half = 1 << (bits - 1)
-    mask = (1 << bits) - 1
-    terms: Dict[int, int] = {}
-    rest = packed
-    for exp in range(-shift, digits - shift):
-        digit = ((rest + half) & mask) - half
-        if digit:
-            terms[exp] = digit
-        rest = (rest - digit) >> bits
-    if _pack(terms, bits, shift) != packed:
-        raise OverflowError(
-            f"packed value does not fit {digits} digits of {bits} bits")
-    return terms
-
-
-def _l1(terms: Dict[int, int]) -> int:
-    return sum(abs(coeff) for coeff in terms.values())
-
-
-@lru_cache(maxsize=None)
-def _column_l1(kind: str) -> int:
-    """Largest L1 sum of one table column (all rows of one window)."""
-    _, table = _event_table(kind)
-    return max(sum(_l1(coeff) for _, coeff in rows) for rows in table.values())
-
-
-def _bits(start_l1: int, kinds) -> int:
-    bound = start_l1
-    for kind in kinds:
-        bound *= _column_l1(kind)
-    return bound.bit_length() + 2
-
-
-def _exponent_range(polys) -> Tuple[int, int]:
-    """``(shift, span)`` making every exponent of ``polys`` land in 0..span."""
-    exponents = [exp for poly in polys for exp in poly]
-    return -min(exponents), max(exponents) - min(exponents)
-
-
-@lru_cache(maxsize=256)
-def _letter_rows(kind: str, bits: int, unit: int) -> Tuple[int, int, List[tuple]]:
-    """``(shift, span, rows)`` of a crossing for :func:`_apply_letter`, each
-    coefficient of its table packed at ``bits`` after shifting by
-    ``shift``: ``rows[w]`` lists ``((w' - w) * unit, coefficient)`` for the
-    two-strand window ``w = 6 * left + right`` going to ``w'``, whose right
-    digit has place value ``unit`` in a state key."""
-    _, table = _event_table(kind)
-    shift, span = _exponent_range(coeff for entries in table.values()
-                                  for _, coeff in entries)
-    rows: List[tuple] = [()] * (DIM * DIM)
-    for (a, b), entries in table.items():
-        window = a * DIM + b
-        rows[window] = tuple(((c * DIM + d - window) * unit,
-                              _pack(coeff, bits, shift))
-                             for (c, d), coeff in entries)
-    return shift, span, rows
-
-
-def _apply_letter(state: Dict[int, int], unit: int,
-                  rows: List[tuple]) -> Dict[int, int]:
-    """A crossing applied to every nonzero state ``{key: amplitude}``.
-    Keys are ``col * 6 ** n + row``: ``col`` the basis vector a column
-    started from, ``row`` where the letters so far have taken it, one
-    base-6 digit per strand; the crossing acts on the two row digits whose
-    right one has place value ``unit``."""
-    new_state: Dict[int, int] = {}
-    get = new_state.get
-    windows = DIM * DIM
-    for key, amp in state.items():
-        for delta, coeff in rows[key // unit % windows]:
-            target = key + delta
-            new_state[target] = get(target, 0) + amp * coeff
-    return {key: amp for key, amp in new_state.items() if amp}
-
-
 def evaluate_sliced(diagram: SlicedDiagram,
                     support_budget: int = DEFAULT_SUPPORT_BUDGET) -> EvalResult:
     """Fold the event list over a state vector in the tensor powers of H,
@@ -423,11 +316,6 @@ def evaluate_sliced(diagram: SlicedDiagram,
                       DIM ** peak, peak_support)
 
 
-# The one basis permutation that commutes with the braiding and keeps the
-# pivotal weights: v4 <-> v5, digits 3 and 4 of the 0-based keys.
-_SWAP = (0, 1, 2, 4, 3, 5)
-
-
 @lru_cache(maxsize=None)
 def _trace_weights() -> Tuple[Dict[int, int], ...]:
     """Per basis vector r, the pivotal weight p(r): cup * cap of the strand
@@ -435,9 +323,6 @@ def _trace_weights() -> Tuple[Dict[int, int], ...]:
 
     * cup and cap pair the same basis vectors, each with exactly one
       partner, or a braid closure is not a trace;
-    * ``_SWAP`` fixes every weight and maps each crossing table onto itself
-      entry for entry, so that p(sv) <sv|B|sv> = p(v) <v|B|v> for s the
-      swap on every strand;
     * every crossing entry <c d|.|a b> keeps p(a) p(b) = p(c) p(d), or the
       trace is not cyclic and inverse pairs across the ends of a word may
       not cancel."""
@@ -453,18 +338,10 @@ def _trace_weights() -> Tuple[Dict[int, int], ...]:
     for pair, cup_coeff in cups[()]:
         ((_, cap_coeff),) = caps[pair]
         weights[pair[1]] = laurent_product(cup_coeff, cap_coeff)
-    s = _SWAP
-    if any(weights[s[r]] != weights[r] for r in range(DIM)):
-        raise TableError("the v4 <-> v5 swap does not fix the pivotal weights")
     pair_weights = {(a, b): laurent_product(weights[a], weights[b])
                     for a in range(DIM) for b in range(DIM)}
     for kind in ("pos", "neg"):
         _, table = _event_table(kind)
-        swapped = {(s[a], s[b]): {(s[c], s[d]): coeff for (c, d), coeff in rows}
-                   for (a, b), rows in table.items()}
-        if swapped != {window: dict(rows) for window, rows in table.items()}:
-            raise TableError("the v4 <-> v5 swap does not map a crossing "
-                             "table onto itself")
         if any(pair_weights[window] != pair_weights[row]
                for window, rows in table.items() for row, _ in rows):
             raise TableError("a crossing does not keep the pivotal "
@@ -580,7 +457,9 @@ def _cohomology_rows(kind: str, unit: int) -> List[Tuple[int, int, int]]:
     return [rows[window] for window in range(h * h)]
 
 
-def _cohomology_trace(word: BraidWord, support_budget: int) -> EvalResult:
+def cohomology_trace(word: BraidWord,
+                     support_budget: int = DEFAULT_SUPPORT_BUDGET
+                     ) -> EvalResult:
     """The quantum trace of ``word`` as written, over the h ** n start
     columns in H^(x)n only (h = dim H): each column is one state,
     ``(row, sign, exponent)``, stepped letter by letter through
@@ -592,9 +471,8 @@ def _cohomology_trace(word: BraidWord, support_budget: int) -> EvalResult:
     # a power of h >= 2 exceeds the budget and a power of h <= 1 does not
     if h ** min(n, support_budget.bit_length()) > support_budget:
         count = h ** n if n <= 64 else f"{h}^{excerpt(n)}"
-        raise TangleBudgetExceeded(f"{count} states in one trace block "
-                                   f"exceed the support budget "
-                                   f"{support_budget}")
+        raise TangleBudgetExceeded(f"{count} trace columns exceed the "
+                                   f"support budget {support_budget}")
     windows = h * h
     steps = []
     for letter in word.letters:
@@ -617,90 +495,9 @@ def _cohomology_trace(word: BraidWord, support_budget: int) -> EvalResult:
         if row == column:
             total[exp] = total.get(exp, 0) + sign
     value = tuple(sorted((exp, coeff) for exp, coeff in total.items() if coeff))
-    stats = TraceStats(str(word), n, DIM ** n, len(starts), 1, len(starts))
+    stats = TraceStats(str(word), n, DIM ** n, len(starts))
     return EvalResult(value, 2 * n + len(steps), 2 * n, DIM ** (2 * n),
                       len(starts), stats)
-
-
-def _swapped(column: int, strands: int) -> int:
-    """``column`` with ``_SWAP`` applied to each of its base-6 digits."""
-    image, place = 0, 1
-    for _ in range(strands):
-        column, digit = divmod(column, DIM)
-        image += _SWAP[digit] * place
-        place *= DIM
-    return image
-
-
-@lru_cache(maxsize=8)
-def _column_blocks(strands: int) -> Tuple[Tuple[int, Tuple[int, ...]], ...]:
-    """``(multiplicity, columns)`` blocks of the swap-orbit representatives
-    v <= sv of the start columns: grouped by their leading strands - 3
-    digits (at most 216 columns each), fixed (multiplicity 1) and paired
-    (multiplicity 2) columns apart.  The leading digits decide v <= sv
-    unless the swap fixes them; then the last three digits do."""
-    tail_strands = min(strands, 3)
-    tail = DIM ** tail_strands
-    tail_twins = [_swapped(column, tail_strands) for column in range(tail)]
-    blocks = []
-    for head in range(DIM ** (strands - tail_strands)):
-        head_twin = _swapped(head, strands - tail_strands)
-        base = head * tail
-        if head_twin > head:
-            blocks.append((2, tuple(range(base, base + tail))))
-        elif head_twin == head:
-            blocks.append((1, tuple(base + column for column in range(tail)
-                                    if tail_twins[column] == column)))
-            blocks.append((2, tuple(base + column for column in range(tail)
-                                    if tail_twins[column] > column)))
-    return tuple(blocks)
-
-
-def _digit_products(factors: List[int], digits: int) -> List[int]:
-    """``[prod(factors[d] for d in the base-6 digits of i)]`` for
-    i < 6 ** digits."""
-    products = [1]
-    for _ in range(digits):
-        products = [product * factor for product in products
-                    for factor in factors]
-    return products
-
-
-def trace(word: BraidWord) -> Dict[int, int]:
-    """``{q_exponent: coefficient}`` of the quantum trace sum_v p(v)
-    <v|B|v> of ``word`` as written, over all 6 ** n columns: the reference
-    for the evaluation in the E_1-cohomology.  One column of each swap
-    orbit {v, sv} is evolved, its start amplitude times the orbit size, one
-    block at a time (see :func:`_column_blocks`)."""
-    n = word.strands
-    size = DIM ** n
-    # a start column's amplitude is the product of the pivotal weights of
-    # its digits; ``bits`` is proven (see _bits) for any sum of final ones
-    weights = _trace_weights()
-    kinds = ["pos" if letter > 0 else "neg" for letter in word.letters]
-    bits = _bits(sum(_l1(weight) for weight in weights) ** n, kinds)
-    w_shift, w_span = _exponent_range(weights)
-    steps, shift, span = [], n * w_shift, n * w_span
-    for letter, kind in zip(word.letters, kinds):
-        unit = DIM ** (n - abs(letter) - 1)
-        kind_shift, kind_span, rows = _letter_rows(kind, bits, unit)
-        shift, span = shift + kind_shift, span + kind_span
-        steps.append((unit, rows))
-    packed = [_pack(weight, bits, w_shift) for weight in weights]
-    tail_strands = min(n, 3)
-    tail = DIM ** tail_strands
-    head_amps = _digit_products(packed, n - tail_strands)
-    tail_amps = _digit_products(packed, tail_strands)
-    total = 0
-    for multiplicity, columns in _column_blocks(n):
-        head_amp = multiplicity * head_amps[columns[0] // tail]
-        # keys are col * size + row: col the basis vector a column started
-        # from, row where the braid has taken it; letters act on row digits
-        state = {v * size + v: head_amp * tail_amps[v % tail] for v in columns}
-        for step in steps:
-            state = _apply_letter(state, *step)
-        total += sum(state.get(v * size + v, 0) for v in columns)
-    return _decode(total, bits, shift, span + 1)
 
 
 def _cyclically_reduced(letters) -> List[int]:
@@ -727,8 +524,8 @@ def invariant(word: BraidWord,
 
     The word is cyclically reduced (:func:`_cyclically_reduced`) and traced
     on its 2 ** n columns in the E_1-cohomology
-    (:func:`_cohomology_trace`), which more than ``support_budget`` columns
+    (:func:`cohomology_trace`), which more than ``support_budget`` columns
     refuse before any is evolved; every stat, the trace's own figures
     included, describes the reduced word."""
     reduced = BraidWord(word.strands, tuple(_cyclically_reduced(word.letters)))
-    return _cohomology_trace(reduced, support_budget)
+    return cohomology_trace(reduced, support_budget)

@@ -6,15 +6,16 @@ braiding regression), ``category`` (Yang-Baxter, duality zig-zags, skein
 and curl identities, twist square, naturality), ``skein`` (cross-validation
 of the two invariant pipelines over the diagram corpus, the invariant
 against the orientation sum on the corpus and on two words of 200 letters,
-presentation independence of the unreduced trace, mirror symmetry, split
-unions).  ``all`` runs everything.  A check carries what it found in its
-detail: the braiding regression names its first six mismatching entries
-there, as q-strings, and no suite writes a file.  :func:`suite_reports`
-yields each suite's report as soon as the suite has run, and
-:func:`run_suites` lists them.  With a ``progress`` callback, both also
-report through it the wall seconds of :func:`d21link.rmatrix.braiding`
-before the suites (the cold build when nothing has called it yet in the
-process, a cache hit after) and then each suite's.
+presentation independence of :func:`d21link.tangle.cohomology_trace` on
+each word as written, mirror symmetry, split unions).  ``all`` runs
+everything.  A check carries what it found in its detail: the braiding
+regression names its first six mismatching entries there, as q-strings,
+and no suite writes a file.  :func:`suite_reports` yields each suite's
+report as soon as the suite has run, and :func:`run_suites` lists them.
+With a ``progress`` callback, both also report through it the wall
+seconds of :func:`d21link.rmatrix.braiding` before the suites (the cold
+build when nothing has called it yet in the process, a cache hit after)
+and then each suite's.
 
 :func:`compare` and :func:`compare_orientation_sum` are the only places
 where the two pipelines meet: the tangle side and the skein oracle
@@ -36,8 +37,8 @@ from .representation import (M, M2, check_defining_relations, coproduct_action,
 from .rmatrix import (braiding, compare_reference, r_matrix, spectral_check,
                       twist_inverse_square)
 from .superlinalg import SuperMap, compose, embed_at
-from .tangle import (DEFAULT_SUPPORT_BUDGET, BraidWord, invariant,
-                     parse_braid, trace)
+from .tangle import (DEFAULT_SUPPORT_BUDGET, BraidWord, cohomology_trace,
+                     invariant, parse_braid)
 from . import dubrovnik
 
 CORPUS = ("1:", "2: 1", "2: -1", "2: 1 1", "2: 1 1 1", "2: -1 -1 -1",
@@ -218,7 +219,8 @@ def skein_suite(budget: int = dubrovnik.DEFAULT_BUDGET,
     # traced as written: reduced first, a group would collapse to fewer
     # braids and test the reduction instead of the braiding
     for name, texts in PRESENTATIONS.items():
-        values = {format_q_laurent(trace(parse_braid(t))) for t in texts}
+        values = {cohomology_trace(parse_braid(t), support_budget).canonical()
+                  for t in texts}
         report.checks.append(CheckResult(
             f"presentation-independent:{name}", len(values) == 1,
             "" if len(values) == 1 else f"values {sorted(values)}"))

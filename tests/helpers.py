@@ -1,7 +1,9 @@
-"""Shared randomized-value generators for the test suite (seeded, exact)."""
+"""Shared randomized-value generators for the test suite (seeded, exact),
+and the plain references that the package's evaluations are compared with."""
 
 import argparse
 import random
+from functools import lru_cache
 from itertools import product
 from math import comb
 
@@ -9,7 +11,9 @@ from d21link import cli
 from d21link.dubrovnik import DELTA, LinkGraph, TwoVarPoly
 from d21link.ring import ZERO, NotLaurentInQ, QuarterLaurent, RatFunc
 from d21link.ring import format_q_laurent
+from d21link.representation import DIM
 from d21link.superlinalg import Space, SuperMap
+from d21link.tangle import _event_table, _trace_weights
 
 
 def column(op: SuperMap, col: int) -> dict:
@@ -347,6 +351,132 @@ def torus_closed_form(k):
     for exp, coeff in ((k, 1), (k, (-1) ** k), (-k, 2 * (-1) ** k)):
         terms[exp] = terms.get(exp, 0) + coeff
     return {e: c for e, c in terms.items() if c}
+
+
+# -- the quantum trace over all 6^n columns -------------------------------
+#
+# A Laurent polynomial sum(c_e q^e) is held as the single int
+# sum(c_e << bits * (e + shift)), i.e. its value at q = 2**bits after
+# multiplying by q**shift, so one big-int multiply does a whole polynomial
+# product.  Evaluating at 2**bits is a ring map, so sums and products of
+# packed ints are exact; they decode uniquely while every coefficient lies
+# within +-(2**(bits - 1) - 1).  ``packing_bits`` proves that bound for a
+# whole trace: no state entry, and no sum of them, has an L1 norm above
+# the L1 norm of the start amplitudes times, for each letter, the largest
+# column L1 sum of its table.
+
+
+def pack(terms, bits, shift):
+    return sum(coeff << bits * (exp + shift) for exp, coeff in terms.items())
+
+
+def decode(packed, bits, shift, digits):
+    """``{q_exponent: coefficient}`` of ``packed`` read as ``digits`` signed
+    base-2**bits digits; raises :class:`OverflowError` if they do not pack
+    back to ``packed`` (a coefficient or an exponent outside its bound)."""
+    half = 1 << (bits - 1)
+    mask = (1 << bits) - 1
+    terms = {}
+    rest = packed
+    for exp in range(-shift, digits - shift):
+        digit = ((rest + half) & mask) - half
+        if digit:
+            terms[exp] = digit
+        rest = (rest - digit) >> bits
+    if pack(terms, bits, shift) != packed:
+        raise OverflowError(
+            f"packed value does not fit {digits} digits of {bits} bits")
+    return terms
+
+
+def l1(terms):
+    return sum(abs(coeff) for coeff in terms.values())
+
+
+@lru_cache(maxsize=None)
+def column_l1(kind):
+    """Largest L1 sum of one table column (all rows of one window)."""
+    _, table = _event_table(kind)
+    return max(sum(l1(coeff) for _, coeff in rows) for rows in table.values())
+
+
+def packing_bits(start_l1, kinds):
+    bound = start_l1
+    for kind in kinds:
+        bound *= column_l1(kind)
+    return bound.bit_length() + 2
+
+
+def exponent_range(polys):
+    """``(shift, span)`` making every exponent of ``polys`` land in 0..span."""
+    exponents = [exp for poly in polys for exp in poly]
+    return -min(exponents), max(exponents) - min(exponents)
+
+
+@lru_cache(maxsize=256)
+def letter_rows(kind, bits, unit):
+    """``(shift, span, rows)`` of a crossing, each coefficient of its table
+    packed at ``bits`` after shifting by ``shift``: ``rows[w]`` lists
+    ``((w' - w) * unit, coefficient)`` for the two-strand window ``w = 6 *
+    left + right`` going to ``w'``, whose right digit has place value
+    ``unit`` in a row."""
+    _, table = _event_table(kind)
+    shift, span = exponent_range(coeff for entries in table.values()
+                                 for _, coeff in entries)
+    rows = [()] * (DIM * DIM)
+    for (a, b), entries in table.items():
+        window = a * DIM + b
+        rows[window] = tuple(((c * DIM + d - window) * unit,
+                              pack(coeff, bits, shift))
+                             for (c, d), coeff in entries)
+    return shift, span, rows
+
+
+def apply_letter(state, unit, rows):
+    """A crossing applied to every nonzero state ``{row: amplitude}``, a
+    row one base-6 digit per strand; it acts on the two digits whose right
+    one has place value ``unit``."""
+    new_state = {}
+    get = new_state.get
+    windows = DIM * DIM
+    for row, amp in state.items():
+        for delta, coeff in rows[row // unit % windows]:
+            target = row + delta
+            new_state[target] = get(target, 0) + amp * coeff
+    return {row: amp for row, amp in new_state.items() if amp}
+
+
+def reference_trace(word):
+    """``{q_exponent: coefficient}`` of the quantum trace sum_v p(v)
+    <v|B|v> of ``word`` as written, over all 6 ** n start columns v: each
+    is evolved alone from the state ``{v: p(v)}`` through the full crossing
+    tables, and its amplitude at v is summed.  The reference for the trace
+    in the E_1-cohomology, which keeps only the 2 ** n columns in
+    {v4, v5}^n."""
+    n = word.strands
+    weights = _trace_weights()
+    kinds = ["pos" if letter > 0 else "neg" for letter in word.letters]
+    # a start amplitude is the product of the pivotal weights of the
+    # column's digits; ``bits`` is proven for any sum of final ones
+    bits = packing_bits(sum(l1(weight) for weight in weights) ** n, kinds)
+    w_shift, w_span = exponent_range(weights)
+    steps, shift, span = [], n * w_shift, n * w_span
+    for letter, kind in zip(word.letters, kinds):
+        unit = DIM ** (n - abs(letter) - 1)
+        kind_shift, kind_span, rows = letter_rows(kind, bits, unit)
+        shift, span = shift + kind_shift, span + kind_span
+        steps.append((unit, rows))
+    packed = [pack(weight, bits, w_shift) for weight in weights]
+    starts = [1]
+    for _ in range(n):
+        starts = [amp * factor for amp in starts for factor in packed]
+    total = 0
+    for column, amp in enumerate(starts):
+        state = {column: amp}
+        for step in steps:
+            state = apply_letter(state, *step)
+        total += state.get(column, 0)
+    return decode(total, bits, shift, span + 1)
 
 
 def reference_parser() -> argparse.ArgumentParser:

@@ -40,10 +40,9 @@ def test_invariant_json_schema(capsys):
     assert payload["value"] == "-2*q^-3"
     assert payload["stats"] == {"slices": 7, "peak_strands": 4,
                                 "peak_dimension": 1296, "peak_support": 4}
-    # of the 36 columns, the 2 ** 2 in the E_1-cohomology, in one block
+    # of the 36 columns, the 2 ** 2 in the E_1-cohomology
     assert payload["trace"] == {"braid": "2: 1 1 1", "strands": 2,
-                                "columns": 36, "columns_evaluated": 4,
-                                "blocks": 1, "peak_block_support": 4}
+                                "columns": 36, "columns_evaluated": 4}
     # the stats describe the cyclically reduced word that was traced
     code, out, _ = run_cli(capsys, "invariant", "--braid", "3: -2 1 1 1 -1 2",
                            "--json")
@@ -54,8 +53,7 @@ def test_invariant_json_schema(capsys):
     assert payload["stats"] == {"slices": 8, "peak_strands": 6,
                                 "peak_dimension": 46656, "peak_support": 8}
     assert payload["trace"] == {"braid": "3: 1 1", "strands": 3,
-                                "columns": 216, "columns_evaluated": 8,
-                                "blocks": 1, "peak_block_support": 8}
+                                "columns": 216, "columns_evaluated": 8}
 
 
 def test_invariant_from_sliced_file(tmp_path, capsys):
@@ -324,13 +322,13 @@ def test_skein_budget_env_admits_a_wider_unlink(capsys, monkeypatch):
 
 def test_support_budget_rejects_huge_unlink_at_once(capsys):
     # 2 ** n columns are compared with the budget without being built
-    for text, states in (("13:", "8192"), ("100000000:", "2^100000000")):
+    for text, columns in (("13:", "8192"), ("100000000:", "2^100000000")):
         start = time.monotonic()
         code, out, err = run_cli(capsys, "invariant", "--braid", text)
         assert time.monotonic() - start < 1.0
         assert (code, out) == (2, "")
-        assert err == (f"error: {states} states in one trace block exceed "
-                       f"the support budget 4096\n")
+        assert err == (f"error: {columns} trace columns exceed the support "
+                       f"budget 4096\n")
     assert run_cli(capsys, "invariant", "--braid", "12:") == (0, "4096\n", "")
 
 
@@ -339,7 +337,7 @@ def test_support_budget_env_bounds_braids_and_sliced_diagrams(
     monkeypatch.setenv("D21LINK_SUPPORT_BUDGET", "2")
     code, _, err = run_cli(capsys, "invariant", "--braid", "2: 1 1 1")
     assert code == 2
-    assert "4 states in one trace block exceed the support budget 2" in err
+    assert "4 trace columns exceed the support budget 2" in err
     code, out, _ = run_cli(capsys, "invariant", "--braid", "1:")
     assert (code, out) == (0, "2\n")
     path = tmp_path / "kink.txt"
@@ -375,12 +373,10 @@ def test_skein_budget_env_must_be_a_positive_integer(capsys, monkeypatch):
 def test_support_budget_env_override(capsys, monkeypatch):
     monkeypatch.setenv("D21LINK_SUPPORT_BUDGET", "7")
     assert run_cli(capsys, "invariant", "--braid", "3: 1 -2 1 -2") == (
-        2, "", "error: 8 states in one trace block exceed the support "
-               "budget 7\n")
+        2, "", "error: 8 trace columns exceed the support budget 7\n")
     # the unknot 3: 1 -2 is traced on its three strands, as written
     assert run_cli(capsys, "invariant", "--braid", "3: 1 -2") == (
-        2, "", "error: 8 states in one trace block exceed the support "
-               "budget 7\n")
+        2, "", "error: 8 trace columns exceed the support budget 7\n")
     monkeypatch.setenv("D21LINK_SUPPORT_BUDGET", "2")
     assert run_cli(capsys, "invariant", "--braid", "1:") == (0, "2\n", "")
     for raw, reason in (("lots", "is not an integer"), ("0", "must be at least 1"),
@@ -413,8 +409,7 @@ def test_verify_honours_the_support_budget(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "verify", "--suite", "skein")
     assert code == 2
     assert out == ""
-    assert err == ("error: 4 states in one trace block exceed the support "
-                   "budget 3\n")
+    assert err == "error: 4 trace columns exceed the support budget 3\n"
 
 
 def clear_table_caches():

@@ -15,11 +15,11 @@ import pytest
 
 from d21link.dubrovnik import (DELTA, TwoVarPoly, braid_closure_graph,
                                dubrovnik_poly, orientation_sum, specialize)
-from d21link.tangle import (DEFAULT_SUPPORT_BUDGET, BraidWord, SlicedDiagram,
-                            SlicedEvent, _cohomology_trace, _column_blocks,
-                            _cyclically_reduced, braid_closure_slices, evaluate_sliced, invariant,
-                            parse_braid, trace)
-from helpers import plain_dubrovnik
+from d21link.tangle import (BraidWord, SlicedDiagram, SlicedEvent,
+                            _cyclically_reduced, braid_closure_slices,
+                            cohomology_trace, evaluate_sliced, invariant,
+                            parse_braid)
+from helpers import plain_dubrovnik, reference_trace
 
 
 def random_words(seed, count):
@@ -67,26 +67,11 @@ def stats(result):
             result.peak_support)
 
 
-def test_trace_vs_fold_covers_every_kind_of_column_block():
-    # 4 and 5 strands: blocks of several leading digits, among them heads
-    # holding v4 (all 216 columns paired); every word: fixed and paired
-    # columns
-    blocks = [_column_blocks(word.strands) for word in TRACE_VS_FOLD]
-    assert {word.strands for word in TRACE_VS_FOLD} >= {1, 2, 3, 4, 5}
-    assert max(len(word_blocks) for word_blocks in blocks) == 42
-    assert any(multiplicity == 2 and len(columns) == 216
-               for word_blocks in blocks for multiplicity, columns in word_blocks)
-    for word, word_blocks in zip(TRACE_VS_FOLD, blocks):
-        columns = 6 ** word.strands
-        evaluated = sum(len(block) for _, block in word_blocks)
-        assert columns < 2 * evaluated < 2 * columns, word
-
-
 @pytest.mark.parametrize("word", TRACE_VS_FOLD, ids=str)
 def test_trace_matches_the_sliced_fold_of_the_closure(word):
     # the trace of the word as written, over all 6 ** n columns, against
     # the fold of its 2n-strand closure in the E_1-cohomology
-    plain = trace(word)
+    plain = reference_trace(word)
     assert evaluate_sliced(braid_closure_slices(word)).value_dict() == plain
     # the invariant: the same value, and the stats of the reduced word it
     # traced, both evaluated in the E_1-cohomology: 2 ** n states at the peak
@@ -125,7 +110,7 @@ def test_sliced_fold_is_kept_by_snakes_and_cancelling_pairs(word):
     # trace of the word
     rng = random.Random(str(word))
     diagram = isotoped(braid_closure_slices(word), rng, 4)
-    assert evaluate_sliced(diagram).value_dict() == trace(word)
+    assert evaluate_sliced(diagram).value_dict() == reference_trace(word)
 
 
 @pytest.mark.parametrize("word", WORDS, ids=str)
@@ -230,7 +215,7 @@ CUT_WORDS = cut_words(1313)
 def test_connected_sums_and_split_unions_keep_their_value(strands):
     # against the 6 ** n trace up to 4 strands, the skein oracle above
     for word in (word for word in CUT_WORDS if word.strands == strands):
-        reference = (trace(word) if strands <= 4
+        reference = (reference_trace(word) if strands <= 4
                      else shifted(specialize(skein(word)), 2, 0))
         assert invariant(word).value_dict() == reference, word
 
@@ -270,7 +255,7 @@ RELATION_WORDS = relation_words(2026)
 @pytest.mark.parametrize("strands", [3, 4, 5, 6])
 def test_reduced_trace_equals_the_6n_trace_on_relation_words(strands):
     for word in (word for word in RELATION_WORDS if word.strands == strands):
-        assert invariant(word).value_dict() == trace(word), word
+        assert invariant(word).value_dict() == reference_trace(word), word
 
 
 SIMPLIFIED_VS_PLAIN = {
@@ -305,7 +290,7 @@ def test_reduced_trace_of_every_short_word_matches_the_full_trace(
         braid = parse_braid(result.trace.braid)
         assert braid.strands == word.strands
         assert len(braid.letters) <= len(word.letters)
-        assert result.value_dict() == trace(word), word
+        assert result.value_dict() == reference_trace(word), word
 
 
 @pytest.mark.parametrize("family", sorted(SIMPLIFIED_VS_PLAIN))
@@ -354,8 +339,8 @@ def test_cohomology_trace_matches_the_full_trace(strands):
     # words as written, not reduced first
     for word in unsimplified_words(1602):
         if word.strands == strands:
-            result = _cohomology_trace(word, DEFAULT_SUPPORT_BUDGET)
-            assert result.value_dict() == trace(word), word
+            result = cohomology_trace(word)
+            assert result.value_dict() == reference_trace(word), word
 
 
 def long_words(seed):

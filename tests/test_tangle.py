@@ -18,9 +18,9 @@ from d21link.tangle import (BraidWord, DiagramError, SlicedDiagram,
                             SlicedEvent, TangleBudgetExceeded, TraceStats,
                             braid_closure_slices, evaluate_sliced, invariant,
                             parse_braid, parse_sliced_text, _cohomology,
-                            _column_blocks, _cyclically_reduced, _decode,
-                            _event_table, _pack, _trace_weights, trace)
-from helpers import torus_closed_form
+                            _cyclically_reduced, _event_table, _trace_weights)
+from helpers import (column_l1, decode, pack, packing_bits, reference_trace,
+                     torus_closed_form)
 
 
 def value_of(text):
@@ -171,7 +171,7 @@ def test_eval_result_stats():
     assert result.peak_dimension == 6 ** 4
     # the 2 ** 2 columns in the E_1-cohomology, one state each
     assert result.peak_support == 4
-    assert result.trace == TraceStats("2: 1 1 1", 2, 36, 4, 1, 4)
+    assert result.trace == TraceStats("2: 1 1 1", 2, 36, 4)
     assert result.canonical() == "-2*q^-3"
     assert invariant(parse_braid("3: 1 -2 1 -2")).peak_support == 8
     # (sigma_1 sigma_2 sigma_3)^2 closes to T(2, 4), traced as written
@@ -183,37 +183,8 @@ def test_eval_result_stats():
     reduced = invariant(parse_braid("4: -1 1 2 3 -3 1 -2"))
     assert (reduced.canonical(), reduced.slices, reduced.peak_strands,
             reduced.peak_dimension, reduced.trace) == (
-        "-8*q^-1", 9, 8, 6 ** 8, TraceStats("4: 1", 4, 6 ** 4, 16, 1, 16))
+        "-8*q^-1", 9, 8, 6 ** 8, TraceStats("4: 1", 4, 6 ** 4, 16))
     assert evaluate_sliced(braid_closure_slices(parse_braid("2: 1"))).trace is None
-
-
-def swap_orbit(column, strands):
-    """``column`` and its image under v4 <-> v5 on every strand."""
-    digits = [column // 6 ** k % 6 for k in range(strands)]
-    return {column, sum({3: 4, 4: 3}.get(d, d) * 6 ** k
-                        for k, d in enumerate(digits))}
-
-
-def test_trace_evaluates_one_column_per_swap_orbit():
-    # the only test that can catch a fixed column counted twice, by design:
-    # the fixed columns span C^(x)n, an acyclic Delta(E_1)-subcomplex with
-    # an acyclic complement, so their summed contribution to any trace is
-    # the supertrace of an even chain map on it, which is 0
-    for n in range(1, 7):
-        blocks = _column_blocks(n)
-        covered = []
-        for multiplicity, columns in blocks:
-            assert 1 <= len(columns) <= 216
-            for column in columns:
-                orbit = swap_orbit(column, n)
-                assert multiplicity == len(orbit), (n, column)
-                covered.extend(orbit)
-        # each start column once, as a representative or as its swap; the
-        # 4 ** n columns free of v4 and v5 are fixed by the swap
-        assert sorted(covered) == list(range(6 ** n))
-        assert sum(len(columns) for _, columns in blocks) == \
-            (6 ** n + 4 ** n) // 2
-    assert len(_column_blocks(5)) == 42
 
 
 def test_support_budget_is_checked_before_any_work():
@@ -259,32 +230,32 @@ def test_packed_coefficients_round_trip_at_their_bound():
     bits, shift, digits = 9, 4, 8
     top = (1 << (bits - 1)) - 1
     terms = {-4: top, -3: -top, -1: -1, 0: top, 3: -top}
-    assert _decode(_pack(terms, bits, shift), bits, shift, digits) == terms
-    assert _decode(_pack({-4: -top}, bits, shift), bits, shift, digits) == {-4: -top}
-    assert _decode(0, bits, shift, digits) == {}
+    assert decode(pack(terms, bits, shift), bits, shift, digits) == terms
+    assert decode(pack({-4: -top}, bits, shift), bits, shift, digits) == {-4: -top}
+    assert decode(0, bits, shift, digits) == {}
 
 
 def test_packed_coefficients_decode_at_the_proven_bound():
-    # the bound of ``_bits``: the start L1 norm times, per event, the
+    # the bound of ``packing_bits``: the start L1 norm times, per event, the
     # largest column L1 sum; a coefficient of that size decodes exactly
     weights_l1 = sum(sum(map(abs, w.values())) for w in _trace_weights())
     for strands, kinds in ((1, ()), (2, ("pos",)), (3, ("pos", "neg", "neg")),
                            (6, ("neg",) * 7 + ("pos",) * 9)):
         bound = weights_l1 ** strands
         for kind in kinds:
-            bound *= tangle._column_l1(kind)
-        bits = tangle._bits(weights_l1 ** strands, kinds)
+            bound *= column_l1(kind)
+        bits = packing_bits(weights_l1 ** strands, kinds)
         terms = {-2: bound, 0: -bound, 1: 1, 3: bound}
-        assert _decode(_pack(terms, bits, 2), bits, 2, 6) == terms, kinds
+        assert decode(pack(terms, bits, 2), bits, 2, 6) == terms, kinds
 
 
 def test_decode_raises_when_the_digits_do_not_pack_back():
     bits, shift, digits = 9, 4, 8
-    packed = _pack({-2: 5, 1: -7}, bits, shift)
+    packed = pack({-2: 5, 1: -7}, bits, shift)
     with pytest.raises(OverflowError):
-        _decode(packed + (1 << bits * digits), bits, shift, digits)
+        decode(packed + (1 << bits * digits), bits, shift, digits)
     with pytest.raises(OverflowError):
-        _decode(-packed << bits * digits, bits, shift, digits)
+        decode(-packed << bits * digits, bits, shift, digits)
 
 
 def test_pivotal_weights_need_cup_and_cap_to_pair_alike():
@@ -304,27 +275,8 @@ def test_pivotal_weights_need_cup_and_cap_to_pair_alike():
                 _trace_weights()
 
 
-def test_swap_check_needs_symmetric_tables_and_weights():
-    width, table = _event_table("pos")
-    perturbed = dict(table)
-    (row, coeff), *rest = perturbed[(3, 0)]              # v4 (x) v1
-    perturbed[(3, 0)] = ((row, {e: 2 * c for e, c in coeff.items()}), *rest)
-    with replaced_tables(pos=(width, perturbed)):
-        with pytest.raises(ValueError, match="swap"):
-            _trace_weights()
-    width, caps = _event_table("cap")
-    (pair,) = [pair for pair in caps if pair[1] == 3]    # the cap closing v4
-    ((empty, coeff),) = caps[pair]
-    negated = dict(caps)                                 # p(v4) != p(v5)
-    negated[pair] = ((empty, {e: -c for e, c in coeff.items()}),)
-    with replaced_tables(cap=(width, negated)):
-        with pytest.raises(ValueError, match="swap"):
-            _trace_weights()
-
-
 def test_cyclicity_check_needs_crossings_that_keep_the_pair_weights():
-    # v1 (x) v1 sent to v2 (x) v1: the swap still maps the table onto
-    # itself, but p(v1) p(v1) = q^4 and p(v2) p(v1) = 1
+    # v1 (x) v1 sent to v2 (x) v1: p(v1) p(v1) = q^4 but p(v2) p(v1) = 1
     for kind in ("pos", "neg"):
         with replaced_tables(**{kind: perturbed(kind, "moved")}):
             with pytest.raises(ValueError, match="the trace is not cyclic"):
@@ -410,7 +362,7 @@ def test_cohomology_guard_needs_tables_that_keep_the_h1_weight():
 
 def test_cohomology_guard_needs_pivotal_weights_of_the_supertrace_form():
     # p -> -p and p -> q p: the cap still kills Delta(E_1), cup and cap
-    # still pair alike, and the swap and every crossing keep the weights
+    # still pair alike, and every crossing keeps the weights
     for scale in ({0: -1}, {1: 1}):
         with replaced_tables(cap=scaled("cap", scale)):
             _trace_weights()
@@ -440,12 +392,12 @@ def test_long_and_wide_words_take_milliseconds():
 
 def test_five_strand_mixed_word_runs_in_small_memory():
     pytest.importorskip("resource")     # the child reads its own peak RSS
-    src = Path(__file__).parents[1] / "src"
     code = (
         "import json, resource\n"
         "from d21link.ring import format_q_laurent\n"
-        "from d21link.tangle import trace, parse_braid\n"
-        "value = trace(parse_braid('5: 1 -2 3 -4 1 -2'))\n"
+        "from d21link.tangle import parse_braid\n"
+        "from helpers import reference_trace\n"
+        "value = reference_trace(parse_braid('5: 1 -2 3 -4 1 -2'))\n"
         "rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
         "print(json.dumps([format_q_laurent(value), rss]))")
     # A process inherits the peak RSS of the one it was spawned from, which
@@ -453,7 +405,8 @@ def test_five_strand_mixed_word_runs_in_small_memory():
     # measured child at about 10 MB instead.
     launcher = ("import subprocess, sys\n"
                 "subprocess.run([sys.executable, '-c', sys.argv[1]], check=True)")
-    env = dict(os.environ, PYTHONPATH=str(src))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        str(Path(__file__).parents[1] / part) for part in ("src", "tests")))
     done = subprocess.run([sys.executable, "-c", launcher, code], env=env,
                           check=True, capture_output=True, encoding="utf-8")
     value, rss = json.loads(done.stdout)
@@ -501,7 +454,7 @@ def test_invariant_scales_by_the_markov_and_cut_factors(text, braid, factor):
     word = parse_braid(text)
     assert value_of(text) == laurent_product(factor, value_of(braid))
     if word.strands < 5:            # the 6 ** n reference trace stays small
-        assert invariant(word).value_dict() == trace(word)
+        assert invariant(word).value_dict() == reference_trace(word)
 
 
 def perturbed(kind, how):
@@ -648,8 +601,8 @@ def test_torus_braids_trace_at_two_strands(strands, braid, factor):
                 for e, c in torus_closed_form(strands).items()}
     assert invariant(word).value_dict() == expected
     assert expected == laurent_product(factor, value_of(braid))
-    if strands == 4:                     # 0.1 s as written; 5 strands 1 s
-        assert trace(word) == expected
+    if strands == 4:                     # 0.03 s as written; 5 strands 0.4 s
+        assert reference_trace(word) == expected
 
 
 def test_invariant_refuses_a_support_budget_below_its_2n_columns():
@@ -657,18 +610,18 @@ def test_invariant_refuses_a_support_budget_below_its_2n_columns():
     word = parse_braid("3: 1 -2 1 -2")
     assert invariant(word, support_budget=8).value_dict() == {0: 2}
     with pytest.raises(TangleBudgetExceeded,
-                       match="^8 states in one trace block exceed the "
-                             "support budget 7$"):
+                       match="^8 trace columns exceed the support "
+                             "budget 7$"):
         invariant(word, support_budget=7)
     # the unknot 3: 1 -2 is traced on its three strands, as written
     assert invariant(parse_braid("3: 1 -2"), support_budget=8).value_dict() == {0: 2}
-    with pytest.raises(TangleBudgetExceeded, match="^8 states"):
+    with pytest.raises(TangleBudgetExceeded, match="^8 trace columns"):
         invariant(parse_braid("3: 1 -2"), support_budget=7)
     # cyclic reduction keeps the strands: 3: 1 -1 still has 8 columns
-    with pytest.raises(TangleBudgetExceeded, match="^8 states"):
+    with pytest.raises(TangleBudgetExceeded, match="^8 trace columns"):
         invariant(parse_braid("3: 1 -1"), support_budget=7)
     assert invariant(parse_braid("1:"), support_budget=2).value_dict() == {0: 2}
-    with pytest.raises(TangleBudgetExceeded, match="^2 states"):
+    with pytest.raises(TangleBudgetExceeded, match="^2 trace columns"):
         invariant(parse_braid("1:"), support_budget=1)
 
 
@@ -714,8 +667,8 @@ def test_each_signed_braid_relation_keeps_the_6n_trace(signs):
         # after a context, so that the two closures are not conjugate
         # braids for any rule that is not a relation
         for context in ((), (1, 1, -2), (2, -1, -1, -1)):
-            assert trace(BraidWord(3, left + context)) == \
-                trace(BraidWord(3, right + context)), (left, context)
+            assert reference_trace(BraidWord(3, left + context)) == \
+                reference_trace(BraidWord(3, right + context)), (left, context)
 
 
 @pytest.mark.parametrize("seed", range(3))
