@@ -214,6 +214,24 @@ MUTANTS = (
             T_TANGLE + "test_eval_result_stats",
             T_CLI + "test_invariant_json_schema",
             T_TRANSCRIPT)),
+    Mutant("invariant-reports-the-input-word", TANGLE,
+           "    return cohomology_trace(reduced, support_budget)",
+           "    return cohomology_trace(reduced, support_budget)"
+           "._replace(braid=word)",
+           (T_GENERATED + "test_invariant_traces_the_cyclically_reduced_word",
+            T_GENERATED + "test_trace_matches_the_sliced_fold_of_the_closure"
+                          "[2: 1 1 -1]",
+            T_TANGLE + "test_eval_result_stats",
+            T_CLI + "test_invariant_json_schema",
+            T_TRANSCRIPT)),
+    Mutant("trace-peak-support-counts-one-more", TANGLE,
+           "len(starts), word)",
+           "len(starts) + 1, word)",
+           (T_GENERATED + "test_trace_matches_the_sliced_fold_of_the_closure"
+                          "[4: 1 2 3 1 2 3]",
+            T_TANGLE + "test_eval_result_stats",
+            T_CLI + "test_invariant_json_schema",
+            T_TRANSCRIPT)),
     Mutant("simplify-keeps-touched-crossings-irreducible", DUBROVNIK,
            "            touched.add(end1 >> 2)\n"
            "            touched.add(end2 >> 2)\n",
@@ -328,8 +346,8 @@ MUTANTS = (
             T_ACCEPTANCE + "test_criterion_2_braiding_regression",
             T_TRANSCRIPT)),
     Mutant("presentation-check-reduces-first", VERIFY,
-           "cohomology_trace(parse_braid(t), support_budget).canonical()",
-           "invariant(parse_braid(t), support_budget).canonical()",
+           "cohomology_trace(parse_braid(t)).canonical()",
+           "invariant(parse_braid(t)).canonical()",
            (T_VERIFY + "test_skein_suite_traces_each_presentation_as_"
                        "written",)),
     Mutant("regression-detail-shows-every-mismatch", VERIFY,

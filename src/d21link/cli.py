@@ -15,12 +15,11 @@ word (cyclic free reduction), and traces the reduced word on the
 cohomology of the odd generator E_1: its 2^n start columns in
 {v4, v5}^n instead of all 6^n (see :mod:`d21link.tangle`), as
 ``invariant --sliced`` folds over the same cut-down tables.  Its
-``--json`` stats describe the reduced word, whose text is the ``"braid"``
-entry of the ``"trace"`` key: ``"peak_support"`` and
-``"columns_evaluated"`` are its 2^n columns, one state each, of the 6^n
-``"columns"`` of the trace.  ``verify`` traces the words of its
-presentation checks the same way, each as written.  ``dubrovnik --json``
-adds a ``"stats"`` key with the counts of the skein recursion:
+``--json`` stats describe the reduced word, whose text is their
+``"braid"`` entry: ``"peak_support"`` is its 2^n columns, one state
+each.  ``verify`` traces the words of its presentation checks the same
+way, each as written.  ``dubrovnik --json`` adds a ``"stats"`` key with
+the counts of the skein recursion:
 ``"nodes"``, ``"memo_hits"``, ``"curls_removed"`` and
 ``"bigons_removed"``.  ``verify -v`` streams a progress line with the
 wall seconds of the braiding build, then one per check group and one with
@@ -31,11 +30,11 @@ stdout, and under ``--json`` prints them as ``{"ok": false, "suites":
 [...]}`` before the ``error:`` line.  ``verify`` writes no file.
 
 The environment variable ``D21LINK_SKEIN_BUDGET`` overrides the crossing
-and strand budget of the skein oracle (default 16), and
-``D21LINK_SUPPORT_BUDGET`` the most states that ``invariant`` and the
-``skein`` suite of ``verify`` may hold (default 4096 = 2^12): the 2^n
-columns of a braid trace, or the fold of ``--sliced`` after any event;
-each must be an integer of at least 1.
+and strand budget of ``dubrovnik`` (default 16), and
+``D21LINK_SUPPORT_BUDGET`` the most states that ``invariant`` may hold
+(default 4096 = 2^12): the 2^n columns of a braid trace, or the fold of
+``--sliced`` after any event; each must be an integer of at least 1.
+``verify`` reads neither: its inputs are fixed, and run at the defaults.
 Exit status is 0 on success and, for ``verify``, iff every check passes;
 bad input (a bad budget variable or a ``--sliced`` file past 2^20
 characters), an exceeded budget or a module table that fails a check
@@ -122,21 +121,13 @@ def _budget(variable: str, default: int) -> int:
     return value
 
 
-def _skein_budget() -> int:
-    return _budget("D21LINK_SKEIN_BUDGET", dubrovnik.DEFAULT_BUDGET)
-
-
-def _support_budget() -> int:
-    return _budget("D21LINK_SUPPORT_BUDGET", DEFAULT_SUPPORT_BUDGET)
-
-
 def _print_json(payload) -> None:
     import json     # loaded by the commands that write JSON only
     print(json.dumps(payload, indent=2))
 
 
 def _cmd_invariant(args: SimpleNamespace) -> int:
-    budget = _support_budget()
+    budget = _budget("D21LINK_SUPPORT_BUDGET", DEFAULT_SUPPORT_BUDGET)
     if args.braid is not None:
         result = invariant(parse_braid(args.braid), budget)
     else:
@@ -152,12 +143,11 @@ def _cmd_invariant(args: SimpleNamespace) -> int:
             "stats": {
                 "slices": result.slices,
                 "peak_strands": result.peak_strands,
-                "peak_dimension": result.peak_dimension,
                 "peak_support": result.peak_support,
             },
         }
-        if result.trace is not None:
-            payload["trace"] = result.trace._asdict()
+        if result.braid is not None:
+            payload["stats"]["braid"] = str(result.braid)
         _print_json(payload)
     else:
         print(result.canonical())
@@ -165,7 +155,7 @@ def _cmd_invariant(args: SimpleNamespace) -> int:
 
 
 def _cmd_dubrovnik(args: SimpleNamespace) -> int:
-    budget = _skein_budget()
+    budget = _budget("D21LINK_SKEIN_BUDGET", dubrovnik.DEFAULT_BUDGET)
     graph = dubrovnik.braid_closure_graph(parse_braid(args.braid), budget)
     stats = {} if args.json else None
     poly = dubrovnik.dubrovnik_poly(graph, budget, stats=stats)
@@ -223,8 +213,7 @@ def _cmd_verify(args: SimpleNamespace) -> int:
     stream = sys.stderr if args.json else sys.stdout
     progress = ((lambda msg: print(f"... {msg}", file=stream, flush=True))
                 if args.verbose else None)
-    found = suite_reports(args.suite, budget=_skein_budget(),
-                          progress=progress, support_budget=_support_budget())
+    found = suite_reports(args.suite, progress)
     reports = []
     # in text mode each suite's lines print as soon as it has run, and
     # under --json a handled error prints the finished suites, so that a

@@ -59,13 +59,12 @@ written, unreduced: the presentation checks of :mod:`d21link.verify` call
 it, so that equivalent words are traced apart.
 
 Both evaluations report the stats of the fold in the cohomology (slices,
-peak strands, the nominal dimension 6^peak_strands, peak support); for a
-braid word they describe the cyclically reduced word that was traced,
-whose 2^n columns, one state each, are the peak support of the fold of its
-closure, and :func:`invariant` adds its trace's own figures
-(:class:`TraceStats`).  The tables are converted once to integer Laurent
-polynomials, so no path touches rational-function arithmetic and values
-lie in Z[q, q^-1] by construction.
+peak strands, peak support); for a braid word they describe the word that
+was traced, which the result names, and whose 2^n columns, one state
+each, are the peak support of the fold of its closure.  The tables are
+converted once to integer Laurent polynomials, so no path touches
+rational-function arithmetic and values lie in Z[q, q^-1] by
+construction.
 Framing is blackboard: the value belongs to the drawn diagram, with no
 writhe normalization.
 """
@@ -230,26 +229,15 @@ def parse_sliced_text(text: str) -> SlicedDiagram:
     return SlicedDiagram(tuple(events))
 
 
-class TraceStats(NamedTuple):
-    """What the braid trace of :func:`invariant` evolved: the 2 ** strands
-    columns in the E_1-cohomology, one state each."""
-    braid: str                 # the braid traced, cyclically reduced
-    strands: int
-    columns: int               # 6 ** strands start columns of the trace
-    columns_evaluated: int
-
-
 class EvalResult(NamedTuple):
     """A value and the stats of the evaluation that gave it.  For a braid
-    word (:func:`invariant`) the stats are those of the fold of the
-    2n-strand sliced closure of the cyclically reduced word, and ``trace``
-    holds the trace's own figures."""
+    word (:func:`cohomology_trace`) the stats are those of the fold of the
+    2n-strand sliced closure of ``braid``, the word that was traced."""
     value: Tuple[Tuple[int, int], ...]   # sorted (q-exponent, coefficient)
     slices: int
     peak_strands: int
-    peak_dimension: int    # nominal state-space bound 6 ** peak_strands
     peak_support: int      # most nonzero states held after any event
-    trace: Optional[TraceStats] = None   # set by invariant only
+    braid: Optional[BraidWord] = None    # set by cohomology_trace only
 
     def value_dict(self) -> Dict[int, int]:
         return dict(self.value)
@@ -313,7 +301,7 @@ def evaluate_sliced(diagram: SlicedDiagram,
         peak_support = max(peak_support, len(state))
     value = state.get((), {})
     return EvalResult(tuple(sorted(value.items())), diagram.slices, peak,
-                      DIM ** peak, peak_support)
+                      peak_support)
 
 
 @lru_cache(maxsize=None)
@@ -495,9 +483,7 @@ def cohomology_trace(word: BraidWord,
         if row == column:
             total[exp] = total.get(exp, 0) + sign
     value = tuple(sorted((exp, coeff) for exp, coeff in total.items() if coeff))
-    stats = TraceStats(str(word), n, DIM ** n, len(starts))
-    return EvalResult(value, 2 * n + len(steps), 2 * n, DIM ** (2 * n),
-                      len(starts), stats)
+    return EvalResult(value, 2 * n + len(steps), 2 * n, len(starts), word)
 
 
 def _cyclically_reduced(letters) -> List[int]:
@@ -525,7 +511,7 @@ def invariant(word: BraidWord,
     The word is cyclically reduced (:func:`_cyclically_reduced`) and traced
     on its 2 ** n columns in the E_1-cohomology
     (:func:`cohomology_trace`), which more than ``support_budget`` columns
-    refuse before any is evolved; every stat, the trace's own figures
-    included, describes the reduced word."""
+    refuse before any is evolved; every stat describes the reduced word,
+    the result's ``braid``."""
     reduced = BraidWord(word.strands, tuple(_cyclically_reduced(word.letters)))
     return cohomology_trace(reduced, support_budget)

@@ -15,7 +15,9 @@ report as soon as the suite has run, and :func:`run_suites` lists them.
 With a ``progress`` callback, both also report through it the wall
 seconds of :func:`d21link.rmatrix.braiding` before the suites (the cold
 build when nothing has called it yet in the process, a cache hit after)
-and then each suite's.
+and then each suite's.  Every input is a constant within the default
+budgets of both pipelines (at most 6 strands, or 64 trace columns, and 5
+crossings in the skein recursion), so no suite takes a budget.
 
 :func:`compare` and :func:`compare_orientation_sum` are the only places
 where the two pipelines meet: the tangle side and the skein oracle
@@ -37,8 +39,7 @@ from .representation import (M, M2, check_defining_relations, coproduct_action,
 from .rmatrix import (braiding, compare_reference, r_matrix, spectral_check,
                       twist_inverse_square)
 from .superlinalg import SuperMap, compose, embed_at
-from .tangle import (DEFAULT_SUPPORT_BUDGET, BraidWord, cohomology_trace,
-                     invariant, parse_braid)
+from .tangle import BraidWord, cohomology_trace, invariant, parse_braid
 from . import dubrovnik
 
 CORPUS = ("1:", "2: 1", "2: -1", "2: 1 1", "2: 1 1 1", "2: -1 -1 -1",
@@ -160,13 +161,12 @@ def category_suite(progress: Optional[Callable[[str], None]] = None) -> Report:
     return Report("category", checks)
 
 
-def compare(word: BraidWord, budget: int = dubrovnik.DEFAULT_BUDGET,
-            support_budget: int = DEFAULT_SUPPORT_BUDGET) -> CheckResult:
+def compare(word: BraidWord) -> CheckResult:
     """Both pipelines on the same closed diagram must agree exactly: the
     invariant is twice the specialized Dubrovnik polynomial."""
-    tangle_value = invariant(word, support_budget).value_dict()
-    graph = dubrovnik.braid_closure_graph(word, budget)
-    skein_value = dubrovnik.specialize(dubrovnik.dubrovnik_poly(graph, budget))
+    tangle_value = invariant(word).value_dict()
+    graph = dubrovnik.braid_closure_graph(word)
+    skein_value = dubrovnik.specialize(dubrovnik.dubrovnik_poly(graph))
     doubled = {exp: 2 * coeff for exp, coeff in skein_value.items()}
     ok = tangle_value == doubled
     detail = "" if ok else (f"tangle {format_q_laurent(tangle_value)} vs "
@@ -174,17 +174,13 @@ def compare(word: BraidWord, budget: int = dubrovnik.DEFAULT_BUDGET,
     return CheckResult(f"skein-match:{word}", ok, detail)
 
 
-def compare_orientation_sum(label: str, word: BraidWord,
-                            budget: int = dubrovnik.DEFAULT_BUDGET,
-                            support_budget: int = DEFAULT_SUPPORT_BUDGET
-                            ) -> CheckResult:
+def compare_orientation_sum(label: str, word: BraidWord) -> CheckResult:
     """The invariant must equal the sum over the orientations of the
     closure of (-q^-1)^writhe, the skein value's closed form at this
     specialization, which costs O(crossings) where the skein recursion is
     exponential."""
-    tangle_value = invariant(word, support_budget).value_dict()
-    oracle = dubrovnik.orientation_sum(
-        dubrovnik.braid_closure_graph(word, budget))
+    tangle_value = invariant(word).value_dict()
+    oracle = dubrovnik.orientation_sum(dubrovnik.braid_closure_graph(word))
     ok = tangle_value == oracle
     detail = "" if ok else (f"tangle {format_q_laurent(tangle_value)} vs "
                             f"orientation sum {format_q_laurent(oracle)}")
@@ -200,35 +196,29 @@ def _long_words():
             "6: 200 letters of seed 1717": BraidWord(6, seeded)}
 
 
-def skein_suite(budget: int = dubrovnik.DEFAULT_BUDGET,
-                progress: Optional[Callable[[str], None]] = None,
-                support_budget: int = DEFAULT_SUPPORT_BUDGET) -> Report:
+def skein_suite(progress: Optional[Callable[[str], None]] = None) -> Report:
     note = progress or (lambda message: None)
     report = Report("skein")
     for text in CORPUS:
         note(f"comparing pipelines on {text!r}")
-        report.checks.append(
-            compare(parse_braid(text), budget, support_budget))
+        report.checks.append(compare(parse_braid(text)))
     note("comparing the invariant with the orientation sum")
     words = {text: parse_braid(text) for text in CORPUS}
     words.update(_long_words())
     for label, word in words.items():
-        report.checks.append(
-            compare_orientation_sum(label, word, budget, support_budget))
+        report.checks.append(compare_orientation_sum(label, word))
 
     # traced as written: reduced first, a group would collapse to fewer
     # braids and test the reduction instead of the braiding
     for name, texts in PRESENTATIONS.items():
-        values = {cohomology_trace(parse_braid(t), support_budget).canonical()
-                  for t in texts}
+        values = {cohomology_trace(parse_braid(t)).canonical() for t in texts}
         report.checks.append(CheckResult(
             f"presentation-independent:{name}", len(values) == 1,
             "" if len(values) == 1 else f"values {sorted(values)}"))
 
     for text in ("2: 1 1", "2: 1 1 1", "3: 1 -2 1 -2"):
-        value = invariant(parse_braid(text), support_budget).value_dict()
-        mirrored = invariant(parse_braid(text).mirror(),
-                             support_budget).value_dict()
+        value = invariant(parse_braid(text)).value_dict()
+        mirrored = invariant(parse_braid(text).mirror()).value_dict()
         flipped = {-exp: coeff for exp, coeff in value.items()}
         report.checks.append(CheckResult(
             f"mirror-symmetry:{text}", mirrored == flipped,
@@ -237,8 +227,8 @@ def skein_suite(budget: int = dubrovnik.DEFAULT_BUDGET,
 
     # Split unions multiply: with loop value delta = 2, the invariant of a
     # crossing-disjoint union is the product of the factors.
-    hopf = invariant(parse_braid("2: 1 1"), support_budget).value_dict()
-    both = invariant(parse_braid("4: 1 1 3 3"), support_budget).value_dict()
+    hopf = invariant(parse_braid("2: 1 1")).value_dict()
+    both = invariant(parse_braid("4: 1 1 3 3")).value_dict()
     square = laurent_product(hopf, hopf)
     report.checks.append(CheckResult(
         "split-union-product", both == square,
@@ -246,22 +236,19 @@ def skein_suite(budget: int = dubrovnik.DEFAULT_BUDGET,
 
     note("comparing the warm shared skein memo with a cold, memo-free run")
     word = parse_braid("2: 1 1 1")
-    graph = dubrovnik.braid_closure_graph(word, budget)
-    cached = dubrovnik.dubrovnik_poly(graph, budget, use_cache=True)
-    uncached = dubrovnik.dubrovnik_poly(graph, budget, use_cache=False)
+    graph = dubrovnik.braid_closure_graph(word)
+    cached = dubrovnik.dubrovnik_poly(graph, use_cache=True)
+    uncached = dubrovnik.dubrovnik_poly(graph, use_cache=False)
     report.checks.append(CheckResult("memo-soundness", cached == uncached))
     return report
 
 
-def run_suites(name: str, budget: int = dubrovnik.DEFAULT_BUDGET,
-               progress: Optional[Callable[[str], None]] = None,
-               support_budget: int = DEFAULT_SUPPORT_BUDGET) -> List[Report]:
-    return list(suite_reports(name, budget, progress, support_budget))
+def run_suites(name: str, progress: Optional[Callable[[str], None]] = None
+               ) -> List[Report]:
+    return list(suite_reports(name, progress))
 
 
-def suite_reports(name: str, budget: int = dubrovnik.DEFAULT_BUDGET,
-                  progress: Optional[Callable[[str], None]] = None,
-                  support_budget: int = DEFAULT_SUPPORT_BUDGET
+def suite_reports(name: str, progress: Optional[Callable[[str], None]] = None
                   ) -> Iterator[Report]:
     """The report of each suite of ``name``, yielded as soon as the suite
     has run: a suite that raises leaves the earlier reports delivered."""
@@ -269,7 +256,7 @@ def suite_reports(name: str, budget: int = dubrovnik.DEFAULT_BUDGET,
         "relations": relations_suite,
         "rmatrix": rmatrix_suite,
         "category": lambda: category_suite(progress),
-        "skein": lambda: skein_suite(budget, progress, support_budget),
+        "skein": lambda: skein_suite(progress),
     }
     if name == "all":
         names = list(suites)

@@ -33,27 +33,38 @@ def test_invariant_text_output(capsys):
     assert err == ""
 
 
-def test_invariant_json_schema(capsys):
+def test_invariant_json_schema(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "invariant", "--braid", "2: 1 1 1", "--json")
     assert code == 0
     payload = json.loads(out)
+    assert list(payload) == ["value", "stats"]
+    assert list(payload["stats"]) == ["slices", "peak_strands", "peak_support",
+                                      "braid"]
     assert payload["value"] == "-2*q^-3"
+    # the 2 ** 2 columns in the E_1-cohomology, one state each
     assert payload["stats"] == {"slices": 7, "peak_strands": 4,
-                                "peak_dimension": 1296, "peak_support": 4}
-    # of the 36 columns, the 2 ** 2 in the E_1-cohomology
-    assert payload["trace"] == {"braid": "2: 1 1 1", "strands": 2,
-                                "columns": 36, "columns_evaluated": 4}
+                                "peak_support": 4, "braid": "2: 1 1 1"}
     # the stats describe the cyclically reduced word that was traced
     code, out, _ = run_cli(capsys, "invariant", "--braid", "3: -2 1 1 1 -1 2",
                            "--json")
     assert code == 0
     payload = json.loads(out)
-    assert list(payload) == ["value", "stats", "trace"]
     assert payload["value"] == "4*q^-2 + 4*q^2"   # a Hopf link and a circle
     assert payload["stats"] == {"slices": 8, "peak_strands": 6,
-                                "peak_dimension": 46656, "peak_support": 8}
-    assert payload["trace"] == {"braid": "3: 1 1", "strands": 3,
-                                "columns": 216, "columns_evaluated": 8}
+                                "peak_support": 8, "braid": "3: 1 1"}
+    # a sliced diagram traces no braid
+    path = tmp_path / "closure.txt"
+    diagram = braid_closure_slices(parse_braid("3: 1 1"))
+    path.write_text("".join(f"{event.kind} {event.position}\n"
+                            for event in diagram.events), encoding="utf-8")
+    code, out, _ = run_cli(capsys, "invariant", "--sliced", str(path), "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert list(payload) == ["value", "stats"]
+    assert list(payload["stats"]) == ["slices", "peak_strands", "peak_support"]
+    assert payload == {"value": "4*q^-2 + 4*q^2",
+                       "stats": {"slices": 8, "peak_strands": 6,
+                                 "peak_support": 8}}
 
 
 def test_invariant_from_sliced_file(tmp_path, capsys):
@@ -351,18 +362,16 @@ def test_support_budget_env_bounds_braids_and_sliced_diagrams(
                         ("-3", "must be at least 1"), ("1_2", "is not an integer"),
                         ("\u0661\u0662", "is not an integer")):
         monkeypatch.setenv("D21LINK_SUPPORT_BUDGET", raw)
-        for argv in (("invariant", "--braid", "1:"), ("verify", "--suite", "skein")):
-            assert run_cli(capsys, *argv) == (
-                2, "", f"error: D21LINK_SUPPORT_BUDGET {reason}: {raw!r}\n")
+        assert run_cli(capsys, "invariant", "--braid", "1:") == (
+            2, "", f"error: D21LINK_SUPPORT_BUDGET {reason}: {raw!r}\n")
 
 
 def test_skein_budget_env_must_be_a_positive_integer(capsys, monkeypatch):
     for raw, reason in (("abc", "is not an integer"), ("0", "must be at least 1"),
                         ("1_6", "is not an integer"), ("+16", "is not an integer")):
         monkeypatch.setenv("D21LINK_SKEIN_BUDGET", raw)
-        for argv in (("dubrovnik", "--braid", "1:"), ("verify", "--suite", "skein")):
-            assert run_cli(capsys, *argv) == (
-                2, "", f"error: D21LINK_SKEIN_BUDGET {reason}: {raw!r}\n")
+        assert run_cli(capsys, "dubrovnik", "--braid", "1:") == (
+            2, "", f"error: D21LINK_SKEIN_BUDGET {reason}: {raw!r}\n")
     # a long value is quoted by its first 32 characters and its length
     monkeypatch.setenv("D21LINK_SKEIN_BUDGET", "1" * 5000 + "x")
     assert run_cli(capsys, "dubrovnik", "--braid", "1:") == (
@@ -403,13 +412,19 @@ def test_support_budget_env_stops_a_sliced_fold_early(capsys, monkeypatch,
                    "fold exceed the support budget 8\n")
 
 
-def test_verify_honours_the_support_budget(capsys, monkeypatch):
-    # the corpus starts 1:, 2: 1; two strands hold 4 columns
-    monkeypatch.setenv("D21LINK_SUPPORT_BUDGET", "3")
-    code, out, err = run_cli(capsys, "verify", "--suite", "skein")
-    assert code == 2
-    assert out == ""
-    assert err == "error: 4 trace columns exceed the support budget 3\n"
+def test_verify_reads_no_budget_variable(capsys, monkeypatch):
+    # its inputs are fixed and within both default budgets, so a variable,
+    # however small or malformed, changes no byte
+    for variable in BUDGET_VARIABLES:
+        monkeypatch.delenv(variable, raising=False)
+    expected = run_cli(capsys, "verify", "--suite", "skein")
+    assert expected[0] == 0
+    for variable in BUDGET_VARIABLES:
+        for raw in ("1", "abc"):
+            monkeypatch.setenv(variable, raw)
+            assert run_cli(capsys, "verify", "--suite", "skein") == expected, (
+                variable, raw)
+        monkeypatch.delenv(variable)
 
 
 def clear_table_caches():

@@ -63,8 +63,7 @@ TRACE_VS_FOLD = WORDS + [parse_braid(text) for text in (
 
 
 def stats(result):
-    return (result.slices, result.peak_strands, result.peak_dimension,
-            result.peak_support)
+    return result.slices, result.peak_strands, result.peak_support
 
 
 @pytest.mark.parametrize("word", TRACE_VS_FOLD, ids=str)
@@ -76,9 +75,9 @@ def test_trace_matches_the_sliced_fold_of_the_closure(word):
     # the invariant: the same value, and the stats of the reduced word it
     # traced, both evaluated in the E_1-cohomology: 2 ** n states at the peak
     result = invariant(word)
-    traced = evaluate_sliced(braid_closure_slices(parse_braid(result.trace.braid)))
+    traced = evaluate_sliced(braid_closure_slices(result.braid))
     assert (result.value_dict(), stats(result)) == (plain, stats(traced))
-    assert result.peak_support == 2 ** result.trace.strands
+    assert result.peak_support == 2 ** result.braid.strands
 
 
 def isotoped(diagram, rng, moves):
@@ -276,7 +275,7 @@ def test_invariant_traces_the_cyclically_reduced_word():
                         word.letters[:at] + (k, -k) + word.letters[at:]):
             reduced = BraidWord(word.strands, tuple(_cyclically_reduced(letters)))
             result = invariant(BraidWord(word.strands, letters))
-            assert result.trace.braid == str(reduced), letters
+            assert result.braid == reduced, letters
             assert result.value_dict() == value(word), letters
 
 
@@ -287,9 +286,8 @@ def test_reduced_trace_of_every_short_word_matches_the_full_trace(
     # seeded words are compared in test_trace_matches_the_sliced_fold_...
     for word in all_words(strands, most_letters):
         result = invariant(word)
-        braid = parse_braid(result.trace.braid)
-        assert braid.strands == word.strands
-        assert len(braid.letters) <= len(word.letters)
+        assert result.braid.strands == word.strands
+        assert len(result.braid.letters) <= len(word.letters)
         assert result.value_dict() == reference_trace(word), word
 
 

@@ -15,7 +15,7 @@ from d21link import tangle
 from d21link.representation import M, generator_action
 from d21link.superlinalg import SuperMap
 from d21link.tangle import (BraidWord, DiagramError, SlicedDiagram,
-                            SlicedEvent, TangleBudgetExceeded, TraceStats,
+                            SlicedEvent, TangleBudgetExceeded,
                             braid_closure_slices, evaluate_sliced, invariant,
                             parse_braid, parse_sliced_text, _cohomology,
                             _cyclically_reduced, _event_table, _trace_weights)
@@ -168,23 +168,22 @@ def test_eval_result_stats():
     result = invariant(parse_braid("2: 1 1 1"))
     assert result.slices == 7
     assert result.peak_strands == 4
-    assert result.peak_dimension == 6 ** 4
     # the 2 ** 2 columns in the E_1-cohomology, one state each
     assert result.peak_support == 4
-    assert result.trace == TraceStats("2: 1 1 1", 2, 36, 4)
+    assert result.braid == parse_braid("2: 1 1 1")
     assert result.canonical() == "-2*q^-3"
     assert invariant(parse_braid("3: 1 -2 1 -2")).peak_support == 8
     # (sigma_1 sigma_2 sigma_3)^2 closes to T(2, 4), traced as written
     torus = invariant(parse_braid("4: 1 2 3 1 2 3"))
-    assert (torus.trace.braid, torus.slices, torus.peak_support) == \
+    assert (str(torus.braid), torus.slices, torus.peak_support) == \
         ("4: 1 2 3 1 2 3", 14, 16)
     # a word with inverse pairs, also across its ends, reports the stats of
     # its cyclic reduction, on as many strands as the word
     reduced = invariant(parse_braid("4: -1 1 2 3 -3 1 -2"))
     assert (reduced.canonical(), reduced.slices, reduced.peak_strands,
-            reduced.peak_dimension, reduced.trace) == (
-        "-8*q^-1", 9, 8, 6 ** 8, TraceStats("4: 1", 4, 6 ** 4, 16))
-    assert evaluate_sliced(braid_closure_slices(parse_braid("2: 1"))).trace is None
+            reduced.peak_support, str(reduced.braid)) == (
+        "-8*q^-1", 9, 8, 16, "4: 1")
+    assert evaluate_sliced(braid_closure_slices(parse_braid("2: 1"))).braid is None
 
 
 def test_support_budget_is_checked_before_any_work():

@@ -6,9 +6,9 @@ def test_skein_suite_traces_each_presentation_as_written(monkeypatch):
     # reduced first, the hopf and trefoil groups would each be one braid
     traced = []
 
-    def recording(word, support_budget):
+    def recording(word):
         traced.append(str(word))
-        return cohomology_trace(word, support_budget)
+        return cohomology_trace(word)
     monkeypatch.setattr(verify, "cohomology_trace", recording)
     report = verify.skein_suite()
     assert report.ok
