@@ -178,30 +178,49 @@ MUTANTS = (
            "return bound.bit_length()",
            (T_TANGLE + "test_packed_coefficients_decode_at_the_proven_bound",)),
     Mutant("cohomology-skips-the-square-of-e1", TANGLE,
-           "if e1.parity != 1 or _compose(e_table, e_table):",
+           "if e1.parity != 1 or not compose(e1, e1).is_zero():",
            "if e1.parity != 1:",
            (T_TANGLE + "test_cohomology_guard_needs_an_odd_e1_that_squares_"
                        "to_0",)),
+    Mutant("cohomology-skips-the-exactness-of-e1", TANGLE,
+           "if 2 * rank_over_fractions(e1) != DIM - len(basis):",
+           "if False:",
+           (T_TANGLE + "test_cohomology_guard_needs_an_e1_that_is_exact_off_"
+                       "its_cohomology",)),
     Mutant("cohomology-skips-the-h1-weight", TANGLE,
-           "if any(sum(WEIGHTS[v][0] for v in window)",
-           "if False and any(sum(WEIGHTS[v][0] for v in window)",
+           "if (any(WEIGHTS[row][0] != WEIGHTS[col][0]",
+           "if False and (any(WEIGHTS[row][0] != WEIGHTS[col][0]",
            (T_TANGLE + "test_cohomology_guard_needs_tables_that_keep_the_h1_"
                        "weight",)),
     Mutant("cohomology-skips-the-delta-e1-commutation", TANGLE,
-           "if _compose(delta, crossing) != _compose(crossing, delta):",
+           "if compose(crossing, delta) != compose(delta, crossing):",
            "if False:",
            (T_TANGLE + "test_cohomology_guard_needs_crossings_that_commute_"
                        "with_delta_e1",)),
     Mutant("cohomology-skips-the-cap-killing-delta-e1", TANGLE,
-           'if _compose(tables["cap"][1], delta):',
+           "if not compose(cap, delta).is_zero():",
            "if False:",
            (T_TANGLE + "test_cohomology_guard_needs_a_cap_that_kills_delta_"
                        "e1",)),
+    Mutant("cohomology-skips-the-cup-killed-by-delta-e1", TANGLE,
+           "if not compose(delta, cup).is_zero():",
+           "if False:",
+           (T_TANGLE + "test_cohomology_guard_needs_a_cup_that_delta_e1_"
+                       "kills",)),
     Mutant("cohomology-skips-the-pivotal-weight-form", TANGLE,
            "if any(weights[v] != {2 * WEIGHTS[v][0]:",
            "if False and any(weights[v] != {2 * WEIGHTS[v][0]:",
            (T_TANGLE + "test_cohomology_guard_needs_pivotal_weights_of_the_"
                        "supertrace_form",)),
+    Mutant("cohomology-skips-the-signed-power-check", TANGLE,
+           "if len(terms) != 1 or abs(next(iter(terms.values()))) != 1:",
+           "if False:",
+           (T_TANGLE + "test_cohomology_guard_needs_signed_powers_of_q",)),
+    Mutant("cohomology-skips-the-one-window-check", TANGLE,
+           "if any(len(cut[kind][1].get((a, b), ())) != 1",
+           "if False and any(len(cut[kind][1].get((a, b), ())) != 1",
+           (T_TANGLE + "test_cohomology_guard_needs_crossings_that_send_a_"
+                       "window_to_one_window",)),
     Mutant("pair-weights-read-at-the-swapped-window", TANGLE,
            "pair_weights[window] != pair_weights[row]",
            "pair_weights[window] != pair_weights[window[::-1]]",
@@ -392,7 +411,7 @@ MUTANTS = (
            (T_RMATRIX + "test_braiding_inverse_and_integrality",
             T_ACCEPTANCE + "test_criterion_5_category_identities"),
            # the rmatrix suite reports the failed check; under all, the
-           # tangle's guard refuses the neg crossing table first (exit 2)
+           # tangle's guard refuses the neg crossing first (exit 2)
            ((("verify", "--suite", "rmatrix"), 1),
             (("verify", "--suite", "all"), 2))),
     Mutant("inverse-factors-in-forward-order", RMATRIX,

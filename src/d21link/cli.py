@@ -92,7 +92,7 @@ from .rmatrix import (EVEN_PAIRS, ODD_PAIRS, TableError, braiding, pair_label,
 from .tangle import (DEFAULT_SUPPORT_BUDGET, DiagramError, ascii_integers,
                      evaluate_sliced, invariant, parse_braid,
                      parse_sliced_text)
-from .verify import suite_reports
+from .verify import SUITES, suite_reports
 
 SLICED_MAX_CHARS = 2 ** 20      # most characters a --sliced file may hold
 
@@ -283,7 +283,7 @@ COMMANDS = {
                              "full 36x36 matrix"))),
     "verify": Command("run verification suites", _cmd_verify, (
         Option(("--suite",), "suite to run", value=True,
-               choices=("relations", "rmatrix", "category", "skein", "all"),
+               choices=(*SUITES, "all"),
                default="all"),
         Option(("--json",), "machine output"),
         Option(("-v", "--verbose"), "stream per-check progress"))),

@@ -388,14 +388,17 @@ def q_string(value: QuarterLaurent) -> str:
     return format_q_laurent(to_integer_laurent(value))
 
 
-def excerpt(value: str | int, limit: int = 32) -> str:
+EXCERPT_LIMIT = 32      # characters of a user's text an error message shows
+
+
+def excerpt(value: str | int) -> str:
     """``repr`` of a user's text or number for an error message; past
-    ``limit`` characters it shows the first ``limit``, ``...`` and the
-    length, so that no message echoes a long input whole."""
+    ``EXCERPT_LIMIT`` characters it shows the first ``EXCERPT_LIMIT``,
+    ``...`` and the length, so that no message echoes a long input whole."""
     text = str(value)
-    if len(text) <= limit:
+    if len(text) <= EXCERPT_LIMIT:
         return repr(value)
-    head = text[:limit] + "..."
+    head = text[:EXCERPT_LIMIT] + "..."
     if isinstance(value, str):
         head = repr(head)
     return f"{head} ({len(text)} characters)"

@@ -43,9 +43,10 @@ Cut down to H, both crossing tables are signed monomial permutations:
 ``pos`` sends v4 v4 and v5 v5 to -q^-1 times themselves and v4 v5 to -q
 v5 v4 and back, ``neg`` is ``pos`` at q -> q^-1, the cup is -q (v4 v5 +
 v5 v4) and the cap -q^-1 on both.  A braid column is one state, ``(row,
-sign, exponent)``, stepped letter by letter.  Every fact used here is
-checked once, exactly on the integer tables, where the cut-down tables are
-read (:func:`_cohomology`); a table that broke one raises ``TableError``.
+sign, exponent)``, stepped letter by letter.  :func:`_cohomology` checks
+every fact used here, and a table that broke one raises ``TableError``:
+those on E_1 and Delta(E_1) on the maps, as :mod:`d21link.verify` composes
+them, the rest exactly on the integer tables.
 The reduction uses only that the braiding is a module map, not the
 Kauffman skein theory that the oracle in :mod:`d21link.dubrovnik`
 implements.
@@ -74,12 +75,12 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from .ring import (add_product, excerpt, format_q_laurent, laurent_product,
-                   nonzero_terms, to_integer_laurent)
+from .ring import (excerpt, format_q_laurent, laurent_product, nonzero_terms,
+                   to_integer_laurent)
 from .representation import (DIM, PARITIES, WEIGHTS, coproduct_action,
                              duality_maps, generator_action)
 from .rmatrix import TableError, braiding
-from .superlinalg import rank_over_fractions
+from .superlinalg import compose, rank_over_fractions
 
 EVENT_KINDS = ("cup", "cap", "pos", "neg")
 
@@ -261,13 +262,11 @@ def _event_table(kind: str) -> Tuple[int, Dict[tuple, tuple]]:
 
 def _columns(operator, row_width: int, col_width: int) -> Dict[tuple, tuple]:
     """The nonzero columns of an operator from ``col_width`` to ``row_width``
-    (0, 1 or 2) factors of the module, as an :func:`_event_table` table."""
-    def digits(index, width):
-        return divmod(index, DIM) if width == 2 else (index,) * width
+    (0 or 2) factors of the module, as an :func:`_event_table` table."""
     columns: Dict[tuple, list] = {}
     for (row, col), value in sorted(operator.entries.items()):
-        columns.setdefault(digits(col, col_width), []).append(
-            (digits(row, row_width), to_integer_laurent(value)))
+        columns.setdefault(divmod(col, DIM) if col_width else (), []).append(
+            (divmod(row, DIM) if row_width else (), to_integer_laurent(value)))
     return {window: tuple(rows) for window, rows in columns.items()}
 
 
@@ -337,22 +336,6 @@ def _trace_weights() -> Tuple[Dict[int, int], ...]:
     return tuple(weights)
 
 
-def _compose(outer: Dict[tuple, tuple], inner: Dict[tuple, tuple]
-             ) -> Dict[tuple, Dict[tuple, Dict[int, int]]]:
-    """``outer`` after ``inner``, two :func:`_event_table` tables, as
-    ``{window: {row: amplitude}}`` with zero rows and columns dropped."""
-    product = {}
-    for window, rows in inner.items():
-        sums: Dict[tuple, Dict[int, int]] = {}
-        for middle, amp in rows:
-            for row, coeff in outer.get(middle, ()):
-                add_product(sums.setdefault(row, {}), amp, coeff)
-        column = nonzero_terms(sums)
-        if column:
-            product[window] = column
-    return product
-
-
 def _signed_power(terms: Dict[int, int]) -> Tuple[int, int]:
     """``(sign, exponent)`` of a polynomial that is +-q^exponent."""
     if len(terms) != 1 or abs(next(iter(terms.values()))) != 1:
@@ -377,38 +360,38 @@ def _cohomology() -> Tuple[Tuple[int, ...], Tuple[Tuple[int, int], ...],
     * E_1 and every table keep the H_1 weight, so that K_1 on a bystander
       strand commutes with them;
     * Delta(E_1) = E_1 (x) 1 + K_1 (x) E_1 commutes with both crossings,
-      the cap kills it and it kills the cup;
+      the cap kills it and it kills the cup, all on the maps;
     * every pivotal weight is p(v) = -(-1)^|v| q^(2 m1(v)), m1 the H_1
       weight, so the trace is (-1)^n the supertrace of q^(2 H_1) B;
     * every cut-down entry is a signed power of q, exactly one per window
       of a crossing."""
     e1 = generator_action("E", 1)
-    e_table = _columns(e1, 1, 1)
-    delta = _columns(coproduct_action("E", 1), 2, 2)
-    if e1.parity != 1 or _compose(e_table, e_table):
+    if e1.parity != 1 or not compose(e1, e1).is_zero():
         raise TableError("E_1 is not odd with E_1^2 = 0")
-    touched = {v for window, rows in e_table.items()
-               for v in window + tuple(row[0] for row, _ in rows)}
+    touched = {v for entry in e1.entries for v in entry}
     basis = tuple(v for v in range(DIM) if v not in touched)
     if 2 * rank_over_fractions(e1) != DIM - len(basis):
         raise TableError("E_1 is not exact on the basis vectors it moves "
                          "or reaches; its cohomology is not spanned by "
                          "the others")
     tables = {kind: _event_table(kind) for kind in EVENT_KINDS}
-    if any(sum(WEIGHTS[v][0] for v in window)
-           != sum(WEIGHTS[v][0] for v in row)
-           for table in [e_table] + [table for _, table in tables.values()]
-           for window, rows in table.items() for row, _ in rows):
+    if (any(WEIGHTS[row][0] != WEIGHTS[col][0] for row, col in e1.entries)
+            or any(sum(WEIGHTS[v][0] for v in window)
+                   != sum(WEIGHTS[v][0] for v in row)
+                   for _, table in tables.values()
+                   for window, rows in table.items() for row, _ in rows)):
         raise TableError("a table does not keep the H_1 weight; K_1 on a "
                          "bystander strand does not commute with it")
-    for kind in ("pos", "neg"):
-        crossing = tables[kind][1]
-        if _compose(delta, crossing) != _compose(crossing, delta):
+    delta = coproduct_action("E", 1)
+    bundle = braiding()
+    for kind, crossing in (("pos", bundle.c), ("neg", bundle.c_inv)):
+        if compose(crossing, delta) != compose(delta, crossing):
             raise TableError(f"the {kind} crossing does not commute with "
                              f"Delta(E_1)")
-    if _compose(tables["cap"][1], delta):
+    _, cup, cap = duality_maps()
+    if not compose(cap, delta).is_zero():
         raise TableError("the cap does not kill Delta(E_1)")
-    if _compose(delta, tables["cup"][1]):
+    if not compose(delta, cup).is_zero():
         raise TableError("Delta(E_1) does not kill the cup")
     weights = _trace_weights()
     if any(weights[v] != {2 * WEIGHTS[v][0]: (-1) ** (PARITIES[v] + 1)}

@@ -243,6 +243,12 @@ def skein_suite(progress: Optional[Callable[[str], None]] = None) -> Report:
     return report
 
 
+# the suites in the order ``all`` runs them, each called with ``progress``
+SUITES = {"relations": lambda progress: relations_suite(),
+          "rmatrix": lambda progress: rmatrix_suite(),
+          "category": category_suite, "skein": skein_suite}
+
+
 def run_suites(name: str, progress: Optional[Callable[[str], None]] = None
                ) -> List[Report]:
     return list(suite_reports(name, progress))
@@ -252,25 +258,16 @@ def suite_reports(name: str, progress: Optional[Callable[[str], None]] = None
                   ) -> Iterator[Report]:
     """The report of each suite of ``name``, yielded as soon as the suite
     has run: a suite that raises leaves the earlier reports delivered."""
-    suites = {
-        "relations": relations_suite,
-        "rmatrix": rmatrix_suite,
-        "category": lambda: category_suite(progress),
-        "skein": lambda: skein_suite(progress),
-    }
-    if name == "all":
-        names = list(suites)
-    elif name in suites:
-        names = [name]
-    else:
+    if name != "all" and name not in SUITES:
         raise ValueError(f"unknown suite {name!r}")
+    names = list(SUITES) if name == "all" else [name]
     if progress is not None:
         start = time.perf_counter()
         braiding()
         progress(f"braiding ready in {time.perf_counter() - start:.4f} s")
     for suite in names:
         start = time.perf_counter()
-        report = suites[suite]()
+        report = SUITES[suite](progress)
         if progress is not None:
             progress(f"suite {suite} ran in "
                      f"{time.perf_counter() - start:.4f} s")

@@ -16,7 +16,7 @@ from d21link.cli import SLICED_MAX_CHARS, main, parse_args
 from d21link.ring import LAMBDA, Q, RatFunc
 from d21link.tangle import braid_closure_slices, parse_braid
 from helpers import reference_parser
-from test_tangle import perturbed, replaced_tables
+from test_tangle import perturbed
 from test_transcript import BUDGET_VARIABLES, transcript_commands
 
 
@@ -484,15 +484,15 @@ def test_usage_error_for_unknown_suite(capsys):
 
 
 def test_a_table_failing_the_skein_guard_keeps_the_earlier_reports(capsys):
-    # <v1 v1|c^-1|v1 v1> doubled: the relations, rmatrix and category suites
-    # read no table of the tangle layer and run to their end, and the skein
-    # suite's guard refuses the neg crossing
+    # <v1 v1|c^-1|v1 v1> doubled in the braiding the tangle layer reads: the
+    # relations, rmatrix and category suites read the true braiding and run
+    # to their end, and the skein suite's guard refuses the neg crossing
     earlier = ""
     for suite in ("relations", "rmatrix", "category"):
         code, out, _ = run_cli(capsys, "verify", "--suite", suite)
         assert code == 0
         earlier += out.removesuffix("overall: PASS\n")
-    with replaced_tables(neg=perturbed("neg", "doubled")):
+    with perturbed("neg", "doubled"):
         assert run_cli(capsys, "verify", "--suite", "all") == (
             2, earlier, "error: the neg crossing does not commute with "
                         "Delta(E_1)\n")
@@ -505,7 +505,7 @@ def test_a_table_failing_the_skein_guard_keeps_the_earlier_reports_as_json(
     code, out, _ = run_cli(capsys, "verify", "--suite", "all", "--json")
     assert code == 0
     earlier = json.loads(out)["suites"][:3]
-    with replaced_tables(neg=perturbed("neg", "doubled")):
+    with perturbed("neg", "doubled"):
         code, out, err = run_cli(capsys, "verify", "--suite", "all", "--json")
     assert code == 2
     assert json.loads(out) == {"ok": False, "suites": earlier}

@@ -10,9 +10,10 @@ from pathlib import Path
 import pytest
 
 from d21link.dubrovnik import braid_closure_graph, dubrovnik_poly, specialize
-from d21link.ring import ONE, format_q_laurent, laurent_product
-from d21link import tangle
-from d21link.representation import M, generator_action
+from d21link.ring import ONE, QuarterLaurent, format_q_laurent, laurent_product
+from d21link import tangle, verify
+from d21link.representation import M, M2, duality_maps, generator_action
+from d21link.rmatrix import TableError, braiding
 from d21link.superlinalg import SuperMap
 from d21link.tangle import (BraidWord, DiagramError, SlicedDiagram,
                             SlicedEvent, TangleBudgetExceeded,
@@ -34,20 +35,59 @@ def clear_tangle_caches():
 
 
 @contextmanager
-def replaced_tables(**tables):
-    """``tangle._event_table`` answering ``tables[kind]`` for the kinds
-    given and the true table otherwise, with every ``lru_cache`` of the
-    module cleared on the way in and out: nothing derived from the true
-    tables is reused inside, nor from the replaced ones after."""
-    true_table = tangle._event_table
+def replaced_in_tangle(**values):
+    """``tangle`` with each name given bound to its value, and every
+    ``lru_cache`` of the module cleared on the way in and out: nothing
+    derived from the true maps or tables is reused inside, nor from the
+    replaced ones after."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(tangle, "_event_table", lambda kind: tables[kind]
-                      if kind in tables else true_table(kind))
+        for name, value in values.items():
+            patch.setattr(tangle, name, value)
         clear_tangle_caches()
         try:
             yield
         finally:
             clear_tangle_caches()
+
+
+def replaced_tables(**tables):
+    """``tangle._event_table`` answering ``tables[kind]`` for the kinds
+    given and the true table otherwise, as :func:`replaced_in_tangle`."""
+    true_table = tangle._event_table
+    return replaced_in_tangle(_event_table=lambda kind: tables[kind]
+                              if kind in tables else true_table(kind))
+
+
+def perturbed_braiding(kind, how):
+    """The braiding with its crossing map of ``kind`` changed:
+    <v1 v1|.|v1 v1> made twice (``doubled``), or v1 (x) v1 sent to
+    v2 (x) v1 (``moved``)."""
+    bundle = braiding()
+    field = "c" if kind == "pos" else "c_inv"
+    entries = dict(getattr(bundle, field).entries)
+    value = entries.pop((0, 0))        # v1 (x) v1 is basis vector 0
+    if how == "doubled":
+        entries[(0, 0)] = value + value
+    else:
+        entries[(6, 0)] = value        # and v2 (x) v1 is basis vector 6
+    return bundle._replace(**{field: SuperMap(M2, M2, entries)})
+
+
+def perturbed(kind, how):
+    """``tangle`` reading :func:`perturbed_braiding` as its braiding, as
+    :func:`replaced_in_tangle`."""
+    bundle = perturbed_braiding(kind, how)
+    return replaced_in_tangle(braiding=lambda: bundle)
+
+
+def doubled_duality_entry(index, entry):
+    """``tangle`` reading duality maps whose cup (``index`` 1) or cap (2)
+    has ``entry`` made twice, as :func:`replaced_in_tangle`."""
+    maps = list(duality_maps())
+    entries = dict(maps[index].entries)
+    entries[entry] = entries[entry] + entries[entry]
+    maps[index] = SuperMap(maps[index].domain, maps[index].codomain, entries)
+    return replaced_in_tangle(duality_maps=lambda: tuple(maps))
 
 
 def test_parse_braid():
@@ -277,7 +317,7 @@ def test_pivotal_weights_need_cup_and_cap_to_pair_alike():
 def test_cyclicity_check_needs_crossings_that_keep_the_pair_weights():
     # v1 (x) v1 sent to v2 (x) v1: p(v1) p(v1) = q^4 but p(v2) p(v1) = 1
     for kind in ("pos", "neg"):
-        with replaced_tables(**{kind: perturbed(kind, "moved")}):
+        with perturbed(kind, "moved"):
             with pytest.raises(ValueError, match="the trace is not cyclic"):
                 _trace_weights()
 
@@ -303,31 +343,35 @@ def test_cohomology_guard_needs_an_odd_e1_that_squares_to_0():
     # E_1^2 sends v3 to v4
     squares = SuperMap(M, M, {**e1.entries, (3, 0): ONE}, 1)
     for broken in (squares, SuperMap(M, M, {}, 0)):
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(tangle, "generator_action",
-                          lambda name, index: broken)
-            clear_tangle_caches()
-            try:
-                with pytest.raises(ValueError, match=r"^E_1 is not odd with "
-                                                     r"E_1\^2 = 0$"):
-                    _cohomology()
-            finally:
-                clear_tangle_caches()
+        with replaced_in_tangle(generator_action=lambda name, index: broken):
+            with pytest.raises(ValueError, match=r"^E_1 is not odd with "
+                                                 r"E_1\^2 = 0$"):
+                _cohomology()
 
 
-def scaled(kind, scale, window=None):
-    """The table of ``kind`` with every entry, or those of one window,
-    multiplied by the Laurent polynomial ``scale``."""
+def test_cohomology_guard_needs_an_e1_that_is_exact_off_its_cohomology():
+    # E_1 also sending v5 to v1 stays odd and squares to 0, but leaves only
+    # v4 untouched: its rank, 2, is not half of the other five vectors
+    e1 = generator_action("E", 1)
+    reaching = SuperMap(M, M, {**e1.entries, (0, 4): ONE}, 1)
+    with replaced_in_tangle(generator_action=lambda name, index: reaching):
+        with pytest.raises(ValueError, match="^E_1 is not exact on the basis "
+                                             "vectors it moves or reaches"):
+            _cohomology()
+
+
+def scaled(kind, scale):
+    """The table of ``kind`` with every entry multiplied by the Laurent
+    polynomial ``scale``."""
     width, table = _event_table(kind)
     return width, {key: tuple((row, laurent_product(coeff, scale))
                               for row, coeff in rows)
-                   if window in (None, key) else rows
                    for key, rows in table.items()}
 
 
 def test_cohomology_guard_needs_crossings_that_commute_with_delta_e1():
     for kind in ("pos", "neg"):
-        with replaced_tables(**{kind: perturbed(kind, "doubled")}):
+        with perturbed(kind, "doubled"):
             with pytest.raises(ValueError, match=f"the {kind} crossing does "
                                                  f"not commute with Delta"):
                 _cohomology()
@@ -340,15 +384,24 @@ def test_cohomology_guard_needs_crossings_that_commute_with_delta_e1():
 
 def test_cohomology_guard_needs_a_cap_that_kills_delta_e1():
     # <v1 v2| cap doubled alone: Delta(E_1)(v3 v2) reaches v1 v2 and v3 v6
-    with replaced_tables(cap=scaled("cap", {0: 2}, window=(0, 1))):
+    with doubled_duality_entry(2, (0, 1)):
         with pytest.raises(ValueError, match="the cap does not kill"):
+            _cohomology()
+
+
+def test_cohomology_guard_needs_a_cup_that_delta_e1_kills():
+    # |v1 v2> in the cup doubled alone: Delta(E_1) sends v1 v2 to v1 v6,
+    # which no longer cancels against the image of the cup's v3 v6 term
+    with doubled_duality_entry(1, (1, 0)):
+        with pytest.raises(ValueError, match=r"^Delta\(E_1\) does not kill "
+                                             r"the cup$"):
             _cohomology()
 
 
 def test_cohomology_guard_needs_tables_that_keep_the_h1_weight():
     for kind in ("pos", "neg"):
         # v1 v1 (H_1 weight 2) sent to v2 v1 (weight 0)
-        with replaced_tables(**{kind: perturbed(kind, "moved")}):
+        with perturbed(kind, "moved"):
             with pytest.raises(ValueError, match="H_1 weight"):
                 _cohomology()
     width, cups = _event_table("cup")
@@ -367,6 +420,45 @@ def test_cohomology_guard_needs_pivotal_weights_of_the_supertrace_form():
             _trace_weights()
             with pytest.raises(ValueError, match="pivotal weight is not"):
                 _cohomology()
+
+
+def test_cohomology_guard_needs_signed_powers_of_q():
+    # 2c is still a module map that keeps every weight, but cut down to
+    # the E_1-cohomology its entries are -2 q^-1 and -2 q
+    bundle = braiding()
+    doubled = bundle._replace(c=bundle.c.scale(QuarterLaurent.constant(2)))
+    with replaced_in_tangle(braiding=lambda: doubled):
+        with pytest.raises(ValueError, match="has an entry that is not a "
+                                             "signed power of q$"):
+            _cohomology()
+
+
+def test_cohomology_guard_needs_crossings_that_send_a_window_to_one_window():
+    # c + q^-1 id commutes with Delta(E_1) too, but sends v4 v4 to 0 and
+    # v4 v5 to -q v5 v4 + q^-1 v4 v5
+    bundle = braiding()
+    shifted = bundle._replace(c=bundle.c + SuperMap.identity(M2).scale(
+        QuarterLaurent.q_power(-1)))
+    with replaced_in_tangle(braiding=lambda: shifted):
+        with pytest.raises(ValueError, match="^the pos crossing does not "
+                                             "send each window in the "
+                                             "E_1-cohomology to one window$"):
+            _cohomology()
+
+
+def test_one_corrupted_crossing_fails_the_guard_and_the_verify_check():
+    # both read the commutation of c with Delta(E_1) off the same
+    # composition of maps
+    bundle = perturbed_braiding("pos", "doubled")
+    with replaced_in_tangle(braiding=lambda: bundle), \
+            pytest.MonkeyPatch.context() as patch:
+        patch.setattr(verify, "braiding", lambda: bundle)
+        with pytest.raises(TableError, match=r"^the pos crossing does not "
+                                             r"commute with Delta\(E_1\)$"):
+            _cohomology()
+        failed = [check.check_id for check in verify.category_suite().checks
+                  if not check.passed]
+    assert "braiding-module-map:E1" in failed
 
 
 def test_torus_links_match_the_closed_form():
@@ -456,28 +548,13 @@ def test_invariant_scales_by_the_markov_and_cut_factors(text, braid, factor):
         assert invariant(word).value_dict() == reference_trace(word)
 
 
-def perturbed(kind, how):
-    """The crossing table of ``kind`` with <v1 v1|c|v1 v1> made twice
-    (``doubled``) or with v1 (x) v1 sent to v2 (x) v1 (``moved``)."""
-    width, table = _event_table(kind)
-    changed = dict(table)
-    if how == "doubled":
-        changed[(0, 0)] = tuple(
-            (row, {e: 2 * c for e, c in coeff.items()} if row == (0, 0) else coeff)
-            for row, coeff in table[(0, 0)])
-    else:
-        changed[(0, 0)] = tuple(((1, 0) if row == (0, 0) else row, coeff)
-                                for row, coeff in table[(0, 0)])
-    return width, changed
-
-
 def left_partial_trace(letters):
     """The scalar lambda with sum_x p(x) <x d|A|x b> = lambda [b = d] for
     every pair of basis vectors b, d of the second strand, where A is the
     two-strand braid ``letters`` (each +-1) and p the pivotal weights: the
     factor of closing off A's first strand.  None unless that 6 x 6
     operator is a scalar.  Read through ``tangle._event_table``, so that
-    :func:`replaced_tables` reaches it."""
+    :func:`replaced_in_tangle` reaches it."""
     weights = tangle._trace_weights()
     tables = {1: tangle._event_table("pos")[1],
               -1: tangle._event_table("neg")[1]}
@@ -532,11 +609,11 @@ def test_destabilisation_needs_a_scalar_left_partial_trace():
     # move, and the guards refuse it before any word is traced
     word = parse_braid("3: 1 -2")
     for kind, sign in (("pos", 1), ("neg", -1)):
-        with replaced_tables(**{kind: perturbed(kind, "doubled")}):
+        with perturbed(kind, "doubled"):
             assert left_partial_trace((sign,)) is None
             with pytest.raises(ValueError, match="does not commute"):
                 invariant(word)
-        with replaced_tables(**{kind: perturbed(kind, "moved")}):
+        with perturbed(kind, "moved"):
             with pytest.raises(ValueError, match="cyclic"):
                 left_partial_trace((sign,))
             with pytest.raises(ValueError, match="H_1 weight"):
@@ -546,12 +623,12 @@ def test_destabilisation_needs_a_scalar_left_partial_trace():
 @pytest.mark.parametrize("how", ["doubled", "moved"])
 def test_cut_needs_a_scalar_left_partial_trace(how):
     # the connected sum of the closures of piece and 2 2 has the value of
-    # piece closed off times that of the rest; with a perturbed table the
+    # piece closed off times that of the rest; with a perturbed crossing the
     # piece is no scalar and the invariant refuses the word
     for kind, sign in (("pos", 1), ("neg", -1)):
         piece = (sign, sign, sign)
         word = BraidWord(3, piece + (2 * sign, 2 * sign))
-        with replaced_tables(**{kind: perturbed(kind, how)}):
+        with perturbed(kind, how):
             if how == "moved":
                 # a table that does not keep the weights admits no cut
                 with pytest.raises(ValueError, match="cyclic"):
