@@ -207,6 +207,11 @@ MUTANTS = (
            "if False:",
            (T_TANGLE + "test_cohomology_guard_needs_a_cup_that_delta_e1_"
                        "kills",)),
+    Mutant("cohomology-skips-the-pairing-check", TANGLE,
+           "if (sorted(l for l, _ in pairs) != list(range(DIM))",
+           "if False and (sorted(l for l, _ in pairs) != list(range(DIM))",
+           (T_TANGLE + "test_pivotal_weights_need_cup_and_cap_to_pair_"
+                       "alike",)),
     Mutant("cohomology-skips-the-pivotal-weight-form", TANGLE,
            "if any(weights[v] != {2 * WEIGHTS[v][0]:",
            "if False and any(weights[v] != {2 * WEIGHTS[v][0]:",
@@ -221,11 +226,6 @@ MUTANTS = (
            "if False and any(len(cut[kind][1].get((a, b), ())) != 1",
            (T_TANGLE + "test_cohomology_guard_needs_crossings_that_send_a_"
                        "window_to_one_window",)),
-    Mutant("pair-weights-read-at-the-swapped-window", TANGLE,
-           "pair_weights[window] != pair_weights[row]",
-           "pair_weights[window] != pair_weights[window[::-1]]",
-           (T_TANGLE + "test_cyclicity_check_needs_crossings_that_keep_the_"
-                       "pair_weights",)),
     Mutant("cyclic-reduction-keeps-the-ends", TANGLE,
            "while hi - lo > 1 and stack[lo] == -stack[hi - 1]:",
            "while False:",

@@ -45,7 +45,6 @@ class TableError(ValueError):
 class BraidingBundle(NamedTuple):
     c: SuperMap
     c_inv: SuperMap
-    theta: QuarterLaurent
 
 
 def _nilpotent_part(i: int) -> SuperMap:
@@ -103,8 +102,8 @@ def r_matrix() -> SuperMap:
 
 @lru_cache(maxsize=None)
 def braiding() -> BraidingBundle:
-    """Braiding c = tau o R, its exact inverse
-    K^-1 o (id - N_7) o ... o (id - N_1) o tau, and the verified twist."""
+    """Braiding c = tau o R and its exact inverse
+    K^-1 o (id - N_7) o ... o (id - N_1) o tau, with the twist verified."""
     tau = volte(M, M)
     c = compose(tau, r_matrix())
     for value in c.entries.values():
@@ -117,7 +116,7 @@ def braiding() -> BraidingBundle:
     # roots q^{-1} and -q^{-1}, the twist is the one with value 1 at q = 1
     if twist_inverse_square(c) != SuperMap.identity(M).scale(Q * Q):
         raise TableError("twist computation disagrees with q^2 * id")
-    return BraidingBundle(c, c_inv, QuarterLaurent.q_power(-1))
+    return BraidingBundle(c, c_inv)
 
 
 def twist_inverse_square(c: SuperMap) -> SuperMap:

@@ -43,21 +43,23 @@ Cut down to H, both crossing tables are signed monomial permutations:
 ``pos`` sends v4 v4 and v5 v5 to -q^-1 times themselves and v4 v5 to -q
 v5 v4 and back, ``neg`` is ``pos`` at q -> q^-1, the cup is -q (v4 v5 +
 v5 v4) and the cap -q^-1 on both.  A braid column is one state, ``(row,
-sign, exponent)``, stepped letter by letter.  :func:`_cohomology` checks
-every fact used here, and a table that broke one raises ``TableError``:
-those on E_1 and Delta(E_1) on the maps, as :mod:`d21link.verify` composes
-them, the rest exactly on the integer tables.
+sign, exponent)``, stepped letter by letter.  :func:`_cohomology` reads
+the four event maps once and checks every fact used here, and a map that
+broke one raises ``TableError``: those on E_1 and Delta(E_1) on the maps,
+as :mod:`d21link.verify` composes them, the rest exactly on their integer
+tables.
 The reduction uses only that the braiding is a module map, not the
 Kauffman skein theory that the oracle in :mod:`d21link.dubrovnik`
 implements.
 
 Before the trace, inverse pairs cancel, also across the ends of the word
-(cyclic free reduction): every crossing keeps p(a) p(b), so the trace is
-cyclic.  Nothing else is simplified: the trace costs O(letters x 2^n) on
-monomial tables, less than looking for a strand to remove or a point to
-cut the closure at would cost.  :func:`cohomology_trace` traces a word as
-written, unreduced: the presentation checks of :mod:`d21link.verify` call
-it, so that equivalent words are traced apart.
+(cyclic free reduction): every crossing keeps p(a) p(b), as it is even
+and keeps the H_1 weight, so the trace is cyclic.  Nothing else is
+simplified: the trace costs O(letters x 2^n) on monomial tables, less than
+looking for a strand to remove or a point to cut the closure at would
+cost.  :func:`cohomology_trace` traces a word as written, unreduced: the
+presentation checks of :mod:`d21link.verify` call it, so that equivalent
+words are traced apart.
 
 Both evaluations report the stats of the fold in the cohomology (slices,
 peak strands, peak support); for a braid word they describe the word that
@@ -247,27 +249,19 @@ class EvalResult(NamedTuple):
         return format_q_laurent(dict(self.value))
 
 
-@lru_cache(maxsize=None)
-def _event_table(kind: str) -> Tuple[int, Dict[tuple, tuple]]:
-    """``(width, table)``: the window ``key[lo:lo+width]`` maps to its
-    ``(replacement, {q_exponent: coefficient})`` rows; an entry outside
+def _columns(operator) -> Tuple[int, Dict[tuple, tuple]]:
+    """``(width, table)`` of an event map: the window ``key[lo:lo+width]``
+    maps to its ``(replacement, {q_exponent: coefficient})`` rows, windows
+    and replacements being pairs of basis vectors, or ``()`` on the trivial
+    module (width 0 for the cup, 2 for the other kinds); an entry outside
     Z[q, q^-1] raises :class:`NotLaurentInQ`."""
-    if kind == "cup":
-        return 0, _columns(duality_maps()[1], 2, 0)
-    if kind == "cap":
-        return 2, _columns(duality_maps()[2], 0, 2)
-    bundle = braiding()
-    return 2, _columns(bundle.c if kind == "pos" else bundle.c_inv, 2, 2)
-
-
-def _columns(operator, row_width: int, col_width: int) -> Dict[tuple, tuple]:
-    """The nonzero columns of an operator from ``col_width`` to ``row_width``
-    (0 or 2) factors of the module, as an :func:`_event_table` table."""
+    pairs_in, pairs_out = len(operator.domain) > 1, len(operator.codomain) > 1
     columns: Dict[tuple, list] = {}
     for (row, col), value in sorted(operator.entries.items()):
-        columns.setdefault(divmod(col, DIM) if col_width else (), []).append(
-            (divmod(row, DIM) if row_width else (), to_integer_laurent(value)))
-    return {window: tuple(rows) for window, rows in columns.items()}
+        columns.setdefault(divmod(col, DIM) if pairs_in else (), []).append(
+            (divmod(row, DIM) if pairs_out else (), to_integer_laurent(value)))
+    return (2 if pairs_in else 0,
+            {window: tuple(rows) for window, rows in columns.items()})
 
 
 def evaluate_sliced(diagram: SlicedDiagram,
@@ -303,39 +297,6 @@ def evaluate_sliced(diagram: SlicedDiagram,
                       peak_support)
 
 
-@lru_cache(maxsize=None)
-def _trace_weights() -> Tuple[Dict[int, int], ...]:
-    """Per basis vector r, the pivotal weight p(r): cup * cap of the strand
-    pair (l, r) closing it.  Raises ``TableError`` unless
-
-    * cup and cap pair the same basis vectors, each with exactly one
-      partner, or a braid closure is not a trace;
-    * every crossing entry <c d|.|a b> keeps p(a) p(b) = p(c) p(d), or the
-      trace is not cyclic and inverse pairs across the ends of a word may
-      not cancel."""
-    (_, cups), (_, caps) = _event_table("cup"), _event_table("cap")
-    pairs = [pair for pair, _ in cups[()]]
-    if (sorted(l for l, _ in pairs) != list(range(DIM))
-            or sorted(r for _, r in pairs) != list(range(DIM))
-            or sorted(pairs) != sorted(caps)
-            or any(len(caps[pair]) != 1 for pair in pairs)):
-        raise TableError("cup and cap do not pair the same basis vectors "
-                         "one to one; a braid closure is not a trace")
-    weights: List[Dict[int, int]] = [{}] * DIM
-    for pair, cup_coeff in cups[()]:
-        ((_, cap_coeff),) = caps[pair]
-        weights[pair[1]] = laurent_product(cup_coeff, cap_coeff)
-    pair_weights = {(a, b): laurent_product(weights[a], weights[b])
-                    for a in range(DIM) for b in range(DIM)}
-    for kind in ("pos", "neg"):
-        _, table = _event_table(kind)
-        if any(pair_weights[window] != pair_weights[row]
-               for window, rows in table.items() for row, _ in rows):
-            raise TableError("a crossing does not keep the pivotal "
-                             "weights; the trace is not cyclic")
-    return tuple(weights)
-
-
 def _signed_power(terms: Dict[int, int]) -> Tuple[int, int]:
     """``(sign, exponent)`` of a polynomial that is +-q^exponent."""
     if len(terms) != 1 or abs(next(iter(terms.values()))) != 1:
@@ -350,9 +311,10 @@ def _cohomology() -> Tuple[Tuple[int, ...], Tuple[Tuple[int, int], ...],
                            Dict[str, Tuple[int, Dict[tuple, tuple]]]]:
     """``(basis, weights, tables)``: the basis vectors spanning H, the
     cohomology of the odd generator E_1 on the module; the pivotal weight
-    of each as ``(sign, exponent)``; and each :func:`_event_table` cut down
-    to windows and replacements in H, as ``(width, {window: ((replacement,
-    sign, exponent), ...)})``.  Raises ``TableError`` unless
+    of each as ``(sign, exponent)``; and the table (:func:`_columns`) of
+    each event map, read once from ``duality_maps()`` and ``braiding()``,
+    cut down to windows and replacements in H, as ``(width, {window:
+    ((replacement, sign, exponent), ...)})``.  Raises ``TableError`` unless
 
     * E_1 is odd and E_1^2 = 0;
     * the basis vectors that E_1 neither moves nor reaches span H: E_1 has
@@ -361,10 +323,19 @@ def _cohomology() -> Tuple[Tuple[int, ...], Tuple[Tuple[int, int], ...],
       strand commutes with them;
     * Delta(E_1) = E_1 (x) 1 + K_1 (x) E_1 commutes with both crossings,
       the cap kills it and it kills the cup, all on the maps;
-    * every pivotal weight is p(v) = -(-1)^|v| q^(2 m1(v)), m1 the H_1
-      weight, so the trace is (-1)^n the supertrace of q^(2 H_1) B;
+    * cup and cap pair the same basis vectors, or a braid closure is not a
+      trace;
+    * every pivotal weight p(v), cup * cap of the pair closing v, is
+      -(-1)^|v| q^(2 m1(v)), m1 the H_1 weight, so the trace is (-1)^n the
+      supertrace of q^(2 H_1) B;
     * every cut-down entry is a signed power of q, exactly one per window
-      of a crossing."""
+      of a crossing.
+
+    The trace is then cyclic, with no check of its own: every crossing
+    entry <c d|.|a b> keeps the H_1 weight and the parity, so p(a) p(b) =
+    p(c) p(d) by the form of p.  (A crossing is an even map: an odd one
+    would send each window of H (x) H, all even here, out of H (x) H, and
+    the last guard refuses it.)"""
     e1 = generator_action("E", 1)
     if e1.parity != 1 or not compose(e1, e1).is_zero():
         raise TableError("E_1 is not odd with E_1^2 = 0")
@@ -374,7 +345,10 @@ def _cohomology() -> Tuple[Tuple[int, ...], Tuple[Tuple[int, int], ...],
         raise TableError("E_1 is not exact on the basis vectors it moves "
                          "or reaches; its cohomology is not spanned by "
                          "the others")
-    tables = {kind: _event_table(kind) for kind in EVENT_KINDS}
+    _, cup, cap = duality_maps()
+    bundle = braiding()
+    tables = {"cup": _columns(cup), "cap": _columns(cap),
+              "pos": _columns(bundle.c), "neg": _columns(bundle.c_inv)}
     if (any(WEIGHTS[row][0] != WEIGHTS[col][0] for row, col in e1.entries)
             or any(sum(WEIGHTS[v][0] for v in window)
                    != sum(WEIGHTS[v][0] for v in row)
@@ -383,17 +357,25 @@ def _cohomology() -> Tuple[Tuple[int, ...], Tuple[Tuple[int, int], ...],
         raise TableError("a table does not keep the H_1 weight; K_1 on a "
                          "bystander strand does not commute with it")
     delta = coproduct_action("E", 1)
-    bundle = braiding()
     for kind, crossing in (("pos", bundle.c), ("neg", bundle.c_inv)):
         if compose(crossing, delta) != compose(delta, crossing):
             raise TableError(f"the {kind} crossing does not commute with "
                              f"Delta(E_1)")
-    _, cup, cap = duality_maps()
     if not compose(cap, delta).is_zero():
         raise TableError("the cap does not kill Delta(E_1)")
     if not compose(delta, cup).is_zero():
         raise TableError("Delta(E_1) does not kill the cup")
-    weights = _trace_weights()
+    cups, caps = tables["cup"][1][()], tables["cap"][1]
+    pairs = [pair for pair, _ in cups]
+    if (sorted(l for l, _ in pairs) != list(range(DIM))
+            or sorted(r for _, r in pairs) != list(range(DIM))
+            or sorted(pairs) != sorted(caps)):
+        raise TableError("cup and cap do not pair the same basis vectors "
+                         "one to one; a braid closure is not a trace")
+    weights: List[Dict[int, int]] = [{}] * DIM
+    for (l, r), cup_coeff in cups:
+        (((), cap_coeff),) = caps[l, r]
+        weights[r] = laurent_product(cup_coeff, cap_coeff)
     if any(weights[v] != {2 * WEIGHTS[v][0]: (-1) ** (PARITIES[v] + 1)}
            for v in range(DIM)):
         raise TableError("a pivotal weight is not -(-1)^|v| q^(2 m1(v))")

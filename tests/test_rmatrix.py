@@ -3,13 +3,15 @@ import pytest
 
 from d21link import rmatrix, verify
 from d21link.cli import main
-from d21link.representation import DIM, M, M2, generator_action, root_vector
+from d21link.representation import (DIM, M, M2, duality_maps, generator_action,
+                                    root_vector)
 from d21link.ring import (LAMBDA, ONE, Q, QINV, QuarterLaurent, q_string,
                           to_integer_laurent)
 from d21link.rmatrix import (EVEN_PAIRS, ODD_PAIRS, REFERENCE_C0,
                              REFERENCE_C1, TableError, braiding, cartan_factor,
                              compare_reference, exp_factor, r_matrix,
-                             spectral_check, split_blocks)
+                             spectral_check, split_blocks,
+                             twist_inverse_square)
 from d21link.superlinalg import (SuperMap, compose, embed_at, invert,
                                  rank_over_fractions)
 from helpers import column
@@ -112,9 +114,15 @@ def test_braiding_preserves_parity_blocks():
 
 
 def test_twist_value():
-    theta = braiding().theta
-    assert theta == q(-1)
-    assert sum(theta.terms.values()) == 1
+    # the twist is q^-1, read off c: its inverse square is q^2 id, and the
+    # curl, a kink closed off the braiding, is -q^-1 id
+    c = braiding().c
+    _, b, d = duality_maps()
+    ident = SuperMap.identity(M)
+    assert twist_inverse_square(c) == ident.scale(Q * Q)
+    curl = compose(compose(embed_at(d, 1, 0, M), embed_at(c, 0, 1, M)),
+                   embed_at(b, 1, 0, M))
+    assert curl == ident.scale(-QINV)
 
 
 def test_spectral_report():

@@ -10,7 +10,8 @@ from pathlib import Path
 import pytest
 
 from d21link.dubrovnik import braid_closure_graph, dubrovnik_poly, specialize
-from d21link.ring import ONE, QuarterLaurent, format_q_laurent, laurent_product
+from d21link.ring import (ONE, Q, QuarterLaurent, format_q_laurent,
+                          laurent_product)
 from d21link import tangle, verify
 from d21link.representation import M, M2, duality_maps, generator_action
 from d21link.rmatrix import TableError, braiding
@@ -19,9 +20,9 @@ from d21link.tangle import (BraidWord, DiagramError, SlicedDiagram,
                             SlicedEvent, TangleBudgetExceeded,
                             braid_closure_slices, evaluate_sliced, invariant,
                             parse_braid, parse_sliced_text, _cohomology,
-                            _cyclically_reduced, _event_table, _trace_weights)
-from helpers import (column_l1, decode, pack, packing_bits, reference_trace,
-                     torus_closed_form)
+                            _cyclically_reduced)
+from helpers import (column_l1, decode, event_table, pack, packing_bits,
+                     pivotal_weights, reference_trace, torus_closed_form)
 
 
 def value_of(text):
@@ -50,14 +51,6 @@ def replaced_in_tangle(**values):
             clear_tangle_caches()
 
 
-def replaced_tables(**tables):
-    """``tangle._event_table`` answering ``tables[kind]`` for the kinds
-    given and the true table otherwise, as :func:`replaced_in_tangle`."""
-    true_table = tangle._event_table
-    return replaced_in_tangle(_event_table=lambda kind: tables[kind]
-                              if kind in tables else true_table(kind))
-
-
 def perturbed_braiding(kind, how):
     """The braiding with its crossing map of ``kind`` changed:
     <v1 v1|.|v1 v1> made twice (``doubled``), or v1 (x) v1 sent to
@@ -80,14 +73,28 @@ def perturbed(kind, how):
     return replaced_in_tangle(braiding=lambda: bundle)
 
 
-def doubled_duality_entry(index, entry):
+def replaced_duality_map(index, change):
     """``tangle`` reading duality maps whose cup (``index`` 1) or cap (2)
-    has ``entry`` made twice, as :func:`replaced_in_tangle`."""
+    has its entries replaced by ``change(entries)``, as
+    :func:`replaced_in_tangle`."""
     maps = list(duality_maps())
-    entries = dict(maps[index].entries)
-    entries[entry] = entries[entry] + entries[entry]
+    entries = change(dict(maps[index].entries))
     maps[index] = SuperMap(maps[index].domain, maps[index].codomain, entries)
     return replaced_in_tangle(duality_maps=lambda: tuple(maps))
+
+
+def doubled_duality_entry(index, entry):
+    """:func:`replaced_duality_map` with ``entry`` made twice."""
+    def change(entries):
+        return {**entries, entry: entries[entry] + entries[entry]}
+    return replaced_duality_map(index, change)
+
+
+def moved_duality_entries(index, moves):
+    """:func:`replaced_duality_map` with each entry ``old`` of ``moves``
+    moved to ``moves[old]``."""
+    return replaced_duality_map(index, lambda entries: {
+        moves.get(key, key): value for key, value in entries.items()})
 
 
 def test_parse_braid():
@@ -277,7 +284,7 @@ def test_packed_coefficients_round_trip_at_their_bound():
 def test_packed_coefficients_decode_at_the_proven_bound():
     # the bound of ``packing_bits``: the start L1 norm times, per event, the
     # largest column L1 sum; a coefficient of that size decodes exactly
-    weights_l1 = sum(sum(map(abs, w.values())) for w in _trace_weights())
+    weights_l1 = sum(sum(map(abs, w.values())) for w in pivotal_weights())
     for strands, kinds in ((1, ()), (2, ("pos",)), (3, ("pos", "neg", "neg")),
                            (6, ("neg",) * 7 + ("pos",) * 9)):
         bound = weights_l1 ** strands
@@ -299,27 +306,37 @@ def test_decode_raises_when_the_digits_do_not_pack_back():
 
 def test_pivotal_weights_need_cup_and_cap_to_pair_alike():
     loop = {}
-    for weight in _trace_weights():
+    for weight in pivotal_weights():
         for exp, coeff in weight.items():
             loop[exp] = loop.get(exp, 0) + coeff
     assert {e: c for e, c in loop.items() if c} == {0: 2}   # the unknot
-    width, table = _event_table("cap")
-    moved = dict(table)
-    moved[(0, 2)] = moved.pop((0, 1))      # v1 capped with v3, not v2
-    doubled = dict(table)
-    doubled[(0, 1)] = doubled[(0, 1)] * 2
-    for cap in (moved, doubled):
-        with replaced_tables(cap=(width, cap)):
-            with pytest.raises(ValueError, match="pair"):
-                _trace_weights()
+    # a cap on v4 v4 and v5 v5 in place of v4 v5 and v5 v4 (basis vectors
+    # 3 and 4) keeps the H_1 weight and still kills Delta(E_1)
+    v44, v45, v54, v55 = 3 * 6 + 3, 3 * 6 + 4, 4 * 6 + 3, 4 * 6 + 4
+    with moved_duality_entries(2, {(0, v45): (0, v44), (0, v54): (0, v55)}):
+        with pytest.raises(ValueError, match="^cup and cap do not pair the "
+                                             "same basis vectors"):
+            _cohomology()
 
 
-def test_cyclicity_check_needs_crossings_that_keep_the_pair_weights():
-    # v1 (x) v1 sent to v2 (x) v1: p(v1) p(v1) = q^4 but p(v2) p(v1) = 1
+def test_crossings_keep_the_pair_weights():
+    # p(a) p(b) = p(c) p(d) on every entry <c d|.|a b>: each crossing keeps
+    # the parity and the H_1 weight, and p(v) = -(-1)^|v| q^(2 m1(v))
+    weights = pivotal_weights()
+    for kind in ("pos", "neg"):
+        _, table = event_table(kind)
+        assert len(table) == 36
+        for (a, b), rows in table.items():
+            for (c, d), _ in rows:
+                assert laurent_product(weights[a], weights[b]) == \
+                    laurent_product(weights[c], weights[d]), (kind, a, b, c, d)
+    # v1 (x) v1 sent to v2 (x) v1 would break it: p(v1) p(v1) = q^4 but
+    # p(v2) p(v1) = 1; the H_1 weight guard refuses that crossing
     for kind in ("pos", "neg"):
         with perturbed(kind, "moved"):
-            with pytest.raises(ValueError, match="the trace is not cyclic"):
-                _trace_weights()
+            with pytest.raises(ValueError, match="^a table does not keep the "
+                                                 "H_1 weight"):
+                _cohomology()
 
 
 def test_cohomology_guard_cuts_the_tables_down_to_v4_and_v5():
@@ -360,15 +377,6 @@ def test_cohomology_guard_needs_an_e1_that_is_exact_off_its_cohomology():
             _cohomology()
 
 
-def scaled(kind, scale):
-    """The table of ``kind`` with every entry multiplied by the Laurent
-    polynomial ``scale``."""
-    width, table = _event_table(kind)
-    return width, {key: tuple((row, laurent_product(coeff, scale))
-                              for row, coeff in rows)
-                   for key, rows in table.items()}
-
-
 def test_cohomology_guard_needs_crossings_that_commute_with_delta_e1():
     for kind in ("pos", "neg"):
         with perturbed(kind, "doubled"):
@@ -404,20 +412,18 @@ def test_cohomology_guard_needs_tables_that_keep_the_h1_weight():
         with perturbed(kind, "moved"):
             with pytest.raises(ValueError, match="H_1 weight"):
                 _cohomology()
-    width, cups = _event_table("cup")
-    moved = {(): tuple(((0, 0) if row == (0, 1) else row, coeff)
-                       for row, coeff in cups[()])}      # v1 v2 -> v1 v1
-    with replaced_tables(cup=(width, moved)):
+    # the cup's entry at v1 v2 (basis vector 1) moved to v1 v1 (0)
+    with moved_duality_entries(1, {(1, 0): (0, 0)}):
         with pytest.raises(ValueError, match="H_1 weight"):
             _cohomology()
 
 
 def test_cohomology_guard_needs_pivotal_weights_of_the_supertrace_form():
-    # p -> -p and p -> q p: the cap still kills Delta(E_1), cup and cap
-    # still pair alike, and every crossing keeps the weights
-    for scale in ({0: -1}, {1: 1}):
-        with replaced_tables(cap=scaled("cap", scale)):
-            _trace_weights()
+    # the cap times -1 or q, so p -> -p or q p: the cap still kills
+    # Delta(E_1), and cup and cap still pair alike
+    for scale in (-ONE, Q):
+        with replaced_duality_map(2, lambda entries: {
+                key: value * scale for key, value in entries.items()}):
             with pytest.raises(ValueError, match="pivotal weight is not"):
                 _cohomology()
 
@@ -553,11 +559,10 @@ def left_partial_trace(letters):
     every pair of basis vectors b, d of the second strand, where A is the
     two-strand braid ``letters`` (each +-1) and p the pivotal weights: the
     factor of closing off A's first strand.  None unless that 6 x 6
-    operator is a scalar.  Read through ``tangle._event_table``, so that
+    operator is a scalar.  Read through ``helpers.event_table``, so that
     :func:`replaced_in_tangle` reaches it."""
-    weights = tangle._trace_weights()
-    tables = {1: tangle._event_table("pos")[1],
-              -1: tangle._event_table("neg")[1]}
+    weights = pivotal_weights()
+    tables = {1: event_table("pos")[1], -1: event_table("neg")[1]}
     operator = {}
     for x in range(6):
         for b in range(6):
@@ -614,8 +619,7 @@ def test_destabilisation_needs_a_scalar_left_partial_trace():
             with pytest.raises(ValueError, match="does not commute"):
                 invariant(word)
         with perturbed(kind, "moved"):
-            with pytest.raises(ValueError, match="cyclic"):
-                left_partial_trace((sign,))
+            assert left_partial_trace((sign,)) is None
             with pytest.raises(ValueError, match="H_1 weight"):
                 invariant(word)
 
@@ -625,19 +629,13 @@ def test_cut_needs_a_scalar_left_partial_trace(how):
     # the connected sum of the closures of piece and 2 2 has the value of
     # piece closed off times that of the rest; with a perturbed crossing the
     # piece is no scalar and the invariant refuses the word
+    message = {"doubled": "does not commute", "moved": "H_1 weight"}[how]
     for kind, sign in (("pos", 1), ("neg", -1)):
         piece = (sign, sign, sign)
         word = BraidWord(3, piece + (2 * sign, 2 * sign))
         with perturbed(kind, how):
-            if how == "moved":
-                # a table that does not keep the weights admits no cut
-                with pytest.raises(ValueError, match="cyclic"):
-                    left_partial_trace(piece)
-                with pytest.raises(ValueError, match="H_1 weight"):
-                    invariant(word)
-                continue
             assert left_partial_trace(piece) is None
-            with pytest.raises(ValueError, match="does not commute"):
+            with pytest.raises(ValueError, match=message):
                 invariant(word)
         assert invariant(word).value_dict() == laurent_product(
             left_partial_trace(piece), value_of(f"2: {sign} {sign}"))
