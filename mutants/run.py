@@ -251,6 +251,24 @@ MUTANTS = (
             T_TANGLE + "test_eval_result_stats",
             T_CLI + "test_invariant_json_schema",
             T_TRANSCRIPT)),
+    Mutant("letter-steps-cached-by-the-letter-alone", TANGLE,
+           "@lru_cache(maxsize=256)\n"
+           "def _letter_step(strands: int, letter: int\n",
+           # the unit of the first strand count a letter was traced on is
+           # read back on every other
+           "def _letter_step(strands, letter, _first={}):\n"
+           "    return _first.setdefault(letter, _step_of(strands, letter))\n"
+           "\n"
+           "\n"
+           "@lru_cache(maxsize=256)\n"
+           "def _step_of(strands: int, letter: int\n",
+           (T_TANGLE + "test_trace_plans_are_kept_apart_by_strand_count",)),
+    Mutant("start-amplitudes-one-strand-short", TANGLE,
+           "    for _ in range(strands):\n",
+           "    for _ in range(strands - 1):\n",
+           (T_TANGLE + "test_trace_plans_are_kept_apart_by_strand_count",
+            T_TANGLE + "test_eval_result_stats",
+            T_TRANSCRIPT)),
     Mutant("simplify-keeps-touched-crossings-irreducible", DUBROVNIK,
            "            touched.add(end1 >> 2)\n"
            "            touched.add(end2 >> 2)\n",
@@ -369,6 +387,10 @@ MUTANTS = (
            "invariant(parse_braid(t)).canonical()",
            (T_VERIFY + "test_skein_suite_traces_each_presentation_as_"
                        "written",)),
+    Mutant("classical-limit-skips-the-missing-diagonal", VERIFY,
+           "            and all((v, v) in entries for v in range(len(m.domain))))",
+           ")",
+           (T_VERIFY + "test_classical_limit_needs_every_diagonal_entry",)),
     Mutant("regression-detail-shows-every-mismatch", VERIFY,
            "for m in mismatches[:6]])",
            "for m in mismatches])",

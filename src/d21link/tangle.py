@@ -59,7 +59,10 @@ simplified: the trace costs O(letters x 2^n) on monomial tables, less than
 looking for a strand to remove or a point to cut the closure at would
 cost.  :func:`cohomology_trace` traces a word as written, unreduced: the
 presentation checks of :mod:`d21link.verify` call it, so that equivalent
-words are traced apart.
+words are traced apart.  The start amplitudes of the columns and the step
+of each letter are built once per strand count and kept in bounded
+caches (:func:`_start_amplitudes`, :func:`_letter_step`): a word then costs
+one lookup per letter and the column loop, letters x 2^n steps.
 
 Both evaluations report the stats of the fold in the cohomology (slices,
 peak strands, peak support); for a braid word they describe the word that
@@ -116,7 +119,9 @@ class BraidWord(_BraidFields):
             if letter == 0 or abs(letter) >= strands:
                 raise DiagramError(f"braid letter {excerpt(letter)} out of "
                                    f"range for {excerpt(strands)} strands")
-        return super().__new__(cls, strands, letters)
+        # not the fields' generated __new__: one Python call less on a
+        # braid that every parse and every invariant builds
+        return tuple.__new__(cls, (strands, letters))
 
     def mirror(self) -> "BraidWord":
         return BraidWord(self.strands, tuple(-k for k in self.letters))
@@ -131,7 +136,7 @@ def ascii_integers(text: str) -> List[int]:
     ``ValueError``, as does a number past Python's int-string digit limit."""
     if not text.isascii() or "+" in text or "_" in text:
         raise ValueError(f"not ASCII integers: {text!r}")
-    return [int(token) for token in text.split()]
+    return list(map(int, text.split()))
 
 
 def parse_braid(text: str) -> BraidWord:
@@ -393,21 +398,43 @@ def _cohomology() -> Tuple[Tuple[int, ...], Tuple[Tuple[int, int], ...],
     return basis, tuple(_signed_power(weights[v]) for v in basis), cut
 
 
+# Bounded: the default budget admits 1-12 strands, and under any budget the
+# 16 plans kept, of distinct strand counts, hold fewer than twice the
+# columns of the largest one.
+@lru_cache(maxsize=16)
+def _start_amplitudes(strands: int) -> Tuple[Tuple[int, int], ...]:
+    """``(sign, exponent)`` of each start column of the trace on
+    ``strands`` strands, in column order: the product of the pivotal
+    weights of the column's digits, indices into the basis of H."""
+    weights = _cohomology()[1]
+    starts = [(1, 0)]
+    for _ in range(strands):
+        starts = [(sign * w_sign, exp + w_exp) for sign, exp in starts
+                  for w_sign, w_exp in weights]
+    return tuple(starts)
+
+
+# Bounded too, though an entry is only four rows.
 @lru_cache(maxsize=256)
-def _cohomology_rows(kind: str, unit: int) -> List[Tuple[int, int, int]]:
-    """``rows[w] = (delta, sign, exponent)``: the crossing ``kind`` cut
-    down to the E_1-cohomology H sends the window ``w = h * i + j`` (i, j
-    indices into the basis of H, h its dimension) to one window, times
-    sign * q^exponent, moving a key by ``delta`` when the window's right
-    digit has place value ``unit``."""
+def _letter_step(strands: int, letter: int
+                 ) -> Tuple[int, Tuple[Tuple[int, int, int], ...]]:
+    """``(unit, rows)`` of ``letter`` on ``strands`` strands.  ``unit`` is
+    the place value of the letter's right strand in a column index; the
+    letter's crossing, cut down to the E_1-cohomology H, sends the window
+    ``w = h * i + j`` on its two strands (i, j indices into the basis of H,
+    h its dimension) to one window, times sign * q^exponent, and
+    ``rows[w] = (delta, sign, exponent)``, ``delta`` the change of the
+    column index."""
     basis, _, tables = _cohomology()
     h = len(basis)
+    unit = h ** (strands - abs(letter) - 1)
     index = {v: i for i, v in enumerate(basis)}
     rows = {}
-    for (a, b), (((c, d), sign, exp),) in tables[kind][1].items():
+    for (a, b), (((c, d), sign, exp),) in tables[
+            "pos" if letter > 0 else "neg"][1].items():
         window = index[a] * h + index[b]
         rows[window] = ((index[c] * h + index[d] - window) * unit, sign, exp)
-    return [rows[window] for window in range(h * h)]
+    return unit, tuple(rows[window] for window in range(h * h))
 
 
 def cohomology_trace(word: BraidWord,
@@ -415,11 +442,11 @@ def cohomology_trace(word: BraidWord,
                      ) -> EvalResult:
     """The quantum trace of ``word`` as written, over the h ** n start
     columns in H^(x)n only (h = dim H): each column is one state,
-    ``(row, sign, exponent)``, stepped letter by letter through
-    :func:`_cohomology_rows`.  More columns than ``support_budget``
-    raises :class:`TangleBudgetExceeded` before any is evolved."""
-    basis, weights, _ = _cohomology()
-    n, h = word.strands, len(basis)
+    ``(row, sign, exponent)``, started at :func:`_start_amplitudes` and
+    stepped letter by letter through :func:`_letter_step`, both built once
+    per strand count.  More columns than ``support_budget`` raises
+    :class:`TangleBudgetExceeded` before either is built."""
+    n, h = word.strands, len(_cohomology()[0])
     # h ** n is compared without being built: past the budget's bit length
     # a power of h >= 2 exceeds the budget and a power of h <= 1 does not
     if h ** min(n, support_budget.bit_length()) > support_budget:
@@ -427,16 +454,12 @@ def cohomology_trace(word: BraidWord,
         raise TangleBudgetExceeded(f"{count} trace columns exceed the "
                                    f"support budget {support_budget}")
     windows = h * h
+    # plain loops, not comprehensions: before CPython 3.12 a comprehension
+    # is a function call of its own, dearest with cold caches
     steps = []
     for letter in word.letters:
-        unit = h ** (n - abs(letter) - 1)
-        steps.append((unit, _cohomology_rows("pos" if letter > 0 else "neg",
-                                             unit)))
-    # the start amplitude of a column is the product of its digits' weights
-    starts = [(1, 0)]
-    for _ in range(n):
-        starts = [(sign * w_sign, exp + w_exp) for sign, exp in starts
-                  for w_sign, w_exp in weights]
+        steps.append(_letter_step(n, letter))
+    starts = _start_amplitudes(n)
     total: Dict[int, int] = {}
     for column, (sign, exp) in enumerate(starts):
         row = column
@@ -447,8 +470,12 @@ def cohomology_trace(word: BraidWord,
             exp += step_exp
         if row == column:
             total[exp] = total.get(exp, 0) + sign
-    value = tuple(sorted((exp, coeff) for exp, coeff in total.items() if coeff))
-    return EvalResult(value, 2 * n + len(steps), 2 * n, len(starts), word)
+    terms = []
+    for item in sorted(total.items()):
+        if item[1]:
+            terms.append(item)
+    return EvalResult(tuple(terms), 2 * n + len(steps), 2 * n,
+                      len(starts), word)
 
 
 def _cyclically_reduced(letters) -> List[int]:

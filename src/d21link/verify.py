@@ -97,10 +97,13 @@ def rmatrix_suite() -> Report:
 
 
 def _is_identity_at_one(m: SuperMap) -> bool:
-    """Whether every entry's coefficients sum to that of the identity."""
-    dim = len(m.domain)
-    return all(sum(m.entry(row, col).terms.values()) == (row == col)
-               for row in range(dim) for col in range(dim))
+    """Whether every entry's coefficients sum to that of the identity: 1
+    on the diagonal, where every entry must be stored, and 0 off it, where
+    an entry left out is 0."""
+    entries = m.entries
+    return (all(sum(value.terms.values()) == (row == col)
+                for (row, col), value in entries.items())
+            and all((v, v) in entries for v in range(len(m.domain))))
 
 
 def category_suite(progress: Optional[Callable[[str], None]] = None) -> Report:
@@ -153,9 +156,11 @@ def category_suite(progress: Optional[Callable[[str], None]] = None) -> Report:
     note("checking the Yang-Baxter identity on the 216-dimensional cube")
     c01 = embed_at(c, 0, 1, M)
     c12 = embed_at(c, 1, 0, M)
-    lhs = compose(compose(c01, c12), c01)
-    rhs = compose(compose(c12, c01), c12)
-    checks.append(CheckResult("yang-baxter", lhs == rhs))
+    # (c01 c12) c01 = c12 (c01 c12): the braid relation, with the product
+    # the two sides share composed once
+    shared = compose(c01, c12)
+    checks.append(CheckResult("yang-baxter", compose(shared, c01)
+                              == compose(c12, shared)))
     return Report("category", checks)
 
 

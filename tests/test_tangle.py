@@ -16,10 +16,11 @@ from d21link import tangle, verify
 from d21link.representation import M, M2, duality_maps, generator_action
 from d21link.rmatrix import TableError, braiding
 from d21link.superlinalg import SuperMap
-from d21link.tangle import (BraidWord, DiagramError, SlicedDiagram,
-                            SlicedEvent, TangleBudgetExceeded,
-                            braid_closure_slices, evaluate_sliced, invariant,
-                            parse_braid, parse_sliced_text, _cohomology,
+from d21link.tangle import (DEFAULT_SUPPORT_BUDGET, BraidWord, DiagramError,
+                            SlicedDiagram, SlicedEvent, TangleBudgetExceeded,
+                            braid_closure_slices, cohomology_trace,
+                            evaluate_sliced, invariant, parse_braid,
+                            parse_sliced_text, _cohomology,
                             _cyclically_reduced)
 from helpers import (column_l1, decode, event_table, pack, packing_bits,
                      pivotal_weights, reference_trace, torus_closed_form)
@@ -233,6 +234,11 @@ def test_eval_result_stats():
     assert evaluate_sliced(braid_closure_slices(parse_braid("2: 1"))).braid is None
 
 
+def trace_plan_sizes():
+    return (tangle._start_amplitudes.cache_info().currsize,
+            tangle._letter_step.cache_info().currsize)
+
+
 def test_support_budget_is_checked_before_any_work():
     # 2 ** n columns against the default budget of 2 ** 12, compared
     # without building 2 ** n
@@ -241,7 +247,30 @@ def test_support_budget_is_checked_before_any_work():
         with pytest.raises(TangleBudgetExceeded):
             invariant(word)
         assert time.monotonic() - start < 1.0
+    # a refused word builds no start amplitudes and no letter steps
+    clear_tangle_caches()
+    for word, budget in ((parse_braid("13: 1 -12"), DEFAULT_SUPPORT_BUDGET),
+                         (parse_braid("3: 1 2"), 7)):
+        with pytest.raises(TangleBudgetExceeded):
+            invariant(word, support_budget=budget)
+        assert trace_plan_sizes() == (0, 0)
     assert invariant(parse_braid("12:")).value_dict() == {0: 2 ** 12}
+    assert trace_plan_sizes() == (1, 0)
+
+
+def test_trace_plans_are_kept_apart_by_strand_count():
+    # the same letters on different strand counts, interleaved in one
+    # process: a start amplitude or letter step cached for one strand
+    # count and read for another gives a wrong value
+    clear_tangle_caches()
+    texts = ("2: 1 1 1", "4: 1 1 1", "3: 1 -2", "2: 1 1 1", "5: 1 -2")
+    for text in texts:
+        word = parse_braid(text)
+        assert cohomology_trace(word).value_dict() == reference_trace(word), \
+            text
+    assert trace_plan_sizes() == (4, 6)
+    clear_tangle_caches()
+    assert trace_plan_sizes() == (0, 0)
 
 
 def test_parse_sliced_text_roundtrip(tmp_path):
