@@ -66,6 +66,8 @@ T_FRONT_END = (T_DUBROVNIK + "test_front_end_is_the_reference_on_every_diagram_"
                "the_recursion_visits")
 VERIFY = "src/d21link/verify.py"
 T_VERIFY = "tests/test_verify.py::"
+REPORT = "src/d21link/report.py"
+T_RECORDS = "tests/test_records.py::"
 HELPERS = "tests/helpers.py"
 T_CONTRACT = "tests/test_perfbench_contract.py::"
 T_TRANSCRIPT = ("tests/test_transcript.py::test_cli_output_matches_the_recorded_"
@@ -235,8 +237,8 @@ MUTANTS = (
             T_TRANSCRIPT)),
     Mutant("invariant-reports-the-input-word", TANGLE,
            "    return cohomology_trace(reduced, support_budget)",
-           "    return cohomology_trace(reduced, support_budget)"
-           "._replace(braid=word)",
+           "    return EvalResult(*cohomology_trace(reduced,"
+           " support_budget)[:4], word)",
            (T_GENERATED + "test_invariant_traces_the_cyclically_reduced_word",
             T_GENERATED + "test_trace_matches_the_sliced_fold_of_the_closure"
                           "[2: 1 1 -1]",
@@ -251,6 +253,20 @@ MUTANTS = (
             T_TANGLE + "test_eval_result_stats",
             T_CLI + "test_invariant_json_schema",
             T_TRANSCRIPT)),
+    Mutant("eval-result-peak-support-reads-the-peak-strands", TANGLE,
+           "peak_support = property(itemgetter(3))",
+           "peak_support = property(itemgetter(2))",
+           (T_RECORDS + "test_a_record_is_the_tuple_of_its_fields"
+                        "[EvalResult]",
+            T_GENERATED + "test_trace_matches_the_sliced_fold_of_the_closure"
+                          "[4: 1 2 3 1 2 3]",
+            T_TANGLE + "test_eval_result_stats",
+            T_CLI + "test_invariant_json_schema",
+            T_TRANSCRIPT)),
+    Mutant("parse-braid-reads-the-head-unstripped", TANGLE,
+           "int(head.strip())",
+           "int(head)",
+           (T_GENERATED + "test_parse_braid_is_the_two_pass_reference",)),
     Mutant("letter-steps-cached-by-the-letter-alone", TANGLE,
            "@lru_cache(maxsize=256)\n"
            "def _letter_step(strands: int, letter: int\n",
@@ -396,6 +412,24 @@ MUTANTS = (
            "for m in mismatches])",
            (T_RMATRIX + "test_the_regression_detail_shows_six_mismatches_and_"
                         "counts_the_rest",)),
+    Mutant("check-result-passed-reads-the-detail", REPORT,
+           "passed = property(itemgetter(1))",
+           "passed = property(itemgetter(2))",
+           (T_RECORDS + "test_a_record_is_the_tuple_of_its_fields"
+                        "[CheckResult]",
+            "tests/test_representation.py::test_defining_relations_all_pass",
+            T_ACCEPTANCE + "test_criterion_1_relation_suite",
+            T_TRANSCRIPT),
+           ((("verify", "--suite", "relations"), 1),)),
+    Mutant("braiding-bundle-inverse-reads-the-braiding", RMATRIX,
+           "c_inv = property(itemgetter(1))",
+           "c_inv = property(itemgetter(0))",
+           (T_RECORDS + "test_a_record_is_the_tuple_of_its_fields"
+                        "[BraidingBundle]",
+            T_RMATRIX + "test_braiding_inverse_and_integrality",
+            T_RECORDS + "test_record_defaults_and_unpacking",
+            T_TRANSCRIPT),
+           ((("verify", "--suite", "rmatrix"), 1),)),
     Mutant("super-bracket-drops-the-koszul-sign", REPRESENTATION,
            "        scale = -scale\n",
            "        pass\n",

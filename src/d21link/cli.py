@@ -22,8 +22,9 @@ way, each as written.  ``dubrovnik --json`` adds a ``"stats"`` key with
 the counts of the skein recursion:
 ``"nodes"``, ``"memo_hits"``, ``"curls_removed"`` and
 ``"bigons_removed"``.  ``verify -v`` streams a progress line with the
-wall seconds of the braiding build, then one per check group and one with
-each suite's wall seconds, to stdout, or to stderr under ``--json``.
+wall seconds of the layer imports, one with those of the braiding build,
+then one per check group and one with each suite's wall seconds, to
+stdout, or to stderr under ``--json``.
 In text mode ``verify`` prints each suite's lines as soon as the suite
 has run, so a table that a later suite refuses (exit 2) leaves them on
 stdout, and under ``--json`` prints them as ``{"ok": false, "suites":
@@ -80,10 +81,12 @@ import contextlib
 import os
 import re
 import sys
+from time import perf_counter
 from types import SimpleNamespace
 from typing import (Callable, Dict, List, NoReturn, Optional, Sequence,
                     Tuple)
 
+_imports_start = perf_counter()
 from . import dubrovnik
 from .representation import DIM
 from .ring import NotLaurentInQ, excerpt, format_q_laurent, q_string
@@ -93,6 +96,9 @@ from .tangle import (DEFAULT_SUPPORT_BUDGET, DiagramError, ascii_integers,
                      evaluate_sliced, invariant, parse_braid,
                      parse_sliced_text)
 from .verify import SUITES, suite_reports
+
+# wall seconds of the layer imports above, which ``verify -v`` reports
+LAYERS_IMPORT_S = perf_counter() - _imports_start
 
 SLICED_MAX_CHARS = 2 ** 20      # most characters a --sliced file may hold
 
@@ -213,6 +219,8 @@ def _cmd_verify(args: SimpleNamespace) -> int:
     stream = sys.stderr if args.json else sys.stdout
     progress = ((lambda msg: print(f"... {msg}", file=stream, flush=True))
                 if args.verbose else None)
+    if progress is not None:
+        progress(f"layers imported in {LAYERS_IMPORT_S:.4f} s")
     found = suite_reports(args.suite, progress)
     reports = []
     # in text mode each suite's lines print as soon as it has run, and
@@ -241,8 +249,8 @@ class Option:
     """One option of a command: its names, its help line, ``value`` (it
     takes one; a flag otherwise, False unless given), the choices and the
     default of its value, ``required``, and ``one_of``: exactly one of a
-    command's ``one_of`` options must be given.  A plain class, as a
-    ``NamedTuple`` would cost every process about 0.1 ms to build."""
+    command's ``one_of`` options must be given.  A plain class, as no
+    class of the package is a ``NamedTuple`` (see README, Notes)."""
     __slots__ = ("names", "help", "value", "choices", "default", "required",
                  "one_of")
 

@@ -2,13 +2,19 @@
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Optional
+from operator import itemgetter
+from typing import List, Optional
 
 
-class CheckResult(NamedTuple):
-    check_id: str
-    passed: bool
-    detail: str = ""
+class CheckResult(tuple):
+    """``(check_id, passed, detail)``: one named check and what it found."""
+    __slots__ = ()
+    check_id = property(itemgetter(0))      # str
+    passed = property(itemgetter(1))        # bool
+    detail = property(itemgetter(2))        # str
+
+    def __new__(cls, check_id: str, passed: bool, detail: str = ""):
+        return tuple.__new__(cls, (check_id, passed, detail))
 
 
 class Report:

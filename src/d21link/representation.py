@@ -25,7 +25,8 @@ between the raising and lowering halves.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import List, NamedTuple, Tuple
+from operator import itemgetter
+from typing import List, Tuple
 
 from .report import CheckResult, Report
 from .ring import LAMBDA, ONE, QuarterLaurent, RatFunc
@@ -65,14 +66,14 @@ _SIMPLE_PARITIES = (1, 0, 0)
 _SIMPLE_ROOTS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
-class _CartanFields(NamedTuple):
-    a: Tuple[Tuple[int, ...], ...]
-    d: Tuple[int, ...]
-    b4: Tuple[Tuple[int, ...], ...]
-
-
-class CartanData(_CartanFields):
+class CartanData(tuple):
+    """``(a, d, b4)``: the Cartan matrix, its symmetrizer and 4b, b the
+    inverse of (-a_ij / d_j) that drives the Cartan factor; ``ValueError``
+    unless d a is symmetric and b4 / 4 is that inverse."""
     __slots__ = ()
+    a = property(itemgetter(0))             # Tuple[Tuple[int, ...], ...]
+    d = property(itemgetter(1))             # Tuple[int, ...]
+    b4 = property(itemgetter(2))            # Tuple[Tuple[int, ...], ...]
 
     def __new__(cls, a, d, b4):
         for i in range(3):
@@ -85,7 +86,7 @@ class CartanData(_CartanFields):
                 acc = sum(b4[i][k] * -a[k][j] for k in range(3))
                 if acc != (4 * d[j] if i == j else 0):
                     raise ValueError("b4 / 4 is not inverse to (-a_ij/d_j)")
-        return super().__new__(cls, a, d, b4)
+        return tuple.__new__(cls, (a, d, b4))
 
 
 CARTAN = CartanData(

@@ -28,7 +28,8 @@ skein, naturality) as the adjudicating evidence.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict, List, NamedTuple, Tuple
+from operator import itemgetter
+from typing import Dict, List, Tuple
 
 from .report import CheckResult, Report
 from .ring import Q, QINV, QuarterLaurent, q_string, to_integer_laurent
@@ -42,9 +43,14 @@ class TableError(ValueError):
     """A module table fails a fact that the braiding or a tangle rests on."""
 
 
-class BraidingBundle(NamedTuple):
-    c: SuperMap
-    c_inv: SuperMap
+class BraidingBundle(tuple):
+    """``(c, c_inv)``: the braiding on M (x) M and its inverse."""
+    __slots__ = ()
+    c = property(itemgetter(0))             # SuperMap
+    c_inv = property(itemgetter(1))         # SuperMap
+
+    def __new__(cls, c: SuperMap, c_inv: SuperMap):
+        return tuple.__new__(cls, (c, c_inv))
 
 
 def _nilpotent_part(i: int) -> SuperMap:

@@ -78,7 +78,8 @@ writhe normalization.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from operator import itemgetter
+from typing import Dict, List, Optional, Tuple
 
 from .ring import (excerpt, format_q_laurent, laurent_product, nonzero_terms,
                    to_integer_laurent)
@@ -104,13 +105,12 @@ class TangleBudgetExceeded(DiagramError):
     """An evaluation would hold more than its budget allows."""
 
 
-class _BraidFields(NamedTuple):
-    strands: int
-    letters: Tuple[int, ...]
-
-
-class BraidWord(_BraidFields):
+class BraidWord(tuple):
+    """``(strands, letters)``: a braid on ``strands`` strands, each letter
+    k a crossing of strands |k| and |k| + 1, positive for k > 0."""
     __slots__ = ()
+    strands = property(itemgetter(0))       # int
+    letters = property(itemgetter(1))       # Tuple[int, ...]
 
     def __new__(cls, strands: int, letters: Tuple[int, ...]):
         if strands < 1:
@@ -119,8 +119,6 @@ class BraidWord(_BraidFields):
             if letter == 0 or abs(letter) >= strands:
                 raise DiagramError(f"braid letter {excerpt(letter)} out of "
                                    f"range for {excerpt(strands)} strands")
-        # not the fields' generated __new__: one Python call less on a
-        # braid that every parse and every invariant builds
         return tuple.__new__(cls, (strands, letters))
 
     def mirror(self) -> "BraidWord":
@@ -130,12 +128,18 @@ class BraidWord(_BraidFields):
         return f"{self.strands}: {' '.join(str(k) for k in self.letters)}".rstrip()
 
 
+def _check_ascii_integers(text: str) -> None:
+    """``ValueError`` unless ``text`` is ASCII without ``+`` or ``_``: what
+    ``int`` then reads is an optional ``-`` and ASCII digits."""
+    if not text.isascii() or "+" in text or "_" in text:
+        raise ValueError(f"not ASCII integers: {text!r}")
+
+
 def ascii_integers(text: str) -> List[int]:
     """The blank-separated integers of ``text``, each an optional ``-`` and
     ASCII digits; any other token (other digits, ``+``, ``_``) raises
     ``ValueError``, as does a number past Python's int-string digit limit."""
-    if not text.isascii() or "+" in text or "_" in text:
-        raise ValueError(f"not ASCII integers: {text!r}")
+    _check_ascii_integers(text)
     return list(map(int, text.split()))
 
 
@@ -145,24 +149,29 @@ def parse_braid(text: str) -> BraidWord:
     try:
         if not colon or "-" in head:
             raise ValueError(text)
-        (strands,) = ascii_integers(head)
-        letters = tuple(ascii_integers(tail))
+        _check_ascii_integers(text)
+        # strip() drops the blanks that split() cuts at, so int() reads the
+        # head as one split() token, and refuses none or two
+        strands, letters = int(head.strip()), tuple(map(int, tail.split()))
     except ValueError:
         raise DiagramError(f"malformed braid text {excerpt(text)}") from None
     return BraidWord(strands, letters)
 
 
-class SlicedEvent(NamedTuple):
-    kind: str
-    position: int
-
-
-class _SlicedFields(NamedTuple):
-    events: Tuple[SlicedEvent, ...]
-
-
-class SlicedDiagram(_SlicedFields):
+class SlicedEvent(tuple):
+    """``(kind, position)``: one event of a sliced diagram."""
     __slots__ = ()
+    kind = property(itemgetter(0))          # str, one of EVENT_KINDS
+    position = property(itemgetter(1))      # int, 1-based
+
+    def __new__(cls, kind: str, position: int):
+        return tuple.__new__(cls, (kind, position))
+
+
+class SlicedDiagram(tuple):
+    """``(events,)``: a closed sliced diagram, its events bottom to top."""
+    __slots__ = ()
+    events = property(itemgetter(0))        # Tuple[SlicedEvent, ...]
 
     def __new__(cls, events: Tuple[SlicedEvent, ...]):
         strands = 0
@@ -170,7 +179,7 @@ class SlicedDiagram(_SlicedFields):
             strands = _next_strand_count(event, strands)
         if strands != 0:
             raise DiagramError(f"diagram is not closed ({strands} strands left open)")
-        return super().__new__(cls, events)
+        return tuple.__new__(cls, (events,))
 
     @property
     def slices(self) -> int:
@@ -237,15 +246,23 @@ def parse_sliced_text(text: str) -> SlicedDiagram:
     return SlicedDiagram(tuple(events))
 
 
-class EvalResult(NamedTuple):
+class EvalResult(tuple):
     """A value and the stats of the evaluation that gave it.  For a braid
     word (:func:`cohomology_trace`) the stats are those of the fold of the
     2n-strand sliced closure of ``braid``, the word that was traced."""
-    value: Tuple[Tuple[int, int], ...]   # sorted (q-exponent, coefficient)
-    slices: int
-    peak_strands: int
-    peak_support: int      # most nonzero states held after any event
-    braid: Optional[BraidWord] = None    # set by cohomology_trace only
+    __slots__ = ()
+    value = property(itemgetter(0))     # sorted (q-exponent, coefficient)
+    slices = property(itemgetter(1))
+    peak_strands = property(itemgetter(2))
+    # most nonzero states held after any event
+    peak_support = property(itemgetter(3))
+    braid = property(itemgetter(4))     # set by cohomology_trace only
+
+    def __new__(cls, value: Tuple[Tuple[int, int], ...], slices: int,
+                peak_strands: int, peak_support: int,
+                braid: Optional[BraidWord] = None):
+        return tuple.__new__(cls, (value, slices, peak_strands, peak_support,
+                                   braid))
 
     def value_dict(self) -> Dict[int, int]:
         return dict(self.value)

@@ -10,7 +10,7 @@ from math import comb
 from d21link import cli, tangle
 from d21link.dubrovnik import DELTA, LinkGraph, TwoVarPoly
 from d21link.ring import ZERO, NotLaurentInQ, QuarterLaurent, RatFunc
-from d21link.ring import format_q_laurent, laurent_product
+from d21link.ring import excerpt, format_q_laurent, laurent_product
 from d21link.representation import DIM
 from d21link.superlinalg import Space, SuperMap
 
@@ -498,6 +498,28 @@ def reference_trace(word):
             state = apply_letter(state, *step)
         total += state.get(column, 0)
     return decode(total, bits, shift, span + 1)
+
+
+def reference_parse_braid(text):
+    """``<n>: <letters>`` read in two passes, the head and the letters each
+    as blank-separated ASCII integers: the reference that
+    :func:`d21link.tangle.parse_braid`, which reads the text with one ASCII
+    check and one split, is compared against, refusal for refusal."""
+    def integers(part):
+        if not part.isascii() or "+" in part or "_" in part:
+            raise ValueError(part)
+        return list(map(int, part.split()))
+
+    head, colon, tail = text.partition(":")
+    try:
+        if not colon or "-" in head:
+            raise ValueError(text)
+        (strands,) = integers(head)
+        letters = tuple(integers(tail))
+    except ValueError:
+        raise tangle.DiagramError(
+            f"malformed braid text {excerpt(text)}") from None
+    return tangle.BraidWord(strands, letters)
 
 
 def reference_parser() -> argparse.ArgumentParser:

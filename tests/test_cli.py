@@ -175,6 +175,7 @@ def test_verbose_verify_streams_check_lines(capsys):
 
 
 BRAIDING_TIME = re.compile(r"\.\.\. braiding ready in \d+\.\d{4} s")
+LAYERS_TIME = re.compile(r"\.\.\. layers imported in (\d+\.\d{4}) s")
 
 
 def test_verbose_json_verify_keeps_progress_off_stdout(capsys):
@@ -185,12 +186,13 @@ def test_verbose_json_verify_keeps_progress_off_stdout(capsys):
     assert "... checking duality pairing and zig-zags\n" in err
     assert all(line.startswith("... ") for line in err.splitlines())
     # text mode streams the same progress lines to stdout, after the
-    # braiding's time
+    # times of the layer imports and of the braiding
     code, out, err = run_cli(capsys, "verify", "--suite", "category", "-v")
     assert code == 0 and err == ""
-    first, second = out.splitlines()[:2]
-    assert BRAIDING_TIME.fullmatch(first)
-    assert second == "... checking duality pairing and zig-zags"
+    first, second, third = out.splitlines()[:3]
+    assert LAYERS_TIME.fullmatch(first)
+    assert BRAIDING_TIME.fullmatch(second)
+    assert third == "... checking duality pairing and zig-zags"
 
 
 def test_verbose_verify_reports_each_suite_wall_time(capsys):
@@ -199,17 +201,35 @@ def test_verbose_verify_reports_each_suite_wall_time(capsys):
     code, out, err = run_cli(capsys, "verify", "--suite", "all", "-v")
     assert code == 0 and err == ""
     lines = out.splitlines()
-    assert BRAIDING_TIME.fullmatch(lines[0])    # the braiding's, first
+    assert LAYERS_TIME.fullmatch(lines[0])      # the imports', first
+    assert BRAIDING_TIME.fullmatch(lines[1])    # then the braiding's
     timed = [pattern.fullmatch(line) for line in lines]
     assert [m.group(1) for m in timed if m] == suites
     assert all(float(m.group(2)) >= 0 for m in timed if m)
-    # under --json on stderr, the braiding's line and one for the one suite
+    # under --json on stderr, the imports' and the braiding's lines and one
+    # for the one suite
     code, out, err = run_cli(capsys, "verify", "--suite", "relations",
                              "--json", "-v")
     assert code == 0 and json.loads(out)["ok"] is True
-    braiding_line, line = err.splitlines()
+    layers_line, braiding_line, line = err.splitlines()
+    assert LAYERS_TIME.fullmatch(layers_line)
     assert BRAIDING_TIME.fullmatch(braiding_line)
     assert pattern.fullmatch(line).group(1) == "relations"
+
+
+def test_only_verbose_verify_reports_the_layer_imports(tmp_path):
+    # in a fresh process, where the figure is the import of every layer
+    command = [sys.executable, "-m", "d21link.cli", "verify", "--suite",
+               "relations"]
+    code, verbose, err = run_process(command, ["-v"], tmp_path)
+    assert code == 0 and err == ""
+    first, second = verbose.splitlines()[:2]
+    assert float(LAYERS_TIME.fullmatch(first).group(1)) > 0
+    assert BRAIDING_TIME.fullmatch(second)
+    # without -v the report prints no progress line and no passed check
+    assert run_process(command, [], tmp_path) == (0, "".join(
+        f"{line}\n" for line in verbose.splitlines()
+        if not line.startswith(("... ", "[PASS] "))), "")
 
 
 def test_parse_errors_exit_2(capsys, tmp_path):

@@ -525,3 +525,16 @@ def test_pipelines_stay_independent_at_import_time():
                            "argparse", "gettext"}
     # ``json`` loads only when a command writes JSON
     assert "json" not in cli_side
+
+
+def test_no_layer_builds_a_named_tuple_at_import_time():
+    # ``collections.namedtuple`` compiles each class it builds with eval, a
+    # cost every CLI process would pay; ``functools`` builds its own record
+    # when it loads, so it loads before the stub
+    cli_side = _modules_after(
+        "import collections, functools\n"
+        "def refuse(typename, *args, **kwargs):\n"
+        "    raise AssertionError(f'namedtuple {typename!r} built')\n"
+        "collections.namedtuple = refuse\n"
+        "import d21link.cli")
+    assert "d21link.verify" in cli_side

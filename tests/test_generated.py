@@ -4,8 +4,9 @@ closure and against the independent skein oracle, and both against the
 identities every framed-link value must satisfy; plus generated 3-6 strand
 families of connected sums, split unions and words where braid relations
 apply, the trace in the E_1-cohomology against the 6^n trace on 1-6
-strands, and ``invariant`` against the orientation sum on words of up to 8
-strands and 200 letters."""
+strands, ``invariant`` against the orientation sum on words of up to 8
+strands and 200 letters, and ``parse_braid`` against the two-pass
+reference parser on seeded valid and malformed texts."""
 
 import itertools
 import random
@@ -15,11 +16,11 @@ import pytest
 
 from d21link.dubrovnik import (DELTA, TwoVarPoly, braid_closure_graph,
                                dubrovnik_poly, orientation_sum, specialize)
-from d21link.tangle import (BraidWord, SlicedDiagram, SlicedEvent,
-                            _cyclically_reduced, braid_closure_slices,
-                            cohomology_trace, evaluate_sliced, invariant,
-                            parse_braid)
-from helpers import plain_dubrovnik, reference_trace
+from d21link.tangle import (BraidWord, DiagramError, SlicedDiagram,
+                            SlicedEvent, _cyclically_reduced,
+                            braid_closure_slices, cohomology_trace,
+                            evaluate_sliced, invariant, parse_braid)
+from helpers import plain_dubrovnik, reference_parse_braid, reference_trace
 
 
 def random_words(seed, count):
@@ -373,3 +374,45 @@ def test_invariant_is_the_orientation_sum_on_long_wide_words():
     for word in words:
         assert invariant(word).value_dict() == \
             orientation_sum(braid_closure_graph(word)), word
+
+
+# pieces of braid text: numbers, signs, separators, every kind of blank
+# that split() cuts at, and what int() or the ASCII check refuses
+PIECES = ("0", "1", "2", "3", "12", "007", "-", "-1", "+", "+1", "_", "1_0",
+          ":", " ", "  ", "\t", "\n", "\x0b", "\x1c", "\x1f", "\x00", "x",
+          "\u0663", "\u00a0", "9" * 4301)
+
+
+def braid_texts(seed, count):
+    """Seeded braid texts, half a blank-padded strand count, a colon and
+    letters (some out of range), half any string of :data:`PIECES`."""
+    rng = random.Random(seed)
+    texts = []
+    for _ in range(count):
+        if rng.random() < 0.5:
+            strands = rng.randint(0, 6)
+            letters = " ".join(str(rng.randint(-3, 3))
+                               for _ in range(rng.randint(0, 4)))
+            a, b, c, d = (rng.choice(("", " ", "\t", "\x1c", "  \x1f"))
+                          for _ in range(4))
+            texts.append(f"{a}{strands}{b}:{c}{letters}{d}")
+        else:
+            texts.append("".join(rng.choice(PIECES)
+                                 for _ in range(rng.randint(0, 6))))
+    return texts
+
+
+def test_parse_braid_is_the_two_pass_reference():
+    parsed = refused = 0
+    for text in braid_texts(3901, 3000):
+        try:
+            expected = reference_parse_braid(text)
+        except DiagramError as exc:
+            with pytest.raises(DiagramError) as raised:
+                parse_braid(text)
+            assert str(raised.value) == str(exc), repr(text)
+            refused += 1
+        else:
+            assert parse_braid(text) == expected, repr(text)
+            parsed += 1
+    assert parsed > 500 and refused > 500

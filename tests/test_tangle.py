@@ -14,7 +14,7 @@ from d21link.ring import (ONE, Q, QuarterLaurent, format_q_laurent,
                           laurent_product)
 from d21link import tangle, verify
 from d21link.representation import M, M2, duality_maps, generator_action
-from d21link.rmatrix import TableError, braiding
+from d21link.rmatrix import BraidingBundle, TableError, braiding
 from d21link.superlinalg import SuperMap
 from d21link.tangle import (DEFAULT_SUPPORT_BUDGET, BraidWord, DiagramError,
                             SlicedDiagram, SlicedEvent, TangleBudgetExceeded,
@@ -64,7 +64,9 @@ def perturbed_braiding(kind, how):
         entries[(0, 0)] = value + value
     else:
         entries[(6, 0)] = value        # and v2 (x) v1 is basis vector 6
-    return bundle._replace(**{field: SuperMap(M2, M2, entries)})
+    changed = SuperMap(M2, M2, entries)
+    return (BraidingBundle(changed, bundle.c_inv) if kind == "pos"
+            else BraidingBundle(bundle.c, changed))
 
 
 def perturbed(kind, how):
@@ -461,7 +463,8 @@ def test_cohomology_guard_needs_signed_powers_of_q():
     # 2c is still a module map that keeps every weight, but cut down to
     # the E_1-cohomology its entries are -2 q^-1 and -2 q
     bundle = braiding()
-    doubled = bundle._replace(c=bundle.c.scale(QuarterLaurent.constant(2)))
+    doubled = BraidingBundle(bundle.c.scale(QuarterLaurent.constant(2)),
+                             bundle.c_inv)
     with replaced_in_tangle(braiding=lambda: doubled):
         with pytest.raises(ValueError, match="has an entry that is not a "
                                              "signed power of q$"):
@@ -472,8 +475,8 @@ def test_cohomology_guard_needs_crossings_that_send_a_window_to_one_window():
     # c + q^-1 id commutes with Delta(E_1) too, but sends v4 v4 to 0 and
     # v4 v5 to -q v5 v4 + q^-1 v4 v5
     bundle = braiding()
-    shifted = bundle._replace(c=bundle.c + SuperMap.identity(M2).scale(
-        QuarterLaurent.q_power(-1)))
+    shifted = BraidingBundle(bundle.c + SuperMap.identity(M2).scale(
+        QuarterLaurent.q_power(-1)), bundle.c_inv)
     with replaced_in_tangle(braiding=lambda: shifted):
         with pytest.raises(ValueError, match="^the pos crossing does not "
                                              "send each window in the "
