@@ -482,6 +482,12 @@ MUTANTS = (
            (T_RMATRIX + "test_braiding_inverse_and_integrality",
             T_ACCEPTANCE + "test_criterion_5_category_identities"),
            ((("verify", "--suite", "rmatrix"), 1),)),
+    Mutant("inverse-cartan-keeps-the-exponent-sign", RMATRIX,
+           "inverse.terms = {-exp: coeff for exp, coeff in value.terms.items()}",
+           "inverse.terms = {exp: coeff for exp, coeff in value.terms.items()}",
+           (T_RMATRIX + "test_inverse_cartan_factor_is_read_off_the_factor",
+            T_RMATRIX + "test_braiding_inverse_and_integrality"),
+           ((("verify", "--suite", "rmatrix"), 1),)),
     Mutant("inverse-without-the-flip", RMATRIX,
            "    c_inv = tau\n",
            "    c_inv = SuperMap.identity(M2)\n",
@@ -510,6 +516,27 @@ MUTANTS = (
            "steps = max(rem) - deg_b",
            (T_RING + "test_division_steps_stay_exact_on_integer_input",
             T_SUPERLINALG + "test_scale_divides_exactly_or_raises")),
+    Mutant("exact-div-monomial-ignores-the-remainder", RING,
+           "        if rest:\n",
+           "        if False:\n",
+           (T_RING + "test_exact_div_by_one_term_is_the_quotient_loop",
+            T_SUPERLINALG + "test_scale_divides_exactly_or_raises")),
+    Mutant("poly-gcd-monomial-drops-the-content", RING,
+           "return ONE if content == 1 else QuarterLaurent({0: content})",
+           "return ONE",
+           (T_RING + "test_poly_gcd_with_a_one_term_operand_is_the_prs",
+            T_RING + "test_gcd_divides_both_arguments",
+            T_RING + "test_coefficients_are_ints_only")),
+    Mutant("ring-imports-typing", RING,
+           "from collections.abc import Mapping, Sequence\n",
+           "from typing import Mapping, Sequence\n",
+           (T_DUBROVNIK + "test_the_cli_never_loads_typing_and_evaluation_"
+                          "never_loads_reports",)),
+    Mutant("rmatrix-loads-the-reports-on-import", RMATRIX,
+           "if TYPE_CHECKING:\n    from .report import Report\n",
+           "if True:\n    from .report import Report\n",
+           (T_DUBROVNIK + "test_the_cli_never_loads_typing_and_evaluation_"
+                          "never_loads_reports",)),
     Mutant("laurent-mul-squares-the-left-factor", RING,
            "laurent_product(self.terms, other.terms)",
            "laurent_product(self.terms, self.terms)",

@@ -22,9 +22,10 @@ way, each as written.  ``dubrovnik --json`` adds a ``"stats"`` key with
 the counts of the skein recursion:
 ``"nodes"``, ``"memo_hits"``, ``"curls_removed"`` and
 ``"bigons_removed"``.  ``verify -v`` streams a progress line with the
-wall seconds of the layer imports, one with those of the braiding build,
-then one per check group and one with each suite's wall seconds, to
-stdout, or to stderr under ``--json``.
+wall seconds of the layer imports, one with those of each phase of the
+braiding build (N_1..N_7, R, then c and c^-1), one with their sum, then
+one per check group and one with each suite's wall seconds, to stdout,
+or to stderr under ``--json``.
 In text mode ``verify`` prints each suite's lines as soon as the suite
 has run, so a table that a later suite refuses (exit 2) leaves them on
 stdout, and under ``--json`` prints them as ``{"ok": false, "suites":
@@ -81,10 +82,13 @@ import contextlib
 import os
 import re
 import sys
+from collections.abc import Callable, Sequence
 from time import perf_counter
 from types import SimpleNamespace
-from typing import (Callable, Dict, List, NoReturn, Optional, Sequence,
-                    Tuple)
+
+TYPE_CHECKING = False     # the typing module is never loaded at run time
+if TYPE_CHECKING:
+    from typing import NoReturn
 
 _imports_start = perf_counter()
 from . import dubrovnik
@@ -254,8 +258,8 @@ class Option:
     __slots__ = ("names", "help", "value", "choices", "default", "required",
                  "one_of")
 
-    def __init__(self, names: Tuple[str, ...], help: str, value: bool = False,
-                 choices: Tuple[str, ...] = (), default: Optional[str] = None,
+    def __init__(self, names: tuple[str, ...], help: str, value: bool = False,
+                 choices: tuple[str, ...] = (), default: str | None = None,
                  required: bool = False, one_of: bool = False):
         self.names, self.help, self.value = names, help, value
         self.choices, self.default = choices, default
@@ -266,7 +270,7 @@ class Command:
     __slots__ = ("help", "func", "options")
 
     def __init__(self, help: str, func: Callable[[SimpleNamespace], int],
-                 options: Tuple[Option, ...]):
+                 options: tuple[Option, ...]):
         self.help, self.func, self.options = help, func, options
 
 
@@ -321,7 +325,7 @@ def _invalid(value: str, choices) -> str:
             f"{', '.join(map(repr, choices))})")
 
 
-def _usage(command: Optional[str]) -> str:
+def _usage(command: str | None) -> str:
     if command is None:
         return f"usage: d21link [-h] {{{','.join(COMMANDS)}}} ..."
     options = COMMANDS[command].options
@@ -332,7 +336,7 @@ def _usage(command: Optional[str]) -> str:
     return f"usage: d21link {command} {' '.join(parts)}"
 
 
-def _help(command: Optional[str]) -> str:
+def _help(command: str | None) -> str:
     if command is None:
         rows = [(name, spec.help) for name, spec in COMMANDS.items()]
         text, options = f"{DESCRIPTION}\n\ncommands:\n{_rows(rows)}\n", ()
@@ -358,8 +362,8 @@ def _stop(status: int, text: str, stream) -> NoReturn:
     raise SystemExit(status)
 
 
-def _usage_error(command: Optional[str], message: str,
-                 about: Optional[str] = None) -> NoReturn:
+def _usage_error(command: str | None, message: str,
+                 about: str | None = None) -> NoReturn:
     """The usage of ``command`` (None for the top level) and ``message``,
     about the argument named ``about`` if one is given, then exit 2."""
     prog = "d21link" if command is None else f"d21link {command}"
@@ -368,7 +372,7 @@ def _usage_error(command: Optional[str], message: str,
     _stop(2, f"{_usage(command)}\n{prog}: error: {message}\n", sys.stderr)
 
 
-def _option_at(token: str, names: Dict[str, Option]):
+def _option_at(token: str, names: dict[str, Option]):
     """``(option, its "=" value or None)`` for a token that names one of
     ``names``, ``(None, None)`` for any other option, or None for a value.
     A token is an option if it starts with ``-`` and is not ``-`` alone, a
@@ -464,7 +468,7 @@ def _flushed(status: int) -> int:
     return status
 
 
-def main(argv: Optional[List[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
         status = args.func(args)

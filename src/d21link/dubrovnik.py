@@ -47,7 +47,6 @@ from __future__ import annotations
 from functools import lru_cache, reduce
 from itertools import product
 from math import comb
-from typing import Dict, List, Optional, Tuple
 
 from .ring import NotLaurentInQ, excerpt, format_laurent, format_q_laurent
 
@@ -55,7 +54,7 @@ DEFAULT_BUDGET = 16
 # Most memo entries one evaluation starts from; more, and it clears the memo.
 MEMO_CAP = 4096
 # Branch values by the signature of their simplified diagram, across calls.
-_memo: Dict[tuple, TwoVarPoly] = {}
+_memo: dict[tuple, TwoVarPoly] = {}
 
 # Sign of a crossing by the slots (over, under) at which its strands enter:
 # +1 when the under-strand enters one slot counterclockwise of the over.
@@ -74,8 +73,8 @@ class TwoVarPoly:
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Optional[Dict[Tuple[int, int], int]] = None):
-        clean: Dict[Tuple[int, int], int] = {}
+    def __init__(self, terms: dict[tuple[int, int], int] | None = None):
+        clean: dict[tuple[int, int], int] = {}
         if terms:
             for key, coeff in terms.items():
                 if type(coeff) is not int:
@@ -117,7 +116,7 @@ class TwoVarPoly:
         return self + (-other)
 
     def __mul__(self, other: "TwoVarPoly") -> "TwoVarPoly":
-        out: Dict[Tuple[int, int], int] = {}
+        out: dict[tuple[int, int], int] = {}
         for (a1, z1), c1 in self.terms.items():
             for (a2, z2), c2 in other.terms.items():
                 key = (a1 + a2, z1 + z2)
@@ -165,8 +164,8 @@ class LinkGraph:
 
     __slots__ = ("over_diag", "partner", "free_loops")
 
-    def __init__(self, over_diag: Optional[Dict[int, int]] = None,
-                 partner: Optional[Dict[int, int]] = None, free_loops: int = 0):
+    def __init__(self, over_diag: dict[int, int] | None = None,
+                 partner: dict[int, int] | None = None, free_loops: int = 0):
         self.over_diag = {} if over_diag is None else over_diag
         self.partner = {} if partner is None else partner
         self.free_loops = free_loops
@@ -236,7 +235,7 @@ def braid_closure_graph(word, budget: int = DEFAULT_BUDGET) -> LinkGraph:
     graph = LinkGraph()
     over_diag, partner = graph.over_diag, graph.partner
     # per strand: its first port and its open end so far
-    first: List[Optional[int]] = [None] * (word.strands + 1)
+    first: list[int | None] = [None] * (word.strands + 1)
     ends = first[:]
     for cid, letter in enumerate(word.letters):
         k, base = abs(letter), 4 * cid
@@ -271,11 +270,11 @@ def _analyze(graph: LinkGraph):
     second if both are on one component."""
     partner, over_diag = graph.partner, graph.over_diag
     first_bad, self_writhe = None, 0
-    labels: Dict[int, int] = {}
+    labels: dict[int, int] = {}
     # crossing -> (slot, component, over) of its first pass, until its second
-    pending: Dict[int, Tuple[int, int, bool]] = {}
-    types: List[int] = []
-    components: List[Tuple[Tuple[int, int], ...]] = []
+    pending: dict[int, tuple[int, int, bool]] = {}
+    types: list[int] = []
+    components: list[tuple[tuple[int, int], ...]] = []
     for low in sorted(over_diag):
         while low not in labels or low in pending:
             # the smallest port of ``low`` on the diagonal not yet passed
@@ -307,8 +306,8 @@ def _analyze(graph: LinkGraph):
     return len(components), first_bad, self_writhe, signature
 
 
-def _simplify(graph: LinkGraph, stats: Optional[Dict[str, int]] = None,
-              suspects: Optional[set] = None) -> int:
+def _simplify(graph: LinkGraph, stats: dict[str, int] | None = None,
+              suspects: set | None = None) -> int:
     """Reidemeister I and II in place until neither applies; returns the
     a-exponent that the removed curls contribute to the value.
 
@@ -365,7 +364,7 @@ def _simplify(graph: LinkGraph, stats: Optional[Dict[str, int]] = None,
 
 def dubrovnik_poly(graph: LinkGraph, budget: int = DEFAULT_BUDGET,
                    use_cache: bool = True,
-                   stats: Optional[Dict[str, int]] = None) -> TwoVarPoly:
+                   stats: dict[str, int] | None = None) -> TwoVarPoly:
     """Kauffman's switching recursion; exact value in Z[a^{+-1}, z^{+-1}].
 
     With ``use_cache`` the recursion reads and writes the process-wide memo,
@@ -389,7 +388,7 @@ def dubrovnik_poly(graph: LinkGraph, budget: int = DEFAULT_BUDGET,
     if stats is not None:
         stats.update(nodes=0, memo_hits=0, curls_removed=0, bigons_removed=0)
 
-    def recurse(g: LinkGraph, suspects: Optional[set] = None) -> TwoVarPoly:
+    def recurse(g: LinkGraph, suspects: set | None = None) -> TwoVarPoly:
         if stats is not None:
             stats["nodes"] += 1
         shift = _simplify(g, stats, suspects)
@@ -426,7 +425,7 @@ def dubrovnik_poly(graph: LinkGraph, budget: int = DEFAULT_BUDGET,
     return recurse(graph.copy())
 
 
-def orientation_sum(graph: LinkGraph) -> Dict[int, int]:
+def orientation_sum(graph: LinkGraph) -> dict[int, int]:
     """I(D) = sum over the orientations o of the diagram of (-q^-1)^w(D, o),
     w the writhe, as ``{q_exponent: coefficient}``: the specialized
     Dubrovnik polynomial in closed form, I(D) = 2 specialize(D).
@@ -464,7 +463,7 @@ def orientation_sum(graph: LinkGraph) -> Dict[int, int]:
     :func:`dubrovnik_poly`.
     """
     ncomp, _, self_writhe, (components, types, free_loops) = _analyze(graph)
-    passes: Dict[int, List[Tuple[int, int]]] = {}
+    passes: dict[int, list[tuple[int, int]]] = {}
     for comp, steps in enumerate(components):
         for cid, slot in steps:
             passes.setdefault(cid, []).append((slot, comp))
@@ -476,7 +475,7 @@ def orientation_sum(graph: LinkGraph) -> Dict[int, int]:
             crossings[min(i, j)][max(i, j)] += _SIGNS[over_slot, under_slot]
     linked = [(i, j, count) for i, row in enumerate(crossings)
               for j, count in enumerate(row) if count]
-    total: Dict[int, int] = {}
+    total: dict[int, int] = {}
     for signs in product((1, -1), repeat=max(ncomp - 1, 0)):
         e = (1,) + signs
         writhe = self_writhe + sum(e[i] * e[j] * count for i, j, count in linked)
@@ -485,7 +484,7 @@ def orientation_sum(graph: LinkGraph) -> Dict[int, int]:
     return {exp: scale * coeff for exp, coeff in total.items() if coeff}
 
 
-def _divide_by_z(terms: Dict[int, int]) -> Dict[int, int]:
+def _divide_by_z(terms: dict[int, int]) -> dict[int, int]:
     """Exact quotient by z = q - q^{-1} in one pass from the top down: c q^e
     left gives c q^{e-1}, and nothing may be left below q^{lowest + 2}."""
     exps = [exp for exp, coeff in terms.items() if coeff]
@@ -503,13 +502,13 @@ def _divide_by_z(terms: Dict[int, int]) -> Dict[int, int]:
 
 
 @lru_cache(maxsize=1024)
-def _expansion(a_exp: int, n: int) -> Tuple[Tuple[int, int], ...]:
+def _expansion(a_exp: int, n: int) -> tuple[tuple[int, int], ...]:
     """(-q^{-1})^a_exp (q - q^{-1})^n as ``(q_exponent, coefficient)`` pairs."""
     return tuple((n - 2 * r - a_exp, -comb(n, r) if (a_exp + r) % 2
                   else comb(n, r)) for r in range(n + 1))
 
 
-def specialize(poly: TwoVarPoly) -> Dict[int, int]:
+def specialize(poly: TwoVarPoly) -> dict[int, int]:
     """Substitute a = -q^{-1}, z = q - q^{-1}; z-denominators must cancel.
 
     The terms are multiplied by z^m, m the largest negative z-exponent,
@@ -517,7 +516,7 @@ def specialize(poly: TwoVarPoly) -> Dict[int, int]:
     (q - q^{-1})^m; a remainder raises :class:`NotLaurentInQ`.
     """
     shift = max([0] + [-z_exp for _, z_exp in poly.terms])
-    total: Dict[int, int] = {}
+    total: dict[int, int] = {}
     for (a_exp, z_exp), coeff in poly.terms.items():
         for exp, term in _expansion(a_exp, z_exp + shift):
             total[exp] = total.get(exp, 0) + term * coeff

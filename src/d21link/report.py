@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import List, Optional
 
 
 class CheckResult(tuple):
@@ -20,7 +19,7 @@ class CheckResult(tuple):
 class Report:
     __slots__ = ("suite", "checks")
 
-    def __init__(self, suite: str, checks: Optional[List[CheckResult]] = None):
+    def __init__(self, suite: str, checks: list[CheckResult] | None = None):
         self.suite = suite
         self.checks = [] if checks is None else checks
 
@@ -31,7 +30,7 @@ class Report:
     def extend(self, other: "Report") -> None:
         self.checks.extend(other.checks)
 
-    def lines(self, verbose: bool = False) -> List[str]:
+    def lines(self, verbose: bool = False) -> list[str]:
         out = []
         for check in self.checks:
             if verbose or not check.passed:

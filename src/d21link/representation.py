@@ -26,12 +26,14 @@ from __future__ import annotations
 
 from functools import lru_cache
 from operator import itemgetter
-from typing import List, Tuple
 
-from .report import CheckResult, Report
 from .ring import LAMBDA, ONE, QuarterLaurent, RatFunc
 from .superlinalg import (TRIVIAL, SuperMap, compose, invert, tensor,
                           tensor_map)
+
+TYPE_CHECKING = False     # report is loaded by the suites only
+if TYPE_CHECKING:
+    from .report import Report
 
 DIM = 6
 PARITIES = (0, 0, 1, 1, 1, 1)
@@ -71,9 +73,9 @@ class CartanData(tuple):
     inverse of (-a_ij / d_j) that drives the Cartan factor; ``ValueError``
     unless d a is symmetric and b4 / 4 is that inverse."""
     __slots__ = ()
-    a = property(itemgetter(0))             # Tuple[Tuple[int, ...], ...]
-    d = property(itemgetter(1))             # Tuple[int, ...]
-    b4 = property(itemgetter(2))            # Tuple[Tuple[int, ...], ...]
+    a = property(itemgetter(0))             # tuple[tuple[int, ...], ...]
+    d = property(itemgetter(1))             # tuple[int, ...]
+    b4 = property(itemgetter(2))            # tuple[tuple[int, ...], ...]
 
     def __new__(cls, a, d, b4):
         for i in range(3):
@@ -107,7 +109,7 @@ ROOTS = (
 )
 
 
-def bracket_step(root: Tuple[int, int, int]) -> int:
+def bracket_step(root: tuple[int, int, int]) -> int:
     """(beta, beta) = sum_jk n_j n_k d_j a_jk: the c of the twist K_beta
     E_beta = q^c E_beta K_beta."""
     return sum(n_j * n_k * CARTAN.d[j] * CARTAN.a[j][k]
@@ -147,7 +149,7 @@ def generator_action(name: str, index: int) -> SuperMap:
 
 
 @lru_cache(maxsize=None)
-def cartan_exponential(root: Tuple[int, int, int], sign: int = 1) -> SuperMap:
+def cartan_exponential(root: tuple[int, int, int], sign: int = 1) -> SuperMap:
     """K_beta^{sign} for beta = sum n_j alpha_j: diagonal with entries
     q^{sign * sum_j n_j d_j weight_j(v)}; K_i is the case beta = alpha_i."""
     if sign not in (1, -1):
@@ -195,7 +197,7 @@ def root_vector(i: int, kind: str = "raise") -> SuperMap:
 
 
 @lru_cache(maxsize=None)
-def duality_maps() -> Tuple[SuperMap, SuperMap, SuperMap]:
+def duality_maps() -> tuple[SuperMap, SuperMap, SuperMap]:
     """(alpha, b, d): the self-duality and the induced cup/cap on M.
 
     alpha is the duality isomorphism written in M-coordinates against the
@@ -248,9 +250,10 @@ def _difference_detail(lhs: SuperMap, rhs: SuperMap) -> str:
     return f"difference nonzero at {shown}{more}"
 
 
-def _check(checks: List[CheckResult], check_id: str, lhs: SuperMap, rhs: SuperMap):
+def _check(checks: list[tuple[str, bool, str]], check_id: str, lhs: SuperMap,
+           rhs: SuperMap):
     ok = lhs == rhs
-    checks.append(CheckResult(check_id, ok, "" if ok else _difference_detail(lhs, rhs)))
+    checks.append((check_id, ok, "" if ok else _difference_detail(lhs, rhs)))
 
 
 # Commutation relations among root vectors: (i, j, scale, rhs-terms), each
@@ -288,7 +291,8 @@ def _commutation_table():
 
 def check_defining_relations() -> Report:
     """Verify every defining relation as an exact matrix identity on M."""
-    checks: List[CheckResult] = []
+    from .report import CheckResult, Report     # loaded by the suites only
+    checks: list[tuple[str, bool, str]] = []
     E = {i: generator_action("E", i) for i in (1, 2, 3)}
     F = {i: generator_action("F", i) for i in (1, 2, 3)}
     H = {i: generator_action("H", i) for i in (1, 2, 3)}
@@ -356,7 +360,7 @@ def check_defining_relations() -> Report:
                compose(k_beta, e_i),
                compose(e_i, k_beta).scale(q(bracket_step(root))))
 
-    return Report("relations", checks)
+    return Report("relations", [CheckResult(*check) for check in checks])
 
 
 def simple_orbit_spans(start: int) -> bool:

@@ -28,6 +28,10 @@ primitive pseudo-remainder sequence over the integers, times the gcd of the
 contents), denominator with valuation zero and positive leading coefficient,
 and denominator exactly one whenever the value is polynomial.  The units of
 Z[t, t^-1] are the +-t^k, so this form is unique and equality is structural.
+The same units give :func:`poly_gcd` and :func:`exact_div` their one-term
+shortcut: a one-term c*t^k is a unit times the integer c, so a gcd with it
+is the gcd of the contents, and a division by it shifts the exponents by
+-k and divides each coefficient by c; neither runs its general loop.
 
 Values that are integer Laurent polynomials in q render canonically with
 ascending exponents::
@@ -45,8 +49,8 @@ are computed on demand, never stored.
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Sequence
 from math import gcd as _int_gcd
-from typing import Dict, Mapping, Sequence
 
 
 class NotLaurentInQ(ValueError):
@@ -69,7 +73,7 @@ class QuarterLaurent:
     __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping[int, int] | None = None):
-        clean: Dict[int, int] = {}
+        clean: dict[int, int] = {}
         if terms:
             for exp, coeff in terms.items():
                 if type(coeff) is not int:
@@ -161,7 +165,7 @@ QINV = QuarterLaurent({-4: 1})
 LAMBDA = Q - QINV
 
 
-def _subtract_multiple(rem: Dict[int, int], factor: int, shift: int,
+def _subtract_multiple(rem: dict[int, int], factor: int, shift: int,
                        b: QuarterLaurent) -> None:
     """rem -= factor * t^shift * b, in place."""
     for exp, coeff in b.terms.items():
@@ -185,11 +189,22 @@ def poly_gcd(a: QuarterLaurent, b: QuarterLaurent) -> QuarterLaurent:
     """Gcd of two nonzero Laurent polynomials over Z: valuation 0, positive
     leading coefficient, content the gcd of the two contents.
 
-    A primitive pseudo-remainder sequence on the primitive parts (Knuth,
-    TAOCP vol. 2, 4.6.1): every step stays in integers, and each remainder
-    is cut back to its primitive part before the next.
+    A one-term operand c*t^k is a unit t^k times the integer c, so the gcd
+    is then the gcd of the two contents alone; otherwise it is that times
+    the primitive gcd of :func:`_primitive_gcd`.
     """
     content = _int_gcd(a.content(), b.content())
+    if len(a.terms) == 1 or len(b.terms) == 1:
+        return ONE if content == 1 else QuarterLaurent({0: content})
+    g = _primitive_gcd(a, b)
+    return g if content == 1 else g * QuarterLaurent.constant(content)
+
+
+def _primitive_gcd(a: QuarterLaurent, b: QuarterLaurent) -> QuarterLaurent:
+    """The gcd of the primitive parts of a and b: a primitive
+    pseudo-remainder sequence (Knuth, TAOCP vol. 2, 4.6.1), where every
+    step stays in integers and each remainder is cut back to its primitive
+    part before the next."""
     a, b = _primitive(a), _primitive(b)
     while not b.is_zero():
         rem = dict(a.terms)
@@ -201,23 +216,43 @@ def poly_gcd(a: QuarterLaurent, b: QuarterLaurent) -> QuarterLaurent:
                 rem = {e: c * lead_b for e, c in rem.items()}
             _subtract_multiple(rem, factor, deg_r - deg_b, b)
         a, b = b, _primitive(QuarterLaurent(rem)) if rem else ZERO
-    return a if content == 1 else a * QuarterLaurent.constant(content)
+    return a
 
 
 def exact_div(a: QuarterLaurent, b: QuarterLaurent) -> QuarterLaurent:
     """Quotient a/b in Z[t, t^-1]; ``ArithmeticError`` unless b divides a.
 
-    Each exact step lowers the remainder's degree, so the quotient has at
-    most deg(a) - deg(b) + 1 terms (degrees taken at valuation 0); a step
-    past that bound is a broken loop, not an inexact division, and raises
-    ``RuntimeError``."""
+    By a one-term b = c*t^k, a unit t^k times an integer, the quotient
+    shifts every exponent of a by -k and divides every coefficient by c.
+    Otherwise :func:`_long_division` computes it."""
     if b.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
     if a.is_zero():
         return ZERO
+    if len(b.terms) != 1:
+        return _long_division(a, b)
+    ((shift, unit),) = b.terms.items()
+    quo: dict[int, int] = {}
+    for exp, coeff in a.terms.items():
+        factor, rest = divmod(coeff, unit)
+        if rest:
+            raise ArithmeticError("inexact polynomial division")
+        quo[exp - shift] = factor
+    result = QuarterLaurent.__new__(QuarterLaurent)
+    result.terms = quo      # int coefficients, none zero
+    return result
+
+
+def _long_division(a: QuarterLaurent, b: QuarterLaurent) -> QuarterLaurent:
+    """exact_div of a nonzero a by a nonzero b, by the quotient loop.
+
+    Each exact step lowers the remainder's degree, so the quotient has at
+    most deg(a) - deg(b) + 1 terms (degrees taken at valuation 0); a step
+    past that bound is a broken loop, not an inexact division, and raises
+    ``RuntimeError``."""
     va, vb = a.valuation(), b.valuation()
     rem = {e - va: c for e, c in a.terms.items()}
-    quo: Dict[int, int] = {}
+    quo: dict[int, int] = {}
     b = b.shifted(-vb)
     deg_b, lead_b = b.degree(), b.leading_coefficient()
     steps = max(rem) - deg_b + 1
@@ -311,13 +346,13 @@ class RatFunc:
         return f"({self.num!r}) / ({self.den!r})"
 
 
-def to_integer_laurent(value: QuarterLaurent) -> Dict[int, int]:
+def to_integer_laurent(value: QuarterLaurent) -> dict[int, int]:
     """Reinterpret a QuarterLaurent as an integer Laurent polynomial in q.
 
     Succeeds iff every t-exponent is divisible by four; returns
     ``{q_exponent: coeff}``.
     """
-    out: Dict[int, int] = {}
+    out: dict[int, int] = {}
     for exp, coeff in value.terms.items():
         if exp % 4:
             raise NotLaurentInQ("t-exponent not divisible by 4", exp)
@@ -346,7 +381,7 @@ def format_laurent(terms: Mapping[tuple, int], names: Sequence[str]) -> str:
     return "".join(pieces) if pieces else "0"
 
 
-def add_product(acc: Dict[int, int], left: Mapping[int, int],
+def add_product(acc: dict[int, int], left: Mapping[int, int],
                 right: Mapping[int, int]) -> None:
     """acc += left * right on ``{exponent: coeff}`` dicts, zeros kept."""
     for e1, c1 in left.items():
@@ -355,7 +390,7 @@ def add_product(acc: Dict[int, int], left: Mapping[int, int],
             acc[e] = acc.get(e, 0) + c1 * c2
 
 
-def nonzero_terms(sums: Dict) -> Dict:
+def nonzero_terms(sums: dict) -> dict:
     """``{key: {exponent: coeff}}`` without its zero coefficients, then
     without the polynomials left empty; a dict without zeros is kept as it
     is, not copied."""
@@ -369,9 +404,9 @@ def nonzero_terms(sums: Dict) -> Dict:
 
 
 def laurent_product(left: Mapping[int, int],
-                    right: Mapping[int, int]) -> Dict[int, int]:
+                    right: Mapping[int, int]) -> dict[int, int]:
     """Product of two integer Laurent polynomials ``{q_exponent: coeff}``."""
-    out: Dict[int, int] = {}
+    out: dict[int, int] = {}
     add_product(out, left, right)
     return {exp: coeff for exp, coeff in out.items() if coeff}
 

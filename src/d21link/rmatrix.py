@@ -29,14 +29,16 @@ from __future__ import annotations
 
 from functools import lru_cache
 from operator import itemgetter
-from typing import Dict, List, Tuple
 
-from .report import CheckResult, Report
 from .ring import Q, QINV, QuarterLaurent, q_string, to_integer_laurent
 from .representation import (CARTAN, DIM, M, M2, WEIGHTS, duality_maps, phi,
                              root_vector)
 from .superlinalg import (SuperMap, compose, embed_at, rank_over_fractions,
                           tensor_map, volte)
+
+TYPE_CHECKING = False     # report is loaded by the suites only
+if TYPE_CHECKING:
+    from .report import Report
 
 
 class TableError(ValueError):
@@ -75,7 +77,7 @@ def exp_factor(i: int) -> SuperMap:
 
 
 @lru_cache(maxsize=None)
-def _nilpotent_parts() -> Tuple[SuperMap, ...]:
+def _nilpotent_parts() -> tuple[SuperMap, ...]:
     """(N_1, ..., N_7), each built and checked once for R and c^-1."""
     return tuple(_nilpotent_part(i) for i in range(1, 8))
 
@@ -83,16 +85,25 @@ def _nilpotent_parts() -> Tuple[SuperMap, ...]:
 @lru_cache(maxsize=None)
 def cartan_factor(sign: int = 1) -> SuperMap:
     """Diagonal factor v (x) w -> q^{sign sum b_ij weight_i(v) weight_j(w)}
-    v (x) w; sign -1 gives its inverse."""
+    v (x) w: for sign 1 each entry is a monomial t^e, so for sign -1, the
+    inverse, it is t^-e, read off the entries for sign 1."""
+    if sign == -1:
+        entries = {}
+        for key, value in cartan_factor().entries.items():
+            inverse = entries[key] = QuarterLaurent.__new__(QuarterLaurent)
+            inverse.terms = {-exp: coeff for exp, coeff in value.terms.items()}
+        return SuperMap._derived(M2, M2, entries, 0)
+    if sign != 1:
+        raise ValueError("sign must be +1 or -1")
     # forms[v][j] = sum_i 4 b_ij weight_i(v), an integer
     forms = [[sum(CARTAN.b4[i][j] * WEIGHTS[v][i] for i in range(3))
               for j in range(3)] for v in range(DIM)]
-    entries: Dict[Tuple[int, int], QuarterLaurent] = {}
+    entries: dict[tuple[int, int], QuarterLaurent] = {}
     for v in range(DIM):
         for w in range(DIM):
             exponent = sum(f * x for f, x in zip(forms[v], WEIGHTS[w]))
             index = v * DIM + w
-            entries[(index, index)] = QuarterLaurent.t_power(sign * exponent)
+            entries[(index, index)] = QuarterLaurent.t_power(exponent)
     return SuperMap(M2, M2, entries)
 
 
@@ -125,6 +136,13 @@ def braiding() -> BraidingBundle:
     return BraidingBundle(c, c_inv)
 
 
+# The cold build in its order, each phase a cached builder that the next
+# one calls: ``verify -v`` times each by calling it before the next.
+BUILD_PHASES = (("N_1..N_7 (phi, root vectors, scale)", _nilpotent_parts),
+                ("R", r_matrix),
+                ("c and c^-1 with the twist guard", braiding))
+
+
 def twist_inverse_square(c: SuperMap) -> SuperMap:
     """((d o c) (x) id) o (id (x) (c o b)) on M: the inverse square of the
     twist, where the duality transport cancels between the two braidings."""
@@ -135,7 +153,8 @@ def twist_inverse_square(c: SuperMap) -> SuperMap:
 
 def spectral_check() -> Report:
     """Annihilating cubic, eigenvalue ranks, and minimality of the cubic."""
-    checks: List[CheckResult] = []
+    from .report import CheckResult, Report     # loaded by the suites only
+    checks: list[CheckResult] = []
     c = braiding().c
     ident = SuperMap.identity(M2)
     factors = {
@@ -171,24 +190,24 @@ def spectral_check() -> Report:
 # Basis orders for the parity blocks: even pairs (i,j) with i,j in {1,2}
 # then i,j in {3..6}; odd pairs with i in {1,2}, j in {3..6} then i in
 # {3..6}, j in {1,2}; lexicographic within each group (1-based labels).
-EVEN_PAIRS: Tuple[Tuple[int, int], ...] = tuple(
+EVEN_PAIRS: tuple[tuple[int, int], ...] = tuple(
     [(i, j) for i in (1, 2) for j in (1, 2)]
     + [(i, j) for i in (3, 4, 5, 6) for j in (3, 4, 5, 6)])
-ODD_PAIRS: Tuple[Tuple[int, int], ...] = tuple(
+ODD_PAIRS: tuple[tuple[int, int], ...] = tuple(
     [(i, j) for i in (1, 2) for j in (3, 4, 5, 6)]
     + [(i, j) for i in (3, 4, 5, 6) for j in (1, 2)])
 
 
-def _flat(pair: Tuple[int, int]) -> int:
+def _flat(pair: tuple[int, int]) -> int:
     return (pair[0] - 1) * DIM + (pair[1] - 1)
 
 
-def pair_label(pair: Tuple[int, int]) -> str:
+def pair_label(pair: tuple[int, int]) -> str:
     """``v{i}(x)v{j}``, the label of a basis pair in the CLI output."""
     return f"v{pair[0]}(x)v{pair[1]}"
 
 
-def split_blocks(m: SuperMap) -> Tuple[List[List[str]], List[List[str]]]:
+def split_blocks(m: SuperMap) -> tuple[list[list[str]], list[list[str]]]:
     """The even and odd parity blocks of an even map on M (x) M, each entry
     as its canonical q-string: what ``braiding --split`` prints."""
     return tuple([[q_string(m.entry(_flat(r), _flat(c))) for c in pairs]
@@ -241,12 +260,12 @@ REFERENCE_C1 = [
 ]
 
 
-def compare_reference() -> Tuple[int, List[dict]]:
+def compare_reference() -> tuple[int, list[dict]]:
     """The number of reference entries compared, and the entries where the
     parity blocks of the braiding, as ``braiding --split`` prints them,
     differ from the reference: block, row and column labels, and the
     expected and computed q-strings."""
-    mismatches: List[dict] = []
+    mismatches: list[dict] = []
     total = 0
     for block, ref, got, pairs in zip(("c0", "c1"),
                                       (REFERENCE_C0, REFERENCE_C1),

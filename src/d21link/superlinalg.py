@@ -50,16 +50,17 @@ pivot exactly, the only divisions of the computation; it raises
 
 from __future__ import annotations
 
+from collections.abc import Mapping
+from functools import lru_cache
 from math import gcd
-from typing import Dict, List, Mapping, Tuple
 
 from .ring import (ONE, ZERO, NotLaurentInQ, QuarterLaurent, add_product,
                    exact_div, nonzero_terms)
 
-Entry = Tuple[int, int]
-Terms = Dict[int, int]      # a Laurent polynomial's {exponent: coefficient}
-Row = Dict[int, Terms]      # {column: nonzero polynomial} of one matrix row
-Space = Tuple[int, ...]     # the parity, 0 or 1, of each basis vector
+Entry = tuple[int, int]
+Terms = dict[int, int]      # a Laurent polynomial's {exponent: coefficient}
+Row = dict[int, Terms]      # {column: nonzero polynomial} of one matrix row
+Space = tuple[int, ...]     # the parity, 0 or 1, of each basis vector
 
 
 class ShapeMismatchError(ValueError):
@@ -69,8 +70,10 @@ class ShapeMismatchError(ValueError):
 TRIVIAL = (0,)      # the ground ring: one even basis vector
 
 
+@lru_cache(maxsize=16)
 def tensor(a: Space, b: Space) -> Space:
-    """The parities of the lexicographic basis of a (x) b."""
+    """The parities of the lexicographic basis of a (x) b, kept for the 16
+    pairs asked for last: tensor_map and embed_at ask for the same few."""
     return tuple(p ^ r for p in a for r in b)
 
 
@@ -87,7 +90,7 @@ class SuperMap:
     def __init__(self, domain: Space, codomain: Space,
                  entries: Mapping[Entry, QuarterLaurent], parity: int = 0):
         parity &= 1
-        clean: Dict[Entry, QuarterLaurent] = {}
+        clean: dict[Entry, QuarterLaurent] = {}
         for (row, col), value in entries.items():
             if type(value) is not QuarterLaurent:
                 raise TypeError(f"entry ({row},{col}) is a "
@@ -109,7 +112,7 @@ class SuperMap:
 
     @classmethod
     def _derived(cls, domain: Space, codomain: Space,
-                 entries: Dict[Entry, QuarterLaurent],
+                 entries: dict[Entry, QuarterLaurent],
                  parity: int) -> "SuperMap":
         """Internal: wrap the entries of a map built from checked maps,
         already nonzero and in the blocks of ``parity``, without a check."""
@@ -191,10 +194,10 @@ def compose(f: SuperMap, g: SuperMap) -> SuperMap:
     are summed on their coefficient dicts."""
     if g.codomain != f.domain:
         raise ShapeMismatchError("compose: codomain of g != domain of f")
-    by_col: Dict[int, List[Tuple[int, Terms]]] = {}
+    by_col: dict[int, list[tuple[int, Terms]]] = {}
     for (row, col), value in f.entries.items():
         by_col.setdefault(col, []).append((row, value.terms))
-    sums: Dict[Entry, Terms] = {}
+    sums: dict[Entry, Terms] = {}
     for (mid, col), gval in g.entries.items():
         gterms = gval.terms
         for row, fterms in by_col.get(mid, ()):
@@ -203,7 +206,7 @@ def compose(f: SuperMap, g: SuperMap) -> SuperMap:
             if acc is None:
                 acc = sums[key] = {}
             add_product(acc, fterms, gterms)
-    out: Dict[Entry, QuarterLaurent] = {}
+    out: dict[Entry, QuarterLaurent] = {}
     for key, terms in nonzero_terms(sums).items():
         value = out[key] = QuarterLaurent.__new__(QuarterLaurent)
         value.terms = terms     # int coefficients, none zero
@@ -236,7 +239,7 @@ def tensor_map(f: SuperMap, g: SuperMap) -> SuperMap:
     gdim_cod = len(g.codomain)
     g_items = [(rg, cg, gval, _unit(gval))
                for (rg, cg), gval in g.entries.items()]
-    out: Dict[Entry, QuarterLaurent] = {}
+    out: dict[Entry, QuarterLaurent] = {}
     for (rf, cf), fval in f.entries.items():
         sign = -1 if (g.parity and f.domain[cf]) else 1
         f_unit = _unit(fval)
@@ -257,7 +260,7 @@ def tensor_map(f: SuperMap, g: SuperMap) -> SuperMap:
 
 def volte(m: Space, n: Space) -> SuperMap:
     """The graded flip tau: m (x) n -> n (x) m, v (x) w -> (-1)^{|v||w|} w (x) v."""
-    entries: Dict[Entry, QuarterLaurent] = {}
+    entries: dict[Entry, QuarterLaurent] = {}
     for i, p in enumerate(m):
         for j, r in enumerate(n):
             row, col = j * len(m) + i, i * len(n) + j
@@ -272,11 +275,11 @@ def embed_at(f: SuperMap, left: int, right: int, strand: Space) -> SuperMap:
         SuperMap.identity(tensor_power(strand, right)))
 
 
-def _integer_rows(f: SuperMap, augment: bool) -> List[Row]:
+def _integer_rows(f: SuperMap, augment: bool) -> list[Row]:
     """The nonzero rows of f, or the rows of [f | id] when ``augment``, as
     the coefficient dicts of their entries."""
     n = len(f.domain)
-    rows: List[Row] = [{} for _ in range(len(f.codomain))]
+    rows: list[Row] = [{} for _ in range(len(f.codomain))]
     for (row, col), value in f.entries.items():
         rows[row][col] = value.terms
     if augment:
@@ -305,12 +308,12 @@ def _combine(p: Terms, row: Row, a: Terms, pivot_row: Row, col: int) -> Row:
     return out
 
 
-def _eliminate(rows: List[Row], columns: int) -> List[Tuple[int, Row]]:
+def _eliminate(rows: list[Row], columns: int) -> list[tuple[int, Row]]:
     """The forward sweep over the first ``columns`` columns, left to right:
     of the remaining rows with an entry in the column, the first with the
     fewest terms there is the pivot row, and :func:`_combine` clears the
     column from the others.  Returns the (column, pivot row) pairs."""
-    pivots: List[Tuple[int, Row]] = []
+    pivots: list[tuple[int, Row]] = []
     for col in range(columns):
         best = -1
         for index, row in enumerate(rows):
@@ -322,7 +325,7 @@ def _eliminate(rows: List[Row], columns: int) -> List[Tuple[int, Row]]:
             continue
         pivot_row = rows.pop(best)
         p = pivot_row[col]
-        reduced: List[Row] = []
+        reduced: list[Row] = []
         for row in rows:
             a = row.get(col)
             if a is not None:
@@ -357,7 +360,7 @@ def invert(f: SuperMap) -> SuperMap:
             a = rows[j].get(k)
             if a is not None:
                 rows[j] = _combine(rows[k][k], rows[j], a, rows[k], k)
-    entries: Dict[Entry, QuarterLaurent] = {}
+    entries: dict[Entry, QuarterLaurent] = {}
     for k, row in enumerate(rows):
         pivot = QuarterLaurent(row[k])
         for c, terms in row.items():

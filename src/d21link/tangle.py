@@ -79,7 +79,6 @@ from __future__ import annotations
 
 from functools import lru_cache
 from operator import itemgetter
-from typing import Dict, List, Optional, Tuple
 
 from .ring import (excerpt, format_q_laurent, laurent_product, nonzero_terms,
                    to_integer_laurent)
@@ -110,9 +109,9 @@ class BraidWord(tuple):
     k a crossing of strands |k| and |k| + 1, positive for k > 0."""
     __slots__ = ()
     strands = property(itemgetter(0))       # int
-    letters = property(itemgetter(1))       # Tuple[int, ...]
+    letters = property(itemgetter(1))       # tuple[int, ...]
 
-    def __new__(cls, strands: int, letters: Tuple[int, ...]):
+    def __new__(cls, strands: int, letters: tuple[int, ...]):
         if strands < 1:
             raise DiagramError("braid needs at least one strand")
         for letter in letters:
@@ -135,7 +134,7 @@ def _check_ascii_integers(text: str) -> None:
         raise ValueError(f"not ASCII integers: {text!r}")
 
 
-def ascii_integers(text: str) -> List[int]:
+def ascii_integers(text: str) -> list[int]:
     """The blank-separated integers of ``text``, each an optional ``-`` and
     ASCII digits; any other token (other digits, ``+``, ``_``) raises
     ``ValueError``, as does a number past Python's int-string digit limit."""
@@ -171,9 +170,9 @@ class SlicedEvent(tuple):
 class SlicedDiagram(tuple):
     """``(events,)``: a closed sliced diagram, its events bottom to top."""
     __slots__ = ()
-    events = property(itemgetter(0))        # Tuple[SlicedEvent, ...]
+    events = property(itemgetter(0))        # tuple[SlicedEvent, ...]
 
-    def __new__(cls, events: Tuple[SlicedEvent, ...]):
+    def __new__(cls, events: tuple[SlicedEvent, ...]):
         strands = 0
         for event in events:
             strands = _next_strand_count(event, strands)
@@ -218,7 +217,7 @@ def braid_closure_slices(word: BraidWord) -> SlicedDiagram:
     framing: the closure is evaluated exactly as drawn.
     """
     n = word.strands
-    events: List[SlicedEvent] = [SlicedEvent("cup", p) for p in range(1, n + 1)]
+    events: list[SlicedEvent] = [SlicedEvent("cup", p) for p in range(1, n + 1)]
     for letter in word.letters:
         kind = "pos" if letter > 0 else "neg"
         events.append(SlicedEvent(kind, n + abs(letter)))
@@ -258,27 +257,27 @@ class EvalResult(tuple):
     peak_support = property(itemgetter(3))
     braid = property(itemgetter(4))     # set by cohomology_trace only
 
-    def __new__(cls, value: Tuple[Tuple[int, int], ...], slices: int,
+    def __new__(cls, value: tuple[tuple[int, int], ...], slices: int,
                 peak_strands: int, peak_support: int,
-                braid: Optional[BraidWord] = None):
+                braid: BraidWord | None = None):
         return tuple.__new__(cls, (value, slices, peak_strands, peak_support,
                                    braid))
 
-    def value_dict(self) -> Dict[int, int]:
+    def value_dict(self) -> dict[int, int]:
         return dict(self.value)
 
     def canonical(self) -> str:
         return format_q_laurent(dict(self.value))
 
 
-def _columns(operator) -> Tuple[int, Dict[tuple, tuple]]:
+def _columns(operator) -> tuple[int, dict[tuple, tuple]]:
     """``(width, table)`` of an event map: the window ``key[lo:lo+width]``
     maps to its ``(replacement, {q_exponent: coefficient})`` rows, windows
     and replacements being pairs of basis vectors, or ``()`` on the trivial
     module (width 0 for the cup, 2 for the other kinds); an entry outside
     Z[q, q^-1] raises :class:`NotLaurentInQ`."""
     pairs_in, pairs_out = len(operator.domain) > 1, len(operator.codomain) > 1
-    columns: Dict[tuple, list] = {}
+    columns: dict[tuple, list] = {}
     for (row, col), value in sorted(operator.entries.items()):
         columns.setdefault(divmod(col, DIM) if pairs_in else (), []).append(
             (divmod(row, DIM) if pairs_out else (), to_integer_laurent(value)))
@@ -295,13 +294,13 @@ def evaluate_sliced(diagram: SlicedDiagram,
     doubles them)."""
     peak = diagram.peak_strands()
     tables = _cohomology()[2]
-    state: Dict[tuple, Dict[int, int]] = {(): {0: 1}}
+    state: dict[tuple, dict[int, int]] = {(): {0: 1}}
     peak_support = 1
     for index, event in enumerate(diagram.events, 1):
         width, table = tables[event.kind]
         lo = event.position - 1
         hi = lo + width
-        sums: Dict[tuple, Dict[int, int]] = {}
+        sums: dict[tuple, dict[int, int]] = {}
         for key, amp in state.items():
             for replacement, sign, shift in table.get(key[lo:hi], ()):
                 acc = sums.setdefault(key[:lo] + replacement + key[hi:], {})
@@ -319,7 +318,7 @@ def evaluate_sliced(diagram: SlicedDiagram,
                       peak_support)
 
 
-def _signed_power(terms: Dict[int, int]) -> Tuple[int, int]:
+def _signed_power(terms: dict[int, int]) -> tuple[int, int]:
     """``(sign, exponent)`` of a polynomial that is +-q^exponent."""
     if len(terms) != 1 or abs(next(iter(terms.values()))) != 1:
         raise TableError("an event table cut down to the E_1-cohomology "
@@ -329,8 +328,8 @@ def _signed_power(terms: Dict[int, int]) -> Tuple[int, int]:
 
 
 @lru_cache(maxsize=None)
-def _cohomology() -> Tuple[Tuple[int, ...], Tuple[Tuple[int, int], ...],
-                           Dict[str, Tuple[int, Dict[tuple, tuple]]]]:
+def _cohomology() -> tuple[tuple[int, ...], tuple[tuple[int, int], ...],
+                           dict[str, tuple[int, dict[tuple, tuple]]]]:
     """``(basis, weights, tables)``: the basis vectors spanning H, the
     cohomology of the odd generator E_1 on the module; the pivotal weight
     of each as ``(sign, exponent)``; and the table (:func:`_columns`) of
@@ -394,7 +393,7 @@ def _cohomology() -> Tuple[Tuple[int, ...], Tuple[Tuple[int, int], ...],
             or sorted(pairs) != sorted(caps)):
         raise TableError("cup and cap do not pair the same basis vectors "
                          "one to one; a braid closure is not a trace")
-    weights: List[Dict[int, int]] = [{}] * DIM
+    weights: list[dict[int, int]] = [{}] * DIM
     for (l, r), cup_coeff in cups:
         (((), cap_coeff),) = caps[l, r]
         weights[r] = laurent_product(cup_coeff, cap_coeff)
@@ -419,7 +418,7 @@ def _cohomology() -> Tuple[Tuple[int, ...], Tuple[Tuple[int, int], ...],
 # 16 plans kept, of distinct strand counts, hold fewer than twice the
 # columns of the largest one.
 @lru_cache(maxsize=16)
-def _start_amplitudes(strands: int) -> Tuple[Tuple[int, int], ...]:
+def _start_amplitudes(strands: int) -> tuple[tuple[int, int], ...]:
     """``(sign, exponent)`` of each start column of the trace on
     ``strands`` strands, in column order: the product of the pivotal
     weights of the column's digits, indices into the basis of H."""
@@ -434,7 +433,7 @@ def _start_amplitudes(strands: int) -> Tuple[Tuple[int, int], ...]:
 # Bounded too, though an entry is only four rows.
 @lru_cache(maxsize=256)
 def _letter_step(strands: int, letter: int
-                 ) -> Tuple[int, Tuple[Tuple[int, int, int], ...]]:
+                 ) -> tuple[int, tuple[tuple[int, int, int], ...]]:
     """``(unit, rows)`` of ``letter`` on ``strands`` strands.  ``unit`` is
     the place value of the letter's right strand in a column index; the
     letter's crossing, cut down to the E_1-cohomology H, sends the window
@@ -477,7 +476,7 @@ def cohomology_trace(word: BraidWord,
     for letter in word.letters:
         steps.append(_letter_step(n, letter))
     starts = _start_amplitudes(n)
-    total: Dict[int, int] = {}
+    total: dict[int, int] = {}
     for column, (sign, exp) in enumerate(starts):
         row = column
         for unit, rows in steps:
@@ -495,11 +494,11 @@ def cohomology_trace(word: BraidWord,
                       len(starts), word)
 
 
-def _cyclically_reduced(letters) -> List[int]:
+def _cyclically_reduced(letters) -> list[int]:
     """``letters`` with every adjacent inverse pair cancelled, also across
     the ends of the word (the trace is cyclic): one stack pass, then the
     ends are trimmed while they cancel."""
-    stack: List[int] = []
+    stack: list[int] = []
     for letter in letters:
         if stack and stack[-1] == -letter:
             stack.pop()

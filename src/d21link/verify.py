@@ -13,8 +13,9 @@ regression names its first six mismatching entries there, as q-strings,
 and no suite writes a file.  :func:`suite_reports` yields each suite's
 report as soon as the suite has run, and :func:`run_suites` lists them.
 With a ``progress`` callback, both also report through it the wall
-seconds of :func:`d21link.rmatrix.braiding` before the suites (the cold
-build when nothing has called it yet in the process, a cache hit after)
+seconds of each phase of :data:`d21link.rmatrix.BUILD_PHASES` and then of
+the whole of :func:`d21link.rmatrix.braiding` before the suites (the cold
+build when nothing has called it yet in the process, cache hits after),
 and then each suite's.  Every input is a constant within the default
 budgets of both pipelines (at most 6 strands, or 64 trace columns, and 5
 crossings in the skein recursion), so no suite takes a budget.
@@ -29,15 +30,15 @@ from __future__ import annotations
 
 import random
 import time
-from typing import Callable, Iterator, List, Optional
+from collections.abc import Callable, Iterator
 
 from .report import CheckResult, Report
 from .ring import (LAMBDA, QINV, QuarterLaurent, format_q_laurent,
                    laurent_product, to_integer_laurent)
 from .representation import (M, M2, check_defining_relations, coproduct_action,
                              duality_maps, simple_orbit_spans)
-from .rmatrix import (braiding, compare_reference, r_matrix, spectral_check,
-                      twist_inverse_square)
+from .rmatrix import (BUILD_PHASES, braiding, compare_reference, r_matrix,
+                      spectral_check, twist_inverse_square)
 from .superlinalg import SuperMap, compose, embed_at
 from .tangle import BraidWord, cohomology_trace, invariant, parse_braid
 from . import dubrovnik
@@ -106,9 +107,9 @@ def _is_identity_at_one(m: SuperMap) -> bool:
             and all((v, v) in entries for v in range(len(m.domain))))
 
 
-def category_suite(progress: Optional[Callable[[str], None]] = None) -> Report:
+def category_suite(progress: Callable[[str], None] | None = None) -> Report:
     note = progress or (lambda message: None)
-    checks: List[CheckResult] = []
+    checks: list[CheckResult] = []
     bundle = braiding()
     c, c_inv = bundle.c, bundle.c_inv
     alpha, b, d = duality_maps()
@@ -199,7 +200,7 @@ def _long_words():
             "6: 200 letters of seed 1717": BraidWord(6, seeded)}
 
 
-def skein_suite(progress: Optional[Callable[[str], None]] = None) -> Report:
+def skein_suite(progress: Callable[[str], None] | None = None) -> Report:
     note = progress or (lambda message: None)
     report = Report("skein")
     for text in CORPUS:
@@ -252,12 +253,12 @@ SUITES = {"relations": lambda progress: relations_suite(),
           "category": category_suite, "skein": skein_suite}
 
 
-def run_suites(name: str, progress: Optional[Callable[[str], None]] = None
-               ) -> List[Report]:
+def run_suites(name: str, progress: Callable[[str], None] | None = None
+               ) -> list[Report]:
     return list(suite_reports(name, progress))
 
 
-def suite_reports(name: str, progress: Optional[Callable[[str], None]] = None
+def suite_reports(name: str, progress: Callable[[str], None] | None = None
                   ) -> Iterator[Report]:
     """The report of each suite of ``name``, yielded as soon as the suite
     has run: a suite that raises leaves the earlier reports delivered."""
@@ -265,9 +266,14 @@ def suite_reports(name: str, progress: Optional[Callable[[str], None]] = None
         raise ValueError(f"unknown suite {name!r}")
     names = list(SUITES) if name == "all" else [name]
     if progress is not None:
-        start = time.perf_counter()
-        braiding()
-        progress(f"braiding ready in {time.perf_counter() - start:.4f} s")
+        total = 0.0
+        for label, build in BUILD_PHASES:
+            start = time.perf_counter()
+            build()
+            seconds = time.perf_counter() - start
+            total += seconds
+            progress(f"built {label} in {seconds:.4f} s")
+        progress(f"braiding ready in {total:.4f} s")
     for suite in names:
         start = time.perf_counter()
         report = SUITES[suite](progress)

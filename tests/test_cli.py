@@ -176,6 +176,19 @@ def test_verbose_verify_streams_check_lines(capsys):
 
 BRAIDING_TIME = re.compile(r"\.\.\. braiding ready in \d+\.\d{4} s")
 LAYERS_TIME = re.compile(r"\.\.\. layers imported in (\d+\.\d{4}) s")
+PHASE_TIME = re.compile(r"\.\.\. built (.+) in (\d+\.\d{4}) s")
+PHASES = ["N_1..N_7 (phi, root vectors, scale)", "R",
+          "c and c^-1 with the twist guard"]
+
+
+def assert_build_lines(lines):
+    """The braiding build's lines: one per phase, in the build's order,
+    then the whole build, which is their sum."""
+    timed = [PHASE_TIME.fullmatch(line) for line in lines[:3]]
+    assert [m.group(1) for m in timed] == PHASES
+    assert BRAIDING_TIME.fullmatch(lines[3])
+    total = float(lines[3].split()[-2])
+    assert abs(sum(float(m.group(2)) for m in timed) - total) <= 0.0003
 
 
 def test_verbose_json_verify_keeps_progress_off_stdout(capsys):
@@ -189,10 +202,10 @@ def test_verbose_json_verify_keeps_progress_off_stdout(capsys):
     # times of the layer imports and of the braiding
     code, out, err = run_cli(capsys, "verify", "--suite", "category", "-v")
     assert code == 0 and err == ""
-    first, second, third = out.splitlines()[:3]
-    assert LAYERS_TIME.fullmatch(first)
-    assert BRAIDING_TIME.fullmatch(second)
-    assert third == "... checking duality pairing and zig-zags"
+    lines = out.splitlines()
+    assert LAYERS_TIME.fullmatch(lines[0])
+    assert_build_lines(lines[1:5])
+    assert lines[5] == "... checking duality pairing and zig-zags"
 
 
 def test_verbose_verify_reports_each_suite_wall_time(capsys):
@@ -202,7 +215,7 @@ def test_verbose_verify_reports_each_suite_wall_time(capsys):
     assert code == 0 and err == ""
     lines = out.splitlines()
     assert LAYERS_TIME.fullmatch(lines[0])      # the imports', first
-    assert BRAIDING_TIME.fullmatch(lines[1])    # then the braiding's
+    assert_build_lines(lines[1:5])              # then the braiding's
     timed = [pattern.fullmatch(line) for line in lines]
     assert [m.group(1) for m in timed if m] == suites
     assert all(float(m.group(2)) >= 0 for m in timed if m)
@@ -211,9 +224,10 @@ def test_verbose_verify_reports_each_suite_wall_time(capsys):
     code, out, err = run_cli(capsys, "verify", "--suite", "relations",
                              "--json", "-v")
     assert code == 0 and json.loads(out)["ok"] is True
-    layers_line, braiding_line, line = err.splitlines()
+    layers_line, *build_lines, line = err.splitlines()
     assert LAYERS_TIME.fullmatch(layers_line)
-    assert BRAIDING_TIME.fullmatch(braiding_line)
+    assert len(build_lines) == 4
+    assert_build_lines(build_lines)
     assert pattern.fullmatch(line).group(1) == "relations"
 
 
@@ -223,9 +237,9 @@ def test_only_verbose_verify_reports_the_layer_imports(tmp_path):
                "relations"]
     code, verbose, err = run_process(command, ["-v"], tmp_path)
     assert code == 0 and err == ""
-    first, second = verbose.splitlines()[:2]
+    first, *build_lines = verbose.splitlines()[:5]
     assert float(LAYERS_TIME.fullmatch(first).group(1)) > 0
-    assert BRAIDING_TIME.fullmatch(second)
+    assert_build_lines(build_lines)     # the cold build, phase by phase
     # without -v the report prints no progress line and no passed check
     assert run_process(command, [], tmp_path) == (0, "".join(
         f"{line}\n" for line in verbose.splitlines()

@@ -485,14 +485,15 @@ def test_pipelines_stay_independent_and_integer_only():
                                          "report", "superlinalg"}
 
 
-def _modules_after(statements):
+def _modules_after(statements, *flags):
     """Every module in ``sys.modules`` after ``statements`` run in a fresh
-    interpreter that sees only ``src`` on its path."""
+    interpreter, started with ``flags``, that sees only ``src`` on its
+    path."""
     src = Path(__file__).parents[1] / "src"
     code = statements + "\nimport sys\nprint(sorted(sys.modules))"
     env = dict(os.environ, PYTHONPATH=str(src))
-    done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                          capture_output=True, encoding="utf-8")
+    done = subprocess.run([sys.executable, *flags, "-c", code], env=env,
+                          check=True, capture_output=True, encoding="utf-8")
     return set(ast.literal_eval(done.stdout))
 
 
@@ -525,6 +526,21 @@ def test_pipelines_stay_independent_at_import_time():
                            "argparse", "gettext"}
     # ``json`` loads only when a command writes JSON
     assert "json" not in cli_side
+
+
+def test_the_cli_never_loads_typing_and_evaluation_never_loads_reports():
+    # annotations stay unevaluated strings, so no layer needs ``typing``;
+    # ``-S`` skips the site hooks, which may load it before the package
+    assert "typing" not in _modules_after("import d21link.cli", "-S")
+    # the relation and spectral checks load ``report`` when they run, so a
+    # process that builds the braiding and evaluates never does
+    evaluated = _modules_after(
+        "import d21link\n"
+        "from d21link import tangle\n"
+        "d21link.braiding()\n"
+        "tangle.invariant(tangle.parse_braid('3: 1 -2 1 -2'))")
+    assert {"d21link.tangle", "d21link.rmatrix"} <= evaluated
+    assert "d21link.report" not in evaluated
 
 
 def test_no_layer_builds_a_named_tuple_at_import_time():

@@ -1,9 +1,11 @@
 import importlib
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from d21link import ring
 from d21link.ring import (LAMBDA, NotLaurentInQ, ONE, Q, QINV, ZERO,
                           QuarterLaurent, RatFunc, format_q_laurent,
                           exact_div, poly_gcd, q_string, to_integer_laurent)
@@ -190,6 +192,63 @@ def test_division_steps_stay_exact_on_integer_input():
                             QuarterLaurent({0: 3, 1: 6}))
     values = (poly_gcd(a, b), ratio.num, ratio.den)
     assert all(type(c) is int for c in _coefficients(*values))
+
+
+def _one_term(rng):
+    """c*t^k with a coefficient of either sign, often not a unit."""
+    return QuarterLaurent({rng.randint(-12, 12):
+                           rng.choice((1, -1)) * rng.randint(1, 6)})
+
+
+def _outcome(divide, a, b):
+    """The quotient, or the type and message of the exception raised."""
+    try:
+        return divide(a, b)
+    except Exception as exc:    # noqa: BLE001 - compared as an outcome
+        return type(exc), str(exc)
+
+
+def test_exact_div_by_one_term_is_the_quotient_loop():
+    # the one-term shortcut against the general loop it skips: the same
+    # quotient, or the same exception, on exact and inexact divisions
+    rng = random.Random(4001)
+    inexact = 0
+    for _ in range(2500):
+        divisor = _one_term(rng)
+        dividend = random_nonzero_quarter_laurent(rng)
+        if rng.random() < 0.5:
+            dividend = dividend * divisor
+        expected = _outcome(ring._long_division, dividend, divisor)
+        assert _outcome(exact_div, dividend, divisor) == expected
+        if isinstance(expected, QuarterLaurent):
+            assert all(type(c) is int and c for c in expected.terms.values())
+        else:
+            assert expected == (ArithmeticError, "inexact polynomial division")
+            inexact += 1
+    assert 500 < inexact < 2000
+    assert exact_div(ZERO, _one_term(rng)) == ZERO
+    with pytest.raises(ArithmeticError):
+        exact_div(QuarterLaurent({-3: -7, 5: 4}), QuarterLaurent({2: -2}))
+    assert exact_div(QuarterLaurent({-3: -8, 5: 4}),
+                     QuarterLaurent({2: -2})) == QuarterLaurent({-5: 4, 3: -2})
+
+
+def test_poly_gcd_with_a_one_term_operand_is_the_prs():
+    # t is a unit, so the primitive pseudo-remainder sequence leaves only
+    # the gcd of the two contents; the shortcut returns it without the loop
+    rng = random.Random(4003)
+    contents = set()
+    for _ in range(2500):
+        single = _one_term(rng)
+        other = random_nonzero_quarter_laurent(rng)
+        common = QuarterLaurent.constant(rng.randint(1, 4))
+        single, other = single * common, other * common
+        for a, b in ((single, other), (other, single)):
+            content = math.gcd(a.content(), b.content())
+            prs = ring._primitive_gcd(a, b) * QuarterLaurent.constant(content)
+            assert poly_gcd(a, b) == prs == QuarterLaurent.constant(content)
+            contents.add(content)
+    assert {1, 2, 3, 4, 6} <= contents
 
 
 def test_fractions_stay_in_the_braiding_build():

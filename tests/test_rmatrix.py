@@ -35,6 +35,16 @@ def test_cartan_factor_examples():
     assert type(v23) is QuarterLaurent
 
 
+def test_inverse_cartan_factor_is_read_off_the_factor():
+    # K^-1 holds K's monomials at negated exponents: K^-1 K = K K^-1 = id
+    ident = SuperMap.identity(M2)
+    assert compose(cartan_factor(-1), cartan_factor()) == ident
+    assert compose(cartan_factor(), cartan_factor(-1)) == ident
+    assert cartan_factor(-1).entry(flat(1, 1), flat(1, 1)) == q(-1)
+    with pytest.raises(ValueError, match="sign must be"):
+        cartan_factor(2)
+
+
 def test_exp_factor_five():
     op = exp_factor(5)
     # on v3 (x) v1 the factor adds + (q - q^{-1}) v1 (x) v3

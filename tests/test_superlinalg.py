@@ -349,8 +349,15 @@ def test_scale_divides_exactly_or_raises():
     assert e2.scale(ZERO) == SuperMap.zero(M, M, e2.parity)
     with pytest.raises(NotLaurentInQ):
         SuperMap.identity(M).scale(ONE, LAMBDA)
+    # a one-term divisor takes exact_div's shortcut, and a two-term one its
+    # quotient loop, whose leading coefficient 2 does not divide 1
     with pytest.raises(NotLaurentInQ):
         e2.scale(ONE, QuarterLaurent.constant(2))
+    plus_one = LAMBDA + ONE
+    with pytest.raises(NotLaurentInQ):
+        e2.scale(plus_one, plus_one * QuarterLaurent.constant(2))
+    assert e2.scale(plus_one * QuarterLaurent.constant(2),
+                    plus_one) == e2.scale(QuarterLaurent.constant(2))
 
 
 def test_embed_at_is_the_tensor_with_identities():
