@@ -49,6 +49,7 @@ TIMEOUT_S = 60
 SUPERLINALG = "src/d21link/superlinalg.py"
 T_SUPERLINALG = "tests/test_superlinalg.py::"
 TANGLE = "src/d21link/tangle.py"
+DIAGRAM = "src/d21link/diagram.py"
 T_TANGLE = "tests/test_tangle.py::"
 T_GENERATED = "tests/test_generated.py::"
 T_CLI = "tests/test_cli.py::"
@@ -263,10 +264,34 @@ MUTANTS = (
             T_TANGLE + "test_eval_result_stats",
             T_CLI + "test_invariant_json_schema",
             T_TRANSCRIPT)),
-    Mutant("parse-braid-reads-the-head-unstripped", TANGLE,
+    Mutant("parse-braid-reads-the-head-unstripped", DIAGRAM,
            "int(head.strip())",
            "int(head)",
            (T_GENERATED + "test_parse_braid_is_the_two_pass_reference",)),
+    Mutant("ascii-integer-reads-int-alone", DIAGRAM,
+           "    (token,) = text.split()\n    return int(token)\n",
+           # int() strips the blanks that split() cuts at, but not \x1c-\x1f
+           "    return int(text)\n",
+           (T_GENERATED + "test_ascii_integer_is_the_one_value_of_the_"
+                          "reference",)),
+    Mutant("sliced-read-limit-off-by-one", DIAGRAM,
+           "handle.read(SLICED_MAX_CHARS + 1)",
+           "handle.read(SLICED_MAX_CHARS)",
+           (T_CLI + "test_a_sliced_file_one_character_past_the_limit_is_"
+                    "refused",
+            T_CLI + "test_an_endless_sliced_file_exits_2")),
+    Mutant("budget-error-outside-diagram-error", DIAGRAM,
+           "class BudgetExceeded(DiagramError):",
+           "class BudgetExceeded(RuntimeError):",
+           (T_CLI + "test_a_budget_error_of_either_pipeline_is_one_error_"
+                    "line",
+            T_CLI + "test_skein_budget_env_admits_a_wider_unlink",
+            T_CLI + "test_support_budget_rejects_huge_unlink_at_once")),
+    Mutant("oracle-reads-the-braiding-side", DUBROVNIK,
+           "from .diagram import BudgetExceeded\n",
+           # tangle imports the class from diagram, so this still resolves
+           "from .tangle import BudgetExceeded\n",
+           (T_DUBROVNIK + "test_pipelines_stay_independent_at_import_time",)),
     Mutant("letter-steps-cached-by-the-letter-alone", TANGLE,
            "@lru_cache(maxsize=256)\n"
            "def _letter_step(strands: int, letter: int\n",
@@ -407,6 +432,24 @@ MUTANTS = (
            "            and all((v, v) in entries for v in range(len(m.domain))))",
            ")",
            (T_VERIFY + "test_classical_limit_needs_every_diagonal_entry",)),
+    Mutant("regression-detail-counts-from-the-eighth-mismatch", VERIFY,
+           "if len(mismatches) > 6:",
+           "if len(mismatches) > 7:",
+           (T_VERIFY + "test_the_regression_detail_cuts_seven_mismatches_at_"
+                       "six",)),
+    Mutant("difference-detail-counts-from-the-eighth-cell", REPRESENTATION,
+           '"" if len(cells) <= 6 else',
+           '"" if len(cells) <= 7 else',
+           (T_REPRESENTATION + "test_a_failed_relation_shows_six_differing_"
+                               "cells_and_counts_the_rest",)),
+    Mutant("verbose-phase-time-adds-the-start", VERIFY,
+           "seconds = time.perf_counter() - start",
+           "seconds = time.perf_counter() + start",
+           (T_CLI + "test_verbose_verify_times_are_spans_within_the_run",)),
+    Mutant("verbose-suite-time-adds-the-start", VERIFY,
+           "{time.perf_counter() - start:.4f} s",
+           "{time.perf_counter() + start:.4f} s",
+           (T_CLI + "test_verbose_verify_times_are_spans_within_the_run",)),
     Mutant("regression-detail-shows-every-mismatch", VERIFY,
            "for m in mismatches[:6]])",
            "for m in mismatches])",
@@ -512,10 +555,25 @@ MUTANTS = (
            (T_RING + "test_division_steps_stay_exact_on_integer_input",
             T_SUPERLINALG + "test_scale_divides_exactly_or_raises")),
     Mutant("exact-div-bound-one-step-short", RING,
-           "steps = max(rem) - deg_b + 1",
-           "steps = max(rem) - deg_b",
+           # four spaces in: the quotient loop's bound, not poly_gcd's
+           "\n    steps = max(rem) - deg_b + 1\n",
+           "\n    steps = max(rem) - deg_b\n",
            (T_RING + "test_division_steps_stay_exact_on_integer_input",
             T_SUPERLINALG + "test_scale_divides_exactly_or_raises")),
+    Mutant("primitive-gcd-skips-the-lead-scaling", RING,
+           "if lead_b != 1:",
+           # a divisor led by 2 no longer lowers the remainder's degree: the
+           # step bound raises where the loop would run forever
+           "if lead_b != 2:",
+           (T_RING + "test_primitive_gcd_takes_each_step_its_bound_allows_"
+                     "and_no_more",
+            T_RING + "test_division_steps_stay_exact_on_integer_input",
+            T_RING + "test_gcd_divides_both_arguments")),
+    Mutant("primitive-gcd-bound-one-step-short", RING,
+           "        steps = max(rem) - deg_b + 1\n",
+           "        steps = max(rem) - deg_b\n",
+           (T_RING + "test_primitive_gcd_takes_each_step_its_bound_allows_"
+                     "and_no_more",)),
     Mutant("exact-div-monomial-ignores-the-remainder", RING,
            "        if rest:\n",
            "        if False:\n",

@@ -8,7 +8,7 @@ every value against an independently computed specialization of Kauffman's
 Dubrovnik polynomial (a = -q^{-1}, z = q - q^{-1}).
 
 Importing the package loads no submodule; import the one you need
-(``d21link.tangle``, ``d21link.dubrovnik``, ...), so that the skein oracle
+(``d21link.diagram``, ``d21link.dubrovnik``, ...), so that the skein oracle
 can be loaded without the braiding side.  ``d21link.braiding`` is kept as a
 shortcut for :func:`d21link.rmatrix.braiding`, looked up on each access.
 :func:`run` is the installed ``d21link`` script.

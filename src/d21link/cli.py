@@ -40,7 +40,8 @@ and strand budget of ``dubrovnik`` (default 16), and
 Exit status is 0 on success and, for ``verify``, iff every check passes;
 bad input (a bad budget variable or a ``--sliced`` file past 2^20
 characters), an exceeded budget or a module table that fails a check
-exits 2.
+exits 2: :mod:`d21link.diagram` reads the input, and its ``DiagramError``
+covers the budget errors of both pipelines.
 
 Arguments are read by :func:`parse_args` in one pass over
 :data:`COMMANDS`, the table of the commands and their options, from which
@@ -62,10 +63,10 @@ whose reader has gone) gives one ``error:`` line and exit 2; then stderr
 is flushed.  An ``error:`` line that stderr
 itself fails to take is dropped, and the status stays 2.  Ending the
 process so is safe because only stdout and stderr are open by then (a
-``--sliced`` file is closed by its ``with`` block), and because the
-package makes no reference cycles on its hot paths: every object a
-command builds is freed by reference counting or lives until the process
-exits, which it does right after the command.
+``--sliced`` file is closed by :func:`d21link.diagram.read_sliced`), and
+because the package makes no reference cycles on its hot paths: every
+object a command builds is freed by reference counting or lives until the
+process exits, which it does right after the command.
 :func:`main` itself leaves the collector alone, so library callers, the
 tests and anything else that calls it in process keep their own GC
 settings.
@@ -92,19 +93,16 @@ if TYPE_CHECKING:
 
 _imports_start = perf_counter()
 from . import dubrovnik
+from .diagram import DiagramError, ascii_integer, parse_braid, read_sliced
 from .representation import DIM
 from .ring import NotLaurentInQ, excerpt, format_q_laurent, q_string
 from .rmatrix import (EVEN_PAIRS, ODD_PAIRS, TableError, braiding, pair_label,
                       split_blocks)
-from .tangle import (DEFAULT_SUPPORT_BUDGET, DiagramError, ascii_integers,
-                     evaluate_sliced, invariant, parse_braid,
-                     parse_sliced_text)
+from .tangle import DEFAULT_SUPPORT_BUDGET, evaluate_sliced, invariant
 from .verify import SUITES, suite_reports
 
 # wall seconds of the layer imports above, which ``verify -v`` reports
 LAYERS_IMPORT_S = perf_counter() - _imports_start
-
-SLICED_MAX_CHARS = 2 ** 20      # most characters a --sliced file may hold
 
 
 class BudgetSettingError(ValueError):
@@ -112,9 +110,8 @@ class BudgetSettingError(ValueError):
 
 
 # the errors that end a command with one ``error:`` line and exit 2
-HANDLED_ERRORS = (DiagramError, NotLaurentInQ, TableError,
-                  dubrovnik.SkeinBudgetExceeded, BudgetSettingError, OSError,
-                  UnicodeDecodeError)
+HANDLED_ERRORS = (DiagramError, NotLaurentInQ, TableError, BudgetSettingError,
+                  OSError, UnicodeDecodeError)
 
 
 def _budget(variable: str, default: int) -> int:
@@ -122,7 +119,7 @@ def _budget(variable: str, default: int) -> int:
     if raw is None:
         return default
     try:
-        (value,) = ascii_integers(raw)
+        value = ascii_integer(raw)
     except ValueError:
         raise BudgetSettingError(
             f"{variable} is not an integer: {excerpt(raw)}") from None
@@ -141,12 +138,7 @@ def _cmd_invariant(args: SimpleNamespace) -> int:
     if args.braid is not None:
         result = invariant(parse_braid(args.braid), budget)
     else:
-        with open(args.sliced, "r", encoding="utf-8-sig") as handle:
-            text = handle.read(SLICED_MAX_CHARS + 1)    # not all of /dev/zero
-        if len(text) > SLICED_MAX_CHARS:
-            raise DiagramError(f"sliced file {excerpt(args.sliced)} is longer "
-                               f"than {SLICED_MAX_CHARS} characters")
-        result = evaluate_sliced(parse_sliced_text(text), budget)
+        result = evaluate_sliced(read_sliced(args.sliced), budget)
     if args.json:
         payload = {
             "value": result.canonical(),

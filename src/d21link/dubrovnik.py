@@ -1,13 +1,13 @@
 """Dubrovnik-polynomial skein oracle on four-valent link diagrams.
 
 Completely independent of the braiding pipeline: this module imports only
-:mod:`d21link.ring` and the standard library, so loading it loads no part of
-the braiding side, and the cross-check of the two pipelines lives in
-:mod:`d21link.verify`.  Diagrams are combinatorial four-valent graphs
-(crossings with four ports in planar cyclic order, plus a perfect matching
-of ports by edges), values are two-variable Laurent polynomials in (a, z)
-with ``int`` coefficients (no rational arithmetic anywhere), and evaluation
-is Kauffman's switching recursion:
+:mod:`d21link.diagram`, :mod:`d21link.ring` and the standard library, so
+loading it loads no part of the braiding side, and the cross-check of the
+two pipelines lives in :mod:`d21link.verify`.  Diagrams are combinatorial
+four-valent graphs (crossings with four ports in planar cyclic order, plus a
+perfect matching of ports by edges), values are two-variable Laurent
+polynomials in (a, z) with ``int`` coefficients (no rational arithmetic
+anywhere), and evaluation is Kauffman's switching recursion:
 
 * simplify first, as the value is a regular isotopy invariant: a curl
   (Reidemeister I) is removed for a factor a^{sign}, sign its self-crossing
@@ -48,6 +48,7 @@ from functools import lru_cache, reduce
 from itertools import product
 from math import comb
 
+from .diagram import BudgetExceeded
 from .ring import NotLaurentInQ, excerpt, format_laurent, format_q_laurent
 
 DEFAULT_BUDGET = 16
@@ -62,10 +63,6 @@ _SIGNS = {(over, under): 1 if under == (over + 1) & 3 else -1
           for over in range(4) for under in ((over + 1) & 3, (over - 1) & 3)}
 # Slot pairs that erase a crossing with both strands running straight on.
 _STRAIGHT = ((0, 2), (1, 3))
-
-
-class SkeinBudgetExceeded(RuntimeError):
-    """Diagram exceeds the configured crossing budget for the recursion."""
 
 
 class TwoVarPoly:
@@ -222,15 +219,15 @@ class LinkGraph:
 def braid_closure_graph(word, budget: int = DEFAULT_BUDGET) -> LinkGraph:
     """The trace closure of a braid word as a four-valent graph.
 
-    ``word`` is read through its ``strands`` and ``letters`` only (a
-    ``tangle.BraidWord``, whose class this module does not import).
+    ``word`` is a :class:`d21link.diagram.BraidWord`, read through its
+    ``strands`` and ``letters`` only.
     Produces the same diagram as the sliced closure: crossings in letter
     order, closure arcs joining braid top j back to braid bottom j without
     further crossings.  A word with more strands than ``budget`` is refused
     before any per-strand table is built.
     """
     if word.strands > budget:
-        raise SkeinBudgetExceeded(
+        raise BudgetExceeded(
             f"{excerpt(word.strands)} strands exceed the budget {budget}")
     graph = LinkGraph()
     over_diag, partner = graph.over_diag, graph.partner
@@ -380,7 +377,7 @@ def dubrovnik_poly(graph: LinkGraph, budget: int = DEFAULT_BUDGET,
     """
     crossings = graph.crossing_count()
     if crossings > budget:
-        raise SkeinBudgetExceeded(
+        raise BudgetExceeded(
             f"{excerpt(crossings)} crossings exceed the budget {budget}")
     memo = _memo if use_cache else None
     if memo is not None and len(memo) > MEMO_CAP:

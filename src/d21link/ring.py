@@ -204,12 +204,17 @@ def _primitive_gcd(a: QuarterLaurent, b: QuarterLaurent) -> QuarterLaurent:
     """The gcd of the primitive parts of a and b: a primitive
     pseudo-remainder sequence (Knuth, TAOCP vol. 2, 4.6.1), where every
     step stays in integers and each remainder is cut back to its primitive
-    part before the next."""
+    part before the next.  Each step lowers the remainder's degree, so one
+    past deg(a) - deg(b) + 1 steps is a broken loop: ``RuntimeError``."""
     a, b = _primitive(a), _primitive(b)
     while not b.is_zero():
         rem = dict(a.terms)
         deg_b, lead_b = b.degree(), b.leading_coefficient()
+        steps = max(rem) - deg_b + 1
         while rem and max(rem) >= deg_b:
+            if steps == 0:
+                raise RuntimeError("poly_gcd took too many pseudo-remainder steps")
+            steps -= 1
             deg_r = max(rem)
             factor = rem[deg_r]
             if lead_b != 1:

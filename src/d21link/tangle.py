@@ -1,29 +1,22 @@
-"""Sliced diagrams of framed unoriented links and their exact evaluation.
+"""Exact evaluation of framed unoriented links on the E_1-cohomology.
 
-A link enters either as a braid word (``n: k1 k2 ...``, letter k > 0 a
-positive crossing of strands k, k+1), closed up by its trace closure
-(:func:`braid_closure_slices` gives it as slices), or directly as a slice
-list.  A sliced diagram is a bottom-to-top sequence of events, each acting
-at a 1-based strand position:
-
-* ``cup p``  - insert a paired arc so its left strand becomes strand p,
-* ``cap p``  - join strands p and p+1,
-* ``pos p`` / ``neg p`` - braiding / inverse braiding on strands p, p+1.
-
-All event maps are parity-even, so no Koszul signs arise while skipping
-over bystander strands.  Both evaluations run on the cohomology of the odd generator E_1, a
-finite, quantum form of the Duflo-Serganova reduction (Duflo and
-Serganova, "On associated variety for Lie superalgebras",
-arXiv:math/0507198), which takes osp(4|2) to so(2).  E_1 squares to 0 on
-the module V; its cohomology is H = span(v4, v5), and C = span(v1, v2, v3,
-v6) is acyclic.  The crossings, the cup and the cap are module maps, so
-each event map commutes with the differential Delta(E_1) on the tensor
-powers (E_1 on one strand, K_1 on the strands before it: every table keeps
-the H_1 weight, so K_1 on a bystander strand commutes with it).  V^(x)k is
-H^(x)k, on which the differential is 0, plus subcomplexes with a C factor,
-each acyclic; a coboundary has no component in H^(x)k, so the map an event
-induces on cohomology is its table cut down to windows and replacements in
-H, and a product of events induces the product of the cut-down tables.
+A link is a :class:`~d21link.diagram.BraidWord`, traced over its closure, or
+a :class:`~d21link.diagram.SlicedDiagram`, folded event by event; both are
+read by :mod:`d21link.diagram`, which states the event grammar.  All event
+maps are parity-even, so no Koszul signs arise while skipping over bystander
+strands.  Both evaluations run on the cohomology of the odd generator E_1, a
+finite, quantum form of the Duflo-Serganova reduction (Duflo and Serganova,
+"On associated variety for Lie superalgebras", arXiv:math/0507198), which
+takes osp(4|2) to so(2).  E_1 squares to 0 on the module V; its cohomology
+is H = span(v4, v5), and C = span(v1, v2, v3, v6) is acyclic.  The
+crossings, the cup and the cap are module maps, so each event map commutes
+with the differential Delta(E_1) on the tensor powers (E_1 on one strand,
+K_1 on the strands before it: every table keeps the H_1 weight, so K_1 on a
+bystander strand commutes with it).  V^(x)k is H^(x)k, on which the
+differential is 0, plus subcomplexes with a C factor, each acyclic; a
+coboundary has no component in H^(x)k, so the map an event induces on
+cohomology is its table cut down to windows and replacements in H, and a
+product of events induces the product of the cut-down tables.
 
 * A ``--sliced`` diagram maps the trivial module to itself, where the
   cohomology is the value itself: it is folded over a state vector in the
@@ -80,14 +73,14 @@ from __future__ import annotations
 from functools import lru_cache
 from operator import itemgetter
 
+from .diagram import BraidWord, BudgetExceeded, SlicedDiagram, SlicedEvent
+from .diagram import parse_braid  # noqa: F401 (perfbench/worker.py reads it)
 from .ring import (excerpt, format_q_laurent, laurent_product, nonzero_terms,
                    to_integer_laurent)
 from .representation import (DIM, PARITIES, WEIGHTS, coproduct_action,
                              duality_maps, generator_action)
 from .rmatrix import TableError, braiding
 from .superlinalg import compose, rank_over_fractions
-
-EVENT_KINDS = ("cup", "cap", "pos", "neg")
 
 # Most nonzero states a tangle evaluation may hold: the 2^n columns of the
 # braid trace in the E_1-cohomology, or the fold of a sliced diagram after
@@ -96,119 +89,7 @@ EVENT_KINDS = ("cup", "cap", "pos", "neg")
 DEFAULT_SUPPORT_BUDGET = 4096
 
 
-class DiagramError(ValueError):
-    """Malformed braid text or sliced diagram."""
-
-
-class TangleBudgetExceeded(DiagramError):
-    """An evaluation would hold more than its budget allows."""
-
-
-class BraidWord(tuple):
-    """``(strands, letters)``: a braid on ``strands`` strands, each letter
-    k a crossing of strands |k| and |k| + 1, positive for k > 0."""
-    __slots__ = ()
-    strands = property(itemgetter(0))       # int
-    letters = property(itemgetter(1))       # tuple[int, ...]
-
-    def __new__(cls, strands: int, letters: tuple[int, ...]):
-        if strands < 1:
-            raise DiagramError("braid needs at least one strand")
-        for letter in letters:
-            if letter == 0 or abs(letter) >= strands:
-                raise DiagramError(f"braid letter {excerpt(letter)} out of "
-                                   f"range for {excerpt(strands)} strands")
-        return tuple.__new__(cls, (strands, letters))
-
-    def mirror(self) -> "BraidWord":
-        return BraidWord(self.strands, tuple(-k for k in self.letters))
-
-    def __str__(self):
-        return f"{self.strands}: {' '.join(str(k) for k in self.letters)}".rstrip()
-
-
-def _check_ascii_integers(text: str) -> None:
-    """``ValueError`` unless ``text`` is ASCII without ``+`` or ``_``: what
-    ``int`` then reads is an optional ``-`` and ASCII digits."""
-    if not text.isascii() or "+" in text or "_" in text:
-        raise ValueError(f"not ASCII integers: {text!r}")
-
-
-def ascii_integers(text: str) -> list[int]:
-    """The blank-separated integers of ``text``, each an optional ``-`` and
-    ASCII digits; any other token (other digits, ``+``, ``_``) raises
-    ``ValueError``, as does a number past Python's int-string digit limit."""
-    _check_ascii_integers(text)
-    return list(map(int, text.split()))
-
-
-def parse_braid(text: str) -> BraidWord:
-    """Parse ``<n>: <letters>``, e.g. ``2: 1 1 1`` or ``1:``, n unsigned."""
-    head, colon, tail = text.partition(":")
-    try:
-        if not colon or "-" in head:
-            raise ValueError(text)
-        _check_ascii_integers(text)
-        # strip() drops the blanks that split() cuts at, so int() reads the
-        # head as one split() token, and refuses none or two
-        strands, letters = int(head.strip()), tuple(map(int, tail.split()))
-    except ValueError:
-        raise DiagramError(f"malformed braid text {excerpt(text)}") from None
-    return BraidWord(strands, letters)
-
-
-class SlicedEvent(tuple):
-    """``(kind, position)``: one event of a sliced diagram."""
-    __slots__ = ()
-    kind = property(itemgetter(0))          # str, one of EVENT_KINDS
-    position = property(itemgetter(1))      # int, 1-based
-
-    def __new__(cls, kind: str, position: int):
-        return tuple.__new__(cls, (kind, position))
-
-
-class SlicedDiagram(tuple):
-    """``(events,)``: a closed sliced diagram, its events bottom to top."""
-    __slots__ = ()
-    events = property(itemgetter(0))        # tuple[SlicedEvent, ...]
-
-    def __new__(cls, events: tuple[SlicedEvent, ...]):
-        strands = 0
-        for event in events:
-            strands = _next_strand_count(event, strands)
-        if strands != 0:
-            raise DiagramError(f"diagram is not closed ({strands} strands left open)")
-        return tuple.__new__(cls, (events,))
-
-    @property
-    def slices(self) -> int:
-        return len(self.events)
-
-    def peak_strands(self) -> int:
-        strands = peak = 0
-        for event in self.events:
-            strands = _next_strand_count(event, strands)
-            peak = max(peak, strands)
-        return peak
-
-
-def _next_strand_count(event: SlicedEvent, strands: int) -> int:
-    kind, p = event.kind, event.position
-    if kind == "cup":
-        if not 1 <= p <= strands + 1:
-            raise DiagramError(f"cup at {excerpt(p)} with {strands} strands")
-        return strands + 2
-    if kind == "cap":
-        if not 1 <= p <= strands - 1:
-            raise DiagramError(f"cap at {excerpt(p)} with {strands} strands")
-        return strands - 2
-    if kind in ("pos", "neg"):
-        if not 1 <= p <= strands - 1:
-            raise DiagramError(f"crossing at {excerpt(p)} with {strands} strands")
-        return strands
-    raise DiagramError(f"unknown event kind {kind!r}")
-
-
+# only perfbench's tangle.closure_slices probe calls it
 def braid_closure_slices(word: BraidWord) -> SlicedDiagram:
     """Deterministic sliced presentation of the trace closure.
 
@@ -222,26 +103,6 @@ def braid_closure_slices(word: BraidWord) -> SlicedDiagram:
         kind = "pos" if letter > 0 else "neg"
         events.append(SlicedEvent(kind, n + abs(letter)))
     events.extend(SlicedEvent("cap", p) for p in range(n, 0, -1))
-    return SlicedDiagram(tuple(events))
-
-
-def parse_sliced_text(text: str) -> SlicedDiagram:
-    """One ``kind position`` per line; blank lines and ``#`` comments skipped."""
-    events = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 2 or parts[0] not in EVENT_KINDS:
-            raise DiagramError(
-                f"line {lineno}: expected 'kind position', got {excerpt(raw)}")
-        try:
-            (position,) = ascii_integers(parts[1])
-        except ValueError:
-            raise DiagramError(
-                f"line {lineno}: bad position {excerpt(parts[1])}") from None
-        events.append(SlicedEvent(parts[0], position))
     return SlicedDiagram(tuple(events))
 
 
@@ -290,7 +151,7 @@ def evaluate_sliced(diagram: SlicedDiagram,
     """Fold the event list over a state vector in the tensor powers of H,
     the E_1-cohomology (:func:`_cohomology`), and return the scalar value;
     more than ``support_budget`` nonzero states after any event raises
-    :class:`TangleBudgetExceeded` right after that event (an event at most
+    :class:`BudgetExceeded` right after that event (an event at most
     doubles them)."""
     peak = diagram.peak_strands()
     tables = _cohomology()[2]
@@ -308,7 +169,7 @@ def evaluate_sliced(diagram: SlicedDiagram,
                     acc[exp + shift] = acc.get(exp + shift, 0) + sign * coeff
         state = nonzero_terms(sums)
         if len(state) > support_budget:
-            raise TangleBudgetExceeded(
+            raise BudgetExceeded(
                 f"{len(state)} states after event {index} ({event.kind} "
                 f"{event.position}) of the sliced fold exceed the support "
                 f"budget {support_budget}")
@@ -461,14 +322,14 @@ def cohomology_trace(word: BraidWord,
     ``(row, sign, exponent)``, started at :func:`_start_amplitudes` and
     stepped letter by letter through :func:`_letter_step`, both built once
     per strand count.  More columns than ``support_budget`` raises
-    :class:`TangleBudgetExceeded` before either is built."""
+    :class:`BudgetExceeded` before either is built."""
     n, h = word.strands, len(_cohomology()[0])
     # h ** n is compared without being built: past the budget's bit length
     # a power of h >= 2 exceeds the budget and a power of h <= 1 does not
     if h ** min(n, support_budget.bit_length()) > support_budget:
         count = h ** n if n <= 64 else f"{h}^{excerpt(n)}"
-        raise TangleBudgetExceeded(f"{count} trace columns exceed the "
-                                   f"support budget {support_budget}")
+        raise BudgetExceeded(f"{count} trace columns exceed the support "
+                             f"budget {support_budget}")
     windows = h * h
     # plain loops, not comprehensions: before CPython 3.12 a comprehension
     # is a function call of its own, dearest with cold caches

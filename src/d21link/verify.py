@@ -32,6 +32,7 @@ import random
 import time
 from collections.abc import Callable, Iterator
 
+from .diagram import BraidWord, parse_braid
 from .report import CheckResult, Report
 from .ring import (LAMBDA, QINV, QuarterLaurent, format_q_laurent,
                    laurent_product, to_integer_laurent)
@@ -40,7 +41,7 @@ from .representation import (M, M2, check_defining_relations, coproduct_action,
 from .rmatrix import (BUILD_PHASES, braiding, compare_reference, r_matrix,
                       spectral_check, twist_inverse_square)
 from .superlinalg import SuperMap, compose, embed_at
-from .tangle import BraidWord, cohomology_trace, invariant, parse_braid
+from .tangle import cohomology_trace, invariant
 from . import dubrovnik
 
 CORPUS = ("1:", "2: 1", "2: -1", "2: 1 1", "2: 1 1 1", "2: -1 -1 -1",

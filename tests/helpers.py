@@ -7,7 +7,7 @@ from functools import lru_cache
 from itertools import product
 from math import comb
 
-from d21link import cli, tangle
+from d21link import cli, diagram, tangle
 from d21link.dubrovnik import DELTA, LinkGraph, TwoVarPoly
 from d21link.ring import ZERO, NotLaurentInQ, QuarterLaurent, RatFunc
 from d21link.ring import excerpt, format_q_laurent, laurent_product
@@ -500,26 +500,29 @@ def reference_trace(word):
     return decode(total, bits, shift, span + 1)
 
 
+def reference_ascii_integers(text):
+    """The blank-separated integers of ``text``, each an optional ``-`` and
+    ASCII digits; any other token raises ``ValueError``."""
+    if not text.isascii() or "+" in text or "_" in text:
+        raise ValueError(text)
+    return list(map(int, text.split()))
+
+
 def reference_parse_braid(text):
     """``<n>: <letters>`` read in two passes, the head and the letters each
-    as blank-separated ASCII integers: the reference that
-    :func:`d21link.tangle.parse_braid`, which reads the text with one ASCII
+    by :func:`reference_ascii_integers`: the reference that
+    :func:`d21link.diagram.parse_braid`, which reads the text with one ASCII
     check and one split, is compared against, refusal for refusal."""
-    def integers(part):
-        if not part.isascii() or "+" in part or "_" in part:
-            raise ValueError(part)
-        return list(map(int, part.split()))
-
     head, colon, tail = text.partition(":")
     try:
         if not colon or "-" in head:
             raise ValueError(text)
-        (strands,) = integers(head)
-        letters = tuple(integers(tail))
+        (strands,) = reference_ascii_integers(head)
+        letters = tuple(reference_ascii_integers(tail))
     except ValueError:
-        raise tangle.DiagramError(
+        raise diagram.DiagramError(
             f"malformed braid text {excerpt(text)}") from None
-    return tangle.BraidWord(strands, letters)
+    return diagram.BraidWord(strands, letters)
 
 
 def reference_parser() -> argparse.ArgumentParser:

@@ -14,7 +14,8 @@ from d21link.rmatrix import (EVEN_PAIRS, ODD_PAIRS, REFERENCE_C0, REFERENCE_C1,
                              braiding, compare_reference, r_matrix,
                              spectral_check, split_blocks)
 from d21link.superlinalg import SuperMap, compose, embed_at
-from d21link.tangle import invariant, parse_braid
+from d21link.diagram import parse_braid
+from d21link.tangle import invariant
 from d21link.verify import CORPUS
 from helpers import reference_trace
 

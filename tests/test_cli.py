@@ -12,9 +12,10 @@ from pathlib import Path
 import pytest
 
 from d21link import dubrovnik, representation, rmatrix, tangle, verify
-from d21link.cli import SLICED_MAX_CHARS, main, parse_args
+from d21link.cli import main, parse_args
+from d21link.diagram import SLICED_MAX_CHARS, parse_braid
 from d21link.ring import LAMBDA, Q, RatFunc
-from d21link.tangle import braid_closure_slices, parse_braid
+from d21link.tangle import braid_closure_slices
 from helpers import reference_parser
 from test_tangle import perturbed
 from test_transcript import BUDGET_VARIABLES, transcript_commands
@@ -229,6 +230,20 @@ def test_verbose_verify_reports_each_suite_wall_time(capsys):
     assert len(build_lines) == 4
     assert_build_lines(build_lines)
     assert pattern.fullmatch(line).group(1) == "relations"
+
+
+def test_verbose_verify_times_are_spans_within_the_run(capsys):
+    # the build phases and the suites run one after another inside main(),
+    # so their times, each at least 0, sum to at most its wall time
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "verify", "--suite", "all", "-v")
+    wall = time.perf_counter() - start
+    assert code == 0
+    spans = [float(seconds) for seconds in re.findall(
+        r"^\.\.\. (?:built .+|suite \w+ ran) in (\d+\.\d{4}) s$", out, re.M)]
+    assert len(spans) == len(PHASES) + len(verify.SUITES)
+    assert min(spans) >= 0
+    assert sum(spans) <= wall + 0.0001 * len(spans)     # each rounded
 
 
 def test_only_verbose_verify_reports_the_layer_imports(tmp_path):
@@ -767,6 +782,18 @@ def test_process_entries_match_main_in_process(case, capsys, monkeypatch,
     assert expected[0] == status
     for name, command in entry_commands().items():
         assert run_process(command, argv, tmp_path, env_extra) == expected, name
+
+
+def test_a_budget_error_of_either_pipeline_is_one_error_line(tmp_path):
+    # both evaluations raise the one budget error that main handles, so a
+    # process ends with one ``error:`` line and exit 2, not a traceback
+    for argv, message in (
+            (("dubrovnik", "--braid", "17:"), "17 strands exceed the budget 16"),
+            (("invariant", "--braid", "13:"),
+             "8192 trace columns exceed the support budget 4096")):
+        for name, command in entry_commands().items():
+            assert run_process(command, argv, tmp_path) == (
+                2, "", f"error: {message}\n"), name
 
 
 def test_main_leaves_the_collector_alone(capsys):

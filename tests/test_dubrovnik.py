@@ -10,12 +10,11 @@ import pytest
 
 from d21link import dubrovnik
 from d21link.cli import main
-from d21link.dubrovnik import (DELTA, LinkGraph, SkeinBudgetExceeded, TV_ONE,
-                               TwoVarPoly, _analyze, _simplify,
-                               braid_closure_graph, dubrovnik_poly,
+from d21link.diagram import BraidWord, BudgetExceeded, parse_braid
+from d21link.dubrovnik import (DELTA, LinkGraph, TV_ONE, TwoVarPoly, _analyze,
+                               _simplify, braid_closure_graph, dubrovnik_poly,
                                orientation_sum, specialize)
 from d21link.ring import NotLaurentInQ
-from d21link.tangle import BraidWord, parse_braid
 from d21link.verify import compare
 from helpers import (plain_dubrovnik, reference_analyze,
                      reference_closure_graph, reference_simplify,
@@ -202,22 +201,22 @@ def test_shared_memo_keeps_at_most_the_cap_between_calls(cold_memo,
 
 
 def test_budget_guard():
-    with pytest.raises(SkeinBudgetExceeded):
+    with pytest.raises(BudgetExceeded):
         poly_of("2: 1 1 1 1 1", budget=3)
-    with pytest.raises(SkeinBudgetExceeded, match="5 strands exceed the budget 4"):
+    with pytest.raises(BudgetExceeded, match="5 strands exceed the budget 4"):
         braid_closure_graph(parse_braid("5:"), budget=4)
 
 
 def test_crossing_budget_admits_as_many_crossings_as_it_names():
     assert poly_of("2: 1 1 1", budget=3) == poly_of("2: 1 1 1")
-    with pytest.raises(SkeinBudgetExceeded,
+    with pytest.raises(BudgetExceeded,
                        match="^3 crossings exceed the budget 2$"):
         poly_of("2: 1 1 1", budget=2)
 
 
 def test_budget_counts_the_input_crossings_before_simplifying():
     # the closure simplifies to one curl, but the check comes first
-    with pytest.raises(SkeinBudgetExceeded,
+    with pytest.raises(BudgetExceeded,
                        match="^5 crossings exceed the budget 3$"):
         poly_of("2: 1 -1 1 -1 1", budget=3)
 
@@ -503,8 +502,12 @@ def _loaded_after(statements):
 
 
 def test_pipelines_stay_independent_at_import_time():
+    # both pipelines read their input through ``diagram``, which loads
+    # neither of them
+    assert _loaded_after("import d21link.diagram") == {
+        "d21link", "d21link.diagram", "d21link.ring"}
     assert _loaded_after("import d21link.dubrovnik") == {
-        "d21link", "d21link.dubrovnik", "d21link.ring"}
+        "d21link", "d21link.dubrovnik", "d21link.diagram", "d21link.ring"}
     tangle_side = _loaded_after("import d21link.tangle")
     assert not tangle_side & {"d21link.dubrovnik", "d21link.verify"}
     assert _loaded_after("import d21link") == {"d21link"}
@@ -537,8 +540,9 @@ def test_the_cli_never_loads_typing_and_evaluation_never_loads_reports():
     evaluated = _modules_after(
         "import d21link\n"
         "from d21link import tangle\n"
+        "from d21link.diagram import parse_braid\n"
         "d21link.braiding()\n"
-        "tangle.invariant(tangle.parse_braid('3: 1 -2 1 -2'))")
+        "tangle.invariant(parse_braid('3: 1 -2 1 -2'))")
     assert {"d21link.tangle", "d21link.rmatrix"} <= evaluated
     assert "d21link.report" not in evaluated
 

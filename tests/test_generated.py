@@ -5,8 +5,8 @@ identities every framed-link value must satisfy; plus generated 3-6 strand
 families of connected sums, split unions and words where braid relations
 apply, the trace in the E_1-cohomology against the 6^n trace on 1-6
 strands, ``invariant`` against the orientation sum on words of up to 8
-strands and 200 letters, and ``parse_braid`` against the two-pass
-reference parser on seeded valid and malformed texts."""
+strands and 200 letters, and ``parse_braid`` and ``ascii_integer`` against
+the reference parsers on seeded valid and malformed texts."""
 
 import itertools
 import random
@@ -16,11 +16,12 @@ import pytest
 
 from d21link.dubrovnik import (DELTA, TwoVarPoly, braid_closure_graph,
                                dubrovnik_poly, orientation_sum, specialize)
-from d21link.tangle import (BraidWord, DiagramError, SlicedDiagram,
-                            SlicedEvent, _cyclically_reduced,
-                            braid_closure_slices, cohomology_trace,
-                            evaluate_sliced, invariant, parse_braid)
-from helpers import plain_dubrovnik, reference_parse_braid, reference_trace
+from d21link.diagram import (BraidWord, DiagramError, SlicedDiagram,
+                             SlicedEvent, ascii_integer, parse_braid)
+from d21link.tangle import (_cyclically_reduced, braid_closure_slices,
+                            cohomology_trace, evaluate_sliced, invariant)
+from helpers import (plain_dubrovnik, reference_ascii_integers,
+                     reference_parse_braid, reference_trace)
 
 
 def random_words(seed, count):
@@ -416,3 +417,27 @@ def test_parse_braid_is_the_two_pass_reference():
             assert parse_braid(text) == expected, repr(text)
             parsed += 1
     assert parsed > 500 and refused > 500
+
+
+def test_ascii_integer_is_the_one_value_of_the_reference():
+    # blank-padded numbers, half of them, and strings of PIECES: the one
+    # integer of the reference, or ValueError where it has none or raises
+    rng = random.Random(3907)
+    read = refused = 0
+    for _ in range(3000):
+        if rng.random() < 0.5:
+            pad = [rng.choice(("", " ", "\t", "\x1c", "  \x1f", "\n"))
+                   for _ in range(2)]
+            text = f"{pad[0]}{rng.choice(PIECES[:7])}{pad[1]}"
+        else:
+            text = "".join(rng.choice(PIECES) for _ in range(rng.randint(0, 4)))
+        try:
+            (expected,) = reference_ascii_integers(text)
+        except ValueError:
+            with pytest.raises(ValueError):
+                ascii_integer(text)
+            refused += 1
+        else:
+            assert ascii_integer(text) == expected, repr(text)
+            read += 1
+    assert read > 1000 and refused > 1000

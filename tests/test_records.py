@@ -8,8 +8,9 @@ import pytest
 from d21link.report import CheckResult
 from d21link.representation import CARTAN, CartanData
 from d21link.rmatrix import BraidingBundle, braiding
-from d21link.tangle import (BraidWord, DiagramError, EvalResult,
-                            SlicedDiagram, SlicedEvent)
+from d21link.diagram import (BraidWord, DiagramError, SlicedDiagram,
+                             SlicedEvent)
+from d21link.tangle import EvalResult
 
 CLOSED = (SlicedEvent("cup", 1), SlicedEvent("pos", 1), SlicedEvent("cap", 1))
 RECORDS = {
@@ -74,6 +75,11 @@ def test_records_keep_their_refusals():
     for events, message in (
             (CLOSED[:2], r"diagram is not closed \(2 strands left open\)"),
             ((SlicedEvent("cap", 1),), "cap at 1 with 0 strands"),
+            ((SlicedEvent("cup", 2),), "cup at 2 with 0 strands"),
+            (CLOSED[:1] + (SlicedEvent("neg", 2),),
+             "crossing at 2 with 2 strands"),
+            (CLOSED[:1] + (SlicedEvent("pos", 0),),
+             "crossing at 0 with 2 strands"),
             ((SlicedEvent("twist", 1),), "unknown event kind 'twist'")):
         with pytest.raises(DiagramError, match=f"^{message}$"):
             SlicedDiagram(events)

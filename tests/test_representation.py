@@ -3,8 +3,9 @@ from contextlib import contextmanager
 import pytest
 
 from d21link import representation
-from d21link.representation import (CARTAN, DIM, M, ROOTS, WEIGHTS, CartanData,
-                                    bracket_step, cartan_exponential,
+from d21link.representation import (CARTAN, DIM, M, M2, ROOTS, WEIGHTS,
+                                    CartanData, bracket_step,
+                                    cartan_exponential,
                                     check_defining_relations,
                                     coproduct_action, duality_maps,
                                     generator_action, phi, root_vector,
@@ -171,6 +172,18 @@ def test_literal_cartan_variant_fails_at_the_documented_spot():
     failing = next(c for c in report.checks
                    if c.check_id == "raise-lower-pair:2,2")
     assert "difference nonzero" in failing.detail
+
+
+def test_a_failed_relation_shows_six_differing_cells_and_counts_the_rest():
+    # q^k against q^-k on the diagonal: equal at k = 0, so n cells differ
+    def detail(n):
+        return representation._difference_detail(
+            SuperMap(M2, M2, {(k, k): q(k) for k in range(n + 1)}),
+            SuperMap(M2, M2, {(k, k): q(-k) for k in range(n + 1)}))
+
+    shown = ", ".join(f"({k},{k})=-t^-{4 * k} + t^{4 * k}" for k in range(1, 7))
+    assert detail(7) == f"difference nonzero at {shown} (+1 more)"
+    assert detail(6) == f"difference nonzero at {shown}"
 
 
 def test_literal_cartan_breaks_e2f2_on_v1():

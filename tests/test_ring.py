@@ -251,6 +251,29 @@ def test_poly_gcd_with_a_one_term_operand_is_the_prs():
     assert {1, 2, 3, 4, 6} <= contents
 
 
+def test_primitive_gcd_takes_each_step_its_bound_allows_and_no_more(
+        monkeypatch):
+    # dense remainders lose one degree a step, so both remainders take all
+    # deg(a) - deg(b) + 1 steps, and the divisor of the second, 2t + 1,
+    # leads with 2, which scales the remainder at each of its steps
+    common = QuarterLaurent({0: 1, 1: 2})
+    a = common * QuarterLaurent({0: 1, 1: 1, 2: 1, 3: 3})
+    b = common * QuarterLaurent({0: 3, 1: 2})
+    subtract, shifts = ring._subtract_multiple, []
+
+    def counted(rem, factor, shift, divisor):
+        shifts.append(shift)
+        subtract(rem, factor, shift, divisor)
+
+    monkeypatch.setattr(ring, "_subtract_multiple", counted)
+    assert poly_gcd(a, b) == common
+    assert shifts == [2, 1, 0, 1, 0]
+    # a step that lowers no degree runs into the bound instead of looping
+    monkeypatch.setattr(ring, "_subtract_multiple", lambda *args: None)
+    with pytest.raises(RuntimeError, match="too many pseudo-remainder steps"):
+        poly_gcd(a, b)
+
+
 def test_fractions_stay_in_the_braiding_build():
     # maps are scaled by Laurent scalars; only ``representation.phi``
     # builds a RatFunc, which ``rmatrix._nilpotent_part`` takes apart into its

@@ -16,12 +16,12 @@ from d21link import tangle, verify
 from d21link.representation import M, M2, duality_maps, generator_action
 from d21link.rmatrix import BraidingBundle, TableError, braiding
 from d21link.superlinalg import SuperMap
-from d21link.tangle import (DEFAULT_SUPPORT_BUDGET, BraidWord, DiagramError,
-                            SlicedDiagram, SlicedEvent, TangleBudgetExceeded,
-                            braid_closure_slices, cohomology_trace,
-                            evaluate_sliced, invariant, parse_braid,
-                            parse_sliced_text, _cohomology,
-                            _cyclically_reduced)
+from d21link.diagram import (BraidWord, BudgetExceeded, DiagramError,
+                             SlicedDiagram, SlicedEvent, parse_braid,
+                             parse_sliced_text)
+from d21link.tangle import (DEFAULT_SUPPORT_BUDGET, braid_closure_slices,
+                            cohomology_trace, evaluate_sliced, invariant,
+                            _cohomology, _cyclically_reduced)
 from helpers import (column_l1, decode, event_table, pack, packing_bits,
                      pivotal_weights, reference_trace, torus_closed_form)
 
@@ -246,14 +246,14 @@ def test_support_budget_is_checked_before_any_work():
     # without building 2 ** n
     for word in (parse_braid("13:"), BraidWord(10 ** 8, ())):
         start = time.monotonic()
-        with pytest.raises(TangleBudgetExceeded):
+        with pytest.raises(BudgetExceeded):
             invariant(word)
         assert time.monotonic() - start < 1.0
     # a refused word builds no start amplitudes and no letter steps
     clear_tangle_caches()
     for word, budget in ((parse_braid("13: 1 -12"), DEFAULT_SUPPORT_BUDGET),
                          (parse_braid("3: 1 2"), 7)):
-        with pytest.raises(TangleBudgetExceeded):
+        with pytest.raises(BudgetExceeded):
             invariant(word, support_budget=budget)
         assert trace_plan_sizes() == (0, 0)
     assert invariant(parse_braid("12:")).value_dict() == {0: 2 ** 12}
@@ -679,13 +679,13 @@ def test_split_union_holds_its_2n_columns():
     # its 2 ** 3 columns, the whole on 2 ** 6
     word = parse_braid("6: 1 -2 1 -2 4 -5 4 -5")
     piece = invariant(parse_braid("3: 1 -2 1 -2"), support_budget=8)
-    with pytest.raises(TangleBudgetExceeded):
+    with pytest.raises(BudgetExceeded):
         invariant(parse_braid("3: 1 -2 1 -2"), support_budget=7)
     result = invariant(word, support_budget=64)
     assert result.canonical() == "4"
     assert result.value_dict() == laurent_product(piece.value_dict(),
                                                   piece.value_dict())
-    with pytest.raises(TangleBudgetExceeded):
+    with pytest.raises(BudgetExceeded):
         invariant(word, support_budget=63)
 
 
@@ -715,19 +715,19 @@ def test_invariant_refuses_a_support_budget_below_its_2n_columns():
     # 2 ** n columns in the E_1-cohomology, one state each
     word = parse_braid("3: 1 -2 1 -2")
     assert invariant(word, support_budget=8).value_dict() == {0: 2}
-    with pytest.raises(TangleBudgetExceeded,
+    with pytest.raises(BudgetExceeded,
                        match="^8 trace columns exceed the support "
                              "budget 7$"):
         invariant(word, support_budget=7)
     # the unknot 3: 1 -2 is traced on its three strands, as written
     assert invariant(parse_braid("3: 1 -2"), support_budget=8).value_dict() == {0: 2}
-    with pytest.raises(TangleBudgetExceeded, match="^8 trace columns"):
+    with pytest.raises(BudgetExceeded, match="^8 trace columns"):
         invariant(parse_braid("3: 1 -2"), support_budget=7)
     # cyclic reduction keeps the strands: 3: 1 -1 still has 8 columns
-    with pytest.raises(TangleBudgetExceeded, match="^8 trace columns"):
+    with pytest.raises(BudgetExceeded, match="^8 trace columns"):
         invariant(parse_braid("3: 1 -1"), support_budget=7)
     assert invariant(parse_braid("1:"), support_budget=2).value_dict() == {0: 2}
-    with pytest.raises(TangleBudgetExceeded, match="^2 trace columns"):
+    with pytest.raises(BudgetExceeded, match="^2 trace columns"):
         invariant(parse_braid("1:"), support_budget=1)
 
 
@@ -736,13 +736,13 @@ def test_sliced_fold_support_budget_stops_after_the_event():
     peak = evaluate_sliced(diagram).peak_support
     assert peak == 2 ** 3          # after the three cups, in the cohomology
     assert evaluate_sliced(diagram, support_budget=peak).peak_support == peak
-    with pytest.raises(TangleBudgetExceeded,
+    with pytest.raises(BudgetExceeded,
                        match=f" of the sliced fold exceed the support budget "
                              f"{peak - 1}$"):
         evaluate_sliced(diagram, support_budget=peak - 1)
     # the three cups make 2, 4 and 8 states in the E_1-cohomology: with
     # room for 3, the second event is refused
-    with pytest.raises(TangleBudgetExceeded,
+    with pytest.raises(BudgetExceeded,
                        match="^4 states after event 2 \\(cup 2\\) "):
         evaluate_sliced(diagram, support_budget=3)
 

@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from d21link.cli import main
-from d21link.tangle import BraidWord
+from d21link.diagram import BraidWord
 from d21link.verify import CORPUS
 
 TRANSCRIPT = Path(__file__).with_name("cli_transcript.json")

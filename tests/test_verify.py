@@ -34,3 +34,17 @@ def test_classical_limit_needs_every_diagonal_entry():
     assert verify._is_identity_at_one(SuperMap(M2, M2, entries))
     entries[(0, 7)] = Q                                     # sums to 1
     assert not verify._is_identity_at_one(SuperMap(M2, M2, entries))
+
+
+def test_the_regression_detail_cuts_seven_mismatches_at_six(monkeypatch):
+    # one mismatch past the six shown is counted, not shown
+    mismatches = [{"block": "c1", "row": f"r{k}", "col": f"c{k}",
+                   "expected": str(k), "computed": "0"} for k in range(7)]
+    monkeypatch.setattr(verify, "compare_reference",
+                        lambda: (656, mismatches))
+    (check,) = [c for c in verify.rmatrix_suite().checks
+                if c.check_id == "braiding-regression"]
+    shown = "; ".join(f"c1 row r{k} col c{k}: expected {k}, computed 0"
+                      for k in range(6))
+    assert not check.passed
+    assert check.detail == f"649/656 entries match; {shown} (+1 more)"
