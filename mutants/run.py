@@ -4,24 +4,29 @@ Usage: ``python mutants/run.py``.
 
 A mutant names a file of the repository, an exact snippet of it, the
 snippet's replacement and the pytest ids that must fail once the snippet
-is replaced.  It may also name command lines of ``python -m d21link.cli``,
-each with the exit status it must end with once mutated: the product's
+is replaced.  It may also name command lines of ``python -m d21link.cli``
+(:class:`Command`), each with the exit status it ends with unmutated, 0
+unless it says otherwise, and no traceback.  A command that exits 0
+unmutated states the status it must end with once mutated: the product's
 own self-check (``verify``) must catch the mutant, not only a pytest, and
-an exit status that comes with a traceback does not count.  The runner
-copies ``src``, ``tests``, ``perfbench`` (which the benchmark-contract
-tests read) and ``pyproject.toml`` into a temporary directory, checks
-there that the listed tests pass and the named commands exit 0 unmutated,
-then applies each mutant to a fresh copy and runs only its tests and
-commands; the checkout itself is never written.  Each pytest run and
+an exit status that comes with a traceback does not count.  A command
+that ends otherwise unmutated, such as a clean refusal with exit 2, kills
+a mutant when it ends any other way: another status, or a traceback.
+The runner copies ``src``, ``tests``, ``perfbench`` (which the
+benchmark-contract tests read) and ``pyproject.toml`` into a temporary
+directory, checks there that the listed tests pass and the named
+commands end with their unmutated status, then applies each mutant to a
+fresh copy and runs only its tests and commands; the checkout itself is
+never written.  Each pytest run and
 command starts in a session of its own and is killed with its whole
 process group after ``TIMEOUT_S``: a mutant that outlasts it is killed too
 (reported as a timeout), an unmutated run that does is a problem.  It
 exits 1 when a snippet does not occur exactly once (a refactor must update
-the list), when a listed test fails or a named command exits non-zero
-unmutated, or when a mutant survives: some listed test still passes, or
-some command ends with another status.  When a mutant survives, add a test
-that kills it; never shorten its list.  Only the standard library is used,
-besides pytest.
+the list), when a listed test fails or a named command ends another way
+than it states unmutated, or when a mutant survives: some listed test
+still passes, or some command does not end as a kill requires.  When a
+mutant survives, add a test that kills it; never shorten its list.  Only
+the standard library is used, besides pytest.
 
 See DeMillo, Lipton and Sayward, "Hints on test data selection: help for
 the practicing programmer", IEEE Computer 11(4), 1978.
@@ -75,7 +80,13 @@ T_TRANSCRIPT = ("tests/test_transcript.py::test_cli_output_matches_the_recorded_
                 "transcript")
 
 
-Command = Tuple[Tuple[str, ...], int]    # CLI arguments, mutated exit status
+class Command(NamedTuple):
+    """CLI arguments; the exit status once mutated, or None for any way
+    other than unmutated; the exit status unmutated.  A mutant lists a
+    plain ``(argv, mutated)`` pair for a command that exits 0 unmutated."""
+    argv: Tuple[str, ...]
+    mutated: Optional[int]
+    unmutated: int = 0
 
 
 class Mutant(NamedTuple):
@@ -84,7 +95,7 @@ class Mutant(NamedTuple):
     snippet: str
     replacement: str
     tests: Tuple[str, ...]
-    commands: Tuple[Command, ...] = ()
+    commands: Tuple[tuple, ...] = ()    # Command, or (argv, mutated)
 
 
 MUTANTS = (
@@ -286,7 +297,10 @@ MUTANTS = (
            (T_CLI + "test_a_budget_error_of_either_pipeline_is_one_error_"
                     "line",
             T_CLI + "test_skein_budget_env_admits_a_wider_unlink",
-            T_CLI + "test_support_budget_rejects_huge_unlink_at_once")),
+            T_CLI + "test_support_budget_rejects_huge_unlink_at_once"),
+           # refused cleanly unmutated; mutated, an uncaught traceback
+           (Command(("dubrovnik", "--braid", "17:"), None, 2),
+            Command(("invariant", "--braid", "13:"), None, 2))),
     Mutant("oracle-reads-the-braiding-side", DUBROVNIK,
            "from .diagram import BudgetExceeded\n",
            # tangle imports the class from diagram, so this still resolves
@@ -537,6 +551,45 @@ MUTANTS = (
            (T_RMATRIX + "test_braiding_inverse_and_integrality",
             T_ACCEPTANCE + "test_criterion_5_category_identities"),
            ((("verify", "--suite", "rmatrix"), 1),)),
+    Mutant("table-map-lets-a-parity-fault-through", REPRESENTATION,
+           "    except ValueError as exc:\n",
+           "    except TypeError as exc:\n",
+           (T_CLI + "test_a_parity_flip_is_one_error_line_naming_the_"
+                    "map[0]",
+            T_CLI + "test_a_parity_flip_is_one_error_line_naming_the_"
+                    "map[1]",
+            T_CLI + "test_a_parity_flip_is_one_error_line_naming_the_"
+                    "map[2]",
+            T_CLI + "test_a_parity_flip_is_one_error_line_naming_the_"
+                    "map[3]",
+            T_CLI + "test_a_parity_flip_is_one_error_line_naming_the_"
+                    "map[4]",
+            T_CLI + "test_a_parity_flip_is_one_error_line_naming_the_"
+                    "map[5]")),
+    # a table fault, not a code change: the braiding-side commands must
+    # refuse it with one error line, not end with a traceback
+    Mutant("parity-of-v5-flipped", REPRESENTATION,
+           "PARITIES = (0, 0, 1, 1, 1, 1)",
+           "PARITIES = (0, 0, 1, 1, 0, 1)",
+           (T_REPRESENTATION + "test_defining_relations_all_pass",
+            T_TRANSCRIPT),
+           ((("invariant", "--braid", "2: 1 1 1"), 2),
+            (("braiding",), 2),
+            (("verify", "--suite", "all"), 2))),
+    Mutant("cartan-factor-skips-the-divisibility-check", RMATRIX,
+           "        if total % 4:\n",
+           "        if False:\n",
+           (T_CLI + "test_a_b4_off_the_q_lattice_fails_where_k_is_built",)),
+    Mutant("even-commute-e-checks-e3-twice", REPRESENTATION,
+           '"even-commute:E2,E3", super_bracket(E[2], E[3])',
+           '"even-commute:E2,E3", super_bracket(E[3], E[3])',
+           (T_REPRESENTATION + "test_a_sign_flip_of_the_second_generator_"
+                               "fails_its_even_commutation[E]",)),
+    Mutant("even-commute-f-checks-f3-twice", REPRESENTATION,
+           '"even-commute:F2,F3", super_bracket(F[2], F[3])',
+           '"even-commute:F2,F3", super_bracket(F[3], F[3])',
+           (T_REPRESENTATION + "test_a_sign_flip_of_the_second_generator_"
+                               "fails_its_even_commutation[F]",)),
     Mutant("twist-guard-raises-arithmetic-error", RMATRIX,
            'raise TableError("twist computation disagrees',
            'raise ArithmeticError("twist computation disagrees',
@@ -580,7 +633,7 @@ MUTANTS = (
            (T_RING + "test_exact_div_by_one_term_is_the_quotient_loop",
             T_SUPERLINALG + "test_scale_divides_exactly_or_raises")),
     Mutant("poly-gcd-monomial-drops-the-content", RING,
-           "return ONE if content == 1 else QuarterLaurent({0: content})",
+           "return ONE if content == 1 else Laurent({0: content})",
            "return ONE",
            (T_RING + "test_poly_gcd_with_a_one_term_operand_is_the_prs",
             T_RING + "test_gcd_divides_both_arguments",
@@ -680,13 +733,21 @@ def _failing(workdir: Path, tests: Sequence[str]) -> Optional[Set[str]]:
     return {t for t in tests if _junit_key(t) in failed}
 
 
-def _wrong_exits(workdir: Path, commands: Sequence[Command]) -> List[str]:
-    """The commands that end with another status than theirs, or with a
-    traceback."""
+def _wrong_exits(workdir: Path, commands: Sequence[tuple],
+                 mutated: bool) -> List[str]:
+    """The commands that do not end as they must, mutated or not: with
+    their status and no traceback, or, for a mutated command whose status
+    is None, any other way than unmutated."""
     problems = []
-    for argv, expected in commands:
+    for argv, status, unmutated in (Command(*command) for command in commands):
         code, _, stderr = _run(("-m", "d21link.cli", *argv), workdir)
         traceback = " with a traceback" if "Traceback" in stderr else ""
+        if mutated and status is None:
+            if code == unmutated and not traceback:
+                problems.append(f"d21link {' '.join(argv)} exits {code} "
+                                "as unmutated")
+            continue
+        expected = status if mutated else unmutated
         if code != expected or traceback:
             problems.append(f"d21link {' '.join(argv)} exits {code}"
                             f"{traceback}, not {expected}")
@@ -708,7 +769,7 @@ def run_mutant(mutant: Mutant) -> Tuple[str, List[str]]:
                           encoding="utf-8")
         try:
             failing = _failing(workdir, mutant.tests)
-            problems = _wrong_exits(workdir, mutant.commands)
+            problems = _wrong_exits(workdir, mutant.commands, True)
         except TimedOut:
             return "TIMEOUT", []
     if failing is None:
@@ -719,16 +780,17 @@ def run_mutant(mutant: Mutant) -> Tuple[str, List[str]]:
 
 
 def check_unmutated(mutants: Sequence[Mutant]) -> List[str]:
-    """Every listed test must pass, and every named command exit 0,
-    before any mutant is applied."""
+    """Every listed test must pass, and every named command end with its
+    unmutated status, before any mutant is applied."""
     tests = sorted({test for mutant in mutants for test in mutant.tests})
-    commands = sorted({(argv, 0) for mutant in mutants
-                       for argv, _ in mutant.commands})
+    commands = sorted({(command.argv, None, command.unmutated)
+                       for command in (Command(*c) for mutant in mutants
+                                       for c in mutant.commands)})
     with tempfile.TemporaryDirectory(prefix="d21link-mutant-") as tmp:
         _copy(Path(tmp))
         try:
             failing = _failing(Path(tmp), tests)
-            problems = _wrong_exits(Path(tmp), commands)
+            problems = _wrong_exits(Path(tmp), commands, False)
         except TimedOut:
             return [f"a run went past {TIMEOUT_S} s"]
     if failing is None:

@@ -3,13 +3,14 @@
 Only the independent tables of the rank-three quantized Lie superalgebra
 at the fixed parameter value are stored: Cartan matrix, symmetrizer,
 ``b4`` = 4b for the inverse matrix b driving the diagonal braiding factor
-(integral, as its q-exponents are quarter-integers), the simple-root
-parities, the seven positive roots, and the action of the nine generators
-E_i, F_i, H_i on the supermodule M with basis v_1..v_6 (v_1, v_2 even,
-v_3..v_6 odd), H_i read off ``WEIGHTS``.  The rest is derived from them:
-the parity of each generator, each root's square length (beta, beta)
-(:func:`bracket_step`) and every K_beta (:func:`cartan_exponential`, the
-one builder).
+K (:func:`d21link.rmatrix.cartan_exponents` checks that its q-exponents
+are integers), the simple-root parities, the seven positive roots, and the
+action of the nine generators E_i, F_i, H_i on the supermodule M with
+basis v_1..v_6 (v_1, v_2 even, v_3..v_6 odd), H_i read off ``WEIGHTS``.
+The rest is derived from them: the parity of each generator, each root's
+square length (beta, beta) (:func:`bracket_step`) and every K_beta
+(:func:`cartan_exponential`, the one builder).  An E_i, F_i or alpha that
+does not fit ``PARITIES`` raises :class:`TableError` naming it.
 
 The Cartan diagonal on the even pair is weight zero: ``H_2 = H_3 = 0`` on
 v_1, v_2.  Weight one there breaks the [E_2, F_2] relation on v_1, and
@@ -27,13 +28,18 @@ from __future__ import annotations
 from functools import lru_cache
 from operator import itemgetter
 
-from .ring import LAMBDA, ONE, QuarterLaurent, RatFunc
+from .ring import LAMBDA, ONE, Laurent, RatFunc
 from .superlinalg import (TRIVIAL, SuperMap, compose, invert, tensor,
                           tensor_map)
 
 TYPE_CHECKING = False     # report is loaded by the suites only
 if TYPE_CHECKING:
     from .report import Report
+
+
+class TableError(ValueError):
+    """A module table fails a fact that the braiding or a tangle rests on."""
+
 
 DIM = 6
 PARITIES = (0, 0, 1, 1, 1, 1)
@@ -118,9 +124,9 @@ def bracket_step(root: tuple[int, int, int]) -> int:
 
 def phi(i: int) -> RatFunc:
     """The pairing normalization constants at the fixed parameter value."""
-    q = QuarterLaurent.q_power
+    q = Laurent.q_power
     if i in (1, 5, 7):
-        return RatFunc(QuarterLaurent.constant(-1), LAMBDA)
+        return RatFunc(Laurent.constant(-1), LAMBDA)
     if i in (2, 6):
         return RatFunc(q(-1), LAMBDA)
     if i == 3:
@@ -131,6 +137,16 @@ def phi(i: int) -> RatFunc:
     raise ValueError("root index out of range 1..7")
 
 
+def _table_map(label: str, entries: dict, parity: int = 0) -> SuperMap:
+    """The map on M with ``entries``, read off the tables; ``TableError``
+    naming ``label`` and ``PARITIES`` when an entry does not fit them."""
+    try:
+        return SuperMap(M, M, entries, parity)
+    except ValueError as exc:
+        raise TableError(f"{label} does not fit PARITIES = {PARITIES}: "
+                         f"{exc}") from None
+
+
 @lru_cache(maxsize=None)
 def generator_action(name: str, index: int) -> SuperMap:
     """Matrix of E_i, F_i or H_i on M."""
@@ -138,12 +154,13 @@ def generator_action(name: str, index: int) -> SuperMap:
         raise ValueError("generator index out of range 1..3")
     if name in ("E", "F"):
         action = (_E_ACTION if name == "E" else _F_ACTION)[index]
-        return SuperMap(M, M, {(dst - 1, src - 1): QuarterLaurent.constant(c)
-                               for src, (dst, c) in action.items()},
-                        _SIMPLE_PARITIES[index - 1])
+        return _table_map(f"{name}_{index}",
+                          {(dst - 1, src - 1): Laurent.constant(c)
+                           for src, (dst, c) in action.items()},
+                          _SIMPLE_PARITIES[index - 1])
     if name == "H":
         return SuperMap(M, M, {
-            (v, v): QuarterLaurent.constant(WEIGHTS[v][index - 1])
+            (v, v): Laurent.constant(WEIGHTS[v][index - 1])
             for v in range(DIM)})
     raise ValueError(f"unknown generator family {name!r}")
 
@@ -155,13 +172,13 @@ def cartan_exponential(root: tuple[int, int, int], sign: int = 1) -> SuperMap:
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     return SuperMap(M, M, {
-        (v, v): QuarterLaurent.q_power(sign * sum(
+        (v, v): Laurent.q_power(sign * sum(
             n * d * w for n, d, w in zip(root, CARTAN.d, WEIGHTS[v])))
         for v in range(DIM)})
 
 
 def super_bracket(y: SuperMap, z: SuperMap,
-                  scale: QuarterLaurent = ONE) -> SuperMap:
+                  scale: Laurent = ONE) -> SuperMap:
     """[y, z]_scale = y z - (-1)^{|y||z|} scale * z y."""
     if y.parity and z.parity:
         scale = -scale
@@ -175,8 +192,8 @@ def root_vector(i: int, kind: str = "raise") -> SuperMap:
         raise ValueError("kind must be 'raise' or 'lower'")
     name = "E" if kind == "raise" else "F"
     gen = lambda j: generator_action(name, j)  # noqa: E731
-    qm1 = QuarterLaurent.q_power(-1)
-    qm2 = QuarterLaurent.q_power(-2)
+    qm1 = Laurent.q_power(-1)
+    qm2 = Laurent.q_power(-2)
     if i == 1:
         return gen(3)
     if i == 5:
@@ -204,12 +221,12 @@ def duality_maps() -> tuple[SuperMap, SuperMap, SuperMap]:
     dual basis; d(v_i (x) v_j) evaluates alpha(v_i) at v_j; b(1) is
     sum_i v_i (x) alpha^{-1}(v^i).
     """
-    q = QuarterLaurent.q_power
+    q = Laurent.q_power
     alpha_entries = {
         (1, 0): -q(-3), (0, 1): q(-1), (5, 2): q(-2),
         (4, 3): -q(-1), (3, 4): -q(-1), (2, 5): ONE,
     }
-    alpha = SuperMap(M, M, alpha_entries)
+    alpha = _table_map("the duality map alpha", alpha_entries)
     alpha_inv = invert(alpha)
     d = SuperMap(M2, TRIVIAL, {(0, i * DIM + j): value
                                for (j, i), value in alpha.entries.items()})
@@ -261,7 +278,7 @@ def _check(checks: list[tuple[str, bool, str]], check_id: str, lhs: SuperMap,
 # index tuples).  The scales absorb the Koszul sign, so the bracket here is
 # the plain one.  Values are at the fixed parameter.
 def _commutation_table():
-    q = QuarterLaurent.q_power
+    q = Laurent.q_power
     one = ONE
     table = [
         (7, 5, q(-1), [(one, (6,))]),
@@ -299,7 +316,7 @@ def check_defining_relations() -> Report:
     K = {i: cartan_exponential(_SIMPLE_ROOTS[i - 1], 1) for i in (1, 2, 3)}
     Kinv = {i: cartan_exponential(_SIMPLE_ROOTS[i - 1], -1) for i in (1, 2, 3)}
     zero = SuperMap.zero(M, M)
-    q = QuarterLaurent.q_power
+    q = Laurent.q_power
 
     for i in (1, 2, 3):
         for j in (1, 2, 3):
@@ -307,7 +324,7 @@ def check_defining_relations() -> Report:
                    compose(H[i], H[j]), compose(H[j], H[i]))
     for i in (1, 2, 3):
         for j in (1, 2, 3):
-            a_ij = QuarterLaurent.constant(CARTAN.a[i - 1][j - 1])
+            a_ij = Laurent.constant(CARTAN.a[i - 1][j - 1])
             _check(checks, f"cartan-raises:{i},{j}",
                    compose(H[i], E[j]) - compose(E[j], H[i]), E[j].scale(a_ij))
             _check(checks, f"cartan-lowers:{i},{j}",

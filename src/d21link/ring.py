@@ -1,50 +1,44 @@
-"""Exact arithmetic in the quarter-exponent Laurent ring and its fractions.
+"""Exact arithmetic in the Laurent ring Z[q, q^-1] and its fractions.
 
-The braiding is built and verified over Laurent polynomials in t = q^{1/4}
-with integer coefficients: every entry of every graded map of
-:mod:`d21link.superlinalg` is a :class:`QuarterLaurent`, and the braiding's
-entries are read out as integer Laurent polynomials in q by
-:func:`to_integer_laurent`; the tangle fold runs on those alone and the skein
-oracle on ``int`` coefficients.  The scalars maps are scaled by are
-QuarterLaurent values too, save the only fractions: the pairing constants
+A :class:`Laurent` stores ``{k: coefficient of q^k}``, every coefficient
+an ``int`` (anything else raises ``TypeError``).  Every entry of every
+graded map of :mod:`d21link.superlinalg` is one, the tangle fold reads
+their coefficient dicts, and the skein oracle runs on ``int``
+coefficients.  The one exponent that could leave the ring, that of the
+Cartan factor K, is checked where K is built
+(:func:`d21link.rmatrix.cartan_exponents`).  The scalars maps are scaled
+by are Laurent values too, save the only fractions: the pairing constants
 phi_i, whose inverse scales the one nonzero term of each exponential
 factor.  Those are :class:`RatFunc` values, and a map scaled by one takes
 its numerator and its denominator, which divides each entry exactly.
 :func:`add_product` is the one product loop on coefficient dicts: graded
-maps and tangle tables call it, and QuarterLaurent multiplication does
-through :func:`laurent_product`.  :func:`nonzero_terms` drops the zeros
-such sums leave.
-A :class:`QuarterLaurent` stores a finite map ``exponent -> coefficient``
-where the integer exponent ``e`` encodes the monomial t^e = q^{e/4}; a plain
-power q^k therefore sits at exponent 4k.  Working on the quarter-exponent
-lattice keeps the diagonal Cartan factors, whose q-exponents have
-denominator four, in exact integer bookkeeping.  Every coefficient is an
-``int`` (anything else raises ``TypeError``), so a rational number such as
-1/2 lives in a :class:`RatFunc` denominator.
+maps and tangle tables call it, and Laurent multiplication does through
+:func:`laurent_product`.  :func:`nonzero_terms` drops the zeros such sums
+leave.
 
-A :class:`RatFunc` is a fraction of two QuarterLaurent values held in lowest
-terms over Z[t, t^-1]: numerator and denominator divided by their gcd (a
-primitive pseudo-remainder sequence over the integers, times the gcd of the
-contents), denominator with valuation zero and positive leading coefficient,
-and denominator exactly one whenever the value is polynomial.  The units of
-Z[t, t^-1] are the +-t^k, so this form is unique and equality is structural.
-The same units give :func:`poly_gcd` and :func:`exact_div` their one-term
-shortcut: a one-term c*t^k is a unit times the integer c, so a gcd with it
-is the gcd of the contents, and a division by it shifts the exponents by
--k and divides each coefficient by c; neither runs its general loop.
+A :class:`RatFunc` is a fraction of two Laurent values held in lowest
+terms over Z[q, q^-1]: numerator and denominator divided by their gcd (a
+primitive pseudo-remainder sequence over the integers, times the gcd of
+the contents), denominator with valuation zero and positive leading
+coefficient, and denominator equal to one whenever the value is
+polynomial.  The units of Z[q, q^-1] are the +-q^k, so this form is unique
+and equality is structural.  The same units give :func:`poly_gcd` and
+:func:`exact_div` their one-term shortcut: a one-term c*q^k is a unit q^k
+times the integer c, so a gcd with it is the gcd of the contents, and a
+division by it shifts the exponents by -k and divides each coefficient by
+c; neither runs its general loop.
 
-Values that are integer Laurent polynomials in q render canonically with
-ascending exponents::
+Values render canonically with ascending exponents::
 
     -2*q^-1 + 3 + q^2
 
 Term grammar (:func:`format_laurent`, the one polynomial printer: also for
-the skein oracle's a, z and, with the name t, for the ``repr`` of
-QuarterLaurent and RatFunc): an optional coefficient (omitted when the
-magnitude is 1 and some exponent is nonzero), then each variable of nonzero
-exponent with ``^k`` unless k = 1, all joined by ``*``; interior negative
-terms use `` - ``.  All values are immutable and all operations pure; hashes
-are computed on demand, never stored.
+the skein oracle's a, z and for the ``repr`` of Laurent and RatFunc): an
+optional coefficient (omitted when the magnitude is 1 and some exponent is
+nonzero), then each variable of nonzero exponent with ``^k`` unless k = 1,
+all joined by ``*``; interior negative terms use `` - ``.  All values are
+immutable and all operations pure; hashes are computed on demand, never
+stored.
 """
 
 from __future__ import annotations
@@ -54,21 +48,17 @@ from math import gcd as _int_gcd
 
 
 class NotLaurentInQ(ValueError):
-    """Raised when a value fails to be an integer Laurent polynomial in q.
-
-    Carries the offending exponent/denominator so convention bugs upstream
-    surface with context.
-    """
+    """Raised when a value fails to be an integer Laurent polynomial in q;
+    ``offender`` is the exponent sum or the denominator at fault."""
 
     def __init__(self, reason: str, offender=None):
         msg = reason if offender is None else f"{reason}: {offender!r}"
         super().__init__(msg)
-        self.reason = reason
         self.offender = offender
 
 
-class QuarterLaurent:
-    """Laurent polynomial in t = q^{1/4} with ``int`` coefficients."""
+class Laurent:
+    """Laurent polynomial in q with ``int`` coefficients."""
 
     __slots__ = ("terms",)
 
@@ -83,29 +73,25 @@ class QuarterLaurent:
         self.terms = clean
 
     @classmethod
-    def t_power(cls, exp: int, coeff=1) -> "QuarterLaurent":
+    def q_power(cls, exp: int, coeff=1) -> "Laurent":
         return cls({exp: coeff})
 
     @classmethod
-    def q_power(cls, exp: int, coeff=1) -> "QuarterLaurent":
-        return cls({4 * exp: coeff})
-
-    @classmethod
-    def constant(cls, coeff) -> "QuarterLaurent":
+    def constant(cls, coeff) -> "Laurent":
         return cls({0: coeff})
 
     def is_zero(self) -> bool:
         return not self.terms
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, QuarterLaurent):
+        if not isinstance(other, Laurent):
             return NotImplemented
         return self.terms == other.terms
 
     def __hash__(self):
         return hash(tuple(sorted(self.terms.items())))
 
-    def __add__(self, other: "QuarterLaurent") -> "QuarterLaurent":
+    def __add__(self, other: "Laurent") -> "Laurent":
         merged = dict(self.terms)
         for exp, coeff in other.terms.items():
             acc = merged.get(exp)
@@ -117,25 +103,22 @@ class QuarterLaurent:
                     merged[exp] = acc
                 else:
                     del merged[exp]
-        result = QuarterLaurent.__new__(QuarterLaurent)
+        result = Laurent.__new__(Laurent)
         result.terms = merged
         return result
 
-    def __neg__(self) -> "QuarterLaurent":
-        result = QuarterLaurent.__new__(QuarterLaurent)
+    def __neg__(self) -> "Laurent":
+        result = Laurent.__new__(Laurent)
         result.terms = {e: -c for e, c in self.terms.items()}
         return result
 
-    def __sub__(self, other: "QuarterLaurent") -> "QuarterLaurent":
+    def __sub__(self, other: "Laurent") -> "Laurent":
         return self + (-other)
 
-    def __mul__(self, other: "QuarterLaurent") -> "QuarterLaurent":
-        result = QuarterLaurent.__new__(QuarterLaurent)
+    def __mul__(self, other: "Laurent") -> "Laurent":
+        result = Laurent.__new__(Laurent)
         result.terms = laurent_product(self.terms, other.terms)
         return result
-
-    def shifted(self, exp: int) -> "QuarterLaurent":
-        return QuarterLaurent({e + exp: c for e, c in self.terms.items()})
 
     def degree(self) -> int:
         if not self.terms:
@@ -155,19 +138,22 @@ class QuarterLaurent:
         return _int_gcd(*self.terms.values())
 
     def __repr__(self):
-        return format_laurent({(e,): c for e, c in self.terms.items()}, ("t",))
+        return format_q_laurent(self.terms)
 
 
-ZERO = QuarterLaurent()
-ONE = QuarterLaurent({0: 1})
-Q = QuarterLaurent({4: 1})
-QINV = QuarterLaurent({-4: 1})
+# The former name, kept only for the benchmark's ring.laurent_* probes.
+QuarterLaurent = Laurent
+
+ZERO = Laurent()
+ONE = Laurent({0: 1})
+Q = Laurent({1: 1})
+QINV = Laurent({-1: 1})
 LAMBDA = Q - QINV
 
 
 def _subtract_multiple(rem: dict[int, int], factor: int, shift: int,
-                       b: QuarterLaurent) -> None:
-    """rem -= factor * t^shift * b, in place."""
+                       b: Laurent) -> None:
+    """rem -= factor * q^shift * b, in place."""
     for exp, coeff in b.terms.items():
         e = exp + shift
         acc = rem.get(e, 0) - factor * coeff
@@ -177,30 +163,30 @@ def _subtract_multiple(rem: dict[int, int], factor: int, shift: int,
             rem.pop(e, None)
 
 
-def _primitive(p: QuarterLaurent) -> QuarterLaurent:
+def _primitive(p: Laurent) -> Laurent:
     """p shifted to valuation 0 and divided by its content, with a positive
     leading coefficient."""
     shift = -p.valuation()
     scale = p.content() if p.leading_coefficient() > 0 else -p.content()
-    return QuarterLaurent({e + shift: c // scale for e, c in p.terms.items()})
+    return Laurent({e + shift: c // scale for e, c in p.terms.items()})
 
 
-def poly_gcd(a: QuarterLaurent, b: QuarterLaurent) -> QuarterLaurent:
+def poly_gcd(a: Laurent, b: Laurent) -> Laurent:
     """Gcd of two nonzero Laurent polynomials over Z: valuation 0, positive
     leading coefficient, content the gcd of the two contents.
 
-    A one-term operand c*t^k is a unit t^k times the integer c, so the gcd
+    A one-term operand c*q^k is a unit q^k times the integer c, so the gcd
     is then the gcd of the two contents alone; otherwise it is that times
     the primitive gcd of :func:`_primitive_gcd`.
     """
     content = _int_gcd(a.content(), b.content())
     if len(a.terms) == 1 or len(b.terms) == 1:
-        return ONE if content == 1 else QuarterLaurent({0: content})
+        return ONE if content == 1 else Laurent({0: content})
     g = _primitive_gcd(a, b)
-    return g if content == 1 else g * QuarterLaurent.constant(content)
+    return g if content == 1 else g * Laurent.constant(content)
 
 
-def _primitive_gcd(a: QuarterLaurent, b: QuarterLaurent) -> QuarterLaurent:
+def _primitive_gcd(a: Laurent, b: Laurent) -> Laurent:
     """The gcd of the primitive parts of a and b: a primitive
     pseudo-remainder sequence (Knuth, TAOCP vol. 2, 4.6.1), where every
     step stays in integers and each remainder is cut back to its primitive
@@ -220,14 +206,14 @@ def _primitive_gcd(a: QuarterLaurent, b: QuarterLaurent) -> QuarterLaurent:
             if lead_b != 1:
                 rem = {e: c * lead_b for e, c in rem.items()}
             _subtract_multiple(rem, factor, deg_r - deg_b, b)
-        a, b = b, _primitive(QuarterLaurent(rem)) if rem else ZERO
+        a, b = b, _primitive(Laurent(rem)) if rem else ZERO
     return a
 
 
-def exact_div(a: QuarterLaurent, b: QuarterLaurent) -> QuarterLaurent:
-    """Quotient a/b in Z[t, t^-1]; ``ArithmeticError`` unless b divides a.
+def exact_div(a: Laurent, b: Laurent) -> Laurent:
+    """Quotient a/b in Z[q, q^-1]; ``ArithmeticError`` unless b divides a.
 
-    By a one-term b = c*t^k, a unit t^k times an integer, the quotient
+    By a one-term b = c*q^k, a unit q^k times an integer, the quotient
     shifts every exponent of a by -k and divides every coefficient by c.
     Otherwise :func:`_long_division` computes it."""
     if b.is_zero():
@@ -243,12 +229,12 @@ def exact_div(a: QuarterLaurent, b: QuarterLaurent) -> QuarterLaurent:
         if rest:
             raise ArithmeticError("inexact polynomial division")
         quo[exp - shift] = factor
-    result = QuarterLaurent.__new__(QuarterLaurent)
+    result = Laurent.__new__(Laurent)
     result.terms = quo      # int coefficients, none zero
     return result
 
 
-def _long_division(a: QuarterLaurent, b: QuarterLaurent) -> QuarterLaurent:
+def _long_division(a: Laurent, b: Laurent) -> Laurent:
     """exact_div of a nonzero a by a nonzero b, by the quotient loop.
 
     Each exact step lowers the remainder's degree, so the quotient has at
@@ -258,7 +244,7 @@ def _long_division(a: QuarterLaurent, b: QuarterLaurent) -> QuarterLaurent:
     va, vb = a.valuation(), b.valuation()
     rem = {e - va: c for e, c in a.terms.items()}
     quo: dict[int, int] = {}
-    b = b.shifted(-vb)
+    b = Laurent({e - vb: c for e, c in b.terms.items()})
     deg_b, lead_b = b.degree(), b.leading_coefficient()
     steps = max(rem) - deg_b + 1
     while rem:
@@ -272,45 +258,29 @@ def _long_division(a: QuarterLaurent, b: QuarterLaurent) -> QuarterLaurent:
         steps -= 1
         quo[deg_r - deg_b + va - vb] = factor
         _subtract_multiple(rem, factor, deg_r - deg_b, b)
-    return QuarterLaurent(quo)
+    return Laurent(quo)
 
 
 class RatFunc:
-    """Reduced fraction of two QuarterLaurent polynomials (canonical form)."""
+    """Reduced fraction of two Laurent polynomials (canonical form)."""
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: QuarterLaurent, den: QuarterLaurent = ONE):
+    def __init__(self, num: Laurent, den: Laurent = ONE):
         if den.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
-        # a unit denominator is always the shared ONE, so that ``den is ONE``
-        # tells a polynomial without comparing terms
         if num.is_zero():
             num, den = ZERO, ONE
-        elif den == ONE:
-            den = ONE
         else:
             g = poly_gcd(num, den)
             if g != ONE:
                 num, den = exact_div(num, g), exact_div(den, g)
-            # the unit +-t^k that takes den to valuation 0, positive lead
-            unit = QuarterLaurent(
+            # the unit +-q^k that takes den to valuation 0, positive lead
+            unit = Laurent(
                 {-den.valuation(): 1 if den.leading_coefficient() > 0 else -1})
-            if unit != ONE:
-                num, den = num * unit, den * unit
-            if den == ONE:
-                den = ONE
+            num, den = num * unit, den * unit
         self.num = num
         self.den = den
-
-    @classmethod
-    def _raw(cls, num: QuarterLaurent, den: QuarterLaurent) -> "RatFunc":
-        """Internal: wrap values already known to be canonical (a unit
-        ``den`` must be the shared ``ONE``)."""
-        out = cls.__new__(cls)
-        out.num = num
-        out.den = den
-        return out
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
@@ -324,20 +294,16 @@ class RatFunc:
         return hash((self.num, self.den))
 
     def __add__(self, other: "RatFunc") -> "RatFunc":
-        if self.den is ONE and other.den is ONE:
-            return RatFunc._raw(self.num + other.num, ONE)
         return RatFunc(self.num * other.den + other.num * self.den,
                        self.den * other.den)
 
     def __neg__(self) -> "RatFunc":
-        return RatFunc._raw(-self.num, self.den)
+        return RatFunc(-self.num, self.den)
 
     def __sub__(self, other: "RatFunc") -> "RatFunc":
         return self + (-other)
 
     def __mul__(self, other: "RatFunc") -> "RatFunc":
-        if self.den is ONE and other.den is ONE:
-            return RatFunc._raw(self.num * other.num, ONE)
         return RatFunc(self.num * other.num, self.den * other.den)
 
     def inverse(self) -> "RatFunc":
@@ -346,23 +312,14 @@ class RatFunc:
         return RatFunc(self.den, self.num)
 
     def __repr__(self):
-        if self.den is ONE:
+        if self.den == ONE:
             return repr(self.num)
         return f"({self.num!r}) / ({self.den!r})"
 
 
-def to_integer_laurent(value: QuarterLaurent) -> dict[int, int]:
-    """Reinterpret a QuarterLaurent as an integer Laurent polynomial in q.
-
-    Succeeds iff every t-exponent is divisible by four; returns
-    ``{q_exponent: coeff}``.
-    """
-    out: dict[int, int] = {}
-    for exp, coeff in value.terms.items():
-        if exp % 4:
-            raise NotLaurentInQ("t-exponent not divisible by 4", exp)
-        out[exp // 4] = coeff
-    return out
+def to_integer_laurent(value: Laurent) -> dict[int, int]:
+    """``{q_exponent: coeff}``: only the benchmark's probe calls it."""
+    return dict(value.terms)
 
 
 def format_laurent(terms: Mapping[tuple, int], names: Sequence[str]) -> str:
@@ -421,11 +378,11 @@ def format_q_laurent(terms: Mapping[int, int]) -> str:
     return format_laurent({(exp,): coeff for exp, coeff in terms.items()}, ("q",))
 
 
-def q_string(value: QuarterLaurent) -> str:
-    """Canonical q-polynomial string of a QuarterLaurent in whole q-powers."""
+def q_string(value: Laurent) -> str:
+    """Canonical q-polynomial string of a Laurent value."""
     if not value.terms:     # most cells of the braiding
         return "0"
-    return format_q_laurent(to_integer_laurent(value))
+    return format_q_laurent(value.terms)
 
 
 EXCERPT_LIMIT = 32      # characters of a user's text an error message shows

@@ -3,7 +3,7 @@
 The braiding is the graded flip tau composed with the evaluated universal
 R-matrix: seven exponential factors id + N_beta, N_beta = (E_beta (x)
 F_beta) / phi_beta, one per positive root, applied after a diagonal Cartan
-factor K whose exponents are quarter-integers read off the weight table.
+factor K whose q-exponents are read off the weight table and ``b4``.
 Factors apply right to left: K first, then the exponential factors in
 decreasing root order.  Root vectors square to zero on the module (checked
 where each N_beta is built), so N_beta squares to zero on M (x) M, and
@@ -16,8 +16,9 @@ both R and the inverse braiding are built factor by factor:
   products a root vector need not square to zero, and the inverse of an
   exponential factor has terms past N_beta.
 
-Every entry of the braiding is an integer Laurent polynomial in q (checked
-on construction), and a twist that fails its check raises ``TableError``.
+Every entry of the braiding is in Z[q, q^-1], as K's exponents are
+(:func:`cartan_exponents`), and a twist that fails its check raises
+``TableError``.
 The 20x20/16x16 parity blocks in ``REFERENCE_C0``/``REFERENCE_C1``, stored
 as the q-strings that ``braiding --split`` prints, are a frozen regression
 target: :func:`compare_reference` returns the entries where the printed
@@ -30,19 +31,15 @@ from __future__ import annotations
 from functools import lru_cache
 from operator import itemgetter
 
-from .ring import Q, QINV, QuarterLaurent, q_string, to_integer_laurent
-from .representation import (CARTAN, DIM, M, M2, WEIGHTS, duality_maps, phi,
-                             root_vector)
+from .ring import Q, QINV, Laurent, NotLaurentInQ, q_string
+from .representation import (CARTAN, DIM, M, M2, WEIGHTS, TableError,
+                             duality_maps, phi, root_vector)
 from .superlinalg import (SuperMap, compose, embed_at, rank_over_fractions,
                           tensor_map, volte)
 
 TYPE_CHECKING = False     # report is loaded by the suites only
 if TYPE_CHECKING:
     from .report import Report
-
-
-class TableError(ValueError):
-    """A module table fails a fact that the braiding or a tangle rests on."""
 
 
 class BraidingBundle(tuple):
@@ -82,29 +79,39 @@ def _nilpotent_parts() -> tuple[SuperMap, ...]:
     return tuple(_nilpotent_part(i) for i in range(1, 8))
 
 
+def cartan_exponents() -> list[int]:
+    """The q-exponent of K on each v (x) w, in basis order: a quarter of
+    the sum over i and j of weight_i(v) b4_ij weight_j(w);
+    ``NotLaurentInQ`` naming the first sum that 4 does not divide."""
+    # forms[v][j] = sum_i b4_ij weight_i(v), an integer
+    forms = [[sum(CARTAN.b4[i][j] * WEIGHTS[v][i] for i in range(3))
+              for j in range(3)] for v in range(DIM)]
+    sums = [sum(f * x for f, x in zip(forms[v], WEIGHTS[w]))
+            for v in range(DIM) for w in range(DIM)]
+    for index, total in enumerate(sums):
+        if total % 4:
+            raise NotLaurentInQ(
+                f"K on v{index // DIM + 1}(x)v{index % DIM + 1}: sum_ij "
+                "weight_i b4_ij weight_j not divisible by 4", total)
+    return [total // 4 for total in sums]
+
+
 @lru_cache(maxsize=None)
 def cartan_factor(sign: int = 1) -> SuperMap:
-    """Diagonal factor v (x) w -> q^{sign sum b_ij weight_i(v) weight_j(w)}
-    v (x) w: for sign 1 each entry is a monomial t^e, so for sign -1, the
-    inverse, it is t^-e, read off the entries for sign 1."""
+    """Diagonal factor v (x) w -> q^{sign e(v, w)} v (x) w, e read off
+    :func:`cartan_exponents`: for sign 1 each entry is a monomial q^e, so
+    for sign -1, the inverse, it is q^-e, read off the entries for sign 1."""
     if sign == -1:
         entries = {}
         for key, value in cartan_factor().entries.items():
-            inverse = entries[key] = QuarterLaurent.__new__(QuarterLaurent)
+            inverse = entries[key] = Laurent.__new__(Laurent)
             inverse.terms = {-exp: coeff for exp, coeff in value.terms.items()}
         return SuperMap._derived(M2, M2, entries, 0)
     if sign != 1:
         raise ValueError("sign must be +1 or -1")
-    # forms[v][j] = sum_i 4 b_ij weight_i(v), an integer
-    forms = [[sum(CARTAN.b4[i][j] * WEIGHTS[v][i] for i in range(3))
-              for j in range(3)] for v in range(DIM)]
-    entries: dict[tuple[int, int], QuarterLaurent] = {}
-    for v in range(DIM):
-        for w in range(DIM):
-            exponent = sum(f * x for f, x in zip(forms[v], WEIGHTS[w]))
-            index = v * DIM + w
-            entries[(index, index)] = QuarterLaurent.t_power(exponent)
-    return SuperMap(M2, M2, entries)
+    return SuperMap(M2, M2, {(index, index): Laurent({exponent: 1})
+                             for index, exponent
+                             in enumerate(cartan_exponents())})
 
 
 @lru_cache(maxsize=None)
@@ -123,8 +130,6 @@ def braiding() -> BraidingBundle:
     K^-1 o (id - N_7) o ... o (id - N_1) o tau, with the twist verified."""
     tau = volte(M, M)
     c = compose(tau, r_matrix())
-    for value in c.entries.values():
-        to_integer_laurent(value)
     c_inv = tau
     for nilpotent in _nilpotent_parts():
         c_inv = c_inv - compose(nilpotent, c_inv)

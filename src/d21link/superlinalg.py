@@ -21,9 +21,9 @@ Koszul signs are concentrated in :func:`tensor_map`, which implements
 ordered tensor bases; :func:`embed_at` is f tensored with identities on
 both sides.
 
-Every entry is a :class:`QuarterLaurent`, an integer Laurent polynomial
-in t = q^{1/4}, and ``SuperMap(...)`` raises ``TypeError`` on any other
-type.  ``scale(num, den)`` takes two QuarterLaurent scalars: it
+Every entry is a :class:`Laurent`, an integer Laurent polynomial in
+q, and ``SuperMap(...)`` raises ``TypeError`` on any other type.
+``scale(num, den)`` takes two Laurent scalars: it
 multiplies each entry by ``num`` and divides it exactly by ``den`` (1 by
 default), and raises :class:`NotLaurentInQ` where that division is
 inexact.  So a fraction, such as the inverse 1/phi_i of a pairing
@@ -34,7 +34,7 @@ each output entry once; :func:`tensor_map` takes an entry met by a unit
 +-1, as in the identity factors of the coproduct and of :func:`embed_at`,
 as it is instead of multiplying.
 
-Exact linear algebra runs one division-free elimination over Z[t, 1/t],
+Exact linear algebra runs one division-free elimination over Z[q, 1/q],
 a fraction-free Gaussian elimination (Bareiss, "Sylvester's identity and
 multistep integer-preserving Gaussian elimination", Math. Comp. 22 (1968),
 divides each new row exactly by the previous pivot; this sweep divides it
@@ -54,7 +54,7 @@ from collections.abc import Mapping
 from functools import lru_cache
 from math import gcd
 
-from .ring import (ONE, ZERO, NotLaurentInQ, QuarterLaurent, add_product,
+from .ring import (ONE, ZERO, NotLaurentInQ, Laurent, add_product,
                    exact_div, nonzero_terms)
 
 Entry = tuple[int, int]
@@ -88,13 +88,13 @@ class SuperMap:
     __slots__ = ("domain", "codomain", "entries", "parity")
 
     def __init__(self, domain: Space, codomain: Space,
-                 entries: Mapping[Entry, QuarterLaurent], parity: int = 0):
+                 entries: Mapping[Entry, Laurent], parity: int = 0):
         parity &= 1
-        clean: dict[Entry, QuarterLaurent] = {}
+        clean: dict[Entry, Laurent] = {}
         for (row, col), value in entries.items():
-            if type(value) is not QuarterLaurent:
+            if type(value) is not Laurent:
                 raise TypeError(f"entry ({row},{col}) is a "
-                                f"{type(value).__name__}, not a QuarterLaurent")
+                                f"{type(value).__name__}, not a Laurent")
             if not (0 <= row < len(codomain) and 0 <= col < len(domain)):
                 raise ValueError(f"entry ({row},{col}) lies outside a "
                                  f"{len(codomain)}x{len(domain)} map")
@@ -112,7 +112,7 @@ class SuperMap:
 
     @classmethod
     def _derived(cls, domain: Space, codomain: Space,
-                 entries: dict[Entry, QuarterLaurent],
+                 entries: dict[Entry, Laurent],
                  parity: int) -> "SuperMap":
         """Internal: wrap the entries of a map built from checked maps,
         already nonzero and in the blocks of ``parity``, without a check."""
@@ -132,7 +132,7 @@ class SuperMap:
     def zero(cls, domain: Space, codomain: Space, parity: int = 0) -> "SuperMap":
         return cls(domain, codomain, {}, parity)
 
-    def entry(self, row: int, col: int) -> QuarterLaurent:
+    def entry(self, row: int, col: int) -> Laurent:
         return self.entries.get((row, col), ZERO)
 
     def is_zero(self) -> bool:
@@ -168,8 +168,8 @@ class SuperMap:
     def __sub__(self, other: "SuperMap") -> "SuperMap":
         return self + (-other)
 
-    def scale(self, num: QuarterLaurent,
-              den: QuarterLaurent = ONE) -> "SuperMap":
+    def scale(self, num: Laurent,
+              den: Laurent = ONE) -> "SuperMap":
         """Each entry times ``num``, divided exactly by ``den``;
         ``NotLaurentInQ`` when a division is inexact."""
         if num.is_zero():
@@ -206,15 +206,15 @@ def compose(f: SuperMap, g: SuperMap) -> SuperMap:
             if acc is None:
                 acc = sums[key] = {}
             add_product(acc, fterms, gterms)
-    out: dict[Entry, QuarterLaurent] = {}
+    out: dict[Entry, Laurent] = {}
     for key, terms in nonzero_terms(sums).items():
-        value = out[key] = QuarterLaurent.__new__(QuarterLaurent)
+        value = out[key] = Laurent.__new__(Laurent)
         value.terms = terms     # int coefficients, none zero
     return SuperMap._derived(g.domain, f.codomain, out,
                              (f.parity + g.parity) & 1)
 
 
-def _unit(value: QuarterLaurent) -> int:
+def _unit(value: Laurent) -> int:
     """+-1 when ``value`` is the constant +-1, else 0."""
     terms = value.terms
     if len(terms) == 1:
@@ -239,7 +239,7 @@ def tensor_map(f: SuperMap, g: SuperMap) -> SuperMap:
     gdim_cod = len(g.codomain)
     g_items = [(rg, cg, gval, _unit(gval))
                for (rg, cg), gval in g.entries.items()]
-    out: dict[Entry, QuarterLaurent] = {}
+    out: dict[Entry, Laurent] = {}
     for (rf, cf), fval in f.entries.items():
         sign = -1 if (g.parity and f.domain[cf]) else 1
         f_unit = _unit(fval)
@@ -260,7 +260,7 @@ def tensor_map(f: SuperMap, g: SuperMap) -> SuperMap:
 
 def volte(m: Space, n: Space) -> SuperMap:
     """The graded flip tau: m (x) n -> n (x) m, v (x) w -> (-1)^{|v||w|} w (x) v."""
-    entries: dict[Entry, QuarterLaurent] = {}
+    entries: dict[Entry, Laurent] = {}
     for i, p in enumerate(m):
         for j, r in enumerate(n):
             row, col = j * len(m) + i, i * len(n) + j
@@ -360,10 +360,10 @@ def invert(f: SuperMap) -> SuperMap:
             a = rows[j].get(k)
             if a is not None:
                 rows[j] = _combine(rows[k][k], rows[j], a, rows[k], k)
-    entries: dict[Entry, QuarterLaurent] = {}
+    entries: dict[Entry, Laurent] = {}
     for k, row in enumerate(rows):
-        pivot = QuarterLaurent(row[k])
+        pivot = Laurent(row[k])
         for c, terms in row.items():
             if c >= n:
-                entries[(k, c - n)] = exact_div(QuarterLaurent(terms), pivot)
+                entries[(k, c - n)] = exact_div(Laurent(terms), pivot)
     return SuperMap._derived(f.codomain, f.domain, entries, f.parity)

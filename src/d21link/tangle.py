@@ -75,8 +75,7 @@ from operator import itemgetter
 
 from .diagram import BraidWord, BudgetExceeded, SlicedDiagram, SlicedEvent
 from .diagram import parse_braid  # noqa: F401 (perfbench/worker.py reads it)
-from .ring import (excerpt, format_q_laurent, laurent_product, nonzero_terms,
-                   to_integer_laurent)
+from .ring import excerpt, format_q_laurent, laurent_product, nonzero_terms
 from .representation import (DIM, PARITIES, WEIGHTS, coproduct_action,
                              duality_maps, generator_action)
 from .rmatrix import TableError, braiding
@@ -135,13 +134,12 @@ def _columns(operator) -> tuple[int, dict[tuple, tuple]]:
     """``(width, table)`` of an event map: the window ``key[lo:lo+width]``
     maps to its ``(replacement, {q_exponent: coefficient})`` rows, windows
     and replacements being pairs of basis vectors, or ``()`` on the trivial
-    module (width 0 for the cup, 2 for the other kinds); an entry outside
-    Z[q, q^-1] raises :class:`NotLaurentInQ`."""
+    module (width 0 for the cup, 2 for the other kinds)."""
     pairs_in, pairs_out = len(operator.domain) > 1, len(operator.codomain) > 1
     columns: dict[tuple, list] = {}
     for (row, col), value in sorted(operator.entries.items()):
         columns.setdefault(divmod(col, DIM) if pairs_in else (), []).append(
-            (divmod(row, DIM) if pairs_out else (), to_integer_laurent(value)))
+            (divmod(row, DIM) if pairs_out else (), value.terms))
     return (2 if pairs_in else 0,
             {window: tuple(rows) for window, rows in columns.items()})
 

@@ -9,7 +9,7 @@ from math import comb
 
 from d21link import cli, diagram, tangle
 from d21link.dubrovnik import DELTA, LinkGraph, TwoVarPoly
-from d21link.ring import ZERO, NotLaurentInQ, QuarterLaurent, RatFunc
+from d21link.ring import ZERO, NotLaurentInQ, Laurent, RatFunc
 from d21link.ring import excerpt, format_q_laurent, laurent_product
 from d21link.representation import DIM
 from d21link.superlinalg import Space, SuperMap
@@ -20,25 +20,25 @@ def column(op: SuperMap, col: int) -> dict:
     return {r: v for (r, c), v in op.entries.items() if c == col}
 
 
-def random_quarter_laurent(rng: random.Random, max_terms: int = 4,
-                           exponent_span: int = 8) -> QuarterLaurent:
+def random_laurent(rng: random.Random, max_terms: int = 4,
+                   exponent_span: int = 8) -> Laurent:
     terms = {}
     for _ in range(rng.randint(0, max_terms)):
         exponent = rng.randint(-exponent_span, exponent_span)
         terms[exponent] = rng.randint(-5, 5) * rng.randint(1, 4)
-    return QuarterLaurent(terms)
+    return Laurent(terms)
 
 
-def random_nonzero_quarter_laurent(rng: random.Random) -> QuarterLaurent:
+def random_nonzero_laurent(rng: random.Random) -> Laurent:
     while True:
-        poly = random_quarter_laurent(rng)
+        poly = random_laurent(rng)
         if not poly.is_zero():
             return poly
 
 
 def random_ratfunc(rng: random.Random) -> RatFunc:
-    return RatFunc(random_quarter_laurent(rng),
-                   random_nonzero_quarter_laurent(rng))
+    return RatFunc(random_laurent(rng),
+                   random_nonzero_laurent(rng))
 
 
 def random_even_map(rng: random.Random, space: Space,
@@ -51,7 +51,7 @@ def random_even_map(rng: random.Random, space: Space,
             if rng.random() < density:
                 coeff = rng.randint(-3, 3)
                 if coeff:
-                    entries[(row, col)] = QuarterLaurent.constant(coeff)
+                    entries[(row, col)] = Laurent.constant(coeff)
     return SuperMap(space, space, entries)
 
 
@@ -65,7 +65,7 @@ def random_homogeneous_map(rng: random.Random, space: Space,
             if rng.random() < density:
                 coeff = rng.randint(-3, 3)
                 if coeff:
-                    entries[(row, col)] = QuarterLaurent.constant(coeff)
+                    entries[(row, col)] = Laurent.constant(coeff)
     return SuperMap(space, space, entries, parity)
 
 
@@ -98,9 +98,9 @@ def fraction_rank(op: SuperMap) -> int:
 
 
 # non-units of the kinds the braiding's scalars have as denominators:
-# integers, q - q^-1, and quantum integers, in t = q^(1/4)
-DENOMINATORS = tuple(QuarterLaurent(terms) for terms in (
-    {0: 2}, {0: 3}, {4: 1, -4: -1}, {0: 1, 8: 1}, {-8: 1, 0: 1, 8: 1}))
+# integers, q - q^-1, 1 + q^2 and the quantum integer [3] = q^-2 + 1 + q^2
+DENOMINATORS = tuple(Laurent(terms) for terms in (
+    {0: 2}, {0: 3}, {1: 1, -1: -1}, {0: 1, 2: 1}, {-2: 1, 0: 1, 2: 1}))
 
 
 def random_sparse_map(rng: random.Random, domain: Space,
@@ -113,7 +113,7 @@ def random_sparse_map(rng: random.Random, domain: Space,
             if codomain[row] != domain[col]:
                 continue
             if rng.random() < density:
-                entries[(row, col)] = random_quarter_laurent(rng, 3, 4)
+                entries[(row, col)] = random_laurent(rng, 3, 4)
     return SuperMap(domain, codomain, entries)
 
 

@@ -8,7 +8,7 @@ from d21link.cli import main
 from d21link.dubrovnik import braid_closure_graph, dubrovnik_poly, specialize
 from d21link.representation import M, M2, check_defining_relations, \
     coproduct_action, duality_maps
-from d21link.ring import (LAMBDA, QINV, QuarterLaurent, format_q_laurent,
+from d21link.ring import (LAMBDA, QINV, Laurent, format_q_laurent,
                           q_string)
 from d21link.rmatrix import (EVEN_PAIRS, ODD_PAIRS, REFERENCE_C0, REFERENCE_C1,
                              braiding, compare_reference, r_matrix,
@@ -86,7 +86,7 @@ def test_criterion_5_category_identities():
     ident_m = SuperMap.identity(M)
     ident_m2 = SuperMap.identity(M2)
     ok = (c - c_inv) == (ident_m2 - compose(b, d)).scale(LAMBDA)
-    ok = ok and compose(d, b).entry(0, 0) == QuarterLaurent.constant(2)
+    ok = ok and compose(d, b).entry(0, 0) == Laurent.constant(2)
     curl = compose(compose(embed_at(d, 1, 0, M), embed_at(c, 0, 1, M)),
                    embed_at(b, 1, 0, M))
     ok = ok and curl == ident_m.scale(-QINV)
@@ -94,7 +94,7 @@ def test_criterion_5_category_identities():
     ok = ok and compose(embed_at(d, 0, 1, M), embed_at(b, 1, 0, M)) == ident_m
     twist_sq_inv = compose(embed_at(compose(d, c), 0, 1, M),
                            embed_at(compose(c, b), 1, 0, M))
-    ok = ok and twist_sq_inv == ident_m.scale(QuarterLaurent.q_power(2))
+    ok = ok and twist_sq_inv == ident_m.scale(Laurent.q_power(2))
     for name in ("E", "F", "H"):
         for i in (1, 2, 3):
             delta = coproduct_action(name, i)

@@ -14,7 +14,8 @@ import pytest
 from d21link import dubrovnik, representation, rmatrix, tangle, verify
 from d21link.cli import main, parse_args
 from d21link.diagram import SLICED_MAX_CHARS, parse_braid
-from d21link.ring import LAMBDA, Q, RatFunc
+from d21link.ring import LAMBDA, Q, NotLaurentInQ, RatFunc
+from d21link.superlinalg import tensor
 from d21link.tangle import braid_closure_slices
 from helpers import reference_parser
 from test_tangle import perturbed
@@ -524,6 +525,55 @@ def test_a_braiding_failing_the_twist_check_exits_2(capsys, monkeypatch):
         clear_table_caches()
     assert run_cli(capsys, "invariant", "--braid", "2: 1 1 1") == (
         0, "-2*q^-3\n", "")
+
+
+def test_a_b4_off_the_q_lattice_fails_where_k_is_built(capsys, monkeypatch):
+    # b4_11 plus one, past the validation of CartanData: on v1 (x) v1 the
+    # sum over i, j of weight_i b4_ij weight_j is 5, and K would be q^(5/4)
+    cartan = representation.CARTAN
+    b4 = ((5, -2, -2),) + cartan.b4[1:]
+    bad = tuple.__new__(representation.CartanData, (cartan.a, cartan.d, b4))
+    clear_table_caches()
+    try:
+        with monkeypatch.context() as patch:
+            patch.setattr(rmatrix, "CARTAN", bad)
+            with pytest.raises(NotLaurentInQ) as excinfo:
+                rmatrix.cartan_factor()
+            assert excinfo.value.offender == 5
+            assert run_cli(capsys, "braiding", "--format", "csv") == (
+                2, "", "error: K on v1(x)v1: sum_ij weight_i b4_ij weight_j "
+                       "not divisible by 4: 5\n")
+    finally:
+        clear_table_caches()
+    assert run_cli(capsys, "braiding", "--format", "csv")[0] == 0
+
+
+@pytest.mark.parametrize("flipped", range(6))
+def test_a_parity_flip_is_one_error_line_naming_the_map(capsys, monkeypatch,
+                                                        flipped):
+    # a generator or the duality map, read off the tables, no longer fits
+    # the parities: every braiding-side command refuses it with exit 2
+    parities = tuple(p ^ (v == flipped)
+                     for v, p in enumerate(representation.PARITIES))
+    clear_table_caches()
+    try:
+        with monkeypatch.context() as patch:
+            for name in ("PARITIES", "M"):
+                patch.setattr(representation, name, parities)
+            patch.setattr(representation, "M2", tensor(parities, parities))
+            for argv in (("invariant", "--braid", "2: 1 1 1"), ("braiding",),
+                         ("verify", "--suite", "all")):
+                code, out, err = run_cli(capsys, *argv)
+                assert (code, out) == (2, ""), argv
+                assert re.fullmatch(
+                    rf"error: ([EF]_[123]|the duality map alpha) does not fit "
+                    rf"PARITIES = {re.escape(str(parities))}: entry \(\d,\d\) "
+                    rf"violates the parity-block invariant for a parity-[01] "
+                    rf"map\n",
+                    err), (argv, err)
+    finally:
+        clear_table_caches()
+    assert run_cli(capsys, "braiding", "--format", "csv")[0] == 0
 
 
 def test_usage_error_for_unknown_suite(capsys):

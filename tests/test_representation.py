@@ -10,7 +10,7 @@ from d21link.representation import (CARTAN, DIM, M, M2, ROOTS, WEIGHTS,
                                     coproduct_action, duality_maps,
                                     generator_action, phi, root_vector,
                                     simple_orbit_spans, super_bracket)
-from d21link.ring import LAMBDA, ONE, QuarterLaurent, RatFunc
+from d21link.ring import LAMBDA, ONE, Laurent, RatFunc
 from d21link.superlinalg import SuperMap, compose, embed_at
 from helpers import column
 
@@ -20,7 +20,7 @@ def flat(i, j):
 
 
 def q(k, coeff=1):
-    return QuarterLaurent.q_power(k, coeff)
+    return Laurent.q_power(k, coeff)
 
 
 ALPHA = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
@@ -76,7 +76,7 @@ def test_generator_action_tables():
     # H2 diagonal (0, 0, 1, -1, 1, -1)
     h2 = generator_action("H", 2)
     diag = [h2.entry(v, v) for v in range(DIM)]
-    assert diag == [QuarterLaurent.constant(x) for x in (0, 0, 1, -1, 1, -1)]
+    assert diag == [Laurent.constant(x) for x in (0, 0, 1, -1, 1, -1)]
     # F1: v1 -> v3, v6 -> v2
     f1 = generator_action("F", 1)
     assert f1.entry(2, 0) == ONE
@@ -92,7 +92,7 @@ def test_weights_match_cartan_action():
     for v in range(DIM):
         for i in (1, 2, 3):
             h = generator_action("H", i)
-            assert h.entry(v, v) == QuarterLaurent.constant(WEIGHTS[v][i - 1])
+            assert h.entry(v, v) == Laurent.constant(WEIGHTS[v][i - 1])
 
 
 def test_cartan_exponential_values():
@@ -134,13 +134,13 @@ def test_root_vectors_square_to_zero_on_module():
 
 def test_phi_values():
     lam = RatFunc(LAMBDA)
-    assert phi(5) == RatFunc(QuarterLaurent.constant(-1), LAMBDA)
-    assert phi(5) * lam == RatFunc(QuarterLaurent.constant(-1))
-    assert phi(2) == RatFunc(QuarterLaurent.q_power(-1), LAMBDA)
+    assert phi(5) == RatFunc(Laurent.constant(-1), LAMBDA)
+    assert phi(5) * lam == RatFunc(Laurent.constant(-1))
+    assert phi(2) == RatFunc(Laurent.q_power(-1), LAMBDA)
     assert phi(4).den != ONE
     # 1/phi_4 = -q^4 (q - q^{-1}) / (q + q^{-1})
-    expected = RatFunc(QuarterLaurent.q_power(4, -1) * LAMBDA,
-                       QuarterLaurent({4: 1, -4: 1}))
+    expected = RatFunc(Laurent.q_power(4, -1) * LAMBDA,
+                       Laurent({1: 1, -1: 1}))
     assert phi(4).inverse() == expected
 
 
@@ -174,6 +174,28 @@ def test_literal_cartan_variant_fails_at_the_documented_spot():
     assert "difference nonzero" in failing.detail
 
 
+@pytest.mark.parametrize("table, source, check_id", [
+    ("_E_ACTION", 6, "even-commute:E2,E3"),
+    ("_F_ACTION", 5, "even-commute:F2,F3"),
+], ids=["E", "F"])
+def test_a_sign_flip_of_the_second_generator_fails_its_even_commutation(
+        table, source, check_id):
+    # E_2 v6 = -v5 (F_2 v5 = -v6): E_3 E_2 and E_2 E_3 then differ in sign
+    # on v6 (on v3), so that check, and not only others, must fail
+    action = getattr(representation, table)[2]
+    target, coeff = action[source]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setitem(action, source, (target, -coeff))
+        clear_representation_caches()
+        try:
+            report = check_defining_relations()
+        finally:
+            clear_representation_caches()
+    failing = next(c for c in report.checks if c.check_id == check_id)
+    assert not failing.passed
+    assert failing.detail.startswith("difference nonzero at ")
+
+
 def test_a_failed_relation_shows_six_differing_cells_and_counts_the_rest():
     # q^k against q^-k on the diagonal: equal at k = 0, so n cells differ
     def detail(n):
@@ -181,7 +203,8 @@ def test_a_failed_relation_shows_six_differing_cells_and_counts_the_rest():
             SuperMap(M2, M2, {(k, k): q(k) for k in range(n + 1)}),
             SuperMap(M2, M2, {(k, k): q(-k) for k in range(n + 1)}))
 
-    shown = ", ".join(f"({k},{k})=-t^-{4 * k} + t^{4 * k}" for k in range(1, 7))
+    shown = ", ".join(f"({k},{k})=-q^-{k} + q" + (f"^{k}" if k > 1 else "")
+                      for k in range(1, 7))
     assert detail(7) == f"difference nonzero at {shown} (+1 more)"
     assert detail(6) == f"difference nonzero at {shown}"
 
@@ -208,10 +231,10 @@ def test_super_commutator_example():
     e1 = generator_action("E", 1)
     f1 = generator_action("F", 1)
     bracket = super_bracket(e1, f1)
-    assert bracket.entry(5, 5) == QuarterLaurent.constant(-1)
+    assert bracket.entry(5, 5) == Laurent.constant(-1)
     # both odd, so the bracket is E1 F1 + F1 E1: on v3 only F1 E1 acts
     assert bracket == SuperMap(M, M, {
-        (v, v): QuarterLaurent.constant(c)
+        (v, v): Laurent.constant(c)
         for v, c in ((0, 1), (1, -1), (2, 1), (5, -1))})
 
 
@@ -226,7 +249,7 @@ def test_duality_map_values():
         flat(4, 5): q(1, -1), flat(5, 4): q(1, -1), flat(6, 3): q(2),
     }
     assert {row: value for (row, _), value in b.entries.items()} == expected_b
-    assert compose(d, b).entry(0, 0) == QuarterLaurent.constant(2)
+    assert compose(d, b).entry(0, 0) == Laurent.constant(2)
     assert alpha.parity == 0
 
 
@@ -262,7 +285,7 @@ def test_lowering_root_vectors_twist_against_cartan():
         f_i = root_vector(i, "lower")
         k_beta = cartan_exponential(root)
         assert compose(k_beta, f_i) == compose(f_i, k_beta).scale(
-            QuarterLaurent.q_power(-bracket_step(root)))
+            Laurent.q_power(-bracket_step(root)))
 
 
 def test_every_basis_vector_generates_the_module():

@@ -5,8 +5,7 @@ from d21link import rmatrix, verify
 from d21link.cli import main
 from d21link.representation import (DIM, M, M2, duality_maps, generator_action,
                                     root_vector)
-from d21link.ring import (LAMBDA, ONE, Q, QINV, QuarterLaurent, q_string,
-                          to_integer_laurent)
+from d21link.ring import LAMBDA, ONE, Q, QINV, Laurent, q_string
 from d21link.rmatrix import (EVEN_PAIRS, ODD_PAIRS, REFERENCE_C0,
                              REFERENCE_C1, TableError, braiding, cartan_factor,
                              compare_reference, exp_factor, r_matrix,
@@ -22,7 +21,7 @@ def flat(i, j):
 
 
 def q(k, coeff=1):
-    return QuarterLaurent.q_power(k, coeff)
+    return Laurent.q_power(k, coeff)
 
 
 def test_cartan_factor_examples():
@@ -30,9 +29,10 @@ def test_cartan_factor_examples():
     assert k.entry(flat(1, 1), flat(1, 1)) == q(1)
     assert k.entry(flat(3, 3), flat(3, 3)) == q(-1)
     assert k.entry(flat(1, 3), flat(1, 3)) == ONE
-    # diagonal with quarter-power entries elsewhere
-    v23 = k.entry(flat(2, 3), flat(2, 3))
-    assert type(v23) is QuarterLaurent
+    # diagonal, one monomial q^e per basis pair, e read off the weights
+    exponents = rmatrix.cartan_exponents()
+    assert k.entries == {(v, v): q(e) for v, e in enumerate(exponents)}
+    assert sorted(set(exponents)) == [-1, 0, 1]
 
 
 def test_inverse_cartan_factor_is_read_off_the_factor():
@@ -104,8 +104,8 @@ def test_braiding_inverse_and_integrality():
     assert compose(bundle.c_inv, bundle.c) == SuperMap.identity(M2)
     # the inverse built factor by factor is the elimination's, entry for entry
     assert bundle.c_inv.entries == invert(bundle.c).entries
-    for value in list(bundle.c.entries.values()) + list(bundle.c_inv.entries.values()):
-        to_integer_laurent(value)
+    for value in (*bundle.c.entries.values(), *bundle.c_inv.entries.values()):
+        assert type(value) is Laurent
 
 
 def test_r_matrix_is_the_product_of_its_factors():

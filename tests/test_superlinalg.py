@@ -5,14 +5,14 @@ import pytest
 
 from d21link.representation import (M, M2, duality_maps, generator_action,
                                     phi, root_vector)
-from d21link.ring import (LAMBDA, ONE, ZERO, NotLaurentInQ, QuarterLaurent,
+from d21link.ring import (LAMBDA, ONE, ZERO, NotLaurentInQ, Laurent,
                           RatFunc)
 from d21link.superlinalg import (TRIVIAL, ShapeMismatchError, SuperMap,
                                  compose, embed_at, invert,
                                  rank_over_fractions, tensor, tensor_map,
                                  tensor_power, volte)
 from helpers import (DENOMINATORS, fraction_rank, random_even_map,
-                     random_homogeneous_map, random_nonzero_quarter_laurent,
+                     random_homogeneous_map, random_nonzero_laurent,
                      random_sparse_map, reference_embed_at)
 
 
@@ -149,8 +149,8 @@ def test_rank_known_cases():
     assert rank_over_fractions(SuperMap.zero(M, M)) == 0
     # rank-1 outer product inside the even block
     outer = SuperMap(M, M, {(0, 0): ONE, (0, 1): ONE,
-                            (1, 0): QuarterLaurent.constant(2),
-                            (1, 1): QuarterLaurent.constant(2)})
+                            (1, 0): Laurent.constant(2),
+                            (1, 1): Laurent.constant(2)})
     assert rank_over_fractions(outer) == 1
     # the non-square cap (36 -> 1) and cup (1 -> 36)
     _, cup, cap = duality_maps()
@@ -162,16 +162,16 @@ def test_rank_is_invariant_under_left_multiplication_by_invertible():
     rng = random.Random(27)
     f = random_even_map(rng, M)
     upper = SuperMap(M, M, {(i, i): ONE for i in range(6)} |
-                     {(0, 1): QuarterLaurent.constant(3),
-                      (2, 3): QuarterLaurent.constant(-2)})
+                     {(0, 1): Laurent.constant(3),
+                      (2, 3): Laurent.constant(-2)})
     assert rank_over_fractions(compose(upper, f)) == rank_over_fractions(f)
 
 
 def test_invert_round_trip_and_singular():
-    entries = {(i, i): QuarterLaurent.constant(1 - 2 * (i % 2))
+    entries = {(i, i): Laurent.constant(1 - 2 * (i % 2))
                for i in range(6)}
-    entries[(0, 1)] = QuarterLaurent.constant(5)
-    entries[(3, 4)] = QuarterLaurent.constant(-2)
+    entries[(0, 1)] = Laurent.constant(5)
+    entries[(3, 4)] = Laurent.constant(-2)
     m = SuperMap(M, M, entries)
     assert compose(invert(m), m) == SuperMap.identity(M)
     assert compose(m, invert(m)) == SuperMap.identity(M)
@@ -179,16 +179,16 @@ def test_invert_round_trip_and_singular():
         invert(SuperMap.zero(M, M))
     # two equal nonzero rows
     equal_rows = dict(entries)
-    equal_rows[(1, 0)] = QuarterLaurent.constant(1)
-    equal_rows[(1, 1)] = QuarterLaurent.constant(5)
+    equal_rows[(1, 0)] = Laurent.constant(1)
+    equal_rows[(1, 1)] = Laurent.constant(5)
     with pytest.raises(ArithmeticError):
         invert(SuperMap(M, M, equal_rows))
     # the v1 <-> v2 swap: the pivot for column 0 sits in row 1
     swap = {(i, i): ONE for i in range(2, 6)}
-    swap[(0, 1)] = swap[(1, 0)] = QuarterLaurent.q_power(1)
+    swap[(0, 1)] = swap[(1, 0)] = Laurent.q_power(1)
     m = SuperMap(M, M, swap)
     assert compose(invert(m), m) == SuperMap.identity(M)
-    assert invert(m).entry(1, 0) == QuarterLaurent.q_power(-1)
+    assert invert(m).entry(1, 0) == Laurent.q_power(-1)
 
 
 def test_map_addition_parity_rules():
@@ -255,7 +255,7 @@ def reference_rank(index):
 def test_rank_matches_the_fraction_field_sweep():
     deficient = 0
     for index, op in enumerate(MAPS):
-        assert all(type(v) is QuarterLaurent for v in op.entries.values())
+        assert all(type(v) is Laurent for v in op.entries.values())
         rank = rank_over_fractions(op)
         assert rank == reference_rank(index), op
         deficient += rank < min(len(op.domain), len(op.codomain))
@@ -264,18 +264,18 @@ def test_rank_matches_the_fraction_field_sweep():
 
 
 def laurent_unimodular(rng, space):
-    """Units +-t^k on the diagonal times elementary maps id + a*e_ij with
-    Laurent a: invertible over Z[t, 1/t], so the inverse is Laurent."""
+    """Units +-q^k on the diagonal times elementary maps id + a*e_ij with
+    Laurent a: invertible over Z[q, 1/q], so the inverse is Laurent."""
     n = len(space)
     op = SuperMap(space, space, {
-        (i, i): QuarterLaurent({rng.randint(-6, 6): rng.choice((1, -1))})
+        (i, i): Laurent({rng.randint(-6, 6): rng.choice((1, -1))})
         for i in range(n)})
     for _ in range(2 * n):
         i, j = rng.randrange(n), rng.randrange(n)
         if i == j or space[i] != space[j]:
             continue
         entries = {(k, k): ONE for k in range(n)}
-        entries[(i, j)] = random_nonzero_quarter_laurent(rng)
+        entries[(i, j)] = random_nonzero_laurent(rng)
         op = compose(SuperMap(space, space, entries), op)
     return op
 
@@ -291,12 +291,12 @@ def test_invert_round_trips_on_generated_maps():
     for _ in range(40):
         op = laurent_unimodular(rng, random_space(rng, rng.randint(1, 7)))
         inverse = invert(op)
-        assert all(type(v) is QuarterLaurent for v in inverse.entries.values())
+        assert all(type(v) is Laurent for v in inverse.entries.values())
         assert_inverse(op, inverse)
 
 
 def test_invert_raises_when_the_inverse_is_not_laurent():
-    diag = SuperMap(M, M, {(i, i): QuarterLaurent.constant(i + 1)
+    diag = SuperMap(M, M, {(i, i): Laurent.constant(i + 1)
                            for i in range(6)})
     with pytest.raises(ArithmeticError):
         invert(diag)
@@ -340,7 +340,7 @@ def test_scale_divides_exactly_or_raises():
         assert not term.is_zero()
         phi_i = phi(i)
         scaled = term.scale(phi_i.den, phi_i.num)
-        assert all(type(v) is QuarterLaurent for v in scaled.entries.values())
+        assert all(type(v) is Laurent for v in scaled.entries.values())
         assert scaled.scale(phi_i.num, phi_i.den) == term
     e2 = generator_action("E", 2)
     # a fraction need not be in lowest terms, and a zero numerator gives
@@ -352,12 +352,12 @@ def test_scale_divides_exactly_or_raises():
     # a one-term divisor takes exact_div's shortcut, and a two-term one its
     # quotient loop, whose leading coefficient 2 does not divide 1
     with pytest.raises(NotLaurentInQ):
-        e2.scale(ONE, QuarterLaurent.constant(2))
+        e2.scale(ONE, Laurent.constant(2))
     plus_one = LAMBDA + ONE
     with pytest.raises(NotLaurentInQ):
-        e2.scale(plus_one, plus_one * QuarterLaurent.constant(2))
-    assert e2.scale(plus_one * QuarterLaurent.constant(2),
-                    plus_one) == e2.scale(QuarterLaurent.constant(2))
+        e2.scale(plus_one, plus_one * Laurent.constant(2))
+    assert e2.scale(plus_one * Laurent.constant(2),
+                    plus_one) == e2.scale(Laurent.constant(2))
 
 
 def test_embed_at_is_the_tensor_with_identities():

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from d21link.dubrovnik import braid_closure_graph, dubrovnik_poly, specialize
-from d21link.ring import (ONE, Q, QuarterLaurent, format_q_laurent,
+from d21link.ring import (ONE, Q, Laurent, format_q_laurent,
                           laurent_product)
 from d21link import tangle, verify
 from d21link.representation import M, M2, duality_maps, generator_action
@@ -463,7 +463,7 @@ def test_cohomology_guard_needs_signed_powers_of_q():
     # 2c is still a module map that keeps every weight, but cut down to
     # the E_1-cohomology its entries are -2 q^-1 and -2 q
     bundle = braiding()
-    doubled = BraidingBundle(bundle.c.scale(QuarterLaurent.constant(2)),
+    doubled = BraidingBundle(bundle.c.scale(Laurent.constant(2)),
                              bundle.c_inv)
     with replaced_in_tangle(braiding=lambda: doubled):
         with pytest.raises(ValueError, match="has an entry that is not a "
@@ -476,7 +476,7 @@ def test_cohomology_guard_needs_crossings_that_send_a_window_to_one_window():
     # v4 v5 to -q v5 v4 + q^-1 v4 v5
     bundle = braiding()
     shifted = BraidingBundle(bundle.c + SuperMap.identity(M2).scale(
-        QuarterLaurent.q_power(-1)), bundle.c_inv)
+        Laurent.q_power(-1)), bundle.c_inv)
     with replaced_in_tangle(braiding=lambda: shifted):
         with pytest.raises(ValueError, match="^the pos crossing does not "
                                              "send each window in the "

@@ -1,6 +1,6 @@
 from d21link import verify
 from d21link.representation import M2
-from d21link.ring import Q, QuarterLaurent
+from d21link.ring import Q, Laurent
 from d21link.rmatrix import r_matrix
 from d21link.superlinalg import SuperMap
 from d21link.tangle import cohomology_trace
@@ -29,8 +29,8 @@ def test_classical_limit_needs_every_diagonal_entry():
     entries = dict(ident.entries)
     del entries[(7, 7)]
     assert not verify._is_identity_at_one(SuperMap(M2, M2, entries))
-    entries[(7, 7)] = Q + Q - QuarterLaurent.q_power(-1)    # sums to 1
-    entries[(0, 7)] = Q - QuarterLaurent.q_power(-1)        # sums to 0
+    entries[(7, 7)] = Q + Q - Laurent.q_power(-1)    # sums to 1
+    entries[(0, 7)] = Q - Laurent.q_power(-1)        # sums to 0
     assert verify._is_identity_at_one(SuperMap(M2, M2, entries))
     entries[(0, 7)] = Q                                     # sums to 1
     assert not verify._is_identity_at_one(SuperMap(M2, M2, entries))
